@@ -1,8 +1,11 @@
 """Simplified stand-in planners for directional comparisons.
 
-Both share the guidance law, rollout machinery, belief, and diagnostics of
-the full planner so measured differences isolate the probing + influence +
-per-mode risk-cap machinery, not implementation quality.
+Both subclass the full planner and reuse its step setup (guidance law,
+joint weights, reference-plan CVaR), its solver loop and its diagnostics,
+so measured differences isolate the probing + influence + per-mode
+risk-cap machinery, not implementation quality. The passive planner only
+overrides two hooks; the conservative planner supplies only its objective
+to the shared descent.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ from .gaussmath import Gaussian
 from .planner import (
     ActivePlanner,
     ModeDiag,
+    ModeSolveResult,
     PlanDiagnostics,
-    _StepContext,
-    blend_controls,
-    lane_guidance,
-    _expand_segments,
+    _controls,
+    _descend,
+    _start_candidates,
 )
 from .risk import cvar, path_costs, simulate_ego_path
-from .seeding import derive_key
 from .world import ScenarioState
 
 
@@ -68,139 +70,32 @@ class ConservativePlanner(ActivePlanner):
         rng: np.random.Generator | int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
-        base_key = rng if isinstance(rng, int) else derive_key(rng)
-        guidance = lane_guidance(state, cfg)
-        ctx = _StepContext(
-            cfg=cfg, state=state, belief=b, base_key=base_key,
-            guidance_yaw=guidance, ego_sigma=self._ego_sigma,
-            probe_grid=None, probe_entropy=None, entropy_weight=0.0,
-        )
-        h_before = entropy(b, cfg.pi_weighted_entropy)
+        ctx = self._begin_step(state, b, rng)
+        hedge = [(ctx.omegas[k], ctx.paths_for(b.targets.get(*k))) for k in ctx.solve_keys]
 
-        omega_rows = joint_weights(b)
-        modes = list(b.targets.targets)
-        omegas = {
-            (t.intent_id, t.mode_id): float(omega_rows[t.intent_id - 1][t.mode_id - 1])
-            for t in modes
-        }
-        active_keys = [k for k, w in omegas.items() if w > cfg.mode_activation_eps]
-        hedge_keys = active_keys or [max(omegas, key=omegas.get)]
-        hedge_paths = [(omegas[k], ctx.paths_for(b.targets.get(*k))) for k in hedge_keys]
-
-        if self._prev_accel is not None:
-            ref_accel = np.append(self._prev_accel[1:], self._prev_accel[-1])
-        else:
-            ref_accel = np.zeros(cfg.horizon_steps)
-        ego_xy, ego_speeds = simulate_ego_path(
-            state.ego, np.column_stack((ref_accel, guidance)), cfg.dt
-        )
-        cvar_pre = {
-            (t.intent_id, t.mode_id): cvar(
-                path_costs(ego_xy, ego_speeds, ctx.paths_for(t), cfg.discount, cfg.ref_speed),
-                cfg.cvar_level,
-            )
-            for t in modes
-        }
-
-        a_lo, a_hi = cfg.accel_bounds
-        evals = 0
-
-        def mode_cvars(accel: np.ndarray) -> list[float]:
-            plan = np.column_stack((accel, guidance))
+        def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
+            plan = np.column_stack((accel, ctx.guidance_yaw))
             xy, speeds = simulate_ego_path(state.ego, plan, cfg.dt)
-            return [
+            cvars = [
                 cvar(path_costs(xy, speeds, paths, cfg.discount, cfg.ref_speed), cfg.cvar_level)
-                for _, paths in hedge_paths
+                for _, paths in hedge
             ]
+            return sum(w * v for (w, _), v in zip(hedge, cvars)), cvars
 
-        def evaluate(theta: np.ndarray) -> float:
-            nonlocal evals
-            evals += 1
-            accel = _expand_segments(np.clip(theta, a_lo, a_hi), cfg.horizon_steps)
-            values = mode_cvars(accel)
-            return sum(w * v for (w, _), v in zip(hedge_paths, values))
-
-        segments = cfg.solver_segments
-        candidates = [np.zeros(segments)]
-        for c in np.linspace(a_lo, a_hi, cfg.solver_inits):
-            candidates.append(np.full(segments, c))
-        if self._prev_accel is not None:
-            candidates.append(np.clip(
-                np.array([float(np.mean(c)) for c in np.array_split(ref_accel, segments)]),
-                a_lo, a_hi,
-            ))
-        best_theta, best = None, math.inf
-        for theta in candidates:
-            val = evaluate(theta)
-            if val < best:
-                best_theta, best = theta.copy(), val
-        theta, current = best_theta, best
-        for _ in range(cfg.solver_iters):
-            grad = np.zeros(segments)
-            for m in range(segments):
-                h = 0.05 if theta[m] + 0.05 <= a_hi else -0.05
-                probe = theta.copy()
-                probe[m] += h
-                grad[m] = (evaluate(probe) - current) / h
-            scale = float(np.max(np.abs(grad)))
-            if scale < 1e-12:
-                break
-            direction = grad / scale
-            step = cfg.solver_step
-            improved = False
-            for _ in range(3):
-                trial = np.clip(theta - step * direction, a_lo, a_hi)
-                val = evaluate(trial)
-                if val < current - 1e-12:
-                    theta, current = trial, val
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-
-        accel = _expand_segments(np.clip(theta, a_lo, a_hi), cfg.horizon_steps)
-        u_total = np.clip(
-            np.column_stack((accel, guidance)), cfg.u_min, cfg.u_max
+        warm = ctx.ref_accel if self._prev_accel is not None else None
+        candidates = _start_candidates(cfg, warm, bursts=False)
+        accel, (objective, cvars), history = _descend(evaluate, candidates, cfg)
+        u_total = _controls(ctx, accel)
+        results = {
+            key: ModeSolveResult(
+                nu=u_total, objective=objective, cvar_value=value, j_probe=0.0,
+                j_influence=0.0, infeasible=False, evals=len(history),
+            )
+            for key, value in zip(ctx.solve_keys, cvars)
+        }
+        return self._finish_step(
+            ctx, results, u_total, not ctx.active_keys, len(history)
         )
-        u_first = u_total[0].copy()
-        self._prev_accel = u_total[:, 0].copy()
-
-        final_cvars = dict(zip(hedge_keys, mode_cvars(u_total[:, 0])))
-        mode_diags = []
-        for t in modes:
-            key = (t.intent_id, t.mode_id)
-            if key in final_cvars:
-                mode_diags.append(
-                    ModeDiag(
-                        intent_id=key[0], mode_id=key[1], omega=omegas[key],
-                        active=key in active_keys, cvar_pre=cvar_pre[key],
-                        cvar_solution=final_cvars[key],
-                        margin=cfg.risk_cap - final_cvars[key],
-                        objective=current, j_probe=0.0, j_influence=0.0,
-                        evals=evals, nu=u_total,
-                    )
-                )
-            else:
-                mode_diags.append(
-                    ModeDiag(
-                        intent_id=key[0], mode_id=key[1], omega=omegas[key],
-                        active=False, cvar_pre=cvar_pre[key],
-                    )
-                )
-        diag = PlanDiagnostics(
-            entropy_before=h_before,
-            expected_entropy_after=math.nan,
-            modes=tuple(mode_diags),
-            u_total=u_total,
-            u_first=u_first,
-            j_probe=0.0,
-            j_influence=0.0,
-            solver_evals=evals,
-            blend_fallback=not active_keys,
-            infeasible_any=False,
-        )
-        return u_first, diag
 
 
 class ZeroPlanner:

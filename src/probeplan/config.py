@@ -173,12 +173,19 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
 
 
 def build_run_config(cfg: dict, scenario: str, planner: str):
-    from .scenario import RunConfig  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .scenario import RunConfig, check_pinned_intent, default_targets
 
     targets = None
     tfile = cfg["scenario"]["mode_targets_file"]
     if tfile:
         targets = load_mode_targets(tfile)
+    pinned = cfg["human"]["pinned_intent"]
+    if pinned is not None:
+        try:
+            check_pinned_intent(pinned, targets or default_targets(scenario))
+        except InvalidInputError as e:
+            raise ConfigError(f"invalid human.pinned_intent: {e}") from None
     return RunConfig(
         scenario=scenario,
         master_seed=cfg["experiment"]["master_seed"],
@@ -186,7 +193,7 @@ def build_run_config(cfg: dict, scenario: str, planner: str):
         planner_cfg=build_planner_config(cfg, scenario),
         t_max=cfg["scenario"]["t_max"],
         comparison_mode=cfg["experiment"]["comparison_mode"],
-        pinned_intent=cfg["human"]["pinned_intent"],
+        pinned_intent=pinned,
         observation_noise_std=cfg["human"]["observation_noise_std"],
         risk_threshold=cfg["human"]["risk_threshold"],
         targets=targets,
@@ -212,7 +219,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def load_mode_targets(path: str | Path) -> ModeTargetSet:
-    """Read a mode-target file (schema documented in docs/mode_targets.md):
+    """Read a mode-target file. Intents are numbered from 1 in file order
+    and their modes from 1; ``observation`` is required, ``name``, ``label``
+    and ``steering`` are optional:
 
     intents:
       - name: aggressive

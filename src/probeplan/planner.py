@@ -3,22 +3,26 @@ interaction targets, CVaR-capped per-mode solves, and joint-weight
 blending, applied in a receding-horizon loop (only the first control of
 each solve is executed).
 
-Solver notes. Each per-mode problem is solved by multi-start over
-constant-acceleration candidates followed by projected finite-difference
-descent on a piecewise-constant acceleration parameterization; the lateral
-channel follows a fixed lane-guidance law shared by every planner so
-cross-planner comparisons isolate the longitudinal interaction machinery.
-The CVaR cap enters as a quadratic penalty, and all Monte-Carlo quantities
-inside one solve reuse fixed random streams (common random numbers), so
-the objective is deterministic within a solve and the whole step is
-bit-reproducible from its rng key.
+Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
+builds the shared setup (rng key, lane guidance, probe grid, joint weights,
+the modes to solve, reference-plan CVaR per mode) and ``_descend`` is the
+one solver loop: multi-start over constant-acceleration candidates, then
+projected finite-difference descent on a piecewise-constant acceleration
+parameterization. A planner supplies only the objective it descends: the
+per-mode probe + influence + CVaR-penalty objective of ``_solve_mode``, or
+the baselines' own. The lateral channel follows a fixed lane-guidance law
+shared by every planner so cross-planner comparisons isolate the
+longitudinal interaction machinery. The CVaR cap enters as a quadratic
+penalty, and all Monte-Carlo quantities inside one solve reuse fixed random
+streams (common random numbers), so the objective is deterministic within a
+solve and the whole step is bit-reproducible from its rng key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,6 +60,13 @@ INIT_VEL_STD = 0.2
 
 _FD_STEP = 0.05  # finite-difference probe, m/s^2 in segment space
 
+# The probe projection holds the first control this many steps (see
+# probe_projection). The probing estimators weigh each belief row's entropy
+# by its intent mass: probing should chase intent information, not the
+# mode-weight noise of intents the belief already rules out.
+PROBE_LOOKAHEAD_STEPS = 20
+PROBE_PI_WEIGHTED = True
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -85,10 +96,8 @@ class PlannerConfig:
     solver_inits: int = 5
     penalty_weight: float = 100.0
     probe_grid_size: int = 7
-    probe_lookahead_steps: int = 20
     literal_probe_sign: bool = False
     pi_weighted_entropy: bool = False
-    probe_pi_weighted: bool = True
     adaptive_obs_samples: bool = True
 
     def __post_init__(self) -> None:
@@ -112,6 +121,18 @@ class PlannerConfig:
             raise InvalidInputError("obs_samples >= 1 and probe_grid_size >= 2 required")
         if self.solver_segments < 1 or self.solver_iters < 0 or self.solver_inits < 2:
             raise InvalidInputError("invalid solver budget")
+        if not 0.0 < self.ref_speed < math.inf:
+            raise InvalidInputError(f"ref_speed must be positive and finite, got {self.ref_speed}")
+        if not 0.0 < self.discount <= 1.0:
+            raise InvalidInputError(f"discount must lie in (0, 1], got {self.discount}")
+        if not 0.0 <= self.obs_noise_std < math.inf:
+            raise InvalidInputError(
+                f"obs_noise_std must be nonnegative and finite, got {self.obs_noise_std}"
+            )
+        if not self.features or not set(self.features) <= {VELOCITY, GAP}:
+            raise InvalidInputError(
+                f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {self.features}"
+            )
 
     @property
     def u_min(self) -> np.ndarray:
@@ -245,24 +266,13 @@ def ego_horizon_covariance(cfg: PlannerConfig) -> np.ndarray:
     return sigma
 
 
-def predicted_interaction_gaussian(
-    state: ScenarioState,
-    accel_seq: np.ndarray,
-    mode: ModeTarget,
-    cfg: PlannerConfig,
-    ego_sigma: np.ndarray | None = None,
-) -> Gaussian:
-    """Ego interaction-feature distribution (speed, lead) at the horizon
-    end, given a longitudinal acceleration sequence and a mode hypothesis
-    for the human."""
-    accel_seq = np.asarray(accel_seq, dtype=float)
-    if accel_seq.shape != (cfg.horizon_steps,):
-        raise InvalidInputError("accel_seq length must equal the horizon")
-    if ego_sigma is None:
-        ego_sigma = ego_horizon_covariance(cfg)
+def _interaction_frame(
+    state: ScenarioState, mode: ModeTarget, cfg: PlannerConfig, ego_sigma: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """Control-independent parts of the predicted interaction distribution:
+    ego start progress, predicted human progress at the horizon end if it
+    follows ``mode``, and the (speed, lead) covariance."""
     geometry = state.geometry
-    s0 = ego_progress(geometry, state.ego)
-    s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel_seq, cfg.dt)
     c0 = conflict_level(
         state.ego, state.human, geometry, cfg.response_gain,
         geometry.risk_threshold, geometry.nominal_human_speed,
@@ -278,6 +288,26 @@ def predicted_interaction_gaussian(
             [ego_sigma[0, 1], ego_sigma[0, 0] + var_h_pos],
         ]
     )
+    return ego_progress(geometry, state.ego), s_h, cov
+
+
+def predicted_interaction_gaussian(
+    state: ScenarioState,
+    accel_seq: np.ndarray,
+    mode: ModeTarget,
+    cfg: PlannerConfig,
+    ego_sigma: np.ndarray | None = None,
+) -> Gaussian:
+    """Ego interaction-feature distribution (speed, lead) at the horizon
+    end, given a longitudinal acceleration sequence and a mode hypothesis
+    for the human."""
+    accel_seq = np.asarray(accel_seq, dtype=float)
+    if accel_seq.shape != (cfg.horizon_steps,):
+        raise InvalidInputError("accel_seq length must equal the horizon")
+    if ego_sigma is None:
+        ego_sigma = ego_horizon_covariance(cfg)
+    s0, s_h, cov = _interaction_frame(state, mode, cfg, ego_sigma)
+    s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel_seq, cfg.dt)
     return Gaussian(np.array([v_t, s_t - s_h]), cov)
 
 
@@ -310,19 +340,18 @@ def probe_projection(
 
     A single 0.1 s step barely moves the conflict geometry, which would
     leave the probing objective with a vanishing gradient; holding the
-    first planned control for ``probe_lookahead_steps`` exposes the
+    first planned control for ``PROBE_LOOKAHEAD_STEPS`` exposes the
     response the control actually elicits. The human cruises during the
     projection (its reaction enters through the response-time relaxation).
     """
-    steps = max(1, cfg.probe_lookahead_steps)
     ego = state.ego
     accel = float(u_first[0])
-    for _ in range(steps):
+    for _ in range(PROBE_LOOKAHEAD_STEPS):
         ego = step_vehicle(ego, (accel, 0.0), cfg.dt)
     human = state.human
-    for _ in range(steps):
+    for _ in range(PROBE_LOOKAHEAD_STEPS):
         human = step_vehicle(human, (0.0, 0.0), cfg.dt)
-    return ego, human, steps * cfg.dt
+    return ego, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
 
 
 def predicted_observation_mean(
@@ -368,6 +397,43 @@ def _flat_modes(b: HierarchicalBelief) -> tuple[list[ModeTarget], np.ndarray]:
     return modes, flat
 
 
+def _observation_draws(
+    b: HierarchicalBelief, n_obs: int, rng: np.random.Generator, cfg: PlannerConfig
+) -> tuple[list[ModeTarget], np.ndarray]:
+    """``n_obs`` modes drawn by joint weight, and observation noise for each."""
+    modes, omega = _flat_modes(b)
+    idxs = rng.choice(len(modes), size=n_obs, p=omega / omega.sum())
+    noise = rng.normal(0.0, cfg.obs_noise_std, size=(n_obs, len(cfg.features)))
+    return [modes[int(i)] for i in idxs], noise
+
+
+def _mean_posterior_entropy(
+    b: HierarchicalBelief,
+    state: ScenarioState,
+    first_accel: float,
+    draws: tuple[list[ModeTarget], np.ndarray],
+    h_prior: float,
+    cfg: PlannerConfig,
+) -> float:
+    """Average posterior entropy over fixed observation draws, conditioned
+    on holding ``first_accel``; degenerate-evidence draws count as
+    ``h_prior``."""
+    ego_ref, human_ref, response_time = probe_projection(
+        state, np.array([first_accel, 0.0]), cfg
+    )
+    modes, noise = draws
+    total = 0.0
+    for mode, eps in zip(modes, noise):
+        z = predicted_observation_mean(
+            ego_ref, human_ref, state.geometry, mode, cfg, response_time
+        ) + eps
+        try:
+            total += entropy(update(b, z), PROBE_PI_WEIGHTED)
+        except DegenerateEvidenceError:
+            total += h_prior
+    return total / len(modes)
+
+
 def expected_posterior_entropy(
     b: HierarchicalBelief,
     u_seq: np.ndarray,
@@ -387,26 +453,10 @@ def expected_posterior_entropy(
     if n_obs < 1:
         raise InvalidInputError("n_obs must be >= 1")
     u_first = np.asarray(u_seq, dtype=float).reshape(-1, 2)[0]
-    ego_ref, human_ref, response_time = probe_projection(state, u_first, cfg)
-    modes, omega = _flat_modes(b)
-    omega = omega / omega.sum()
-    # The probing estimator weighs each row's entropy by its intent mass
-    # (probe_pi_weighted): probing should chase intent information, not
-    # the mode-weight noise of intents the belief already rules out.
-    weighted = cfg.probe_pi_weighted
-    total = 0.0
-    for _ in range(n_obs):
-        idx = int(rng.choice(len(modes), p=omega))
-        z = predicted_observation_mean(
-            ego_ref, human_ref, state.geometry, modes[idx], cfg, response_time
-        )
-        if cfg.obs_noise_std > 0.0:
-            z = z + rng.normal(0.0, cfg.obs_noise_std, size=z.shape)
-        try:
-            total += entropy(update(b, z), weighted)
-        except DegenerateEvidenceError:
-            total += entropy(b, weighted)
-    return total / n_obs
+    draws = _observation_draws(b, n_obs, rng, cfg)
+    return _mean_posterior_entropy(
+        b, state, u_first[0], draws, entropy(b, PROBE_PI_WEIGHTED), cfg
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +465,7 @@ def expected_posterior_entropy(
 
 @dataclass
 class _StepContext:
-    """Shared per-step precomputation for every mode solve."""
+    """Per-step setup shared by every planner and every mode solve."""
 
     cfg: PlannerConfig
     state: ScenarioState
@@ -426,6 +476,11 @@ class _StepContext:
     probe_grid: np.ndarray | None
     probe_entropy: np.ndarray | None
     entropy_weight: float
+    omegas: dict[tuple[int, int], float]
+    active_keys: list[tuple[int, int]]
+    solve_keys: list[tuple[int, int]]
+    ref_accel: np.ndarray
+    cvar_pre: dict[tuple[int, int], float] = field(default_factory=dict)
     human_paths: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     def paths_for(self, mode: ModeTarget) -> np.ndarray:
@@ -443,17 +498,86 @@ class _StepContext:
             return 0.0
         expected = float(np.interp(first_accel, self.probe_grid, self.probe_entropy))
         sign = -1.0 if self.cfg.literal_probe_sign else 1.0
-        return sign * self.entropy_weight * expected
+        return sign * probe_objective(expected, self.entropy_weight)
 
 
-def _expand_segments(theta: np.ndarray, horizon: int) -> np.ndarray:
-    seg_len = -(-horizon // theta.shape[0])  # ceil division
-    return np.repeat(theta, seg_len)[:horizon]
+def _start_candidates(
+    cfg: PlannerConfig, warm_accel: np.ndarray | None, bursts: bool
+) -> list[np.ndarray]:
+    """Multi-start segment vectors: coasting, evenly spaced constant
+    accelerations, the warm start's segment means, and optionally probe
+    bursts."""
+    a_lo, a_hi = cfg.accel_bounds
+    segments = cfg.solver_segments
+    candidates = [np.zeros(segments)]
+    consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
+    for c in consts:
+        candidates.append(np.full(segments, c))
+    if warm_accel is not None:
+        means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
+        candidates.append(np.clip(np.array(means), a_lo, a_hi))
+    if bursts and segments > 1:
+        # Probe bursts: an extreme first segment with a steady tail. The
+        # influence term cares mostly about the terminal state, so these
+        # candidates let the probing term claim the first control cheaply.
+        for c in consts:
+            for burst in (a_lo, a_hi):
+                theta = np.full(segments, c)
+                theta[0] = burst
+                candidates.append(theta)
+    return candidates
 
 
-def _segment_means(accel: np.ndarray, segments: int) -> np.ndarray:
-    chunks = np.array_split(accel, segments)
-    return np.array([float(np.mean(c)) for c in chunks])
+def _descend(
+    evaluate: Callable[[np.ndarray], tuple],
+    candidates: list[np.ndarray],
+    cfg: PlannerConfig,
+) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
+    """The solver loop every planner shares: the best of ``candidates``,
+    then projected finite-difference descent on the segment accelerations.
+
+    ``evaluate`` maps an acceleration sequence (T,) to a tuple whose first
+    item is the objective. Returns the final acceleration sequence, its
+    evaluation, and every (sequence, evaluation) pair in call order.
+    """
+    a_lo, a_hi = cfg.accel_bounds
+    horizon = cfg.horizon_steps
+    seg_len = -(-horizon // cfg.solver_segments)  # ceil division
+    history: list[tuple[np.ndarray, tuple]] = []
+
+    def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
+        accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
+        history.append((accel, evaluate(accel)))
+        return history[-1]
+
+    theta = accel = current = None
+    for cand in candidates:
+        cand_accel, res = score(cand)
+        if current is None or res[0] < current[0]:
+            theta, accel, current = cand.copy(), cand_accel, res
+
+    for _ in range(cfg.solver_iters):
+        grad = np.zeros(theta.shape[0])
+        for m in range(theta.shape[0]):
+            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
+            probe = theta.copy()
+            probe[m] += h
+            grad[m] = (score(probe)[1][0] - current[0]) / h
+        scale = float(np.max(np.abs(grad)))
+        if scale < 1e-12:
+            break
+        direction = grad / scale
+        step = cfg.solver_step
+        for _ in range(3):
+            trial = np.clip(theta - step * direction, a_lo, a_hi)
+            trial_accel, res = score(trial)
+            if res[0] < current[0] - 1e-12:
+                theta, accel, current = trial, trial_accel, res
+                break
+            step *= 0.5
+        else:
+            break
+    return accel, current, history
 
 
 @dataclass(frozen=True)
@@ -474,133 +598,55 @@ def _solve_mode(
     warm_accel: np.ndarray | None,
 ) -> ModeSolveResult:
     cfg = ctx.cfg
-    a_lo, a_hi = cfg.accel_bounds
-    horizon = cfg.horizon_steps
-    dt = cfg.dt
     state = ctx.state
-    geometry = state.geometry
     paths = ctx.paths_for(mode)
 
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
-    c0 = conflict_level(
-        state.ego, state.human, geometry, cfg.response_gain,
-        geometry.risk_threshold, geometry.nominal_human_speed,
-    )
-    s_h = human_progress(geometry, state.human) + _mode_human_advance(
-        state.human, mode, c0, cfg
-    )
-    s0 = ego_progress(geometry, state.ego)
-    horizon_time = horizon * dt
-    var_h_pos = float(mode.target.cov[0, 0]) * horizon_time * horizon_time
-    cov_pred = np.array(
-        [
-            [ctx.ego_sigma[1, 1], ctx.ego_sigma[0, 1]],
-            [ctx.ego_sigma[0, 1], ctx.ego_sigma[0, 0] + var_h_pos],
-        ]
-    )
-    pred_stub = Gaussian(np.zeros(2), cov_pred)
-    kl_at_zero = kl_divergence(pred_stub, steer_target)
+    s0, s_h, cov_pred = _interaction_frame(state, mode, cfg, ctx.ego_sigma)
+    kl_at_zero = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer_target)
     chol_q = np.linalg.cholesky(steer_target.cov)
     y0 = np.linalg.solve(chol_q, steer_target.mean)
     kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
 
-    def kl_fast(pred_mean: np.ndarray) -> float:
-        y = np.linalg.solve(chol_q, steer_target.mean - pred_mean)
-        return kl_const + 0.5 * float(y @ y)
-
-    evals = 0
-    history: list[tuple[float, float, np.ndarray]] = []  # (objective, cvar, accel)
-
-    def evaluate(theta: np.ndarray) -> tuple[float, float, float, float]:
-        nonlocal evals
-        evals += 1
-        accel = _expand_segments(np.clip(theta, a_lo, a_hi), horizon)
+    def evaluate(accel: np.ndarray) -> tuple[float, float, float, float]:
         plan = np.column_stack((accel, ctx.guidance_yaw))
-        ego_xy, ego_speeds = simulate_ego_path(state.ego, plan, dt)
+        ego_xy, ego_speeds = simulate_ego_path(state.ego, plan, cfg.dt)
         cvar_val = cvar(
             path_costs(ego_xy, ego_speeds, paths, cfg.discount, cfg.ref_speed),
             cfg.cvar_level,
         )
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, dt)
-        j_infl = kl_fast(np.array([v_t, s_t - s_h]))
+        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
+        y = np.linalg.solve(chol_q, steer_target.mean - np.array([v_t, s_t - s_h]))
+        j_infl = kl_const + 0.5 * float(y @ y)
         j_probe = ctx.probe_term(float(accel[0]))
         violation = max(0.0, cvar_val - cfg.risk_cap)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-        history.append((obj, cvar_val, accel))
         return obj, cvar_val, j_probe, j_infl
 
-    segments = cfg.solver_segments
-    candidates = [np.zeros(segments)]
-    consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
-    for c in consts:
-        candidates.append(np.full(segments, c))
-    if warm_accel is not None:
-        candidates.append(np.clip(_segment_means(warm_accel, segments), a_lo, a_hi))
-    if ctx.probe_grid is not None and segments > 1:
-        # Probe bursts: an extreme first segment with a steady tail. The
-        # influence term cares mostly about the terminal state, so these
-        # candidates let the probing term claim the first control cheaply.
-        for c in consts:
-            for burst in (a_lo, a_hi):
-                theta = np.full(segments, c)
-                theta[0] = burst
-                candidates.append(theta)
-
-    best_theta, best = None, None
-    for theta in candidates:
-        res = evaluate(theta)
-        if best is None or res[0] < best[0]:
-            best_theta, best = theta.copy(), res
-
-    theta, current = best_theta, best
-    for _ in range(cfg.solver_iters):
-        grad = np.zeros(segments)
-        for m in range(segments):
-            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
-            probe = theta.copy()
-            probe[m] += h
-            grad[m] = (evaluate(probe)[0] - current[0]) / h
-        scale = float(np.max(np.abs(grad)))
-        if scale < 1e-12:
-            break
-        direction = grad / scale
-        step = cfg.solver_step
-        improved = False
-        for _ in range(3):
-            trial = np.clip(theta - step * direction, a_lo, a_hi)
-            res = evaluate(trial)
-            if res[0] < current[0] - 1e-12:
-                theta, current = trial, res
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-
-    obj, cvar_val, j_probe, j_infl = current
+    candidates = _start_candidates(cfg, warm_accel, bursts=ctx.probe_grid is not None)
+    accel, (obj, cvar_val, j_probe, j_infl), history = _descend(evaluate, candidates, cfg)
     infeasible = False
     if cvar_val > cfg.risk_cap:
-        feasible = [h for h in history if h[1] <= cfg.risk_cap]
+        feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
         if feasible:
-            obj, cvar_val, accel = min(feasible, key=lambda h: h[0])
+            accel, (obj, cvar_val, j_probe, j_infl) = min(feasible, key=lambda h: h[1][0])
         else:
             # Every evaluated candidate violates the cap: fall back to the
             # minimum-risk one and flag the solve; the loop re-solves next step.
-            obj, cvar_val, accel = min(history, key=lambda h: h[1])
+            accel, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
             infeasible = True
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, dt)
-        j_infl = kl_fast(np.array([v_t, s_t - s_h]))
-        j_probe = ctx.probe_term(float(accel[0]))
-    else:
-        accel = _expand_segments(np.clip(theta, a_lo, a_hi), horizon)
 
-    nu = np.column_stack((accel, ctx.guidance_yaw))
-    nu = np.clip(nu, ctx.cfg.u_min, ctx.cfg.u_max)
     return ModeSolveResult(
-        nu=nu, objective=obj, cvar_value=cvar_val, j_probe=j_probe,
-        j_influence=j_infl, infeasible=infeasible, evals=evals,
+        nu=_controls(ctx, accel), objective=obj, cvar_value=cvar_val,
+        j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
     )
+
+
+def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
+    """Control sequence (T, 2): ``accel`` with the step's lane guidance,
+    clamped to the control bounds."""
+    return np.clip(np.column_stack((accel, ctx.guidance_yaw)), ctx.cfg.u_min, ctx.cfg.u_max)
 
 
 def blend_controls(
@@ -660,51 +706,47 @@ class ActivePlanner:
     def _build_probe_grid(
         self, state: ScenarioState, b: HierarchicalBelief, key: int
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Expected posterior entropy on a grid of first accelerations, or
+        (None, None) when probing is off or the belief is already certain."""
         cfg = self.cfg
-        weight = self._entropy_weight()
-        h_now = entropy(b, cfg.probe_pi_weighted)
-        if weight <= 0.0 or h_now <= 1e-12:
+        if self._entropy_weight() <= 0.0:
+            return None, None
+        h_now = entropy(b, PROBE_PI_WEIGHTED)
+        if h_now <= 1e-12:
             return None, None
         n_obs = cfg.obs_samples
         if cfg.adaptive_obs_samples and h_now > 0.75 * max_entropy(
-            b.targets, cfg.probe_pi_weighted
+            b.targets, PROBE_PI_WEIGHTED
         ):
             n_obs *= 2
-        modes, omega = _flat_modes(b)
-        omega = omega / omega.sum()
-        rng = rng_from_keys(key, STREAM_PROBE)
         # Common random numbers: one draw set shared by every grid point.
-        idxs = rng.choice(len(modes), size=n_obs, p=omega)
-        noise = rng.normal(0.0, cfg.obs_noise_std, size=(n_obs, len(cfg.features)))
+        draws = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
         grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
-        values = np.empty_like(grid)
-        for gi, a0 in enumerate(grid):
-            ego_ref, human_ref, response_time = probe_projection(
-                state, np.array([a0, 0.0]), cfg
-            )
-            total = 0.0
-            for j in range(n_obs):
-                z = predicted_observation_mean(
-                    ego_ref, human_ref, state.geometry, modes[int(idxs[j])],
-                    cfg, response_time,
-                ) + noise[j]
-                try:
-                    total += entropy(update(b, z), cfg.probe_pi_weighted)
-                except DegenerateEvidenceError:
-                    total += h_now
-            values[gi] = total / n_obs
+        values = np.array(
+            [_mean_posterior_entropy(b, state, a0, draws, h_now, cfg) for a0 in grid]
+        )
         return grid, values
 
-    def plan_step(
+    def _begin_step(
         self,
         state: ScenarioState,
         b: HierarchicalBelief,
         rng: np.random.Generator | int,
-    ) -> tuple[np.ndarray, PlanDiagnostics]:
+    ) -> _StepContext:
+        """Setup every planner's step shares: rng key, lane guidance, probe
+        grid, joint weights, the modes to solve, and the CVaR of the
+        reference plan (shifted previous solution, or coasting) per mode."""
         cfg = self.cfg
         base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b, base_key)
+        modes, flat = _flat_modes(b)
+        omegas = {(t.intent_id, t.mode_id): float(w) for t, w in zip(modes, flat)}
+        active_keys = [k for k, w in omegas.items() if w > cfg.mode_activation_eps]
+        if self._prev_accel is not None:
+            ref_accel = np.append(self._prev_accel[1:], self._prev_accel[-1])
+        else:
+            ref_accel = np.zeros(cfg.horizon_steps)
         ctx = _StepContext(
             cfg=cfg,
             state=state,
@@ -715,78 +757,51 @@ class ActivePlanner:
             probe_grid=probe_grid,
             probe_entropy=probe_entropy,
             entropy_weight=self._entropy_weight(),
+            omegas=omegas,
+            active_keys=active_keys,
+            solve_keys=active_keys or [max(omegas, key=omegas.get)],
+            ref_accel=ref_accel,
         )
-        h_before = entropy(b, cfg.pi_weighted_entropy)
-
-        omega_rows = joint_weights(b)
-        modes = list(b.targets.targets)
-        omegas = {
-            (t.intent_id, t.mode_id): float(
-                omega_rows[t.intent_id - 1][t.mode_id - 1]
-            )
-            for t in modes
-        }
-        active_keys = [k for k, w in omegas.items() if w > cfg.mode_activation_eps]
-        solve_keys = active_keys or [max(omegas, key=omegas.get)]
-
-        # Risk assessment of the reference plan (shifted previous solution,
-        # or coasting) before any solve, one CVaR per mode.
-        if self._prev_accel is not None:
-            ref_accel = np.append(self._prev_accel[1:], self._prev_accel[-1])
-        else:
-            ref_accel = np.zeros(cfg.horizon_steps)
-        ref_plan = np.column_stack((ref_accel, guidance))
-        ego_xy, ego_speeds = simulate_ego_path(state.ego, ref_plan, cfg.dt)
-        cvar_pre: dict[tuple[int, int], float] = {}
+        ego_xy, ego_speeds = simulate_ego_path(
+            state.ego, np.column_stack((ref_accel, guidance)), cfg.dt
+        )
         for t in modes:
-            key = (t.intent_id, t.mode_id)
             costs = path_costs(
                 ego_xy, ego_speeds, ctx.paths_for(t), cfg.discount, cfg.ref_speed
             )
-            cvar_pre[key] = cvar(costs, cfg.cvar_level)
+            ctx.cvar_pre[(t.intent_id, t.mode_id)] = cvar(costs, cfg.cvar_level)
+        return ctx
 
-        solve_results: dict[tuple[int, int], ModeSolveResult] = {}
-        for key in solve_keys:
-            mode = b.targets.get(*key)
-            target = self._influence_target(mode, b)
-            warm = self._warm.get(key)
-            if warm is not None:
-                warm = np.append(warm[1:], warm[-1])  # receding-horizon shift
-            solve_results[key] = _solve_mode(ctx, mode, target, warm)
-            self._warm[key] = solve_results[key].nu[:, 0]
-
-        blended = [
-            (omegas[key], solve_results[key].nu)
-            for key in solve_keys
-        ]
-        u_total, blend_fallback = blend_controls(
-            blended, cfg.mode_activation_eps, cfg.u_min, cfg.u_max
-        )
-        u_first = u_total[0].copy()
-
+    def _finish_step(
+        self,
+        ctx: _StepContext,
+        results: dict[tuple[int, int], ModeSolveResult],
+        u_total: np.ndarray,
+        blend_fallback: bool,
+        solver_evals: int,
+    ) -> tuple[np.ndarray, PlanDiagnostics]:
+        """Record the executed plan for the next step's reference and warm
+        start, and assemble the step's diagnostics."""
+        cfg = self.cfg
         mode_diags = []
-        total_evals = 0
         w_probe = 0.0
         w_infl = 0.0
-        for t in modes:
-            key = (t.intent_id, t.mode_id)
-            res = solve_results.get(key)
+        for key, w in ctx.omegas.items():
+            res = results.get(key)
             if res is None:
                 mode_diags.append(
                     ModeDiag(
-                        intent_id=key[0], mode_id=key[1], omega=omegas[key],
-                        active=False, cvar_pre=cvar_pre[key],
+                        intent_id=key[0], mode_id=key[1], omega=w,
+                        active=False, cvar_pre=ctx.cvar_pre[key],
                     )
                 )
             else:
-                total_evals += res.evals
-                w = omegas[key]
                 w_probe += w * res.j_probe
                 w_infl += w * res.j_influence
                 mode_diags.append(
                     ModeDiag(
                         intent_id=key[0], mode_id=key[1], omega=w,
-                        active=key in active_keys, cvar_pre=cvar_pre[key],
+                        active=key in ctx.active_keys, cvar_pre=ctx.cvar_pre[key],
                         cvar_solution=res.cvar_value,
                         margin=cfg.risk_cap - res.cvar_value,
                         infeasible=res.infeasible, objective=res.objective,
@@ -796,23 +811,49 @@ class ActivePlanner:
                 )
 
         self._prev_accel = u_total[:, 0].copy()
-        if probe_grid is not None:
-            h_after = float(np.interp(u_first[0], probe_grid, probe_entropy))
+        u_first = u_total[0].copy()
+        if ctx.probe_grid is not None:
+            h_after = float(np.interp(u_first[0], ctx.probe_grid, ctx.probe_entropy))
         else:
             h_after = math.nan
         diag = PlanDiagnostics(
-            entropy_before=h_before,
+            entropy_before=entropy(ctx.belief, cfg.pi_weighted_entropy),
             expected_entropy_after=h_after,
             modes=tuple(mode_diags),
             u_total=u_total,
             u_first=u_first,
             j_probe=w_probe,
             j_influence=w_infl,
-            solver_evals=total_evals,
+            solver_evals=solver_evals,
             blend_fallback=blend_fallback,
             infeasible_any=any(m.infeasible for m in mode_diags),
         )
         return u_first, diag
+
+    def plan_step(
+        self,
+        state: ScenarioState,
+        b: HierarchicalBelief,
+        rng: np.random.Generator | int,
+    ) -> tuple[np.ndarray, PlanDiagnostics]:
+        cfg = self.cfg
+        ctx = self._begin_step(state, b, rng)
+        results: dict[tuple[int, int], ModeSolveResult] = {}
+        for key in ctx.solve_keys:
+            mode = b.targets.get(*key)
+            warm = self._warm.get(key)
+            if warm is not None:
+                warm = np.append(warm[1:], warm[-1])  # receding-horizon shift
+            results[key] = _solve_mode(ctx, mode, self._influence_target(mode, b), warm)
+            self._warm[key] = results[key].nu[:, 0]
+
+        u_total, blend_fallback = blend_controls(
+            [(ctx.omegas[key], results[key].nu) for key in ctx.solve_keys],
+            cfg.mode_activation_eps, cfg.u_min, cfg.u_max,
+        )
+        return self._finish_step(
+            ctx, results, u_total, blend_fallback, sum(r.evals for r in results.values())
+        )
 
 
 def solve_mode_control(
@@ -827,17 +868,8 @@ def solve_mode_control(
         (t.intent_id, t.mode_id) for t in b.targets.targets
     }:
         raise InvalidInputError("mode is not part of the belief's target set")
-    planner = ActivePlanner(cfg)
-    base_key = rng if isinstance(rng, int) else derive_key(rng)
-    guidance = lane_guidance(state, cfg)
-    probe_grid, probe_entropy = planner._build_probe_grid(state, b, base_key)
-    ctx = _StepContext(
-        cfg=cfg, state=state, belief=b, base_key=base_key,
-        guidance_yaw=guidance, ego_sigma=planner._ego_sigma,
-        probe_grid=probe_grid, probe_entropy=probe_entropy,
-        entropy_weight=cfg.entropy_weight,
-    )
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
+    ctx = ActivePlanner(cfg)._begin_step(state, b, rng)
     result = _solve_mode(ctx, mode, mode.steer, None)
     return result.nu, result

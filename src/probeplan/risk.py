@@ -11,19 +11,15 @@ pressure and dawdling register in the tail statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .seeding import derive_key, rng_from_keys
 
-if TYPE_CHECKING:  # import only for annotations; scenario imports us at runtime
+if TYPE_CHECKING:  # import only for annotations
     from .belief import ModeTarget
-    from .planner import PlannerConfig
-    from .scenario import ScenarioState
 
 # Cost functional constants: safety distance, proximity length scale, and
 # the two term weights. Proximity dominates so tail risk is collision-led.
@@ -31,24 +27,6 @@ D_SAFE = 3.0
 PROX_SCALE = 2.0
 W_PROX = 10.0
 W_PROGRESS = 1.0
-
-
-@dataclass(frozen=True)
-class RolloutCostSet:
-    """Sampled rollout costs for one mode, with the rng key that made them."""
-
-    mode: tuple[int, int]
-    costs: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        costs = np.asarray(self.costs, dtype=float)
-        if costs.ndim != 1 or costs.size == 0:
-            raise InvalidInputError("costs must be a non-empty vector")
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0.0):
-            raise InvalidInputError("costs must be finite and nonnegative")
-        costs.flags.writeable = False
-        object.__setattr__(self, "costs", costs)
 
 
 def tail_sample_count(alpha: float, n: int) -> int:
@@ -72,15 +50,6 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
     # Stable sort keeps diagnostics reproducible; ties cannot change the mean.
     ordered = np.sort(costs, kind="stable")[::-1]
     return float(np.mean(ordered[:m]))
-
-
-def cvar_constraint_satisfied(
-    c: RolloutCostSet, alpha: float, risk_cap: float
-) -> tuple[bool, float]:
-    """Check CVaR_alpha <= cap (inclusive); returns (ok, signed margin)."""
-    value = cvar(c.costs, alpha)
-    margin = risk_cap - value
-    return value <= risk_cap, margin
 
 
 def simulate_ego_path(
@@ -133,7 +102,12 @@ def path_costs(
     discount: float,
     ref_speed: float,
 ) -> np.ndarray:
-    """Discounted per-sample costs for fixed ego and sampled human paths."""
+    """Discounted per-sample costs (S,) for an ego path (T, 2) with speeds
+    (T,) against sampled human paths (S, T, 2)."""
+    if human_xy.shape[1:] != ego_xy.shape:
+        raise InvalidInputError(
+            f"ego path {ego_xy.shape} does not match human paths {human_xy.shape}"
+        )
     delta = ego_xy[None, :, :] - human_xy
     dist = np.hypot(delta[:, :, 0], delta[:, :, 1])
     prox = W_PROX * np.exp(-(dist - D_SAFE) / PROX_SCALE)
@@ -141,30 +115,3 @@ def path_costs(
     weights = discount ** np.arange(ego_xy.shape[0])
     return (prox + shortfall[None, :]) @ weights
 
-
-def rollout_costs(
-    state: "ScenarioState",
-    ego_plan: np.ndarray,
-    mode: "ModeTarget",
-    cfg: "PlannerConfig",
-    rng: np.random.Generator | int,
-) -> RolloutCostSet:
-    """Sample the rollout cost distribution of an ego plan under one mode.
-
-    Draws ``cfg.rollout_count`` human trajectories from the mode target,
-    simulates the ego through ``ego_plan`` (length ``cfg.horizon_steps``),
-    and returns the discounted costs. Bit-reproducible given the rng key.
-    """
-    ego_plan = np.asarray(ego_plan, dtype=float)
-    if ego_plan.shape != (cfg.horizon_steps, 2):
-        raise InvalidInputError(
-            f"ego plan must have shape ({cfg.horizon_steps}, 2), got {ego_plan.shape}"
-        )
-    seed = rng if isinstance(rng, int) else derive_key(rng)
-    stream = rng_from_keys(seed)
-    ego_xy, ego_speeds = simulate_ego_path(state.ego, ego_plan, cfg.dt)
-    human_xy = draw_human_paths(
-        state.human, mode, cfg.rollout_count, cfg.horizon_steps, cfg.dt, stream
-    )
-    costs = path_costs(ego_xy, ego_speeds, human_xy, cfg.discount, cfg.ref_speed)
-    return RolloutCostSet(mode=(mode.intent_id, mode.mode_id), costs=costs, seed=seed)

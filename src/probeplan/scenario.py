@@ -218,7 +218,6 @@ class RunConfig:
     comparison_mode: bool = False
     mode_forgetting: float = 0.02
     pinned_intent: int | None = None
-    pinned_human_speed: float | None = None
     observation_noise_std: float = 0.3
     risk_threshold: float | None = None
     targets: ModeTargetSet | None = None
@@ -230,9 +229,6 @@ class RunConfig:
         if self.comparison_mode:
             return COMPARISON_T_MAX
         return DEFAULT_T_MAX[self.scenario]
-
-    def resolved_planner_cfg(self) -> PlannerConfig:
-        return self.planner_cfg
 
 
 @dataclass(frozen=True)
@@ -291,9 +287,19 @@ def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
     )
 
 
+def check_pinned_intent(intent: int | None, targets: ModeTargetSet) -> None:
+    """Reject a pinned ground-truth intent that is not an intent index of
+    ``targets`` (None leaves the intent to the run's seed)."""
+    if intent is None:
+        return
+    n = targets.num_intents
+    if isinstance(intent, bool) or not isinstance(intent, (int, np.integer)) or not 1 <= intent <= n:
+        raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, got {intent!r}")
+
+
 def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     """Execute one seeded run; bit-identical results for identical inputs."""
-    pc = cfg.resolved_planner_cfg()
+    pc = cfg.planner_cfg
     dt = pc.dt
     t_max = cfg.resolved_t_max()
     max_steps = math.ceil(t_max / dt)
@@ -303,16 +309,8 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     rng_intent = rng_from_keys(cfg.master_seed, run_index, STREAM_INTENT)
 
     state = cfg.initial_state or init_scenario(cfg.scenario, rng_init)
-    if cfg.pinned_human_speed is not None:
-        # Pin the whole ground-truth mode: fixed intent plus its
-        # characteristic nominal speed (positions stay randomized).
-        human = state.human
-        state = ScenarioState(
-            ego=state.ego,
-            human=VehicleState(human.x, human.y, cfg.pinned_human_speed, human.theta),
-            geometry=state.geometry,
-        )
     targets = cfg.targets or default_targets(cfg.scenario)
+    check_pinned_intent(cfg.pinned_intent, targets)
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)

@@ -81,6 +81,11 @@ class TestOverrides:
         assert pc_merge.ref_speed == 9.5
         assert pc_cross.ref_speed == 5.5
 
+    def test_out_of_range_pinned_intent_names_field(self, tmp_path):
+        cfg = load_config(write(tmp_path, MINIMAL), ["human.pinned_intent=4"])
+        with pytest.raises(ConfigError, match="human.pinned_intent"):
+            build_run_config(cfg, "lane_merge", "ours")
+
     def test_invalid_planner_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid planner config"):
             cfg = load_config(write(tmp_path, MINIMAL), ["planner.cvar_level=1.5"])

@@ -53,6 +53,24 @@ def merge_state(ego=(-40.0, 3.5, 9.0), human=(-35.0, 0.0, 10.0)):
     )
 
 
+class TestPlannerConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # ref_speed=0 made every cost NaN, so the CVaR cap never bound.
+            ("ref_speed", 0.0),
+            ("discount", 1.5),
+            # A negative noise scale surfaced as numpy's "scale < 0".
+            ("obs_noise_std", -1.0),
+            # A feature typo surfaced only at the first observation.
+            ("features", ("velocty",)),
+        ],
+    )
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            PlannerConfig(**{field: value})
+
+
 class TestExpectedPosteriorEntropy:
     def test_degenerate_belief_gives_zero(self):
         cfg = PlannerConfig()

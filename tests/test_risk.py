@@ -14,10 +14,9 @@ from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian
 from probeplan.planner import PlannerConfig
 from probeplan.risk import (
-    RolloutCostSet,
     cvar,
-    cvar_constraint_satisfied,
-    rollout_costs,
+    draw_human_paths,
+    path_costs,
     simulate_ego_path,
     tail_sample_count,
 )
@@ -33,6 +32,17 @@ def oracle_cvar(costs, alpha):
 
 def mode_1d(mean, var):
     return ModeTarget(1, 1, Gaussian(np.array([mean]), np.array([[var]])))
+
+
+def rollout_costs(state, plan, mode, cfg, seed):
+    """Sampled rollout costs of an ego plan under one mode, composed from
+    the functions the planners call."""
+    ego_xy, ego_speeds = simulate_ego_path(state.ego, plan, cfg.dt)
+    human_xy = draw_human_paths(
+        state.human, mode, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+        np.random.default_rng(seed),
+    )
+    return path_costs(ego_xy, ego_speeds, human_xy, cfg.discount, cfg.ref_speed)
 
 
 def merge_state(ego_x=-40.0, ego_v=9.0, human_x=-35.0, human_v=10.0, human_y=0.0):
@@ -110,10 +120,10 @@ class TestRolloutCosts:
         self.plan = np.zeros((self.cfg.horizon_steps, 2))
 
     def test_count_and_positivity(self):
-        out = rollout_costs(merge_state(), self.plan, mode_1d(10.0, 1.0), self.cfg, 123)
-        assert out.costs.shape == (100,)
-        assert np.all(np.isfinite(out.costs))
-        assert np.all(out.costs >= 0.0)
+        costs = rollout_costs(merge_state(), self.plan, mode_1d(10.0, 1.0), self.cfg, 123)
+        assert costs.shape == (100,)
+        assert np.all(np.isfinite(costs))
+        assert np.all(costs >= 0.0)
 
     def test_vanishes_when_safe_and_fast(self):
         # Human a megameter away, ego already at the reference speed.
@@ -122,51 +132,27 @@ class TestRolloutCosts:
             human=VehicleState(0.0, 1e6, 10.0, 0.0),
             geometry=lane_merge_geometry(),
         )
-        out = rollout_costs(state, self.plan, mode_1d(10.0, 1.0), self.cfg, 5)
-        assert np.all(out.costs < 1e-6)
+        costs = rollout_costs(state, self.plan, mode_1d(10.0, 1.0), self.cfg, 5)
+        assert np.all(costs < 1e-6)
 
     def test_tighter_mode_reduces_cost_spread(self):
         wide = mode_1d(10.0, 4.0)
         tight = mode_1d(10.0, 0.04)
         wins = 0
         for seed in range(20):
-            s_wide = float(rollout_costs(merge_state(), self.plan, wide, self.cfg, seed).costs.std())
-            s_tight = float(rollout_costs(merge_state(), self.plan, tight, self.cfg, seed).costs.std())
+            s_wide = float(rollout_costs(merge_state(), self.plan, wide, self.cfg, seed).std())
+            s_tight = float(rollout_costs(merge_state(), self.plan, tight, self.cfg, seed).std())
             wins += s_tight < s_wide
         assert wins >= 16  # one-sided sign test, p < 0.01
 
     def test_bit_reproducible(self):
         a = rollout_costs(merge_state(), self.plan, mode_1d(9.0, 1.0), self.cfg, 77)
         b = rollout_costs(merge_state(), self.plan, mode_1d(9.0, 1.0), self.cfg, 77)
-        assert np.array_equal(a.costs, b.costs)
-        assert a.seed == b.seed == 77
+        assert np.array_equal(a, b)
 
     def test_plan_shape_checked(self):
         with pytest.raises(InvalidInputError):
             rollout_costs(merge_state(), np.zeros((5, 2)), mode_1d(9.0, 1.0), self.cfg, 1)
-
-    def test_cost_set_validation(self):
-        with pytest.raises(InvalidInputError):
-            RolloutCostSet(mode=(1, 1), costs=np.array([1.0, -2.0]), seed=0)
-        with pytest.raises(InvalidInputError):
-            RolloutCostSet(mode=(1, 1), costs=np.array([]), seed=0)
-
-
-class TestConstraint:
-    def test_zero_costs_full_margin(self):
-        c = RolloutCostSet(mode=(1, 1), costs=np.zeros(10), seed=0)
-        ok, margin = cvar_constraint_satisfied(c, 0.2, 3.0)
-        assert ok and margin == 3.0
-
-    def test_inclusive_boundary(self):
-        c = RolloutCostSet(mode=(1, 1), costs=np.arange(1.0, 11.0), seed=0)
-        ok, margin = cvar_constraint_satisfied(c, 0.2, 9.5)
-        assert ok and margin == pytest.approx(0.0, abs=1e-12)
-
-    def test_violation_margin(self):
-        c = RolloutCostSet(mode=(1, 1), costs=np.arange(1.0, 11.0), seed=0)
-        ok, margin = cvar_constraint_satisfied(c, 0.2, 9.4)
-        assert not ok and margin == pytest.approx(-0.1, abs=1e-12)
 
 
 class TestEgoPathHelper:

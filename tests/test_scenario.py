@@ -8,6 +8,7 @@ import pytest
 
 from probeplan.belief import relax_mode_weights, uniform_belief, update
 from probeplan.dynamics import VehicleState
+from probeplan.errors import InvalidInputError
 from probeplan.metrics import SUCCESS, TIMEOUT, VIOLATION
 from probeplan.planner import PlannerConfig
 from probeplan.scenario import (
@@ -179,3 +180,12 @@ class TestRun:
         assert result.min_gap >= 0.0
         if result.success:
             assert result.completion_time <= 12.0 + 1e-9
+
+    def test_out_of_range_pinned_intent_rejected(self):
+        # Three intents: index 4 used to raise IndexError deep inside the run.
+        cfg = RunConfig(
+            scenario=LANE_MERGE, master_seed=1, planner="zero", planner_cfg=FAST,
+            pinned_intent=4,
+        )
+        with pytest.raises(InvalidInputError, match="pinned_intent"):
+            run(cfg)
