@@ -10,16 +10,13 @@ to the shared descent.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .belief import HierarchicalBelief, ModeTarget, entropy, joint_weights
+from .belief import HierarchicalBelief, ModeTarget, joint_weights
 from .errors import InvalidInputError
 from .gaussmath import Gaussian
 from .planner import (
     ActivePlanner,
-    ModeDiag,
     ModeSolveResult,
     PlanDiagnostics,
     _controls,
@@ -41,13 +38,8 @@ class PassivePlanner(ActivePlanner):
         return 0.0
 
     def _influence_target(self, mode: ModeTarget, b: HierarchicalBelief) -> Gaussian:
-        rows = joint_weights(b)
-        best = None
-        for t in b.targets.targets:
-            w = float(rows[t.intent_id - 1][t.mode_id - 1])
-            if best is None or w > best[0]:
-                best = (w, t)
-        target = best[1]
+        # np.argmax keeps the first mode among equal maxima.
+        target = b.targets.targets[int(np.argmax(joint_weights(b)))]
         if target.steer is None:
             raise InvalidInputError("argmax mode has no steering target")
         return target.steer
@@ -71,7 +63,7 @@ class ConservativePlanner(ActivePlanner):
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        hedge = [(ctx.omegas[k], ctx.paths_for(b.targets.get(*k))) for k in ctx.solve_keys]
+        hedge = [(ctx.omegas[k], ctx.human_paths[k]) for k in ctx.solve_keys]
 
         def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
             plan = np.column_stack((accel, ctx.guidance_yaw))
@@ -97,34 +89,3 @@ class ConservativePlanner(ActivePlanner):
             ctx, results, u_total, not ctx.active_keys, len(history)
         )
 
-
-class ZeroPlanner:
-    """Test stub emitting zero controls with a schema-compatible diagnostic."""
-
-    name = "zero"
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def plan_step(self, state, b, rng):
-        cfg = self.cfg
-        u_total = np.zeros((cfg.horizon_steps, 2))
-        omega_rows = joint_weights(b)
-        mode_diags = tuple(
-            ModeDiag(
-                intent_id=t.intent_id, mode_id=t.mode_id,
-                omega=float(omega_rows[t.intent_id - 1][t.mode_id - 1]),
-                active=False, cvar_pre=math.nan,
-            )
-            for t in b.targets.targets
-        )
-        diag = PlanDiagnostics(
-            entropy_before=entropy(b, cfg.pi_weighted_entropy),
-            expected_entropy_after=math.nan,
-            modes=mode_diags,
-            u_total=u_total,
-            u_first=u_total[0].copy(),
-            j_probe=0.0, j_influence=0.0, solver_evals=0,
-            blend_fallback=False, infeasible_any=False,
-        )
-        return u_total[0].copy(), diag

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateEvidenceError, InvalidInputError
-from .gaussmath import Gaussian, density, log_density
+from .gaussmath import Gaussian
 
 _NORM_TOL = 1e-9
 _LOG_Z_FLOOR = math.log(1e-300)
@@ -171,10 +171,6 @@ class HierarchicalBelief:
         object.__setattr__(self, "mode_weights", tuple(rows))
         object.__setattr__(self, "_wpad", wpad)
 
-    @property
-    def num_intents(self) -> int:
-        return self.targets.num_intents
-
 
 def uniform_belief(targets: ModeTargetSet | Iterable[ModeTarget]) -> HierarchicalBelief:
     """Belief with pi_i = 1/I and w_{i,k} = 1/K_i."""
@@ -184,20 +180,6 @@ def uniform_belief(targets: ModeTargetSet | Iterable[ModeTarget]) -> Hierarchica
     pi = np.full(num, 1.0 / num)
     weights = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
     return HierarchicalBelief(pi, weights, targets)
-
-
-def mode_likelihood(z: np.ndarray, target: ModeTarget) -> float:
-    """Gaussian density of the observation under one mode target."""
-    return density(target.target, z)
-
-
-def intent_likelihood(weights_row: np.ndarray, likelihoods_row: np.ndarray) -> float:
-    """Aggregated intent likelihood: the mode-weighted sum of mode likelihoods."""
-    w = np.asarray(weights_row, dtype=float)
-    l = np.asarray(likelihoods_row, dtype=float)
-    if w.shape != l.shape:
-        raise InvalidInputError("weights and likelihoods must have equal length")
-    return float(w @ l)
 
 
 def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
@@ -261,9 +243,11 @@ def relax_mode_weights(b: HierarchicalBelief, forgetting: float) -> Hierarchical
     return HierarchicalBelief(b.intent_probs, rows, b.targets)
 
 
-def joint_weights(b: HierarchicalBelief) -> tuple[np.ndarray, ...]:
-    """Joint mode probabilities omega_{i,k} = pi_i * w_{i,k} (ragged rows)."""
-    return tuple(b.intent_probs[i] * b.mode_weights[i] for i in range(b.num_intents))
+def joint_weights(b: HierarchicalBelief) -> np.ndarray:
+    """Joint mode probabilities omega_{i,k} = pi_i * w_{i,k}, one entry per
+    mode in ``b.targets.targets`` order."""
+    rows, cols = b.targets._rows, b.targets._cols
+    return b.intent_probs[rows] * b._wpad[rows, cols]
 
 
 def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:

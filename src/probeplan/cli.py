@@ -98,12 +98,6 @@ def trace_rows(log: RunLog) -> list[str]:
     return rows
 
 
-def emit_trace(log: RunLog, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text("\n".join(trace_rows(log)) + "\n")
-    return path
-
-
 def _worker(job) -> tuple:
     cfg, scenario, planner, idx, want_trace = job
     run_cfg = build_run_config(cfg, scenario, planner)
@@ -131,7 +125,7 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     runs = exp["runs"]
-    trace_set = {int(s) for s in exp["trace_seeds"]}
+    trace_set = set(exp["trace_seeds"])
     combos = [(s, p) for s in scenario_list(cfg) for p in planner_list(cfg)]
     jobs = [
         (cfg, scenario, planner, idx, idx in trace_set)
@@ -139,7 +133,7 @@ def run_experiment(
         for idx in range(runs)
     ]
 
-    workers = max(1, int(exp["workers"]))
+    workers = exp["workers"]
     if workers > 1:
         with Pool(processes=workers) as pool:
             outputs = pool.map(_worker, jobs, chunksize=4)

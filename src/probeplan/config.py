@@ -10,8 +10,10 @@ count and trace selection are excluded).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -22,10 +24,16 @@ from .belief import ModeTarget, ModeTargetSet
 from .errors import ConfigError, InvalidInputError
 from .gaussmath import Gaussian
 from .planner import PlannerConfig
+from .scenario import (
+    DEFAULT_REF_SPEED,
+    PLANNERS,
+    RunConfig,
+    check_pinned_intent,
+    default_targets,
+)
 from .world import INTERSECTION, LANE_MERGE
 
 VALID_SCENARIOS = (LANE_MERGE, INTERSECTION)
-VALID_PLANNERS = ("ours", "passive", "conservative")
 
 REQUIRED_FIELDS = (
     "experiment.runs",
@@ -45,14 +53,8 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "workers": 1,
         "trace_seeds": [],
     },
-    "planner": {name: None for name in (
-        "horizon_steps", "dt", "entropy_weight", "cvar_level", "rollout_count",
-        "risk_cap", "mode_activation_eps", "accel_bounds", "yaw_rate_bounds",
-        "discount", "response_gain", "accel_noise_var", "obs_samples",
-        "ref_speed", "obs_noise_std", "features", "solver_iters", "solver_step",
-        "solver_segments", "solver_inits", "penalty_weight", "probe_grid_size",
-        "literal_probe_sign", "pi_weighted_entropy", "adaptive_obs_samples",
-    )},
+    # None keeps the PlannerConfig default.
+    "planner": {f.name: None for f in dataclasses.fields(PlannerConfig)},
     "human": {
         "observation_noise_std": 0.3,
         "pinned_intent": None,
@@ -117,28 +119,60 @@ def apply_override(cfg: dict, item: str) -> None:
     cfg[section][field] = yaml.safe_load(raw_value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_config(cfg: dict) -> None:
     for dotted in REQUIRED_FIELDS:
         section, field = dotted.split(".")
         if cfg[section][field] is None:
             raise ConfigError(f"missing required field {dotted}")
     exp = cfg["experiment"]
-    if not isinstance(exp["runs"], int) or exp["runs"] < 1:
+    if not _is_int(exp["runs"]) or exp["runs"] < 1:
         raise ConfigError("experiment.runs must be a positive integer")
-    if not isinstance(exp["master_seed"], int):
-        raise ConfigError("experiment.master_seed must be an integer")
+    if not _is_int(exp["master_seed"]) or exp["master_seed"] < 0:
+        raise ConfigError("experiment.master_seed must be a nonnegative integer")
     for name in scenario_list(cfg):
         if name not in VALID_SCENARIOS:
             raise ConfigError(
                 f"experiment.scenario {name!r} not one of {VALID_SCENARIOS}"
             )
     for name in planner_list(cfg):
-        if name not in VALID_PLANNERS:
+        if name not in PLANNERS:
             raise ConfigError(
-                f"experiment.planner {name!r} not one of {VALID_PLANNERS}"
+                f"experiment.planner {name!r} not one of {tuple(PLANNERS)}"
             )
-    if not isinstance(exp["trace_seeds"], list):
+    if not isinstance(exp["comparison_mode"], bool):
+        raise ConfigError("experiment.comparison_mode must be true or false")
+    if not _is_int(exp["workers"]) or exp["workers"] < 1:
+        raise ConfigError("experiment.workers must be a positive integer")
+    seeds = exp["trace_seeds"]
+    if not isinstance(seeds, list) or not all(_is_int(s) and s >= 0 for s in seeds):
         raise ConfigError("experiment.trace_seeds must be a list of run indices")
+    noise = cfg["human"]["observation_noise_std"]
+    if not _is_number(noise) or noise < 0.0:
+        raise ConfigError(
+            f"human.observation_noise_std must be a nonnegative number, got {noise!r}"
+        )
+    threshold = cfg["human"]["risk_threshold"]
+    if threshold is not None and (not _is_number(threshold) or threshold <= 0.0):
+        raise ConfigError(
+            f"human.risk_threshold must be a positive number, got {threshold!r}"
+        )
+    t_max = cfg["scenario"]["t_max"]
+    if t_max is not None and (not _is_number(t_max) or t_max <= 0.0):
+        raise ConfigError(f"scenario.t_max must be a positive number, got {t_max!r}")
+    for name in scenario_list(cfg):
+        build_planner_config(cfg, name)
 
 
 def _as_list(value) -> list[str]:
@@ -156,8 +190,6 @@ def planner_list(cfg: dict) -> list[str]:
 def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
     """PlannerConfig from the planner section; unset fields keep their
     defaults, except ref_speed which defaults per scenario."""
-    from .scenario import DEFAULT_REF_SPEED  # local import to avoid a cycle
-
     kwargs = {}
     for key, value in cfg["planner"].items():
         if value is None:
@@ -172,10 +204,7 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
         raise ConfigError(f"invalid planner config: {e}") from None
 
 
-def build_run_config(cfg: dict, scenario: str, planner: str):
-    # local import to avoid a cycle
-    from .scenario import RunConfig, check_pinned_intent, default_targets
-
+def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:
     targets = None
     tfile = cfg["scenario"]["mode_targets_file"]
     if tfile:

@@ -1,5 +1,5 @@
-"""Vehicle dynamics: linear-Gaussian mean/covariance propagation for
-planning and a kinematic unicycle step for simulation.
+"""Vehicle dynamics: linear-Gaussian covariance propagation for planning
+and a kinematic unicycle step for simulation.
 
 The planning model is a per-axis double integrator (position, velocity;
 acceleration input). The simulation model is deliberately richer so the
@@ -45,10 +45,6 @@ class LinearModel:
     def state_dim(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def control_dim(self) -> int:
-        return self.b.shape[1]
-
 
 def double_integrator(dt: float, accel_noise_var: float = 0.05) -> LinearModel:
     """1-axis (position, velocity) model with acceleration input, exact ZOH."""
@@ -57,17 +53,6 @@ def double_integrator(dt: float, accel_noise_var: float = 0.05) -> LinearModel:
     w = np.array([[accel_noise_var]])
     return LinearModel(a, b, w)
 
-
-def propagate_mean(mu: np.ndarray, u: np.ndarray, m: LinearModel) -> np.ndarray:
-    """Mean update A mu + B u."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if mu.shape[0] != m.state_dim or u.shape[0] != m.control_dim:
-        raise InvalidInputError(
-            f"dimension mismatch: state {mu.shape[0]}/{m.state_dim}, "
-            f"control {u.shape[0]}/{m.control_dim}"
-        )
-    return m.a @ mu + m.b @ u
 
 def propagate_cov(sigma: np.ndarray, m: LinearModel) -> np.ndarray:
     """Covariance update A Sigma A^T + B W B^T, re-symmetrized."""

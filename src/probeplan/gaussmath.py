@@ -1,9 +1,8 @@
 """Multivariate Gaussian utilities shared by the belief, planner and risk
-modules: log-density evaluation, closed-form KL divergence, and seeded
-sampling.
+modules: log-density evaluation and closed-form KL divergence.
 
 All values are immutable after construction and safe to share across
-threads; random draws always come from an explicit caller-owned stream.
+threads.
 """
 
 from __future__ import annotations
@@ -119,20 +118,3 @@ def kl_divergence(p: Gaussian, q: Gaussian) -> float:
     val = 0.5 * (trace + maha - d + q._log_det - p._log_det)
     return val if val > 0.0 else 0.0
 
-
-def sample(g: Gaussian, rng: np.random.Generator) -> np.ndarray:
-    """One draw from ``g`` via its Cholesky factor.
-
-    Deterministic given the generator state. A zero covariance returns the
-    mean exactly.
-    """
-    if not np.any(g.cov):
-        return g.mean.copy()
-    return g.mean + g._chol @ rng.standard_normal(g.dim)
-
-
-def sample_many(g: Gaussian, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` independent draws from ``g``, shape (n, dim)."""
-    if not np.any(g.cov):
-        return np.tile(g.mean, (n, 1))
-    return g.mean + rng.standard_normal((n, g.dim)) @ g._chol.T

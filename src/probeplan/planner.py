@@ -21,7 +21,7 @@ solve and the whole step is bit-reproducible from its rng key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,11 +96,15 @@ class PlannerConfig:
     solver_inits: int = 5
     penalty_weight: float = 100.0
     probe_grid_size: int = 7
-    literal_probe_sign: bool = False
-    pi_weighted_entropy: bool = False
-    adaptive_obs_samples: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Annotations are strings under ``from __future__ import annotations``.
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
+                raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
         if self.horizon_steps < 1:
             raise InvalidInputError("horizon_steps must be >= 1")
         if self.dt <= 0.0:
@@ -320,9 +324,7 @@ def influence_objective(predicted: Gaussian, target: Gaussian) -> float:
 def probe_objective(expected_entropy: float, entropy_weight: float) -> float:
     """Probing term: entropy_weight * expected posterior entropy.
 
-    Minimizing this drives the expected posterior uncertainty down. (The
-    sign-flipped variant used for ablations lives behind
-    PlannerConfig.literal_probe_sign in the solver, not here.)
+    Minimizing this drives the expected posterior uncertainty down.
     """
     if entropy_weight < 0.0:
         raise InvalidInputError("entropy_weight must be nonnegative")
@@ -388,20 +390,12 @@ def predicted_observation_mean(
     return np.array(values)
 
 
-def _flat_modes(b: HierarchicalBelief) -> tuple[list[ModeTarget], np.ndarray]:
-    omega_rows = joint_weights(b)
-    modes = list(b.targets.targets)
-    flat = np.array(
-        [omega_rows[t.intent_id - 1][t.mode_id - 1] for t in modes]
-    )
-    return modes, flat
-
-
 def _observation_draws(
     b: HierarchicalBelief, n_obs: int, rng: np.random.Generator, cfg: PlannerConfig
 ) -> tuple[list[ModeTarget], np.ndarray]:
     """``n_obs`` modes drawn by joint weight, and observation noise for each."""
-    modes, omega = _flat_modes(b)
+    modes = b.targets.targets
+    omega = joint_weights(b)
     idxs = rng.choice(len(modes), size=n_obs, p=omega / omega.sum())
     noise = rng.normal(0.0, cfg.obs_noise_std, size=(n_obs, len(cfg.features)))
     return [modes[int(i)] for i in idxs], noise
@@ -470,7 +464,6 @@ class _StepContext:
     cfg: PlannerConfig
     state: ScenarioState
     belief: HierarchicalBelief
-    base_key: int
     guidance_yaw: np.ndarray
     ego_sigma: np.ndarray
     probe_grid: np.ndarray | None
@@ -480,25 +473,14 @@ class _StepContext:
     active_keys: list[tuple[int, int]]
     solve_keys: list[tuple[int, int]]
     ref_accel: np.ndarray
-    cvar_pre: dict[tuple[int, int], float] = field(default_factory=dict)
-    human_paths: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def paths_for(self, mode: ModeTarget) -> np.ndarray:
-        key = (mode.intent_id, mode.mode_id)
-        if key not in self.human_paths:
-            stream = rng_from_keys(self.base_key, STREAM_MODE_ROLLOUT, *key)
-            self.human_paths[key] = draw_human_paths(
-                self.state.human, mode, self.cfg.rollout_count,
-                self.cfg.horizon_steps, self.cfg.dt, stream,
-            )
-        return self.human_paths[key]
+    human_paths: dict[tuple[int, int], np.ndarray]
+    cvar_pre: dict[tuple[int, int], float]
 
     def probe_term(self, first_accel: float) -> float:
         if self.probe_grid is None:
             return 0.0
         expected = float(np.interp(first_accel, self.probe_grid, self.probe_entropy))
-        sign = -1.0 if self.cfg.literal_probe_sign else 1.0
-        return sign * probe_objective(expected, self.entropy_weight)
+        return probe_objective(expected, self.entropy_weight)
 
 
 def _start_candidates(
@@ -599,7 +581,7 @@ def _solve_mode(
 ) -> ModeSolveResult:
     cfg = ctx.cfg
     state = ctx.state
-    paths = ctx.paths_for(mode)
+    paths = ctx.human_paths[mode.intent_id, mode.mode_id]
 
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
@@ -715,9 +697,7 @@ class ActivePlanner:
         if h_now <= 1e-12:
             return None, None
         n_obs = cfg.obs_samples
-        if cfg.adaptive_obs_samples and h_now > 0.75 * max_entropy(
-            b.targets, PROBE_PI_WEIGHTED
-        ):
+        if h_now > 0.75 * max_entropy(b.targets, PROBE_PI_WEIGHTED):
             n_obs *= 2
         # Common random numbers: one draw set shared by every grid point.
         draws = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
@@ -734,24 +714,45 @@ class ActivePlanner:
         rng: np.random.Generator | int,
     ) -> _StepContext:
         """Setup every planner's step shares: rng key, lane guidance, probe
-        grid, joint weights, the modes to solve, and the CVaR of the
-        reference plan (shifted previous solution, or coasting) per mode."""
+        grid, joint weights, the modes to solve, every mode's human
+        rollouts, and the CVaR of the reference plan (shifted previous
+        solution, or coasting) per mode."""
         cfg = self.cfg
         base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b, base_key)
-        modes, flat = _flat_modes(b)
-        omegas = {(t.intent_id, t.mode_id): float(w) for t, w in zip(modes, flat)}
+        modes = b.targets.targets
+        omegas = {
+            (t.intent_id, t.mode_id): float(w) for t, w in zip(modes, joint_weights(b))
+        }
         active_keys = [k for k, w in omegas.items() if w > cfg.mode_activation_eps]
         if self._prev_accel is not None:
             ref_accel = np.append(self._prev_accel[1:], self._prev_accel[-1])
         else:
             ref_accel = np.zeros(cfg.horizon_steps)
-        ctx = _StepContext(
+        # Each mode's rollouts come from a stream keyed by the mode, so the
+        # draw order does not matter.
+        human_paths = {
+            (t.intent_id, t.mode_id): draw_human_paths(
+                state.human, t, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+                rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id),
+            )
+            for t in modes
+        }
+        ego_xy, ego_speeds = simulate_ego_path(
+            state.ego, np.column_stack((ref_accel, guidance)), cfg.dt
+        )
+        cvar_pre = {
+            key: cvar(
+                path_costs(ego_xy, ego_speeds, paths, cfg.discount, cfg.ref_speed),
+                cfg.cvar_level,
+            )
+            for key, paths in human_paths.items()
+        }
+        return _StepContext(
             cfg=cfg,
             state=state,
             belief=b,
-            base_key=base_key,
             guidance_yaw=guidance,
             ego_sigma=self._ego_sigma,
             probe_grid=probe_grid,
@@ -761,16 +762,9 @@ class ActivePlanner:
             active_keys=active_keys,
             solve_keys=active_keys or [max(omegas, key=omegas.get)],
             ref_accel=ref_accel,
+            human_paths=human_paths,
+            cvar_pre=cvar_pre,
         )
-        ego_xy, ego_speeds = simulate_ego_path(
-            state.ego, np.column_stack((ref_accel, guidance)), cfg.dt
-        )
-        for t in modes:
-            costs = path_costs(
-                ego_xy, ego_speeds, ctx.paths_for(t), cfg.discount, cfg.ref_speed
-            )
-            ctx.cvar_pre[(t.intent_id, t.mode_id)] = cvar(costs, cfg.cvar_level)
-        return ctx
 
     def _finish_step(
         self,
@@ -817,7 +811,7 @@ class ActivePlanner:
         else:
             h_after = math.nan
         diag = PlanDiagnostics(
-            entropy_before=entropy(ctx.belief, cfg.pi_weighted_entropy),
+            entropy_before=entropy(ctx.belief),
             expected_entropy_after=h_after,
             modes=tuple(mode_diags),
             u_total=u_total,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .baselines import ConservativePlanner, PassivePlanner, ZeroPlanner
+from .baselines import ConservativePlanner, PassivePlanner
 from .belief import (
     HierarchicalBelief,
     ModeTarget,
@@ -50,12 +50,14 @@ PLANNERS = {
     "ours": ActivePlanner,
     "passive": PassivePlanner,
     "conservative": ConservativePlanner,
-    "zero": ZeroPlanner,
 }
 
 DEFAULT_T_MAX = {LANE_MERGE: 4.0, INTERSECTION: 6.0}
 COMPARISON_T_MAX = 12.0
 DEFAULT_REF_SPEED = {LANE_MERGE: 9.5, INTERSECTION: 5.5}
+# Mode-weight diffusion applied after every belief update (see
+# relax_mode_weights).
+MODE_FORGETTING = 0.02
 
 INTENT_NAMES = ("aggressive", "neutral", "cooperative")
 
@@ -216,7 +218,6 @@ class RunConfig:
     planner_cfg: PlannerConfig = dc_field(default_factory=PlannerConfig)
     t_max: float | None = None
     comparison_mode: bool = False
-    mode_forgetting: float = 0.02
     pinned_intent: int | None = None
     observation_noise_std: float = 0.3
     risk_threshold: float | None = None
@@ -328,7 +329,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
         z = observe(state.human, state.ego, params, rng_obs, pc.features)
         degenerate = False
         try:
-            belief = relax_mode_weights(update(belief, z), cfg.mode_forgetting)
+            belief = relax_mode_weights(update(belief, z), MODE_FORGETTING)
         except DegenerateEvidenceError:
             degenerate = True
 
@@ -351,7 +352,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
                 z=z,
                 pi=belief.intent_probs.copy(),
                 w_rows=tuple(r.copy() for r in belief.mode_weights),
-                entropy=entropy(belief, pc.pi_weighted_entropy),
+                entropy=entropy(belief),
                 cvar_pre=tuple(m.cvar_pre for m in diag.modes),
                 u=u_first.copy(),
                 ego=state.ego,

@@ -18,7 +18,6 @@ STREAM_PLAN = 3
 STREAM_INTENT = 4
 STREAM_PROBE = 10
 STREAM_MODE_ROLLOUT = 11
-STREAM_DIAG_ROLLOUT = 12
 
 
 def rng_from_keys(*keys: int) -> np.random.Generator:

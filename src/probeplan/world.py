@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .dynamics import VehicleState
 
 LANE_MERGE = "lane_merge"
@@ -37,10 +35,6 @@ class ScenarioGeometry:
     nominal_human_speed: float
     risk_threshold: float
     merge_gap_min: float = 4.0
-
-    @property
-    def conflict_point(self) -> np.ndarray:
-        return np.zeros(2)
 
 
 def lane_merge_geometry() -> ScenarioGeometry:
@@ -90,20 +84,11 @@ class ScenarioState:
 
 def ego_progress(geometry: ScenarioGeometry, ego: VehicleState) -> float:
     """Signed arc length of the ego past the conflict point (negative before)."""
-    return ego.x - float(geometry.conflict_point[0])
+    return ego.x
 
 
 def human_progress(geometry: ScenarioGeometry, human: VehicleState) -> float:
-    dx = human.x - float(geometry.conflict_point[0])
-    dy = human.y - float(geometry.conflict_point[1])
-    return dx * geometry.human_dir[0] + dy * geometry.human_dir[1]
-
-
-def lead(state: ScenarioState) -> float:
-    """Ego progress advantage over the human (positive: ego ahead in the race)."""
-    return ego_progress(state.geometry, state.ego) - human_progress(
-        state.geometry, state.human
-    )
+    return human.x * geometry.human_dir[0] + human.y * geometry.human_dir[1]
 
 
 def center_distance(ego: VehicleState, human: VehicleState) -> float:

@@ -15,10 +15,8 @@ from probeplan.belief import (
     ModeTarget,
     ModeTargetSet,
     entropy,
-    intent_likelihood,
     joint_weights,
     max_entropy,
-    mode_likelihood,
     uniform_belief,
     update,
 )
@@ -92,46 +90,6 @@ class TestUniform:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             ModeTargetSet([])
-
-
-class TestModeLikelihood:
-    def test_at_mean_unit_variance(self):
-        t = ModeTarget(1, 1, Gaussian(np.array([2.0]), np.array([[1.0]])))
-        assert mode_likelihood(np.array([2.0]), t) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi), abs=1e-12
-        )
-
-    def test_equidistant_targets_equal(self):
-        a = ModeTarget(1, 1, Gaussian(np.array([-1.0]), np.array([[0.5]])))
-        b = ModeTarget(1, 2, Gaussian(np.array([1.0]), np.array([[0.5]])))
-        z = np.array([0.0])
-        assert mode_likelihood(z, a) == pytest.approx(mode_likelihood(z, b), rel=1e-12)
-
-    def test_ten_sigma_tiny_but_positive(self):
-        t = ModeTarget(1, 1, Gaussian(np.array([0.0]), np.array([[1.0]])))
-        lik = mode_likelihood(np.array([10.0]), t)
-        assert 0.0 < lik < 1e-20
-
-    def test_dimension_mismatch(self):
-        t = ModeTarget(1, 1, Gaussian(np.array([0.0]), np.array([[1.0]])))
-        with pytest.raises(InvalidInputError):
-            mode_likelihood(np.zeros(2), t)
-
-
-class TestIntentLikelihood:
-    def test_degenerate_weights(self):
-        assert intent_likelihood(np.array([1.0, 0.0]), np.array([0.7, 0.3])) == 0.7
-
-    def test_even_mix(self):
-        assert intent_likelihood(np.array([0.5, 0.5]), np.array([0.4, 0.8])) == pytest.approx(0.6)
-
-    def test_constant_likelihood(self):
-        w = np.array([0.2, 0.5, 0.3])
-        assert intent_likelihood(w, np.full(3, 0.37)) == pytest.approx(0.37)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            intent_likelihood(np.ones(2), np.ones(3))
 
 
 class TestUpdate:
@@ -236,8 +194,9 @@ class TestUpdate:
 class TestJointWeights:
     def test_uniform_three_by_three(self):
         b = uniform_belief(make_targets([[0, 1, 2], [3, 4, 5], [6, 7, 8]]))
-        for row in joint_weights(b):
-            assert np.allclose(row, 1 / 9, atol=1e-12)
+        omega = joint_weights(b)
+        assert omega.shape == (9,)
+        assert np.allclose(omega, 1 / 9, atol=1e-12)
 
     def test_zero_intent_row(self):
         targets = make_targets([[0.0, 1.0], [2.0, 3.0]])
@@ -246,25 +205,33 @@ class TestJointWeights:
             (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
             targets,
         )
-        rows = joint_weights(b)
-        assert np.array_equal(rows[1], [0.0, 0.0])
+        # Flat in target order: (1,1), (1,2), (2,1), (2,2).
+        assert np.array_equal(joint_weights(b), [0.5, 0.5, 0.0, 0.0])
 
     def test_single_mode_rows(self):
         targets = make_targets([[0.0], [1.0]])
         b = HierarchicalBelief(
             np.array([0.8, 0.2]), (np.array([1.0]), np.array([1.0])), targets
         )
-        rows = joint_weights(b)
-        assert rows[0][0] == pytest.approx(0.8)
-        assert rows[1][0] == pytest.approx(0.2)
+        omega = joint_weights(b)
+        assert omega[0] == pytest.approx(0.8)
+        assert omega[1] == pytest.approx(0.2)
+
+    def test_flat_in_target_order(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            b = random_belief(rng)
+            expected = [
+                b.intent_probs[t.intent_id - 1] * b.mode_weights[t.intent_id - 1][t.mode_id - 1]
+                for t in b.targets.targets
+            ]
+            assert np.array_equal(joint_weights(b), expected)
 
     def test_total_mass_one(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             b = random_belief(rng)
-            assert sum(float(r.sum()) for r in joint_weights(b)) == pytest.approx(
-                1.0, abs=1e-9
-            )
+            assert float(joint_weights(b).sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEntropy:

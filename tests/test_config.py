@@ -1,5 +1,7 @@
 """Config loading, override, and hashing tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,33 @@ class TestLoad:
         p = write(tmp_path, MINIMAL.replace("lane_merge", "roundabout"))
         with pytest.raises(ConfigError, match="roundabout"):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            # Surfaced as InvalidInputError from inside the run.
+            ("human.observation_noise_std=-1", "human.observation_noise_std"),
+            ("human.risk_threshold=-5", "human.risk_threshold"),
+            # Gave zero-step runs, or a TypeError.
+            ("scenario.t_max=-1", "scenario.t_max"),
+            ("scenario.t_max=abc", "scenario.t_max"),
+            # ValueError from int().
+            ("experiment.workers=two", "experiment.workers"),
+            ("experiment.trace_seeds=[x]", "experiment.trace_seeds"),
+            # Accepted as true.
+            ("experiment.comparison_mode=maybe", "experiment.comparison_mode"),
+            # ValueError from the seed sequence.
+            ("experiment.master_seed=-1", "experiment.master_seed"),
+            # TypeError mid-run, now caught when the planner section loads.
+            ("planner.horizon_steps=2.5", "horizon_steps"),
+            ("planner.probe_grid_size=2.5", "probe_grid_size"),
+            # A switch that no longer exists.
+            ("planner.literal_probe_sign=true", "planner.literal_probe_sign"),
+        ],
+    )
+    def test_bad_value_rejected_naming_field(self, tmp_path, override, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(write(tmp_path, MINIMAL), [override])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

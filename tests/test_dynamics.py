@@ -9,9 +9,7 @@ import pytest
 from probeplan.dynamics import (
     LinearModel,
     VehicleState,
-    double_integrator,
     propagate_cov,
-    propagate_mean,
     step_vehicle,
 )
 from probeplan.errors import InvalidInputError
@@ -30,43 +28,12 @@ def mc_covariance(model, sigma0, steps, n_rollouts, rng):
     n = model.state_dim
     chol0 = np.linalg.cholesky(sigma0 + 1e-12 * np.eye(n))
     x = rng.standard_normal((n_rollouts, n)) @ chol0.T
-    chol_w = np.linalg.cholesky(model.w + 1e-12 * np.eye(model.control_dim))
+    m = model.b.shape[1]
+    chol_w = np.linalg.cholesky(model.w + 1e-12 * np.eye(m))
     for _ in range(steps):
-        noise = rng.standard_normal((n_rollouts, model.control_dim)) @ chol_w.T
+        noise = rng.standard_normal((n_rollouts, m)) @ chol_w.T
         x = x @ model.a.T + noise @ model.b.T
     return np.cov(x.T, ddof=0)
-
-
-class TestPropagateMean:
-    def test_identity_zero_control(self):
-        m = LinearModel(np.eye(2), np.array([[0.0], [1.0]]), np.array([[0.0]]))
-        mu = np.array([1.5, -0.5])
-        assert np.array_equal(propagate_mean(mu, np.array([0.0]), m), mu)
-
-    def test_double_integrator_coast(self):
-        m = double_integrator(0.1)
-        out = propagate_mean(np.array([0.0, 1.0]), np.array([0.0]), m)
-        assert np.allclose(out, [0.1, 1.0], atol=1e-15)
-
-    def test_double_integrator_accelerates(self):
-        m = double_integrator(0.1)
-        out = propagate_mean(np.array([0.0, 1.0]), np.array([2.0]), m)
-        assert out[1] == pytest.approx(1.2, abs=1e-15)
-
-    def test_linearity(self):
-        rng = np.random.default_rng(2)
-        m = random_stable_model(rng)
-        mu1, mu2 = rng.normal(0, 1, 3), rng.normal(0, 1, 3)
-        u1, u2 = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        a, b = 0.7, -1.3
-        lhs = propagate_mean(a * mu1 + b * mu2, a * u1 + b * u2, m)
-        rhs = a * propagate_mean(mu1, u1, m) + b * propagate_mean(mu2, u2, m)
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        m = double_integrator(0.1)
-        with pytest.raises(InvalidInputError):
-            propagate_mean(np.zeros(3), np.zeros(1), m)
 
 
 class TestPropagateCov:

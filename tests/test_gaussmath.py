@@ -1,5 +1,5 @@
 """Gaussian utility tests: hand-evaluated densities, quadrature oracles for
-the KL divergence, and statistical checks on sampling."""
+the KL divergence."""
 
 import math
 
@@ -12,8 +12,6 @@ from probeplan.gaussmath import (
     density,
     kl_divergence,
     log_density,
-    sample,
-    sample_many,
 )
 
 
@@ -98,6 +96,9 @@ class TestLogDensity:
             pdf = np.exp([log_density(g, np.array([x])) for x in xs])
             assert float(np.trapezoid(pdf, xs)) == pytest.approx(1.0, abs=1e-3)
 
+    def test_density_positive(self):
+        assert density(g1(0, 1), np.array([10.0])) > 0.0
+
 
 class TestKL:
     def test_identical_is_zero(self):
@@ -128,35 +129,3 @@ class TestKL:
         with pytest.raises(InvalidInputError):
             kl_divergence(g1(0, 1), Gaussian(np.zeros(2), np.eye(2)))
 
-
-class TestSample:
-    def test_zero_cov_returns_mean_exactly(self):
-        g = Gaussian(np.array([3.0, -1.0]), np.zeros((2, 2)))
-        out = sample(g, np.random.default_rng(0))
-        assert np.array_equal(out, np.array([3.0, -1.0]))
-
-    def test_seed_determinism(self):
-        g = Gaussian(np.zeros(3), np.eye(3) * 2.0)
-        a = [sample(g, np.random.default_rng(42)) for _ in range(1)]
-        b = [sample(g, np.random.default_rng(42)) for _ in range(1)]
-        assert np.array_equal(a, b)
-        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        seq1 = [sample(g, r1) for _ in range(5)]
-        seq2 = [sample(g, r2) for _ in range(5)]
-        assert np.array_equal(seq1, seq2)
-
-    def test_law_of_large_numbers_1d(self):
-        g = g1(0.0, 1.0)
-        draws = sample_many(g, 10_000, np.random.default_rng(3))[:, 0]
-        assert abs(float(draws.mean())) < 0.05
-        assert abs(float(draws.var()) - 1.0) < 0.05
-
-    def test_sample_covariance_2d(self):
-        cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-        g = Gaussian(np.zeros(2), cov)
-        draws = sample_many(g, 50_000, np.random.default_rng(9))
-        emp = np.cov(draws.T, ddof=0)
-        assert np.all(np.abs(emp - cov) / np.abs(cov) < 0.05)
-
-    def test_density_positive(self):
-        assert density(g1(0, 1), np.array([10.0])) > 0.0

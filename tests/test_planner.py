@@ -15,7 +15,7 @@ from probeplan.belief import (
     joint_weights,
     uniform_belief,
 )
-from probeplan.dynamics import VehicleState, double_integrator, propagate_mean
+from probeplan.dynamics import VehicleState, double_integrator
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.planner import (
@@ -29,7 +29,8 @@ from probeplan.planner import (
     probe_objective,
     solve_mode_control,
 )
-from probeplan.world import ScenarioState, lane_merge_geometry
+from probeplan.scenario import DEFAULT_REF_SPEED, default_targets, init_scenario
+from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
 
 
 def mk_mode(intent, mode, obs_mean, obs_var, steer=None):
@@ -64,6 +65,14 @@ class TestPlannerConfigValidation:
             ("obs_noise_std", -1.0),
             # A feature typo surfaced only at the first observation.
             ("features", ("velocty",)),
+            # Fractional budgets raised TypeError mid-run.
+            ("horizon_steps", 2.5),
+            ("rollout_count", 2.5),
+            ("obs_samples", 2.5),
+            ("solver_iters", 2.5),
+            ("solver_segments", 2.5),
+            ("solver_inits", 2.5),
+            ("probe_grid_size", 2.5),
         ],
     )
     def test_bad_value_rejected_naming_field(self, field, value):
@@ -163,7 +172,7 @@ class TestPredictedInteraction:
         model = double_integrator(cfg.dt, cfg.accel_noise_var)
         mu = np.array([state.ego.x, state.ego.v])  # progress equals x here
         for a in accel:
-            mu = propagate_mean(mu, np.array([a]), model)
+            mu = model.a @ mu + model.b @ [a]
         assert g.mean[0] == pytest.approx(mu[1], abs=1e-9)
         # Lead combines ego progress with the mode-conditioned human advance;
         # ego progress enters linearly, so check the control-dependent part.
@@ -172,7 +181,7 @@ class TestPredictedInteraction:
         )
         mu0 = np.array([state.ego.x, state.ego.v])
         for _ in range(cfg.horizon_steps):
-            mu0 = propagate_mean(mu0, np.zeros(1), model)
+            mu0 = model.a @ mu0 + model.b @ [0.0]
         assert g.mean[1] - g0.mean[1] == pytest.approx(mu[0] - mu0[0], abs=1e-9)
 
 
@@ -267,6 +276,25 @@ class TestSolveModeControl:
         assert res_un.cvar_value > 30.0
         assert res_cap.cvar_value < res_un.cvar_value
 
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    @pytest.mark.parametrize("risk_cap", [60.0, 5.0])
+    def test_inline_kl_matches_reference(self, kind, risk_cap):
+        # _solve_mode evaluates the influence KL from precomputed constants;
+        # it must equal the reference functions at the returned plan.
+        cfg = PlannerConfig(
+            rollout_count=20, obs_samples=4, solver_iters=2, probe_grid_size=3,
+            risk_cap=risk_cap, ref_speed=DEFAULT_REF_SPEED[kind],
+        )
+        b = uniform_belief(default_targets(kind))
+        for seed in range(2):
+            state = init_scenario(kind, np.random.default_rng(seed))
+            for mode in b.targets.targets[seed::2]:
+                nu, res = solve_mode_control(state, b, mode, cfg, seed)
+                ref = influence_objective(
+                    predicted_interaction_gaussian(state, nu[:, 0], mode, cfg), mode.steer
+                )
+                assert res.j_influence == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
     def test_mode_must_belong_to_belief(self):
         cfg = PlannerConfig()
         b = single_mode_belief(10.0, 1.0, steer=Gaussian(np.zeros(2), np.eye(2)))
@@ -334,11 +362,10 @@ class TestPlanStep:
         assert np.all(u >= cfg.u_min - 1e-12) and np.all(u <= cfg.u_max + 1e-12)
         assert np.all(diag.u_total >= cfg.u_min - 1e-12)
         assert np.all(diag.u_total <= cfg.u_max + 1e-12)
-        rows = joint_weights(b)
-        for m in diag.modes:
-            assert m.omega == pytest.approx(
-                float(rows[m.intent_id - 1][m.mode_id - 1]), abs=1e-15
-            )
+        omega = joint_weights(b)
+        for m, t, w in zip(diag.modes, b.targets.targets, omega):
+            assert (m.intent_id, m.mode_id) == (t.intent_id, t.mode_id)
+            assert m.omega == float(w)
         active_mass = sum(m.omega for m in diag.modes if m.active)
         assert active_mass <= 1.0 + 1e-9
 

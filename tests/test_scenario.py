@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from probeplan.belief import relax_mode_weights, uniform_belief, update
+from probeplan.belief import joint_weights, relax_mode_weights, uniform_belief, update
 from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
 from probeplan.metrics import SUCCESS, TIMEOUT, VIOLATION
-from probeplan.planner import PlannerConfig
+from probeplan.planner import ModeDiag, PlanDiagnostics, PlannerConfig
 from probeplan.scenario import (
+    MODE_FORGETTING,
+    PLANNERS,
     RunConfig,
     default_targets,
     init_intersection,
@@ -29,6 +31,33 @@ from probeplan.world import (
 )
 
 FAST = PlannerConfig(rollout_count=30, obs_samples=8, solver_iters=3, probe_grid_size=5)
+
+
+class ZeroPlanner:
+    """Stub emitting zero controls with a schema-compatible diagnostic."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def plan_step(self, state, b, rng):
+        u_total = np.zeros((self.cfg.horizon_steps, 2))
+        modes = tuple(
+            ModeDiag(intent_id=t.intent_id, mode_id=t.mode_id, omega=float(w),
+                     active=False, cvar_pre=math.nan)
+            for t, w in zip(b.targets.targets, joint_weights(b))
+        )
+        diag = PlanDiagnostics(
+            entropy_before=math.nan, expected_entropy_after=math.nan, modes=modes,
+            u_total=u_total, u_first=u_total[0].copy(), j_probe=0.0,
+            j_influence=0.0, solver_evals=0, blend_fallback=False,
+            infeasible_any=False,
+        )
+        return u_total[0].copy(), diag
+
+
+@pytest.fixture
+def zero_planner(monkeypatch):
+    monkeypatch.setitem(PLANNERS, "zero", ZeroPlanner)
 
 
 class TestInit:
@@ -94,6 +123,7 @@ class TestTermination:
 
 
 class TestRun:
+    @pytest.mark.usefixtures("zero_planner")
     def test_immediate_success(self):
         state = ScenarioState(
             ego=VehicleState(6.0, 0.0, 9.0, 0.0),
@@ -110,6 +140,7 @@ class TestRun:
         assert result.completion_time == pytest.approx(0.1)
         assert len(log.records) == 1
 
+    @pytest.mark.usefixtures("zero_planner")
     def test_forced_collision_with_zero_planner(self):
         state = ScenarioState(
             ego=VehicleState(-10.0, 0.0, 10.0, 0.0),
@@ -150,11 +181,12 @@ class TestRun:
         _, log = run(cfg, run_index=0)
         belief = uniform_belief(default_targets(LANE_MERGE))
         for rec in log.records:
-            belief = relax_mode_weights(update(belief, rec.z), cfg.mode_forgetting)
+            belief = relax_mode_weights(update(belief, rec.z), MODE_FORGETTING)
             assert np.allclose(belief.intent_probs, rec.pi, atol=1e-12)
             for row, logged in zip(belief.mode_weights, rec.w_rows):
                 assert np.allclose(row, logged, atol=1e-12)
 
+    @pytest.mark.usefixtures("zero_planner")
     def test_step_budget(self):
         cfg = RunConfig(
             scenario=LANE_MERGE, master_seed=3, planner="zero", planner_cfg=FAST
@@ -163,6 +195,7 @@ class TestRun:
         assert len(log.records) <= math.ceil(4.0 / FAST.dt) + 1
         assert result.termination_reason in (SUCCESS, VIOLATION, TIMEOUT)
 
+    @pytest.mark.usefixtures("zero_planner")
     def test_never_success_and_violation(self):
         for idx in range(6):
             cfg = RunConfig(
@@ -181,6 +214,7 @@ class TestRun:
         if result.success:
             assert result.completion_time <= 12.0 + 1e-9
 
+    @pytest.mark.usefixtures("zero_planner")
     def test_out_of_range_pinned_intent_rejected(self):
         # Three intents: index 4 used to raise IndexError deep inside the run.
         cfg = RunConfig(

@@ -7,7 +7,6 @@ import pytest
 
 from probeplan.dynamics import VehicleState
 from probeplan.world import (
-    ScenarioState,
     center_distance,
     closing_rate,
     ego_progress,
@@ -15,7 +14,6 @@ from probeplan.world import (
     human_progress,
     intersection_geometry,
     lane_merge_geometry,
-    lead,
     projected_conflict_gap,
 )
 
@@ -32,15 +30,6 @@ class TestProgress:
         after = VehicleState(0.0, -3.0, 5.0, -0.5 * math.pi)
         assert human_progress(g, before) == -18.0
         assert human_progress(g, after) == 3.0
-
-    def test_lead(self):
-        g = lane_merge_geometry()
-        s = ScenarioState(
-            ego=VehicleState(-10.0, 3.5, 8.0, 0.0),
-            human=VehicleState(-16.0, 0.0, 9.0, 0.0),
-            geometry=g,
-        )
-        assert lead(s) == pytest.approx(6.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

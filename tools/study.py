@@ -5,14 +5,15 @@ import math
 import sys
 import time
 from multiprocessing import Pool
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from probeplan.metrics import aggregate
 from probeplan.planner import PlannerConfig
-from probeplan.scenario import RunConfig, run
+from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, run
 
 
 def _one(args):
@@ -60,7 +61,7 @@ def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), **pc_
         row = {}
         for planner in ("ours", "passive"):
             pc = PlannerConfig(**pc_kw) if pc_kw else PlannerConfig(
-                ref_speed=9.5 if scenario == "lane_merge" else 5.5)
+                ref_speed=DEFAULT_REF_SPEED[scenario])
             cfg = RunConfig(scenario=scenario, master_seed=seed, planner=planner,
                             planner_cfg=pc, comparison_mode=True)
             t0 = time.time()
