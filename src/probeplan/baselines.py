@@ -66,10 +66,12 @@ class ConservativePlanner(ActivePlanner):
         hedge = [(ctx.omegas[k], ctx.human_paths[k]) for k in ctx.solve_keys]
 
         def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
-            plan = np.column_stack((accel, ctx.guidance_yaw))
-            xy, speeds = simulate_ego_path(state.ego, plan, cfg.dt)
+            x, y, speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
             cvars = [
-                cvar(path_costs(xy, speeds, paths, cfg.discount, cfg.ref_speed), cfg.cvar_level)
+                cvar(
+                    path_costs(x, y, speeds, paths, ctx.discount_weights, cfg.ref_speed),
+                    cfg.cvar_level,
+                )
                 for _, paths in hedge
             ]
             return sum(w * v for (w, _), v in zip(hedge, cvars)), cvars

@@ -175,16 +175,23 @@ def validate_config(cfg: dict) -> None:
         build_planner_config(cfg, name)
 
 
-def _as_list(value) -> list[str]:
-    return [value] if isinstance(value, str) else list(value)
+def _as_list(cfg: dict, field: str) -> list[str]:
+    value = cfg["experiment"][field]
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list) and value:
+        return value
+    raise ConfigError(
+        f"experiment.{field} must be a name or a non-empty list of names, got {value!r}"
+    )
 
 
 def scenario_list(cfg: dict) -> list[str]:
-    return _as_list(cfg["experiment"]["scenario"])
+    return _as_list(cfg, "scenario")
 
 
 def planner_list(cfg: dict) -> list[str]:
-    return _as_list(cfg["experiment"]["planner"])
+    return _as_list(cfg, "planner")
 
 
 def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
@@ -195,12 +202,14 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
         if value is None:
             continue
         if key in ("features", "accel_bounds", "yaw_rate_bounds"):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"planner.{key} must be a list, got {value!r}")
             value = tuple(value)
         kwargs[key] = value
     kwargs.setdefault("ref_speed", DEFAULT_REF_SPEED[scenario])
     try:
         return PlannerConfig(**kwargs)
-    except (InvalidInputError, TypeError) as e:
+    except InvalidInputError as e:
         raise ConfigError(f"invalid planner config: {e}") from None
 
 

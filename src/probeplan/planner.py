@@ -12,10 +12,16 @@ parameterization. A planner supplies only the objective it descends: the
 per-mode probe + influence + CVaR-penalty objective of ``_solve_mode``, or
 the baselines' own. The lateral channel follows a fixed lane-guidance law
 shared by every planner so cross-planner comparisons isolate the
-longitudinal interaction machinery. The CVaR cap enters as a quadratic
-penalty, and all Monte-Carlo quantities inside one solve reuse fixed random
-streams (common random numbers), so the objective is deterministic within a
-solve and the whole step is bit-reproducible from its rng key.
+longitudinal interaction machinery. Because the lateral channel is fixed,
+``_begin_step`` also builds what the rollout/CVaR kernel of ``risk`` needs
+once per step: the ego headings under the guidance yaw, every mode's human
+paths as x and y planes, and the discount weights. Each evaluation of a
+candidate then runs ``simulate_ego_path``, and ``path_costs`` and ``cvar``
+per mode; the reference-plan CVaR uses the same calls. The CVaR cap
+enters as a quadratic penalty, and all Monte-Carlo quantities inside one
+solve reuse fixed random streams (common random numbers), so the objective
+is deterministic within a solve and the whole step is bit-reproducible from
+its rng key.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .dynamics import VehicleState, double_integrator, propagate_cov, step_vehic
 from .errors import DegenerateEvidenceError, InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
 from .human import GAP, VELOCITY, conflict_level
-from .risk import cvar, draw_human_paths, path_costs, simulate_ego_path
+from .risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
 from .seeding import (
     STREAM_MODE_ROLLOUT,
     STREAM_PROBE,
@@ -66,6 +72,31 @@ _FD_STEP = 0.05  # finite-difference probe, m/s^2 in segment space
 # mode-weight noise of intents the belief already rules out.
 PROBE_LOOKAHEAD_STEPS = 20
 PROBE_PI_WEIGHTED = True
+
+_POSITIVE = ("positive and finite", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda v: 0.0 <= v < math.inf)
+_UNIT = ("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+# Allowed values of every float field of PlannerConfig. A NaN fails every
+# rule. An infinite risk cap means no cap.
+_FLOAT_RULES = {
+    "dt": _POSITIVE,
+    "entropy_weight": _NONNEGATIVE,
+    "cvar_level": _UNIT,
+    "risk_cap": ("nonnegative (inf for no cap)", lambda v: v >= 0.0),
+    "mode_activation_eps": _POSITIVE,
+    "discount": _UNIT,
+    "response_gain": _POSITIVE,
+    "accel_noise_var": _NONNEGATIVE,
+    "ref_speed": _POSITIVE,
+    "obs_noise_std": _NONNEGATIVE,
+    "solver_step": _POSITIVE,
+    "penalty_weight": _NONNEGATIVE,
+}
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,37 +136,37 @@ class PlannerConfig:
                 isinstance(value, bool) or not isinstance(value, (int, np.integer))
             ):
                 raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float":
+                want, ok = _FLOAT_RULES[f.name]
+                if not (_is_real(value) and ok(value)):
+                    raise InvalidInputError(f"{f.name} must be {want}, got {value!r}")
         if self.horizon_steps < 1:
             raise InvalidInputError("horizon_steps must be >= 1")
-        if self.dt <= 0.0:
-            raise InvalidInputError("dt must be positive")
-        if self.entropy_weight < 0.0:
-            raise InvalidInputError("entropy_weight must be nonnegative")
-        if not 0.0 < self.cvar_level <= 1.0:
-            raise InvalidInputError("cvar_level must lie in (0, 1]")
         if self.rollout_count < 1:
             raise InvalidInputError("rollout_count must be >= 1")
-        if self.mode_activation_eps <= 0.0:
-            raise InvalidInputError("mode_activation_eps must be positive")
         for name in ("accel_bounds", "yaw_rate_bounds"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise InvalidInputError(f"{name} must satisfy min < max")
+            bounds = getattr(self, name)
+            if not (
+                isinstance(bounds, (tuple, list))
+                and len(bounds) == 2
+                and all(_is_real(v) and math.isfinite(v) for v in bounds)
+                and bounds[0] < bounds[1]
+            ):
+                raise InvalidInputError(
+                    f"{name} must be a finite (min, max) pair with min < max, got {bounds!r}"
+                )
         if self.obs_samples < 1 or self.probe_grid_size < 2:
             raise InvalidInputError("obs_samples >= 1 and probe_grid_size >= 2 required")
         if self.solver_segments < 1 or self.solver_iters < 0 or self.solver_inits < 2:
             raise InvalidInputError("invalid solver budget")
-        if not 0.0 < self.ref_speed < math.inf:
-            raise InvalidInputError(f"ref_speed must be positive and finite, got {self.ref_speed}")
-        if not 0.0 < self.discount <= 1.0:
-            raise InvalidInputError(f"discount must lie in (0, 1], got {self.discount}")
-        if not 0.0 <= self.obs_noise_std < math.inf:
+        features = self.features
+        if not (
+            isinstance(features, (tuple, list))
+            and features
+            and all(isinstance(f, str) and f in (VELOCITY, GAP) for f in features)
+        ):
             raise InvalidInputError(
-                f"obs_noise_std must be nonnegative and finite, got {self.obs_noise_std}"
-            )
-        if not self.features or not set(self.features) <= {VELOCITY, GAP}:
-            raise InvalidInputError(
-                f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {self.features}"
+                f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {features!r}"
             )
 
     @property
@@ -465,6 +496,8 @@ class _StepContext:
     state: ScenarioState
     belief: HierarchicalBelief
     guidance_yaw: np.ndarray
+    headings: np.ndarray
+    discount_weights: np.ndarray
     ego_sigma: np.ndarray
     probe_grid: np.ndarray | None
     probe_entropy: np.ndarray | None
@@ -473,7 +506,7 @@ class _StepContext:
     active_keys: list[tuple[int, int]]
     solve_keys: list[tuple[int, int]]
     ref_accel: np.ndarray
-    human_paths: dict[tuple[int, int], np.ndarray]
+    human_paths: dict[tuple[int, int], np.ndarray]  # x, y planes (2, S, T)
     cvar_pre: dict[tuple[int, int], float]
 
     def probe_term(self, first_accel: float) -> float:
@@ -592,10 +625,9 @@ def _solve_mode(
     kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
 
     def evaluate(accel: np.ndarray) -> tuple[float, float, float, float]:
-        plan = np.column_stack((accel, ctx.guidance_yaw))
-        ego_xy, ego_speeds = simulate_ego_path(state.ego, plan, cfg.dt)
+        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
         cvar_val = cvar(
-            path_costs(ego_xy, ego_speeds, paths, cfg.discount, cfg.ref_speed),
+            path_costs(ego_x, ego_y, ego_speeds, paths, ctx.discount_weights, cfg.ref_speed),
             cfg.cvar_level,
         )
         s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
@@ -713,10 +745,11 @@ class ActivePlanner:
         b: HierarchicalBelief,
         rng: np.random.Generator | int,
     ) -> _StepContext:
-        """Setup every planner's step shares: rng key, lane guidance, probe
-        grid, joint weights, the modes to solve, every mode's human
-        rollouts, and the CVaR of the reference plan (shifted previous
-        solution, or coasting) per mode."""
+        """Setup every planner's step shares: rng key, lane guidance with
+        the ego headings it implies, probe grid, joint weights, the modes
+        to solve, every mode's human rollouts, the discount weights, and
+        the CVaR of the reference plan (shifted previous solution, or
+        coasting) per mode."""
         cfg = self.cfg
         base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance = lane_guidance(state, cfg)
@@ -739,12 +772,12 @@ class ActivePlanner:
             )
             for t in modes
         }
-        ego_xy, ego_speeds = simulate_ego_path(
-            state.ego, np.column_stack((ref_accel, guidance)), cfg.dt
-        )
+        headings = ego_headings(state.ego, guidance, cfg.dt)
+        weights = cfg.discount ** np.arange(cfg.horizon_steps)
+        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
         cvar_pre = {
             key: cvar(
-                path_costs(ego_xy, ego_speeds, paths, cfg.discount, cfg.ref_speed),
+                path_costs(ego_x, ego_y, ego_speeds, paths, weights, cfg.ref_speed),
                 cfg.cvar_level,
             )
             for key, paths in human_paths.items()
@@ -754,6 +787,8 @@ class ActivePlanner:
             state=state,
             belief=b,
             guidance_yaw=guidance,
+            headings=headings,
+            discount_weights=weights,
             ego_sigma=self._ego_sigma,
             probe_grid=probe_grid,
             probe_entropy=probe_entropy,

@@ -81,6 +81,21 @@ class TestLoad:
             ("planner.probe_grid_size=2.5", "probe_grid_size"),
             # A switch that no longer exists.
             ("planner.literal_probe_sign=true", "planner.literal_probe_sign"),
+            # Bare TypeError or ValueError from the planner section.
+            ("planner.features=5", "planner.features"),
+            ("planner.accel_bounds=[1]", "accel_bounds"),
+            ("planner.yaw_rate_bounds=0.6", "planner.yaw_rate_bounds"),
+            # Bare TypeError from the name lists.
+            ("experiment.scenario=5", "experiment.scenario"),
+            ("experiment.planner=5", "experiment.planner"),
+            ("experiment.planner=[]", "experiment.planner"),
+            # Accepted silently, or raised from inside a run.
+            ("planner.risk_cap=.nan", "risk_cap"),
+            ("planner.penalty_weight=-1", "penalty_weight"),
+            ("planner.solver_step=0", "solver_step"),
+            ("planner.dt=.inf", "dt"),
+            ("planner.accel_noise_var=-1", "accel_noise_var"),
+            ("planner.response_gain=0", "response_gain"),
         ],
     )
     def test_bad_value_rejected_naming_field(self, tmp_path, override, named):

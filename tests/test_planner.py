@@ -73,11 +73,37 @@ class TestPlannerConfigValidation:
             ("solver_segments", 2.5),
             ("solver_inits", 2.5),
             ("probe_grid_size", 2.5),
+            # Accepted silently; each run ended as a normal timeout.
+            ("risk_cap", math.nan),
+            ("risk_cap", -1.0),
+            ("penalty_weight", -1.0),
+            ("solver_step", 0.0),
+            ("solver_step", -0.5),
+            ("dt", math.inf),
+            ("entropy_weight", math.nan),
+            ("mode_activation_eps", math.nan),
+            # Raised out of ActivePlanner.__init__ or HumanParams, outside
+            # the run's error mapping.
+            ("accel_noise_var", -0.1),
+            ("response_gain", 0.0),
+            ("response_gain", -1.0),
+            # Non-numbers and malformed bounds.
+            ("cvar_level", "0.05"),
+            ("dt", True),
+            ("accel_bounds", (1.0,)),
+            ("accel_bounds", (-3.0, math.inf)),
+            ("yaw_rate_bounds", (0.6, -0.6)),
+            ("yaw_rate_bounds", 5),
+            ("features", 5),
+            ("features", ("velocity", ["gap"])),
         ],
     )
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             PlannerConfig(**{field: value})
+
+    def test_infinite_risk_cap_means_no_cap(self):
+        assert PlannerConfig(risk_cap=math.inf).risk_cap == math.inf
 
 
 class TestExpectedPosteriorEntropy:
