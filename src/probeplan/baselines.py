@@ -1,24 +1,25 @@
 """Simplified stand-in planners for directional comparisons.
 
 Both subclass the full planner and reuse its step setup (guidance law,
-joint weights, reference-plan CVaR), its solver loop and its diagnostics,
-so measured differences isolate the probing + influence + per-mode
-risk-cap machinery, not implementation quality. The passive planner only
-overrides two hooks; the conservative planner supplies only its objective
-to the shared descent.
+joint weights, reference-plan CVaR, all on the step's mode axis), its
+solver loop and its diagnostics, so measured differences isolate the
+probing + influence + per-mode risk-cap machinery, not implementation
+quality. The passive planner only overrides two hooks; the conservative
+planner supplies only its objective over the solved modes to the shared
+descent, and records each of them with the step's ``mode_diag``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .belief import HierarchicalBelief, ModeTarget, joint_weights
+from .belief import HierarchicalBelief
 from .errors import InvalidInputError
 from .gaussmath import Gaussian
 from .planner import (
     ActivePlanner,
-    ModeSolveResult,
     PlanDiagnostics,
+    _StepContext,
     _controls,
     _descend,
     _start_candidates,
@@ -37,9 +38,9 @@ class PassivePlanner(ActivePlanner):
     def _entropy_weight(self) -> float:
         return 0.0
 
-    def _influence_target(self, mode: ModeTarget, b: HierarchicalBelief) -> Gaussian:
+    def _influence_target(self, ctx: _StepContext, m: int) -> Gaussian:
         # np.argmax keeps the first mode among equal maxima.
-        target = b.targets.targets[int(np.argmax(joint_weights(b)))]
+        target = ctx.belief.targets.targets[int(np.argmax(ctx.omega))]
         if target.steer is None:
             raise InvalidInputError("argmax mode has no steering target")
         return target.steer
@@ -63,31 +64,28 @@ class ConservativePlanner(ActivePlanner):
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        hedge = [(ctx.omegas[k], ctx.human_paths[k]) for k in ctx.solve_keys]
+        weights = ctx.omega[ctx.solve].tolist()
+        paths = [ctx.human_paths[m] for m in ctx.solve]
 
         def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
             x, y, speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
             cvars = [
                 cvar(
-                    path_costs(x, y, speeds, paths, ctx.discount_weights, cfg.ref_speed),
+                    path_costs(x, y, speeds, p, ctx.discount_weights, cfg.ref_speed),
                     cfg.cvar_level,
                 )
-                for _, paths in hedge
+                for p in paths
             ]
-            return sum(w * v for (w, _), v in zip(hedge, cvars)), cvars
+            return sum(w * v for w, v in zip(weights, cvars)), cvars
 
-        warm = ctx.ref_accel if self._prev_accel is not None else None
-        candidates = _start_candidates(cfg, warm, bursts=False)
+        candidates = _start_candidates(cfg, self._ref_accel, bursts=False)
         accel, (objective, cvars), history = _descend(evaluate, candidates, cfg)
         u_total = _controls(ctx, accel)
-        results = {
-            key: ModeSolveResult(
-                nu=u_total, objective=objective, cvar_value=value, j_probe=0.0,
-                j_influence=0.0, infeasible=False, evals=len(history),
+        solved = {
+            m: ctx.mode_diag(
+                m, nu=u_total, objective=objective, cvar_solution=value,
+                j_probe=0.0, j_influence=0.0, evals=len(history),
             )
-            for key, value in zip(ctx.solve_keys, cvars)
+            for m, value in zip(ctx.solve, cvars)
         }
-        return self._finish_step(
-            ctx, results, u_total, not ctx.active_keys, len(history)
-        )
-
+        return self._finish_step(ctx, solved, u_total, len(history))

@@ -171,8 +171,18 @@ def validate_config(cfg: dict) -> None:
     t_max = cfg["scenario"]["t_max"]
     if t_max is not None and (not _is_number(t_max) or t_max <= 0.0):
         raise ConfigError(f"scenario.t_max must be a positive number, got {t_max!r}")
+    tfile = cfg["scenario"]["mode_targets_file"]
+    if tfile is not None and not isinstance(tfile, str):
+        raise ConfigError(f"scenario.mode_targets_file must be a path, got {tfile!r}")
+    file_targets = load_mode_targets(tfile) if tfile else None
     for name in scenario_list(cfg):
-        build_planner_config(cfg, name)
+        features = build_planner_config(cfg, name).features
+        targets = file_targets if file_targets is not None else default_targets(name)
+        if len(features) != targets.obs_dim:
+            raise ConfigError(
+                f"planner.features has {len(features)} entries, but the {name} mode "
+                f"targets observe {targets.obs_dim} dimension(s)"
+            )
 
 
 def _as_list(cfg: dict, field: str) -> list[str]:

@@ -10,7 +10,9 @@ one solver loop: multi-start over constant-acceleration candidates, then
 projected finite-difference descent on a piecewise-constant acceleration
 parameterization. A planner supplies only the objective it descends: the
 per-mode probe + influence + CVaR-penalty objective of ``_solve_mode``, or
-the baselines' own. The lateral channel follows a fixed lane-guidance law
+the baselines' own. Every per-mode value of a step lies on one mode axis
+``m`` in target order, and each solve returns its modes' ``ModeDiag``
+records directly. The lateral channel follows a fixed lane-guidance law
 shared by every planner so cross-planner comparisons isolate the
 longitudinal interaction machinery. Because the lateral channel is fixed,
 ``_begin_step`` also builds what the rollout/CVaR kernel of ``risk`` needs
@@ -490,7 +492,13 @@ def expected_posterior_entropy(
 
 @dataclass
 class _StepContext:
-    """Per-step setup shared by every planner and every mode solve."""
+    """Per-step setup shared by every planner and every mode solve.
+
+    Every per-mode value lies on one mode axis ``m``, the mode's position
+    in ``belief.targets.targets``: ``omega`` and ``active`` (M,),
+    ``human_paths[m]`` with the mode's x and y planes (2, S, T), and
+    ``cvar_pre`` (M,). ``solve`` lists the modes a planner solves: the
+    active ones, or the argmax-omega mode when none is active."""
 
     cfg: PlannerConfig
     state: ScenarioState
@@ -502,18 +510,27 @@ class _StepContext:
     probe_grid: np.ndarray | None
     probe_entropy: np.ndarray | None
     entropy_weight: float
-    omegas: dict[tuple[int, int], float]
-    active_keys: list[tuple[int, int]]
-    solve_keys: list[tuple[int, int]]
-    ref_accel: np.ndarray
-    human_paths: dict[tuple[int, int], np.ndarray]  # x, y planes (2, S, T)
-    cvar_pre: dict[tuple[int, int], float]
+    omega: np.ndarray
+    active: np.ndarray
+    solve: list[int]
+    human_paths: list[np.ndarray]
+    cvar_pre: np.ndarray
 
     def probe_term(self, first_accel: float) -> float:
         if self.probe_grid is None:
             return 0.0
         expected = float(np.interp(first_accel, self.probe_grid, self.probe_entropy))
         return probe_objective(expected, self.entropy_weight)
+
+    def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
+        """Mode ``m``'s record; ``solved`` carries the fields its solve set."""
+        t = self.belief.targets.targets[m]
+        return ModeDiag(
+            intent_id=t.intent_id, mode_id=t.mode_id, omega=float(self.omega[m]),
+            active=bool(self.active[m]), cvar_pre=float(self.cvar_pre[m]),
+            cvar_solution=cvar_solution, margin=self.cfg.risk_cap - cvar_solution,
+            **solved,
+        )
 
 
 def _start_candidates(
@@ -595,26 +612,16 @@ def _descend(
     return accel, current, history
 
 
-@dataclass(frozen=True)
-class ModeSolveResult:
-    nu: np.ndarray
-    objective: float
-    cvar_value: float
-    j_probe: float
-    j_influence: float
-    infeasible: bool
-    evals: int
-
-
 def _solve_mode(
     ctx: _StepContext,
-    mode: ModeTarget,
+    m: int,
     steer_target: Gaussian,
     warm_accel: np.ndarray | None,
-) -> ModeSolveResult:
+) -> ModeDiag:
     cfg = ctx.cfg
     state = ctx.state
-    paths = ctx.human_paths[mode.intent_id, mode.mode_id]
+    mode = ctx.belief.targets.targets[m]
+    paths = ctx.human_paths[m]
 
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
@@ -651,8 +658,8 @@ def _solve_mode(
             accel, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
             infeasible = True
 
-    return ModeSolveResult(
-        nu=_controls(ctx, accel), objective=obj, cvar_value=cvar_val,
+    return ctx.mode_diag(
+        m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
         j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
     )
 
@@ -702,15 +709,19 @@ class ActivePlanner:
 
     def __init__(self, cfg: PlannerConfig):
         self.cfg = cfg
-        self._warm: dict[tuple[int, int], np.ndarray] = {}
-        self._prev_accel: np.ndarray | None = None
+        # The last plan shifted by one step: the next step's reference plan,
+        # and per mode index m the warm start of that mode's next solve (a
+        # planner serves one target set).
+        self._ref_accel: np.ndarray | None = None
+        self._warm: dict[int, np.ndarray] = {}
         self._ego_sigma = ego_horizon_covariance(cfg)
 
     # Subclasses override these two hooks.
     def _entropy_weight(self) -> float:
         return self.cfg.entropy_weight
 
-    def _influence_target(self, mode: ModeTarget, b: HierarchicalBelief) -> Gaussian:
+    def _influence_target(self, ctx: _StepContext, m: int) -> Gaussian:
+        mode = ctx.belief.targets.targets[m]
         if mode.steer is None:
             raise InvalidInputError(
                 f"mode ({mode.intent_id},{mode.mode_id}) has no steering target"
@@ -754,34 +765,28 @@ class ActivePlanner:
         base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b, base_key)
-        modes = b.targets.targets
-        omegas = {
-            (t.intent_id, t.mode_id): float(w) for t, w in zip(modes, joint_weights(b))
-        }
-        active_keys = [k for k, w in omegas.items() if w > cfg.mode_activation_eps]
-        if self._prev_accel is not None:
-            ref_accel = np.append(self._prev_accel[1:], self._prev_accel[-1])
-        else:
-            ref_accel = np.zeros(cfg.horizon_steps)
+        omega = joint_weights(b)
+        active = omega > cfg.mode_activation_eps
+        ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
         # Each mode's rollouts come from a stream keyed by the mode, so the
         # draw order does not matter.
-        human_paths = {
-            (t.intent_id, t.mode_id): draw_human_paths(
+        human_paths = [
+            draw_human_paths(
                 state.human, t, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
                 rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id),
             )
-            for t in modes
-        }
+            for t in b.targets.targets
+        ]
         headings = ego_headings(state.ego, guidance, cfg.dt)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
-        cvar_pre = {
-            key: cvar(
+        cvar_pre = np.array([
+            cvar(
                 path_costs(ego_x, ego_y, ego_speeds, paths, weights, cfg.ref_speed),
                 cfg.cvar_level,
             )
-            for key, paths in human_paths.items()
-        }
+            for paths in human_paths
+        ])
         return _StepContext(
             cfg=cfg,
             state=state,
@@ -793,10 +798,10 @@ class ActivePlanner:
             probe_grid=probe_grid,
             probe_entropy=probe_entropy,
             entropy_weight=self._entropy_weight(),
-            omegas=omegas,
-            active_keys=active_keys,
-            solve_keys=active_keys or [max(omegas, key=omegas.get)],
-            ref_accel=ref_accel,
+            omega=omega,
+            active=active,
+            # np.argmax keeps the first mode among equal maxima.
+            solve=np.flatnonzero(active).tolist() or [int(np.argmax(omega))],
             human_paths=human_paths,
             cvar_pre=cvar_pre,
         )
@@ -804,42 +809,21 @@ class ActivePlanner:
     def _finish_step(
         self,
         ctx: _StepContext,
-        results: dict[tuple[int, int], ModeSolveResult],
+        solved: dict[int, ModeDiag],
         u_total: np.ndarray,
-        blend_fallback: bool,
         solver_evals: int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         """Record the executed plan for the next step's reference and warm
-        start, and assemble the step's diagnostics."""
-        cfg = self.cfg
-        mode_diags = []
-        w_probe = 0.0
-        w_infl = 0.0
-        for key, w in ctx.omegas.items():
-            res = results.get(key)
-            if res is None:
-                mode_diags.append(
-                    ModeDiag(
-                        intent_id=key[0], mode_id=key[1], omega=w,
-                        active=False, cvar_pre=ctx.cvar_pre[key],
-                    )
-                )
-            else:
-                w_probe += w * res.j_probe
-                w_infl += w * res.j_influence
-                mode_diags.append(
-                    ModeDiag(
-                        intent_id=key[0], mode_id=key[1], omega=w,
-                        active=key in ctx.active_keys, cvar_pre=ctx.cvar_pre[key],
-                        cvar_solution=res.cvar_value,
-                        margin=cfg.risk_cap - res.cvar_value,
-                        infeasible=res.infeasible, objective=res.objective,
-                        j_probe=res.j_probe, j_influence=res.j_influence,
-                        evals=res.evals, nu=res.nu,
-                    )
-                )
+        start, and assemble the step's diagnostics from the solved modes'
+        records and a bare record for every other mode. The blend falls
+        back to the argmax-omega mode exactly when no mode is active."""
+        mode_diags = tuple(solved.get(m) or ctx.mode_diag(m) for m in range(len(ctx.omega)))
+        w_probe = w_infl = 0.0
+        for d in solved.values():  # in target order, as ctx.solve is
+            w_probe += d.omega * d.j_probe
+            w_infl += d.omega * d.j_influence
 
-        self._prev_accel = u_total[:, 0].copy()
+        self._ref_accel = np.append(u_total[1:, 0], u_total[-1, 0])
         u_first = u_total[0].copy()
         if ctx.probe_grid is not None:
             h_after = float(np.interp(u_first[0], ctx.probe_grid, ctx.probe_entropy))
@@ -848,13 +832,13 @@ class ActivePlanner:
         diag = PlanDiagnostics(
             entropy_before=entropy(ctx.belief),
             expected_entropy_after=h_after,
-            modes=tuple(mode_diags),
+            modes=mode_diags,
             u_total=u_total,
             u_first=u_first,
             j_probe=w_probe,
             j_influence=w_infl,
             solver_evals=solver_evals,
-            blend_fallback=blend_fallback,
+            blend_fallback=not ctx.active.any(),
             infeasible_any=any(m.infeasible for m in mode_diags),
         )
         return u_first, diag
@@ -867,22 +851,17 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        results: dict[tuple[int, int], ModeSolveResult] = {}
-        for key in ctx.solve_keys:
-            mode = b.targets.get(*key)
-            warm = self._warm.get(key)
-            if warm is not None:
-                warm = np.append(warm[1:], warm[-1])  # receding-horizon shift
-            results[key] = _solve_mode(ctx, mode, self._influence_target(mode, b), warm)
-            self._warm[key] = results[key].nu[:, 0]
+        solved: dict[int, ModeDiag] = {}
+        for m in ctx.solve:
+            solved[m] = _solve_mode(ctx, m, self._influence_target(ctx, m), self._warm.get(m))
+            nu = solved[m].nu
+            self._warm[m] = np.append(nu[1:, 0], nu[-1, 0])  # receding-horizon shift
 
-        u_total, blend_fallback = blend_controls(
-            [(ctx.omegas[key], results[key].nu) for key in ctx.solve_keys],
+        u_total, _ = blend_controls(
+            [(d.omega, d.nu) for d in solved.values()],
             cfg.mode_activation_eps, cfg.u_min, cfg.u_max,
         )
-        return self._finish_step(
-            ctx, results, u_total, blend_fallback, sum(r.evals for r in results.values())
-        )
+        return self._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))
 
 
 def solve_mode_control(
@@ -891,14 +870,13 @@ def solve_mode_control(
     mode: ModeTarget,
     cfg: PlannerConfig,
     rng: np.random.Generator | int,
-) -> tuple[np.ndarray, ModeSolveResult]:
+) -> tuple[np.ndarray, ModeDiag]:
     """Standalone per-mode solve (the unit the planner runs per active mode)."""
-    if (mode.intent_id, mode.mode_id) not in {
-        (t.intent_id, t.mode_id) for t in b.targets.targets
-    }:
+    keys = [(t.intent_id, t.mode_id) for t in b.targets.targets]
+    if (mode.intent_id, mode.mode_id) not in keys:
         raise InvalidInputError("mode is not part of the belief's target set")
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
     ctx = ActivePlanner(cfg)._begin_step(state, b, rng)
-    result = _solve_mode(ctx, mode, mode.steer, None)
-    return result.nu, result
+    diag = _solve_mode(ctx, keys.index((mode.intent_id, mode.mode_id)), mode.steer, None)
+    return diag.nu, diag

@@ -8,10 +8,20 @@ import numpy as np
 import pytest
 
 from probeplan.baselines import ConservativePlanner, PassivePlanner
-from probeplan.belief import ModeTarget, ModeTargetSet, uniform_belief
+from probeplan.belief import (
+    HierarchicalBelief,
+    ModeTarget,
+    ModeTargetSet,
+    joint_weights,
+    uniform_belief,
+)
 from probeplan.dynamics import VehicleState
 from probeplan.gaussmath import Gaussian
-from probeplan.planner import ActivePlanner, PlannerConfig
+from probeplan.planner import ActivePlanner, PlannerConfig, lane_guidance
+from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
+from probeplan.scenario import default_targets
+from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
+from probeplan.world import LANE_MERGE
 from probeplan.world import ScenarioState, lane_merge_geometry
 
 
@@ -29,6 +39,9 @@ def merge_state(ego=(-40.0, 3.5, 9.0), human=(-35.0, 0.0, 10.0)):
         human=VehicleState(*human, 0.0),
         geometry=lane_merge_geometry(),
     )
+
+
+FAST = dict(rollout_count=30, obs_samples=6, solver_iters=2)
 
 
 def single_mode_belief():
@@ -84,13 +97,12 @@ class TestPassive:
         # toward that mode's target, so both active solves agree.
         cfg = PlannerConfig()
         targets = conflict_belief().targets
-        from probeplan.belief import HierarchicalBelief
-
         b = HierarchicalBelief(
             np.array([0.2, 0.8]), (np.array([1.0]), np.array([1.0])), targets
         )
         planner = PassivePlanner(cfg)
-        target = planner._influence_target(targets.get(1, 1), b)
+        ctx = planner._begin_step(merge_state(), b, 0)
+        target = planner._influence_target(ctx, 0)  # mode (1, 1)
         assert np.array_equal(target.mean, targets.get(2, 1).steer.mean)
 
 
@@ -127,3 +139,35 @@ class TestConservative:
         assert len(d_active.modes) == len(d_cons.modes)
         for m1, m2 in zip(d_active.modes, d_cons.modes):
             assert (m1.intent_id, m1.mode_id) == (m2.intent_id, m2.mode_id)
+
+    def test_no_active_mode_solves_first_argmax_mode(self):
+        cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
+        b = uniform_belief(default_targets(LANE_MERGE))
+        _, diag = ConservativePlanner(cfg).plan_step(merge_state(), b, 11)
+        assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
+        assert not any(m.active for m in diag.modes)
+        assert diag.blend_fallback
+        assert diag.modes[0].evals == diag.solver_evals
+
+    def test_noncontiguous_active_modes_align_with_targets(self):
+        cfg = PlannerConfig(**FAST)
+        targets = default_targets(LANE_MERGE)
+        rows = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
+        b = HierarchicalBelief(np.array([0.5, 0.0, 0.5]), rows, targets)
+        state = merge_state()
+        _, diag = ConservativePlanner(cfg).plan_step(state, b, 23)
+        solved = [m.nu is not None for m in diag.modes]
+        assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
+        assert solved == [True] * 3 + [False] * 3 + [True] * 3
+        assert [m.active for m in diag.modes] == solved
+        assert not diag.blend_fallback
+        # Each mode's reference CVaR of the coasting plan, from its own stream.
+        horizon = cfg.horizon_steps
+        headings = ego_headings(state.ego, lane_guidance(state, cfg), cfg.dt)
+        x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
+        weights = cfg.discount ** np.arange(horizon)
+        for t, m in zip(targets.targets, diag.modes):
+            rng = rng_from_keys(23, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
+            paths = draw_human_paths(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
+            costs = path_costs(x, y, speeds, paths, weights, cfg.ref_speed)
+            assert m.cvar_pre == cvar(costs, cfg.cvar_level)

@@ -96,6 +96,11 @@ class TestLoad:
             ("planner.dt=.inf", "dt"),
             ("planner.accel_noise_var=-1", "accel_noise_var"),
             ("planner.response_gain=0", "response_gain"),
+            # Bare TypeError from the targets file path.
+            ("scenario.mode_targets_file=5", "scenario.mode_targets_file"),
+            ("scenario.mode_targets_file=[a.yaml]", "scenario.mode_targets_file"),
+            # InvalidInputError from the first belief update of every run.
+            ("planner.features=[velocity, gap]", "planner.features"),
         ],
     )
     def test_bad_value_rejected_naming_field(self, tmp_path, override, named):
@@ -193,3 +198,24 @@ class TestModeTargets:
         rc = build_run_config(cfg, "lane_merge", "ours")
         assert rc.targets is not None
         assert rc.targets.num_intents == 2
+
+    def test_two_features_load_with_two_dimensional_targets(self, tmp_path):
+        tpath = write(tmp_path, TARGETS_2D, "targets2d.yaml")
+        cfg = load_config(
+            write(tmp_path, MINIMAL),
+            [f"scenario.mode_targets_file={tpath}", "planner.features=[velocity, gap]"],
+        )
+        rc = build_run_config(cfg, "lane_merge", "ours")
+        assert rc.targets.obs_dim == 2
+        assert rc.planner_cfg.features == ("velocity", "gap")
+
+
+TARGETS_2D = """
+intents:
+  - name: aggressive
+    modes:
+      - observation: {mean: [9.5, 20.0], cov: [[1.0, 0.0], [0.0, 9.0]]}
+  - name: cooperative
+    modes:
+      - observation: {mean: [5.0, 30.0], cov: [[1.44, 0.0], [0.0, 9.0]]}
+"""

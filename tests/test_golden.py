@@ -3,17 +3,26 @@
 The determinism tests in test_cli.py compare the code with itself, so they
 cannot catch a refactor that changes behaviour. This test pins the bytes of
 ``results.csv`` and of every trace file to SHA-256 digests recorded from a
-known-good tree. A change that alters numerics on purpose regenerates the
-digests (run this test with ``-vv`` and copy them from the assertion diff)
-and justifies the change in CHANGES.md.
+known-good tree. A second test pins every field of the planner's per-step
+diagnostics, most of which the traces do not carry. A change that alters
+numerics on purpose regenerates the digests (run these tests with ``-vv``
+and copy them from the assertion diff) and justifies the change in
+CHANGES.md.
 
 Digests were recorded with Python 3.11.7 and numpy 2.4.6. Another numpy
 release may change random streams or the last bits of reductions.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
+
+from probeplan import scenario
 from probeplan.cli import run_experiment
+from probeplan.planner import PlannerConfig
+from probeplan.scenario import DEFAULT_REF_SPEED, PLANNERS, RunConfig, make_planner
+from probeplan.world import INTERSECTION, LANE_MERGE
 
 GOLDEN_CFG = """
 experiment:
@@ -56,3 +65,71 @@ def test_golden_batch_digests(tmp_path):
     out = tmp_path / "out"
     assert run_experiment(cfg, out_dir=out) == 0
     assert _digests(out) == GOLDEN
+
+
+# Every PlanDiagnostics field, and every ModeDiag field of every mode, of
+# every step of 18 short runs: both scenarios x three planners x three
+# configs (golden budgets, a binding risk cap, and an activation threshold
+# that no mode clears on a near-uniform belief, so the blend falls back).
+DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
+DIAG_GOLDEN = "1a87e6e6ce8de9cdb5990fb5a42101a85c51567a5e1019b7ea392cabfb1f89c9"
+
+
+def _feed(h, value):
+    """Hash one diagnostics value: dataclasses field by field, floats by
+    repr, arrays by their bytes, None as a marker."""
+    if value is None:
+        h.update(b"<None>")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _feed(h, getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode())
+        h.update(value.tobytes())
+    elif isinstance(value, (bool, np.bool_)):
+        h.update(repr(bool(value)).encode())
+    elif isinstance(value, (int, np.integer)):
+        h.update(repr(int(value)).encode())
+    else:
+        h.update(repr(float(value)).encode())
+
+
+def test_plan_diagnostics_digest(monkeypatch):
+    diags = []
+
+    def recording_planner(name, cfg):
+        planner = make_planner(name, cfg)
+        plan_step = planner.plan_step
+
+        def recorded(*args):
+            u, diag = plan_step(*args)
+            diags.append(diag)
+            return u, diag
+
+        planner.plan_step = recorded
+        return planner
+
+    monkeypatch.setattr(scenario, "make_planner", recording_planner)
+    for kind in (LANE_MERGE, INTERSECTION):
+        for planner in PLANNERS:
+            for extra in DIAG_CONFIGS:
+                pc = PlannerConfig(
+                    rollout_count=30, obs_samples=6, solver_iters=2,
+                    ref_speed=DEFAULT_REF_SPEED[kind], **extra,
+                )
+                scenario.run(RunConfig(
+                    scenario=kind, master_seed=5, planner=planner, planner_cfg=pc,
+                    t_max=0.8, comparison_mode=True, pinned_intent=2,
+                ))
+    h = hashlib.sha256()
+    for diag in diags:
+        _feed(h, diag)
+    assert len(diags) == 144
+    assert sum(d.blend_fallback for d in diags) == 42
+    assert sum(d.infeasible_any for d in diags) == 16
+    assert sum(m.infeasible for d in diags for m in d.modes) == 64
+    assert h.hexdigest() == DIAG_GOLDEN

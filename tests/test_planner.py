@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from probeplan.baselines import PassivePlanner
 from probeplan.belief import (
     HierarchicalBelief,
     ModeTarget,
@@ -29,7 +30,9 @@ from probeplan.planner import (
     probe_objective,
     solve_mode_control,
 )
+from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
 from probeplan.scenario import DEFAULT_REF_SPEED, default_targets, init_scenario
+from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
 
 
@@ -299,8 +302,8 @@ class TestSolveModeControl:
         capped_cfg = PlannerConfig(entropy_weight=0.0, risk_cap=30.0, ref_speed=9.5)
         _, res_un = solve_mode_control(state, b, mode, unconstrained_cfg, 13)
         _, res_cap = solve_mode_control(state, b, mode, capped_cfg, 13)
-        assert res_un.cvar_value > 30.0
-        assert res_cap.cvar_value < res_un.cvar_value
+        assert res_un.cvar_solution > 30.0
+        assert res_cap.cvar_solution < res_un.cvar_solution
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
     @pytest.mark.parametrize("risk_cap", [60.0, 5.0])
@@ -369,6 +372,32 @@ class TestBlendControls:
         assert np.all(out <= [3.0, 0.6])
 
 
+def coasting_cvar_pre(state, targets, cfg, key):
+    """Each mode's reference CVaR of the coasting plan, from the mode's own
+    rollout stream under the step's rng key."""
+    horizon = cfg.horizon_steps
+    headings = ego_headings(state.ego, lane_guidance(state, cfg), cfg.dt)
+    x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
+    weights = cfg.discount ** np.arange(horizon)
+    out = []
+    for t in targets.targets:
+        rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
+        paths = draw_human_paths(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
+        out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
+    return out
+
+
+def middle_intent_ruled_out():
+    """Lane-merge belief with pi = 0 on the middle intent: modes 0-2 and
+    6-8 active."""
+    targets = default_targets(LANE_MERGE)
+    rows = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
+    return HierarchicalBelief(np.array([0.5, 0.0, 0.5]), rows, targets)
+
+
+FAST = dict(rollout_count=30, obs_samples=6, solver_iters=2)
+
+
 class TestPlanStep:
     def make_belief(self):
         targets = ModeTargetSet(
@@ -420,3 +449,29 @@ class TestPlanStep:
         state2 = merge_state(ego=(5.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
         yaw2 = lane_guidance(state2, cfg)
         assert yaw2[0] < 0.0
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner])
+    def test_no_active_mode_solves_first_argmax_mode(self, planner_cls):
+        # Every omega of the uniform 9-mode belief is 1/9, below eps: the
+        # step solves only the first of the tied argmax modes and executes
+        # its plan unscaled.
+        cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
+        b = uniform_belief(default_targets(LANE_MERGE))
+        _, diag = planner_cls(cfg).plan_step(merge_state(), b, 11)
+        assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
+        assert not any(m.active for m in diag.modes)
+        assert diag.blend_fallback
+        assert np.array_equal(diag.u_total, diag.modes[0].nu)
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner])
+    def test_noncontiguous_active_modes_align_with_targets(self, planner_cls):
+        cfg = PlannerConfig(**FAST)
+        b = middle_intent_ruled_out()
+        state = merge_state()
+        _, diag = planner_cls(cfg).plan_step(state, b, 23)
+        solved = [m.nu is not None for m in diag.modes]
+        assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
+        assert solved == [True] * 3 + [False] * 3 + [True] * 3
+        assert [m.active for m in diag.modes] == solved
+        assert not diag.blend_fallback
+        assert [m.cvar_pre for m in diag.modes] == coasting_cvar_pre(state, b.targets, cfg, 23)
