@@ -1,20 +1,23 @@
 """Hierarchical belief over discrete driver intents and per-intent motion
 modes, with Bayesian updates, entropy, and joint mode weights.
 
-The belief is the pair (pi, w): a probability vector over intents and, for
-each intent, a weight vector over its modes. Each mode carries a fixed
-Gaussian target over the observation feature space (authored offline);
-updates sharpen both levels simultaneously from a single observation.
+The belief is the pair (pi, w): a probability vector over intents and one
+flat vector of mode weights in target order, where each intent's modes form
+a contiguous segment that sums to one. Each mode carries a fixed Gaussian
+target over the observation feature space (authored offline); updates
+sharpen both levels simultaneously from a single observation.
 
 Likelihoods are computed in log space and exponentiated after subtracting
-the per-row maximum, so the update survives observations far into the
+the per-intent maximum, so the update survives observations far into the
 tails; results match naive arithmetic to ~1e-12 on non-degenerate inputs.
+Per-intent sums use ``np.bincount``, which adds each segment's modes in
+target order starting from zero, exactly as the sum of a per-intent row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,10 +53,13 @@ class ModeTarget:
 
 
 class ModeTargetSet:
-    """Validated, immutable collection of mode targets.
+    """Validated, immutable collection of mode targets, sorted by
+    (intent_id, mode_id).
 
     Precomputes stacked likelihood constants so a full update evaluates all
-    mode densities in one vectorized pass.
+    mode densities in one vectorized pass, and the mode axis's segments:
+    the intent index of each mode (``_rows``), the first mode of each
+    intent (``_starts``) and the mode count of each mode's intent.
     """
 
     def __init__(self, targets: Iterable[ModeTarget], intent_names: Sequence[str] | None = None):
@@ -83,14 +89,12 @@ class ModeTargetSet:
         self.num_intents = len(intent_ids)
         self.modes_per_intent = tuple(counts)
         self.obs_dim = dims.pop()
-        self.max_modes = max(counts)
         if intent_names is not None:
             if len(intent_names) != self.num_intents:
                 raise InvalidInputError("intent_names length must equal the intent count")
             self.intent_names = tuple(intent_names)
         else:
             self.intent_names = tuple(f"intent_{i}" for i in intent_ids)
-        self._by_key = {(t.intent_id, t.mode_id): t for t in targets}
 
         m = len(targets)
         d = self.obs_dim
@@ -102,19 +106,14 @@ class ModeTargetSet:
             [-0.5 * (d * _LOG_2PI + t.target._log_det) for t in targets]
         )
         self._rows = np.array([t.intent_id - 1 for t in targets])
-        self._cols = np.array([t.mode_id - 1 for t in targets])
-
-    def __iter__(self):
-        return iter(self.targets)
+        self._starts = np.cumsum([0, *counts[:-1]])
+        self._row_len = np.repeat(counts, counts)
 
     def __len__(self) -> int:
         return len(self.targets)
 
-    def get(self, intent_id: int, mode_id: int) -> ModeTarget:
-        return self._by_key[(intent_id, mode_id)]
-
-    def log_likelihood_matrix(self, z: np.ndarray) -> np.ndarray:
-        """Padded (I, max_K) matrix of log p(z | i, k); padding is -inf."""
+    def log_likelihoods(self, z: np.ndarray) -> np.ndarray:
+        """log p(z | i, k) for every mode, in target order."""
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if z.shape[0] != self.obs_dim:
             raise InvalidInputError(
@@ -122,64 +121,58 @@ class ModeTargetSet:
             )
         diff = z - self._means
         y = np.einsum("mij,mj->mi", self._chol_inv, diff)
-        ll = self._log_norm - 0.5 * np.einsum("mi,mi->m", y, y)
-        out = np.full((self.num_intents, self.max_modes), -np.inf)
-        out[self._rows, self._cols] = ll
-        return out
+        return self._log_norm - 0.5 * np.einsum("mi,mi->m", y, y)
+
+
+def _probabilities(x, size: int, name: str) -> np.ndarray:
+    """Checked, read-only copy of the vector ``x``, clipped to [0, 1]."""
+    x = np.array(x, dtype=float)
+    if x.shape != (size,):
+        raise InvalidInputError(f"{name} must have length {size}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{name} must be finite, got {x}")
+    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+        raise InvalidInputError(f"{name} must lie in [0, 1]")
+    x = np.clip(x, 0.0, 1.0)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
 class HierarchicalBelief:
-    """Intent probabilities pi and per-intent mode weights w.
+    """Intent probabilities pi (I,) and mode weights w (M,), flat in
+    ``targets.targets`` order.
 
-    Both levels are normalized probability vectors (tolerance 1e-9).
+    pi and each intent's segment of w are normalized (tolerance 1e-9).
     Instances are immutable; ``update`` returns a new belief sharing the
     same target set.
     """
 
     intent_probs: np.ndarray
-    mode_weights: tuple[np.ndarray, ...]
+    mode_weights: np.ndarray
     targets: ModeTargetSet
-    _wpad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pi = np.array(self.intent_probs, dtype=float)
-        if pi.shape != (self.targets.num_intents,):
-            raise InvalidInputError("intent_probs length must match the target set")
-        if np.any(pi < -1e-12) or np.any(pi > 1.0 + 1e-12):
-            raise InvalidInputError("intent probabilities must lie in [0, 1]")
+        ts = self.targets
+        pi = _probabilities(self.intent_probs, ts.num_intents, "intent probabilities")
+        w = _probabilities(self.mode_weights, len(ts), "mode weights")
         if abs(float(pi.sum()) - 1.0) > _NORM_TOL:
             raise InvalidInputError(f"intent probabilities sum to {pi.sum():.12f}, not 1")
-        rows = []
-        wpad = np.zeros((self.targets.num_intents, self.targets.max_modes))
-        for i, k in enumerate(self.targets.modes_per_intent):
-            row = np.array(self.mode_weights[i], dtype=float)
-            if row.shape != (k,):
-                raise InvalidInputError(f"mode weight row {i + 1} must have length {k}")
-            if np.any(row < -1e-12) or np.any(row > 1.0 + 1e-12):
-                raise InvalidInputError("mode weights must lie in [0, 1]")
-            if abs(float(row.sum()) - 1.0) > _NORM_TOL:
-                raise InvalidInputError(f"mode weight row {i + 1} sums to {row.sum():.12f}")
-            row = np.clip(row, 0.0, 1.0)
-            row.flags.writeable = False
-            rows.append(row)
-            wpad[i, :k] = row
-        pi = np.clip(pi, 0.0, 1.0)
-        pi.flags.writeable = False
-        wpad.flags.writeable = False
+        sums = np.bincount(ts._rows, weights=w, minlength=ts.num_intents)
+        if np.any(np.abs(sums - 1.0) > _NORM_TOL):
+            raise InvalidInputError(f"mode weights sum to {sums} per intent, not 1")
         object.__setattr__(self, "intent_probs", pi)
-        object.__setattr__(self, "mode_weights", tuple(rows))
-        object.__setattr__(self, "_wpad", wpad)
+        object.__setattr__(self, "mode_weights", w)
+
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The mode weights split into one read-only row per intent."""
+        return tuple(np.split(self.mode_weights, self.targets._starts[1:]))
 
 
-def uniform_belief(targets: ModeTargetSet | Iterable[ModeTarget]) -> HierarchicalBelief:
+def uniform_belief(targets: ModeTargetSet) -> HierarchicalBelief:
     """Belief with pi_i = 1/I and w_{i,k} = 1/K_i."""
-    if not isinstance(targets, ModeTargetSet):
-        targets = ModeTargetSet(targets)
     num = targets.num_intents
-    pi = np.full(num, 1.0 / num)
-    weights = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
-    return HierarchicalBelief(pi, weights, targets)
+    return HierarchicalBelief(np.full(num, 1.0 / num), 1.0 / targets._row_len, targets)
 
 
 def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
@@ -189,19 +182,21 @@ def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
     1e-300 (every mode astronomically unlikely); callers should keep the
     prior belief and flag the event.
     """
-    ll = b.targets.log_likelihood_matrix(z)
-    wpad = b._wpad
-    active = wpad > 0.0
+    ts = b.targets
+    ll = ts.log_likelihoods(z)
+    w = b.mode_weights
+    active = w > 0.0
 
-    # Per-row max over weighted modes only; zero-weight modes cannot
+    # Per-intent max over weighted modes only; zero-weight modes cannot
     # contribute evidence and must not dominate the shift.
-    row_max = np.where(active, ll, -np.inf).max(axis=1)
+    row_max = np.maximum.reduceat(np.where(active, ll, -np.inf), ts._starts)
     global_max = float(row_max.max())
     if not np.all(np.isfinite(row_max)):
         raise DegenerateEvidenceError("a mode row's log-likelihoods all underflowed")
-    rel = np.exp(np.where(active, ll - row_max[:, None], -np.inf))
-    weighted = wpad * rel
-    row_sum = weighted.sum(axis=1)  # L[i] * exp(-row_max[i])
+    # The mode at its intent's max has weight > 0 and factor exp(0) = 1,
+    # so every row sum is positive.
+    weighted = w * np.exp(np.where(active, ll - row_max[ts._rows], -np.inf))
+    row_sum = np.bincount(ts._rows, weights=weighted, minlength=ts.num_intents)
 
     scaled_intent_lik = np.exp(row_max - global_max) * row_sum
     post_pi_un = b.intent_probs * scaled_intent_lik
@@ -211,20 +206,11 @@ def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
         raise DegenerateEvidenceError(
             f"evidence underflow: log Z = {log_z:.1f} is below ln(1e-300)"
         )
-
-    pi_new = post_pi_un / z_rel
-    w_new = []
-    for i, k in enumerate(b.targets.modes_per_intent):
-        row = weighted[i, :k]
-        s = row.sum()
-        if s <= 0.0:
-            raise DegenerateEvidenceError(f"mode evidence underflow in intent {i + 1}")
-        w_new.append(row / s)
-    return HierarchicalBelief(pi_new, tuple(w_new), b.targets)
+    return HierarchicalBelief(post_pi_un / z_rel, weighted / row_sum[ts._rows], ts)
 
 
 def relax_mode_weights(b: HierarchicalBelief, forgetting: float) -> HierarchicalBelief:
-    """Mix every mode-weight row toward uniform by ``forgetting``.
+    """Mix every intent's mode weights toward uniform by ``forgetting``.
 
     Behavior modes are patterns the driver can switch between
     mid-encounter, so the run loop applies this small diffusion after each
@@ -236,33 +222,31 @@ def relax_mode_weights(b: HierarchicalBelief, forgetting: float) -> Hierarchical
         raise InvalidInputError("forgetting must lie in [0, 1)")
     if forgetting == 0.0:
         return b
-    rows = tuple(
-        (1.0 - forgetting) * row + forgetting / row.shape[0]
-        for row in b.mode_weights
-    )
-    return HierarchicalBelief(b.intent_probs, rows, b.targets)
+    w = (1.0 - forgetting) * b.mode_weights + forgetting / b.targets._row_len
+    return HierarchicalBelief(b.intent_probs, w, b.targets)
 
 
 def joint_weights(b: HierarchicalBelief) -> np.ndarray:
     """Joint mode probabilities omega_{i,k} = pi_i * w_{i,k}, one entry per
     mode in ``b.targets.targets`` order."""
-    rows, cols = b.targets._rows, b.targets._cols
-    return b.intent_probs[rows] * b._wpad[rows, cols]
+    return b.intent_probs[b.targets._rows] * b.mode_weights
 
 
 def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:
     """Belief uncertainty: intent entropy plus the mode-weight term.
 
-    The default sums w log w over every intent's row without weighting by
+    The default sums w log w over every intent's modes without weighting by
     pi (the literal two-term form); ``pi_weighted_modes=True`` switches to
-    the Shannon-style variant where each row's entropy is scaled by its
-    intent probability.
+    the Shannon-style variant where each intent's mode entropy is scaled by
+    its intent probability.
     """
-    pi = b.intent_probs
+    pi, w = b.intent_probs, b.mode_weights
     h = -float(np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
-    for i, row in enumerate(b.mode_weights):
-        row_h = -float(np.sum(row * np.log(row, where=row > 0, out=np.zeros_like(row))))
-        h += pi[i] * row_h if pi_weighted_modes else row_h
+    w_log_w = w * np.log(w, where=w > 0, out=np.zeros_like(w))
+    row_h = (-np.bincount(b.targets._rows, weights=w_log_w, minlength=len(pi))).tolist()
+    # One addition per intent, in intent order.
+    for pi_i, h_i in zip(pi, row_h):
+        h += pi_i * h_i if pi_weighted_modes else h_i
     return max(0.0, h)
 
 

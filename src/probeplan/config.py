@@ -131,6 +131,10 @@ def _is_number(value) -> bool:
     )
 
 
+def _is_mapping_list(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
+
+
 def validate_config(cfg: dict) -> None:
     for dotted in REQUIRED_FIELDS:
         section, field = dotted.split(".")
@@ -183,6 +187,10 @@ def validate_config(cfg: dict) -> None:
                 f"planner.features has {len(features)} entries, but the {name} mode "
                 f"targets observe {targets.obs_dim} dimension(s)"
             )
+        try:
+            check_pinned_intent(cfg["human"]["pinned_intent"], targets)
+        except InvalidInputError as e:
+            raise ConfigError(f"invalid human.pinned_intent: {e}") from None
 
 
 def _as_list(cfg: dict, field: str) -> list[str]:
@@ -224,16 +232,9 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
 
 
 def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:
-    targets = None
+    """RunConfig for one scenario x planner of a config ``load_config``
+    has validated."""
     tfile = cfg["scenario"]["mode_targets_file"]
-    if tfile:
-        targets = load_mode_targets(tfile)
-    pinned = cfg["human"]["pinned_intent"]
-    if pinned is not None:
-        try:
-            check_pinned_intent(pinned, targets or default_targets(scenario))
-        except InvalidInputError as e:
-            raise ConfigError(f"invalid human.pinned_intent: {e}") from None
     return RunConfig(
         scenario=scenario,
         master_seed=cfg["experiment"]["master_seed"],
@@ -241,10 +242,10 @@ def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:
         planner_cfg=build_planner_config(cfg, scenario),
         t_max=cfg["scenario"]["t_max"],
         comparison_mode=cfg["experiment"]["comparison_mode"],
-        pinned_intent=pinned,
+        pinned_intent=cfg["human"]["pinned_intent"],
         observation_noise_std=cfg["human"]["observation_noise_std"],
         risk_threshold=cfg["human"]["risk_threshold"],
-        targets=targets,
+        targets=load_mode_targets(tfile) if tfile else None,
     )
 
 
@@ -285,15 +286,22 @@ def load_mode_targets(path: str | Path) -> ModeTargetSet:
         raise ConfigError(f"mode target file not found: {path}") from None
     except yaml.YAMLError as e:
         raise ConfigError(f"mode target parse error in {path}: {e}") from None
-    if not isinstance(raw, dict) or "intents" not in raw:
-        raise ConfigError("mode target file must contain an intents list")
+    intents = raw.get("intents") if isinstance(raw, dict) else None
+    if not _is_mapping_list(intents):
+        raise ConfigError(
+            f"mode target file {path} must contain a non-empty intents list of "
+            f"mappings, got {intents!r}"
+        )
     targets = []
     names = []
-    for i, intent in enumerate(raw["intents"], start=1):
+    for i, intent in enumerate(intents, start=1):
         names.append(str(intent.get("name", f"intent_{i}")))
         modes = intent.get("modes")
-        if not modes:
-            raise ConfigError(f"intent {names[-1]!r} has no modes")
+        if not _is_mapping_list(modes):
+            raise ConfigError(
+                f"intent {names[-1]!r} must have a non-empty modes list of mappings, "
+                f"got {modes!r}"
+            )
         for k, mode in enumerate(modes, start=1):
             if "observation" not in mode:
                 raise ConfigError(

@@ -351,7 +351,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
                 t=state.elapsed,
                 z=z,
                 pi=belief.intent_probs.copy(),
-                w_rows=tuple(r.copy() for r in belief.mode_weights),
+                w_rows=belief.rows(),
                 entropy=entropy(belief),
                 cvar_pre=tuple(m.cvar_pre for m in diag.modes),
                 u=u_first.copy(),

@@ -97,13 +97,11 @@ class TestPassive:
         # toward that mode's target, so both active solves agree.
         cfg = PlannerConfig()
         targets = conflict_belief().targets
-        b = HierarchicalBelief(
-            np.array([0.2, 0.8]), (np.array([1.0]), np.array([1.0])), targets
-        )
+        b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), targets)
         planner = PassivePlanner(cfg)
         ctx = planner._begin_step(merge_state(), b, 0)
         target = planner._influence_target(ctx, 0)  # mode (1, 1)
-        assert np.array_equal(target.mean, targets.get(2, 1).steer.mean)
+        assert np.array_equal(target.mean, targets.targets[1].steer.mean)  # mode (2, 1)
 
 
 class TestConservative:
@@ -152,8 +150,8 @@ class TestConservative:
     def test_noncontiguous_active_modes_align_with_targets(self):
         cfg = PlannerConfig(**FAST)
         targets = default_targets(LANE_MERGE)
-        rows = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
-        b = HierarchicalBelief(np.array([0.5, 0.0, 0.5]), rows, targets)
+        w = uniform_belief(targets).mode_weights
+        b = HierarchicalBelief(np.array([0.5, 0.0, 0.5]), w, targets)
         state = merge_state()
         _, diag = ConservativePlanner(cfg).plan_step(state, b, 23)
         solved = [m.nu is not None for m in diag.modes]

@@ -3,12 +3,19 @@
 The central oracle enumerates the joint posterior p(i,k|z) proportional to
 pi_i * w_{i,k} * l_{i,k}, then marginalizes: the two-level update must
 match it entry by entry.
+
+The belief kernels work on one flat mode-weight vector with segment sums.
+Row-by-row loop oracles (one intent at a time, sums by ``row.sum()``) pin
+them bit for bit, so a change in summation order fails here even when it
+stays within rounding.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeplan.belief import (
     HierarchicalBelief,
@@ -17,6 +24,7 @@ from probeplan.belief import (
     entropy,
     joint_weights,
     max_entropy,
+    relax_mode_weights,
     uniform_belief,
     update,
 )
@@ -39,23 +47,85 @@ def make_targets(means, variances=None):
 def oracle_update(b, z):
     """Brute-force joint enumeration of the posterior."""
     joint = {}
-    for t in b.targets.targets:
+    for t, w_m in zip(b.targets.targets, b.mode_weights):
         i, k = t.intent_id, t.mode_id
         lik = density(t.target, z)
-        joint[(i, k)] = b.intent_probs[i - 1] * b.mode_weights[i - 1][k - 1] * lik
+        joint[(i, k)] = b.intent_probs[i - 1] * w_m * lik
     total = sum(joint.values())
     pi = np.zeros(b.targets.num_intents)
     for (i, _), v in joint.items():
         pi[i - 1] += v / total
     w = []
-    for i, kk in enumerate(b.targets.modes_per_intent, start=1):
+    for i in range(1, b.targets.num_intents + 1):
         # Mode rows renormalize within the intent regardless of pi_i.
         row = np.array(
-            [b.mode_weights[i - 1][k - 1] * density(b.targets.get(i, k).target, z)
-             for k in range(1, kk + 1)]
+            [w_m * density(t.target, z)
+             for t, w_m in zip(b.targets.targets, b.mode_weights) if t.intent_id == i]
         )
         w.append(row / row.sum())
     return pi, w
+
+
+def split_rows(b, flat):
+    """A per-mode vector of ``b`` cut into one row per intent."""
+    return np.split(flat, np.cumsum(b.targets.modes_per_intent)[:-1])
+
+
+def loop_update(b, z):
+    """Row-wise reference for ``update``: one intent at a time, each sum
+    taken with ``row.sum()``. Returns (pi, rows) or raises like it."""
+    rows = split_rows(b, b.mode_weights)
+    lls = split_rows(b, b.targets.log_likelihoods(z))
+    row_max = np.array([np.where(w > 0.0, ll, -np.inf).max() for ll, w in zip(lls, rows)])
+    global_max = float(row_max.max())
+    if not np.all(np.isfinite(row_max)):
+        raise DegenerateEvidenceError("row underflow")
+    weighted = [
+        w * np.exp(np.where(w > 0.0, ll - m, -np.inf)) for ll, w, m in zip(lls, rows, row_max)
+    ]
+    row_sum = np.array([row.sum() for row in weighted])
+    post = b.intent_probs * (np.exp(row_max - global_max) * row_sum)
+    z_rel = float(post.sum())
+    if z_rel <= 0.0 or global_max + math.log(z_rel) < math.log(1e-300):
+        raise DegenerateEvidenceError("evidence underflow")
+    return post / z_rel, [row / row.sum() for row in weighted]
+
+
+def loop_relax(b, forgetting):
+    return [(1.0 - forgetting) * row + forgetting / row.shape[0]
+            for row in split_rows(b, b.mode_weights)]
+
+
+def loop_joint(b):
+    return [b.intent_probs[i] * w
+            for i, row in enumerate(split_rows(b, b.mode_weights)) for w in row]
+
+
+def loop_entropy(b, pi_weighted_modes=False):
+    pi = b.intent_probs
+    h = -float(np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
+    for i, row in enumerate(split_rows(b, b.mode_weights)):
+        row_h = -float(np.sum(row * np.log(row, where=row > 0, out=np.zeros_like(row))))
+        h += pi[i] * row_h if pi_weighted_modes else row_h
+    return max(0.0, h)
+
+
+def assert_kernels_match_loops(b, z, forgetting=0.02):
+    """Every flat kernel equals its row-wise loop oracle exactly."""
+    assert np.array_equal(joint_weights(b), loop_joint(b))
+    for weighted in (False, True):
+        assert entropy(b, weighted) == loop_entropy(b, weighted)
+    assert np.array_equal(relax_mode_weights(b, forgetting).mode_weights,
+                          np.concatenate(loop_relax(b, forgetting)))
+    try:
+        pi, rows = loop_update(b, z)
+    except DegenerateEvidenceError:
+        with pytest.raises(DegenerateEvidenceError):
+            update(b, z)
+        return
+    out = update(b, z)
+    assert np.array_equal(out.intent_probs, pi)
+    assert np.array_equal(out.mode_weights, np.concatenate(rows))
 
 
 def random_belief(rng, num_intents=None, modes=None):
@@ -65,27 +135,61 @@ def random_belief(rng, num_intents=None, modes=None):
     variances = [[rng.uniform(0.3, 3.0) for _ in range(k)] for k in modes]
     targets = make_targets(means, variances)
     pi = rng.dirichlet(np.ones(num_intents))
-    w = tuple(rng.dirichlet(np.ones(k)) for k in modes)
+    w = np.concatenate([rng.dirichlet(np.ones(k)) for k in modes])
     return HierarchicalBelief(pi, w, targets)
+
+
+def with_zeros(rng, b):
+    """``b`` with, at random, one intent's mass and one mode's weight per
+    intent set to zero and the rest renormalized."""
+    pi = b.intent_probs.copy()
+    if pi.size > 1 and rng.random() < 0.5:
+        pi[rng.integers(pi.size)] = 0.0
+        pi /= pi.sum()
+    rows = []
+    for row in b.rows():
+        row = row.copy()
+        if row.size > 1 and rng.random() < 0.5:
+            row[rng.integers(row.size)] = 0.0
+            row /= row.sum()
+        rows.append(row)
+    return HierarchicalBelief(pi, np.concatenate(rows), b.targets)
+
+
+@st.composite
+def beliefs(draw):
+    """Ragged beliefs, 1-4 intents x 1-4 modes, zeros included."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    means = [[draw(st.floats(-10.0, 10.0)) for _ in range(k)] for k in counts]
+    variances = [[draw(st.floats(0.3, 3.0)) for _ in range(k)] for k in counts]
+
+    def simplex(size):
+        raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                            min_size=size, max_size=size).filter(lambda r: sum(r) > 0.0))
+        return np.array(raw) / sum(raw)
+
+    pi = simplex(len(counts))
+    w = np.concatenate([simplex(k) for k in counts])
+    return HierarchicalBelief(pi, w, make_targets(means, variances))
 
 
 class TestUniform:
     def test_three_by_three(self):
         b = uniform_belief(make_targets([[0, 1, 2], [3, 4, 5], [6, 7, 8]]))
         assert np.allclose(b.intent_probs, [1 / 3] * 3, atol=1e-15)
-        for row in b.mode_weights:
+        for row in b.rows():
             assert np.allclose(row, [1 / 3] * 3, atol=1e-15)
 
     def test_degenerate(self):
         b = uniform_belief(make_targets([[0.0]]))
         assert np.array_equal(b.intent_probs, [1.0])
-        assert np.array_equal(b.mode_weights[0], [1.0])
+        assert np.array_equal(b.mode_weights, [1.0])
 
     def test_ragged(self):
         b = uniform_belief(make_targets([[0.0], [1.0, 2.0, 3.0]]))
         assert np.allclose(b.intent_probs, [0.5, 0.5])
-        assert np.array_equal(b.mode_weights[0], [1.0])
-        assert np.allclose(b.mode_weights[1], [1 / 3] * 3)
+        assert np.array_equal(b.rows()[0], [1.0])
+        assert np.allclose(b.rows()[1], [1 / 3] * 3)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -101,7 +205,7 @@ class TestUpdate:
         b = HierarchicalBelief(b.intent_probs, b.mode_weights, targets)
         out = update(b, np.array([1.3]))
         assert np.allclose(out.intent_probs, b.intent_probs, atol=1e-12)
-        for r_out, r_in in zip(out.mode_weights, b.mode_weights):
+        for r_out, r_in in zip(out.rows(), b.rows()):
             assert np.allclose(r_out, r_in, atol=1e-12)
 
     def test_four_to_one_likelihood_ratio(self):
@@ -111,8 +215,8 @@ class TestUpdate:
         z = np.array([1.0 - 0.5 * math.log(4.0)])
         out = update(b, z)
         assert np.allclose(out.intent_probs, [0.8, 0.2], atol=1e-12)
-        assert np.array_equal(out.mode_weights[0], [1.0])
-        assert np.array_equal(out.mode_weights[1], [1.0])
+        assert np.array_equal(out.rows()[0], [1.0])
+        assert np.array_equal(out.rows()[1], [1.0])
 
     def test_matches_joint_bayes_oracle(self):
         rng = np.random.default_rng(42)
@@ -122,7 +226,7 @@ class TestUpdate:
             out = update(b, z)
             pi, w = oracle_update(b, z)
             assert np.allclose(out.intent_probs, pi, atol=1e-10)
-            for r_out, r_or in zip(out.mode_weights, w):
+            for r_out, r_or in zip(out.rows(), w):
                 assert np.allclose(r_out, r_or, atol=1e-10)
 
     def test_input_unchanged(self):
@@ -137,28 +241,22 @@ class TestUpdate:
         for _ in range(300):
             b = update(b, np.array([rng.normal(0, 3)]))
             assert abs(b.intent_probs.sum() - 1.0) < 1e-9
-            for row in b.mode_weights:
+            for row in b.rows():
                 assert abs(row.sum() - 1.0) < 1e-9
 
     def test_zero_intent_stays_zero(self):
         targets = make_targets([[0.0], [1.0]])
-        b = HierarchicalBelief(
-            np.array([1.0, 0.0]), (np.array([1.0]), np.array([1.0])), targets
-        )
+        b = HierarchicalBelief(np.array([1.0, 0.0]), np.array([1.0, 1.0]), targets)
         out = update(b, np.array([1.0]))  # evidence favors the dead intent
         assert out.intent_probs[1] == 0.0
         assert out.intent_probs[0] == 1.0
 
     def test_degenerate_belief_is_fixed_point(self):
         targets = make_targets([[0.0, 4.0], [1.0, 5.0]])
-        b = HierarchicalBelief(
-            np.array([0.0, 1.0]),
-            (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-            targets,
-        )
+        b = HierarchicalBelief(np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0]), targets)
         out = update(b, np.array([2.2]))
         assert np.array_equal(out.intent_probs, b.intent_probs)
-        for r_out, r_in in zip(out.mode_weights, b.mode_weights):
+        for r_out, r_in in zip(out.rows(), b.rows()):
             assert np.array_equal(r_out, r_in)
 
     def test_degenerate_evidence_raises(self):
@@ -173,19 +271,9 @@ class TestUpdate:
             z = np.array([rng.normal(0, 2)])
             out = update(b, z)
             # Naive linear-scale arithmetic of the same update.
-            lik = {
-                (t.intent_id, t.mode_id): density(t.target, z)
-                for t in b.targets.targets
-            }
-            intent_liks = np.array(
-                [
-                    sum(
-                        b.mode_weights[i - 1][k - 1] * lik[(i, k)]
-                        for k in range(1, b.targets.modes_per_intent[i - 1] + 1)
-                    )
-                    for i in range(1, b.targets.num_intents + 1)
-                ]
-            )
+            intent_liks = np.zeros(b.targets.num_intents)
+            for t, w_m in zip(b.targets.targets, b.mode_weights):
+                intent_liks[t.intent_id - 1] += w_m * density(t.target, z)
             naive_pi = b.intent_probs * intent_liks
             naive_pi = naive_pi / naive_pi.sum()
             assert np.allclose(out.intent_probs, naive_pi, atol=1e-12)
@@ -200,19 +288,13 @@ class TestJointWeights:
 
     def test_zero_intent_row(self):
         targets = make_targets([[0.0, 1.0], [2.0, 3.0]])
-        b = HierarchicalBelief(
-            np.array([1.0, 0.0]),
-            (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
-            targets,
-        )
+        b = HierarchicalBelief(np.array([1.0, 0.0]), np.array([0.5, 0.5, 0.5, 0.5]), targets)
         # Flat in target order: (1,1), (1,2), (2,1), (2,2).
         assert np.array_equal(joint_weights(b), [0.5, 0.5, 0.0, 0.0])
 
     def test_single_mode_rows(self):
         targets = make_targets([[0.0], [1.0]])
-        b = HierarchicalBelief(
-            np.array([0.8, 0.2]), (np.array([1.0]), np.array([1.0])), targets
-        )
+        b = HierarchicalBelief(np.array([0.8, 0.2]), np.array([1.0, 1.0]), targets)
         omega = joint_weights(b)
         assert omega[0] == pytest.approx(0.8)
         assert omega[1] == pytest.approx(0.2)
@@ -222,8 +304,8 @@ class TestJointWeights:
         for _ in range(20):
             b = random_belief(rng)
             expected = [
-                b.intent_probs[t.intent_id - 1] * b.mode_weights[t.intent_id - 1][t.mode_id - 1]
-                for t in b.targets.targets
+                b.intent_probs[t.intent_id - 1] * w_m
+                for t, w_m in zip(b.targets.targets, b.mode_weights)
             ]
             assert np.array_equal(joint_weights(b), expected)
 
@@ -237,11 +319,7 @@ class TestJointWeights:
 class TestEntropy:
     def test_degenerate_zero(self):
         targets = make_targets([[0.0, 1.0], [2.0, 3.0]])
-        b = HierarchicalBelief(
-            np.array([1.0, 0.0]),
-            (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-            targets,
-        )
+        b = HierarchicalBelief(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0, 1.0]), targets)
         assert entropy(b) == 0.0
 
     def test_uniform_three_by_three(self):
@@ -251,11 +329,7 @@ class TestEntropy:
     def test_unweighted_mode_term(self):
         # pi concentrated, every row uniform over 2 modes: H = 0 + 3 ln 2.
         targets = make_targets([[0, 1], [2, 3], [4, 5]])
-        b = HierarchicalBelief(
-            np.array([1.0, 0.0, 0.0]),
-            tuple(np.array([0.5, 0.5]) for _ in range(3)),
-            targets,
-        )
+        b = HierarchicalBelief(np.array([1.0, 0.0, 0.0]), np.full(6, 0.5), targets)
         assert entropy(b) == pytest.approx(3 * math.log(2), abs=1e-12)
         assert entropy(b, pi_weighted_modes=True) == pytest.approx(
             math.log(2), abs=1e-12
@@ -268,7 +342,7 @@ class TestEntropy:
         rng = np.random.default_rng(17)
         for _ in range(500):
             pi = rng.dirichlet(np.ones(3))
-            w = tuple(rng.dirichlet(np.ones(3)) for _ in range(3))
+            w = np.concatenate([rng.dirichlet(np.ones(3)) for _ in range(3)])
             b = HierarchicalBelief(pi, w, targets)
             assert entropy(b) <= h_max + 1e-12
 
@@ -293,6 +367,52 @@ class TestValidation:
     def test_bad_probabilities_rejected(self):
         targets = make_targets([[0.0], [1.0]])
         with pytest.raises(InvalidInputError):
-            HierarchicalBelief(
-                np.array([0.7, 0.7]), (np.array([1.0]), np.array([1.0])), targets
+            HierarchicalBelief(np.array([0.7, 0.7]), np.array([1.0, 1.0]), targets)
+        # NaN fails both range comparisons and the sum check, and such a
+        # belief read as certain (entropy 0).
+        three = make_targets([[0.0], [1.0], [2.0, 3.0]])
+        with pytest.raises(InvalidInputError, match="intent probabilities"):
+            HierarchicalBelief([math.nan, 0.5, 0.5], np.array([1.0, 1.0, 0.5, 0.5]), three)
+        with pytest.raises(InvalidInputError, match="mode weights"):
+            HierarchicalBelief(np.full(3, 1 / 3), np.array([1.0, 1.0, math.nan, 0.5]), three)
+        with pytest.raises(InvalidInputError, match="mode weights must have length 4"):
+            HierarchicalBelief(np.full(3, 1 / 3), np.array([1.0, 1.0, 1.0]), three)
+        with pytest.raises(InvalidInputError, match="mode weights sum to"):
+            HierarchicalBelief(np.full(3, 1 / 3), np.array([1.0, 1.0, 0.5, 0.4]), three)
+
+
+class TestFlatKernelsMatchLoops:
+    """The flat kernels equal the row-wise loops bit for bit, on ragged
+    target sets; the golden digests cover only the default 3x3 set."""
+
+    def test_random_ragged(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            num_intents = int(rng.integers(1, 5))
+            modes = [int(rng.integers(1, 5)) for _ in range(num_intents)]
+            b = with_zeros(rng, random_belief(rng, num_intents, modes))
+            # A few filter steps reach the weights the run loop sees.
+            for _ in range(3):
+                z = np.array([rng.normal(0, 5)])
+                assert_kernels_match_loops(b, z)
+                b = relax_mode_weights(update(b, z), 0.02)
+
+    def test_uniform(self):
+        for modes in ([1], [3, 3, 3], [1, 4, 2], [4, 1]):
+            b = uniform_belief(make_targets([[0.0] * k for k in modes]))
+            assert np.array_equal(
+                b.mode_weights, np.concatenate([np.full(k, 1.0 / k) for k in modes])
             )
+
+    def test_rows_split_by_intent(self):
+        b = random_belief(np.random.default_rng(5), 3, [2, 1, 4])
+        rows = b.rows()
+        assert [len(r) for r in rows] == [2, 1, 4]
+        for row, expected in zip(rows, split_rows(b, b.mode_weights)):
+            assert np.array_equal(row, expected)
+            assert not row.flags.writeable
+
+    @given(b=beliefs(), z=st.floats(-20.0, 20.0), forgetting=st.floats(0.0, 0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis(self, b, z, forgetting):
+        assert_kernels_match_loops(b, np.array([z]), forgetting)

@@ -101,6 +101,10 @@ class TestLoad:
             ("scenario.mode_targets_file=[a.yaml]", "scenario.mode_targets_file"),
             # InvalidInputError from the first belief update of every run.
             ("planner.features=[velocity, gap]", "planner.features"),
+            # Caught only when each worker built its run config.
+            ("human.pinned_intent=4", "human.pinned_intent"),
+            ("human.pinned_intent=1.5", "human.pinned_intent"),
+            ("human.pinned_intent=true", "human.pinned_intent"),
         ],
     )
     def test_bad_value_rejected_naming_field(self, tmp_path, override, named):
@@ -129,11 +133,6 @@ class TestOverrides:
         pc_cross = build_planner_config(cfg, "intersection")
         assert pc_merge.ref_speed == 9.5
         assert pc_cross.ref_speed == 5.5
-
-    def test_out_of_range_pinned_intent_names_field(self, tmp_path):
-        cfg = load_config(write(tmp_path, MINIMAL), ["human.pinned_intent=4"])
-        with pytest.raises(ConfigError, match="human.pinned_intent"):
-            build_run_config(cfg, "lane_merge", "ours")
 
     def test_invalid_planner_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid planner config"):
@@ -180,9 +179,33 @@ class TestModeTargets:
         assert ts.num_intents == 2
         assert ts.modes_per_intent == (1, 2)
         assert ts.intent_names == ("aggressive", "cooperative")
-        assert ts.get(1, 1).steer is not None
-        assert ts.get(2, 2).steer is None
-        assert np.array_equal(ts.get(2, 1).target.mean, [5.0])
+        # Target order: (1, 1), (2, 1), (2, 2).
+        assert ts.targets[0].steer is not None
+        assert ts.targets[2].steer is None
+        assert np.array_equal(ts.targets[1].target.mean, [5.0])
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            # Bare TypeError or AttributeError from load_config.
+            ("intents: 5", "intents list"),
+            ("intents: [5]", "intents list"),
+            ("intents:\n  - name: a\n    modes: 5", "intent 'a' must have a non-empty modes"),
+            ("intents:\n  - name: a\n    modes: [5]", "intent 'a' must have a non-empty modes"),
+        ],
+    )
+    def test_malformed_file_rejected_naming_part(self, tmp_path, body, named):
+        tpath = write(tmp_path, body, "bad.yaml")
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={tpath}"])
+
+    def test_pinned_intent_checked_against_file_targets(self, tmp_path):
+        # The file has two intents, the default lane-merge set three.
+        tpath = write(tmp_path, TARGETS, "targets.yaml")
+        override = f"scenario.mode_targets_file={tpath}"
+        load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=2"])
+        with pytest.raises(ConfigError, match="human.pinned_intent"):
+            load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=3"])
 
     def test_missing_observation_rejected(self, tmp_path):
         bad = "intents:\n  - name: a\n    modes:\n      - label: x\n"

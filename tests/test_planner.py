@@ -228,7 +228,7 @@ class TestSolveModeControl:
             state, np.zeros(cfg.horizon_steps), mode_plain, cfg
         )
         b = single_mode_belief(10.0, 1.0, steer=steer)
-        mode = b.targets.get(1, 1)
+        mode = b.targets.targets[0]
         nu, res = solve_mode_control(state, b, mode, cfg, 99)
         assert np.all(np.abs(nu[:, 0]) <= 1e-3)
         assert res.objective <= 1e-6
@@ -248,7 +248,7 @@ class TestSolveModeControl:
         # Target: same lead, 2.5 m/s faster at the horizon end.
         steer = Gaussian(base.mean + np.array([2.5, 0.0]), base.cov)
         b = single_mode_belief(10.0, 1.0, steer=steer)
-        nu, res = solve_mode_control(state, b, b.targets.get(1, 1), cfg, 7)
+        nu, res = solve_mode_control(state, b, b.targets.targets[0], cfg, 7)
         assert nu[0, 0] > 0.0
         # Independent oracle: exhaustive grid over 41 constant accelerations
         # of the influence term (probing off, risk cap inert) confirms the
@@ -271,7 +271,7 @@ class TestSolveModeControl:
         steer = Gaussian(np.array([12.0, 30.0]), np.diag([1.0, 4.0]))
         b = single_mode_belief(10.0, 1.0, steer=steer)
         for seed in range(5):
-            nu, _ = solve_mode_control(state, b, b.targets.get(1, 1), cfg, seed)
+            nu, _ = solve_mode_control(state, b, b.targets.targets[0], cfg, seed)
             assert np.all(nu[:, 0] >= cfg.accel_bounds[0] - 1e-12)
             assert np.all(nu[:, 0] <= cfg.accel_bounds[1] + 1e-12)
             assert np.all(nu[:, 1] >= cfg.yaw_rate_bounds[0] - 1e-12)
@@ -281,7 +281,7 @@ class TestSolveModeControl:
         state = merge_state(ego=(-30.0, 0.0, 9.0), human=(-22.0, 0.0, 4.0))
         steer = Gaussian(np.array([9.5, 20.0]), np.diag([1.0, 9.0]))
         b = single_mode_belief(4.0, 0.25, steer=steer)
-        mode = b.targets.get(1, 1)
+        mode = b.targets.targets[0]
         base = dict(entropy_weight=0.0, ref_speed=9.5)
         _, res_init = solve_mode_control(
             state, b, mode, PlannerConfig(solver_iters=0, **base), 31
@@ -297,7 +297,7 @@ class TestSolveModeControl:
         state = merge_state(ego=(-30.0, 0.0, 9.0), human=(-22.0, 0.0, 4.0))
         steer = Gaussian(np.array([9.5, 20.0]), np.diag([1.0, 9.0]))
         b = single_mode_belief(4.0, 0.25, steer=steer)
-        mode = b.targets.get(1, 1)
+        mode = b.targets.targets[0]
         unconstrained_cfg = PlannerConfig(entropy_weight=0.0, risk_cap=1e12, ref_speed=9.5)
         capped_cfg = PlannerConfig(entropy_weight=0.0, risk_cap=30.0, ref_speed=9.5)
         _, res_un = solve_mode_control(state, b, mode, unconstrained_cfg, 13)
@@ -391,8 +391,8 @@ def middle_intent_ruled_out():
     """Lane-merge belief with pi = 0 on the middle intent: modes 0-2 and
     6-8 active."""
     targets = default_targets(LANE_MERGE)
-    rows = tuple(np.full(k, 1.0 / k) for k in targets.modes_per_intent)
-    return HierarchicalBelief(np.array([0.5, 0.0, 0.5]), rows, targets)
+    w = uniform_belief(targets).mode_weights
+    return HierarchicalBelief(np.array([0.5, 0.0, 0.5]), w, targets)
 
 
 FAST = dict(rollout_count=30, obs_samples=6, solver_iters=2)

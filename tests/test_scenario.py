@@ -183,7 +183,7 @@ class TestRun:
         for rec in log.records:
             belief = relax_mode_weights(update(belief, rec.z), MODE_FORGETTING)
             assert np.allclose(belief.intent_probs, rec.pi, atol=1e-12)
-            for row, logged in zip(belief.mode_weights, rec.w_rows):
+            for row, logged in zip(belief.rows(), rec.w_rows):
                 assert np.allclose(row, logged, atol=1e-12)
 
     @pytest.mark.usefixtures("zero_planner")
