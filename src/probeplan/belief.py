@@ -232,6 +232,10 @@ def joint_weights(b: HierarchicalBelief) -> np.ndarray:
     return b.intent_probs[b.targets._rows] * b.mode_weights
 
 
+def _x_log_x(p: np.ndarray) -> np.ndarray:
+    return p * np.log(p, where=p > 0, out=np.zeros_like(p))
+
+
 def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:
     """Belief uncertainty: intent entropy plus the mode-weight term.
 
@@ -240,14 +244,75 @@ def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:
     the Shannon-style variant where each intent's mode entropy is scaled by
     its intent probability.
     """
-    pi, w = b.intent_probs, b.mode_weights
-    h = -float(np.sum(pi * np.log(pi, where=pi > 0, out=np.zeros_like(pi))))
-    w_log_w = w * np.log(w, where=w > 0, out=np.zeros_like(w))
+    pi = b.intent_probs
+    h = -float(np.sum(_x_log_x(pi)))
+    w_log_w = _x_log_x(b.mode_weights)
     row_h = (-np.bincount(b.targets._rows, weights=w_log_w, minlength=len(pi))).tolist()
     # One addition per intent, in intent order.
     for pi_i, h_i in zip(pi, row_h):
         h += pi_i * h_i if pi_weighted_modes else h_i
     return max(0.0, h)
+
+
+def posterior_entropies(
+    b: HierarchicalBelief,
+    zs: np.ndarray,
+    h_prior: float,
+    pi_weighted_modes: bool = False,
+) -> np.ndarray:
+    """``entropy(update(b, z), pi_weighted_modes)`` for every row z of
+    ``zs`` (N, d), bit for bit, in one pass that builds no belief.
+
+    A row whose update would raise DegenerateEvidenceError reads
+    ``h_prior``. Each operation of ``update`` and ``entropy`` runs on all N
+    rows at once, in the same order: per-intent sums are one ``np.bincount``
+    over the bins ``rows + I * n``, which adds each segment in target order
+    from zero, and a row sum of an (N, I) array adds as the 1-D sum does.
+    """
+    ts = b.targets
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 2 or zs.shape[1] != ts.obs_dim:
+        raise InvalidInputError(
+            f"observations must have shape (N, {ts.obs_dim}), got {zs.shape}"
+        )
+    n, num = zs.shape[0], ts.num_intents
+    y = np.einsum("mij,nmj->nmi", ts._chol_inv, zs[:, None, :] - ts._means)
+    ll = ts._log_norm - 0.5 * np.einsum("nmi,nmi->nm", y, y)
+    w = b.mode_weights
+    active = w > 0.0
+
+    row_max = np.maximum.reduceat(np.where(active, ll, -np.inf), ts._starts, axis=1)
+    bad = ~np.all(np.isfinite(row_max), axis=1)
+    # Degenerate rows are masked at the end; a finite stand-in keeps their
+    # arithmetic free of inf - inf.
+    row_max[bad] = 0.0
+    global_max = row_max.max(axis=1)
+    weighted = w * np.exp(np.where(active, ll - row_max[:, ts._rows], -np.inf))
+    bins = (ts._rows + num * np.arange(n)[:, None]).ravel()
+
+    def segment_sums(x: np.ndarray) -> np.ndarray:
+        return np.bincount(bins, weights=x.ravel(), minlength=n * num).reshape(n, num)
+
+    row_sum = segment_sums(weighted)
+    row_sum[bad] = 1.0
+    post_pi_un = b.intent_probs * (np.exp(row_max - global_max[:, None]) * row_sum)
+    z_rel = post_pi_un.sum(axis=1)
+    # ``update``'s evidence test, with its scalar math.log per row.
+    for k, (g, z) in enumerate(zip(global_max.tolist(), z_rel.tolist())):
+        if not (z > 0.0 and g + math.log(z) >= _LOG_Z_FLOOR):
+            bad[k] = True
+    z_rel[bad] = 1.0
+    # No clip to [0, 1] as the belief's constructor has: each value is a
+    # nonnegative term over a float sum that includes it, so it lies there.
+    pi = post_pi_un / z_rel[:, None]
+    w_post = weighted / row_sum[:, ts._rows]
+
+    h = -_x_log_x(pi).sum(axis=1)
+    row_h = -segment_sums(_x_log_x(w_post))
+    # One addition per intent, in intent order, as in ``entropy``.
+    for i in range(num):
+        h += pi[:, i] * row_h[:, i] if pi_weighted_modes else row_h[:, i]
+    return np.where(bad, h_prior, np.where(h > 0.0, h, 0.0))
 
 
 def max_entropy(targets: ModeTargetSet, pi_weighted_modes: bool = False) -> float:

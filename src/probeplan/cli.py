@@ -99,8 +99,8 @@ def trace_rows(log: RunLog) -> list[str]:
 
 
 def _worker(job) -> tuple:
-    cfg, scenario, planner, idx, want_trace = job
-    run_cfg = build_run_config(cfg, scenario, planner)
+    run_cfg, idx, want_trace = job
+    scenario, planner = run_cfg.scenario, run_cfg.planner
     result, log = run(run_cfg, run_index=idx)
     row = _result_row(idx, scenario, planner, result, log)
     trace = trace_rows(log) if want_trace else None
@@ -127,9 +127,11 @@ def run_experiment(
     runs = exp["runs"]
     trace_set = set(exp["trace_seeds"])
     combos = [(s, p) for s in scenario_list(cfg) for p in planner_list(cfg)]
+    # One RunConfig per combination, shared by its runs: building one reads
+    # the mode-target file when the config names one.
     jobs = [
-        (cfg, scenario, planner, idx, idx in trace_set)
-        for scenario, planner in combos
+        (run_cfg, idx, idx in trace_set)
+        for run_cfg in (build_run_config(cfg, s, p) for s, p in combos)
         for idx in range(runs)
     ]
 

@@ -79,15 +79,24 @@ def _merge_section(section: str, given: dict, out: dict) -> None:
         out[section][key] = value
 
 
+def _read_yaml(path: Path, what: str):
+    """The parsed YAML document in the UTF-8 file ``path``; a file that
+    cannot be read (missing, a directory, unreadable, not UTF-8) or parsed
+    raises a ConfigError naming it."""
+    try:
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from None
+    except yaml.YAMLError as e:
+        raise ConfigError(f"{what} parse error in {path}: {e}") from None
+
+
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     """Load and validate an experiment config; returns the resolved dict."""
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except yaml.YAMLError as e:
-        raise ConfigError(f"config parse error in {path}: {e}") from None
+    raw = _read_yaml(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping of sections")
     cfg = copy.deepcopy(DEFAULTS)
@@ -280,12 +289,7 @@ def load_mode_targets(path: str | Path) -> ModeTargetSet:
             steering: {mean: [8.0, -14.0], cov: [[2.25, 0], [0, 16.0]]}
     """
     path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"mode target file not found: {path}") from None
-    except yaml.YAMLError as e:
-        raise ConfigError(f"mode target parse error in {path}: {e}") from None
+    raw = _read_yaml(path, "mode target file")
     intents = raw.get("intents") if isinstance(raw, dict) else None
     if not _is_mapping_list(intents):
         raise ConfigError(

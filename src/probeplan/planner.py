@@ -8,11 +8,17 @@ builds the shared setup (rng key, lane guidance, probe grid, joint weights,
 the modes to solve, reference-plan CVaR per mode) and ``_descend`` is the
 one solver loop: multi-start over constant-acceleration candidates, then
 projected finite-difference descent on a piecewise-constant acceleration
-parameterization. A planner supplies only the objective it descends: the
-per-mode probe + influence + CVaR-penalty objective of ``_solve_mode``, or
-the baselines' own. Every per-mode value of a step lies on one mode axis
-``m`` in target order, and each solve returns its modes' ``ModeDiag``
-records directly. The lateral channel follows a fixed lane-guidance law
+parameterization. ``_descend`` evaluates each distinct acceleration
+sequence once per solve; a candidate that repeats one reuses its result
+but still counts in ``ModeDiag.evals``. The probe grid is one batched
+pass: one projected ego per grid point, one conflict level and one
+predicted observation per mode at each point, and one
+``belief.posterior_entropies`` call over the distinct observation sets,
+with no belief built per draw. A planner supplies only
+the objective it descends: the per-mode probe + influence + CVaR-penalty
+objective of ``_solve_mode``, or the baselines' own. Every per-mode value
+of a step lies on one mode axis ``m`` in target order, and each solve
+returns its modes' ``ModeDiag`` records directly. The lateral channel follows a fixed lane-guidance law
 shared by every planner so cross-planner comparisons isolate the
 longitudinal interaction machinery. Because the lateral channel is fixed,
 ``_begin_step`` also builds what the rollout/CVaR kernel of ``risk`` needs
@@ -40,10 +46,11 @@ from .belief import (
     entropy,
     joint_weights,
     max_entropy,
-    update,
+    posterior_entropies,
+    update,  # noqa: F401 -- the benchmark wraps probeplan.planner.update by name
 )
 from .dynamics import VehicleState, double_integrator, propagate_cov, step_vehicle
-from .errors import DegenerateEvidenceError, InvalidInputError
+from .errors import InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
 from .human import GAP, VELOCITY, conflict_level
 from .risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
@@ -195,7 +202,7 @@ class ModeDiag:
     objective: float = math.nan
     j_probe: float = math.nan
     j_influence: float = math.nan
-    evals: int = 0
+    evals: int = 0  # candidates scored, repeats included
     nu: np.ndarray | None = None
 
 
@@ -328,32 +335,6 @@ def _interaction_frame(
     return ego_progress(geometry, state.ego), s_h, cov
 
 
-def predicted_interaction_gaussian(
-    state: ScenarioState,
-    accel_seq: np.ndarray,
-    mode: ModeTarget,
-    cfg: PlannerConfig,
-    ego_sigma: np.ndarray | None = None,
-) -> Gaussian:
-    """Ego interaction-feature distribution (speed, lead) at the horizon
-    end, given a longitudinal acceleration sequence and a mode hypothesis
-    for the human."""
-    accel_seq = np.asarray(accel_seq, dtype=float)
-    if accel_seq.shape != (cfg.horizon_steps,):
-        raise InvalidInputError("accel_seq length must equal the horizon")
-    if ego_sigma is None:
-        ego_sigma = ego_horizon_covariance(cfg)
-    s0, s_h, cov = _interaction_frame(state, mode, cfg, ego_sigma)
-    s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel_seq, cfg.dt)
-    return Gaussian(np.array([v_t, s_t - s_h]), cov)
-
-
-def influence_objective(predicted: Gaussian, target: Gaussian) -> float:
-    """Alignment of the predicted interaction distribution with a mode
-    target: KL(predicted || target), evaluated at the horizon end."""
-    return kl_divergence(predicted, target)
-
-
 def probe_objective(expected_entropy: float, entropy_weight: float) -> float:
     """Probing term: entropy_weight * expected posterior entropy.
 
@@ -369,38 +350,43 @@ def probe_objective(expected_entropy: float, entropy_weight: float) -> float:
 
 
 def probe_projection(
-    state: ScenarioState, u_first: np.ndarray, cfg: PlannerConfig
-) -> tuple[VehicleState, VehicleState, float]:
-    """Project the encounter forward with the first control held fixed.
+    state: ScenarioState, first_accels: Sequence[float], cfg: PlannerConfig
+) -> tuple[list[VehicleState], VehicleState, float]:
+    """Project the encounter forward with each first acceleration held fixed.
 
     A single 0.1 s step barely moves the conflict geometry, which would
     leave the probing objective with a vanishing gradient; holding the
     first planned control for ``PROBE_LOOKAHEAD_STEPS`` exposes the
     response the control actually elicits. The human cruises during the
-    projection (its reaction enters through the response-time relaxation).
+    projection (its reaction enters through the response-time relaxation),
+    so one projected human serves every acceleration. Returns the projected
+    ego per acceleration, the projected human and the projection time.
     """
-    ego = state.ego
-    accel = float(u_first[0])
-    for _ in range(PROBE_LOOKAHEAD_STEPS):
-        ego = step_vehicle(ego, (accel, 0.0), cfg.dt)
+    egos = []
+    for accel in first_accels:
+        ego = state.ego
+        for _ in range(PROBE_LOOKAHEAD_STEPS):
+            ego = step_vehicle(ego, (float(accel), 0.0), cfg.dt)
+        egos.append(ego)
     human = state.human
     for _ in range(PROBE_LOOKAHEAD_STEPS):
         human = step_vehicle(human, (0.0, 0.0), cfg.dt)
-    return ego, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
+    return egos, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
 
 
 def predicted_observation_mean(
     ego_ref: VehicleState,
     human_ref: VehicleState,
     geometry: ScenarioGeometry,
-    mode: ModeTarget,
+    modes: Sequence[ModeTarget],
     cfg: PlannerConfig,
     response_time: float | None = None,
 ) -> np.ndarray:
-    """Expected observation if the human follows ``mode``: its speed
-    relaxes toward the mode's velocity mean at a rate set by the conflict
-    level of the (possibly projected) reference configuration, integrated
-    over ``response_time`` seconds."""
+    """Expected observation (len(modes), d) if the human follows each of
+    ``modes``: its speed relaxes toward the mode's velocity mean at a rate
+    set by the conflict level of the (possibly projected) reference
+    configuration, integrated over ``response_time`` seconds. The conflict
+    level, and so the rate, is the same for every mode."""
     if response_time is None:
         response_time = cfg.dt
     c = conflict_level(
@@ -408,82 +394,33 @@ def predicted_observation_mean(
         geometry.risk_threshold, geometry.nominal_human_speed,
     )
     relax = 1.0 - math.exp(-cfg.response_gain * c * response_time)
-    v_pred = human_ref.v + relax * (float(mode.target.mean[0]) - human_ref.v)
-    values = []
-    for name in cfg.features:
-        if name == VELOCITY:
-            values.append(v_pred)
-        elif name == GAP:
-            step = v_pred * cfg.dt
-            hx = human_ref.x + step * geometry.human_dir[0]
-            hy = human_ref.y + step * geometry.human_dir[1]
-            values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
-        else:
-            raise InvalidInputError(f"unknown observation feature {name!r}")
-    return np.array(values)
+    rows = []
+    for mode in modes:
+        v_pred = human_ref.v + relax * (float(mode.target.mean[0]) - human_ref.v)
+        values = []
+        for name in cfg.features:
+            if name == VELOCITY:
+                values.append(v_pred)
+            elif name == GAP:
+                step = v_pred * cfg.dt
+                hx = human_ref.x + step * geometry.human_dir[0]
+                hy = human_ref.y + step * geometry.human_dir[1]
+                values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
+            else:
+                raise InvalidInputError(f"unknown observation feature {name!r}")
+        rows.append(values)
+    return np.array(rows)
 
 
 def _observation_draws(
     b: HierarchicalBelief, n_obs: int, rng: np.random.Generator, cfg: PlannerConfig
-) -> tuple[list[ModeTarget], np.ndarray]:
-    """``n_obs`` modes drawn by joint weight, and observation noise for each."""
-    modes = b.targets.targets
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of ``n_obs`` modes drawn by joint weight, in target order,
+    and observation noise (n_obs, d) for each."""
     omega = joint_weights(b)
-    idxs = rng.choice(len(modes), size=n_obs, p=omega / omega.sum())
+    idxs = rng.choice(len(omega), size=n_obs, p=omega / omega.sum())
     noise = rng.normal(0.0, cfg.obs_noise_std, size=(n_obs, len(cfg.features)))
-    return [modes[int(i)] for i in idxs], noise
-
-
-def _mean_posterior_entropy(
-    b: HierarchicalBelief,
-    state: ScenarioState,
-    first_accel: float,
-    draws: tuple[list[ModeTarget], np.ndarray],
-    h_prior: float,
-    cfg: PlannerConfig,
-) -> float:
-    """Average posterior entropy over fixed observation draws, conditioned
-    on holding ``first_accel``; degenerate-evidence draws count as
-    ``h_prior``."""
-    ego_ref, human_ref, response_time = probe_projection(
-        state, np.array([first_accel, 0.0]), cfg
-    )
-    modes, noise = draws
-    total = 0.0
-    for mode, eps in zip(modes, noise):
-        z = predicted_observation_mean(
-            ego_ref, human_ref, state.geometry, mode, cfg, response_time
-        ) + eps
-        try:
-            total += entropy(update(b, z), PROBE_PI_WEIGHTED)
-        except DegenerateEvidenceError:
-            total += h_prior
-    return total / len(modes)
-
-
-def expected_posterior_entropy(
-    b: HierarchicalBelief,
-    u_seq: np.ndarray,
-    state: ScenarioState,
-    n_obs: int,
-    rng: np.random.Generator,
-    cfg: PlannerConfig,
-) -> float:
-    """Monte-Carlo estimate of the posterior belief entropy after one more
-    observation, conditioned on applying the first planned control.
-
-    Each draw samples a mode by joint weight, predicts the human response
-    it implies, perturbs it with observation noise, runs the Bayesian
-    update, and evaluates the entropy; degenerate-evidence draws fall back
-    to the prior entropy.
-    """
-    if n_obs < 1:
-        raise InvalidInputError("n_obs must be >= 1")
-    u_first = np.asarray(u_seq, dtype=float).reshape(-1, 2)[0]
-    draws = _observation_draws(b, n_obs, rng, cfg)
-    return _mean_posterior_entropy(
-        b, state, u_first[0], draws, entropy(b, PROBE_PI_WEIGHTED), cfg
-    )
+    return idxs, noise
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +506,25 @@ def _descend(
     then projected finite-difference descent on the segment accelerations.
 
     ``evaluate`` maps an acceleration sequence (T,) to a tuple whose first
-    item is the objective. Returns the final acceleration sequence, its
-    evaluation, and every (sequence, evaluation) pair in call order.
+    item is the objective; it must be a pure function of the sequence, as it
+    runs once per distinct sequence of the solve. Returns the final
+    acceleration sequence, its evaluation, and one (sequence, evaluation)
+    pair per candidate scored, in scoring order.
     """
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
     seg_len = -(-horizon // cfg.solver_segments)  # ceil division
     history: list[tuple[np.ndarray, tuple]] = []
+    # Coasting equals the constant-zero start, each burst at a bound its
+    # constant start, and a clipped line-search trial may repeat a point.
+    seen: dict[bytes, tuple] = {}
 
     def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
         accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
-        history.append((accel, evaluate(accel)))
+        key = accel.tobytes()
+        if key not in seen:
+            seen[key] = evaluate(accel)
+        history.append((accel, seen[key]))
         return history[-1]
 
     theta = accel = current = None
@@ -743,12 +688,34 @@ class ActivePlanner:
         if h_now > 0.75 * max_entropy(b.targets, PROBE_PI_WEIGHTED):
             n_obs *= 2
         # Common random numbers: one draw set shared by every grid point.
-        draws = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
+        idxs, noise = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
         grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
-        values = np.array(
-            [_mean_posterior_entropy(b, state, a0, draws, h_now, cfg) for a0 in grid]
-        )
-        return grid, values
+        egos, human_ref, response_time = probe_projection(state, grid, cfg)
+        # Each point's observations (n_obs, d); points with byte-equal
+        # observations (often all of them, once the held control saturates
+        # the conflict level) share one row block of the batched pass.
+        blocks: dict[bytes, int] = {}
+        distinct = []
+        point_block = []
+        for ego_ref in egos:
+            means = predicted_observation_mean(
+                ego_ref, human_ref, state.geometry, b.targets.targets, cfg, response_time
+            )
+            zs = means[idxs] + noise
+            if zs.tobytes() not in blocks:
+                blocks[zs.tobytes()] = len(distinct)
+                distinct.append(zs)
+            point_block.append(blocks[zs.tobytes()])
+        h = posterior_entropies(
+            b, np.concatenate(distinct), h_now, PROBE_PI_WEIGHTED
+        ).reshape(len(distinct), n_obs)
+        values = []
+        for k in point_block:
+            total = 0.0
+            for v in h[k].tolist():  # in draw order, as a running sum
+                total += v
+            values.append(total / n_obs)
+        return grid, np.array(values)
 
     def _begin_step(
         self,
@@ -863,20 +830,3 @@ class ActivePlanner:
         )
         return self._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))
 
-
-def solve_mode_control(
-    state: ScenarioState,
-    b: HierarchicalBelief,
-    mode: ModeTarget,
-    cfg: PlannerConfig,
-    rng: np.random.Generator | int,
-) -> tuple[np.ndarray, ModeDiag]:
-    """Standalone per-mode solve (the unit the planner runs per active mode)."""
-    keys = [(t.intent_id, t.mode_id) for t in b.targets.targets]
-    if (mode.intent_id, mode.mode_id) not in keys:
-        raise InvalidInputError("mode is not part of the belief's target set")
-    if mode.steer is None:
-        raise InvalidInputError("mode has no steering target")
-    ctx = ActivePlanner(cfg)._begin_step(state, b, rng)
-    diag = _solve_mode(ctx, keys.index((mode.intent_id, mode.mode_id)), mode.steer, None)
-    return diag.nu, diag

@@ -24,6 +24,7 @@ from probeplan.belief import (
     entropy,
     joint_weights,
     max_entropy,
+    posterior_entropies,
     relax_mode_weights,
     uniform_belief,
     update,
@@ -416,3 +417,105 @@ class TestFlatKernelsMatchLoops:
     @settings(max_examples=200, deadline=None)
     def test_hypothesis(self, b, z, forgetting):
         assert_kernels_match_loops(b, np.array([z]), forgetting)
+
+
+def random_belief_nd(rng, dim):
+    """Ragged belief, 1-4 intents x 1-4 modes, over ``dim``-dimensional
+    targets with full covariances, zeros included."""
+    targets = []
+    for i in range(1, int(rng.integers(1, 5)) + 1):
+        for k in range(1, int(rng.integers(1, 5)) + 1):
+            a = rng.normal(size=(dim, dim))
+            cov = a @ a.T + rng.uniform(0.2, 2.0) * np.eye(dim)
+            targets.append(ModeTarget(i, k, Gaussian(rng.normal(0.0, 4.0, dim), cov)))
+    ts = ModeTargetSet(targets)
+    pi = rng.dirichlet(np.ones(ts.num_intents))
+    w = np.concatenate([rng.dirichlet(np.ones(k)) for k in ts.modes_per_intent])
+    return with_zeros(rng, HierarchicalBelief(pi, w, ts))
+
+
+def loop_posterior_entropies(b, zs, h_prior, pi_weighted_modes):
+    """One ``update`` and one ``entropy`` per observation; degenerate
+    evidence reads ``h_prior``. Also returns the degenerate row count."""
+    out, degenerate = [], 0
+    for z in zs:
+        try:
+            out.append(entropy(update(b, z), pi_weighted_modes))
+        except DegenerateEvidenceError:
+            out.append(h_prior)
+            degenerate += 1
+    return out, degenerate
+
+
+class TestPosteriorEntropies:
+    """The batched posterior entropies equal the per-observation loop bit
+    for bit."""
+
+    def test_random_ragged(self):
+        rng = np.random.default_rng(21)
+        degenerate = 0
+        for _ in range(300):
+            dim = int(rng.integers(1, 4))
+            b = random_belief_nd(rng, dim)
+            zs = rng.normal(0.0, 6.0, (int(rng.integers(1, 30)), dim))
+            # Far observations underflow the evidence: degenerate rows.
+            zs[rng.random(len(zs)) < 0.2] *= 1e3
+            for weighted in (False, True):
+                h_prior = entropy(b, weighted)
+                want, n_bad = loop_posterior_entropies(b, zs, h_prior, weighted)
+                assert np.array_equal(posterior_entropies(b, zs, h_prior, weighted), want)
+                degenerate += n_bad
+        assert degenerate > 0
+
+    def test_filtered_beliefs(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            b = random_belief(rng, 3, [3, 3, 3])
+            for _ in range(4):
+                b = relax_mode_weights(update(b, np.array([rng.normal(0, 4)])), 0.02)
+            zs = rng.normal(0.0, 5.0, (40, 1))
+            want, _ = loop_posterior_entropies(b, zs, entropy(b, True), True)
+            assert np.array_equal(posterior_entropies(b, zs, entropy(b, True), True), want)
+
+    def test_degenerate_rows_masked_without_fp_errors(self):
+        b = random_belief(np.random.default_rng(8), 3, [2, 1, 3])
+        zs = np.array([[0.5], [1e4], [-2.0], [-1e5]])
+        with np.errstate(divide="raise", invalid="raise"):
+            got = posterior_entropies(b, zs, 7.5)
+        for z, g in zip(zs, got):
+            if abs(z[0]) > 100.0:
+                with pytest.raises(DegenerateEvidenceError):
+                    update(b, z)
+                assert g == 7.5
+            else:
+                assert g == entropy(update(b, z))
+
+    def test_overflowing_likelihood_reads_prior(self):
+        # A row whose every log-likelihood is -inf: update's row-underflow
+        # branch.
+        b = random_belief(np.random.default_rng(9), 2, [2, 2])
+        zs = np.array([[1.0], [1e200]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateEvidenceError):
+                update(b, zs[1])
+            got = posterior_entropies(b, zs, 3.25, True)
+        assert got[0] == entropy(update(b, zs[0]), True)
+        assert got[1] == 3.25
+
+    def test_shape_checked(self):
+        b = random_belief_nd(np.random.default_rng(2), 2)
+        for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((3, 3))):
+            with pytest.raises(InvalidInputError, match="observations must have shape"):
+                posterior_entropies(b, bad, 0.0)
+
+    @given(
+        b=beliefs(),
+        zs=st.lists(st.floats(-20.0, 20.0) | st.floats(-1e4, 1e4), min_size=1, max_size=12),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis(self, b, zs, weighted):
+        zs = np.array(zs).reshape(-1, 1)
+        h_prior = entropy(b, weighted)
+        want, _ = loop_posterior_entropies(b, zs, h_prior, weighted)
+        assert np.array_equal(posterior_entropies(b, zs, h_prior, weighted), want)

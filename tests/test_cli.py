@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from probeplan import config
 from probeplan.belief import max_entropy
 from probeplan.cli import main, run_experiment, trace_rows
 from probeplan.errors import ConfigError
@@ -30,6 +31,19 @@ planner:
 
 scenario:
   t_max: 2.0
+"""
+
+
+TARGETS = """
+intents:
+  - name: aggressive
+    modes:
+      - observation: {mean: [9.5], cov: [[1.0]]}
+        steering: {mean: [8.0, -14.0], cov: [[2.25, 0.0], [0.0, 16.0]]}
+  - name: cooperative
+    modes:
+      - observation: {mean: [5.0], cov: [[1.44]]}
+        steering: {mean: [10.0, 12.0], cov: [[2.25, 0.0], [0.0, 16.0]]}
 """
 
 
@@ -64,6 +78,28 @@ class TestRunExperiment:
         assert (out2 / "results.csv").read_bytes() == ref
         assert (out3 / "results.csv").read_bytes() == ref
         assert (out2 / "summary.csv").read_bytes() == (out1 / "summary.csv").read_bytes()
+
+    def test_mode_target_file_read_once_per_combination(self, tmp_path, monkeypatch):
+        tpath = write_cfg(tmp_path, TARGETS, name="targets.yaml")
+        cfg = write_cfg(tmp_path)
+        overrides = [f"scenario.mode_targets_file={tpath}", "experiment.planner=ours",
+                     "scenario.t_max=0.5"]
+        reads = []
+        load = config.load_mode_targets
+
+        def counted(path):
+            reads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(config, "load_mode_targets", counted)
+        run_experiment(cfg, overrides, out_dir=tmp_path / "a")
+        # load_config's validation, then the batch's one combination; every
+        # one of the 3 runs read it again before.
+        assert len(reads) == 1 + 1
+        run_experiment(cfg, overrides + ["experiment.workers=2"], out_dir=tmp_path / "b")
+        ref = (tmp_path / "a" / "results.csv").read_bytes()
+        assert len(ref.splitlines()) == 1 + 3
+        assert (tmp_path / "b" / "results.csv").read_bytes() == ref
 
     def test_trace_files_for_flagged_seeds(self, tmp_path):
         cfg = write_cfg(tmp_path)

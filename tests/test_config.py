@@ -115,6 +115,13 @@ class TestLoad:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_named(self, tmp_path, kind):
+        # A directory raised a bare IsADirectoryError.
+        path = unreadable(tmp_path, kind)
+        with pytest.raises(ConfigError, match=f"cannot read config file {re.escape(str(path))}"):
+            load_config(path)
+
 
 class TestOverrides:
     def test_dotted_override(self, tmp_path):
@@ -173,6 +180,17 @@ intents:
 """
 
 
+def unreadable(tmp_path, kind):
+    """A path whose text cannot be read: a directory, or bytes that are
+    not UTF-8."""
+    path = tmp_path / f"{kind}.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"experiment:\n  runs: \xff\xfe\n")
+    return path
+
+
 class TestModeTargets:
     def test_round_trip(self, tmp_path):
         ts = load_mode_targets(write(tmp_path, TARGETS, "targets.yaml"))
@@ -206,6 +224,16 @@ class TestModeTargets:
         load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=2"])
         with pytest.raises(ConfigError, match="human.pinned_intent"):
             load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=3"])
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_named(self, tmp_path, kind):
+        # A directory raised a bare IsADirectoryError, also from load_config.
+        path = unreadable(tmp_path, kind)
+        named = f"cannot read mode target file {re.escape(str(path))}"
+        with pytest.raises(ConfigError, match=named):
+            load_mode_targets(path)
+        with pytest.raises(ConfigError, match=named):
+            load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={path}"])
 
     def test_missing_observation_rejected(self, tmp_path):
         bad = "intents:\n  - name: a\n    modes:\n      - label: x\n"

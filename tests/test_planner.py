@@ -3,37 +3,50 @@ constrained solve (with an exhaustive constant-acceleration grid as the
 independent oracle), blending, and receding-horizon step contracts."""
 
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from probeplan.baselines import PassivePlanner
+from probeplan.baselines import ConservativePlanner, PassivePlanner
 from probeplan.belief import (
     HierarchicalBelief,
     ModeTarget,
     ModeTargetSet,
     entropy,
     joint_weights,
+    posterior_entropies,
+    relax_mode_weights,
     uniform_belief,
+    update,
 )
-from probeplan.dynamics import VehicleState, double_integrator
+from probeplan.dynamics import VehicleState, double_integrator, step_vehicle
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
+from probeplan.human import GAP, VELOCITY
 from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
+    _descend,
+    _start_candidates,
     blend_controls,
-    expected_posterior_entropy,
-    influence_objective,
     lane_guidance,
-    predicted_interaction_gaussian,
     probe_objective,
-    solve_mode_control,
 )
 from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
 from probeplan.scenario import DEFAULT_REF_SPEED, default_targets, init_scenario
 from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
+
+from oracles import (
+    descend_without_memo,
+    expected_posterior_entropy,
+    influence_objective,
+    predicted_interaction_gaussian,
+    probe_grid,
+    solve_mode_control,
+)
 
 
 def mk_mode(intent, mode, obs_mean, obs_var, steer=None):
@@ -149,6 +162,162 @@ class TestExpectedPosteriorEntropy:
                 single_mode_belief(), np.zeros((cfg.horizon_steps, 2)),
                 merge_state(), 0, np.random.default_rng(0), cfg,
             )
+
+
+def with_gap_targets(targets):
+    """``targets`` with a second, gap dimension on every observation target."""
+    return ModeTargetSet(
+        [
+            ModeTarget(
+                t.intent_id, t.mode_id,
+                Gaussian(np.array([t.target.mean[0], 6.0 + 4.0 * t.mode_id]),
+                         np.array([[t.target.cov[0, 0], 0.5], [0.5, 9.0]])),
+                t.label, t.steer,
+            )
+            for t in targets.targets
+        ],
+        targets.intent_names,
+    )
+
+
+def advanced_state(kind, rng):
+    """A random initial state with both vehicles coasted 0-4 s ahead, so
+    the conflict level ranges from none to saturated."""
+    state = init_scenario(kind, rng)
+    ego, human = state.ego, state.human
+    for _ in range(int(rng.integers(0, 41))):
+        ego = step_vehicle(ego, (0.0, 0.0), 0.1)
+        human = step_vehicle(human, (0.0, 0.0), 0.1)
+    return ScenarioState(ego=ego, human=human, geometry=state.geometry)
+
+
+def filtered_belief(targets, rng):
+    """Uniform belief after 0-4 filter steps on observations near random
+    targets, with one intent ruled out at random."""
+    b = uniform_belief(targets)
+    if rng.random() < 0.25:
+        pi = np.full(targets.num_intents, 0.5)
+        pi[rng.integers(targets.num_intents)] = 0.0
+        b = HierarchicalBelief(pi, b.mode_weights, targets)
+    for _ in range(int(rng.integers(0, 5))):
+        t = targets.targets[int(rng.integers(len(targets)))]
+        z = t.target.mean + rng.normal(0.0, 0.5, targets.obs_dim)
+        b = relax_mode_weights(update(b, z), 0.02)
+    return b
+
+
+class TestProbeGrid:
+    """The batched probe grid equals one ``update`` and one ``entropy`` per
+    draw and grid point, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP)])
+    def test_matches_loop_oracle(self, kind, features, monkeypatch):
+        rows = []
+
+        def recording(b, zs, h_prior, pi_weighted_modes=False):
+            rows.append(len(zs))
+            return posterior_entropies(b, zs, h_prior, pi_weighted_modes)
+
+        monkeypatch.setattr("probeplan.planner.posterior_entropies", recording)
+        targets = default_targets(kind)
+        if len(features) == 2:
+            targets = with_gap_targets(targets)
+        cfg = PlannerConfig(obs_samples=8, features=features, ref_speed=DEFAULT_REF_SPEED[kind])
+        planner = ActivePlanner(cfg)
+        rng = np.random.default_rng(17)
+        flat = 0
+        for trial in range(16):
+            state = advanced_state(kind, rng)
+            if trial == 0:  # the human a kilometre off: no conflict at any point
+                human = VehicleState(state.human.x - 1000.0, state.human.y,
+                                     state.human.v, state.human.theta)
+                state = ScenarioState(ego=state.ego, human=human, geometry=state.geometry)
+            b = filtered_belief(targets, rng)
+            key = int(rng.integers(2**31))
+            grid, values = planner._build_probe_grid(state, b, key)
+            want_grid, want = probe_grid(planner, state, b, key)
+            assert np.array_equal(grid, want_grid)
+            assert np.array_equal(values, want)
+            n_obs = rows[-1] if len(set(want)) == 1 else None
+            flat += n_obs in (cfg.obs_samples, 2 * cfg.obs_samples)
+        if features == (VELOCITY,):
+            # Fully flat grids occur, and score one block of draws.
+            assert flat > 0
+
+    def test_off_or_certain_builds_nothing(self, monkeypatch):
+        monkeypatch.setattr("probeplan.planner.posterior_entropies", None)
+        b = uniform_belief(default_targets(LANE_MERGE))
+        assert PassivePlanner(PlannerConfig())._build_probe_grid(merge_state(), b, 1) == (
+            None, None)
+        certain = single_mode_belief()
+        assert ActivePlanner(PlannerConfig())._build_probe_grid(merge_state(), certain, 1) == (
+            None, None)
+
+
+def same_diag(d1, d2) -> bool:
+    """Two diagnostics records hold equal values, NaN equal to NaN."""
+    for f in fields(d1):
+        a, b = getattr(d1, f.name), getattr(d2, f.name)
+        if f.name == "modes":
+            if not all(same_diag(m1, m2) for m1, m2 in zip(a, b)):
+                return False
+        elif a is None or b is None:
+            if a is not b:
+                return False
+        elif not np.array_equal(a, b, equal_nan=True):
+            return False
+    return True
+
+
+class TestDescendMemo:
+    """The solver loop evaluates each distinct sequence once and otherwise
+    scores exactly as the loop that evaluates every candidate."""
+
+    def test_one_evaluation_per_distinct_sequence(self):
+        cfg = PlannerConfig(solver_iters=8)
+        calls = Counter()
+        # An optimum beyond the upper bound: clipped trials repeat points.
+        goal = np.linspace(2.0, 5.0, cfg.horizon_steps)
+
+        def objective(accel):
+            return float(np.sum((accel - goal) ** 2)), float(accel[0])
+
+        def counted(accel):
+            calls[accel.tobytes()] += 1
+            return objective(accel)
+
+        for warm in (None, np.full(cfg.horizon_steps, 1.0)):
+            calls.clear()
+            candidates = _start_candidates(cfg, warm, bursts=True)
+            accel, best, history = _descend(counted, candidates, cfg)
+            want_accel, want_best, want_history = descend_without_memo(
+                objective, candidates, cfg)
+            assert set(calls.values()) == {1}
+            assert len(calls) == len({a.tobytes() for a, _ in history}) < len(history)
+            assert np.array_equal(accel, want_accel) and best == want_best
+            assert len(history) == len(want_history)
+            for (a, r), (want_a, want_r) in zip(history, want_history):
+                assert np.array_equal(a, want_a) and r == want_r
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_plan_step_matches_memo_free_loop(self, planner_cls, kind, monkeypatch):
+        cfg = PlannerConfig(**FAST, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(5)
+        cases = [(advanced_state(kind, rng), filtered_belief(default_targets(kind), rng))
+                 for _ in range(3)]
+
+        def plan(planner):
+            return [planner.plan_step(state, b, 7 + i) for i, (state, b) in enumerate(cases)]
+
+        got = plan(planner_cls(cfg))
+        monkeypatch.setattr("probeplan.planner._descend", descend_without_memo)
+        monkeypatch.setattr("probeplan.baselines._descend", descend_without_memo)
+        want = plan(planner_cls(cfg))
+        for (u, diag), (want_u, want_diag) in zip(got, want):
+            assert np.array_equal(u, want_u)
+            assert same_diag(diag, want_diag)
 
 
 class TestProbeObjective:
