@@ -22,9 +22,13 @@ from .planner import (
     _StepContext,
     _controls,
     _descend,
+    _sequence_cvars,
     _start_candidates,
+    _take,
 )
-from .risk import cvar, path_costs, simulate_ego_path
+# The conservative planner scores through the planner's shared kernel; the
+# benchmark still wraps these names here by module.
+from .risk import cvar, path_costs, simulate_ego_path  # noqa: F401
 from .world import ScenarioState
 
 
@@ -65,21 +69,17 @@ class ConservativePlanner(ActivePlanner):
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
         weights = ctx.omega[ctx.solve].tolist()
-        paths = [ctx.human_paths[m] for m in ctx.solve]
+        paths = _take(ctx.human_paths, ctx.solve)
 
-        def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
-            x, y, speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
-            cvars = [
-                cvar(
-                    path_costs(x, y, speeds, p, ctx.discount_weights, cfg.ref_speed),
-                    cfg.cvar_level,
-                )
-                for p in paths
-            ]
-            return sum(w * v for w, v in zip(weights, cvars)), cvars
+        def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
+            # One chain: every sequence is scored against every solved mode.
+            n = len(weights)
+            cvars = _sequence_cvars(ctx, paths, np.array(accels), [range(n)] * len(accels))
+            return [(sum(w * v for w, v in zip(weights, seq)), seq)
+                    for seq in cvars.reshape(-1, n).tolist()]
 
         candidates = _start_candidates(cfg, self._ref_accel, bursts=False)
-        accel, (objective, cvars), history = _descend(evaluate, candidates, cfg)
+        ((accel, (objective, cvars), history),) = _descend(evaluate, [candidates], cfg)
         u_total = _controls(ctx, accel)
         solved = {
             m: ctx.mode_diag(

@@ -314,7 +314,17 @@ def load_mode_targets(path: str | Path) -> ModeTargetSet:
             obs = _gaussian_from(mode["observation"], f"{names[-1]}/mode {k} observation")
             steer = None
             if mode.get("steering") is not None:
-                steer = _gaussian_from(mode["steering"], f"{names[-1]}/mode {k} steering")
+                where = f"{names[-1]}/mode {k} steering"
+                steer = _gaussian_from(mode["steering"], where)
+                # The solver factors every steering covariance as it stands.
+                if steer.mean.shape != (2,):
+                    raise ConfigError(f"{where} must be 2-dimensional (speed, lead)")
+                try:
+                    np.linalg.cholesky(steer.cov)
+                except np.linalg.LinAlgError:
+                    raise ConfigError(
+                        f"{where} covariance must be positive definite, got {steer.cov.tolist()}"
+                    ) from None
             targets.append(
                 ModeTarget(
                     intent_id=i, mode_id=k, target=obs,

@@ -4,32 +4,28 @@ blending, applied in a receding-horizon loop (only the first control of
 each solve is executed).
 
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
-builds the shared setup (rng key, lane guidance, probe grid, joint weights,
-the modes to solve, reference-plan CVaR per mode) and ``_descend`` is the
-one solver loop: multi-start over constant-acceleration candidates, then
-projected finite-difference descent on a piecewise-constant acceleration
-parameterization. ``_descend`` evaluates each distinct acceleration
-sequence once per solve; a candidate that repeats one reuses its result
-but still counts in ``ModeDiag.evals``. The probe grid is one batched
-pass: one projected ego per grid point, one conflict level and one
-predicted observation per mode at each point, and one
-``belief.posterior_entropies`` call over the distinct observation sets,
-with no belief built per draw. A planner supplies only
-the objective it descends: the per-mode probe + influence + CVaR-penalty
-objective of ``_solve_mode``, or the baselines' own. Every per-mode value
-of a step lies on one mode axis ``m`` in target order, and each solve
-returns its modes' ``ModeDiag`` records directly. The lateral channel follows a fixed lane-guidance law
-shared by every planner so cross-planner comparisons isolate the
-longitudinal interaction machinery. Because the lateral channel is fixed,
-``_begin_step`` also builds what the rollout/CVaR kernel of ``risk`` needs
-once per step: the ego headings under the guidance yaw, every mode's human
-paths as x and y planes, and the discount weights. Each evaluation of a
-candidate then runs ``simulate_ego_path``, and ``path_costs`` and ``cvar``
-per mode; the reference-plan CVaR uses the same calls. The CVaR cap
-enters as a quadratic penalty, and all Monte-Carlo quantities inside one
-solve reuse fixed random streams (common random numbers), so the objective
-is deterministic within a solve and the whole step is bit-reproducible from
-its rng key.
+builds the shared setup (rng key, lane guidance with the ego headings it
+implies, probe grid, joint weights, the modes to solve, every mode's human
+paths as x and y planes, reference-plan CVaR per mode), all on one mode
+axis ``m`` in target order. The probe grid is one batched
+``belief.posterior_entropies`` pass over the distinct predicted
+observation sets. ``_descend`` is the one solver loop. It runs one descent
+chain per solve (``_chain``: multi-start over constant-acceleration
+candidates, then projected finite-difference descent on a
+piecewise-constant acceleration parameterization) and all chains of a step
+in lockstep rounds: one per mode for the active and passive planners, one
+for the conservative planner's omega-weighted CVaR sum. A round scores
+every live chain's unseen sequences in one batched evaluation: one ego
+path, terminal state and probe term per distinct sequence, one
+``path_costs`` block over the modes that asked for it, one ``cvar`` and one
+stacked triangular solve for the KL influence term over the round. A
+chain scores each distinct sequence once; a repeat reuses the result but
+still counts in ``ModeDiag.evals``. The lateral channel follows a fixed
+lane-guidance law shared by every planner so cross-planner comparisons
+isolate the longitudinal interaction machinery. The CVaR cap enters as a
+quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
+fixed random streams (common random numbers), so the whole step is
+bit-reproducible from its rng key.
 """
 
 from __future__ import annotations
@@ -275,12 +271,15 @@ def lane_guidance(state: ScenarioState, cfg: PlannerConfig) -> np.ndarray:
 
 def _linear_terminal_state(
     s0: float, v0: float, accel: np.ndarray, dt: float
-) -> tuple[float, float]:
-    """Terminal (progress, speed) of the double-integrator planning model."""
-    v_path = v0 + dt * np.cumsum(accel)
-    v_prev = np.concatenate(([v0], v_path[:-1]))
-    s_t = s0 + dt * float(np.sum(v_prev)) + 0.5 * dt * dt * float(np.sum(accel))
-    return s_t, float(v_path[-1])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal (progress, speed) of the double-integrator planning model
+    under an acceleration sequence (T,), or per row of sequences (K, T)."""
+    v_path = v0 + dt * np.cumsum(accel, axis=-1)
+    v_prev = np.empty_like(v_path)
+    v_prev[..., 0] = v0
+    v_prev[..., 1:] = v_path[..., :-1]
+    s_t = s0 + dt * np.sum(v_prev, axis=-1) + 0.5 * dt * dt * np.sum(accel, axis=-1)
+    return s_t, v_path[..., -1]
 
 
 def _mode_human_advance(
@@ -335,7 +334,9 @@ def _interaction_frame(
     return ego_progress(geometry, state.ego), s_h, cov
 
 
-def probe_objective(expected_entropy: float, entropy_weight: float) -> float:
+def probe_objective(
+    expected_entropy: float | np.ndarray, entropy_weight: float
+) -> float | np.ndarray:
     """Probing term: entropy_weight * expected posterior entropy.
 
     Minimizing this drives the expected posterior uncertainty down.
@@ -401,13 +402,11 @@ def predicted_observation_mean(
         for name in cfg.features:
             if name == VELOCITY:
                 values.append(v_pred)
-            elif name == GAP:
+            else:  # GAP; PlannerConfig admits no other feature
                 step = v_pred * cfg.dt
                 hx = human_ref.x + step * geometry.human_dir[0]
                 hy = human_ref.y + step * geometry.human_dir[1]
                 values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
-            else:
-                raise InvalidInputError(f"unknown observation feature {name!r}")
         rows.append(values)
     return np.array(rows)
 
@@ -433,7 +432,7 @@ class _StepContext:
 
     Every per-mode value lies on one mode axis ``m``, the mode's position
     in ``belief.targets.targets``: ``omega`` and ``active`` (M,),
-    ``human_paths[m]`` with the mode's x and y planes (2, S, T), and
+    ``human_paths`` (M, 2, S, T) with each mode's x and y planes, and
     ``cvar_pre`` (M,). ``solve`` lists the modes a planner solves: the
     active ones, or the argmax-omega mode when none is active."""
 
@@ -450,13 +449,14 @@ class _StepContext:
     omega: np.ndarray
     active: np.ndarray
     solve: list[int]
-    human_paths: list[np.ndarray]
+    human_paths: np.ndarray
     cvar_pre: np.ndarray
 
-    def probe_term(self, first_accel: float) -> float:
+    def probe_terms(self, first_accels: np.ndarray) -> np.ndarray:
+        """The probing term of each first acceleration (K,)."""
         if self.probe_grid is None:
-            return 0.0
-        expected = float(np.interp(first_accel, self.probe_grid, self.probe_entropy))
+            return np.zeros(len(first_accels))
+        expected = np.interp(first_accels, self.probe_grid, self.probe_entropy)
         return probe_objective(expected, self.entropy_weight)
 
     def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
@@ -497,49 +497,46 @@ def _start_candidates(
     return candidates
 
 
-def _descend(
-    evaluate: Callable[[np.ndarray], tuple],
-    candidates: list[np.ndarray],
-    cfg: PlannerConfig,
-) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
-    """The solver loop every planner shares: the best of ``candidates``,
-    then projected finite-difference descent on the segment accelerations.
+def _chain(candidates: list[np.ndarray], cfg: PlannerConfig):
+    """One descent chain: the best of ``candidates``, then projected
+    finite-difference descent on the segment accelerations.
 
-    ``evaluate`` maps an acceleration sequence (T,) to a tuple whose first
-    item is the objective; it must be a pure function of the sequence, as it
-    runs once per distinct sequence of the solve. Returns the final
-    acceleration sequence, its evaluation, and one (sequence, evaluation)
-    pair per candidate scored, in scoring order.
+    Each ``yield`` hands out the distinct acceleration sequences (T,) of one
+    round (the start set, one probe per segment, or one line-search trial)
+    that the chain has not scored, and receives their evaluations keyed by
+    the sequence bytes. Returns the final sequence, its evaluation and the
+    chain's (sequence, evaluation) history, repeats included.
     """
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
     seg_len = -(-horizon // cfg.solver_segments)  # ceil division
-    history: list[tuple[np.ndarray, tuple]] = []
     # Coasting equals the constant-zero start, each burst at a bound its
     # constant start, and a clipped line-search trial may repeat a point.
     seen: dict[bytes, tuple] = {}
+    history: list[tuple[np.ndarray, tuple]] = []
 
-    def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
-        accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
-        key = accel.tobytes()
-        if key not in seen:
-            seen[key] = evaluate(accel)
-        history.append((accel, seen[key]))
-        return history[-1]
+    def score(thetas):
+        accels = list(np.repeat(np.clip(np.array(thetas), a_lo, a_hi), seg_len, axis=1)[:, :horizon])
+        unseen = {a.tobytes(): a for a in accels if a.tobytes() not in seen}
+        if unseen:
+            seen.update((yield list(unseen.values())))
+        history.extend((a, seen[a.tobytes()]) for a in accels)
+        return history[-len(accels):]
 
     theta = accel = current = None
-    for cand in candidates:
-        cand_accel, res = score(cand)
+    for cand, (cand_accel, res) in zip(candidates, (yield from score(candidates))):
         if current is None or res[0] < current[0]:
             theta, accel, current = cand.copy(), cand_accel, res
 
     for _ in range(cfg.solver_iters):
-        grad = np.zeros(theta.shape[0])
-        for m in range(theta.shape[0]):
-            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
+        steps = [_FD_STEP if t + _FD_STEP <= a_hi else -_FD_STEP for t in theta]
+        probes = []
+        for m, h in enumerate(steps):
             probe = theta.copy()
             probe[m] += h
-            grad[m] = (score(probe)[1][0] - current[0]) / h
+            probes.append(probe)
+        scored = yield from score(probes)
+        grad = np.array([(res[0] - current[0]) / h for (_, res), h in zip(scored, steps)])
         scale = float(np.max(np.abs(grad)))
         if scale < 1e-12:
             break
@@ -547,7 +544,7 @@ def _descend(
         step = cfg.solver_step
         for _ in range(3):
             trial = np.clip(theta - step * direction, a_lo, a_hi)
-            trial_accel, res = score(trial)
+            ((trial_accel, res),) = yield from score([trial])
             if res[0] < current[0] - 1e-12:
                 theta, accel, current = trial, trial_accel, res
                 break
@@ -557,56 +554,124 @@ def _descend(
     return accel, current, history
 
 
-def _solve_mode(
+def _descend(
+    evaluate: Callable[[list[np.ndarray], list[list[int]]], list[tuple]],
+    starts: list[list[np.ndarray]],
+    cfg: PlannerConfig,
+) -> list[tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]]:
+    """The solver loop every planner shares: one ``_chain`` per start list,
+    run in lockstep rounds until every chain has stopped.
+
+    Each round makes one ``evaluate(accels, chains)`` call for the distinct
+    sequences the live chains ask for, ``chains[i]`` listing in ascending
+    order the chains that asked for ``accels[i]``. It returns one tuple per
+    (sequence, chain) pair, in that order, whose first item is the
+    objective. Returns each chain's final sequence, evaluation and history.
+    """
+    chains = [_chain(cands, cfg) for cands in starts]
+    asked = {c: chain.send(None) for c, chain in enumerate(chains)}
+    final: list[tuple] = [()] * len(chains)
+    while asked:
+        unseen: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for c, accels in asked.items():
+            for accel in accels:
+                unseen.setdefault(accel.tobytes(), (accel, []))[1].append(c)
+        results = iter(evaluate([a for a, _ in unseen.values()], [c for _, c in unseen.values()]))
+        replies: dict[int, dict[bytes, tuple]] = {c: {} for c in asked}
+        for key, (_, cs) in unseen.items():
+            for c in cs:
+                replies[c][key] = next(results)
+        asked = {}
+        for c, reply in replies.items():
+            try:
+                asked[c] = chains[c].send(reply)
+            except StopIteration as stop:
+                final[c] = stop.value
+    return final
+
+
+def _take(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
+    """``a[idx]`` for ascending indices, as a view when they are one run."""
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return a[idx[0]:idx[-1] + 1]
+    return a[idx]
+
+
+def _sequence_cvars(
+    ctx: _StepContext, paths: np.ndarray, accels: np.ndarray, rows: list[Sequence[int]]
+) -> np.ndarray:
+    """CVaR of each sequence ``accels[i]`` (of (K, T)) against each human
+    path block ``paths[rows[i]]`` (of (N, 2, S, T)), in (sequence, row)
+    order: one ego path and one cost block per sequence, one tail sort."""
+    cfg = ctx.cfg
+    x, y, speeds = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
+    costs = [
+        path_costs(x[i], y[i], speeds[i], _take(paths, r), ctx.discount_weights, cfg.ref_speed)
+        for i, r in enumerate(rows)
+    ]
+    return cvar(np.concatenate(costs), cfg.cvar_level)
+
+
+def _solve_modes(
     ctx: _StepContext,
-    m: int,
-    steer_target: Gaussian,
-    warm_accel: np.ndarray | None,
-) -> ModeDiag:
+    steer_targets: list[Gaussian],
+    warm_accels: list[np.ndarray | None],
+) -> list[ModeDiag]:
+    """Solve every mode of ``ctx.solve`` in lockstep, one descent chain per
+    mode, each with its own steering target and warm start. A mode's
+    objective is probe term + influence KL + quadratic CVaR-cap penalty."""
     cfg = ctx.cfg
     state = ctx.state
-    mode = ctx.belief.targets.targets[m]
-    paths = ctx.human_paths[m]
-
+    paths = _take(ctx.human_paths, ctx.solve)
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
-    s0, s_h, cov_pred = _interaction_frame(state, mode, cfg, ctx.ego_sigma)
-    kl_at_zero = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer_target)
-    chol_q = np.linalg.cholesky(steer_target.cov)
-    y0 = np.linalg.solve(chol_q, steer_target.mean)
-    kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
-
-    def evaluate(accel: np.ndarray) -> tuple[float, float, float, float]:
-        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
-        cvar_val = cvar(
-            path_costs(ego_x, ego_y, ego_speeds, paths, ctx.discount_weights, cfg.ref_speed),
-            cfg.cvar_level,
+    n = len(ctx.solve)
+    s_h = np.empty(n)
+    kl_const = np.empty(n)
+    chol_q = np.empty((n, 2, 2))
+    for c, (m, steer) in enumerate(zip(ctx.solve, steer_targets)):
+        s0, s_h[c], cov_pred = _interaction_frame(
+            state, ctx.belief.targets.targets[m], cfg, ctx.ego_sigma
         )
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
-        y = np.linalg.solve(chol_q, steer_target.mean - np.array([v_t, s_t - s_h]))
-        j_infl = kl_const + 0.5 * float(y @ y)
-        j_probe = ctx.probe_term(float(accel[0]))
-        violation = max(0.0, cvar_val - cfg.risk_cap)
+        chol_q[c] = np.linalg.cholesky(steer.cov)
+        y0 = np.linalg.solve(chol_q[c], steer.mean)
+        kl_const[c] = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
+    steer_means = np.array([steer.mean for steer in steer_targets])
+
+    def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
+        accels = np.array(accels)
+        cvars = _sequence_cvars(ctx, paths, accels, rows)
+        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
+        probe = ctx.probe_terms(accels[:, 0])
+        # One (sequence, chain) pair per row, sequences in order.
+        seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        chain = np.concatenate(rows)
+        delta = steer_means[chain] - np.column_stack((v_t[seq], s_t[seq] - s_h[chain]))
+        y = np.linalg.solve(chol_q[chain], delta[..., None])
+        # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
+        j_infl = kl_const[chain] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
+        j_probe = probe[seq]
+        violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-        return obj, cvar_val, j_probe, j_infl
+        return list(zip(obj.tolist(), cvars.tolist(), j_probe.tolist(), j_infl.tolist()))
 
-    candidates = _start_candidates(cfg, warm_accel, bursts=ctx.probe_grid is not None)
-    accel, (obj, cvar_val, j_probe, j_infl), history = _descend(evaluate, candidates, cfg)
-    infeasible = False
-    if cvar_val > cfg.risk_cap:
-        feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
-        if feasible:
-            accel, (obj, cvar_val, j_probe, j_infl) = min(feasible, key=lambda h: h[1][0])
-        else:
-            # Every evaluated candidate violates the cap: fall back to the
-            # minimum-risk one and flag the solve; the loop re-solves next step.
-            accel, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
-            infeasible = True
-
-    return ctx.mode_diag(
-        m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
-        j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
-    )
+    bursts = ctx.probe_grid is not None
+    starts = [_start_candidates(cfg, warm, bursts) for warm in warm_accels]
+    diags = []
+    for m, (accel, res, history) in zip(ctx.solve, _descend(evaluate, starts, cfg)):
+        infeasible = False
+        if res[1] > cfg.risk_cap:
+            # Fall back to the best feasible candidate; when every candidate
+            # violates the cap, to the least risky one, and flag the solve.
+            feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
+            infeasible = not feasible
+            accel, res = min(feasible or history, key=lambda h: h[1][1 if infeasible else 0])
+        obj, cvar_val, j_probe, j_infl = res
+        diags.append(ctx.mode_diag(
+            m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
+            j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
+        ))
+    return diags
 
 
 def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
@@ -737,23 +802,20 @@ class ActivePlanner:
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
         # Each mode's rollouts come from a stream keyed by the mode, so the
         # draw order does not matter.
-        human_paths = [
+        human_paths = np.stack([
             draw_human_paths(
                 state.human, t, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
                 rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id),
             )
             for t in b.targets.targets
-        ]
+        ])
         headings = ego_headings(state.ego, guidance, cfg.dt)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
-        cvar_pre = np.array([
-            cvar(
-                path_costs(ego_x, ego_y, ego_speeds, paths, weights, cfg.ref_speed),
-                cfg.cvar_level,
-            )
-            for paths in human_paths
-        ])
+        cvar_pre = cvar(
+            path_costs(ego_x, ego_y, ego_speeds, human_paths, weights, cfg.ref_speed),
+            cfg.cvar_level,
+        )
         return _StepContext(
             cfg=cfg,
             state=state,
@@ -818,11 +880,13 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        solved: dict[int, ModeDiag] = {}
-        for m in ctx.solve:
-            solved[m] = _solve_mode(ctx, m, self._influence_target(ctx, m), self._warm.get(m))
-            nu = solved[m].nu
-            self._warm[m] = np.append(nu[1:, 0], nu[-1, 0])  # receding-horizon shift
+        solved = dict(zip(ctx.solve, _solve_modes(
+            ctx,
+            [self._influence_target(ctx, m) for m in ctx.solve],
+            [self._warm.get(m) for m in ctx.solve],
+        )))
+        for m, d in solved.items():
+            self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift
 
         u_total, _ = blend_controls(
             [(d.omega, d.nu) for d in solved.values()],

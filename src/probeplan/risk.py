@@ -11,11 +11,15 @@ This module is the one per-step rollout/CVaR kernel every planner runs.
 What does not depend on the candidate acceleration is built once per
 step: the ego headings (``ego_headings``, from the lane-guidance yaw
 alone), each mode's sampled human paths as contiguous x and y planes
-(``draw_human_paths``) and the discount weights. Each solver evaluation
-then costs one ``simulate_ego_path``, one ``path_costs`` per mode and one
-``cvar`` per mode. Every kernel reproduces the plain sequential loop it
-replaces bit for bit: cumulative sums run in order, and the element
-operations are the same ones in the same order.
+(``draw_human_paths``) and the discount weights. ``path_costs`` and
+``cvar`` take a leading mode axis, so the solver's lockstep rounds score
+each distinct acceleration sequence with one ``simulate_ego_path``, one
+``path_costs`` over a (modes, S, T) block of every mode that asked for it,
+and one ``cvar`` over the resulting (modes, S) costs. Every kernel
+reproduces the plain per-mode sequential loop it replaces bit for bit:
+cumulative sums run in order, the element operations are the same ones in
+the same order, and each mode's discounted sum is its own matrix-vector
+product.
 """
 
 from __future__ import annotations
@@ -54,20 +58,22 @@ def tail_sample_count(alpha: float, n: int) -> int:
     return max(1, math.ceil(frac * n))
 
 
-def cvar(costs: np.ndarray, alpha: float) -> float:
-    """Average of the worst ceil(alpha * S) costs.
+def cvar(costs: np.ndarray, alpha: float) -> float | np.ndarray:
+    """Average of the worst ceil(alpha * S) costs along the last (sample)
+    axis: a float for costs (S,), one value per row for costs (K, S).
 
     Only the tail is sorted: ``np.partition`` moves the m largest costs to
     the end, and their mean is taken in descending order, the order a full
     descending sort sums them in. NaN costs count as the largest.
     """
     costs = np.asarray(costs, dtype=float)
-    if costs.ndim != 1 or costs.size == 0:
-        raise InvalidInputError("costs must be a non-empty vector")
-    n = costs.size
+    if costs.ndim not in (1, 2) or costs.size == 0:
+        raise InvalidInputError("costs must be a non-empty vector or stack of vectors")
+    n = costs.shape[-1]
     m = tail_sample_count(alpha, n)
-    tail = np.sort(np.partition(costs, n - m)[n - m:])
-    return float(np.mean(tail[::-1]))
+    tail = np.sort(np.partition(costs, n - m, axis=-1)[..., n - m:], axis=-1)
+    out = np.mean(tail[..., ::-1], axis=-1)
+    return float(out) if costs.ndim == 1 else out
 
 
 def ego_headings(ego, yaw: np.ndarray, dt: float) -> np.ndarray:
@@ -93,33 +99,39 @@ def simulate_ego_path(
     """Roll the ego forward under an acceleration sequence (T,) along
     precomputed ``headings`` (2, T).
 
-    Returns post-step x (T,), y (T,) and speeds (T,). Matches
+    Returns post-step x (T,), y (T,) and speeds (T,). Sequences (K, T) give
+    (K, T) each, row k equal to sequence k's own call. Matches
     dynamics.step_vehicle (speed clamped at zero); used inside solver-hot
     loops.
     """
     accel = np.asarray(accel, dtype=float)
-    if accel.shape != headings.shape[1:]:
+    if accel.ndim not in (1, 2) or accel.shape[-1:] != headings.shape[1:]:
         raise InvalidInputError(
             f"acceleration {accel.shape} does not match headings {headings.shape}"
         )
-    t_steps = accel.shape[0]
-    v = np.empty(t_steps + 1)
-    v[0] = ego.v
-    np.multiply(accel, dt, out=v[1:])
-    np.cumsum(v, out=v)
-    if not (v[1:] > 0.0).all():
+    lead = accel.shape[:-1]
+    t_steps = accel.shape[-1]
+    v = np.empty(lead + (t_steps + 1,))
+    v[..., 0] = ego.v
+    np.multiply(accel, dt, out=v[..., 1:])
+    np.cumsum(v, axis=-1, out=v)
+    clamped = ~(v[..., 1:] > 0.0).all(axis=-1)
+    if clamped.any():
         # Some speed reaches zero: integrate with the clamp, step by step.
-        speed = ego.v
-        for t in range(t_steps):
-            speed = max(0.0, speed + accel[t] * dt)
-            v[t + 1] = speed
-    pos = np.empty((2, t_steps + 1))
-    pos[0, 0] = ego.x
-    pos[1, 0] = ego.y
-    np.multiply(v[:-1], headings, out=pos[:, 1:])
-    pos[:, 1:] *= dt
-    np.cumsum(pos, axis=1, out=pos)
-    return pos[0, 1:], pos[1, 1:], v[1:]
+        for row in np.flatnonzero(clamped.reshape(-1)):
+            a_row = accel.reshape(-1, t_steps)[row]
+            v_row = v.reshape(-1, t_steps + 1)[row]
+            speed = ego.v
+            for t in range(t_steps):
+                speed = max(0.0, speed + a_row[t] * dt)
+                v_row[t + 1] = speed
+    pos = np.empty(lead + (2, t_steps + 1))
+    pos[..., 0, 0] = ego.x
+    pos[..., 1, 0] = ego.y
+    np.multiply(v[..., None, :-1], headings, out=pos[..., 1:])
+    pos[..., 1:] *= dt
+    np.cumsum(pos, axis=-1, out=pos)
+    return pos[..., 0, 1:], pos[..., 1, 1:], v[..., 1:]
 
 
 def draw_human_paths(
@@ -155,12 +167,13 @@ def path_costs(
 ) -> np.ndarray:
     """Discounted per-sample costs (S,) for an ego path (x, y and speeds,
     each (T,)) against sampled human paths (2, S, T), with per-step
-    discount ``weights`` (T,)."""
-    if human.ndim != 3 or human.shape[0] != 2 or human.shape[2:] != ego_x.shape:
+    discount ``weights`` (T,). Human paths (K, 2, S, T) of K modes give
+    costs (K, S), each row equal to its mode's own call."""
+    if human.ndim not in (3, 4) or human.shape[-3] != 2 or human.shape[-1:] != ego_x.shape:
         raise InvalidInputError(
             f"ego path {ego_x.shape} does not match human paths {human.shape}"
         )
-    cost = np.hypot(ego_x - human[0], ego_y - human[1])
+    cost = np.hypot(ego_x - human[..., 0, :, :], ego_y - human[..., 1, :, :])
     # W_PROX * exp(-(dist - D_SAFE) / PROX_SCALE), in place.
     cost -= D_SAFE
     np.negative(cost, out=cost)

@@ -12,8 +12,14 @@ computes in a faster way:
   influence term from a full Gaussian and ``kl_divergence``, where
   ``_solve_mode`` uses precomputed constants.
 * ``solve_mode_control``: one mode's solve on its own.
-* ``descend_without_memo``: the shared solver loop evaluating every
+* ``descend_one``: one descent chain on its own, with a scalar
+  ``evaluate`` per candidate, as ``_descend`` ran before the chains ran in
+  lockstep; ``descend_without_memo``: the same loop evaluating every
   candidate it scores, repeats included.
+* ``solve_mode_scalar``, ``conservative_step_scalar`` and
+  ``plan_step_per_mode``: each planner's step with one scalar objective
+  closure per mode (or per conservative step) and one descent per chain,
+  run one after the other.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from probeplan.baselines import ConservativePlanner
 from probeplan.belief import HierarchicalBelief, ModeTarget, entropy, max_entropy, update
 from probeplan.dynamics import step_vehicle
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
@@ -34,13 +41,20 @@ from probeplan.planner import (
     PROBE_PI_WEIGHTED,
     ActivePlanner,
     ModeDiag,
+    PlanDiagnostics,
     PlannerConfig,
+    _controls,
     _interaction_frame,
     _linear_terminal_state,
     _observation_draws,
-    _solve_mode,
+    _solve_modes,
+    _start_candidates,
+    _StepContext,
+    blend_controls,
     ego_horizon_covariance,
+    probe_objective,
 )
+from probeplan.risk import cvar, path_costs, simulate_ego_path
 from probeplan.seeding import STREAM_PROBE, rng_from_keys
 from probeplan.world import ScenarioState
 
@@ -168,6 +182,58 @@ def probe_grid(
     )
 
 
+def descend_one(
+    evaluate: Callable[[np.ndarray], tuple],
+    candidates: list[np.ndarray],
+    cfg: PlannerConfig,
+) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
+    """One chain of ``_descend`` on its own: ``evaluate`` maps one
+    acceleration sequence (T,) to a tuple whose first item is the
+    objective, and runs once per distinct sequence of the chain."""
+    a_lo, a_hi = cfg.accel_bounds
+    horizon = cfg.horizon_steps
+    seg_len = -(-horizon // cfg.solver_segments)
+    history: list[tuple[np.ndarray, tuple]] = []
+    seen: dict[bytes, tuple] = {}
+
+    def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
+        accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
+        key = accel.tobytes()
+        if key not in seen:
+            seen[key] = evaluate(accel)
+        history.append((accel, seen[key]))
+        return history[-1]
+
+    theta = accel = current = None
+    for cand in candidates:
+        cand_accel, res = score(cand)
+        if current is None or res[0] < current[0]:
+            theta, accel, current = cand.copy(), cand_accel, res
+
+    for _ in range(cfg.solver_iters):
+        grad = np.zeros(theta.shape[0])
+        for m in range(theta.shape[0]):
+            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
+            probe = theta.copy()
+            probe[m] += h
+            grad[m] = (score(probe)[1][0] - current[0]) / h
+        scale = float(np.max(np.abs(grad)))
+        if scale < 1e-12:
+            break
+        direction = grad / scale
+        step = cfg.solver_step
+        for _ in range(3):
+            trial = np.clip(theta - step * direction, a_lo, a_hi)
+            trial_accel, res = score(trial)
+            if res[0] < current[0] - 1e-12:
+                theta, accel, current = trial, trial_accel, res
+                break
+            step *= 0.5
+        else:
+            break
+    return accel, current, history
+
+
 def descend_without_memo(
     evaluate: Callable[[np.ndarray], tuple],
     candidates: list[np.ndarray],
@@ -228,5 +294,122 @@ def solve_mode_control(
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
     ctx = ActivePlanner(cfg)._begin_step(state, b, rng)
-    diag = _solve_mode(ctx, keys.index((mode.intent_id, mode.mode_id)), mode.steer, None)
+    ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
+    (diag,) = _solve_modes(ctx, [mode.steer], [None])
     return diag.nu, diag
+
+
+def solve_mode_scalar(
+    ctx: _StepContext,
+    m: int,
+    steer_target: Gaussian,
+    warm_accel: np.ndarray | None,
+    descend: Callable = descend_one,
+) -> ModeDiag:
+    """Mode ``m``'s solve with its own scalar objective closure and its own
+    descent: one ``path_costs`` and one ``cvar`` per candidate."""
+    cfg = ctx.cfg
+    state = ctx.state
+    mode = ctx.belief.targets.targets[m]
+    paths = ctx.human_paths[m]
+
+    s0, s_h, cov_pred = _interaction_frame(state, mode, cfg, ctx.ego_sigma)
+    kl_at_zero = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer_target)
+    chol_q = np.linalg.cholesky(steer_target.cov)
+    y0 = np.linalg.solve(chol_q, steer_target.mean)
+    kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
+
+    def evaluate(accel: np.ndarray) -> tuple[float, float, float, float]:
+        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+        cvar_val = cvar(
+            path_costs(ego_x, ego_y, ego_speeds, paths, ctx.discount_weights, cfg.ref_speed),
+            cfg.cvar_level,
+        )
+        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
+        y = np.linalg.solve(chol_q, steer_target.mean - np.array([v_t, s_t - s_h]))
+        j_infl = kl_const + 0.5 * float(y @ y)
+        j_probe = 0.0
+        if ctx.probe_grid is not None:
+            expected = float(np.interp(float(accel[0]), ctx.probe_grid, ctx.probe_entropy))
+            j_probe = probe_objective(expected, ctx.entropy_weight)
+        violation = max(0.0, cvar_val - cfg.risk_cap)
+        obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
+        return obj, cvar_val, j_probe, j_infl
+
+    candidates = _start_candidates(cfg, warm_accel, bursts=ctx.probe_grid is not None)
+    accel, (obj, cvar_val, j_probe, j_infl), history = descend(evaluate, candidates, cfg)
+    infeasible = False
+    if cvar_val > cfg.risk_cap:
+        feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
+        if feasible:
+            accel, (obj, cvar_val, j_probe, j_infl) = min(feasible, key=lambda h: h[1][0])
+        else:
+            accel, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
+            infeasible = True
+
+    return ctx.mode_diag(
+        m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
+        j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
+    )
+
+
+def conservative_step_scalar(
+    planner: ConservativePlanner, ctx: _StepContext, descend: Callable = descend_one
+) -> tuple[np.ndarray, PlanDiagnostics]:
+    """The conservative step with a scalar objective closure: one
+    ``path_costs`` and one ``cvar`` per solved mode and candidate."""
+    cfg = planner.cfg
+    state = ctx.state
+    weights = ctx.omega[ctx.solve].tolist()
+    paths = [ctx.human_paths[m] for m in ctx.solve]
+
+    def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
+        x, y, speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+        cvars = [
+            cvar(
+                path_costs(x, y, speeds, p, ctx.discount_weights, cfg.ref_speed),
+                cfg.cvar_level,
+            )
+            for p in paths
+        ]
+        return sum(w * v for w, v in zip(weights, cvars)), cvars
+
+    candidates = _start_candidates(cfg, planner._ref_accel, bursts=False)
+    accel, (objective, cvars), history = descend(evaluate, candidates, cfg)
+    u_total = _controls(ctx, accel)
+    solved = {
+        m: ctx.mode_diag(
+            m, nu=u_total, objective=objective, cvar_solution=value,
+            j_probe=0.0, j_influence=0.0, evals=len(history),
+        )
+        for m, value in zip(ctx.solve, cvars)
+    }
+    return planner._finish_step(ctx, solved, u_total, len(history))
+
+
+def plan_step_per_mode(
+    planner: ActivePlanner,
+    state: ScenarioState,
+    b: HierarchicalBelief,
+    rng: np.random.Generator | int,
+    descend: Callable = descend_one,
+) -> tuple[np.ndarray, PlanDiagnostics]:
+    """``planner.plan_step`` with one scalar solve after another: the step
+    as it ran before the chains ran in lockstep. Updates the planner's
+    reference plan and warm starts as ``plan_step`` does."""
+    ctx = planner._begin_step(state, b, rng)
+    if isinstance(planner, ConservativePlanner):
+        return conservative_step_scalar(planner, ctx, descend)
+    cfg = planner.cfg
+    solved: dict[int, ModeDiag] = {}
+    for m in ctx.solve:
+        solved[m] = solve_mode_scalar(
+            ctx, m, planner._influence_target(ctx, m), planner._warm.get(m), descend
+        )
+        nu = solved[m].nu
+        planner._warm[m] = np.append(nu[1:, 0], nu[-1, 0])
+    u_total, _ = blend_controls(
+        [(d.omega, d.nu) for d in solved.values()],
+        cfg.mode_activation_eps, cfg.u_min, cfg.u_max,
+    )
+    return planner._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))

@@ -235,6 +235,27 @@ class TestModeTargets:
         with pytest.raises(ConfigError, match=named):
             load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={path}"])
 
+    @pytest.mark.parametrize(
+        "steering, named",
+        [
+            # PSD but singular: load_config accepted it, and the first
+            # solve raised a bare LinAlgError that ended the whole batch.
+            ("{mean: [8.0, -14.0], cov: [[2.25, 0], [0, 0]]}", "positive definite"),
+            ("{mean: [8.0], cov: [[2.25]]}", "2-dimensional"),
+        ],
+    )
+    def test_unusable_steering_rejected_naming_mode(self, tmp_path, steering, named):
+        body = TARGETS.replace(
+            "steering: {mean: [10.0, 12.0], cov: [[2.25, 0.0], [0.0, 16.0]]}",
+            f"steering: {steering}",
+        )
+        tpath = write(tmp_path, body, "bad.yaml")
+        pattern = f"cooperative/mode 1 steering.*{named}"
+        with pytest.raises(ConfigError, match=pattern):
+            load_mode_targets(tpath)
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={tpath}"])
+
     def test_missing_observation_rejected(self, tmp_path):
         bad = "intents:\n  - name: a\n    modes:\n      - label: x\n"
         with pytest.raises(ConfigError, match="observation"):

@@ -25,6 +25,7 @@ from probeplan.dynamics import VehicleState, double_integrator, step_vehicle
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.human import GAP, VELOCITY
+from probeplan import planner as planner_mod
 from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
@@ -43,6 +44,7 @@ from oracles import (
     descend_without_memo,
     expected_posterior_entropy,
     influence_objective,
+    plan_step_per_mode,
     predicted_interaction_gaussian,
     probe_grid,
     solve_mode_control,
@@ -270,9 +272,25 @@ def same_diag(d1, d2) -> bool:
     return True
 
 
+def batched(objective, calls=None):
+    """A lockstep ``evaluate`` scoring each (sequence, chain) pair with
+    ``objective(accel)``; ``calls`` counts the pairs it scores."""
+
+    def evaluate(accels, chains):
+        out = []
+        for accel, cs in zip(accels, chains):
+            for c in cs:
+                if calls is not None:
+                    calls[c, accel.tobytes()] += 1
+                out.append(objective(accel))
+        return out
+
+    return evaluate
+
+
 class TestDescendMemo:
-    """The solver loop evaluates each distinct sequence once and otherwise
-    scores exactly as the loop that evaluates every candidate."""
+    """The solver loop evaluates each distinct sequence once per chain and
+    otherwise scores exactly as the loop that evaluates every candidate."""
 
     def test_one_evaluation_per_distinct_sequence(self):
         cfg = PlannerConfig(solver_iters=8)
@@ -283,18 +301,16 @@ class TestDescendMemo:
         def objective(accel):
             return float(np.sum((accel - goal) ** 2)), float(accel[0])
 
-        def counted(accel):
-            calls[accel.tobytes()] += 1
-            return objective(accel)
-
-        for warm in (None, np.full(cfg.horizon_steps, 1.0)):
-            calls.clear()
-            candidates = _start_candidates(cfg, warm, bursts=True)
-            accel, best, history = _descend(counted, candidates, cfg)
+        starts = [_start_candidates(cfg, warm, bursts=True)
+                  for warm in (None, np.full(cfg.horizon_steps, 1.0))]
+        chains = _descend(batched(objective, calls), starts, cfg)
+        assert set(calls.values()) == {1}
+        for c, (candidates, (accel, best, history)) in enumerate(zip(starts, chains)):
             want_accel, want_best, want_history = descend_without_memo(
                 objective, candidates, cfg)
-            assert set(calls.values()) == {1}
-            assert len(calls) == len({a.tobytes() for a, _ in history}) < len(history)
+            distinct = {a.tobytes() for a, _ in history}
+            assert {key for chain, key in calls if chain == c} == distinct
+            assert len(distinct) < len(history)
             assert np.array_equal(accel, want_accel) and best == want_best
             assert len(history) == len(want_history)
             for (a, r), (want_a, want_r) in zip(history, want_history):
@@ -302,22 +318,127 @@ class TestDescendMemo:
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    def test_plan_step_matches_memo_free_loop(self, planner_cls, kind, monkeypatch):
+    def test_plan_step_matches_memo_free_loop(self, planner_cls, kind):
         cfg = PlannerConfig(**FAST, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(5)
         cases = [(advanced_state(kind, rng), filtered_belief(default_targets(kind), rng))
                  for _ in range(3)]
-
-        def plan(planner):
-            return [planner.plan_step(state, b, 7 + i) for i, (state, b) in enumerate(cases)]
-
-        got = plan(planner_cls(cfg))
-        monkeypatch.setattr("probeplan.planner._descend", descend_without_memo)
-        monkeypatch.setattr("probeplan.baselines._descend", descend_without_memo)
-        want = plan(planner_cls(cfg))
-        for (u, diag), (want_u, want_diag) in zip(got, want):
+        planner, reference = planner_cls(cfg), planner_cls(cfg)
+        for i, (state, b) in enumerate(cases):
+            u, diag = planner.plan_step(state, b, 7 + i)
+            want_u, want_diag = plan_step_per_mode(
+                reference, state, b, 7 + i, descend=descend_without_memo)
             assert np.array_equal(u, want_u)
             assert same_diag(diag, want_diag)
+
+
+def zero_mass_intent(targets):
+    """Uniform belief with no mass on the second intent, so the solved
+    modes are not one contiguous run of the mode axis."""
+    b = uniform_belief(targets)
+    pi = np.full(targets.num_intents, 1.0 / (targets.num_intents - 1))
+    pi[1] = 0.0
+    return HierarchicalBelief(pi, b.mode_weights, targets)
+
+
+class TestLockstepDescent:
+    """``plan_step``, with every chain run in lockstep rounds, equals the
+    step that solves one mode after another with scalar objectives."""
+
+    BUDGETS = {
+        "default": {},
+        # Chains stop in different rounds.
+        "iters8": dict(solver_iters=8),
+        # Infeasible solves fall back to their least risky candidate.
+        "cap5": dict(risk_cap=5.0),
+        "one_segment": dict(solver_segments=1),
+    }
+
+    @staticmethod
+    def cases(kind, n):
+        rng = np.random.default_rng(31)
+        targets = default_targets(kind)
+        out = [(advanced_state(kind, rng), zero_mass_intent(targets))]
+        out += [(advanced_state(kind, rng), filtered_belief(targets, rng)) for _ in range(n - 1)]
+        return out
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_plan_step_matches_per_mode_oracle(self, kind, planner_cls, budget):
+        extra = self.BUDGETS[budget]
+        base = {} if budget == "default" else dict(rollout_count=40, obs_samples=6)
+        cfg = PlannerConfig(**base, **extra, ref_speed=DEFAULT_REF_SPEED[kind])
+        planner, reference = planner_cls(cfg), planner_cls(cfg)
+        infeasible = 0
+        for i, (state, b) in enumerate(self.cases(kind, 3)):
+            u, diag = planner.plan_step(state, b, 40 + i)
+            want_u, want_diag = plan_step_per_mode(reference, state, b, 40 + i)
+            assert np.array_equal(u, want_u)
+            assert same_diag(diag, want_diag)
+            infeasible += diag.infeasible_any
+        if budget == "cap5" and planner_cls is not ConservativePlanner:
+            assert infeasible > 0  # the conservative planner has no cap
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    def test_one_evaluate_call_per_round(self, planner_cls, monkeypatch):
+        """Each round, every live chain asks once for the sequences it has
+        not scored, and one ``evaluate`` call scores exactly those (chain,
+        sequence) pairs. No pair is scored twice, and every distinct
+        sequence of a chain's history is scored."""
+        events = []
+        real_chain, real_descend = planner_mod._chain, planner_mod._descend
+
+        def logged_chain(candidates, cfg):
+            c = logged_chain.count
+            logged_chain.count += 1
+            gen = real_chain(candidates, cfg)
+            reply = None
+            while True:
+                try:
+                    accels = gen.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                events.append(("ask", [(c, a.tobytes()) for a in accels]))
+                reply = yield accels
+
+        def logged_descend(evaluate, starts, cfg):
+            def counted(accels, chains):
+                events.append(("call", [(c, a.tobytes()) for a, cs in zip(accels, chains)
+                                        for c in cs]))
+                return evaluate(accels, chains)
+
+            logged_chain.count = 0
+            events.clear()
+            out = real_descend(counted, starts, cfg)
+            steps.append((list(events), out))
+            return out
+
+        steps = []
+        monkeypatch.setattr(planner_mod, "_chain", logged_chain)
+        monkeypatch.setattr(planner_mod, "_descend", logged_descend)
+        monkeypatch.setattr("probeplan.baselines._descend", logged_descend)
+        planner = planner_cls(PlannerConfig(**{**FAST, "solver_iters": 8}))
+        for i, (state, b) in enumerate(self.cases(LANE_MERGE, 3)):
+            planner.plan_step(state, b, 50 + i)
+        assert len(steps) == 3
+        for log, chains in steps:
+            scored, asked, askers, calls = [], [], [], 0
+            for kind, pairs in log:
+                if kind == "ask":
+                    askers.append(pairs[0][0])
+                    asked += pairs
+                    continue
+                # Live chains ask in ascending order, each once per round.
+                assert askers == sorted(set(askers))
+                assert pairs and len(pairs) == len(set(pairs)) and set(pairs) == set(asked)
+                scored += pairs
+                asked, askers = [], []
+                calls += 1
+            assert not asked and calls > 1
+            assert len(scored) == len(set(scored))
+            assert set(scored) == {(c, a.tobytes()) for c, (_, _, history) in enumerate(chains)
+                                   for a, _ in history}
 
 
 class TestProbeObjective:
