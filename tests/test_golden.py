@@ -44,13 +44,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "ecc370cf3144ee35d8bf6ab430fdbc8e761f0ccbf10197607f15d8dfcbe77239",
-    "trace_intersection_conservative_run00000.csv": "37dd2b265bd3ecc644c78d401f8e38472beeb4f3d232a5a13c735788843386f9",
-    "trace_intersection_ours_run00000.csv": "0529646eb821e7456fec7565c6482d80e32845580a3c358a9685c1c3b4b39985",
-    "trace_intersection_passive_run00000.csv": "bc855ac4832a451ba704bd37517fcaee396d1bfb42f26f7c1f2445b2221463d6",
-    "trace_lane_merge_conservative_run00000.csv": "cd4c503cb392c536258a5d211d7fc9326cfb64607b3ee44d9b1bbb367a28d78a",
-    "trace_lane_merge_ours_run00000.csv": "d737ee675b44ae80f7617b426c3cf933930309573c9aa5b2155a257acc488617",
-    "trace_lane_merge_passive_run00000.csv": "b994b2359f44a39c28eb2089919e3c42b0d153ace7d895730dcb0c9587ee0862",
+    "results.csv": "c28c730e1f33347f9fede5874482cabde5c0a1af2824b89f2244a6866d3a51f2",
+    "trace_intersection_conservative_run00000.csv": "6405192608f0887f09bfd44d283e379c01179ccec84c6ced4a7a6f72aa9c8ab2",
+    "trace_intersection_ours_run00000.csv": "fa2664b03a494c7ac455fa2b84c00caf864c5b37dc1a5b8071f8be023d7800d5",
+    "trace_intersection_passive_run00000.csv": "6c7877eca35e91951cf0631721403a220a30118f5b914f9d59c46f62fed64d36",
+    "trace_lane_merge_conservative_run00000.csv": "9b9e632bc9eedc4ea8c163f9991e0f28f5983251b44f2fd5e2e3a06ae573e721",
+    "trace_lane_merge_ours_run00000.csv": "672cc6c5c2cfc17e67e5d2adc17890a41d52cacb2e9a81004a6d2fb5c16fb62e",
+    "trace_lane_merge_passive_run00000.csv": "79bbe46174297c6fc6bb180bee8c378c2ecfd1b358da27d68a04e3ea7e89ef78",
 }
 
 
@@ -72,7 +72,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "1a87e6e6ce8de9cdb5990fb5a42101a85c51567a5e1019b7ea392cabfb1f89c9"
+DIAG_GOLDEN = "30e8d09bf98bd3688fa76cdeeff445590075c5afbf7934367446f3b9c5d4cd88"
 
 
 def _feed(h, value):

@@ -1,6 +1,8 @@
 """CVaR and rollout cost tests, checked against a sort-by-hand oracle,
 statistical comparisons, and plain loop/full-sort oracles that the
-per-step kernels must reproduce bit for bit."""
+per-step kernels must reproduce bit for bit. The rollout costs are also
+held within a derived bound of the ``np.hypot`` distance they used
+before."""
 
 import math
 
@@ -64,11 +66,23 @@ def stacked_human_paths(human, mode, n_samples, t_steps, dt, rng):
     return human.position + arc[:, :, None] * direction
 
 
-def stacked_path_costs(ego_xy, ego_speeds, human_xy, discount, ref_speed):
-    """Oracle: per-sample costs of an ego path (T, 2) against stacked human
-    paths (S, T, 2), computed out of place."""
+def sqrt_distance(dx, dy):
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def stacked_distances(ego_xy, human_xy, distance=sqrt_distance):
+    """Oracle: ego-human distances (S, T) of an ego path (T, 2) against
+    stacked human paths (S, T, 2)."""
     delta = ego_xy[None, :, :] - human_xy
-    dist = np.hypot(delta[:, :, 0], delta[:, :, 1])
+    return distance(delta[:, :, 0], delta[:, :, 1])
+
+
+def stacked_path_costs(ego_xy, ego_speeds, human_xy, discount, ref_speed, distance=sqrt_distance):
+    """Oracle: per-sample costs of an ego path (T, 2) against stacked human
+    paths (S, T, 2), computed out of place. ``distance`` is
+    ``sqrt(dx*dx + dy*dy)``, as ``path_costs`` computes it, or ``np.hypot``,
+    which it computed before."""
+    dist = stacked_distances(ego_xy, human_xy, distance)
     prox = W_PROX * np.exp(-(dist - D_SAFE) / PROX_SCALE)
     shortfall = W_PROGRESS * np.maximum(0.0, ref_speed - ego_speeds) / ref_speed
     weights = discount ** np.arange(ego_xy.shape[0])
@@ -290,6 +304,7 @@ class TestKernelsMatchLoopOracles:
     def test_path_costs_and_cvar_random_inputs(self):
         rng = np.random.default_rng(13)
         weights = 0.95 ** np.arange(self.T)
+        moved = 0
         for i in range(200):
             ego = random_vehicle(rng, v_max=2.0 if i % 4 == 0 else 12.0)
             human = random_vehicle(rng)
@@ -305,12 +320,9 @@ class TestKernelsMatchLoopOracles:
             seed = int(rng.integers(2**32))
             ref_speed = float(rng.uniform(3.0, 12.0))
             xy, speeds = loop_ego_path(ego, plan, self.DT)
-            expected = stacked_path_costs(
-                xy, speeds,
-                stacked_human_paths(human, mode, 100, self.T, self.DT,
-                                    np.random.default_rng(seed)),
-                0.95, ref_speed,
-            )
+            stacked = stacked_human_paths(human, mode, 100, self.T, self.DT,
+                                          np.random.default_rng(seed))
+            expected = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed)
             x, y, v = simulate_ego_path(
                 ego, plan[:, 0], ego_headings(ego, plan[:, 1], self.DT), self.DT
             )
@@ -323,6 +335,19 @@ class TestKernelsMatchLoopOracles:
             assert np.array_equal(costs, expected)
             for alpha in (0.05, 0.2, 1.0):
                 assert cvar(costs, alpha) == full_sort_cvar(expected, alpha)
+
+            # The np.hypot distances of the kernel before: within 1 ulp of
+            # the sqrt ones. exp scales a distance's relative error by
+            # dist / PROX_SCALE, so a cost may move by up to dist / 2 ulp
+            # on top of its own rounding.
+            dist = stacked_distances(xy, stacked)
+            hypot_dist = stacked_distances(xy, stacked, np.hypot)
+            assert np.all(np.abs(dist - hypot_dist) <= 2 * np.spacing(hypot_dist))
+            hypot_costs = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed, np.hypot)
+            bound = np.spacing(hypot_costs) * (2.0 + dist.max(axis=1))
+            assert np.all(np.abs(costs - hypot_costs) <= bound)
+            moved += int(np.count_nonzero(costs != hypot_costs))
+        assert moved > 0
 
     def test_cvar_random_ties_and_nan(self):
         rng = np.random.default_rng(14)
