@@ -402,11 +402,13 @@ def predicted_observation_mean(
         for name in cfg.features:
             if name == VELOCITY:
                 values.append(v_pred)
-            else:  # GAP; PlannerConfig admits no other feature
+            elif name == GAP:
                 step = v_pred * cfg.dt
                 hx = human_ref.x + step * geometry.human_dir[0]
                 hy = human_ref.y + step * geometry.human_dir[1]
                 values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
+            else:
+                raise InvalidInputError(f"unknown observation feature {name!r}")
         rows.append(values)
     return np.array(rows)
 
@@ -516,7 +518,8 @@ def _chain(candidates: list[np.ndarray], cfg: PlannerConfig):
     history: list[tuple[np.ndarray, tuple]] = []
 
     def score(thetas):
-        accels = list(np.repeat(np.clip(np.array(thetas), a_lo, a_hi), seg_len, axis=1)[:, :horizon])
+        clipped = np.clip(np.array(thetas), a_lo, a_hi)
+        accels = list(np.repeat(clipped, seg_len, axis=1)[:, :horizon])
         unseen = {a.tobytes(): a for a in accels if a.tobytes() not in seen}
         if unseen:
             seen.update((yield list(unseen.values())))
@@ -566,7 +569,9 @@ def _descend(
     sequences the live chains ask for, ``chains[i]`` listing in ascending
     order the chains that asked for ``accels[i]``. It returns one tuple per
     (sequence, chain) pair, in that order, whose first item is the
-    objective. Returns each chain's final sequence, evaluation and history.
+    objective; a chain asks for each sequence once, so ``evaluate`` must be
+    a pure function of the pair. Returns each chain's final sequence,
+    evaluation and history.
     """
     chains = [_chain(cands, cfg) for cands in starts]
     asked = {c: chain.send(None) for c, chain in enumerate(chains)}

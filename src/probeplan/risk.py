@@ -16,10 +16,9 @@ alone), each mode's sampled human paths as contiguous x and y planes
 each distinct acceleration sequence with one ``simulate_ego_path``, one
 ``path_costs`` over a (modes, S, T) block of every mode that asked for it,
 and one ``cvar`` over the resulting (modes, S) costs. Every kernel
-reproduces the plain per-mode sequential loop it replaces bit for bit:
-cumulative sums run in order, the element operations are the same ones in
-the same order, and each mode's discounted sum is its own matrix-vector
-product.
+reproduces a plain per-mode sequential loop bit for bit: cumulative sums
+run in order, the element operations are the same ones in the same order,
+and each mode's discounted sum is its own matrix-vector product.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ computes in a faster way:
   ``_build_probe_grid`` did before it was batched.
 * ``predicted_interaction_gaussian`` and ``influence_objective``: the
   influence term from a full Gaussian and ``kl_divergence``, where
-  ``_solve_mode`` uses precomputed constants.
+  ``_solve_modes`` uses precomputed constants.
 * ``solve_mode_control``: one mode's solve on its own.
 * ``descend_one``: one descent chain on its own, with a scalar
   ``evaluate`` per candidate, as ``_descend`` ran before the chains ran in

@@ -598,7 +598,7 @@ class TestSolveModeControl:
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
     @pytest.mark.parametrize("risk_cap", [60.0, 5.0])
     def test_inline_kl_matches_reference(self, kind, risk_cap):
-        # _solve_mode evaluates the influence KL from precomputed constants;
+        # _solve_modes evaluates the influence KL from precomputed constants;
         # it must equal the reference functions at the returned plan.
         cfg = PlannerConfig(
             rollout_count=20, obs_samples=4, solver_iters=2, probe_grid_size=3,
