@@ -630,6 +630,7 @@ def _solve_modes(
     paths = _take(ctx.human_paths, ctx.solve)
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
+    # The ego's start progress s0 is the same for every mode.
     n = len(ctx.solve)
     s_h = np.empty(n)
     kl_const = np.empty(n)
