@@ -7,11 +7,15 @@ a contiguous segment that sums to one. Each mode carries a fixed Gaussian
 target over the observation feature space (authored offline); updates
 sharpen both levels simultaneously from a single observation.
 
-Likelihoods are computed in log space and exponentiated after subtracting
-the per-intent maximum, so the update survives observations far into the
-tails; results match naive arithmetic to ~1e-12 on non-degenerate inputs.
-Per-intent sums use ``np.bincount``, which adds each segment's modes in
-target order starting from zero, exactly as the sum of a per-intent row.
+One posterior kernel (``_posteriors``) and one entropy kernel
+(``_entropies``) work on rows of observations and beliefs: ``update`` and
+``entropy`` are their one-row calls, ``posterior_entropies`` their batched
+one. Likelihoods are computed in log space and exponentiated after
+subtracting the per-intent maximum, so the update survives observations far
+into the tails; results match naive arithmetic to ~1e-12 on non-degenerate
+inputs. Per-intent sums use ``np.bincount``, which adds each segment's
+modes in target order starting from zero, exactly as the sum of a
+per-intent row.
 """
 
 from __future__ import annotations
@@ -112,16 +116,16 @@ class ModeTargetSet:
     def __len__(self) -> int:
         return len(self.targets)
 
-    def log_likelihoods(self, z: np.ndarray) -> np.ndarray:
-        """log p(z | i, k) for every mode, in target order."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if z.shape[0] != self.obs_dim:
+    def log_likelihoods(self, zs: np.ndarray) -> np.ndarray:
+        """log p(z | i, k) for every observation row z of ``zs`` (N, d) and
+        every mode in target order, as (N, M)."""
+        zs = np.asarray(zs, dtype=float)
+        if zs.ndim != 2 or zs.shape[1] != self.obs_dim:
             raise InvalidInputError(
-                f"observation dim {z.shape[0]} does not match target dim {self.obs_dim}"
+                f"observations must have shape (N, {self.obs_dim}), got {zs.shape}"
             )
-        diff = z - self._means
-        y = np.einsum("mij,mj->mi", self._chol_inv, diff)
-        return self._log_norm - 0.5 * np.einsum("mi,mi->m", y, y)
+        y = np.einsum("mij,nmj->nmi", self._chol_inv, zs[:, None, :] - self._means)
+        return self._log_norm - 0.5 * np.einsum("nmi,nmi->nm", y, y)
 
 
 def _probabilities(x, size: int, name: str) -> np.ndarray:
@@ -175,6 +179,49 @@ def uniform_belief(targets: ModeTargetSet) -> HierarchicalBelief:
     return HierarchicalBelief(np.full(num, 1.0 / num), 1.0 / targets._row_len, targets)
 
 
+def _segment_sums(ts: ModeTargetSet, x: np.ndarray) -> np.ndarray:
+    """Per-intent sums (N, I) of the per-mode rows ``x`` (N, M)."""
+    n, num = x.shape[0], ts.num_intents
+    bins = (ts._rows + num * np.arange(n)[:, None]).ravel()
+    return np.bincount(bins, weights=x.ravel(), minlength=n * num).reshape(n, num)
+
+
+def _posteriors(
+    b: HierarchicalBelief, zs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Posterior intent probabilities (N, I) and mode weights (N, M) of
+    ``b`` after each observation row of ``zs`` (N, d), and the mask (N,) of
+    rows whose evidence is degenerate: a row whose weighted modes'
+    log-likelihoods all underflow, or whose total evidence falls below
+    1e-300. Degenerate rows hold finite stand-ins."""
+    ts = b.targets
+    ll = ts.log_likelihoods(zs)
+    w = b.mode_weights
+    active = w > 0.0
+
+    # Per-intent max over weighted modes only; zero-weight modes cannot
+    # contribute evidence and must not dominate the shift.
+    row_max = np.maximum.reduceat(np.where(active, ll, -np.inf), ts._starts, axis=1)
+    bad = ~np.all(np.isfinite(row_max), axis=1)
+    # A finite stand-in keeps a degenerate row's arithmetic free of inf - inf.
+    row_max[bad] = 0.0
+    global_max = row_max.max(axis=1)
+    # The mode at its intent's max has weight > 0 and factor exp(0) = 1,
+    # so every row sum is positive.
+    weighted = w * np.exp(np.where(active, ll - row_max[:, ts._rows], -np.inf))
+    row_sum = _segment_sums(ts, weighted)
+    row_sum[bad] = 1.0
+    post_pi_un = b.intent_probs * (np.exp(row_max - global_max[:, None]) * row_sum)
+    z_rel = post_pi_un.sum(axis=1)
+    for k, (g, z) in enumerate(zip(global_max.tolist(), z_rel.tolist())):
+        if not (z > 0.0 and g + math.log(z) >= _LOG_Z_FLOOR):
+            bad[k] = True
+    z_rel[bad] = 1.0
+    # Each value is a nonnegative term over a float sum that includes it,
+    # so it lies in [0, 1].
+    return post_pi_un / z_rel[:, None], weighted / row_sum[:, ts._rows], bad
+
+
 def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
     """One Bayesian update of both belief levels from observation ``z``.
 
@@ -182,31 +229,12 @@ def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
     1e-300 (every mode astronomically unlikely); callers should keep the
     prior belief and flag the event.
     """
-    ts = b.targets
-    ll = ts.log_likelihoods(z)
-    w = b.mode_weights
-    active = w > 0.0
-
-    # Per-intent max over weighted modes only; zero-weight modes cannot
-    # contribute evidence and must not dominate the shift.
-    row_max = np.maximum.reduceat(np.where(active, ll, -np.inf), ts._starts)
-    global_max = float(row_max.max())
-    if not np.all(np.isfinite(row_max)):
-        raise DegenerateEvidenceError("a mode row's log-likelihoods all underflowed")
-    # The mode at its intent's max has weight > 0 and factor exp(0) = 1,
-    # so every row sum is positive.
-    weighted = w * np.exp(np.where(active, ll - row_max[ts._rows], -np.inf))
-    row_sum = np.bincount(ts._rows, weights=weighted, minlength=ts.num_intents)
-
-    scaled_intent_lik = np.exp(row_max - global_max) * row_sum
-    post_pi_un = b.intent_probs * scaled_intent_lik
-    z_rel = float(post_pi_un.sum())
-    log_z = global_max + math.log(z_rel) if z_rel > 0.0 else -math.inf
-    if log_z < _LOG_Z_FLOOR:
+    pi, w, bad = _posteriors(b, np.atleast_1d(np.asarray(z, dtype=float))[None])
+    if bad[0]:
         raise DegenerateEvidenceError(
-            f"evidence underflow: log Z = {log_z:.1f} is below ln(1e-300)"
+            "evidence underflow: a mode row underflowed or log Z is below ln(1e-300)"
         )
-    return HierarchicalBelief(post_pi_un / z_rel, weighted / row_sum[ts._rows], ts)
+    return HierarchicalBelief(pi[0], w[0], b.targets)
 
 
 def relax_mode_weights(b: HierarchicalBelief, forgetting: float) -> HierarchicalBelief:
@@ -236,6 +264,19 @@ def _x_log_x(p: np.ndarray) -> np.ndarray:
     return p * np.log(p, where=p > 0, out=np.zeros_like(p))
 
 
+def _entropies(
+    ts: ModeTargetSet, pi: np.ndarray, w: np.ndarray, pi_weighted_modes: bool
+) -> np.ndarray:
+    """``entropy`` of each belief row: intent probabilities (N, I) and
+    mode weights (N, M), as (N,)."""
+    h = -_x_log_x(pi).sum(axis=1)
+    row_h = -_segment_sums(ts, _x_log_x(w))
+    # One addition per intent, in intent order.
+    for i in range(ts.num_intents):
+        h += pi[:, i] * row_h[:, i] if pi_weighted_modes else row_h[:, i]
+    return np.where(h > 0.0, h, 0.0)
+
+
 def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:
     """Belief uncertainty: intent entropy plus the mode-weight term.
 
@@ -244,14 +285,9 @@ def entropy(b: HierarchicalBelief, pi_weighted_modes: bool = False) -> float:
     the Shannon-style variant where each intent's mode entropy is scaled by
     its intent probability.
     """
-    pi = b.intent_probs
-    h = -float(np.sum(_x_log_x(pi)))
-    w_log_w = _x_log_x(b.mode_weights)
-    row_h = (-np.bincount(b.targets._rows, weights=w_log_w, minlength=len(pi))).tolist()
-    # One addition per intent, in intent order.
-    for pi_i, h_i in zip(pi, row_h):
-        h += pi_i * h_i if pi_weighted_modes else h_i
-    return max(0.0, h)
+    return float(
+        _entropies(b.targets, b.intent_probs[None], b.mode_weights[None], pi_weighted_modes)[0]
+    )
 
 
 def posterior_entropies(
@@ -261,58 +297,10 @@ def posterior_entropies(
     pi_weighted_modes: bool = False,
 ) -> np.ndarray:
     """``entropy(update(b, z), pi_weighted_modes)`` for every row z of
-    ``zs`` (N, d), bit for bit, in one pass that builds no belief.
-
-    A row whose update would raise DegenerateEvidenceError reads
-    ``h_prior``. Each operation of ``update`` and ``entropy`` runs on all N
-    rows at once, in the same order: per-intent sums are one ``np.bincount``
-    over the bins ``rows + I * n``, which adds each segment in target order
-    from zero, and a row sum of an (N, I) array adds as the 1-D sum does.
-    """
-    ts = b.targets
-    zs = np.asarray(zs, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != ts.obs_dim:
-        raise InvalidInputError(
-            f"observations must have shape (N, {ts.obs_dim}), got {zs.shape}"
-        )
-    n, num = zs.shape[0], ts.num_intents
-    y = np.einsum("mij,nmj->nmi", ts._chol_inv, zs[:, None, :] - ts._means)
-    ll = ts._log_norm - 0.5 * np.einsum("nmi,nmi->nm", y, y)
-    w = b.mode_weights
-    active = w > 0.0
-
-    row_max = np.maximum.reduceat(np.where(active, ll, -np.inf), ts._starts, axis=1)
-    bad = ~np.all(np.isfinite(row_max), axis=1)
-    # Degenerate rows are masked at the end; a finite stand-in keeps their
-    # arithmetic free of inf - inf.
-    row_max[bad] = 0.0
-    global_max = row_max.max(axis=1)
-    weighted = w * np.exp(np.where(active, ll - row_max[:, ts._rows], -np.inf))
-    bins = (ts._rows + num * np.arange(n)[:, None]).ravel()
-
-    def segment_sums(x: np.ndarray) -> np.ndarray:
-        return np.bincount(bins, weights=x.ravel(), minlength=n * num).reshape(n, num)
-
-    row_sum = segment_sums(weighted)
-    row_sum[bad] = 1.0
-    post_pi_un = b.intent_probs * (np.exp(row_max - global_max[:, None]) * row_sum)
-    z_rel = post_pi_un.sum(axis=1)
-    # ``update``'s evidence test, with its scalar math.log per row.
-    for k, (g, z) in enumerate(zip(global_max.tolist(), z_rel.tolist())):
-        if not (z > 0.0 and g + math.log(z) >= _LOG_Z_FLOOR):
-            bad[k] = True
-    z_rel[bad] = 1.0
-    # No clip to [0, 1] as the belief's constructor has: each value is a
-    # nonnegative term over a float sum that includes it, so it lies there.
-    pi = post_pi_un / z_rel[:, None]
-    w_post = weighted / row_sum[:, ts._rows]
-
-    h = -_x_log_x(pi).sum(axis=1)
-    row_h = -segment_sums(_x_log_x(w_post))
-    # One addition per intent, in intent order, as in ``entropy``.
-    for i in range(num):
-        h += pi[:, i] * row_h[:, i] if pi_weighted_modes else row_h[:, i]
-    return np.where(bad, h_prior, np.where(h > 0.0, h, 0.0))
+    ``zs`` (N, d), in one pass that builds no belief. A row whose update
+    would raise DegenerateEvidenceError reads ``h_prior``."""
+    pi, w, bad = _posteriors(b, zs)
+    return np.where(bad, h_prior, _entropies(b.targets, pi, w, pi_weighted_modes))
 
 
 def max_entropy(targets: ModeTargetSet, pi_weighted_modes: bool = False) -> float:

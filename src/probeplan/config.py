@@ -188,6 +188,16 @@ def validate_config(cfg: dict) -> None:
     if tfile is not None and not isinstance(tfile, str):
         raise ConfigError(f"scenario.mode_targets_file must be a path, got {tfile!r}")
     file_targets = load_mode_targets(tfile) if tfile else None
+    # The active and passive planners steer toward a mode's steering target,
+    # and either may solve any mode; only the conservative one needs none.
+    if file_targets is not None and {"ours", "passive"} & set(planner_list(cfg)):
+        for t in file_targets.targets:
+            if t.steer is None:
+                name = file_targets.intent_names[t.intent_id - 1]
+                raise ConfigError(
+                    f"{name}/mode {t.mode_id} steering is required by the ours and "
+                    f"passive planners"
+                )
     for name in scenario_list(cfg):
         features = build_planner_config(cfg, name).features
         targets = file_targets if file_targets is not None else default_targets(name)

@@ -1,5 +1,6 @@
 """Multivariate Gaussian utilities shared by the belief, planner and risk
-modules: log-density evaluation and closed-form KL divergence.
+modules: a validated mean/covariance pair with its cached Cholesky factor,
+and the closed-form KL divergence.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -8,7 +9,6 @@ threads.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,6 @@ log = logging.getLogger(__name__)
 _SYM_TOL = 1e-9
 _EIG_FLOOR = -1e-9
 _JITTER = 1e-9
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -81,23 +80,6 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def log_density(g: Gaussian, x: np.ndarray) -> float:
-    """Log of the Gaussian pdf of ``g`` at ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != g.mean.shape:
-        raise InvalidInputError(
-            f"dimension mismatch: x has dim {x.shape[0]}, Gaussian has dim {g.dim}"
-        )
-    # Forward-substitute against the lower factor; quadratic form is |y|^2.
-    y = np.linalg.solve(g._chol, x - g.mean)
-    return -0.5 * (g.dim * _LOG_2PI + g._log_det + float(y @ y))
-
-
-def density(g: Gaussian, x: np.ndarray) -> float:
-    """Gaussian pdf of ``g`` at ``x`` (linear scale, strictly positive)."""
-    return math.exp(log_density(g, x))
 
 
 def kl_divergence(p: Gaussian, q: Gaussian) -> float:

@@ -45,7 +45,7 @@ from .belief import (
     posterior_entropies,
     update,  # noqa: F401 -- the benchmark wraps probeplan.planner.update by name
 )
-from .dynamics import VehicleState, double_integrator, propagate_cov, step_vehicle
+from .dynamics import VehicleState, step_vehicle
 from .errors import InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
 from .human import GAP, VELOCITY, conflict_level
@@ -301,11 +301,17 @@ def _mode_human_advance(
 
 def ego_horizon_covariance(cfg: PlannerConfig) -> np.ndarray:
     """Ego (position, velocity) covariance at the horizon end under the
-    planning model; independent of the control sequence."""
-    model = double_integrator(cfg.dt, cfg.accel_noise_var)
+    planning model, a double integrator (exact zero-order hold) driven by
+    acceleration noise of variance ``accel_noise_var``; independent of the
+    control sequence."""
+    dt = cfg.dt
+    a = np.array([[1.0, dt], [0.0, 1.0]])
+    b = np.array([[0.5 * dt * dt], [dt]])
+    bwb = b @ np.array([[cfg.accel_noise_var]]) @ b.T
     sigma = np.diag([INIT_POS_STD**2, INIT_VEL_STD**2])
     for _ in range(cfg.horizon_steps):
-        sigma = propagate_cov(sigma, model)
+        out = a @ sigma @ a.T + bwb
+        sigma = 0.5 * (out + out.T)
     return sigma
 
 
@@ -332,18 +338,6 @@ def _interaction_frame(
         ]
     )
     return ego_progress(geometry, state.ego), s_h, cov
-
-
-def probe_objective(
-    expected_entropy: float | np.ndarray, entropy_weight: float
-) -> float | np.ndarray:
-    """Probing term: entropy_weight * expected posterior entropy.
-
-    Minimizing this drives the expected posterior uncertainty down.
-    """
-    if entropy_weight < 0.0:
-        raise InvalidInputError("entropy_weight must be nonnegative")
-    return entropy_weight * expected_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +375,13 @@ def predicted_observation_mean(
     geometry: ScenarioGeometry,
     modes: Sequence[ModeTarget],
     cfg: PlannerConfig,
-    response_time: float | None = None,
+    response_time: float,
 ) -> np.ndarray:
     """Expected observation (len(modes), d) if the human follows each of
     ``modes``: its speed relaxes toward the mode's velocity mean at a rate
     set by the conflict level of the (possibly projected) reference
     configuration, integrated over ``response_time`` seconds. The conflict
     level, and so the rate, is the same for every mode."""
-    if response_time is None:
-        response_time = cfg.dt
     c = conflict_level(
         ego_ref, human_ref, geometry, cfg.response_gain,
         geometry.risk_threshold, geometry.nominal_human_speed,
@@ -455,11 +447,12 @@ class _StepContext:
     cvar_pre: np.ndarray
 
     def probe_terms(self, first_accels: np.ndarray) -> np.ndarray:
-        """The probing term of each first acceleration (K,)."""
+        """The probing term of each first acceleration (K): the entropy
+        weight times the expected posterior entropy. Minimizing it drives
+        the expected posterior uncertainty down."""
         if self.probe_grid is None:
             return np.zeros(len(first_accels))
-        expected = np.interp(first_accels, self.probe_grid, self.probe_entropy)
-        return probe_objective(expected, self.entropy_weight)
+        return self.entropy_weight * np.interp(first_accels, self.probe_grid, self.probe_entropy)
 
     def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
         """Mode ``m``'s record; ``solved`` carries the fields its solve set."""
@@ -686,34 +679,6 @@ def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
     return np.clip(np.column_stack((accel, ctx.guidance_yaw)), ctx.cfg.u_min, ctx.cfg.u_max)
 
 
-def blend_controls(
-    per_mode: Sequence[tuple[float, np.ndarray]],
-    eps: float,
-    u_min: np.ndarray | None = None,
-    u_max: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Joint-weight blend of per-mode control sequences.
-
-    Sums omega * nu over modes with omega > eps. When no mode clears the
-    threshold the argmax-omega mode's sequence is returned unscaled
-    (fallback flag set). The result is clamped to bounds when given.
-    """
-    if not per_mode:
-        raise InvalidInputError("per_mode must be non-empty")
-    active = [(w, nu) for w, nu in per_mode if w > eps]
-    fallback = not active
-    if fallback:
-        w_best, u_total = max(per_mode, key=lambda p: p[0])
-        u_total = np.array(u_total, dtype=float)
-    else:
-        u_total = np.zeros_like(np.asarray(active[0][1], dtype=float))
-        for w, nu in active:
-            u_total = u_total + w * np.asarray(nu, dtype=float)
-    if u_min is not None and u_max is not None:
-        u_total = np.clip(u_total, u_min, u_max)
-    return u_total, fallback
-
-
 # ---------------------------------------------------------------------------
 # Receding-horizon planners
 
@@ -894,9 +859,14 @@ class ActivePlanner:
         for m, d in solved.items():
             self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift
 
-        u_total, _ = blend_controls(
-            [(d.omega, d.nu) for d in solved.values()],
-            cfg.mode_activation_eps, cfg.u_min, cfg.u_max,
-        )
+        # Joint-weight blend over the active modes; with none active, the
+        # argmax-omega mode's plan unscaled.
+        if ctx.active.any():
+            u_total = np.zeros((cfg.horizon_steps, 2))
+            for d in solved.values():  # in target order, as ctx.solve is
+                u_total += d.omega * d.nu
+        else:
+            u_total = solved[ctx.solve[0]].nu
+        u_total = np.clip(u_total, cfg.u_min, cfg.u_max)
         return self._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))
 

@@ -19,13 +19,16 @@ computes in a faster way:
 * ``solve_mode_scalar``, ``conservative_step_scalar`` and
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
-  run one after the other.
+  run one after the other; ``blend_controls`` is its joint-weight blend
+  with an explicit activation threshold and fallback flag.
+* ``log_density`` and ``density``: one Gaussian's density at one point,
+  where ``belief`` evaluates every mode's likelihood in one einsum pass.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,13 +53,31 @@ from probeplan.planner import (
     _solve_modes,
     _start_candidates,
     _StepContext,
-    blend_controls,
     ego_horizon_covariance,
-    probe_objective,
 )
 from probeplan.risk import cvar, path_costs, simulate_ego_path
 from probeplan.seeding import STREAM_PROBE, rng_from_keys
 from probeplan.world import ScenarioState
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def log_density(g: Gaussian, x: np.ndarray) -> float:
+    """Log of the Gaussian pdf of ``g`` at ``x``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != g.mean.shape:
+        raise InvalidInputError(
+            f"dimension mismatch: x has dim {x.shape[0]}, Gaussian has dim {g.dim}"
+        )
+    # Forward-substitute against the lower factor; quadratic form is |y|^2.
+    y = np.linalg.solve(g._chol, x - g.mean)
+    return -0.5 * (g.dim * _LOG_2PI + g._log_det + float(y @ y))
+
+
+def density(g: Gaussian, x: np.ndarray) -> float:
+    """Gaussian pdf of ``g`` at ``x`` (linear scale, strictly positive)."""
+    return math.exp(log_density(g, x))
 
 
 def predicted_interaction_gaussian(
@@ -331,7 +352,7 @@ def solve_mode_scalar(
         j_probe = 0.0
         if ctx.probe_grid is not None:
             expected = float(np.interp(float(accel[0]), ctx.probe_grid, ctx.probe_entropy))
-            j_probe = probe_objective(expected, ctx.entropy_weight)
+            j_probe = ctx.entropy_weight * expected
         violation = max(0.0, cvar_val - cfg.risk_cap)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
         return obj, cvar_val, j_probe, j_infl
@@ -385,6 +406,34 @@ def conservative_step_scalar(
         for m, value in zip(ctx.solve, cvars)
     }
     return planner._finish_step(ctx, solved, u_total, len(history))
+
+
+def blend_controls(
+    per_mode: Sequence[tuple[float, np.ndarray]],
+    eps: float,
+    u_min: np.ndarray | None = None,
+    u_max: np.ndarray | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Joint-weight blend of per-mode control sequences.
+
+    Sums omega * nu over modes with omega > eps. When no mode clears the
+    threshold the argmax-omega mode's sequence is returned unscaled
+    (fallback flag set). The result is clamped to bounds when given.
+    """
+    if not per_mode:
+        raise InvalidInputError("per_mode must be non-empty")
+    active = [(w, nu) for w, nu in per_mode if w > eps]
+    fallback = not active
+    if fallback:
+        w_best, u_total = max(per_mode, key=lambda p: p[0])
+        u_total = np.array(u_total, dtype=float)
+    else:
+        u_total = np.zeros_like(np.asarray(active[0][1], dtype=float))
+        for w, nu in active:
+            u_total = u_total + w * np.asarray(nu, dtype=float)
+    if u_min is not None and u_max is not None:
+        u_total = np.clip(u_total, u_min, u_max)
+    return u_total, fallback
 
 
 def plan_step_per_mode(

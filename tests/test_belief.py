@@ -30,7 +30,9 @@ from probeplan.belief import (
     update,
 )
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
-from probeplan.gaussmath import Gaussian, density
+from probeplan.gaussmath import Gaussian
+
+from oracles import density
 
 
 def make_targets(means, variances=None):
@@ -76,7 +78,7 @@ def loop_update(b, z):
     """Row-wise reference for ``update``: one intent at a time, each sum
     taken with ``row.sum()``. Returns (pi, rows) or raises like it."""
     rows = split_rows(b, b.mode_weights)
-    lls = split_rows(b, b.targets.log_likelihoods(z))
+    lls = split_rows(b, b.targets.log_likelihoods(z[None])[0])
     row_max = np.array([np.where(w > 0.0, ll, -np.inf).max() for ll, w in zip(lls, rows)])
     global_max = float(row_max.max())
     if not np.all(np.isfinite(row_max)):
@@ -413,6 +415,14 @@ class TestFlatKernelsMatchLoops:
             assert np.array_equal(row, expected)
             assert not row.flags.writeable
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_multidimensional(self, dim):
+        # Full covariances: the likelihood einsum contracts over d > 1.
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            b = random_belief_nd(rng, dim)
+            assert_kernels_match_loops(b, rng.normal(0.0, 6.0, dim))
+
     @given(b=beliefs(), z=st.floats(-20.0, 20.0), forgetting=st.floats(0.0, 0.5))
     @settings(max_examples=200, deadline=None)
     def test_hypothesis(self, b, z, forgetting):
@@ -435,15 +445,19 @@ def random_belief_nd(rng, dim):
 
 
 def loop_posterior_entropies(b, zs, h_prior, pi_weighted_modes):
-    """One ``update`` and one ``entropy`` per observation; degenerate
-    evidence reads ``h_prior``. Also returns the degenerate row count."""
+    """One ``loop_update`` and one ``loop_entropy`` per observation;
+    degenerate evidence reads ``h_prior``. Also returns the degenerate row
+    count."""
     out, degenerate = [], 0
     for z in zs:
         try:
-            out.append(entropy(update(b, z), pi_weighted_modes))
+            pi, rows = loop_update(b, z)
         except DegenerateEvidenceError:
             out.append(h_prior)
             degenerate += 1
+            continue
+        post = HierarchicalBelief(pi, np.concatenate(rows), b.targets)
+        out.append(loop_entropy(post, pi_weighted_modes))
     return out, degenerate
 
 

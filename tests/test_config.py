@@ -220,10 +220,10 @@ class TestModeTargets:
     def test_pinned_intent_checked_against_file_targets(self, tmp_path):
         # The file has two intents, the default lane-merge set three.
         tpath = write(tmp_path, TARGETS, "targets.yaml")
-        override = f"scenario.mode_targets_file={tpath}"
-        load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=2"])
+        overrides = [f"scenario.mode_targets_file={tpath}", "experiment.planner=conservative"]
+        load_config(write(tmp_path, MINIMAL), [*overrides, "human.pinned_intent=2"])
         with pytest.raises(ConfigError, match="human.pinned_intent"):
-            load_config(write(tmp_path, MINIMAL), [override, "human.pinned_intent=3"])
+            load_config(write(tmp_path, MINIMAL), [*overrides, "human.pinned_intent=3"])
 
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_file_named(self, tmp_path, kind):
@@ -265,11 +265,21 @@ class TestModeTargets:
         tpath = write(tmp_path, TARGETS, "targets.yaml")
         cfg = load_config(
             write(tmp_path, MINIMAL),
-            [f"scenario.mode_targets_file={tpath}"],
+            [f"scenario.mode_targets_file={tpath}", "experiment.planner=conservative"],
         )
-        rc = build_run_config(cfg, "lane_merge", "ours")
+        rc = build_run_config(cfg, "lane_merge", "conservative")
         assert rc.targets is not None
         assert rc.targets.num_intents == 2
+
+    @pytest.mark.parametrize("planners", ["ours", "passive", "[conservative, passive]"])
+    def test_steering_required_by_steering_planners(self, tmp_path, planners):
+        # Accepted before, and every ours or passive run then ended in error
+        # at the first solve of the steering-less mode.
+        tpath = write(tmp_path, TARGETS, "targets.yaml")
+        override = f"scenario.mode_targets_file={tpath}"
+        with pytest.raises(ConfigError, match=re.escape("cooperative/mode 2 steering")):
+            load_config(write(tmp_path, MINIMAL), [override, f"experiment.planner={planners}"])
+        load_config(write(tmp_path, MINIMAL), [override, "experiment.planner=conservative"])
 
     def test_two_features_load_with_two_dimensional_targets(self, tmp_path):
         tpath = write(tmp_path, TARGETS_2D, "targets2d.yaml")
@@ -287,7 +297,9 @@ intents:
   - name: aggressive
     modes:
       - observation: {mean: [9.5, 20.0], cov: [[1.0, 0.0], [0.0, 9.0]]}
+        steering: {mean: [8.0, -14.0], cov: [[2.25, 0.0], [0.0, 16.0]]}
   - name: cooperative
     modes:
       - observation: {mean: [5.0, 30.0], cov: [[1.44, 0.0], [0.0, 9.0]]}
+        steering: {mean: [10.0, 12.0], cov: [[2.25, 0.0], [0.0, 16.0]]}
 """

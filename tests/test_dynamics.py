@@ -1,71 +1,48 @@
-"""Dynamics tests: hand arithmetic for the linear model, a Monte-Carlo
-oracle for covariance propagation, and unicycle stepping contracts."""
+"""Dynamics tests: a Monte-Carlo oracle for the planner's horizon
+covariance under the double-integrator model, and unicycle stepping
+contracts."""
 
 import math
 
 import numpy as np
 import pytest
 
-from probeplan.dynamics import (
-    LinearModel,
-    VehicleState,
-    propagate_cov,
-    step_vehicle,
-)
+from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import InvalidInputError
+from probeplan.planner import INIT_POS_STD, INIT_VEL_STD, PlannerConfig, ego_horizon_covariance
+
+CONFIGS = [
+    PlannerConfig(),
+    PlannerConfig(horizon_steps=12, dt=0.2, accel_noise_var=0.5),
+    PlannerConfig(horizon_steps=5, accel_noise_var=0.0),
+]
 
 
-def random_stable_model(rng, n=3, m=2):
-    a = rng.normal(0, 1, (n, n))
-    a *= 0.9 / max(abs(np.linalg.eigvals(a)))
-    b = rng.normal(0, 1, (n, m))
-    w_root = rng.normal(0, 0.4, (m, m))
-    return LinearModel(a, b, w_root @ w_root.T)
+def mc_horizon_covariance(cfg, n_rollouts, rng):
+    """Sample-covariance oracle: double-integrator rollouts (position,
+    velocity) from the initial spread, with fresh acceleration noise held
+    over each step."""
+    pos = rng.normal(0.0, INIT_POS_STD, n_rollouts)
+    vel = rng.normal(0.0, INIT_VEL_STD, n_rollouts)
+    for _ in range(cfg.horizon_steps):
+        accel = rng.normal(0.0, math.sqrt(cfg.accel_noise_var), n_rollouts)
+        pos = pos + cfg.dt * vel + 0.5 * cfg.dt * cfg.dt * accel
+        vel = vel + cfg.dt * accel
+    return np.cov(np.stack([pos, vel]), ddof=0)
 
 
-def mc_covariance(model, sigma0, steps, n_rollouts, rng):
-    """Sample-covariance oracle: propagate rollouts with fresh input noise."""
-    n = model.state_dim
-    chol0 = np.linalg.cholesky(sigma0 + 1e-12 * np.eye(n))
-    x = rng.standard_normal((n_rollouts, n)) @ chol0.T
-    m = model.b.shape[1]
-    chol_w = np.linalg.cholesky(model.w + 1e-12 * np.eye(m))
-    for _ in range(steps):
-        noise = rng.standard_normal((n_rollouts, m)) @ chol_w.T
-        x = x @ model.a.T + noise @ model.b.T
-    return np.cov(x.T, ddof=0)
+class TestHorizonCovariance:
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_monte_carlo_oracle(self, cfg):
+        sigma = ego_horizon_covariance(cfg)
+        emp = mc_horizon_covariance(cfg, 50_000, np.random.default_rng(7))
+        assert np.linalg.norm(sigma - emp) / np.linalg.norm(sigma) < 0.05
 
-
-class TestPropagateCov:
-    def test_identity_noiseless(self):
-        m = LinearModel(np.eye(2), np.zeros((2, 1)), np.array([[0.0]]))
-        sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert np.allclose(propagate_cov(sigma, m), sigma, atol=1e-15)
-
-    def test_scalar_doubling(self):
-        m = LinearModel(np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]))
-        assert propagate_cov(np.array([[1.0]]), m)[0, 0] == pytest.approx(4.0)
-
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(2):
-            model = random_stable_model(rng)
-            sigma = np.eye(3) * 0.5
-            prop = sigma
-            for _ in range(10):
-                prop = propagate_cov(prop, model)
-            emp = mc_covariance(model, sigma, 10, 50_000, rng)
-            rel = np.linalg.norm(prop - emp) / np.linalg.norm(prop)
-            assert rel < 0.05
-
-    def test_output_psd(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            model = random_stable_model(rng)
-            s_root = rng.normal(0, 1, (3, 3))
-            out = propagate_cov(s_root @ s_root.T, model)
-            assert np.min(np.linalg.eigvalsh(out)) >= -1e-9
-            assert np.array_equal(out, out.T)
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_symmetric_psd(self, cfg):
+        sigma = ego_horizon_covariance(cfg)
+        assert np.array_equal(sigma, sigma.T)
+        assert np.min(np.linalg.eigvalsh(sigma)) >= -1e-9
 
 
 class TestStepVehicle:

@@ -1,5 +1,5 @@
-"""Gaussian utility tests: hand-evaluated densities, quadrature oracles for
-the KL divergence."""
+"""Gaussian utility tests: construction contracts, hand-evaluated densities
+of the test oracle, quadrature oracles for the KL divergence."""
 
 import math
 
@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from probeplan.errors import InvalidInputError
-from probeplan.gaussmath import (
-    Gaussian,
-    density,
-    kl_divergence,
-    log_density,
-)
+from probeplan.gaussmath import Gaussian, kl_divergence
+
+from oracles import density, log_density
 
 
 def g1(mean, var):

@@ -21,7 +21,7 @@ from probeplan.belief import (
     uniform_belief,
     update,
 )
-from probeplan.dynamics import VehicleState, double_integrator, step_vehicle
+from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.human import GAP, VELOCITY
@@ -31,9 +31,7 @@ from probeplan.planner import (
     PlannerConfig,
     _descend,
     _start_candidates,
-    blend_controls,
     lane_guidance,
-    probe_objective,
 )
 from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
 from probeplan.scenario import DEFAULT_REF_SPEED, default_targets, init_scenario
@@ -41,6 +39,7 @@ from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
 
 from oracles import (
+    blend_controls,
     descend_without_memo,
     expected_posterior_entropy,
     influence_objective,
@@ -99,6 +98,7 @@ class TestPlannerConfigValidation:
             ("solver_step", -0.5),
             ("dt", math.inf),
             ("entropy_weight", math.nan),
+            ("entropy_weight", -0.1),
             ("mode_activation_eps", math.nan),
             # Raised out of ActivePlanner.__init__ or HumanParams, outside
             # the run's error mapping.
@@ -351,6 +351,9 @@ class TestLockstepDescent:
         "iters8": dict(solver_iters=8),
         # Infeasible solves fall back to their least risky candidate.
         "cap5": dict(risk_cap=5.0),
+        # No mode clears the threshold: the blend falls back to the
+        # argmax-omega mode's plan.
+        "no_active": dict(mode_activation_eps=0.5),
         "one_segment": dict(solver_segments=1),
     }
 
@@ -370,15 +373,21 @@ class TestLockstepDescent:
         base = {} if budget == "default" else dict(rollout_count=40, obs_samples=6)
         cfg = PlannerConfig(**base, **extra, ref_speed=DEFAULT_REF_SPEED[kind])
         planner, reference = planner_cls(cfg), planner_cls(cfg)
-        infeasible = 0
-        for i, (state, b) in enumerate(self.cases(kind, 3)):
+        cases = self.cases(kind, 3)
+        if budget == "no_active":
+            # omega = 1/9 on every mode.
+            cases.append((cases[0][0], uniform_belief(default_targets(kind))))
+        infeasible = fallback = 0
+        for i, (state, b) in enumerate(cases):
             u, diag = planner.plan_step(state, b, 40 + i)
             want_u, want_diag = plan_step_per_mode(reference, state, b, 40 + i)
             assert np.array_equal(u, want_u)
             assert same_diag(diag, want_diag)
             infeasible += diag.infeasible_any
+            fallback += diag.blend_fallback
         if budget == "cap5" and planner_cls is not ConservativePlanner:
             assert infeasible > 0  # the conservative planner has no cap
+        assert (fallback > 0) == (budget == "no_active")
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
     def test_one_evaluate_call_per_round(self, planner_cls, monkeypatch):
@@ -442,20 +451,28 @@ class TestLockstepDescent:
 
 
 class TestProbeObjective:
+    """``_StepContext.probe_terms``: entropy weight times the expected
+    posterior entropy interpolated on the probe grid."""
+
+    @staticmethod
+    def context(entropy, weight):
+        ctx = ActivePlanner(PlannerConfig(**FAST))._begin_step(
+            merge_state(), uniform_belief(default_targets(LANE_MERGE)), 3
+        )
+        ctx.probe_grid = np.array([-3.0, 3.0])
+        ctx.probe_entropy = np.array([entropy, entropy])
+        ctx.entropy_weight = weight
+        return ctx
+
     def test_zero_entropy(self):
-        assert probe_objective(0.0, 0.7) == 0.0
+        assert np.array_equal(self.context(0.0, 0.7).probe_terms(np.array([-1.0, 2.0])), [0, 0])
 
     def test_disabled(self):
-        assert probe_objective(4 * math.log(3), 0.0) == 0.0
+        assert np.array_equal(self.context(4 * math.log(3), 0.0).probe_terms(np.zeros(2)), [0, 0])
 
     def test_scaling(self):
-        assert probe_objective(4 * math.log(3), 0.5) == pytest.approx(
-            2 * math.log(3), abs=1e-12
-        )
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            probe_objective(1.0, -0.1)
+        got = self.context(4 * math.log(3), 0.5).probe_terms(np.array([0.5]))
+        assert got[0] == pytest.approx(2 * math.log(3), abs=1e-12)
 
 
 class TestInfluenceObjective:
@@ -488,10 +505,11 @@ class TestPredictedInteraction:
         mode = mk_mode(1, 1, 10.0, 1.0)
         g = predicted_interaction_gaussian(state, accel, mode, cfg)
         # Oracle: iterate the double-integrator planning model.
-        model = double_integrator(cfg.dt, cfg.accel_noise_var)
+        a_mat = np.array([[1.0, cfg.dt], [0.0, 1.0]])
+        b_mat = np.array([0.5 * cfg.dt * cfg.dt, cfg.dt])
         mu = np.array([state.ego.x, state.ego.v])  # progress equals x here
         for a in accel:
-            mu = model.a @ mu + model.b @ [a]
+            mu = a_mat @ mu + b_mat * a
         assert g.mean[0] == pytest.approx(mu[1], abs=1e-9)
         # Lead combines ego progress with the mode-conditioned human advance;
         # ego progress enters linearly, so check the control-dependent part.
@@ -500,7 +518,7 @@ class TestPredictedInteraction:
         )
         mu0 = np.array([state.ego.x, state.ego.v])
         for _ in range(cfg.horizon_steps):
-            mu0 = model.a @ mu0 + model.b @ [0.0]
+            mu0 = a_mat @ mu0
         assert g.mean[1] - g0.mean[1] == pytest.approx(mu[0] - mu0[0], abs=1e-9)
 
 
