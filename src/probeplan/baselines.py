@@ -27,7 +27,7 @@ from .planner import (
     _take,
 )
 # The conservative planner scores through the planner's shared kernel; the
-# benchmark still wraps these names here by module.
+# benchmark still wraps cvar and path_costs here by module.
 from .risk import cvar, path_costs, simulate_ego_path  # noqa: F401
 from .world import ScenarioState
 
@@ -74,12 +74,13 @@ class ConservativePlanner(ActivePlanner):
         def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
             # One chain: every sequence is scored against every solved mode.
             n = len(weights)
-            cvars = _sequence_cvars(ctx, paths, np.array(accels), [range(n)] * len(accels))
+            ego_paths = simulate_ego_path(ctx.state.ego, np.array(accels), ctx.headings, cfg.dt)
+            cvars = _sequence_cvars(ctx, paths, ego_paths, [range(n)] * len(accels))
             return [(sum(w * v for w, v in zip(weights, seq)), seq)
                     for seq in cvars.reshape(-1, n).tolist()]
 
-        candidates = _start_candidates(cfg, self._ref_accel, bursts=False)
-        ((accel, (objective, cvars), history),) = _descend(evaluate, [candidates], cfg)
+        starts = _start_candidates(cfg, [self._ref_accel], bursts=False)
+        ((accel, (objective, cvars), history),) = _descend(evaluate, starts, cfg)
         u_total = _controls(ctx, accel)
         solved = {
             m: ctx.mode_diag(

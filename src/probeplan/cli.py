@@ -138,7 +138,9 @@ def run_experiment(
     workers = exp["workers"]
     if workers > 1:
         with Pool(processes=workers) as pool:
-            outputs = pool.map(_worker, jobs, chunksize=4)
+            # One job per task: run costs differ about tenfold, so fixed
+            # chunks leave one worker with most of the batch.
+            outputs = pool.map(_worker, jobs, chunksize=1)
     else:
         outputs = [_worker(j) for j in jobs]
     # Deterministic output order regardless of scheduling.

@@ -20,7 +20,18 @@ path, terminal state and probe term per distinct sequence, one
 ``path_costs`` block over the modes that asked for it, one ``cvar`` and one
 stacked triangular solve for the KL influence term over the round. A
 chain scores each distinct sequence once; a repeat reuses the result but
-still counts in ``ModeDiag.evals``. The lateral channel follows a fixed
+still counts in ``ModeDiag.evals``.
+
+In a mode solve the CVaR enters only through the cap penalty
+``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
+against the mode's ``risk.sample_boxes`` is at most ``risk_cap * (1 -
+CERTIFY_MARGIN)`` gets no cost block: it holds a CVaR of ``-inf``, which
+leaves its penalty 0.0, as the exact value would, and keeps it feasible.
+The one ego path of a round serves the bounds and the exact blocks. After
+the descent, the picks that hold the sentinel are scored exactly in one
+batch, so ``ModeDiag.cvar_solution`` and ``margin`` are always exact. The
+conservative planner minimizes the omega-weighted sum of the CVaRs
+themselves, so it scores every candidate exactly. The lateral channel follows a fixed
 lane-guidance law shared by every planner so cross-planner comparisons
 isolate the longitudinal interaction machinery. The CVaR cap enters as a
 quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
@@ -49,7 +60,16 @@ from .dynamics import VehicleState, step_vehicle
 from .errors import InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
 from .human import GAP, VELOCITY, conflict_level
-from .risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
+from .risk import (
+    CERTIFY_MARGIN,
+    cvar,
+    draw_human_paths,
+    ego_headings,
+    path_cost_bounds,
+    path_costs,
+    sample_boxes,
+    simulate_ego_path,
+)
 from .seeding import (
     STREAM_MODE_ROLLOUT,
     STREAM_PROBE,
@@ -426,7 +446,8 @@ class _StepContext:
 
     Every per-mode value lies on one mode axis ``m``, the mode's position
     in ``belief.targets.targets``: ``omega`` and ``active`` (M,),
-    ``human_paths`` (M, 2, S, T) with each mode's x and y planes, and
+    ``human_paths`` (M, 2, S, T) with each mode's x and y planes,
+    ``human_boxes`` (M, 4, T) with their ``risk.sample_boxes``, and
     ``cvar_pre`` (M,). ``solve`` lists the modes a planner solves: the
     active ones, or the argmax-omega mode when none is active."""
 
@@ -444,6 +465,7 @@ class _StepContext:
     active: np.ndarray
     solve: list[int]
     human_paths: np.ndarray
+    human_boxes: np.ndarray
     cvar_pre: np.ndarray
 
     def probe_terms(self, first_accels: np.ndarray) -> np.ndarray:
@@ -466,20 +488,18 @@ class _StepContext:
 
 
 def _start_candidates(
-    cfg: PlannerConfig, warm_accel: np.ndarray | None, bursts: bool
-) -> list[np.ndarray]:
-    """Multi-start segment vectors: coasting, evenly spaced constant
-    accelerations, the warm start's segment means, and optionally probe
-    bursts."""
+    cfg: PlannerConfig, warm_accels: Sequence[np.ndarray | None], bursts: bool
+) -> list[list[np.ndarray]]:
+    """Multi-start segment vectors, one list per warm start: coasting,
+    evenly spaced constant accelerations, the warm start's segment means,
+    and optionally probe bursts. Every list shares the arrays of the
+    candidates that do not depend on the warm start; chains only read
+    them."""
     a_lo, a_hi = cfg.accel_bounds
     segments = cfg.solver_segments
-    candidates = [np.zeros(segments)]
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
-    for c in consts:
-        candidates.append(np.full(segments, c))
-    if warm_accel is not None:
-        means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
-        candidates.append(np.clip(np.array(means), a_lo, a_hi))
+    head = [np.zeros(segments)] + [np.full(segments, c) for c in consts]
+    tail = []
     if bursts and segments > 1:
         # Probe bursts: an extreme first segment with a steady tail. The
         # influence term cares mostly about the terminal state, so these
@@ -488,8 +508,15 @@ def _start_candidates(
             for burst in (a_lo, a_hi):
                 theta = np.full(segments, c)
                 theta[0] = burst
-                candidates.append(theta)
-    return candidates
+                tail.append(theta)
+    out = []
+    for warm_accel in warm_accels:
+        warm = []
+        if warm_accel is not None:
+            means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
+            warm.append(np.clip(np.array(means), a_lo, a_hi))
+        out.append(head + warm + tail)
+    return out
 
 
 def _chain(candidates: list[np.ndarray], cfg: PlannerConfig):
@@ -596,16 +623,20 @@ def _take(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
 
 
 def _sequence_cvars(
-    ctx: _StepContext, paths: np.ndarray, accels: np.ndarray, rows: list[Sequence[int]]
+    ctx: _StepContext,
+    paths: np.ndarray,
+    ego_paths: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: list[Sequence[int]],
 ) -> np.ndarray:
-    """CVaR of each sequence ``accels[i]`` (of (K, T)) against each human
-    path block ``paths[rows[i]]`` (of (N, 2, S, T)), in (sequence, row)
-    order: one ego path and one cost block per sequence, one tail sort."""
+    """CVaR of each ego path ``i`` (``ego_paths`` holds x, y and speeds,
+    each (K, T)) against each human path block ``paths[rows[i]]`` (of
+    (N, 2, S, T)), in (sequence, row) order: one cost block per sequence
+    with rows, one tail sort."""
     cfg = ctx.cfg
-    x, y, speeds = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
+    x, y, speeds = ego_paths
     costs = [
         path_costs(x[i], y[i], speeds[i], _take(paths, r), ctx.discount_weights, cfg.ref_speed)
-        for i, r in enumerate(rows)
+        for i, r in enumerate(rows) if len(r)
     ]
     return cvar(np.concatenate(costs), cfg.cvar_level)
 
@@ -621,6 +652,7 @@ def _solve_modes(
     cfg = ctx.cfg
     state = ctx.state
     paths = _take(ctx.human_paths, ctx.solve)
+    boxes = _take(ctx.human_boxes, ctx.solve)
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
     # The ego's start progress s0 is the same for every mode.
@@ -639,12 +671,24 @@ def _solve_modes(
 
     def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
         accels = np.array(accels)
-        cvars = _sequence_cvars(ctx, paths, accels, rows)
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
-        probe = ctx.probe_terms(accels[:, 0])
         # One (sequence, chain) pair per row, sequences in order.
         seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
         chain = np.concatenate(rows)
+        x, y, speeds = ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
+        # A pair whose cost bound certifies it below the cap gets no cost
+        # block: it holds -inf, so its violation is 0.0 and it stays feasible.
+        bounds = path_cost_bounds(
+            x[seq], y[seq], speeds[seq], boxes[chain], ctx.discount_weights, cfg.ref_speed
+        )
+        open_ = ~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN))
+        cvars = np.full(len(chain), -np.inf)
+        if open_.any():
+            open_rows = [[] for _ in rows]
+            for i, c in zip(seq[open_].tolist(), chain[open_].tolist()):
+                open_rows[i].append(c)
+            cvars[open_] = _sequence_cvars(ctx, paths, ego_paths, open_rows)
+        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
+        probe = ctx.probe_terms(accels[:, 0])
         delta = steer_means[chain] - np.column_stack((v_t[seq], s_t[seq] - s_h[chain]))
         y = np.linalg.solve(chol_q[chain], delta[..., None])
         # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
@@ -654,10 +698,9 @@ def _solve_modes(
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
         return list(zip(obj.tolist(), cvars.tolist(), j_probe.tolist(), j_infl.tolist()))
 
-    bursts = ctx.probe_grid is not None
-    starts = [_start_candidates(cfg, warm, bursts) for warm in warm_accels]
-    diags = []
-    for m, (accel, res, history) in zip(ctx.solve, _descend(evaluate, starts, cfg)):
+    starts = _start_candidates(cfg, warm_accels, bursts=ctx.probe_grid is not None)
+    picks = []
+    for accel, res, history in _descend(evaluate, starts, cfg):
         infeasible = False
         if res[1] > cfg.risk_cap:
             # Fall back to the best feasible candidate; when every candidate
@@ -665,12 +708,23 @@ def _solve_modes(
             feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
             infeasible = not feasible
             accel, res = min(feasible or history, key=lambda h: h[1][1 if infeasible else 0])
-        obj, cvar_val, j_probe, j_infl = res
-        diags.append(ctx.mode_diag(
+        picks.append((accel, list(res), infeasible, len(history)))
+    # A pick that holds the certified sentinel gets its exact CVaR, in one
+    # batch over the chains.
+    certified = [c for c, (_, res, _, _) in enumerate(picks) if res[1] == -math.inf]
+    if certified:
+        accels = np.array([picks[c][0] for c in certified])
+        ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
+        exact = _sequence_cvars(ctx, paths, ego_paths, [[c] for c in certified])
+        for c, value in zip(certified, exact.tolist()):
+            picks[c][1][1] = value
+    return [
+        ctx.mode_diag(
             m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
-            j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
-        ))
-    return diags
+            j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=evals,
+        )
+        for m, (accel, (obj, cvar_val, j_probe, j_infl), infeasible, evals) in zip(ctx.solve, picks)
+    ]
 
 
 def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
@@ -803,6 +857,7 @@ class ActivePlanner:
             # np.argmax keeps the first mode among equal maxima.
             solve=np.flatnonzero(active).tolist() or [int(np.argmax(omega))],
             human_paths=human_paths,
+            human_boxes=sample_boxes(human_paths),
             cvar_pre=cvar_pre,
         )
 

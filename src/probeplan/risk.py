@@ -19,6 +19,19 @@ and one ``cvar`` over the resulting (modes, S) costs. Every kernel
 reproduces a plain per-mode sequential loop bit for bit: cumulative sums
 run in order, the element operations are the same ones in the same order,
 and each mode's discounted sum is its own matrix-vector product.
+
+Certificate below the cap. CVaR at any level is at most the largest sample
+cost (Rockafellar & Uryasev 2000), and a sample's cost at step t only grows
+as the human comes closer to the ego. The point of the samples' bounding
+box (``sample_boxes``, per mode and step) nearest to the ego is at least as
+close as any sample, so ``path_cost_bounds``, the same per-element cost
+taken at that point, bounds every sample's ``path_costs`` from above: the
+subtractions, squares, square root and the affine map before ``exp`` are
+monotone in floating point, so only ``exp`` and the discounted dot can
+round the other way, by a few ulp. A planner that needs a CVaR only to see
+whether it exceeds the cap may skip the exact value where the bound is
+below the cap by a relative margin far wider than that rounding
+(``CERTIFY_MARGIN``).
 """
 
 from __future__ import annotations
@@ -41,6 +54,11 @@ D_SAFE = 3.0
 PROX_SCALE = 2.0
 W_PROX = 10.0
 W_PROGRESS = 1.0
+
+# Relative margin below the cap a cost bound must keep to certify a CVaR:
+# it covers the ulp-level rounding in ``exp`` and the discounted dot, which
+# is about 1e-14 relative at any horizon the planner runs.
+CERTIFY_MARGIN = 1e-9
 
 
 @functools.lru_cache(maxsize=256)
@@ -172,18 +190,55 @@ def path_costs(
         raise InvalidInputError(
             f"ego path {ego_x.shape} does not match human paths {human.shape}"
         )
+    return _step_costs(
+        ego_x - human[..., 0, :, :], ego_y - human[..., 1, :, :], ego_speeds, ref_speed
+    ) @ weights
+
+
+def _step_costs(
+    dx: np.ndarray, dy: np.ndarray, ego_speeds: np.ndarray, ref_speed: float
+) -> np.ndarray:
+    """Per-step costs from ego-minus-human offsets ``dx`` and ``dy``, both
+    overwritten: the proximity term plus the progress deficit of
+    ``ego_speeds`` (broadcast over the last axis)."""
     # Distance as sqrt(dx*dx + dy*dy), within 1 ulp of np.hypot and about
     # 3x faster; the squares cannot overflow at road scales.
-    dx = ego_x - human[..., 0, :, :]
-    cost = ego_y - human[..., 1, :, :]
     dx *= dx
-    cost *= cost
-    cost += dx
-    np.sqrt(cost, out=cost)
+    dy *= dy
+    dy += dx
+    np.sqrt(dy, out=dy)
     # W_PROX * exp((D_SAFE - dist) / PROX_SCALE), in place.
-    np.subtract(D_SAFE, cost, out=cost)
-    cost /= PROX_SCALE
-    np.exp(cost, out=cost)
-    cost *= W_PROX
-    cost += W_PROGRESS * np.maximum(0.0, ref_speed - ego_speeds) / ref_speed
-    return cost @ weights
+    np.subtract(D_SAFE, dy, out=dy)
+    dy /= PROX_SCALE
+    np.exp(dy, out=dy)
+    dy *= W_PROX
+    dy += W_PROGRESS * np.maximum(0.0, ref_speed - ego_speeds) / ref_speed
+    return dy
+
+
+def sample_boxes(human: np.ndarray) -> np.ndarray:
+    """Bounding boxes of sampled human paths (..., 2, S, T) per step, as
+    (..., 4, T) with rows x min, x max, y min and y max over the samples."""
+    boxes = np.empty(human.shape[:-3] + (4, human.shape[-1]))
+    boxes[..., 0::2, :] = human.min(axis=-2)
+    boxes[..., 1::2, :] = human.max(axis=-2)
+    return boxes
+
+
+def path_cost_bounds(
+    ego_x: np.ndarray,
+    ego_y: np.ndarray,
+    ego_speeds: np.ndarray,
+    boxes: np.ndarray,
+    weights: np.ndarray,
+    ref_speed: float,
+) -> np.ndarray:
+    """Upper bounds (P,) on ``path_costs`` of P ego paths (x, y and speeds,
+    each (P, T)) against the samples whose ``sample_boxes`` are ``boxes``
+    (P, 4, T): the cost of the point of each step's box nearest the ego,
+    in the element operations ``path_costs`` runs per sample."""
+    return _step_costs(
+        ego_x - np.clip(ego_x, boxes[:, 0], boxes[:, 1]),
+        ego_y - np.clip(ego_y, boxes[:, 2], boxes[:, 3]),
+        ego_speeds, ref_speed,
+    ) @ weights

@@ -338,7 +338,8 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
             u_first, diag = planner.plan_step(state, belief, plan_key)
             ego_next = step_vehicle(state.ego, (float(u_first[0]), float(u_first[1])), dt)
             human_next = human_response(state.human, state.ego, params, dt, state.geometry)
-        except InvalidInputError:
+        except (InvalidInputError, np.linalg.LinAlgError, FloatingPointError):
+            # A step that cannot be planned ends this run, not the batch.
             termination = ERROR
             break
         state = state.advanced(ego_next, human_next, dt)

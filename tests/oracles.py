@@ -12,6 +12,8 @@ computes in a faster way:
   influence term from a full Gaussian and ``kl_divergence``, where
   ``_solve_modes`` uses precomputed constants.
 * ``solve_mode_control``: one mode's solve on its own.
+* ``start_candidates_one``: one chain's multi-start list built on its own,
+  where ``_start_candidates`` builds the shared candidates once per step.
 * ``descend_one``: one descent chain on its own, with a scalar
   ``evaluate`` per candidate, as ``_descend`` ran before the chains ran in
   lockstep; ``descend_without_memo``: the same loop evaluating every
@@ -51,7 +53,6 @@ from probeplan.planner import (
     _linear_terminal_state,
     _observation_draws,
     _solve_modes,
-    _start_candidates,
     _StepContext,
     ego_horizon_covariance,
 )
@@ -320,6 +321,30 @@ def solve_mode_control(
     return diag.nu, diag
 
 
+def start_candidates_one(
+    cfg: PlannerConfig, warm_accel: np.ndarray | None, bursts: bool
+) -> list[np.ndarray]:
+    """Multi-start segment vectors of one chain: coasting, evenly spaced
+    constant accelerations, the warm start's segment means, and optionally
+    probe bursts."""
+    a_lo, a_hi = cfg.accel_bounds
+    segments = cfg.solver_segments
+    candidates = [np.zeros(segments)]
+    consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
+    for c in consts:
+        candidates.append(np.full(segments, c))
+    if warm_accel is not None:
+        means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
+        candidates.append(np.clip(np.array(means), a_lo, a_hi))
+    if bursts and segments > 1:
+        for c in consts:
+            for burst in (a_lo, a_hi):
+                theta = np.full(segments, c)
+                theta[0] = burst
+                candidates.append(theta)
+    return candidates
+
+
 def solve_mode_scalar(
     ctx: _StepContext,
     m: int,
@@ -357,7 +382,7 @@ def solve_mode_scalar(
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
         return obj, cvar_val, j_probe, j_infl
 
-    candidates = _start_candidates(cfg, warm_accel, bursts=ctx.probe_grid is not None)
+    candidates = start_candidates_one(cfg, warm_accel, bursts=ctx.probe_grid is not None)
     accel, (obj, cvar_val, j_probe, j_infl), history = descend(evaluate, candidates, cfg)
     infeasible = False
     if cvar_val > cfg.risk_cap:
@@ -395,7 +420,7 @@ def conservative_step_scalar(
         ]
         return sum(w * v for w, v in zip(weights, cvars)), cvars
 
-    candidates = _start_candidates(cfg, planner._ref_accel, bursts=False)
+    candidates = start_candidates_one(cfg, planner._ref_accel, bursts=False)
     accel, (objective, cvars), history = descend(evaluate, candidates, cfg)
     u_total = _controls(ctx, accel)
     solved = {

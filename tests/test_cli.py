@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from probeplan import config
+from probeplan import cli, config
+from probeplan.baselines import PassivePlanner
 from probeplan.belief import max_entropy
 from probeplan.cli import main, run_experiment, trace_rows
 from probeplan.errors import ConfigError
@@ -100,6 +101,37 @@ class TestRunExperiment:
         ref = (tmp_path / "a" / "results.csv").read_bytes()
         assert len(ref.splitlines()) == 1 + 3
         assert (tmp_path / "b" / "results.csv").read_bytes() == ref
+
+    def test_numerical_error_in_one_run_leaves_the_batch(self, tmp_path, monkeypatch):
+        """A ``LinAlgError`` from one run's ``plan_step`` ends that run with
+        termination ``error``; the other runs of the pool finish as usual."""
+        real_run = cli.run
+
+        def one_broken_run(run_cfg, run_index=0):
+            if (run_cfg.planner, run_index) != ("passive", 1):
+                return real_run(run_cfg, run_index=run_index)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(PassivePlanner, "plan_step", singular)
+                return real_run(run_cfg, run_index=run_index)
+
+        def singular(self, state, b, rng):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        cfg = write_cfg(tmp_path)
+        run_experiment(cfg, out_dir=tmp_path / "ok")
+        # Workers are forked, so they see the patched module.
+        monkeypatch.setattr(cli, "run", one_broken_run)
+        assert run_experiment(cfg, ["experiment.workers=2"], out_dir=tmp_path / "broken") == 0
+        header, *rows = (tmp_path / "broken" / "results.csv").read_text().splitlines()
+        want = (tmp_path / "ok" / "results.csv").read_text().splitlines()[1:]
+        term = header.split(",").index("termination")
+        assert len(rows) == len(want) == 6
+        for row, ok in zip(rows, want):
+            cells = row.split(",")
+            if cells[1:3] == ["lane_merge", "passive"] and cells[0] == "1":
+                assert cells[term] == "error" and ok.split(",")[term] != "error"
+            else:
+                assert row == ok
 
     def test_trace_files_for_flagged_seeds(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -47,6 +47,7 @@ from oracles import (
     predicted_interaction_gaussian,
     probe_grid,
     solve_mode_control,
+    start_candidates_one,
 )
 
 
@@ -301,8 +302,7 @@ class TestDescendMemo:
         def objective(accel):
             return float(np.sum((accel - goal) ** 2)), float(accel[0])
 
-        starts = [_start_candidates(cfg, warm, bursts=True)
-                  for warm in (None, np.full(cfg.horizon_steps, 1.0))]
+        starts = _start_candidates(cfg, [None, np.full(cfg.horizon_steps, 1.0)], bursts=True)
         chains = _descend(batched(objective, calls), starts, cfg)
         assert set(calls.values()) == {1}
         for c, (candidates, (accel, best, history)) in enumerate(zip(starts, chains)):
@@ -355,6 +355,10 @@ class TestLockstepDescent:
         # argmax-omega mode's plan.
         "no_active": dict(mode_activation_eps=0.5),
         "one_segment": dict(solver_segments=1),
+        # Every finite pair is certified below the cap.
+        "nocap": dict(risk_cap=math.inf),
+        # No pair is certified: every pair is scored exactly.
+        "cap0": dict(risk_cap=0.0),
     }
 
     @staticmethod
@@ -448,6 +452,59 @@ class TestLockstepDescent:
             assert len(scored) == len(set(scored))
             assert set(scored) == {(c, a.tobytes()) for c, (_, _, history) in enumerate(chains)
                                    for a, _ in history}
+
+
+class TestCertifiedBelowCap:
+    """Pairs whose cost bound certifies them below the cap skip the exact
+    cost block, and every reported CVaR is still exact."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_most_pairs_skip_the_cost_block(self, seed, monkeypatch):
+        rows = Counter()
+        real_costs, real_bounds = planner_mod.path_costs, planner_mod.path_cost_bounds
+
+        def counted_costs(x, y, speeds, human, *args):
+            rows["costs"] += len(human) if human.ndim == 4 else 1
+            return real_costs(x, y, speeds, human, *args)
+
+        def counted_bounds(x, *args):
+            rows["bounds"] += len(x)
+            return real_bounds(x, *args)
+
+        monkeypatch.setattr(planner_mod, "path_costs", counted_costs)
+        monkeypatch.setattr(planner_mod, "path_cost_bounds", counted_bounds)
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
+        state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
+        b = uniform_belief(default_targets(LANE_MERGE))
+        _, diag = ActivePlanner(cfg).plan_step(state, b, 60 + seed)
+        # cvar_pre, the pairs left open and the certified picks.
+        assert 0 < rows["costs"] < rows["bounds"] / 2
+
+        ctx = ActivePlanner(cfg)._begin_step(state, b, 60 + seed)
+        solved = [d for d in diag.modes if d.active]
+        assert len(solved) == len(ctx.solve) == 9
+        for m, d in zip(ctx.solve, solved):
+            x, y, speeds = simulate_ego_path(state.ego, d.nu[:, 0], ctx.headings, cfg.dt)
+            exact = cvar(real_costs(x, y, speeds, ctx.human_paths[m], ctx.discount_weights,
+                                    cfg.ref_speed), cfg.cvar_level)
+            assert math.isfinite(d.cvar_solution) and d.cvar_solution == exact
+            assert d.margin == cfg.risk_cap - exact
+
+
+class TestStartCandidates:
+    @pytest.mark.parametrize("bursts", [False, True])
+    @pytest.mark.parametrize("segments", [1, 3])
+    def test_matches_one_list_per_chain(self, bursts, segments):
+        cfg = PlannerConfig(solver_segments=segments)
+        rng = np.random.default_rng(4)
+        warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
+                 rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
+        got = _start_candidates(cfg, warms, bursts)
+        assert len(got) == len(warms)
+        for cands, warm in zip(got, warms):
+            want = start_candidates_one(cfg, warm, bursts)
+            assert len(cands) == len(want)
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(cands, want))
 
 
 class TestProbeObjective:

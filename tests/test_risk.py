@@ -2,7 +2,8 @@
 statistical comparisons, and plain loop/full-sort oracles that the
 per-step kernels must reproduce bit for bit. The rollout costs are also
 held within a derived bound of the ``np.hypot`` distance they used
-before."""
+before, and bounded above by the cost of the samples' bounding box that
+certifies a CVaR below the cap."""
 
 import math
 
@@ -17,6 +18,7 @@ from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian
 from probeplan.planner import PlannerConfig
 from probeplan.risk import (
+    CERTIFY_MARGIN,
     D_SAFE,
     PROX_SCALE,
     W_PROGRESS,
@@ -24,7 +26,9 @@ from probeplan.risk import (
     cvar,
     draw_human_paths,
     ego_headings,
+    path_cost_bounds,
     path_costs,
+    sample_boxes,
     simulate_ego_path,
     tail_sample_count,
 )
@@ -378,3 +382,109 @@ class TestKernelsMatchLoopOracles:
         # Signed zeros tie in both orders and compare equal.
         c = np.array(costs)
         assert np.array_equal([cvar(c, alpha)], [full_sort_cvar(c, alpha)], equal_nan=True)
+
+
+class TestCostBound:
+    """``path_cost_bounds`` against ``sample_boxes`` is at least every
+    sample's ``path_costs``, so at least the CVaR at any level: up to the
+    relative ``CERTIFY_MARGIN`` the certificate keeps for the rounding of
+    ``exp`` and of the discounted dot."""
+
+    T = 30
+    DT = 0.1
+    SLACK = 1.0 - CERTIFY_MARGIN
+
+    def check(self, ego, accel, yaw, human, mode, n_samples, alpha, seed, ref_speed=9.5):
+        weights = 0.95 ** np.arange(self.T)
+        x, y, v = simulate_ego_path(ego, accel, ego_headings(ego, yaw, self.DT), self.DT)
+        paths = draw_human_paths(human, mode, n_samples, self.T, self.DT,
+                                 np.random.default_rng(seed))
+        costs = path_costs(x, y, v, paths, weights, ref_speed)
+        boxes = sample_boxes(paths)
+        assert boxes.shape == (4, self.T)
+        (bound,) = path_cost_bounds(x[None], y[None], v[None], boxes[None], weights, ref_speed)
+        assert bound >= self.SLACK * costs.max()
+        assert costs.max() >= self.SLACK * cvar(costs, alpha)
+        return x, y, v, boxes, bound
+
+    @given(
+        ego=st.tuples(
+            st.floats(-50.0, 50.0), st.floats(-5.0, 5.0), st.floats(0.0, 14.0),
+            st.floats(-math.pi, math.pi),
+        ),
+        brake=st.booleans(),
+        yaw_scale=st.floats(0.0, 0.6),
+        offset=st.tuples(st.floats(-25.0, 25.0), st.floats(-25.0, 25.0)),
+        human_theta=st.one_of(
+            st.sampled_from([0.0, math.pi / 2, -math.pi, 0.3]), st.floats(-math.pi, math.pi)
+        ),
+        mean=st.floats(-2.0, 14.0),
+        var=st.sampled_from([0.0, 0.04, 1.0, 4.0, 16.0]),
+        n_samples=st.sampled_from([1, 2, 7, 100]),
+        inside=st.booleans(),
+        alpha=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_dominates_every_sample_and_the_cvar(
+        self, ego, brake, yaw_scale, offset, human_theta, mean, var, n_samples, inside,
+        alpha, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        ego = VehicleState(*ego)
+        # Braking at up to 6 m/s^2 stops the ego within the horizon from any
+        # speed below 18 m/s: the speed clamps at zero.
+        accel = np.full(self.T, -6.0) if brake else rng.uniform(-3.0, 3.0, self.T)
+        yaw = rng.uniform(-yaw_scale, yaw_scale, self.T)
+        if inside:
+            # The human starts at the ego, along its heading, at about its
+            # speed: the ego runs inside the samples' spread.
+            human = VehicleState(ego.x, ego.y, ego.v, ego.theta)
+            mean, yaw = ego.v, np.zeros(self.T)
+        else:
+            human = VehicleState(ego.x + offset[0], ego.y + offset[1], 5.0, human_theta)
+        self.check(ego, accel, yaw, human, mode_1d(mean, var), n_samples, alpha, seed)
+
+    def test_ego_inside_every_box(self):
+        """Where the ego lies inside a step's box the bound takes the
+        proximity term at distance zero; a zero-variance mode's box is its
+        one path."""
+        ego = VehicleState(0.0, 0.0, 5.0, 0.4)
+        human = VehicleState(0.0, 0.0, 5.0, 0.4)
+        accel, yaw = np.zeros(self.T), np.zeros(self.T)
+        for var, n_samples in ((4.0, 100), (0.0, 1), (0.0, 20)):
+            x, y, v, boxes, bound = self.check(
+                ego, accel, yaw, human, mode_1d(5.0, var), n_samples, 0.05, 3
+            )
+            if var == 0.0:
+                assert np.array_equal(boxes[0], boxes[1]) and np.array_equal(boxes[2], boxes[3])
+            else:
+                inside = (boxes[0] <= x) & (x <= boxes[1]) & (boxes[2] <= y) & (y <= boxes[3])
+                assert inside.sum() >= self.T // 2
+        weights = 0.95 ** np.arange(self.T)
+        # Every step inside: each term is the proximity peak.
+        boxes = np.tile([[-1.0], [1.0], [-1.0], [1.0]], self.T)
+        (peak,) = path_cost_bounds(
+            np.zeros((1, self.T)), np.zeros((1, self.T)), np.full((1, self.T), 9.5),
+            boxes[None], weights, 9.5,
+        )
+        assert peak == pytest.approx(W_PROX * math.exp(D_SAFE / PROX_SCALE) * weights.sum())
+
+    def test_far_boxes_certify_and_near_ones_do_not(self):
+        """The bound is tight enough to certify a far human below the
+        default cap of 60 and never certifies the ego inside the spread."""
+        cfg = PlannerConfig()
+        far = rollout_bound(merge_state(human_y=-40.0), cfg)
+        near = rollout_bound(merge_state(human_x=-40.0, human_y=3.5), cfg)
+        assert far < cfg.risk_cap < near
+
+
+def rollout_bound(state, cfg):
+    plan = np.zeros((cfg.horizon_steps, 2))
+    headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
+    x, y, v = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
+    paths = draw_human_paths(state.human, mode_1d(10.0, 1.0), cfg.rollout_count,
+                             cfg.horizon_steps, cfg.dt, np.random.default_rng(1))
+    weights = cfg.discount ** np.arange(cfg.horizon_steps)
+    return path_cost_bounds(x[None], y[None], v[None], sample_boxes(paths)[None],
+                            weights, cfg.ref_speed)[0]
