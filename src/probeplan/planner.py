@@ -20,23 +20,23 @@ path, terminal state and probe term per distinct sequence, one
 ``path_costs`` block over the modes that asked for it, one ``cvar`` and one
 stacked triangular solve for the KL influence term over the round. A
 chain scores each distinct sequence once; a repeat reuses the result but
-still counts in ``ModeDiag.evals``.
-
-In a mode solve the CVaR enters only through the cap penalty
-``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
-against the mode's ``risk.sample_boxes`` is at most ``risk_cap * (1 -
-CERTIFY_MARGIN)`` gets no cost block: it holds a CVaR of ``-inf``, which
-leaves its penalty 0.0, as the exact value would, and keeps it feasible.
-The one ego path of a round serves the bounds and the exact blocks. After
-the descent, the picks that hold the sentinel are scored exactly in one
-batch, so ``ModeDiag.cvar_solution`` and ``margin`` are always exact. The
-conservative planner minimizes the omega-weighted sum of the CVaRs
-themselves, so it scores every candidate exactly. The lateral channel follows a fixed
+still counts in ``ModeDiag.evals``. The lateral channel follows a fixed
 lane-guidance law shared by every planner so cross-planner comparisons
 isolate the longitudinal interaction machinery. The CVaR cap enters as a
 quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
 fixed random streams (common random numbers), so the whole step is
 bit-reproducible from its rng key.
+
+In a mode solve the CVaR enters only through the cap penalty
+``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
+against the mode's ``risk.sample_boxes`` is at most
+``risk_cap * (1 - CERTIFY_MARGIN)`` gets no cost block: it holds a CVaR of
+``-inf``, which leaves its penalty 0.0, as the exact value would, and keeps
+it feasible. The round's one ego path serves the bounds and the exact
+blocks. After the descent, the picks that hold the sentinel are scored
+exactly in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
+always exact. The conservative planner minimizes the omega-weighted sum of
+the CVaRs themselves, so it scores every candidate exactly.
 """
 
 from __future__ import annotations
