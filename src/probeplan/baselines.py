@@ -22,13 +22,9 @@ from .planner import (
     _StepContext,
     _controls,
     _descend,
-    _sequence_cvars,
     _start_candidates,
-    _take,
 )
-# The conservative planner scores through the planner's shared kernel; the
-# benchmark still wraps cvar and path_costs here by module.
-from .risk import cvar, path_costs, simulate_ego_path  # noqa: F401
+from .risk import cvar, path_costs, simulate_ego_path
 from .world import ScenarioState
 
 
@@ -68,25 +64,29 @@ class ConservativePlanner(ActivePlanner):
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        weights = ctx.omega[ctx.solve].tolist()
-        paths = _take(ctx.human_paths, ctx.solve)
+        weights = ctx.omega[ctx.solve]
+        paths = ctx.human_paths[ctx.solve]
 
-        def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
-            # One chain: every sequence is scored against every solved mode.
-            n = len(weights)
-            ego_paths = simulate_ego_path(ctx.state.ego, np.array(accels), ctx.headings, cfg.dt)
-            cvars = _sequence_cvars(ctx, paths, ego_paths, [range(n)] * len(accels))
-            return [(sum(w * v for w, v in zip(weights, seq)), seq)
-                    for seq in cvars.reshape(-1, n).tolist()]
+        def evaluate(accels: np.ndarray, chains: np.ndarray) -> np.ndarray:
+            # One chain: each sequence's CVaR against every solved mode, one
+            # cost block per sequence, and their omega-weighted sum in mode order.
+            ego_paths = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
+            costs = [
+                path_costs(*ego, paths, ctx.discount_weights, cfg.ref_speed)
+                for ego in zip(*ego_paths)
+            ]
+            cvars = cvar(np.concatenate(costs), cfg.cvar_level).reshape(len(accels), -1)
+            return np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
 
         starts = _start_candidates(cfg, [self._ref_accel], bursts=False)
-        ((accel, (objective, cvars), history),) = _descend(evaluate, starts, cfg)
+        ((accel, row, _, rows),) = _descend(evaluate, starts, cfg)
+        objective, *cvars = row.tolist()
         u_total = _controls(ctx, accel)
         solved = {
             m: ctx.mode_diag(
                 m, nu=u_total, objective=objective, cvar_solution=value,
-                j_probe=0.0, j_influence=0.0, evals=len(history),
+                j_probe=0.0, j_influence=0.0, evals=len(rows),
             )
             for m, value in zip(ctx.solve, cvars)
         }
-        return self._finish_step(ctx, solved, u_total, len(history))
+        return self._finish_step(ctx, solved, u_total, len(rows))

@@ -10,22 +10,25 @@ paths as x and y planes, reference-plan CVaR per mode), all on one mode
 axis ``m`` in target order. The probe grid is one batched
 ``belief.posterior_entropies`` pass over the distinct predicted
 observation sets. ``_descend`` is the one solver loop. It runs one descent
-chain per solve (``_chain``: multi-start over constant-acceleration
-candidates, then projected finite-difference descent on a
-piecewise-constant acceleration parameterization) and all chains of a step
-in lockstep rounds: one per mode for the active and passive planners, one
-for the conservative planner's omega-weighted CVaR sum. A round scores
-every live chain's unseen sequences in one batched evaluation: one ego
-path, terminal state and probe term per distinct sequence, one
-``path_costs`` block over the modes that asked for it, one ``cvar`` and one
-stacked triangular solve for the KL influence term over the round. A
-chain scores each distinct sequence once; a repeat reuses the result but
-still counts in ``ModeDiag.evals``. The lateral channel follows a fixed
-lane-guidance law shared by every planner so cross-planner comparisons
-isolate the longitudinal interaction machinery. The CVaR cap enters as a
-quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
-fixed random streams (common random numbers), so the whole step is
-bit-reproducible from its rng key.
+chain per solve (multi-start over constant-acceleration candidates, then
+projected finite-difference descent on a piecewise-constant acceleration
+parameterization of ``solver_segments`` windows of ``segment_steps``
+steps): one per mode for the active and passive planners, one for the
+conservative planner's omega-weighted CVaR sum. Every chain's state lives
+in arrays, and the chains run in phase-aligned rounds: one start round,
+then per iteration one probe round over the live chains and up to three
+line-search rounds over the chains still searching. A round is one
+batched evaluation of every (sequence, chain) pair it holds, repeats
+included: one ego path, terminal state and probe term per pair, one
+``path_costs`` block per mode over the pairs left open (the conservative
+planner: one per sequence over its solved modes), one ``cvar`` and one
+stacked triangular solve for the KL influence term. Every candidate a
+chain scores counts in ``ModeDiag.evals``. The lateral channel follows a
+fixed lane-guidance law shared by every planner so cross-planner
+comparisons isolate the longitudinal interaction machinery. The CVaR cap
+enters as a quadratic penalty, and all Monte-Carlo quantities inside one
+solve reuse fixed random streams (common random numbers), so the whole
+step is bit-reproducible from its rng key.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
@@ -184,6 +187,12 @@ class PlannerConfig:
             raise InvalidInputError("obs_samples >= 1 and probe_grid_size >= 2 required")
         if self.solver_segments < 1 or self.solver_iters < 0 or self.solver_inits < 2:
             raise InvalidInputError("invalid solver budget")
+        if self.segment_steps * (self.solver_segments - 1) >= self.horizon_steps:
+            raise InvalidInputError(
+                f"solver_segments={self.solver_segments} leaves a segment empty: segments of "
+                f"{self.segment_steps} steps fill horizon_steps={self.horizon_steps} in "
+                f"{-(-self.horizon_steps // self.segment_steps)}"
+            )
         features = self.features
         if not (
             isinstance(features, (tuple, list))
@@ -193,6 +202,11 @@ class PlannerConfig:
             raise InvalidInputError(
                 f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {features!r}"
             )
+
+    @property
+    def segment_steps(self) -> int:
+        """Steps per solver segment, ceil(T / P); only the last may be shorter."""
+        return -(-self.horizon_steps // self.solver_segments)
 
     @property
     def u_min(self) -> np.ndarray:
@@ -218,7 +232,7 @@ class ModeDiag:
     objective: float = math.nan
     j_probe: float = math.nan
     j_influence: float = math.nan
-    evals: int = 0  # candidates scored, repeats included
+    evals: int = 0  # candidates scored; each is evaluated, repeats too
     nu: np.ndarray | None = None
 
 
@@ -489,156 +503,114 @@ class _StepContext:
 
 def _start_candidates(
     cfg: PlannerConfig, warm_accels: Sequence[np.ndarray | None], bursts: bool
-) -> list[list[np.ndarray]]:
-    """Multi-start segment vectors, one list per warm start: coasting,
-    evenly spaced constant accelerations, the warm start's segment means,
-    and optionally probe bursts. Every list shares the arrays of the
-    candidates that do not depend on the warm start; chains only read
-    them."""
+) -> list[np.ndarray]:
+    """Multi-start segment vectors (N, P), one array per warm start:
+    coasting, evenly spaced constant accelerations, the warm start's means
+    over the segment windows, and optionally probe bursts."""
     a_lo, a_hi = cfg.accel_bounds
-    segments = cfg.solver_segments
+    segments, seg_len = cfg.solver_segments, cfg.segment_steps
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
-    head = [np.zeros(segments)] + [np.full(segments, c) for c in consts]
-    tail = []
+    head = np.repeat(np.append(0.0, consts)[:, None], segments, axis=1)
+    tail = np.empty((0, segments))
     if bursts and segments > 1:
         # Probe bursts: an extreme first segment with a steady tail. The
         # influence term cares mostly about the terminal state, so these
         # candidates let the probing term claim the first control cheaply.
-        for c in consts:
-            for burst in (a_lo, a_hi):
-                theta = np.full(segments, c)
-                theta[0] = burst
-                tail.append(theta)
+        tail = np.repeat(np.repeat(consts, 2)[:, None], segments, axis=1)
+        tail[:, 0] = np.tile([a_lo, a_hi], len(consts))
     out = []
     for warm_accel in warm_accels:
         warm = []
         if warm_accel is not None:
-            means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
-            warm.append(np.clip(np.array(means), a_lo, a_hi))
-        out.append(head + warm + tail)
+            windows = range(0, cfg.horizon_steps, seg_len)
+            warm = [np.clip([np.mean(warm_accel[i:i + seg_len]) for i in windows], a_lo, a_hi)]
+        out.append(np.vstack((head, *warm, tail)))
     return out
 
 
-def _chain(candidates: list[np.ndarray], cfg: PlannerConfig):
-    """One descent chain: the best of ``candidates``, then projected
-    finite-difference descent on the segment accelerations.
+def _descend(
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    starts: list[np.ndarray],
+    cfg: PlannerConfig,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The solver loop every planner shares: one descent chain per start
+    set (N, P), all chains in phase-aligned rounds (see the solver notes).
 
-    Each ``yield`` hands out the distinct acceleration sequences (T,) of one
-    round (the start set, one probe per segment, or one line-search trial)
-    that the chain has not scored, and receives their evaluations keyed by
-    the sequence bytes. Returns the final sequence, its evaluation and the
-    chain's (sequence, evaluation) history, repeats included.
+    A chain stops when its gradient vanishes or its three line-search
+    trials fail. Each round is one ``evaluate(accels, chains)`` call over
+    the pairs of one phase, ``accels`` (K, T) holding the sequences and
+    ``chains`` (K,) the chain of each; it returns one row (K, F) per pair,
+    objective first. Returns, per chain, its final sequence (T,) and row
+    (F,), and every sequence it was evaluated on (H, T) with its row
+    (H, F), in order.
     """
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
-    seg_len = -(-horizon // cfg.solver_segments)  # ceil division
-    # Coasting equals the constant-zero start, each burst at a bound its
-    # constant start, and a clipped line-search trial may repeat a point.
-    seen: dict[bytes, tuple] = {}
-    history: list[tuple[np.ndarray, tuple]] = []
+    log = []
 
-    def score(thetas):
-        clipped = np.clip(np.array(thetas), a_lo, a_hi)
-        accels = list(np.repeat(clipped, seg_len, axis=1)[:, :horizon])
-        unseen = {a.tobytes(): a for a in accels if a.tobytes() not in seen}
-        if unseen:
-            seen.update((yield list(unseen.values())))
-        history.extend((a, seen[a.tobytes()]) for a in accels)
-        return history[-len(accels):]
+    def score(thetas: np.ndarray, chains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        accels = np.repeat(np.clip(thetas, a_lo, a_hi), cfg.segment_steps, axis=1)[:, :horizon]
+        rows = evaluate(accels, chains)
+        log.append((chains, accels, rows))
+        return accels, rows
 
-    theta = accel = current = None
-    for cand, (cand_accel, res) in zip(candidates, (yield from score(candidates))):
-        if current is None or res[0] < current[0]:
-            theta, accel, current = cand.copy(), cand_accel, res
+    sizes = [len(s) for s in starts]
+    cands = np.concatenate(starts)
+    accels, rows = score(cands, np.repeat(np.arange(len(starts)), sizes))
+    # np.argmin keeps the first start among equal objectives.
+    pick = [i + int(np.argmin(rows[i:i + n, 0])) for i, n in zip(np.cumsum([0] + sizes), sizes)]
+    theta, accel, current = cands[pick], accels[pick], rows[pick]
 
+    segs = np.arange(cfg.solver_segments)
+    live = np.arange(len(starts))
     for _ in range(cfg.solver_iters):
-        steps = [_FD_STEP if t + _FD_STEP <= a_hi else -_FD_STEP for t in theta]
-        probes = []
-        for m, h in enumerate(steps):
-            probe = theta.copy()
-            probe[m] += h
-            probes.append(probe)
-        scored = yield from score(probes)
-        grad = np.array([(res[0] - current[0]) / h for (_, res), h in zip(scored, steps)])
-        scale = float(np.max(np.abs(grad)))
-        if scale < 1e-12:
+        if not live.size:
             break
-        direction = grad / scale
+        steps = np.where(theta[live] + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
+        probes = np.repeat(theta[live, None], len(segs), axis=1)
+        probes[:, segs, segs] += steps
+        _, rows = score(probes.reshape(-1, len(segs)), np.repeat(live, len(segs)))
+        grad = (rows[:, 0].reshape(steps.shape) - current[live, :1]) / steps
+        scale = np.max(np.abs(grad), axis=1)
+        # A NaN scale is not below the threshold: that chain goes on.
+        keep = ~(scale < 1e-12)
+        live, direction = live[keep], grad[keep] / scale[keep, None]
+        searching = np.ones(live.size, dtype=bool)
         step = cfg.solver_step
         for _ in range(3):
-            trial = np.clip(theta - step * direction, a_lo, a_hi)
-            ((trial_accel, res),) = yield from score([trial])
-            if res[0] < current[0] - 1e-12:
-                theta, accel, current = trial, trial_accel, res
+            if not searching.any():
                 break
+            chains = live[searching]
+            trial = np.clip(theta[chains] - step * direction[searching], a_lo, a_hi)
+            accels, rows = score(trial, chains)
+            won = rows[:, 0] < current[chains, 0] - 1e-12
+            theta[chains[won]], accel[chains[won]], current[chains[won]] = (
+                trial[won], accels[won], rows[won])
+            searching[searching] = ~won
             step *= 0.5
-        else:
-            break
-    return accel, current, history
+        live = live[~searching]
+
+    chains, accels, rows = (np.concatenate(parts) for parts in zip(*log))
+    return [(accel[c], current[c], accels[chains == c], rows[chains == c])
+            for c in range(len(starts))]
 
 
-def _descend(
-    evaluate: Callable[[list[np.ndarray], list[list[int]]], list[tuple]],
-    starts: list[list[np.ndarray]],
-    cfg: PlannerConfig,
-) -> list[tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]]:
-    """The solver loop every planner shares: one ``_chain`` per start list,
-    run in lockstep rounds until every chain has stopped.
-
-    Each round makes one ``evaluate(accels, chains)`` call for the distinct
-    sequences the live chains ask for, ``chains[i]`` listing in ascending
-    order the chains that asked for ``accels[i]``. It returns one tuple per
-    (sequence, chain) pair, in that order, whose first item is the
-    objective; a chain asks for each sequence once, so ``evaluate`` must be
-    a pure function of the pair. Returns each chain's final sequence,
-    evaluation and history.
-    """
-    chains = [_chain(cands, cfg) for cands in starts]
-    asked = {c: chain.send(None) for c, chain in enumerate(chains)}
-    final: list[tuple] = [()] * len(chains)
-    while asked:
-        unseen: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for c, accels in asked.items():
-            for accel in accels:
-                unseen.setdefault(accel.tobytes(), (accel, []))[1].append(c)
-        results = iter(evaluate([a for a, _ in unseen.values()], [c for _, c in unseen.values()]))
-        replies: dict[int, dict[bytes, tuple]] = {c: {} for c in asked}
-        for key, (_, cs) in unseen.items():
-            for c in cs:
-                replies[c][key] = next(results)
-        asked = {}
-        for c, reply in replies.items():
-            try:
-                asked[c] = chains[c].send(reply)
-            except StopIteration as stop:
-                final[c] = stop.value
-    return final
-
-
-def _take(a: np.ndarray, idx: Sequence[int]) -> np.ndarray:
-    """``a[idx]`` for ascending indices, as a view when they are one run."""
-    if idx[-1] - idx[0] == len(idx) - 1:
-        return a[idx[0]:idx[-1] + 1]
-    return a[idx]
-
-
-def _sequence_cvars(
-    ctx: _StepContext,
-    paths: np.ndarray,
-    ego_paths: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rows: list[Sequence[int]],
+def _mode_cvars(
+    ctx: _StepContext, ego_paths: Sequence[np.ndarray], modes: np.ndarray
 ) -> np.ndarray:
-    """CVaR of each ego path ``i`` (``ego_paths`` holds x, y and speeds,
-    each (K, T)) against each human path block ``paths[rows[i]]`` (of
-    (N, 2, S, T)), in (sequence, row) order: one cost block per sequence
-    with rows, one tail sort."""
+    """CVaR of each ego path ``r`` (``ego_paths`` holds x, y and speeds,
+    each (R, T)) against the human paths of mode ``modes[r]``: one cost
+    block per mode, one tail sort."""
     cfg = ctx.cfg
     x, y, speeds = ego_paths
+    groups = {m: np.flatnonzero(modes == m) for m in dict.fromkeys(modes.tolist())}
     costs = [
-        path_costs(x[i], y[i], speeds[i], _take(paths, r), ctx.discount_weights, cfg.ref_speed)
-        for i, r in enumerate(rows) if len(r)
+        path_costs(x[g], y[g], speeds[g], ctx.human_paths[m], ctx.discount_weights, cfg.ref_speed)
+        for m, g in groups.items()
     ]
-    return cvar(np.concatenate(costs), cfg.cvar_level)
+    out = np.empty(len(modes))
+    out[np.concatenate(list(groups.values()))] = cvar(np.concatenate(costs), cfg.cvar_level)
+    return out
 
 
 def _solve_modes(
@@ -651,12 +623,11 @@ def _solve_modes(
     objective is probe term + influence KL + quadratic CVaR-cap penalty."""
     cfg = ctx.cfg
     state = ctx.state
-    paths = _take(ctx.human_paths, ctx.solve)
-    boxes = _take(ctx.human_boxes, ctx.solve)
+    solve = np.array(ctx.solve)
     # KL(pred || target) decomposes into a control-independent constant
     # plus a quadratic in the predicted mean; precompute the fixed parts.
     # The ego's start progress s0 is the same for every mode.
-    n = len(ctx.solve)
+    n = len(solve)
     s_h = np.empty(n)
     kl_const = np.empty(n)
     chol_q = np.empty((n, 2, 2))
@@ -669,54 +640,48 @@ def _solve_modes(
         kl_const[c] = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
     steer_means = np.array([steer.mean for steer in steer_targets])
 
-    def evaluate(accels: list[np.ndarray], rows: list[list[int]]) -> list[tuple]:
-        accels = np.array(accels)
-        # One (sequence, chain) pair per row, sequences in order.
-        seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        chain = np.concatenate(rows)
+    def evaluate(accels: np.ndarray, chains: np.ndarray) -> np.ndarray:
+        modes = solve[chains]
         x, y, speeds = ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
         # A pair whose cost bound certifies it below the cap gets no cost
         # block: it holds -inf, so its violation is 0.0 and it stays feasible.
         bounds = path_cost_bounds(
-            x[seq], y[seq], speeds[seq], boxes[chain], ctx.discount_weights, cfg.ref_speed
+            x, y, speeds, ctx.human_boxes[modes], ctx.discount_weights, cfg.ref_speed
         )
         open_ = ~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN))
-        cvars = np.full(len(chain), -np.inf)
+        cvars = np.full(len(chains), -np.inf)
         if open_.any():
-            open_rows = [[] for _ in rows]
-            for i, c in zip(seq[open_].tolist(), chain[open_].tolist()):
-                open_rows[i].append(c)
-            cvars[open_] = _sequence_cvars(ctx, paths, ego_paths, open_rows)
+            cvars[open_] = _mode_cvars(ctx, [p[open_] for p in ego_paths], modes[open_])
         s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
-        probe = ctx.probe_terms(accels[:, 0])
-        delta = steer_means[chain] - np.column_stack((v_t[seq], s_t[seq] - s_h[chain]))
-        y = np.linalg.solve(chol_q[chain], delta[..., None])
+        j_probe = ctx.probe_terms(accels[:, 0])
+        delta = steer_means[chains] - np.column_stack((v_t, s_t - s_h[chains]))
+        y = np.linalg.solve(chol_q[chains], delta[..., None])
         # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
-        j_infl = kl_const[chain] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
-        j_probe = probe[seq]
+        j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
         violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-        return list(zip(obj.tolist(), cvars.tolist(), j_probe.tolist(), j_infl.tolist()))
+        return np.column_stack((obj, cvars, j_probe, j_infl))
 
     starts = _start_candidates(cfg, warm_accels, bursts=ctx.probe_grid is not None)
     picks = []
-    for accel, res, history in _descend(evaluate, starts, cfg):
+    for accel, row, history, rows in _descend(evaluate, starts, cfg):
         infeasible = False
-        if res[1] > cfg.risk_cap:
-            # Fall back to the best feasible candidate; when every candidate
-            # violates the cap, to the least risky one, and flag the solve.
-            feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
-            infeasible = not feasible
-            accel, res = min(feasible or history, key=lambda h: h[1][1 if infeasible else 0])
-        picks.append((accel, list(res), infeasible, len(history)))
+        if row[1] > cfg.risk_cap:
+            # Fall back to the first best feasible candidate; when every
+            # candidate violates the cap, to the least risky one, and flag
+            # the solve.
+            feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
+            infeasible = not feasible.size
+            h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
+            accel, row = history[h], rows[h]
+        picks.append((accel, row.tolist(), infeasible, len(rows)))
     # A pick that holds the certified sentinel gets its exact CVaR, in one
     # batch over the chains.
-    certified = [c for c, (_, res, _, _) in enumerate(picks) if res[1] == -math.inf]
+    certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
     if certified:
         accels = np.array([picks[c][0] for c in certified])
         ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-        exact = _sequence_cvars(ctx, paths, ego_paths, [[c] for c in certified])
-        for c, value in zip(certified, exact.tolist()):
+        for c, value in zip(certified, _mode_cvars(ctx, ego_paths, solve[certified]).tolist()):
             picks[c][1][1] = value
     return [
         ctx.mode_diag(

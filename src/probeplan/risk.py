@@ -11,14 +11,15 @@ This module is the one per-step rollout/CVaR kernel every planner runs.
 What does not depend on the candidate acceleration is built once per
 step: the ego headings (``ego_headings``, from the lane-guidance yaw
 alone), each mode's sampled human paths as contiguous x and y planes
-(``draw_human_paths``) and the discount weights. ``path_costs`` and
-``cvar`` take a leading mode axis, so the solver's lockstep rounds score
-each distinct acceleration sequence with one ``simulate_ego_path``, one
-``path_costs`` over a (modes, S, T) block of every mode that asked for it,
-and one ``cvar`` over the resulting (modes, S) costs. Every kernel
-reproduces a plain per-mode sequential loop bit for bit: cumulative sums
-run in order, the element operations are the same ones in the same order,
-and each mode's discounted sum is its own matrix-vector product.
+(``draw_human_paths``) and the discount weights. ``path_costs`` takes ego
+rows (R, T) against one mode's paths, or one ego path against several
+modes' paths, so a solver round scores its (sequence, mode) pairs with one
+``simulate_ego_path``, one ``path_costs`` block per mode (the conservative
+planner: one per sequence, over its solved modes) and one ``cvar``. Every
+kernel reproduces a plain sequential loop per ego path and mode bit for
+bit: cumulative sums run in order, the element operations are the same
+ones in the same order, and each (ego path, mode) block's discounted sums
+are its own matrix-vector product.
 
 Certificate below the cap. CVaR at any level is at most the largest sample
 cost (Rockafellar & Uryasev 2000), and a sample's cost at step t only grows
@@ -184,14 +185,17 @@ def path_costs(
 ) -> np.ndarray:
     """Discounted per-sample costs (S,) for an ego path (x, y and speeds,
     each (T,)) against sampled human paths (2, S, T), with per-step
-    discount ``weights`` (T,). Human paths (K, 2, S, T) of K modes give
-    costs (K, S), each row equal to its mode's own call."""
-    if human.ndim not in (3, 4) or human.shape[-3] != 2 or human.shape[-1:] != ego_x.shape:
-        raise InvalidInputError(
-            f"ego path {ego_x.shape} does not match human paths {human.shape}"
-        )
+    discount ``weights`` (T,). Ego rows (R, T) against one mode's paths
+    give costs (R, S); one ego path against the paths (K, 2, S, T) of K
+    modes gives (K, S). Each row equals its own call."""
+    # Ego rows meet one mode's paths; one ego path may meet a stack of modes.
+    shapes_match = human.shape[-3:-2] == (2,) and human.shape[-1:] == ego_x.shape[-1:]
+    if not shapes_match or ego_x.ndim + human.ndim > 5:
+        raise InvalidInputError(f"ego path {ego_x.shape} does not match human paths {human.shape}")
     return _step_costs(
-        ego_x - human[..., 0, :, :], ego_y - human[..., 1, :, :], ego_speeds, ref_speed
+        ego_x[..., None, :] - human[..., 0, :, :],
+        ego_y[..., None, :] - human[..., 1, :, :],
+        ego_speeds[..., None, :], ref_speed,
     ) @ weights
 
 

@@ -15,9 +15,8 @@ computes in a faster way:
 * ``start_candidates_one``: one chain's multi-start list built on its own,
   where ``_start_candidates`` builds the shared candidates once per step.
 * ``descend_one``: one descent chain on its own, with a scalar
-  ``evaluate`` per candidate, as ``_descend`` ran before the chains ran in
-  lockstep; ``descend_without_memo``: the same loop evaluating every
-  candidate it scores, repeats included.
+  ``evaluate`` per candidate, where ``_descend`` keeps every chain's state
+  in arrays and evaluates one phase of all chains per call.
 * ``solve_mode_scalar``, ``conservative_step_scalar`` and
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
@@ -206,93 +205,49 @@ def probe_grid(
 
 def descend_one(
     evaluate: Callable[[np.ndarray], tuple],
-    candidates: list[np.ndarray],
+    candidates: Sequence[np.ndarray],
     cfg: PlannerConfig,
+    phases: list[tuple] | None = None,
 ) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
     """One chain of ``_descend`` on its own: ``evaluate`` maps one
     acceleration sequence (T,) to a tuple whose first item is the
-    objective, and runs once per distinct sequence of the chain."""
-    a_lo, a_hi = cfg.accel_bounds
-    horizon = cfg.horizon_steps
-    seg_len = -(-horizon // cfg.solver_segments)
-    history: list[tuple[np.ndarray, tuple]] = []
-    seen: dict[bytes, tuple] = {}
-
-    def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
-        accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
-        key = accel.tobytes()
-        if key not in seen:
-            seen[key] = evaluate(accel)
-        history.append((accel, seen[key]))
-        return history[-1]
-
-    theta = accel = current = None
-    for cand in candidates:
-        cand_accel, res = score(cand)
-        if current is None or res[0] < current[0]:
-            theta, accel, current = cand.copy(), cand_accel, res
-
-    for _ in range(cfg.solver_iters):
-        grad = np.zeros(theta.shape[0])
-        for m in range(theta.shape[0]):
-            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
-            probe = theta.copy()
-            probe[m] += h
-            grad[m] = (score(probe)[1][0] - current[0]) / h
-        scale = float(np.max(np.abs(grad)))
-        if scale < 1e-12:
-            break
-        direction = grad / scale
-        step = cfg.solver_step
-        for _ in range(3):
-            trial = np.clip(theta - step * direction, a_lo, a_hi)
-            trial_accel, res = score(trial)
-            if res[0] < current[0] - 1e-12:
-                theta, accel, current = trial, trial_accel, res
-                break
-            step *= 0.5
-        else:
-            break
-    return accel, current, history
-
-
-def descend_without_memo(
-    evaluate: Callable[[np.ndarray], tuple],
-    candidates: list[np.ndarray],
-    cfg: PlannerConfig,
-) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
-    """``_descend`` calling ``evaluate`` for every candidate it scores."""
+    objective, and runs once per candidate the chain scores. ``phases``,
+    when given, receives each candidate's round: ``(-1,)`` for the starts,
+    ``(i, 0)`` for the probes of iteration ``i`` and ``(i, 1 + k)`` for its
+    line-search trial ``k``."""
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
     seg_len = -(-horizon // cfg.solver_segments)
     history: list[tuple[np.ndarray, tuple]] = []
 
-    def score(theta: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def score(theta: np.ndarray, phase: tuple) -> tuple[np.ndarray, tuple]:
         accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
         history.append((accel, evaluate(accel)))
+        if phases is not None:
+            phases.append(phase)
         return history[-1]
 
     theta = accel = current = None
     for cand in candidates:
-        cand_accel, res = score(cand)
+        cand_accel, res = score(cand, (-1,))
         if current is None or res[0] < current[0]:
             theta, accel, current = cand.copy(), cand_accel, res
 
-    for _ in range(cfg.solver_iters):
+    for i in range(cfg.solver_iters):
         grad = np.zeros(theta.shape[0])
         for m in range(theta.shape[0]):
             h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
             probe = theta.copy()
             probe[m] += h
-            grad[m] = (score(probe)[1][0] - current[0]) / h
+            grad[m] = (score(probe, (i, 0))[1][0] - current[0]) / h
         scale = float(np.max(np.abs(grad)))
         if scale < 1e-12:
             break
         direction = grad / scale
         step = cfg.solver_step
-        for _ in range(3):
+        for k in range(3):
             trial = np.clip(theta - step * direction, a_lo, a_hi)
-            trial_accel, res = score(trial)
+            trial_accel, res = score(trial, (i, 1 + k))
             if res[0] < current[0] - 1e-12:
                 theta, accel, current = trial, trial_accel, res
                 break
@@ -334,7 +289,9 @@ def start_candidates_one(
     for c in consts:
         candidates.append(np.full(segments, c))
     if warm_accel is not None:
-        means = [float(np.mean(c)) for c in np.array_split(warm_accel, segments)]
+        seg_len = -(-cfg.horizon_steps // segments)
+        means = [float(np.mean(warm_accel[k * seg_len:(k + 1) * seg_len]))
+                 for k in range(segments)]
         candidates.append(np.clip(np.array(means), a_lo, a_hi))
     if bursts and segments > 1:
         for c in consts:
@@ -350,7 +307,6 @@ def solve_mode_scalar(
     m: int,
     steer_target: Gaussian,
     warm_accel: np.ndarray | None,
-    descend: Callable = descend_one,
 ) -> ModeDiag:
     """Mode ``m``'s solve with its own scalar objective closure and its own
     descent: one ``path_costs`` and one ``cvar`` per candidate."""
@@ -383,7 +339,7 @@ def solve_mode_scalar(
         return obj, cvar_val, j_probe, j_infl
 
     candidates = start_candidates_one(cfg, warm_accel, bursts=ctx.probe_grid is not None)
-    accel, (obj, cvar_val, j_probe, j_infl), history = descend(evaluate, candidates, cfg)
+    accel, (obj, cvar_val, j_probe, j_infl), history = descend_one(evaluate, candidates, cfg)
     infeasible = False
     if cvar_val > cfg.risk_cap:
         feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
@@ -400,7 +356,7 @@ def solve_mode_scalar(
 
 
 def conservative_step_scalar(
-    planner: ConservativePlanner, ctx: _StepContext, descend: Callable = descend_one
+    planner: ConservativePlanner, ctx: _StepContext
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """The conservative step with a scalar objective closure: one
     ``path_costs`` and one ``cvar`` per solved mode and candidate."""
@@ -421,7 +377,7 @@ def conservative_step_scalar(
         return sum(w * v for w, v in zip(weights, cvars)), cvars
 
     candidates = start_candidates_one(cfg, planner._ref_accel, bursts=False)
-    accel, (objective, cvars), history = descend(evaluate, candidates, cfg)
+    accel, (objective, cvars), history = descend_one(evaluate, candidates, cfg)
     u_total = _controls(ctx, accel)
     solved = {
         m: ctx.mode_diag(
@@ -466,19 +422,18 @@ def plan_step_per_mode(
     state: ScenarioState,
     b: HierarchicalBelief,
     rng: np.random.Generator | int,
-    descend: Callable = descend_one,
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """``planner.plan_step`` with one scalar solve after another: the step
     as it ran before the chains ran in lockstep. Updates the planner's
     reference plan and warm starts as ``plan_step`` does."""
     ctx = planner._begin_step(state, b, rng)
     if isinstance(planner, ConservativePlanner):
-        return conservative_step_scalar(planner, ctx, descend)
+        return conservative_step_scalar(planner, ctx)
     cfg = planner.cfg
     solved: dict[int, ModeDiag] = {}
     for m in ctx.solve:
         solved[m] = solve_mode_scalar(
-            ctx, m, planner._influence_target(ctx, m), planner._warm.get(m), descend
+            ctx, m, planner._influence_target(ctx, m), planner._warm.get(m)
         )
         nu = solved[m].nu
         planner._warm[m] = np.append(nu[1:, 0], nu[-1, 0])

@@ -79,6 +79,9 @@ class TestLoad:
             # TypeError mid-run, now caught when the planner section loads.
             ("planner.horizon_steps=2.5", "horizon_steps"),
             ("planner.probe_grid_size=2.5", "probe_grid_size"),
+            # An empty last segment: a wasted probe, or a NaN warm start.
+            ("planner.solver_segments=7", "solver_segments"),
+            ("planner.horizon_steps=2", "solver_segments"),
             # A switch that no longer exists.
             ("planner.literal_probe_sign=true", "planner.literal_probe_sign"),
             # Bare TypeError or ValueError from the planner section.

@@ -40,7 +40,7 @@ from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_
 
 from oracles import (
     blend_controls,
-    descend_without_memo,
+    descend_one,
     expected_posterior_entropy,
     influence_objective,
     plan_step_per_mode,
@@ -115,11 +115,23 @@ class TestPlannerConfigValidation:
             ("yaw_rate_bounds", 5),
             ("features", 5),
             ("features", ("velocity", ["gap"])),
+            # Segments of ceil(T / P) steps that leave the last one empty:
+            # its probe was wasted every iteration (30 steps in 6 segments
+            # of 5), or its warm-start mean was NaN.
+            ("solver_segments", 7),
+            ("solver_segments", 31),
         ],
     )
     def test_bad_value_rejected_naming_field(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             PlannerConfig(**{field: value})
+
+    def test_short_horizon_rejects_default_segments(self):
+        # 2 steps in 3 segments of 1 step: the third is empty.
+        with pytest.raises(InvalidInputError, match="solver_segments"):
+            PlannerConfig(horizon_steps=2)
+        assert PlannerConfig(horizon_steps=3).segment_steps == 1
+        assert PlannerConfig(solver_segments=4).segment_steps == 8
 
     def test_infinite_risk_cap_means_no_cap(self):
         assert PlannerConfig(risk_cap=math.inf).risk_cap == math.inf
@@ -273,48 +285,9 @@ def same_diag(d1, d2) -> bool:
     return True
 
 
-def batched(objective, calls=None):
-    """A lockstep ``evaluate`` scoring each (sequence, chain) pair with
-    ``objective(accel)``; ``calls`` counts the pairs it scores."""
-
-    def evaluate(accels, chains):
-        out = []
-        for accel, cs in zip(accels, chains):
-            for c in cs:
-                if calls is not None:
-                    calls[c, accel.tobytes()] += 1
-                out.append(objective(accel))
-        return out
-
-    return evaluate
-
-
 class TestDescendMemo:
-    """The solver loop evaluates each distinct sequence once per chain and
-    otherwise scores exactly as the loop that evaluates every candidate."""
-
-    def test_one_evaluation_per_distinct_sequence(self):
-        cfg = PlannerConfig(solver_iters=8)
-        calls = Counter()
-        # An optimum beyond the upper bound: clipped trials repeat points.
-        goal = np.linspace(2.0, 5.0, cfg.horizon_steps)
-
-        def objective(accel):
-            return float(np.sum((accel - goal) ** 2)), float(accel[0])
-
-        starts = _start_candidates(cfg, [None, np.full(cfg.horizon_steps, 1.0)], bursts=True)
-        chains = _descend(batched(objective, calls), starts, cfg)
-        assert set(calls.values()) == {1}
-        for c, (candidates, (accel, best, history)) in enumerate(zip(starts, chains)):
-            want_accel, want_best, want_history = descend_without_memo(
-                objective, candidates, cfg)
-            distinct = {a.tobytes() for a, _ in history}
-            assert {key for chain, key in calls if chain == c} == distinct
-            assert len(distinct) < len(history)
-            assert np.array_equal(accel, want_accel) and best == want_best
-            assert len(history) == len(want_history)
-            for (a, r), (want_a, want_r) in zip(history, want_history):
-                assert np.array_equal(a, want_a) and r == want_r
+    """``plan_step`` scores exactly as the per-mode loop that evaluates every
+    candidate it scores, at small budgets."""
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
@@ -326,8 +299,7 @@ class TestDescendMemo:
         planner, reference = planner_cls(cfg), planner_cls(cfg)
         for i, (state, b) in enumerate(cases):
             u, diag = planner.plan_step(state, b, 7 + i)
-            want_u, want_diag = plan_step_per_mode(
-                reference, state, b, 7 + i, descend=descend_without_memo)
+            want_u, want_diag = plan_step_per_mode(reference, state, b, 7 + i)
             assert np.array_equal(u, want_u)
             assert same_diag(diag, want_diag)
 
@@ -355,6 +327,8 @@ class TestLockstepDescent:
         # argmax-omega mode's plan.
         "no_active": dict(mode_activation_eps=0.5),
         "one_segment": dict(solver_segments=1),
+        # Segments of 8, 8, 8 and 6 steps: the horizon is no multiple of P.
+        "segments4": dict(solver_segments=4),
         # Every finite pair is certified below the cap.
         "nocap": dict(risk_cap=math.inf),
         # No pair is certified: every pair is scored exactly.
@@ -393,65 +367,68 @@ class TestLockstepDescent:
             assert infeasible > 0  # the conservative planner has no cap
         assert (fallback > 0) == (budget == "no_active")
 
-    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
-    def test_one_evaluate_call_per_round(self, planner_cls, monkeypatch):
-        """Each round, every live chain asks once for the sequences it has
-        not scored, and one ``evaluate`` call scores exactly those (chain,
-        sequence) pairs. No pair is scored twice, and every distinct
-        sequence of a chain's history is scored."""
-        events = []
-        real_chain, real_descend = planner_mod._chain, planner_mod._descend
 
-        def logged_chain(candidates, cfg):
-            c = logged_chain.count
-            logged_chain.count += 1
-            gen = real_chain(candidates, cfg)
-            reply = None
-            while True:
-                try:
-                    accels = gen.send(reply)
-                except StopIteration as stop:
-                    return stop.value
-                events.append(("ask", [(c, a.tobytes()) for a in accels]))
-                reply = yield accels
+class TestDescend:
+    """``_descend`` runs its chains in phase-aligned rounds, and each chain
+    scores exactly as ``descend_one`` does on its own."""
 
-        def logged_descend(evaluate, starts, cfg):
-            def counted(accels, chains):
-                events.append(("call", [(c, a.tobytes()) for a, cs in zip(accels, chains)
-                                        for c in cs]))
-                return evaluate(accels, chains)
+    def test_chains_match_one_chain_loop(self):
+        cfg = PlannerConfig(solver_iters=8)
+        horizon = cfg.horizon_steps
+        goals = [
+            # An optimum beyond the upper bound: clipped trials repeat points.
+            np.linspace(2.0, 5.0, horizon),
+            # A flat objective: the chain stops at its first probe round.
+            None,
+            np.full(horizon, -0.7),
+            np.linspace(-2.5, 1.0, horizon),
+        ]
 
-            logged_chain.count = 0
-            events.clear()
-            out = real_descend(counted, starts, cfg)
-            steps.append((list(events), out))
-            return out
+        def objective(c):
+            def f(accel):
+                if goals[c] is None:
+                    return 1.0, float(accel[0])
+                return float(np.sum(np.abs(accel - goals[c]) ** 1.5)), float(accel[0])
+            return f
 
-        steps = []
-        monkeypatch.setattr(planner_mod, "_chain", logged_chain)
-        monkeypatch.setattr(planner_mod, "_descend", logged_descend)
-        monkeypatch.setattr("probeplan.baselines._descend", logged_descend)
-        planner = planner_cls(PlannerConfig(**{**FAST, "solver_iters": 8}))
-        for i, (state, b) in enumerate(self.cases(LANE_MERGE, 3)):
-            planner.plan_step(state, b, 50 + i)
-        assert len(steps) == 3
-        for log, chains in steps:
-            scored, asked, askers, calls = [], [], [], 0
-            for kind, pairs in log:
-                if kind == "ask":
-                    askers.append(pairs[0][0])
-                    asked += pairs
-                    continue
-                # Live chains ask in ascending order, each once per round.
-                assert askers == sorted(set(askers))
-                assert pairs and len(pairs) == len(set(pairs)) and set(pairs) == set(asked)
-                scored += pairs
-                asked, askers = [], []
-                calls += 1
-            assert not asked and calls > 1
-            assert len(scored) == len(set(scored))
-            assert set(scored) == {(c, a.tobytes()) for c, (_, _, history) in enumerate(chains)
-                                   for a, _ in history}
+        calls = []
+
+        def evaluate(accels, chains):
+            rows = np.array([objective(c)(a) for a, c in zip(accels, chains.tolist())])
+            calls.append((accels.copy(), chains.copy(), rows))
+            return rows
+
+        rng = np.random.default_rng(3)
+        warms = [None, np.full(horizon, 1.0), None, rng.uniform(-3.0, 3.0, horizon)]
+        starts = _start_candidates(cfg, warms, bursts=True)
+        got = _descend(evaluate, starts, cfg)
+        assert len(got) == len(starts)
+        phases = []
+        for c, (cands, (accel, row, history, rows)) in enumerate(zip(starts, got)):
+            phases.append([])
+            want_accel, want_row, want_history = descend_one(objective(c), cands, cfg, phases[c])
+            assert np.array_equal(accel, want_accel) and row.tolist() == list(want_row)
+            assert np.array_equal(history, [a for a, _ in want_history])
+            assert rows.tolist() == [list(r) for _, r in want_history]
+            # The pairs of chain c, call by call, are its history in order.
+            assert np.array_equal(history, np.concatenate([a[cs == c] for a, cs, _ in calls]))
+            assert np.array_equal(rows, np.concatenate([r[cs == c] for _, cs, r in calls]))
+        # The chains stop in different rounds.
+        assert len({p[-1] for p in phases}) >= 3
+        # Each call holds the pairs of one phase, in ascending chain order,
+        # and the phases follow each other in the order of the loop.
+        taken = [0] * len(starts)
+        called = []
+        for _, cs, _ in calls:
+            assert np.all(np.diff(cs) >= 0)
+            held = set()
+            for c in cs.tolist():
+                held.add(phases[c][taken[c]])
+                taken[c] += 1
+            assert len(held) == 1
+            called += held
+        assert called == sorted(set(called))
+        assert taken == [len(p) for p in phases]
 
 
 class TestCertifiedBelowCap:
@@ -464,7 +441,7 @@ class TestCertifiedBelowCap:
         real_costs, real_bounds = planner_mod.path_costs, planner_mod.path_cost_bounds
 
         def counted_costs(x, y, speeds, human, *args):
-            rows["costs"] += len(human) if human.ndim == 4 else 1
+            rows["costs"] += len(human) if human.ndim == 4 else len(np.atleast_2d(x))
             return real_costs(x, y, speeds, human, *args)
 
         def counted_bounds(x, *args):
@@ -493,7 +470,7 @@ class TestCertifiedBelowCap:
 
 class TestStartCandidates:
     @pytest.mark.parametrize("bursts", [False, True])
-    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("segments", [1, 3, 4])
     def test_matches_one_list_per_chain(self, bursts, segments):
         cfg = PlannerConfig(solver_segments=segments)
         rng = np.random.default_rng(4)
@@ -505,6 +482,15 @@ class TestStartCandidates:
             want = start_candidates_one(cfg, warm, bursts)
             assert len(cands) == len(want)
             assert all(a.tobytes() == w.tobytes() for a, w in zip(cands, want))
+
+    def test_warm_start_means_follow_the_segments(self):
+        # 30 steps in segments of 8, 8, 8 and 6 steps. A warm plan constant
+        # on each segment gives back its segment values.
+        cfg = PlannerConfig(solver_segments=4)
+        values = np.array([1.0, -1.0, 2.0, 0.5])
+        warm = np.repeat(values, 8)[:30]
+        (cands,) = _start_candidates(cfg, [warm], bursts=False)
+        assert np.array_equal(cands[-1], values)
 
 
 class TestProbeObjective:

@@ -226,6 +226,11 @@ class TestRolloutCosts:
     def test_plan_shape_checked(self):
         with pytest.raises(InvalidInputError):
             rollout_costs(merge_state(), np.zeros((5, 2)), mode_1d(9.0, 1.0), self.cfg, 1)
+        # Ego rows meet one mode's paths, not a stack of modes.
+        rows = np.zeros((4, self.cfg.horizon_steps))
+        with pytest.raises(InvalidInputError):
+            path_costs(rows, rows, rows, np.zeros((4, 2, 10, self.cfg.horizon_steps)),
+                       np.ones(self.cfg.horizon_steps), 1.0)
 
 
 class TestEgoPathHelper:
@@ -327,16 +332,23 @@ class TestKernelsMatchLoopOracles:
             stacked = stacked_human_paths(human, mode, 100, self.T, self.DT,
                                           np.random.default_rng(seed))
             expected = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed)
-            x, y, v = simulate_ego_path(
-                ego, plan[:, 0], ego_headings(ego, plan[:, 1], self.DT), self.DT
-            )
-            costs = path_costs(
-                x, y, v,
-                draw_human_paths(human, mode, 100, self.T, self.DT,
-                                 np.random.default_rng(seed)),
-                weights, ref_speed,
-            )
+            headings = ego_headings(ego, plan[:, 1], self.DT)
+            x, y, v = simulate_ego_path(ego, plan[:, 0], headings, self.DT)
+            planes = draw_human_paths(human, mode, 100, self.T, self.DT,
+                                      np.random.default_rng(seed))
+            costs = path_costs(x, y, v, planes, weights, ref_speed)
             assert np.array_equal(costs, expected)
+
+            # Ego rows (R, T) on the same headings against the same paths.
+            accels = np.vstack((plan[:, 0], rng.uniform(-3.0, 3.0, (2, self.T))))
+            rows = path_costs(*simulate_ego_path(ego, accels, headings, self.DT),
+                              planes, weights, ref_speed)
+            assert rows.shape == (3, 100) and np.array_equal(rows[0], costs)
+            for accel, row in zip(accels[1:], rows[1:]):
+                row_xy, row_speeds = loop_ego_path(ego, np.column_stack((accel, plan[:, 1])),
+                                                   self.DT)
+                assert np.array_equal(
+                    row, stacked_path_costs(row_xy, row_speeds, stacked, 0.95, ref_speed))
             for alpha in (0.05, 0.2, 1.0):
                 assert cvar(costs, alpha) == full_sort_cvar(expected, alpha)
 
