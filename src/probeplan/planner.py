@@ -16,19 +16,23 @@ parameterization of ``solver_segments`` windows of ``segment_steps``
 steps): one per mode for the active and passive planners, one for the
 conservative planner's omega-weighted CVaR sum. Every chain's state lives
 in arrays, and the chains run in phase-aligned rounds: one start round,
-then per iteration one probe round over the live chains and up to three
-line-search rounds over the chains still searching. A round is one
-batched evaluation of every (sequence, chain) pair it holds, repeats
-included: one ego path, terminal state and probe term per pair, one
-``path_costs`` block per mode over the pairs left open (the conservative
-planner: one per sequence over its solved modes), one ``cvar`` and one
-stacked triangular solve for the KL influence term. Every candidate a
-chain scores counts in ``ModeDiag.evals``. The lateral channel follows a
-fixed lane-guidance law shared by every planner so cross-planner
-comparisons isolate the longitudinal interaction machinery. The CVaR cap
-enters as a quadratic penalty, and all Monte-Carlo quantities inside one
-solve reuse fixed random streams (common random numbers), so the whole
-step is bit-reproducible from its rng key.
+then per iteration one probe round over the live chains and one
+line-search round that holds all three trials ``solver_step * 0.5^k``
+(k = 0, 1, 2) of every chain still live. A chain takes its first winning
+trial; the trials after it are scored and dropped, so each chain's
+history, pick and ``ModeDiag.evals`` are those of a search that tries one
+step after another. A round is one batched evaluation of every
+(sequence, chain) pair it holds, repeats included: one ego path, terminal
+state and probe term per pair, one ``path_costs`` block per mode over the
+pairs left open (the conservative planner: one per sequence over its
+solved modes), one ``cvar`` and one stacked triangular solve for the KL
+influence term. A descent runs at most ``1 + 2 * solver_iters`` rounds.
+The lateral channel follows a fixed lane-guidance law shared by every
+planner so cross-planner comparisons isolate the longitudinal interaction
+machinery. The CVaR cap enters as a quadratic penalty, and all
+Monte-Carlo quantities inside one solve reuse fixed random streams
+(common random numbers), so the whole step is bit-reproducible from its
+rng key.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
@@ -122,6 +126,17 @@ _FLOAT_RULES = {
     "penalty_weight": _NONNEGATIVE,
 }
 
+# Least allowed value of every integer field of PlannerConfig.
+_INT_LEAST = {
+    "horizon_steps": 1,
+    "rollout_count": 1,
+    "obs_samples": 1,
+    "solver_iters": 0,
+    "solver_segments": 1,
+    "solver_inits": 2,
+    "probe_grid_size": 2,
+}
+
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
@@ -164,14 +179,14 @@ class PlannerConfig:
                 isinstance(value, bool) or not isinstance(value, (int, np.integer))
             ):
                 raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "int" and value < _INT_LEAST[f.name]:
+                raise InvalidInputError(
+                    f"{f.name} must be >= {_INT_LEAST[f.name]}, got {value!r}"
+                )
             if f.type == "float":
                 want, ok = _FLOAT_RULES[f.name]
                 if not (_is_real(value) and ok(value)):
                     raise InvalidInputError(f"{f.name} must be {want}, got {value!r}")
-        if self.horizon_steps < 1:
-            raise InvalidInputError("horizon_steps must be >= 1")
-        if self.rollout_count < 1:
-            raise InvalidInputError("rollout_count must be >= 1")
         for name in ("accel_bounds", "yaw_rate_bounds"):
             bounds = getattr(self, name)
             if not (
@@ -183,10 +198,6 @@ class PlannerConfig:
                 raise InvalidInputError(
                     f"{name} must be a finite (min, max) pair with min < max, got {bounds!r}"
                 )
-        if self.obs_samples < 1 or self.probe_grid_size < 2:
-            raise InvalidInputError("obs_samples >= 1 and probe_grid_size >= 2 required")
-        if self.solver_segments < 1 or self.solver_iters < 0 or self.solver_inits < 2:
-            raise InvalidInputError("invalid solver budget")
         if self.segment_steps * (self.solver_segments - 1) >= self.horizon_steps:
             raise InvalidInputError(
                 f"solver_segments={self.solver_segments} leaves a segment empty: segments of "
@@ -232,7 +243,9 @@ class ModeDiag:
     objective: float = math.nan
     j_probe: float = math.nan
     j_influence: float = math.nan
-    evals: int = 0  # candidates scored; each is evaluated, repeats too
+    # Candidates a one-at-a-time search scores, repeats too; not the
+    # line-search trials scored after a chain's first win and dropped.
+    evals: int = 0
     nu: np.ndarray | None = None
 
 
@@ -390,16 +403,24 @@ def probe_projection(
     projection (its reaction enters through the response-time relaxation),
     so one projected human serves every acceleration. Returns the projected
     ego per acceleration, the projected human and the projection time.
+
+    No vehicle yaws, so each heading holds: every ego and the human step as
+    one array, with the element operations of ``dynamics.step_vehicle``.
     """
-    egos = []
-    for accel in first_accels:
-        ego = state.ego
-        for _ in range(PROBE_LOOKAHEAD_STEPS):
-            ego = step_vehicle(ego, (float(accel), 0.0), cfg.dt)
-        egos.append(ego)
-    human = state.human
+    accel = np.array([float(a) for a in first_accels] + [0.0])
+    if not np.isfinite(accel).all():
+        raise InvalidInputError("non-finite control input")
+    rows = [state.ego] * (len(accel) - 1) + [state.human]
+    # Adding 0.0 maps a -0.0 heading to the 0.0 that step_vehicle holds from
+    # its second step on; after two or more steps the bits agree either way.
+    theta = [s.theta + 0.0 for s in rows]
+    cos_t, sin_t = np.array([[math.cos(t), math.sin(t)] for t in theta]).T
+    x, y, v = (np.array([getattr(s, f) for s in rows]) for f in "xyv")
+    dt = cfg.dt
     for _ in range(PROBE_LOOKAHEAD_STEPS):
-        human = step_vehicle(human, (0.0, 0.0), cfg.dt)
+        x, y, v = x + v * cos_t * dt, y + v * sin_t * dt, v + accel * dt
+        v = np.where(v > 0.0, v, 0.0)  # max(0.0, v), as step_vehicle clamps
+    *egos, human = map(VehicleState, x.tolist(), y.tolist(), v.tolist(), theta)
     return egos, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
 
 
@@ -540,9 +561,13 @@ def _descend(
     trials fail. Each round is one ``evaluate(accels, chains)`` call over
     the pairs of one phase, ``accels`` (K, T) holding the sequences and
     ``chains`` (K,) the chain of each; it returns one row (K, F) per pair,
-    objective first. Returns, per chain, its final sequence (T,) and row
-    (F,), and every sequence it was evaluated on (H, T) with its row
-    (H, F), in order.
+    objective first. The starts and probes come in ascending chain order;
+    an iteration's line-search round holds trial k of every live chain, in
+    ascending chain order, for k = 0, 1, 2. Returns, per chain, its final
+    sequence (T,) and row (F,), and every sequence it was evaluated on
+    (H, T) with its row (H, F), in order, without the trials scored after
+    its first win in a round: the history of a chain that tries one step
+    after another.
     """
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
@@ -550,18 +575,20 @@ def _descend(
 
     def score(thetas: np.ndarray, chains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         accels = np.repeat(np.clip(thetas, a_lo, a_hi), cfg.segment_steps, axis=1)[:, :horizon]
-        rows = evaluate(accels, chains)
-        log.append((chains, accels, rows))
-        return accels, rows
+        return accels, evaluate(accels, chains)
 
     sizes = [len(s) for s in starts]
     cands = np.concatenate(starts)
-    accels, rows = score(cands, np.repeat(np.arange(len(starts)), sizes))
+    chains = np.repeat(np.arange(len(starts)), sizes)
+    accels, rows = score(cands, chains)
+    log.append((chains, accels, rows))
     # np.argmin keeps the first start among equal objectives.
     pick = [i + int(np.argmin(rows[i:i + n, 0])) for i, n in zip(np.cumsum([0] + sizes), sizes)]
     theta, accel, current = cands[pick], accels[pick], rows[pick]
 
     segs = np.arange(cfg.solver_segments)
+    # Halving is exact, so each trial equals the one-at-a-time search's.
+    trial_steps = np.array([cfg.solver_step, cfg.solver_step * 0.5, cfg.solver_step * 0.5 * 0.5])
     live = np.arange(len(starts))
     for _ in range(cfg.solver_iters):
         if not live.size:
@@ -569,26 +596,33 @@ def _descend(
         steps = np.where(theta[live] + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
         probes = np.repeat(theta[live, None], len(segs), axis=1)
         probes[:, segs, segs] += steps
-        _, rows = score(probes.reshape(-1, len(segs)), np.repeat(live, len(segs)))
+        chains = np.repeat(live, len(segs))
+        accels, rows = score(probes.reshape(-1, len(segs)), chains)
+        log.append((chains, accels, rows))
         grad = (rows[:, 0].reshape(steps.shape) - current[live, :1]) / steps
         scale = np.max(np.abs(grad), axis=1)
         # A NaN scale is not below the threshold: that chain goes on.
         keep = ~(scale < 1e-12)
         live, direction = live[keep], grad[keep] / scale[keep, None]
-        searching = np.ones(live.size, dtype=bool)
-        step = cfg.solver_step
-        for _ in range(3):
-            if not searching.any():
-                break
-            chains = live[searching]
-            trial = np.clip(theta[chains] - step * direction[searching], a_lo, a_hi)
-            accels, rows = score(trial, chains)
-            won = rows[:, 0] < current[chains, 0] - 1e-12
-            theta[chains[won]], accel[chains[won]], current[chains[won]] = (
-                trial[won], accels[won], rows[won])
-            searching[searching] = ~won
-            step *= 0.5
-        live = live[~searching]
+        if not live.size:
+            break
+        # Every trial k of every live chain in one round, k-major.
+        trials = np.clip(
+            theta[live] - trial_steps[:, None, None] * direction, a_lo, a_hi
+        ).reshape(-1, len(segs))
+        chains = np.tile(live, 3)
+        accels, rows = score(trials, chains)
+        won = (rows[:, 0] < current[chains, 0] - 1e-12).reshape(3, live.size)
+        hit = won.any(axis=0)
+        # A chain keeps its trials up to its first win. The later ones are
+        # dropped unlogged: the one-at-a-time search never scores them.
+        first = np.where(hit, np.argmax(won, axis=0), 2)
+        kept = (np.arange(3)[:, None] <= first).ravel()
+        log.append((chains[kept], accels[kept], rows[kept]))
+        winners = np.flatnonzero(hit)
+        at = first[winners] * live.size + winners
+        live = live[winners]
+        theta[live], accel[live], current[live] = trials[at], accels[at], rows[at]
 
     chains, accels, rows = (np.concatenate(parts) for parts in zip(*log))
     return [(accel[c], current[c], accels[chains == c], rows[chains == c])

@@ -8,6 +8,9 @@ computes in a faster way:
   (``predicted_observation_one``), ``update`` and ``entropy`` per
   observation draw; ``probe_grid`` runs it once per grid point, as
   ``_build_probe_grid`` did before it was batched.
+* ``probe_projection_loop``: the probe projection as one ``step_vehicle``
+  call per vehicle and step, where ``probe_projection`` steps every
+  vehicle as one array.
 * ``predicted_interaction_gaussian`` and ``influence_objective``: the
   influence term from a full Gaussian and ``kl_divergence``, where
   ``_solve_modes`` uses precomputed constants.
@@ -16,7 +19,8 @@ computes in a faster way:
   where ``_start_candidates`` builds the shared candidates once per step.
 * ``descend_one``: one descent chain on its own, with a scalar
   ``evaluate`` per candidate, where ``_descend`` keeps every chain's state
-  in arrays and evaluates one phase of all chains per call.
+  in arrays and evaluates one phase of all chains per call, an
+  iteration's three line-search trials together.
 * ``solve_mode_scalar``, ``conservative_step_scalar`` and
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
@@ -35,7 +39,7 @@ import numpy as np
 
 from probeplan.baselines import ConservativePlanner
 from probeplan.belief import HierarchicalBelief, ModeTarget, entropy, max_entropy, update
-from probeplan.dynamics import step_vehicle
+from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.human import VELOCITY, conflict_level
@@ -126,6 +130,24 @@ def predicted_observation_one(ego_ref, human_ref, geometry, mode, cfg, response_
     return np.array(values)
 
 
+def probe_projection_loop(
+    state: ScenarioState, first_accels: Sequence[float], cfg: PlannerConfig
+) -> tuple[list[VehicleState], VehicleState, float]:
+    """``probe_projection`` one vehicle and one step at a time: each
+    first acceleration held, and the human cruising, for
+    ``PROBE_LOOKAHEAD_STEPS`` calls of ``step_vehicle``."""
+    egos = []
+    for accel in first_accels:
+        ego = state.ego
+        for _ in range(PROBE_LOOKAHEAD_STEPS):
+            ego = step_vehicle(ego, (float(accel), 0.0), cfg.dt)
+        egos.append(ego)
+    human = state.human
+    for _ in range(PROBE_LOOKAHEAD_STEPS):
+        human = step_vehicle(human, (0.0, 0.0), cfg.dt)
+    return egos, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
+
+
 def mean_posterior_entropy(
     b: HierarchicalBelief,
     state: ScenarioState,
@@ -138,11 +160,7 @@ def mean_posterior_entropy(
     and noise), conditioned on holding ``first_accel``; degenerate-evidence
     draws count as ``h_prior``."""
     # The projection of ``probe_projection``, one grid point at a time.
-    ego_ref, human_ref = state.ego, state.human
-    for _ in range(PROBE_LOOKAHEAD_STEPS):
-        ego_ref = step_vehicle(ego_ref, (float(first_accel), 0.0), cfg.dt)
-        human_ref = step_vehicle(human_ref, (0.0, 0.0), cfg.dt)
-    response_time = PROBE_LOOKAHEAD_STEPS * cfg.dt
+    (ego_ref,), human_ref, response_time = probe_projection_loop(state, [first_accel], cfg)
     idxs, noise = draws
     total = 0.0
     for m, eps in zip(idxs, noise):

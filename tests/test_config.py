@@ -114,6 +114,22 @@ class TestLoad:
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_config(write(tmp_path, MINIMAL), [override])
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            # Each raised "invalid solver budget" or "obs_samples >= 1 and
+            # probe_grid_size >= 2 required", naming no field.
+            ("planner.solver_inits=1", "solver_inits must be >= 2, got 1"),
+            ("planner.solver_iters=-1", "solver_iters must be >= 0, got -1"),
+            ("planner.solver_segments=0", "solver_segments must be >= 1, got 0"),
+            ("planner.obs_samples=0", "obs_samples must be >= 1, got 0"),
+            ("planner.probe_grid_size=1", "probe_grid_size must be >= 2, got 1"),
+        ],
+    )
+    def test_budget_below_least_rejected_naming_field(self, tmp_path, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write(tmp_path, MINIMAL), [override])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.yaml")

@@ -25,6 +25,7 @@ from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.human import GAP, VELOCITY
+from probeplan import baselines as baselines_mod
 from probeplan import planner as planner_mod
 from probeplan.planner import (
     ActivePlanner,
@@ -46,6 +47,7 @@ from oracles import (
     plan_step_per_mode,
     predicted_interaction_gaussian,
     probe_grid,
+    probe_projection_loop,
     solve_mode_control,
     start_candidates_one,
 )
@@ -91,6 +93,9 @@ class TestPlannerConfigValidation:
             ("solver_segments", 2.5),
             ("solver_inits", 2.5),
             ("probe_grid_size", 2.5),
+            # Budgets below their least value.
+            ("horizon_steps", 0),
+            ("rollout_count", 0),
             # Accepted silently; each run ended as a normal timeout.
             ("risk_cap", math.nan),
             ("risk_cap", -1.0),
@@ -270,6 +275,69 @@ class TestProbeGrid:
             None, None)
 
 
+def merge_ramp_heading():
+    """The ego's heading five lane-guidance steps into its merge off the ramp."""
+    state = merge_state(ego=(1.0, 3.5, 9.0), human=(-30.0, 0.0, 10.0))
+    ego = state.ego
+    for yaw in lane_guidance(state, PlannerConfig())[:5]:
+        ego = step_vehicle(ego, (0.0, yaw), 0.1)
+    return ego.theta
+
+
+class TestProbeProjection:
+    """``probe_projection`` steps every vehicle as one array, and equals one
+    ``step_vehicle`` call per vehicle and step bit for bit."""
+
+    HEADINGS = [
+        0.0, -0.0, 1e-300, -1e-300,
+        math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+        -0.5 * math.pi, merge_ramp_heading(),
+    ]
+
+    @staticmethod
+    def bits(s):
+        """Each field's bits, so that -0.0 and 0.0 differ."""
+        return [float(getattr(s, f)).hex() for f in ("x", "y", "v", "theta")]
+
+    @pytest.mark.parametrize("heading", HEADINGS)
+    def test_matches_step_vehicle_loop(self, heading):
+        assert -0.35 < merge_ramp_heading() < -0.05
+        cfg = PlannerConfig()
+        grid = np.append(np.linspace(*cfg.accel_bounds, cfg.probe_grid_size), -0.0)
+        stopped = 0
+        for speed in (-0.0, 0.0, 0.3, 1.0, 4.5, 9.0):
+            for pos in ((-40.0, 3.5), (-0.0, -0.0), (12.5, 1e-3)):
+                state = ScenarioState(
+                    ego=VehicleState(*pos, speed, heading),
+                    human=VehicleState(pos[1], pos[0], 9.0 - speed, -heading),
+                    geometry=lane_merge_geometry(),
+                )
+                egos, human, response_time = planner_mod.probe_projection(state, grid, cfg)
+                want_egos, want_human, want_time = probe_projection_loop(state, grid, cfg)
+                assert [self.bits(e) for e in egos] == [self.bits(e) for e in want_egos]
+                assert self.bits(human) == self.bits(want_human)
+                assert response_time == want_time
+                # Braking at -3 m/s^2 stops an ego under 6 m/s inside the projection.
+                stopped += speed > 0.0 and egos[0].v == 0.0
+        assert stopped == 3 * 3
+
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_matches_loop_on_scenario_states(self, kind):
+        cfg = PlannerConfig(probe_grid_size=9)
+        grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            state = advanced_state(kind, rng)
+            egos, human, _ = planner_mod.probe_projection(state, grid, cfg)
+            want_egos, want_human, _ = probe_projection_loop(state, grid, cfg)
+            assert [self.bits(e) for e in egos] == [self.bits(e) for e in want_egos]
+            assert self.bits(human) == self.bits(want_human)
+
+    def test_non_finite_acceleration_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-finite control"):
+            planner_mod.probe_projection(merge_state(), [0.0, math.nan], PlannerConfig())
+
+
 def same_diag(d1, d2) -> bool:
     """Two diagnostics records hold equal values, NaN equal to NaN."""
     for f in fields(d1):
@@ -372,63 +440,141 @@ class TestDescend:
     """``_descend`` runs its chains in phase-aligned rounds, and each chain
     scores exactly as ``descend_one`` does on its own."""
 
-    def test_chains_match_one_chain_loop(self):
-        cfg = PlannerConfig(solver_iters=8)
+    @staticmethod
+    def objective(cfg, c):
+        """Chain ``c``'s scalar objective: a row (objective, first accel)."""
         horizon = cfg.horizon_steps
-        goals = [
+        goal = [
             # An optimum beyond the upper bound: clipped trials repeat points.
             np.linspace(2.0, 5.0, horizon),
             # A flat objective: the chain stops at its first probe round.
             None,
             np.full(horizon, -0.7),
             np.linspace(-2.5, 1.0, horizon),
-        ]
+        ][c]
 
-        def objective(c):
-            def f(accel):
-                if goals[c] is None:
-                    return 1.0, float(accel[0])
-                return float(np.sum(np.abs(accel - goals[c]) ** 1.5)), float(accel[0])
-            return f
+        def f(accel):
+            if goal is None:
+                return 1.0, float(accel[0])
+            return float(np.sum(np.abs(accel - goal) ** 1.5)), float(accel[0])
+        return f
 
+    def run(self, cfg):
+        """``_descend`` over the four chains of ``objective``; returns the
+        start sets, its result and every ``evaluate`` call it made."""
         calls = []
 
         def evaluate(accels, chains):
-            rows = np.array([objective(c)(a) for a, c in zip(accels, chains.tolist())])
+            rows = np.array([self.objective(cfg, c)(a) for a, c in zip(accels, chains.tolist())])
             calls.append((accels.copy(), chains.copy(), rows))
             return rows
 
         rng = np.random.default_rng(3)
+        horizon = cfg.horizon_steps
         warms = [None, np.full(horizon, 1.0), None, rng.uniform(-3.0, 3.0, horizon)]
         starts = _start_candidates(cfg, warms, bursts=True)
-        got = _descend(evaluate, starts, cfg)
+        return starts, _descend(evaluate, starts, cfg), calls
+
+    def test_chains_match_one_chain_loop(self):
+        cfg = PlannerConfig(solver_iters=8)
+        starts, got, calls = self.run(cfg)
         assert len(got) == len(starts)
         phases = []
         for c, (cands, (accel, row, history, rows)) in enumerate(zip(starts, got)):
             phases.append([])
-            want_accel, want_row, want_history = descend_one(objective(c), cands, cfg, phases[c])
+            objective = self.objective(cfg, c)
+            want_accel, want_row, want_history = descend_one(objective, cands, cfg, phases[c])
             assert np.array_equal(accel, want_accel) and row.tolist() == list(want_row)
             assert np.array_equal(history, [a for a, _ in want_history])
             assert rows.tolist() == [list(r) for _, r in want_history]
-            # The pairs of chain c, call by call, are its history in order.
-            assert np.array_equal(history, np.concatenate([a[cs == c] for a, cs, _ in calls]))
-            assert np.array_equal(rows, np.concatenate([r[cs == c] for _, cs, r in calls]))
         # The chains stop in different rounds.
         assert len({p[-1] for p in phases}) >= 3
-        # Each call holds the pairs of one phase, in ascending chain order,
-        # and the phases follow each other in the order of the loop.
+
+        def phase_of(p):
+            # The starts (-1, 0), iteration i's probes (i, 0) or its line
+            # search (i, 1).
+            return (-1, 0) if p == (-1,) else (p[0], min(p[1], 1))
+
+        # Each call holds one phase, and the phases follow each other in
+        # the order of the loop. A chain's pairs in a call are its next
+        # history entries, then, in a line-search call, the trials after
+        # its first win, which are dropped.
         taken = [0] * len(starts)
+        best = [math.inf] * len(starts)  # each chain's current objective
         called = []
-        for _, cs, _ in calls:
-            assert np.all(np.diff(cs) >= 0)
-            held = set()
-            for c in cs.tolist():
-                held.add(phases[c][taken[c]])
-                taken[c] += 1
+        dropped = 0
+        for accels, cs, rs in calls:
+            held = {phase_of(phases[c][taken[c]]) for c in set(cs.tolist())}
             assert len(held) == 1
-            called += held
+            (phase,) = held
+            called.append(phase)
+            search = phase[1] == 1 and phase[0] >= 0
+            if search:
+                # Trial k of every chain, k-major, chains ascending.
+                ks = [int(np.sum(cs[:j] == c)) for j, c in enumerate(cs.tolist())]
+                assert list(zip(ks, cs.tolist())) == sorted(zip(ks, cs.tolist()))
+                assert max(ks) == 2 and np.all(np.bincount(cs) % 3 == 0)
+            else:
+                assert np.all(np.diff(cs) >= 0)
+            for c in sorted(set(cs.tolist())):
+                mine = np.flatnonzero(cs == c)
+                n_kept = 0
+                while (taken[c] + n_kept < len(phases[c])
+                       and phase_of(phases[c][taken[c] + n_kept]) == phase):
+                    n_kept += 1
+                kept, extra = mine[:n_kept], mine[n_kept:]
+                span = slice(taken[c], taken[c] + n_kept)
+                assert np.array_equal(accels[kept], got[c][2][span])
+                assert np.array_equal(rs[kept], got[c][3][span])
+                taken[c] += n_kept
+                if phase == (-1, 0):
+                    best[c] = float(np.min(rs[kept, 0]))
+                elif search:
+                    wins = rs[kept, 0] < best[c] - 1e-12
+                    # Only the last kept trial may win, and a dropped trial
+                    # follows a win.
+                    assert not wins[:-1].any()
+                    assert wins[-1] or not extra.size
+                    if wins[-1]:
+                        best[c] = float(rs[kept[-1], 0])
+                    dropped += extra.size
+                else:
+                    assert not extra.size
         assert called == sorted(set(called))
         assert taken == [len(p) for p in phases]
+        assert dropped > 0
+
+    @pytest.mark.parametrize("iters, want", [(0, 1), (1, 3), (4, 9), (8, 11)])
+    def test_at_most_two_rounds_per_iteration(self, iters, want):
+        _, _, calls = self.run(PlannerConfig(solver_iters=iters))
+        # Some chain is live in each of the first five iterations, and
+        # none after them.
+        assert len(calls) == want <= 1 + 2 * iters
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_plan_step_makes_at_most_two_rounds_per_iteration(
+        self, kind, planner_cls, monkeypatch
+    ):
+        rounds = []
+
+        def counted(evaluate, starts, cfg):
+            def counting(accels, chains):
+                rounds[-1] += 1
+                return evaluate(accels, chains)
+            rounds.append(0)
+            return _descend(counting, starts, cfg)
+
+        monkeypatch.setattr(planner_mod, "_descend", counted)
+        monkeypatch.setattr(baselines_mod, "_descend", counted)
+        cfg = PlannerConfig(rollout_count=30, obs_samples=6, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(9)
+        planner = planner_cls(cfg)
+        for i in range(3):
+            state = advanced_state(kind, rng)
+            planner.plan_step(state, filtered_belief(default_targets(kind), rng), 70 + i)
+        assert len(rounds) == 3
+        assert all(3 <= n <= 1 + 2 * cfg.solver_iters for n in rounds)
 
 
 class TestCertifiedBelowCap:
