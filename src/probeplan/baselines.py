@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .belief import HierarchicalBelief
-from .errors import InvalidInputError
-from .gaussmath import Gaussian
 from .planner import (
     ActivePlanner,
     PlanDiagnostics,
@@ -38,12 +36,9 @@ class PassivePlanner(ActivePlanner):
     def _entropy_weight(self) -> float:
         return 0.0
 
-    def _influence_target(self, ctx: _StepContext, m: int) -> Gaussian:
+    def _steer_mode(self, ctx: _StepContext, m: int) -> int:
         # np.argmax keeps the first mode among equal maxima.
-        target = ctx.belief.targets.targets[int(np.argmax(ctx.omega))]
-        if target.steer is None:
-            raise InvalidInputError("argmax mode has no steering target")
-        return target.steer
+        return int(np.argmax(ctx.omega))
 
 
 class ConservativePlanner(ActivePlanner):

@@ -136,6 +136,7 @@ def run_experiment(
     ]
 
     workers = exp["workers"]
+    # Both branches return the outputs in job order, whatever the scheduling.
     if workers > 1:
         with Pool(processes=workers) as pool:
             # One job per task: run costs differ about tenfold, so fixed
@@ -143,8 +144,6 @@ def run_experiment(
             outputs = pool.map(_worker, jobs, chunksize=1)
     else:
         outputs = [_worker(j) for j in jobs]
-    # Deterministic output order regardless of scheduling.
-    outputs.sort(key=lambda o: (combos.index((o[1], o[2])), o[0]))
 
     lines = [RESULTS_HEADER]
     by_combo: dict[tuple[str, str], list] = {c: [] for c in combos}

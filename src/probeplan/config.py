@@ -164,6 +164,9 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"experiment.planner {name!r} not one of {tuple(PLANNERS)}"
             )
+    for field, names in (("scenario", scenario_list(cfg)), ("planner", planner_list(cfg))):
+        if len(set(names)) < len(names):
+            raise ConfigError(f"experiment.{field} names one entry twice: {names!r}")
     if not isinstance(exp["comparison_mode"], bool):
         raise ConfigError("experiment.comparison_mode must be true or false")
     if not _is_int(exp["workers"]) or exp["workers"] < 1:

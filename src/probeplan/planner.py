@@ -442,22 +442,16 @@ def predicted_observation_mean(
         geometry.risk_threshold, geometry.nominal_human_speed,
     )
     relax = 1.0 - math.exp(-cfg.response_gain * c * response_time)
-    rows = []
-    for mode in modes:
-        v_pred = human_ref.v + relax * (float(mode.target.mean[0]) - human_ref.v)
-        values = []
-        for name in cfg.features:
-            if name == VELOCITY:
-                values.append(v_pred)
-            elif name == GAP:
-                step = v_pred * cfg.dt
-                hx = human_ref.x + step * geometry.human_dir[0]
-                hy = human_ref.y + step * geometry.human_dir[1]
-                values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
-            else:
-                raise InvalidInputError(f"unknown observation feature {name!r}")
-        rows.append(values)
-    return np.array(rows)
+    mu = np.array([mode.target.mean[0] for mode in modes], dtype=float)
+    v_pred = human_ref.v + relax * (mu - human_ref.v)
+    columns = {VELOCITY: v_pred}
+    if GAP in cfg.features:
+        step = v_pred * cfg.dt
+        dx = ego_ref.x - (human_ref.x + step * geometry.human_dir[0])
+        dy = ego_ref.y - (human_ref.y + step * geometry.human_dir[1])
+        # math.hypot, not np.hypot: the two differ in the last bit.
+        columns[GAP] = [math.hypot(*d) for d in zip(dx.tolist(), dy.tolist())]
+    return np.column_stack([columns[name] for name in cfg.features])
 
 
 def _observation_draws(
@@ -754,13 +748,9 @@ class ActivePlanner:
     def _entropy_weight(self) -> float:
         return self.cfg.entropy_weight
 
-    def _influence_target(self, ctx: _StepContext, m: int) -> Gaussian:
-        mode = ctx.belief.targets.targets[m]
-        if mode.steer is None:
-            raise InvalidInputError(
-                f"mode ({mode.intent_id},{mode.mode_id}) has no steering target"
-            )
-        return mode.steer
+    def _steer_mode(self, ctx: _StepContext, m: int) -> int:
+        """The mode whose steering target mode ``m``'s solve tracks."""
+        return m
 
     def _build_probe_grid(
         self, state: ScenarioState, b: HierarchicalBelief, key: int
@@ -783,28 +773,19 @@ class ActivePlanner:
         # Each point's observations (n_obs, d); points with byte-equal
         # observations (often all of them, once the held control saturates
         # the conflict level) share one row block of the batched pass.
-        blocks: dict[bytes, int] = {}
-        distinct = []
-        point_block = []
-        for ego_ref in egos:
-            means = predicted_observation_mean(
+        zs = [
+            predicted_observation_mean(
                 ego_ref, human_ref, state.geometry, b.targets.targets, cfg, response_time
-            )
-            zs = means[idxs] + noise
-            if zs.tobytes() not in blocks:
-                blocks[zs.tobytes()] = len(distinct)
-                distinct.append(zs)
-            point_block.append(blocks[zs.tobytes()])
-        h = posterior_entropies(
-            b, np.concatenate(distinct), h_now, PROBE_PI_WEIGHTED
-        ).reshape(len(distinct), n_obs)
-        values = []
-        for k in point_block:
-            total = 0.0
-            for v in h[k].tolist():  # in draw order, as a running sum
-                total += v
-            values.append(total / n_obs)
-        return grid, np.array(values)
+            )[idxs] + noise
+            for ego_ref in egos
+        ]
+        keys = [z.tobytes() for z in zs]
+        blocks = dict(zip(keys, zs))  # in first-seen order
+        h = posterior_entropies(b, np.concatenate(list(blocks.values())), h_now, PROBE_PI_WEIGHTED)
+        # np.cumsum adds in draw order, as a running sum does.
+        means = np.cumsum(h.reshape(len(blocks), n_obs), axis=1)[:, -1] / n_obs
+        block_of = dict(zip(blocks, range(len(blocks))))
+        return grid, means[[block_of[k] for k in keys]]
 
     def _begin_step(
         self,
@@ -905,10 +886,14 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
+        tracked = [ctx.belief.targets.targets[self._steer_mode(ctx, m)] for m in ctx.solve]
+        for mode in tracked:
+            if mode.steer is None:
+                raise InvalidInputError(
+                    f"mode ({mode.intent_id},{mode.mode_id}) has no steering target"
+                )
         solved = dict(zip(ctx.solve, _solve_modes(
-            ctx,
-            [self._influence_target(ctx, m) for m in ctx.solve],
-            [self._warm.get(m) for m in ctx.solve],
+            ctx, [mode.steer for mode in tracked], [self._warm.get(m) for m in ctx.solve]
         )))
         for m, d in solved.items():
             self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift

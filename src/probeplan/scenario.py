@@ -27,7 +27,7 @@ from .errors import DegenerateEvidenceError, InvalidInputError
 from .gaussmath import Gaussian
 from .human import YIELD_FLOORS, HumanParams, human_response, observe
 from .metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION, RunResult, jerk_stats
-from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig
+from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig, _is_real
 from .seeding import (
     STREAM_INIT,
     STREAM_INTENT,
@@ -223,6 +223,14 @@ class RunConfig:
     risk_threshold: float | None = None
     targets: ModeTargetSet | None = None
     initial_state: ScenarioState | None = None
+
+    def __post_init__(self) -> None:
+        if self.scenario not in DEFAULT_T_MAX:
+            raise InvalidInputError(
+                f"scenario must be one of {tuple(DEFAULT_T_MAX)}, got {self.scenario!r}"
+            )
+        if self.t_max is not None and not (_is_real(self.t_max) and 0.0 < self.t_max < math.inf):
+            raise InvalidInputError(f"t_max must be positive and finite, got {self.t_max!r}")
 
     def resolved_t_max(self) -> float:
         if self.t_max is not None:

@@ -450,9 +450,8 @@ def plan_step_per_mode(
     cfg = planner.cfg
     solved: dict[int, ModeDiag] = {}
     for m in ctx.solve:
-        solved[m] = solve_mode_scalar(
-            ctx, m, planner._influence_target(ctx, m), planner._warm.get(m)
-        )
+        steer = ctx.belief.targets.targets[planner._steer_mode(ctx, m)].steer
+        solved[m] = solve_mode_scalar(ctx, m, steer, planner._warm.get(m))
         nu = solved[m].nu
         planner._warm[m] = np.append(nu[1:, 0], nu[-1, 0])
     u_total, _ = blend_controls(

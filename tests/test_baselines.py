@@ -3,6 +3,7 @@ equivalence with the full planner in degenerate cases, and directional
 timidity of the hedging planner."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from probeplan.belief import (
     uniform_belief,
 )
 from probeplan.dynamics import VehicleState
+from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian
 from probeplan.planner import ActivePlanner, PlannerConfig, lane_guidance
 from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
@@ -100,8 +102,25 @@ class TestPassive:
         b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), targets)
         planner = PassivePlanner(cfg)
         ctx = planner._begin_step(merge_state(), b, 0)
-        target = planner._influence_target(ctx, 0)  # mode (1, 1)
-        assert np.array_equal(target.mean, targets.targets[1].steer.mean)  # mode (2, 1)
+        assert planner._steer_mode(ctx, 0) == 1  # mode (1, 1) tracks mode (2, 1)
+
+    @pytest.mark.parametrize("planner_cls, missing, raises", [
+        (ActivePlanner, 0, True),  # a solved mode tracks its own target
+        (PassivePlanner, 1, True),  # the argmax mode's, though mode 0 has one
+        (PassivePlanner, 0, False),  # and no other mode's
+    ])
+    def test_missing_steering_target_names_the_mode(self, planner_cls, missing, raises):
+        # Belief leaning to mode (2, 1), with both modes active.
+        modes = list(conflict_belief().targets.targets)
+        modes[missing] = dataclasses.replace(modes[missing], steer=None)
+        b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), ModeTargetSet(modes))
+        planner = planner_cls(PlannerConfig(**FAST))
+        if not raises:
+            planner.plan_step(merge_state(), b, 0)
+            return
+        name = f"mode ({modes[missing].intent_id},{modes[missing].mode_id})"
+        with pytest.raises(InvalidInputError, match=re.escape(f"{name} has no steering target")):
+            planner.plan_step(merge_state(), b, 0)
 
 
 class TestConservative:

@@ -92,6 +92,9 @@ class TestLoad:
             ("experiment.scenario=5", "experiment.scenario"),
             ("experiment.planner=5", "experiment.planner"),
             ("experiment.planner=[]", "experiment.planner"),
+            # Ran every run twice and merged both copies into one summary row.
+            ("experiment.scenario=[lane_merge, lane_merge]", "experiment.scenario"),
+            ("experiment.planner=[ours, passive, ours]", "experiment.planner"),
             # Accepted silently, or raised from inside a run.
             ("planner.risk_cap=.nan", "risk_cap"),
             ("planner.penalty_weight=-1", "penalty_weight"),

@@ -184,14 +184,16 @@ class TestExpectedPosteriorEntropy:
             )
 
 
-def with_gap_targets(targets):
-    """``targets`` with a second, gap dimension on every observation target."""
+def with_gap_targets(targets, features):
+    """``targets`` with a second, gap dimension on every observation
+    target, its dimensions in the order of ``features``."""
+    order = [(VELOCITY, GAP).index(name) for name in features]
     return ModeTargetSet(
         [
             ModeTarget(
                 t.intent_id, t.mode_id,
-                Gaussian(np.array([t.target.mean[0], 6.0 + 4.0 * t.mode_id]),
-                         np.array([[t.target.cov[0, 0], 0.5], [0.5, 9.0]])),
+                Gaussian(np.array([t.target.mean[0], 6.0 + 4.0 * t.mode_id])[order],
+                         np.array([[t.target.cov[0, 0], 0.5], [0.5, 9.0]])[np.ix_(order, order)]),
                 t.label, t.steer,
             )
             for t in targets.targets
@@ -231,7 +233,7 @@ class TestProbeGrid:
     draw and grid point, bit for bit."""
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP)])
+    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP), (GAP, VELOCITY)])
     def test_matches_loop_oracle(self, kind, features, monkeypatch):
         rows = []
 
@@ -242,7 +244,7 @@ class TestProbeGrid:
         monkeypatch.setattr("probeplan.planner.posterior_entropies", recording)
         targets = default_targets(kind)
         if len(features) == 2:
-            targets = with_gap_targets(targets)
+            targets = with_gap_targets(targets, features)
         cfg = PlannerConfig(obs_samples=8, features=features, ref_speed=DEFAULT_REF_SPEED[kind])
         planner = ActivePlanner(cfg)
         rng = np.random.default_rng(17)

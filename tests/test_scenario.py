@@ -223,3 +223,17 @@ class TestRun:
         )
         with pytest.raises(InvalidInputError, match="pinned_intent"):
             run(cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("scenario", "bogus"),
+        ("t_max", math.nan),
+        ("t_max", math.inf),
+        ("t_max", -1.0),
+        ("t_max", 0.0),
+        ("t_max", "4"),
+    ])
+    def test_bad_run_config_rejected(self, field, value):
+        # Each used to raise KeyError, ValueError, OverflowError or TypeError
+        # deep in the run, or to end it after zero steps.
+        with pytest.raises(InvalidInputError, match=field):
+            run(RunConfig(**{"scenario": LANE_MERGE, "master_seed": 0, field: value}))
