@@ -229,8 +229,22 @@ class RunConfig:
             raise InvalidInputError(
                 f"scenario must be one of {tuple(DEFAULT_T_MAX)}, got {self.scenario!r}"
             )
-        if self.t_max is not None and not (_is_real(self.t_max) and 0.0 < self.t_max < math.inf):
-            raise InvalidInputError(f"t_max must be positive and finite, got {self.t_max!r}")
+        check_index("master_seed", self.master_seed)
+        if self.planner not in PLANNERS:
+            raise InvalidInputError(
+                f"planner must be one of {tuple(PLANNERS)}, got {self.planner!r}"
+            )
+        if not isinstance(self.comparison_mode, bool):
+            raise InvalidInputError(f"comparison_mode must be a bool, got {self.comparison_mode!r}")
+        noise = self.observation_noise_std
+        if not (_is_real(noise) and 0.0 <= noise < math.inf):
+            raise InvalidInputError(
+                f"observation_noise_std must be nonnegative and finite, got {noise!r}"
+            )
+        for name in ("t_max", "risk_threshold"):
+            value = getattr(self, name)
+            if value is not None and not (_is_real(value) and 0.0 < value < math.inf):
+                raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
     def resolved_t_max(self) -> float:
         if self.t_max is not None:
@@ -273,10 +287,8 @@ class RunLog:
 
 
 def make_planner(name: str, cfg: PlannerConfig):
-    try:
-        return PLANNERS[name](cfg)
-    except KeyError:
-        raise InvalidInputError(f"unknown planner {name!r}") from None
+    """The planner ``name`` names; RunConfig has checked it is in PLANNERS."""
+    return PLANNERS[name](cfg)
 
 
 def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
@@ -296,6 +308,13 @@ def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
     )
 
 
+def check_index(name: str, value) -> None:
+    """Reject a seed key (master seed or run index) that is not a
+    nonnegative integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_pinned_intent(intent: int | None, targets: ModeTargetSet) -> None:
     """Reject a pinned ground-truth intent that is not an intent index of
     ``targets`` (None leaves the intent to the run's seed)."""
@@ -308,6 +327,7 @@ def check_pinned_intent(intent: int | None, targets: ModeTargetSet) -> None:
 
 def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     """Execute one seeded run; bit-identical results for identical inputs."""
+    check_index("run_index", run_index)
     pc = cfg.planner_cfg
     dt = pc.dt
     t_max = cfg.resolved_t_max()
@@ -319,6 +339,9 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
 
     state = cfg.initial_state or init_scenario(cfg.scenario, rng_init)
     targets = cfg.targets or default_targets(cfg.scenario)
+    if len(pc.features) != targets.obs_dim:
+        raise InvalidInputError(f"features has {len(pc.features)} entries, but the mode "
+                                f"targets observe {targets.obs_dim} dimension(s)")
     check_pinned_intent(cfg.pinned_intent, targets)
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)

@@ -231,9 +231,44 @@ class TestRun:
         ("t_max", -1.0),
         ("t_max", 0.0),
         ("t_max", "4"),
+        ("master_seed", -1),
+        ("master_seed", 1.5),
+        ("master_seed", True),
+        ("planner", "bogus"),
+        ("comparison_mode", "no"),
+        ("observation_noise_std", math.nan),
+        ("observation_noise_std", math.inf),
+        ("observation_noise_std", -0.1),
+        ("risk_threshold", -5.0),
+        ("risk_threshold", 0.0),
+        ("risk_threshold", math.nan),
     ])
     def test_bad_run_config_rejected(self, field, value):
         # Each used to raise KeyError, ValueError, OverflowError or TypeError
-        # deep in the run, or to end it after zero steps.
+        # deep in the run, to end it after zero steps, or to run with the
+        # value ignored (noise NaN, comparison_mode "no") or nonsensical.
+        # Each is now rejected when the config is built, before any run.
         with pytest.raises(InvalidInputError, match=field):
-            run(RunConfig(**{"scenario": LANE_MERGE, "master_seed": 0, field: value}))
+            RunConfig(**{"scenario": LANE_MERGE, "master_seed": 0, field: value})
+
+    @pytest.mark.parametrize("run_index", [-1, 1.5, True])
+    def test_bad_run_index_rejected(self, run_index):
+        with pytest.raises(InvalidInputError, match="run_index"):
+            run(RunConfig(scenario=LANE_MERGE, master_seed=0), run_index=run_index)
+
+    @pytest.mark.usefixtures("zero_planner")
+    def test_numpy_integer_seed_keys_accepted(self):
+        def one(seed, idx):
+            cfg = RunConfig(scenario=LANE_MERGE, master_seed=seed, planner="zero",
+                            planner_cfg=FAST, t_max=0.5)
+            return run(cfg, run_index=idx)[0]
+
+        assert one(np.int64(7), np.uint32(2)) == one(7, 2)
+
+    def test_feature_count_checked_before_first_step(self):
+        # The default targets observe one dimension; this used to fail in
+        # the step loop with "observations must have shape (N, 1), got (1, 2)".
+        cfg = RunConfig(scenario=LANE_MERGE, master_seed=0,
+                        planner_cfg=PlannerConfig(features=("velocity", "gap")))
+        with pytest.raises(InvalidInputError, match="features"):
+            run(cfg)

@@ -1,92 +1,90 @@
-"""Tuning studies for the closed-loop acceptance criteria (not shipped as
-part of the package; developer tooling)."""
+"""Tuning studies for the closed-loop acceptance criteria (developer tooling,
+not shipped): python tools/study.py [probe|order|both] [n]
 
+Each study is a list of arms. An arm is an override list over
+``configs/default.yaml``: the study's seed and run count, no traces, the
+caller's overrides, then the arm's own fields. Each arm runs through
+``probeplan.cli.run_experiment`` into ``<out>/<arm>/`` (``out`` defaults to
+``results/study``); its statistics are read back from the ``results.csv``
+and ``summary.csv`` there, next to its ``summary.txt`` and ``manifest.json``.
+"""
+
+import csv
 import math
 import sys
 import time
-from multiprocessing import Pool
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from probeplan.metrics import aggregate
-from probeplan.planner import PlannerConfig
-from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, run
+from probeplan.cli import run_experiment
+from probeplan.config import load_config
 
-
-def _one(args):
-    cfg, idx = args
-    result, log = run(cfg, run_index=idx)
-    entropies = [r.entropy for r in log.records]
-    return result, entropies, log.gt_intent
+DEFAULT = ROOT / "configs" / "default.yaml"
+OUT = Path("results") / "study"
 
 
-def batch(cfg, n, workers=2):
-    jobs = [(cfg, i) for i in range(n)]
-    if workers > 1:
-        with Pool(workers) as pool:
-            return pool.map(_one, jobs, chunksize=2)
-    return [_one(j) for j in jobs]
+def run_arm(out, arm, n, seed, overrides, fields):
+    """Run one arm into out/arm; return its results.csv and summary.csv rows."""
+    base = [f"experiment.master_seed={seed}", f"experiment.runs={n}", "experiment.trace_seeds=[]"]
+    run_experiment(DEFAULT, base + list(overrides) + fields, Path(out) / arm)
+    return [list(csv.DictReader((Path(out) / arm / name).read_text().splitlines()))
+            for name in ("results.csv", "summary.csv")]
 
 
-def probing_study(n=40, seed=1, scenario="lane_merge", pinned=3, step=20, **pc_kw):
-    """Criterion 7 shape: entropy at step `step`, lambda 0.5 vs 0."""
-    out = {}
+def probing_study(n=40, seed=1, scenario="lane_merge", pinned=3, step=20, overrides=(), out=OUT):
+    """Criterion 7 shape: entropy at step `step`, lambda 0.5 vs 0. Each arm stops
+    after that step, so its final entropy is the one at `step` (or earlier)."""
+    t_max = (step + 0.5) * load_config(DEFAULT, list(overrides))["planner"]["dt"]
+    h = {}
     for lam in (0.5, 0.0):
-        pc = PlannerConfig(entropy_weight=lam, **pc_kw)
-        cfg = RunConfig(scenario=scenario, master_seed=seed, planner="ours",
-                        planner_cfg=pc, pinned_intent=pinned,
-                        t_max=(step + 1) * pc.dt + 1e-9)
-        out[lam] = batch(cfg, n)
-    wins = ties = 0
-    pairs = []
-    for (r1, h1, _), (r0, h0, _) in zip(out[0.5], out[0.0]):
-        e1 = h1[step] if len(h1) > step else h1[-1]
-        e0 = h0[step] if len(h0) > step else h0[-1]
-        pairs.append((e1, e0))
-        wins += e1 <= e0
-        ties += abs(e1 - e0) < 1e-12
+        fields = [f"experiment.scenario={scenario}", "experiment.planner=ours",
+                  f"human.pinned_intent={pinned}", f"planner.entropy_weight={lam}",
+                  f"scenario.t_max={t_max!r}"]
+        arm = f"probe_{scenario}_pinned{pinned}_lambda{lam}"
+        results, _ = run_arm(out, arm, n, seed, overrides, fields)
+        h[lam] = [float(r["final_entropy"]) for r in results]
+    pairs = list(zip(h[0.5], h[0.0]))
+    wins = sum(e1 <= e0 for e1, e0 in pairs)
+    ties = sum(abs(e1 - e0) < 1e-12 for e1, e0 in pairs)
     frac = wins / len(pairs)
     print(f"probing {scenario} pinned={pinned}: wins {wins}/{len(pairs)} ({frac:.0%}), ties {ties}")
     print(f"  mean H(0.5)={np.mean([p[0] for p in pairs]):.3f}  mean H(0)={np.mean([p[1] for p in pairs]):.3f}")
     return frac, pairs
 
 
-def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), **pc_kw):
-    """Criterion 8 shape: ours vs passive, comparison mode."""
-    summary = {}
+def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), overrides=(), out=OUT):
+    """Criterion 8 shape: ours vs passive, comparison mode. Returns the
+    per-scenario (dsuccess, time cut) and the per-combo (success %, mean
+    completion time, mean gap, termination counts)."""
+    summary, combos = {}, {}
     for scenario in scenarios:
-        row = {}
         for planner in ("ours", "passive"):
-            pc = PlannerConfig(**pc_kw) if pc_kw else PlannerConfig(
-                ref_speed=DEFAULT_REF_SPEED[scenario])
-            cfg = RunConfig(scenario=scenario, master_seed=seed, planner=planner,
-                            planner_cfg=pc, comparison_mode=True)
             t0 = time.time()
-            results = [r for r, _, _ in batch(cfg, n)]
-            agg = aggregate(results)
+            fields = [f"experiment.scenario={scenario}", f"experiment.planner={planner}"]
+            results, (agg,) = run_arm(out, f"order_{scenario}_{planner}", n, seed, overrides, fields)
             dt = time.time() - t0
-            row[planner] = agg
-            t_mean = agg.stats["completion_time"][0]
-            print(f"{scenario:13s} {planner:8s}: success {agg.success_rate:5.1f}%  "
-                  f"time {t_mean:5.2f}s  gap {agg.stats['min_gap'][0]:5.2f}  "
-                  f"({dt:.0f}s wall, {agg.termination_counts})")
-        dsucc = row["ours"].success_rate - row["passive"].success_rate
-        t_ours = row["ours"].stats["completion_time"][0]
-        t_pass = row["passive"].stats["completion_time"][0]
-        rel = (t_pass - t_ours) / t_pass if t_pass == t_pass else math.nan
+            stats = [float(agg[k]) for k in ("success_rate", "completion_time_mean", "min_gap_mean")]
+            counts = dict(Counter(r["termination"] for r in results))
+            combos[scenario, planner] = (*stats, counts)
+            print(f"{scenario:13s} {planner:8s}: success {stats[0]:5.1f}%  "
+                  f"time {stats[1]:5.2f}s  gap {stats[2]:5.2f}  ({dt:.0f}s wall, {counts})")
+        ours, passive = combos[scenario, "ours"], combos[scenario, "passive"]
+        dsucc = ours[0] - passive[0]
+        rel = (passive[1] - ours[1]) / passive[1] if passive[1] == passive[1] else math.nan
         print(f"  -> dsuccess {dsucc:+.1f}pp (need >=+5), time cut {rel:+.1%} (need >=10%)")
         summary[scenario] = (dsucc, rel)
-    return summary
+    return summary, combos
 
 
 if __name__ == "__main__":
     mode = sys.argv[1] if len(sys.argv) > 1 else "both"
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 40
     if mode in ("probe", "both"):
-        for pinned in (3,):
-            probing_study(n=n, pinned=pinned)
+        probing_study(n=n)
     if mode in ("order", "both"):
         ordering_study(n=n)
