@@ -4,7 +4,13 @@ hashing, and the mode-target file schema.
 One structured file drives a whole batch; CLI flags override individual
 fields so 500-run sweeps stay reproducible and diffable. The config hash
 covers exactly the fields that influence results (output location, worker
-count and trace selection are excluded).
+count and trace selection are excluded), and the bytes of the mode-target
+file when one is set.
+
+``validate_config`` checks only what needs the whole config. Every run
+input is checked once, by ``RunConfig`` or ``PlannerConfig``, when
+``build_run_config`` builds each combination's config; it names the config
+field of a value ``RunConfig`` rejects.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import copy
 import dataclasses
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Any
 
@@ -24,16 +29,7 @@ from .belief import ModeTarget, ModeTargetSet
 from .errors import ConfigError, InvalidInputError
 from .gaussmath import Gaussian
 from .planner import PlannerConfig
-from .scenario import (
-    DEFAULT_REF_SPEED,
-    PLANNERS,
-    RunConfig,
-    check_pinned_intent,
-    default_targets,
-)
-from .world import INTERSECTION, LANE_MERGE
-
-VALID_SCENARIOS = (LANE_MERGE, INTERSECTION)
+from .scenario import DEFAULT_REF_SPEED, RunConfig
 
 REQUIRED_FIELDS = (
     "experiment.runs",
@@ -69,6 +65,21 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 # Fields with no effect on simulated results, excluded from the hash.
 _NON_SEMANTIC = {("experiment", "out_dir"), ("experiment", "workers"),
                  ("experiment", "trace_seeds")}
+
+# The config field behind each RunConfig input, keyed by the name that
+# begins RunConfig's errors about it.
+RUN_FIELDS = {
+    "scenario": "experiment.scenario",
+    "master_seed": "experiment.master_seed",
+    "planner": "experiment.planner",
+    "t_max": "scenario.t_max",
+    "comparison_mode": "experiment.comparison_mode",
+    "pinned_intent": "human.pinned_intent",
+    "observation_noise_std": "human.observation_noise_std",
+    "risk_threshold": "human.risk_threshold",
+    "targets": "scenario.mode_targets_file",
+    "features": "planner.features",
+}
 
 
 def _merge_section(section: str, given: dict, out: dict) -> None:
@@ -125,19 +136,19 @@ def apply_override(cfg: dict, item: str) -> None:
     section, field = parts
     if section not in DEFAULTS or field not in DEFAULTS[section]:
         raise ConfigError(f"unknown field {section}.{field}")
-    cfg[section][field] = yaml.safe_load(raw_value)
+    try:
+        cfg[section][field] = yaml.safe_load(raw_value)
+    except yaml.YAMLError as e:
+        raise ConfigError(f"override {section}.{field} value does not parse: {e}") from None
+
+
+def _value(cfg: dict, dotted: str):
+    section, field = dotted.split(".")
+    return cfg[section][field]
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 def _is_mapping_list(value) -> bool:
@@ -145,81 +156,34 @@ def _is_mapping_list(value) -> bool:
 
 
 def validate_config(cfg: dict) -> None:
+    """Check what needs the whole config; RunConfig checks the rest."""
     for dotted in REQUIRED_FIELDS:
-        section, field = dotted.split(".")
-        if cfg[section][field] is None:
+        if _value(cfg, dotted) is None:
             raise ConfigError(f"missing required field {dotted}")
     exp = cfg["experiment"]
     if not _is_int(exp["runs"]) or exp["runs"] < 1:
         raise ConfigError("experiment.runs must be a positive integer")
-    if not _is_int(exp["master_seed"]) or exp["master_seed"] < 0:
-        raise ConfigError("experiment.master_seed must be a nonnegative integer")
-    for name in scenario_list(cfg):
-        if name not in VALID_SCENARIOS:
-            raise ConfigError(
-                f"experiment.scenario {name!r} not one of {VALID_SCENARIOS}"
-            )
-    for name in planner_list(cfg):
-        if name not in PLANNERS:
-            raise ConfigError(
-                f"experiment.planner {name!r} not one of {tuple(PLANNERS)}"
-            )
-    for field, names in (("scenario", scenario_list(cfg)), ("planner", planner_list(cfg))):
-        if len(set(names)) < len(names):
-            raise ConfigError(f"experiment.{field} names one entry twice: {names!r}")
-    if not isinstance(exp["comparison_mode"], bool):
-        raise ConfigError("experiment.comparison_mode must be true or false")
     if not _is_int(exp["workers"]) or exp["workers"] < 1:
         raise ConfigError("experiment.workers must be a positive integer")
     seeds = exp["trace_seeds"]
     if not isinstance(seeds, list) or not all(_is_int(s) and s >= 0 for s in seeds):
         raise ConfigError("experiment.trace_seeds must be a list of run indices")
-    noise = cfg["human"]["observation_noise_std"]
-    if not _is_number(noise) or noise < 0.0:
-        raise ConfigError(
-            f"human.observation_noise_std must be a nonnegative number, got {noise!r}"
-        )
-    threshold = cfg["human"]["risk_threshold"]
-    if threshold is not None and (not _is_number(threshold) or threshold <= 0.0):
-        raise ConfigError(
-            f"human.risk_threshold must be a positive number, got {threshold!r}"
-        )
-    t_max = cfg["scenario"]["t_max"]
-    if t_max is not None and (not _is_number(t_max) or t_max <= 0.0):
-        raise ConfigError(f"scenario.t_max must be a positive number, got {t_max!r}")
+    for field, names in (("scenario", scenario_list(cfg)), ("planner", planner_list(cfg))):
+        if len(set(names)) < len(names):
+            raise ConfigError(f"experiment.{field} names one entry twice: {names!r}")
     tfile = cfg["scenario"]["mode_targets_file"]
     if tfile is not None and not isinstance(tfile, str):
         raise ConfigError(f"scenario.mode_targets_file must be a path, got {tfile!r}")
-    file_targets = load_mode_targets(tfile) if tfile else None
-    # The active and passive planners steer toward a mode's steering target,
-    # and either may solve any mode; only the conservative one needs none.
-    if file_targets is not None and {"ours", "passive"} & set(planner_list(cfg)):
-        for t in file_targets.targets:
-            if t.steer is None:
-                name = file_targets.intent_names[t.intent_id - 1]
-                raise ConfigError(
-                    f"{name}/mode {t.mode_id} steering is required by the ours and "
-                    f"passive planners"
-                )
-    for name in scenario_list(cfg):
-        features = build_planner_config(cfg, name).features
-        targets = file_targets if file_targets is not None else default_targets(name)
-        if len(features) != targets.obs_dim:
-            raise ConfigError(
-                f"planner.features has {len(features)} entries, but the {name} mode "
-                f"targets observe {targets.obs_dim} dimension(s)"
-            )
-        try:
-            check_pinned_intent(cfg["human"]["pinned_intent"], targets)
-        except InvalidInputError as e:
-            raise ConfigError(f"invalid human.pinned_intent: {e}") from None
+    for scenario in scenario_list(cfg):
+        for planner in planner_list(cfg):
+            build_run_config(cfg, scenario, planner)
 
 
 def _as_list(cfg: dict, field: str) -> list[str]:
     value = cfg["experiment"][field]
     if isinstance(value, str):
         return [value]
-    if isinstance(value, list) and value:
+    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
         return value
     raise ConfigError(
         f"experiment.{field} must be a name or a non-empty list of names, got {value!r}"
@@ -246,7 +210,8 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
                 raise ConfigError(f"planner.{key} must be a list, got {value!r}")
             value = tuple(value)
         kwargs[key] = value
-    kwargs.setdefault("ref_speed", DEFAULT_REF_SPEED[scenario])
+    # RunConfig names an unknown scenario.
+    kwargs.setdefault("ref_speed", DEFAULT_REF_SPEED.get(scenario, PlannerConfig.ref_speed))
     try:
         return PlannerConfig(**kwargs)
     except InvalidInputError as e:
@@ -254,25 +219,22 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
 
 
 def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:
-    """RunConfig for one scenario x planner of a config ``load_config``
-    has validated."""
-    tfile = cfg["scenario"]["mode_targets_file"]
-    return RunConfig(
-        scenario=scenario,
-        master_seed=cfg["experiment"]["master_seed"],
-        planner=planner,
-        planner_cfg=build_planner_config(cfg, scenario),
-        t_max=cfg["scenario"]["t_max"],
-        comparison_mode=cfg["experiment"]["comparison_mode"],
-        pinned_intent=cfg["human"]["pinned_intent"],
-        observation_noise_std=cfg["human"]["observation_noise_std"],
-        risk_threshold=cfg["human"]["risk_threshold"],
-        targets=load_mode_targets(tfile) if tfile else None,
-    )
+    """RunConfig for one scenario x planner of ``cfg``; a value RunConfig
+    rejects raises a ConfigError naming its config field."""
+    kwargs = {name: _value(cfg, dotted) for name, dotted in RUN_FIELDS.items()}
+    del kwargs["features"]  # part of planner_cfg
+    tfile = kwargs["targets"]
+    kwargs.update(scenario=scenario, planner=planner,
+                  targets=load_mode_targets(tfile) if tfile else None)
+    try:
+        return RunConfig(planner_cfg=build_planner_config(cfg, scenario), **kwargs)
+    except InvalidInputError as e:
+        raise ConfigError(f"invalid {RUN_FIELDS[str(e).split()[0]]}: {e}") from None
 
 
 def config_hash(cfg: dict) -> str:
-    """SHA-256 over the semantically meaningful resolved fields."""
+    """SHA-256 over the semantically meaningful resolved fields, and over
+    the mode-target file's bytes when one is set."""
     reduced = {
         section: {
             key: value
@@ -281,6 +243,9 @@ def config_hash(cfg: dict) -> str:
         }
         for section, body in cfg.items()
     }
+    tfile = cfg["scenario"]["mode_targets_file"]
+    if tfile:
+        reduced["mode_targets_sha256"] = hashlib.sha256(Path(tfile).read_bytes()).hexdigest()
     canon = json.dumps(reduced, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -207,8 +207,8 @@ class PlannerConfig:
         features = self.features
         if not (
             isinstance(features, (tuple, list))
-            and features
             and all(isinstance(f, str) and f in (VELOCITY, GAP) for f in features)
+            and 0 < len(set(features)) == len(features)
         ):
             raise InvalidInputError(
                 f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {features!r}"

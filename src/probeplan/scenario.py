@@ -225,6 +225,9 @@ class RunConfig:
     initial_state: ScenarioState | None = None
 
     def __post_init__(self) -> None:
+        """Check every input a run needs, and resolve ``targets`` to the
+        scenario's defaults when none are given. Each error begins with the
+        name of the input it rejects."""
         if self.scenario not in DEFAULT_T_MAX:
             raise InvalidInputError(
                 f"scenario must be one of {tuple(DEFAULT_T_MAX)}, got {self.scenario!r}"
@@ -245,6 +248,24 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (_is_real(value) and 0.0 < value < math.inf):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+        targets = self.targets or default_targets(self.scenario)
+        object.__setattr__(self, "targets", targets)
+        features = self.planner_cfg.features
+        if len(features) != targets.obs_dim:
+            raise InvalidInputError(f"features has {len(features)} entries, but the mode "
+                                    f"targets observe {targets.obs_dim} dimension(s)")
+        intent, n = self.pinned_intent, targets.num_intents
+        if intent is not None and not (_is_index(intent) and 1 <= intent <= n):
+            raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, "
+                                    f"got {intent!r}")
+        # The active and passive planners steer toward a mode's steering
+        # target, and either may solve any mode; only the conservative one
+        # needs none.
+        for t in targets.targets if self.planner in ("ours", "passive") else ():
+            if t.steer is None:
+                name = f"{targets.intent_names[t.intent_id - 1]}/mode {t.mode_id}"
+                raise InvalidInputError(f"targets lack {name} steering, which the ours and "
+                                        "passive planners require")
 
     def resolved_t_max(self) -> float:
         if self.t_max is not None:
@@ -308,21 +329,16 @@ def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
     )
 
 
+def _is_index(value) -> bool:
+    """An integer that is not a bool; numpy integers pass."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_index(name: str, value) -> None:
     """Reject a seed key (master seed or run index) that is not a
-    nonnegative integer; numpy integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+    nonnegative integer."""
+    if not (_is_index(value) and value >= 0):
         raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
-def check_pinned_intent(intent: int | None, targets: ModeTargetSet) -> None:
-    """Reject a pinned ground-truth intent that is not an intent index of
-    ``targets`` (None leaves the intent to the run's seed)."""
-    if intent is None:
-        return
-    n = targets.num_intents
-    if isinstance(intent, bool) or not isinstance(intent, (int, np.integer)) or not 1 <= intent <= n:
-        raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, got {intent!r}")
 
 
 def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
@@ -338,11 +354,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     rng_intent = rng_from_keys(cfg.master_seed, run_index, STREAM_INTENT)
 
     state = cfg.initial_state or init_scenario(cfg.scenario, rng_init)
-    targets = cfg.targets or default_targets(cfg.scenario)
-    if len(pc.features) != targets.obs_dim:
-        raise InvalidInputError(f"features has {len(pc.features)} entries, but the mode "
-                                f"targets observe {targets.obs_dim} dimension(s)")
-    check_pinned_intent(cfg.pinned_intent, targets)
+    targets = cfg.targets
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)

@@ -1,11 +1,13 @@
 """Config loading, override, and hashing tests."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from probeplan.config import (
+    RUN_FIELDS,
     apply_override,
     build_planner_config,
     build_run_config,
@@ -16,6 +18,7 @@ from probeplan.config import (
     scenario_list,
 )
 from probeplan.errors import ConfigError
+from probeplan.scenario import RunConfig
 
 MINIMAL = """
 experiment:
@@ -92,6 +95,11 @@ class TestLoad:
             ("experiment.scenario=5", "experiment.scenario"),
             ("experiment.planner=5", "experiment.planner"),
             ("experiment.planner=[]", "experiment.planner"),
+            # Named by RunConfig, not a KeyError from the ref_speed default.
+            ("experiment.scenario=roundabout", "experiment.scenario"),
+            ("experiment.planner=[[ours]]", "experiment.planner"),
+            # Bare yaml.parser.ParserError from the override.
+            ("planner.dt=[", "planner.dt"),
             # Ran every run twice and merged both copies into one summary row.
             ("experiment.scenario=[lane_merge, lane_merge]", "experiment.scenario"),
             ("experiment.planner=[ours, passive, ours]", "experiment.planner"),
@@ -174,6 +182,14 @@ class TestHash:
         base = load_config(write(tmp_path, MINIMAL))
         changed = load_config(write(tmp_path, MINIMAL, "b.yaml"), ["planner.discount=0.9"])
         assert config_hash(base) != config_hash(changed)
+
+    def test_mode_target_file_contents_change_hash(self, tmp_path):
+        # Both files have one path, so the hash saw no difference.
+        tpath = write(tmp_path, TARGETS, "targets.yaml")
+        overrides = [f"scenario.mode_targets_file={tpath}", "experiment.planner=conservative"]
+        before = config_hash(load_config(write(tmp_path, MINIMAL), overrides))
+        write(tmp_path, TARGETS.replace("mean: [5.0]", "mean: [5.5]"), "targets.yaml")
+        assert config_hash(load_config(write(tmp_path, MINIMAL), overrides)) != before
 
     def test_nonsemantic_fields_ignored(self, tmp_path):
         base = load_config(write(tmp_path, MINIMAL))
@@ -312,6 +328,24 @@ class TestModeTargets:
         rc = build_run_config(cfg, "lane_merge", "ours")
         assert rc.targets.obs_dim == 2
         assert rc.planner_cfg.features == ("velocity", "gap")
+
+    def test_repeated_feature_rejected(self, tmp_path):
+        # Loaded before, and each run scored velocity twice against the
+        # file's (velocity, gap) model.
+        tpath = write(tmp_path, TARGETS_2D, "targets2d.yaml")
+        with pytest.raises(ConfigError, match="features"):
+            load_config(
+                write(tmp_path, MINIMAL),
+                [f"scenario.mode_targets_file={tpath}", "planner.features=[velocity, velocity]"],
+            )
+
+
+class TestBuildRunConfig:
+    def test_every_config_filled_field_has_a_dotted_name(self):
+        # The planner section and an initial state reach RunConfig by
+        # other paths; every other field is read through RUN_FIELDS.
+        filled = {f.name for f in dataclasses.fields(RunConfig)} - {"planner_cfg", "initial_state"}
+        assert set(RUN_FIELDS) == filled | {"features"}
 
 
 TARGETS_2D = """

@@ -120,6 +120,9 @@ class TestPlannerConfigValidation:
             ("yaw_rate_bounds", 5),
             ("features", 5),
             ("features", ("velocity", ["gap"])),
+            ("features", ()),
+            # Scored one observation twice against a two-feature model.
+            ("features", ("velocity", "velocity")),
             # Segments of ceil(T / P) steps that leave the last one empty:
             # its probe was wasted every iteration (30 steps in 6 segments
             # of 5), or its warm-start mean was NaN.

@@ -1,12 +1,19 @@
 """Scenario tests: randomized initialization ranges, termination geometry,
 the loop ordering contract, and run determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from probeplan.belief import joint_weights, relax_mode_weights, uniform_belief, update
+from probeplan.belief import (
+    ModeTargetSet,
+    joint_weights,
+    relax_mode_weights,
+    uniform_belief,
+    update,
+)
 from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
 from probeplan.metrics import SUCCESS, TIMEOUT, VIOLATION
@@ -217,12 +224,11 @@ class TestRun:
     @pytest.mark.usefixtures("zero_planner")
     def test_out_of_range_pinned_intent_rejected(self):
         # Three intents: index 4 used to raise IndexError deep inside the run.
-        cfg = RunConfig(
-            scenario=LANE_MERGE, master_seed=1, planner="zero", planner_cfg=FAST,
-            pinned_intent=4,
-        )
         with pytest.raises(InvalidInputError, match="pinned_intent"):
-            run(cfg)
+            RunConfig(
+                scenario=LANE_MERGE, master_seed=1, planner="zero", planner_cfg=FAST,
+                pinned_intent=4,
+            )
 
     @pytest.mark.parametrize("field, value", [
         ("scenario", "bogus"),
@@ -268,7 +274,24 @@ class TestRun:
     def test_feature_count_checked_before_first_step(self):
         # The default targets observe one dimension; this used to fail in
         # the step loop with "observations must have shape (N, 1), got (1, 2)".
-        cfg = RunConfig(scenario=LANE_MERGE, master_seed=0,
-                        planner_cfg=PlannerConfig(features=("velocity", "gap")))
         with pytest.raises(InvalidInputError, match="features"):
-            run(cfg)
+            RunConfig(scenario=LANE_MERGE, master_seed=0,
+                      planner_cfg=PlannerConfig(features=("velocity", "gap")))
+
+    @pytest.mark.parametrize("planner", ["ours", "passive"])
+    def test_steering_required_by_steering_planners(self, planner):
+        # Accepted before, and the run ended in error at the first solve of
+        # the steering-less mode.
+        defaults = default_targets(LANE_MERGE)
+        modes = [t if (t.intent_id, t.mode_id) != (3, 2) else dataclasses.replace(t, steer=None)
+                 for t in defaults.targets]
+        targets = ModeTargetSet(modes, intent_names=defaults.intent_names)
+        with pytest.raises(InvalidInputError, match="cooperative/mode 2 steering"):
+            RunConfig(scenario=LANE_MERGE, master_seed=0, planner=planner, targets=targets)
+        assert RunConfig(scenario=LANE_MERGE, master_seed=0, planner="conservative",
+                         targets=targets).targets is targets
+
+    def test_default_targets_resolved_at_construction(self):
+        cfg = RunConfig(scenario=INTERSECTION, master_seed=0)
+        labels = [t.label for t in default_targets(INTERSECTION).targets]
+        assert [t.label for t in cfg.targets.targets] == labels
