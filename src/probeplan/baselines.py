@@ -62,7 +62,7 @@ class ConservativePlanner(ActivePlanner):
         weights = ctx.omega[ctx.solve]
         paths = ctx.human_paths[ctx.solve]
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray) -> np.ndarray:
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray) -> np.ndarray:
             # One chain: each sequence's CVaR against every solved mode, one
             # cost block per sequence, and their omega-weighted sum in mode order.
             ego_paths = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
@@ -71,9 +71,9 @@ class ConservativePlanner(ActivePlanner):
                 for ego in zip(*ego_paths)
             ]
             cvars = cvar(np.concatenate(costs), cfg.cvar_level).reshape(len(accels), -1)
-            return np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
+            return np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))[seqs]
 
-        starts = _start_candidates(cfg, [self._ref_accel], bursts=False)
+        starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)
         ((accel, row, _, rows),) = _descend(evaluate, starts, cfg)
         objective, *cvars = row.tolist()
         u_total = _controls(ctx, accel)

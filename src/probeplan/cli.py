@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    build_run_config,
+    build_run_config,  # noqa: F401 -- the benchmark wraps probeplan.cli.build_run_config
     config_hash,
-    load_config,
-    planner_list,
-    scenario_list,
+    load_config,  # noqa: F401 -- and probeplan.cli.load_config by name
+    read_config,
+    validate_config,
 )
 from .errors import ConfigError
 from .metrics import aggregate
@@ -115,7 +115,10 @@ def run_experiment(
     """Execute the batch an experiment config describes. Returns 0 on
     success; raises ConfigError for malformed configs and OSError for
     unwritable outputs (the CLI maps both to nonzero exits)."""
-    cfg = load_config(config_path, overrides)
+    cfg = read_config(config_path, overrides)
+    # One RunConfig per combination, built by the validation and shared by
+    # its runs: building one reads the mode-target file when one is named.
+    run_cfgs = validate_config(cfg)
     exp = cfg["experiment"]
     out = Path(
         out_dir
@@ -126,14 +129,8 @@ def run_experiment(
 
     runs = exp["runs"]
     trace_set = set(exp["trace_seeds"])
-    combos = [(s, p) for s in scenario_list(cfg) for p in planner_list(cfg)]
-    # One RunConfig per combination, shared by its runs: building one reads
-    # the mode-target file when the config names one.
-    jobs = [
-        (run_cfg, idx, idx in trace_set)
-        for run_cfg in (build_run_config(cfg, s, p) for s, p in combos)
-        for idx in range(runs)
-    ]
+    combos = list(run_cfgs)
+    jobs = [(rc, idx, idx in trace_set) for rc in run_cfgs.values() for idx in range(runs)]
 
     workers = exp["workers"]
     # Both branches return the outputs in job order, whatever the scheduling.

@@ -10,7 +10,8 @@ file when one is set.
 ``validate_config`` checks only what needs the whole config. Every run
 input is checked once, by ``RunConfig`` or ``PlannerConfig``, when
 ``build_run_config`` builds each combination's config; it names the config
-field of a value ``RunConfig`` rejects.
+field of a value either rejects. ``validate_config`` returns the configs it
+built, so a batch builds each combination's config once.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ def _read_yaml(path: Path, what: str):
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
     """Load and validate an experiment config; returns the resolved dict."""
+    cfg = read_config(path, overrides)
+    validate_config(cfg)
+    return cfg
+
+
+def read_config(path: str | Path, overrides: list[str] | None = None) -> dict:
+    """The config file at ``path`` over the defaults, with the overrides
+    applied; not yet validated."""
     path = Path(path)
     raw = _read_yaml(path, "config file")
     if not isinstance(raw, dict):
@@ -121,7 +130,6 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> dict:
         _merge_section(section, body, cfg)
     for item in overrides or []:
         apply_override(cfg, item)
-    validate_config(cfg)
     return cfg
 
 
@@ -155,8 +163,10 @@ def _is_mapping_list(value) -> bool:
     return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
 
 
-def validate_config(cfg: dict) -> None:
-    """Check what needs the whole config; RunConfig checks the rest."""
+def validate_config(cfg: dict) -> dict[tuple[str, str], RunConfig]:
+    """Check what needs the whole config; RunConfig checks the rest.
+    Returns the RunConfig of each (scenario, planner) combination, in
+    scenario-major order."""
     for dotted in REQUIRED_FIELDS:
         if _value(cfg, dotted) is None:
             raise ConfigError(f"missing required field {dotted}")
@@ -174,9 +184,11 @@ def validate_config(cfg: dict) -> None:
     tfile = cfg["scenario"]["mode_targets_file"]
     if tfile is not None and not isinstance(tfile, str):
         raise ConfigError(f"scenario.mode_targets_file must be a path, got {tfile!r}")
-    for scenario in scenario_list(cfg):
-        for planner in planner_list(cfg):
-            build_run_config(cfg, scenario, planner)
+    return {
+        (scenario, planner): build_run_config(cfg, scenario, planner)
+        for scenario in scenario_list(cfg)
+        for planner in planner_list(cfg)
+    }
 
 
 def _as_list(cfg: dict, field: str) -> list[str]:
@@ -215,7 +227,9 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
     try:
         return PlannerConfig(**kwargs)
     except InvalidInputError as e:
-        raise ConfigError(f"invalid planner config: {e}") from None
+        # Each error begins with the field it rejects, as "name must ..." or
+        # "name=value ...".
+        raise ConfigError(f"invalid planner.{str(e).split()[0].split('=')[0]}: {e}") from None
 
 
 def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:

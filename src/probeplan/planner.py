@@ -21,18 +21,20 @@ line-search round that holds all three trials ``solver_step * 0.5^k``
 (k = 0, 1, 2) of every chain still live. A chain takes its first winning
 trial; the trials after it are scored and dropped, so each chain's
 history, pick and ``ModeDiag.evals`` are those of a search that tries one
-step after another. A round is one batched evaluation of every
-(sequence, chain) pair it holds, repeats included: one ego path, terminal
-state and probe term per pair, one ``path_costs`` block per mode over the
-pairs left open (the conservative planner: one per sequence over its
+step after another. A round is one batched evaluation of the (sequence,
+chain) pairs it holds: one ego path, terminal state and probe term per
+distinct sequence (the start round holds each start the chains share
+once), then per pair a cost bound, one ``path_costs`` block per mode over
+the pairs left open (the conservative planner: one per sequence over its
 solved modes), one ``cvar`` and one stacked triangular solve for the KL
-influence term. A descent runs at most ``1 + 2 * solver_iters`` rounds.
-The lateral channel follows a fixed lane-guidance law shared by every
-planner so cross-planner comparisons isolate the longitudinal interaction
-machinery. The CVaR cap enters as a quadratic penalty, and all
-Monte-Carlo quantities inside one solve reuse fixed random streams
-(common random numbers), so the whole step is bit-reproducible from its
-rng key.
+influence term. A descent runs at most ``1 + 2 * solver_iters`` rounds. A
+planner builds the shared starts once, and the steering setup once per
+solved and steering mode. The lateral channel follows a fixed
+lane-guidance law shared by every planner so cross-planner comparisons
+isolate the longitudinal interaction machinery. The CVaR cap enters as a
+quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
+fixed random streams (common random numbers), so the whole step is
+bit-reproducible from its rng key.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
@@ -57,6 +59,7 @@ import numpy as np
 from .belief import (
     HierarchicalBelief,
     ModeTarget,
+    ModeTargetSet,
     entropy,
     joint_weights,
     max_entropy,
@@ -362,31 +365,6 @@ def ego_horizon_covariance(cfg: PlannerConfig) -> np.ndarray:
     return sigma
 
 
-def _interaction_frame(
-    state: ScenarioState, mode: ModeTarget, cfg: PlannerConfig, ego_sigma: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Control-independent parts of the predicted interaction distribution:
-    ego start progress, predicted human progress at the horizon end if it
-    follows ``mode``, and the (speed, lead) covariance."""
-    geometry = state.geometry
-    c0 = conflict_level(
-        state.ego, state.human, geometry, cfg.response_gain,
-        geometry.risk_threshold, geometry.nominal_human_speed,
-    )
-    s_h = human_progress(geometry, state.human) + _mode_human_advance(
-        state.human, mode, c0, cfg
-    )
-    horizon = cfg.horizon_steps * cfg.dt
-    var_h_pos = float(mode.target.cov[0, 0]) * horizon * horizon
-    cov = np.array(
-        [
-            [ego_sigma[1, 1], ego_sigma[0, 1]],
-            [ego_sigma[0, 1], ego_sigma[0, 0] + var_h_pos],
-        ]
-    )
-    return ego_progress(geometry, state.ego), s_h, cov
-
-
 # ---------------------------------------------------------------------------
 # Observation prediction and expected posterior entropy
 
@@ -486,7 +464,6 @@ class _StepContext:
     guidance_yaw: np.ndarray
     headings: np.ndarray
     discount_weights: np.ndarray
-    ego_sigma: np.ndarray
     probe_grid: np.ndarray | None
     probe_entropy: np.ndarray | None
     entropy_weight: float
@@ -516,74 +493,85 @@ class _StepContext:
         )
 
 
-def _start_candidates(
-    cfg: PlannerConfig, warm_accels: Sequence[np.ndarray | None], bursts: bool
-) -> list[np.ndarray]:
-    """Multi-start segment vectors (N, P), one array per warm start:
-    coasting, evenly spaced constant accelerations, the warm start's means
-    over the segment windows, and optionally probe bursts."""
-    a_lo, a_hi = cfg.accel_bounds
-    segments, seg_len = cfg.solver_segments, cfg.segment_steps
+def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The starts every chain shares, (N, P) and (B, P): coasting and evenly
+    spaced constant accelerations, and the probe bursts."""
+    (a_lo, a_hi), segments = cfg.accel_bounds, cfg.solver_segments
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
     head = np.repeat(np.append(0.0, consts)[:, None], segments, axis=1)
     tail = np.empty((0, segments))
-    if bursts and segments > 1:
+    if segments > 1:
         # Probe bursts: an extreme first segment with a steady tail. The
         # influence term cares mostly about the terminal state, so these
         # candidates let the probing term claim the first control cheaply.
         tail = np.repeat(np.repeat(consts, 2)[:, None], segments, axis=1)
         tail[:, 0] = np.tile([a_lo, a_hi], len(consts))
-    out = []
-    for warm_accel in warm_accels:
-        warm = []
-        if warm_accel is not None:
-            windows = range(0, cfg.horizon_steps, seg_len)
-            warm = [np.clip([np.mean(warm_accel[i:i + seg_len]) for i in windows], a_lo, a_hi)]
-        out.append(np.vstack((head, *warm, tail)))
-    return out
+    return head, tail
+
+
+def _start_candidates(
+    cfg: PlannerConfig, shared: tuple[np.ndarray, np.ndarray],
+    warm_accels: Sequence[np.ndarray | None], bursts: bool,
+) -> tuple[np.ndarray, list[list[int]]]:
+    """Multi-start segment vectors, one set per warm start: the ``shared``
+    head, the warm start's segment-window means and optionally the shared
+    bursts. Returns the distinct vectors (U, P) and the rows of each set."""
+    (a_lo, a_hi), seg_len = cfg.accel_bounds, cfg.segment_steps
+    head, tail = shared[0], shared[1] if bursts else shared[1][:0]
+    windows = range(0, cfg.horizon_steps, seg_len)
+    warm = [np.clip([np.mean(w[i:i + seg_len]) for i in windows], a_lo, a_hi)
+            for w in warm_accels if w is not None]
+    cands = np.vstack((head, *warm, tail))
+    own = iter(range(len(head), len(cands) - len(tail)))
+    return cands, [[*range(len(head)), *([next(own)] if w is not None else []),
+                    *range(len(cands) - len(tail), len(cands))] for w in warm_accels]
 
 
 def _descend(
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    starts: list[np.ndarray],
+    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    starts: tuple[np.ndarray, list[list[int]]],
     cfg: PlannerConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The solver loop every planner shares: one descent chain per start
-    set (N, P), all chains in phase-aligned rounds (see the solver notes).
+    set of ``starts`` (see ``_start_candidates``), all chains in
+    phase-aligned rounds (see the solver notes).
 
-    A chain stops when its gradient vanishes or its three line-search
-    trials fail. Each round is one ``evaluate(accels, chains)`` call over
-    the pairs of one phase, ``accels`` (K, T) holding the sequences and
-    ``chains`` (K,) the chain of each; it returns one row (K, F) per pair,
-    objective first. The starts and probes come in ascending chain order;
-    an iteration's line-search round holds trial k of every live chain, in
-    ascending chain order, for k = 0, 1, 2. Returns, per chain, its final
-    sequence (T,) and row (F,), and every sequence it was evaluated on
-    (H, T) with its row (H, F), in order, without the trials scored after
-    its first win in a round: the history of a chain that tries one step
-    after another.
+    A chain stops when its gradient vanishes or its three line-search trials
+    fail. Each round is one ``evaluate(accels, chains, seqs)`` call over the
+    pairs of one phase: pair i is sequence ``accels[seqs[i]]`` (T,) of chain
+    ``chains[i]``, and the call returns one row (K, F) per pair, objective
+    first. The start round passes each distinct start once; the later rounds
+    pass one sequence per pair, so ``seqs`` is ``arange(K)``. The starts and
+    probes come in ascending chain order; an iteration's line-search round
+    holds trial k of every live chain, in ascending chain order, for
+    k = 0, 1, 2. Returns, per chain, its final sequence (T,) and row (F,),
+    and every sequence it was evaluated on (H, T) with its row (H, F), in
+    order, without the trials scored after its first win in a round: the
+    history of a chain that tries one step after another.
     """
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
     log = []
 
-    def score(thetas: np.ndarray, chains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def score(thetas: np.ndarray, chains: np.ndarray, seqs: np.ndarray):
+        """Each pair's sequence (K, T) and row (K, F)."""
         accels = np.repeat(np.clip(thetas, a_lo, a_hi), cfg.segment_steps, axis=1)[:, :horizon]
-        return accels, evaluate(accels, chains)
+        return accels[seqs], evaluate(accels, chains, seqs)
 
-    sizes = [len(s) for s in starts]
-    cands = np.concatenate(starts)
-    chains = np.repeat(np.arange(len(starts)), sizes)
-    accels, rows = score(cands, chains)
+    cands, index = starts
+    sizes = [len(i) for i in index]
+    seqs = np.concatenate(index)
+    chains = np.repeat(np.arange(len(index)), sizes)
+    accels, rows = score(cands, chains, seqs)
     log.append((chains, accels, rows))
     # np.argmin keeps the first start among equal objectives.
     pick = [i + int(np.argmin(rows[i:i + n, 0])) for i, n in zip(np.cumsum([0] + sizes), sizes)]
-    theta, accel, current = cands[pick], accels[pick], rows[pick]
+    theta, accel, current = cands[seqs[pick]], accels[pick], rows[pick]
 
     segs = np.arange(cfg.solver_segments)
     # Halving is exact, so each trial equals the one-at-a-time search's.
     trial_steps = np.array([cfg.solver_step, cfg.solver_step * 0.5, cfg.solver_step * 0.5 * 0.5])
-    live = np.arange(len(starts))
+    live = np.arange(len(index))
     for _ in range(cfg.solver_iters):
         if not live.size:
             break
@@ -591,7 +579,7 @@ def _descend(
         probes = np.repeat(theta[live, None], len(segs), axis=1)
         probes[:, segs, segs] += steps
         chains = np.repeat(live, len(segs))
-        accels, rows = score(probes.reshape(-1, len(segs)), chains)
+        accels, rows = score(probes.reshape(-1, len(segs)), chains, np.arange(len(chains)))
         log.append((chains, accels, rows))
         grad = (rows[:, 0].reshape(steps.shape) - current[live, :1]) / steps
         scale = np.max(np.abs(grad), axis=1)
@@ -605,7 +593,7 @@ def _descend(
             theta[live] - trial_steps[:, None, None] * direction, a_lo, a_hi
         ).reshape(-1, len(segs))
         chains = np.tile(live, 3)
-        accels, rows = score(trials, chains)
+        accels, rows = score(trials, chains, np.arange(len(chains)))
         won = (rows[:, 0] < current[chains, 0] - 1e-12).reshape(3, live.size)
         hit = won.any(axis=0)
         # A chain keeps its trials up to its first win. The later ones are
@@ -620,7 +608,7 @@ def _descend(
 
     chains, accels, rows = (np.concatenate(parts) for parts in zip(*log))
     return [(accel[c], current[c], accels[chains == c], rows[chains == c])
-            for c in range(len(starts))]
+            for c in range(len(index))]
 
 
 def _mode_cvars(
@@ -639,85 +627,6 @@ def _mode_cvars(
     out = np.empty(len(modes))
     out[np.concatenate(list(groups.values()))] = cvar(np.concatenate(costs), cfg.cvar_level)
     return out
-
-
-def _solve_modes(
-    ctx: _StepContext,
-    steer_targets: list[Gaussian],
-    warm_accels: list[np.ndarray | None],
-) -> list[ModeDiag]:
-    """Solve every mode of ``ctx.solve`` in lockstep, one descent chain per
-    mode, each with its own steering target and warm start. A mode's
-    objective is probe term + influence KL + quadratic CVaR-cap penalty."""
-    cfg = ctx.cfg
-    state = ctx.state
-    solve = np.array(ctx.solve)
-    # KL(pred || target) decomposes into a control-independent constant
-    # plus a quadratic in the predicted mean; precompute the fixed parts.
-    # The ego's start progress s0 is the same for every mode.
-    n = len(solve)
-    s_h = np.empty(n)
-    kl_const = np.empty(n)
-    chol_q = np.empty((n, 2, 2))
-    for c, (m, steer) in enumerate(zip(ctx.solve, steer_targets)):
-        s0, s_h[c], cov_pred = _interaction_frame(
-            state, ctx.belief.targets.targets[m], cfg, ctx.ego_sigma
-        )
-        chol_q[c] = np.linalg.cholesky(steer.cov)
-        y0 = np.linalg.solve(chol_q[c], steer.mean)
-        kl_const[c] = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
-    steer_means = np.array([steer.mean for steer in steer_targets])
-
-    def evaluate(accels: np.ndarray, chains: np.ndarray) -> np.ndarray:
-        modes = solve[chains]
-        x, y, speeds = ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-        # A pair whose cost bound certifies it below the cap gets no cost
-        # block: it holds -inf, so its violation is 0.0 and it stays feasible.
-        bounds = path_cost_bounds(
-            x, y, speeds, ctx.human_boxes[modes], ctx.discount_weights, cfg.ref_speed
-        )
-        open_ = ~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN))
-        cvars = np.full(len(chains), -np.inf)
-        if open_.any():
-            cvars[open_] = _mode_cvars(ctx, [p[open_] for p in ego_paths], modes[open_])
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
-        j_probe = ctx.probe_terms(accels[:, 0])
-        delta = steer_means[chains] - np.column_stack((v_t, s_t - s_h[chains]))
-        y = np.linalg.solve(chol_q[chains], delta[..., None])
-        # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
-        j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
-        violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
-        obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-        return np.column_stack((obj, cvars, j_probe, j_infl))
-
-    starts = _start_candidates(cfg, warm_accels, bursts=ctx.probe_grid is not None)
-    picks = []
-    for accel, row, history, rows in _descend(evaluate, starts, cfg):
-        infeasible = False
-        if row[1] > cfg.risk_cap:
-            # Fall back to the first best feasible candidate; when every
-            # candidate violates the cap, to the least risky one, and flag
-            # the solve.
-            feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
-            infeasible = not feasible.size
-            h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
-            accel, row = history[h], rows[h]
-        picks.append((accel, row.tolist(), infeasible, len(rows)))
-    # A pick that holds the certified sentinel gets its exact CVaR, in one
-    # batch over the chains.
-    certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
-    if certified:
-        accels = np.array([picks[c][0] for c in certified])
-        ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-        for c, value in zip(certified, _mode_cvars(ctx, ego_paths, solve[certified]).tolist()):
-            picks[c][1][1] = value
-    return [
-        ctx.mode_diag(
-            m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
-            j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=evals,
-        )
-        for m, (accel, (obj, cvar_val, j_probe, j_infl), infeasible, evals) in zip(ctx.solve, picks)
-    ]
 
 
 def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
@@ -743,6 +652,10 @@ class ActivePlanner:
         self._ref_accel: np.ndarray | None = None
         self._warm: dict[int, np.ndarray] = {}
         self._ego_sigma = ego_horizon_covariance(cfg)
+        self._shared_starts = _shared_starts(cfg)
+        # The steering setup per (solved, steering) mode of ``_targets``.
+        self._targets: ModeTargetSet | None = None
+        self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
 
     # Subclasses override these two hooks.
     def _entropy_weight(self) -> float:
@@ -787,6 +700,99 @@ class ActivePlanner:
         block_of = dict(zip(blocks, range(len(blocks))))
         return grid, means[[block_of[k] for k in keys]]
 
+    def _solve_modes(
+        self, ctx: _StepContext, steer_modes: list[int], warm_accels: list[np.ndarray | None]
+    ) -> list[ModeDiag]:
+        """Solve the modes of ``ctx.solve`` in lockstep, one descent chain
+        each: chain c toward mode ``steer_modes[c]``'s steering target, from
+        ``warm_accels[c]``. Objective: probe + influence KL + cap penalty."""
+        cfg, state, geometry = self.cfg, ctx.state, ctx.state.geometry
+        targets = ctx.belief.targets
+        if targets is not self._targets:
+            self._targets, self._steering = targets, {}
+        modes = targets.targets
+        solve = np.array(ctx.solve)
+        # KL(pred || target) decomposes into a control-independent constant
+        # plus a quadratic in the predicted mean. The constant depends only
+        # on target k and the predicted (speed, lead) covariance, which
+        # holds the ego covariance and mode m's velocity variance.
+        horizon = cfg.horizon_steps * cfg.dt
+        pairs = list(zip(ctx.solve, steer_modes))
+        for m, k in pairs:
+            if (m, k) in self._steering:
+                continue
+            steer = modes[k].steer
+            if steer is None:
+                raise InvalidInputError(
+                    f"mode ({modes[k].intent_id},{modes[k].mode_id}) has no steering target"
+                )
+            var_h_pos = float(modes[m].target.cov[0, 0]) * horizon * horizon
+            cov_pred = self._ego_sigma[::-1, ::-1] + np.diag([0.0, var_h_pos])
+            chol = np.linalg.cholesky(steer.cov)
+            y0 = np.linalg.solve(chol, steer.mean)
+            kl = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
+            self._steering[m, k] = chol, kl, steer.mean
+        chol_q, kl_const, steer_means = map(np.array, zip(*map(self._steering.get, pairs)))
+        # The ego's start progress and the conflict level are the same for
+        # every mode; s_h is each mode's predicted human progress.
+        s0 = ego_progress(geometry, state.ego)
+        c0 = conflict_level(state.ego, state.human, geometry, cfg.response_gain,
+                            geometry.risk_threshold, geometry.nominal_human_speed)
+        h0 = human_progress(geometry, state.human)
+        s_h = np.array([h0 + _mode_human_advance(state.human, modes[m], c0, cfg) for m in solve])
+
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+            pair_modes = solve[chains]
+            paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
+            x, y, speeds = ego_paths = [p[seqs] for p in paths]
+            # A pair whose cost bound certifies it below the cap gets no cost
+            # block: it holds -inf, so its violation is 0.0 and it stays feasible.
+            bounds = path_cost_bounds(
+                x, y, speeds, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
+            )
+            open_ = ~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN))
+            cvars = np.full(len(chains), -np.inf)
+            if open_.any():
+                cvars[open_] = _mode_cvars(ctx, [p[open_] for p in ego_paths], pair_modes[open_])
+            s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
+            j_probe = ctx.probe_terms(accels[:, 0])[seqs]
+            delta = steer_means[chains] - np.column_stack((v_t[seqs], s_t[seqs] - s_h[chains]))
+            y = np.linalg.solve(chol_q[chains], delta[..., None])
+            # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
+            j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
+            violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
+            obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
+            return np.column_stack((obj, cvars, j_probe, j_infl))
+
+        bursts = ctx.probe_grid is not None
+        starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
+        picks = []
+        for accel, row, history, rows in _descend(evaluate, starts, cfg):
+            infeasible = False
+            if row[1] > cfg.risk_cap:
+                # Fall back to the first best feasible candidate; when every
+                # candidate violates the cap, to the least risky one, flagged.
+                feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
+                infeasible = not feasible.size
+                h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
+                accel, row = history[h], rows[h]
+            picks.append((accel, row.tolist(), infeasible, len(rows)))
+        # A pick that holds the certified sentinel gets its exact CVaR, in one
+        # batch over the chains.
+        certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
+        if certified:
+            accels = np.array([picks[c][0] for c in certified])
+            ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
+            for c, value in zip(certified, _mode_cvars(ctx, ego_paths, solve[certified]).tolist()):
+                picks[c][1][1] = value
+        return [
+            ctx.mode_diag(
+                m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
+                j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=evals,
+            )
+            for m, (accel, (obj, cvar_val, j_probe, j_infl), infeasible, evals) in zip(solve, picks)
+        ]
+
     def _begin_step(
         self,
         state: ScenarioState,
@@ -828,7 +834,6 @@ class ActivePlanner:
             guidance_yaw=guidance,
             headings=headings,
             discount_weights=weights,
-            ego_sigma=self._ego_sigma,
             probe_grid=probe_grid,
             probe_entropy=probe_entropy,
             entropy_weight=self._entropy_weight(),
@@ -886,14 +891,9 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        tracked = [ctx.belief.targets.targets[self._steer_mode(ctx, m)] for m in ctx.solve]
-        for mode in tracked:
-            if mode.steer is None:
-                raise InvalidInputError(
-                    f"mode ({mode.intent_id},{mode.mode_id}) has no steering target"
-                )
-        solved = dict(zip(ctx.solve, _solve_modes(
-            ctx, [mode.steer for mode in tracked], [self._warm.get(m) for m in ctx.solve]
+        solved = dict(zip(ctx.solve, self._solve_modes(
+            ctx, [self._steer_mode(ctx, m) for m in ctx.solve],
+            [self._warm.get(m) for m in ctx.solve],
         )))
         for m, d in solved.items():
             self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift

@@ -225,9 +225,9 @@ class RunConfig:
     initial_state: ScenarioState | None = None
 
     def __post_init__(self) -> None:
-        """Check every input a run needs, and resolve ``targets`` to the
-        scenario's defaults when none are given. Each error begins with the
-        name of the input it rejects."""
+        """Check every input a run needs, and resolve ``targets`` (see
+        ``resolved_targets``). Each error begins with the name of the input
+        it rejects."""
         if self.scenario not in DEFAULT_T_MAX:
             raise InvalidInputError(
                 f"scenario must be one of {tuple(DEFAULT_T_MAX)}, got {self.scenario!r}"
@@ -249,7 +249,7 @@ class RunConfig:
             if value is not None and not (_is_real(value) and 0.0 < value < math.inf):
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
         targets = self.targets or default_targets(self.scenario)
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "_targets", targets)
         features = self.planner_cfg.features
         if len(features) != targets.obs_dim:
             raise InvalidInputError(f"features has {len(features)} entries, but the mode "
@@ -266,6 +266,11 @@ class RunConfig:
                 name = f"{targets.intent_names[t.intent_id - 1]}/mode {t.mode_id}"
                 raise InvalidInputError(f"targets lack {name} steering, which the ours and "
                                         "passive planners require")
+
+    def resolved_targets(self) -> ModeTargetSet:
+        """``targets``, or the scenario's default targets when none are
+        given; ``dataclasses.replace`` resolves them again."""
+        return self._targets
 
     def resolved_t_max(self) -> float:
         if self.t_max is not None:
@@ -354,7 +359,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     rng_intent = rng_from_keys(cfg.master_seed, run_index, STREAM_INTENT)
 
     state = cfg.initial_state or init_scenario(cfg.scenario, rng_init)
-    targets = cfg.targets
+    targets = cfg.resolved_targets()
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)

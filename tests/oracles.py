@@ -11,9 +11,11 @@ computes in a faster way:
 * ``probe_projection_loop``: the probe projection as one ``step_vehicle``
   call per vehicle and step, where ``probe_projection`` steps every
   vehicle as one array.
-* ``predicted_interaction_gaussian`` and ``influence_objective``: the
-  influence term from a full Gaussian and ``kl_divergence``, where
-  ``_solve_modes`` uses precomputed constants.
+* ``_interaction_frame``, ``predicted_interaction_gaussian`` and
+  ``influence_objective``: the influence term from a full Gaussian and
+  ``kl_divergence`` per mode and step, where ``ActivePlanner._solve_modes``
+  uses constants it builds once per run and a conflict level it computes
+  once per step.
 * ``solve_mode_control``: one mode's solve on its own.
 * ``start_candidates_one``: one chain's multi-start list built on its own,
   where ``_start_candidates`` builds the shared candidates once per step.
@@ -52,16 +54,15 @@ from probeplan.planner import (
     PlanDiagnostics,
     PlannerConfig,
     _controls,
-    _interaction_frame,
     _linear_terminal_state,
+    _mode_human_advance,
     _observation_draws,
-    _solve_modes,
     _StepContext,
     ego_horizon_covariance,
 )
 from probeplan.risk import cvar, path_costs, simulate_ego_path
 from probeplan.seeding import STREAM_PROBE, rng_from_keys
-from probeplan.world import ScenarioState
+from probeplan.world import ScenarioState, ego_progress, human_progress
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -82,6 +83,31 @@ def log_density(g: Gaussian, x: np.ndarray) -> float:
 def density(g: Gaussian, x: np.ndarray) -> float:
     """Gaussian pdf of ``g`` at ``x`` (linear scale, strictly positive)."""
     return math.exp(log_density(g, x))
+
+
+def _interaction_frame(
+    state: ScenarioState, mode: ModeTarget, cfg: PlannerConfig, ego_sigma: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """Control-independent parts of the predicted interaction distribution:
+    ego start progress, predicted human progress at the horizon end if it
+    follows ``mode``, and the (speed, lead) covariance."""
+    geometry = state.geometry
+    c0 = conflict_level(
+        state.ego, state.human, geometry, cfg.response_gain,
+        geometry.risk_threshold, geometry.nominal_human_speed,
+    )
+    s_h = human_progress(geometry, state.human) + _mode_human_advance(
+        state.human, mode, c0, cfg
+    )
+    horizon = cfg.horizon_steps * cfg.dt
+    var_h_pos = float(mode.target.cov[0, 0]) * horizon * horizon
+    cov = np.array(
+        [
+            [ego_sigma[1, 1], ego_sigma[0, 1]],
+            [ego_sigma[0, 1], ego_sigma[0, 0] + var_h_pos],
+        ]
+    )
+    return ego_progress(geometry, state.ego), s_h, cov
 
 
 def predicted_interaction_gaussian(
@@ -288,9 +314,10 @@ def solve_mode_control(
         raise InvalidInputError("mode is not part of the belief's target set")
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
-    ctx = ActivePlanner(cfg)._begin_step(state, b, rng)
+    planner = ActivePlanner(cfg)
+    ctx = planner._begin_step(state, b, rng)
     ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
-    (diag,) = _solve_modes(ctx, [mode.steer], [None])
+    (diag,) = planner._solve_modes(ctx, ctx.solve, [None])
     return diag.nu, diag
 
 
@@ -333,7 +360,7 @@ def solve_mode_scalar(
     mode = ctx.belief.targets.targets[m]
     paths = ctx.human_paths[m]
 
-    s0, s_h, cov_pred = _interaction_frame(state, mode, cfg, ctx.ego_sigma)
+    s0, s_h, cov_pred = _interaction_frame(state, mode, cfg, ego_horizon_covariance(cfg))
     kl_at_zero = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer_target)
     chol_q = np.linalg.cholesky(steer_target.cov)
     y0 = np.linalg.solve(chol_q, steer_target.mean)

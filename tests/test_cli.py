@@ -94,9 +94,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(config, "load_mode_targets", counted)
         run_experiment(cfg, overrides, out_dir=tmp_path / "a")
-        # load_config's validation, then the batch's one combination; every
-        # one of the 3 runs read it again before.
-        assert len(reads) == 1 + 1
+        # The validation builds the batch's one combination once; the batch
+        # built it a second time, and before that every one of the 3 runs
+        # read the file again.
+        assert len(reads) == 1
         run_experiment(cfg, overrides + ["experiment.workers=2"], out_dir=tmp_path / "b")
         ref = (tmp_path / "a" / "results.csv").read_bytes()
         assert len(ref.splitlines()) == 1 + 3

@@ -80,16 +80,16 @@ class TestLoad:
             # ValueError from the seed sequence.
             ("experiment.master_seed=-1", "experiment.master_seed"),
             # TypeError mid-run, now caught when the planner section loads.
-            ("planner.horizon_steps=2.5", "horizon_steps"),
-            ("planner.probe_grid_size=2.5", "probe_grid_size"),
+            ("planner.horizon_steps=2.5", "planner.horizon_steps"),
+            ("planner.probe_grid_size=2.5", "planner.probe_grid_size"),
             # An empty last segment: a wasted probe, or a NaN warm start.
-            ("planner.solver_segments=7", "solver_segments"),
-            ("planner.horizon_steps=2", "solver_segments"),
+            ("planner.solver_segments=7", "planner.solver_segments"),
+            ("planner.horizon_steps=2", "planner.solver_segments"),
             # A switch that no longer exists.
             ("planner.literal_probe_sign=true", "planner.literal_probe_sign"),
             # Bare TypeError or ValueError from the planner section.
             ("planner.features=5", "planner.features"),
-            ("planner.accel_bounds=[1]", "accel_bounds"),
+            ("planner.accel_bounds=[1]", "planner.accel_bounds"),
             ("planner.yaw_rate_bounds=0.6", "planner.yaw_rate_bounds"),
             # Bare TypeError from the name lists.
             ("experiment.scenario=5", "experiment.scenario"),
@@ -104,12 +104,12 @@ class TestLoad:
             ("experiment.scenario=[lane_merge, lane_merge]", "experiment.scenario"),
             ("experiment.planner=[ours, passive, ours]", "experiment.planner"),
             # Accepted silently, or raised from inside a run.
-            ("planner.risk_cap=.nan", "risk_cap"),
-            ("planner.penalty_weight=-1", "penalty_weight"),
-            ("planner.solver_step=0", "solver_step"),
-            ("planner.dt=.inf", "dt"),
-            ("planner.accel_noise_var=-1", "accel_noise_var"),
-            ("planner.response_gain=0", "response_gain"),
+            ("planner.risk_cap=.nan", "planner.risk_cap"),
+            ("planner.penalty_weight=-1", "planner.penalty_weight"),
+            ("planner.solver_step=0", "planner.solver_step"),
+            ("planner.dt=.inf", "planner.dt"),
+            ("planner.accel_noise_var=-1", "planner.accel_noise_var"),
+            ("planner.response_gain=0", "planner.response_gain"),
             # Bare TypeError from the targets file path.
             ("scenario.mode_targets_file=5", "scenario.mode_targets_file"),
             ("scenario.mode_targets_file=[a.yaml]", "scenario.mode_targets_file"),
@@ -172,7 +172,7 @@ class TestOverrides:
         assert pc_cross.ref_speed == 5.5
 
     def test_invalid_planner_value_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="invalid planner config"):
+        with pytest.raises(ConfigError, match=re.escape("invalid planner.cvar_level: cvar_level")):
             cfg = load_config(write(tmp_path, MINIMAL), ["planner.cvar_level=1.5"])
             build_planner_config(cfg, "lane_merge")
 

@@ -31,11 +31,12 @@ from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
     _descend,
+    _shared_starts,
     _start_candidates,
     lane_guidance,
 )
 from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
-from probeplan.scenario import DEFAULT_REF_SPEED, default_targets, init_scenario
+from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, default_targets, init_scenario, run
 from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
 
@@ -469,26 +470,28 @@ class TestDescend:
         start sets, its result and every ``evaluate`` call it made."""
         calls = []
 
-        def evaluate(accels, chains):
-            rows = np.array([self.objective(cfg, c)(a) for a, c in zip(accels, chains.tolist())])
-            calls.append((accels.copy(), chains.copy(), rows))
+        def evaluate(accels, chains, seqs):
+            pairs = accels[seqs]
+            rows = np.array([self.objective(cfg, c)(a) for a, c in zip(pairs, chains.tolist())])
+            calls.append((pairs, chains.copy(), rows, accels.copy(), seqs.copy()))
             return rows
 
         rng = np.random.default_rng(3)
         horizon = cfg.horizon_steps
         warms = [None, np.full(horizon, 1.0), None, rng.uniform(-3.0, 3.0, horizon)]
-        starts = _start_candidates(cfg, warms, bursts=True)
+        starts = _start_candidates(cfg, _shared_starts(cfg), warms, bursts=True)
         return starts, _descend(evaluate, starts, cfg), calls
 
     def test_chains_match_one_chain_loop(self):
         cfg = PlannerConfig(solver_iters=8)
         starts, got, calls = self.run(cfg)
-        assert len(got) == len(starts)
+        cands, index = starts
+        assert len(got) == len(index)
         phases = []
-        for c, (cands, (accel, row, history, rows)) in enumerate(zip(starts, got)):
+        for c, (mine, (accel, row, history, rows)) in enumerate(zip(index, got)):
             phases.append([])
             objective = self.objective(cfg, c)
-            want_accel, want_row, want_history = descend_one(objective, cands, cfg, phases[c])
+            want_accel, want_row, want_history = descend_one(objective, cands[mine], cfg, phases[c])
             assert np.array_equal(accel, want_accel) and row.tolist() == list(want_row)
             assert np.array_equal(history, [a for a, _ in want_history])
             assert rows.tolist() == [list(r) for _, r in want_history]
@@ -504,15 +507,24 @@ class TestDescend:
         # the order of the loop. A chain's pairs in a call are its next
         # history entries, then, in a line-search call, the trials after
         # its first win, which are dropped.
-        taken = [0] * len(starts)
-        best = [math.inf] * len(starts)  # each chain's current objective
+        taken = [0] * len(index)
+        best = [math.inf] * len(index)  # each chain's current objective
         called = []
         dropped = 0
-        for accels, cs, rs in calls:
+        for accels, cs, rs, seq_rows, seqs in calls:
             held = {phase_of(phases[c][taken[c]]) for c in set(cs.tolist())}
             assert len(held) == 1
             (phase,) = held
             called.append(phase)
+            # Every passed sequence serves some pair. The start round passes
+            # each shared start once and one warm row per warm chain; the
+            # other rounds pass one sequence per pair, in pair order.
+            assert sorted(set(seqs.tolist())) == list(range(len(seq_rows)))
+            if phase == (-1, 0):
+                head, tail = _shared_starts(cfg)
+                assert len(seq_rows) == len(head) + len(tail) + 2 < len(cs)
+            else:
+                assert np.array_equal(seqs, np.arange(len(cs)))
             search = phase[1] == 1 and phase[0] >= 0
             if search:
                 # Trial k of every chain, k-major, chains ascending.
@@ -564,9 +576,9 @@ class TestDescend:
         rounds = []
 
         def counted(evaluate, starts, cfg):
-            def counting(accels, chains):
+            def counting(accels, chains, seqs):
                 rounds[-1] += 1
-                return evaluate(accels, chains)
+                return evaluate(accels, chains, seqs)
             rounds.append(0)
             return _descend(counting, starts, cfg)
 
@@ -627,12 +639,15 @@ class TestStartCandidates:
         rng = np.random.default_rng(4)
         warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
                  rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
-        got = _start_candidates(cfg, warms, bursts)
-        assert len(got) == len(warms)
-        for cands, warm in zip(got, warms):
+        cands, index = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
+        assert len(index) == len(warms)
+        for mine, warm in zip(index, warms):
             want = start_candidates_one(cfg, warm, bursts)
-            assert len(cands) == len(want)
-            assert all(a.tobytes() == w.tobytes() for a, w in zip(cands, want))
+            assert len(mine) == len(want)
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[mine], want))
+        # Each shared start once, and one row per warm start.
+        n_warm = sum(w is not None for w in warms)
+        assert len(cands) == len(want) - (warms[-1] is not None) + n_warm
 
     def test_warm_start_means_follow_the_segments(self):
         # 30 steps in segments of 8, 8, 8 and 6 steps. A warm plan constant
@@ -640,8 +655,84 @@ class TestStartCandidates:
         cfg = PlannerConfig(solver_segments=4)
         values = np.array([1.0, -1.0, 2.0, 0.5])
         warm = np.repeat(values, 8)[:30]
-        (cands,) = _start_candidates(cfg, [warm], bursts=False)
-        assert np.array_equal(cands[-1], values)
+        cands, (mine,) = _start_candidates(cfg, _shared_starts(cfg), [warm], bursts=False)
+        assert np.array_equal(cands[mine][-1], values)
+
+
+class TestRunConstants:
+    """What a run does not change is built once: the shared starts are
+    simulated once per start round, and the steering setup once per
+    (solved mode, steering mode) of a target set."""
+
+    def test_start_round_simulates_each_start_once(self, monkeypatch):
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
+        state = init_scenario(LANE_MERGE, np.random.default_rng(2))
+        b = uniform_belief(default_targets(LANE_MERGE))
+        planner = ActivePlanner(cfg)
+        planner.plan_step(state, b, 5)  # every mode solved: each gets a warm start
+        simulated, rounds = [], []
+        real_simulate, real_descend = planner_mod.simulate_ego_path, planner_mod._descend
+
+        def counted_simulate(ego, accel, *args):
+            simulated.append(len(np.atleast_2d(accel)))
+            return real_simulate(ego, accel, *args)
+
+        def counted_descend(evaluate, starts, cfg):
+            def counting(accels, chains, seqs):
+                before = len(simulated)
+                rows = evaluate(accels, chains, seqs)
+                rounds.append((simulated[before:], len(chains)))
+                return rows
+            return real_descend(counting, starts, cfg)
+
+        monkeypatch.setattr(planner_mod, "simulate_ego_path", counted_simulate)
+        monkeypatch.setattr(planner_mod, "_descend", counted_descend)
+        _, diag = planner.plan_step(state, b, 6)
+        head, tail = _shared_starts(cfg)
+        n_solved = sum(m.nu is not None for m in diag.modes)
+        # Nine warm chains, and the probe grid ran, so the bursts join.
+        assert n_solved == 9 and not math.isnan(diag.expected_entropy_after)
+        (start_rows,), pairs = rounds[0]
+        assert pairs == n_solved * (len(head) + 1 + len(tail))
+        assert start_rows <= len(head) + len(tail) + n_solved
+        # The later rounds simulate one sequence per pair.
+        assert all(rows == [n] for rows, n in rounds[1:])
+
+    @pytest.mark.parametrize("planner_name", ["ours", "passive"])
+    def test_kl_divergence_once_per_mode_pair_over_a_run(self, planner_name, monkeypatch):
+        calls, pairs = [], set()
+        real_kl, real_solve = planner_mod.kl_divergence, ActivePlanner._solve_modes
+
+        def counted_kl(p, q):
+            calls.append(q)
+            return real_kl(p, q)
+
+        def recorded_solve(self, ctx, steer_modes, warm_accels):
+            pairs.update(zip(ctx.solve, steer_modes))
+            return real_solve(self, ctx, steer_modes, warm_accels)
+
+        monkeypatch.setattr(planner_mod, "kl_divergence", counted_kl)
+        monkeypatch.setattr(ActivePlanner, "_solve_modes", recorded_solve)
+        cfg = RunConfig(scenario=LANE_MERGE, master_seed=3, planner=planner_name, t_max=1.0,
+                        planner_cfg=PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE]))
+        _, log = run(cfg)
+        assert len(log.records) == 10
+        assert len(calls) == len(pairs) >= 9
+
+    def test_new_target_set_gets_its_own_steering(self):
+        cfg = PlannerConfig(**FAST)
+        rng = np.random.default_rng(8)
+        merge = filtered_belief(default_targets(LANE_MERGE), rng)
+        crossing_state = advanced_state(INTERSECTION, rng)
+        crossing = filtered_belief(default_targets(INTERSECTION), rng)
+        planner, fresh = ActivePlanner(cfg), ActivePlanner(cfg)
+        planner.plan_step(advanced_state(LANE_MERGE, rng), merge, 12)
+        fresh._warm = {m: w.copy() for m, w in planner._warm.items()}
+        fresh._ref_accel = planner._ref_accel.copy()
+        u, diag = planner.plan_step(crossing_state, crossing, 13)
+        want_u, want_diag = fresh.plan_step(crossing_state, crossing, 13)
+        assert np.array_equal(u, want_u)
+        assert same_diag(diag, want_diag)
 
 
 class TestProbeObjective:

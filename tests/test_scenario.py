@@ -294,4 +294,17 @@ class TestRun:
     def test_default_targets_resolved_at_construction(self):
         cfg = RunConfig(scenario=INTERSECTION, master_seed=0)
         labels = [t.label for t in default_targets(INTERSECTION).targets]
-        assert [t.label for t in cfg.targets.targets] == labels
+        assert [t.label for t in cfg.resolved_targets().targets] == labels
+        assert cfg.targets is None
+
+    def test_replaced_scenario_gets_its_own_default_targets(self):
+        # The resolved targets used to be stored in ``targets``, so a
+        # replaced scenario kept the old scenario's modes.
+        merge = RunConfig(scenario=LANE_MERGE, master_seed=1, t_max=0.3)
+        crossing = dataclasses.replace(merge, scenario=INTERSECTION)
+        labels = [t.label for t in default_targets(INTERSECTION).targets]
+        assert [t.label for t in crossing.resolved_targets().targets] == labels
+        _, log = run(crossing)
+        assert [t.label for t in log.targets.targets] == labels
+        _, direct = run(RunConfig(scenario=INTERSECTION, master_seed=1, t_max=0.3))
+        assert np.array_equal(log.controls, direct.controls)
