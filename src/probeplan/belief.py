@@ -112,6 +112,11 @@ class ModeTargetSet:
         self._rows = np.array([t.intent_id - 1 for t in targets])
         self._starts = np.cumsum([0, *counts[:-1]])
         self._row_len = np.repeat(counts, counts)
+        # One set may serve many runs (``default_targets`` shares its sets),
+        # so nothing may write to its arrays.
+        for a in (self._means, self._chol_inv, self._log_norm, self._rows, self._starts,
+                  self._row_len):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.targets)

@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -83,6 +84,23 @@ RUN_FIELDS = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, reading exponent forms without a dot or
+    without an exponent sign (``1e-5``, ``1e3``, ``2.5E4``) as floats, as
+    YAML 1.2 does; the YAML 1.1 rules PyYAML follows read them as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def _load_yaml(text: str):
+    return yaml.load(text, Loader=_Loader)
+
+
 def _merge_section(section: str, given: dict, out: dict) -> None:
     known = DEFAULTS[section]
     for key, value in given.items():
@@ -96,7 +114,7 @@ def _read_yaml(path: Path, what: str):
     cannot be read (missing, a directory, unreadable, not UTF-8) or parsed
     raises a ConfigError naming it."""
     try:
-        return yaml.safe_load(path.read_text(encoding="utf-8"))
+        return _load_yaml(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
@@ -145,7 +163,7 @@ def apply_override(cfg: dict, item: str) -> None:
     if section not in DEFAULTS or field not in DEFAULTS[section]:
         raise ConfigError(f"unknown field {section}.{field}")
     try:
-        cfg[section][field] = yaml.safe_load(raw_value)
+        cfg[section][field] = _load_yaml(raw_value)
     except yaml.YAMLError as e:
         raise ConfigError(f"override {section}.{field} value does not parse: {e}") from None
 

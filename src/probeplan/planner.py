@@ -6,10 +6,12 @@ each solve is executed).
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
 builds the shared setup (rng key, lane guidance with the ego headings it
 implies, probe grid, joint weights, the modes to solve, every mode's human
-paths as x and y planes, reference-plan CVaR per mode), all on one mode
-axis ``m`` in target order. The probe grid is one batched
-``belief.posterior_entropies`` pass over the distinct predicted
-observation sets. ``_descend`` is the one solver loop. It runs one descent
+paths as one block of x and y planes from one ``risk.draw_human_paths``
+call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
+order. The probe grid is one batched ``belief.posterior_entropies`` pass
+over the distinct predicted observation sets, which one
+``predicted_observation_mean`` call gives for every grid point.
+``_descend`` is the one solver loop. It runs one descent
 chain per solve (multi-start over constant-acceleration candidates, then
 projected finite-difference descent on a piecewise-constant acceleration
 parameterization of ``solver_segments`` windows of ``segment_steps``
@@ -324,11 +326,11 @@ def _linear_terminal_state(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal (progress, speed) of the double-integrator planning model
     under an acceleration sequence (T,), or per row of sequences (K, T)."""
-    v_path = v0 + dt * np.cumsum(accel, axis=-1)
+    v_path = v0 + dt * accel.cumsum(axis=-1)
     v_prev = np.empty_like(v_path)
     v_prev[..., 0] = v0
     v_prev[..., 1:] = v_path[..., :-1]
-    s_t = s0 + dt * np.sum(v_prev, axis=-1) + 0.5 * dt * dt * np.sum(accel, axis=-1)
+    s_t = s0 + dt * v_prev.sum(axis=-1) + 0.5 * dt * dt * accel.sum(axis=-1)
     return s_t, v_path[..., -1]
 
 
@@ -392,44 +394,42 @@ def probe_projection(
     # Adding 0.0 maps a -0.0 heading to the 0.0 that step_vehicle holds from
     # its second step on; after two or more steps the bits agree either way.
     theta = [s.theta + 0.0 for s in rows]
-    cos_t, sin_t = np.array([[math.cos(t), math.sin(t)] for t in theta]).T
-    x, y, v = (np.array([getattr(s, f) for s in rows]) for f in "xyv")
-    dt = cfg.dt
+    heading = np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
+    xy, v = np.array([[s.x for s in rows], [s.y for s in rows]]), np.array([s.v for s in rows])
     for _ in range(PROBE_LOOKAHEAD_STEPS):
-        x, y, v = x + v * cos_t * dt, y + v * sin_t * dt, v + accel * dt
+        xy, v = xy + v * heading * cfg.dt, v + accel * cfg.dt
         v = np.where(v > 0.0, v, 0.0)  # max(0.0, v), as step_vehicle clamps
-    *egos, human = map(VehicleState, x.tolist(), y.tolist(), v.tolist(), theta)
+    *egos, human = map(VehicleState, *xy.tolist(), v.tolist(), theta)
     return egos, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
 
 
 def predicted_observation_mean(
-    ego_ref: VehicleState,
+    egos: Sequence[VehicleState],
     human_ref: VehicleState,
     geometry: ScenarioGeometry,
     modes: Sequence[ModeTarget],
     cfg: PlannerConfig,
     response_time: float,
 ) -> np.ndarray:
-    """Expected observation (len(modes), d) if the human follows each of
-    ``modes``: its speed relaxes toward the mode's velocity mean at a rate
-    set by the conflict level of the (possibly projected) reference
-    configuration, integrated over ``response_time`` seconds. The conflict
-    level, and so the rate, is the same for every mode."""
-    c = conflict_level(
-        ego_ref, human_ref, geometry, cfg.response_gain,
-        geometry.risk_threshold, geometry.nominal_human_speed,
-    )
-    relax = 1.0 - math.exp(-cfg.response_gain * c * response_time)
+    """Expected observation (len(egos), len(modes), d) if the human follows
+    each of ``modes``, against each (possibly projected) reference ego of
+    ``egos``: its speed relaxes toward the mode's velocity mean at a rate
+    set by the conflict level of that ego and ``human_ref``, integrated over
+    ``response_time`` seconds. The rate is the same for every mode."""
+    levels = [conflict_level(ego, human_ref, geometry, cfg.response_gain,
+                             geometry.risk_threshold, geometry.nominal_human_speed) for ego in egos]
+    relax = np.array([1.0 - math.exp(-cfg.response_gain * c * response_time) for c in levels])
     mu = np.array([mode.target.mean[0] for mode in modes], dtype=float)
-    v_pred = human_ref.v + relax * (mu - human_ref.v)
+    v_pred = human_ref.v + relax[:, None] * (mu - human_ref.v)
     columns = {VELOCITY: v_pred}
     if GAP in cfg.features:
         step = v_pred * cfg.dt
-        dx = ego_ref.x - (human_ref.x + step * geometry.human_dir[0])
-        dy = ego_ref.y - (human_ref.y + step * geometry.human_dir[1])
+        dx = np.array([[e.x] for e in egos]) - (human_ref.x + step * geometry.human_dir[0])
+        dy = np.array([[e.y] for e in egos]) - (human_ref.y + step * geometry.human_dir[1])
         # math.hypot, not np.hypot: the two differ in the last bit.
-        columns[GAP] = [math.hypot(*d) for d in zip(dx.tolist(), dy.tolist())]
-    return np.column_stack([columns[name] for name in cfg.features])
+        gaps = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+        columns[GAP] = np.fromiter(gaps, float, dx.size).reshape(dx.shape)
+    return np.stack([columns[name] for name in cfg.features], axis=-1)
 
 
 def _observation_draws(
@@ -516,12 +516,13 @@ def _start_candidates(
     """Multi-start segment vectors, one set per warm start: the ``shared``
     head, the warm start's segment-window means and optionally the shared
     bursts. Returns the distinct vectors (U, P) and the rows of each set."""
-    (a_lo, a_hi), seg_len = cfg.accel_bounds, cfg.segment_steps
+    seg_len, horizon = cfg.segment_steps, cfg.horizon_steps
     head, tail = shared[0], shared[1] if bursts else shared[1][:0]
-    windows = range(0, cfg.horizon_steps, seg_len)
-    warm = [np.clip([np.mean(w[i:i + seg_len]) for i in windows], a_lo, a_hi)
-            for w in warm_accels if w is not None]
-    cands = np.vstack((head, *warm, tail))
+    # Each window's mean as np.mean takes it: its sum over its length.
+    warm = np.array([w for w in warm_accels if w is not None]).reshape(-1, horizon)
+    windows = [warm[:, i:i + seg_len] for i in range(0, horizon, seg_len)]
+    means = np.column_stack([w.sum(axis=1) / w.shape[1] for w in windows])
+    cands = np.vstack((head, np.clip(means, *cfg.accel_bounds), tail))
     own = iter(range(len(head), len(cands) - len(tail)))
     return cands, [[*range(len(head)), *([next(own)] if w is not None else []),
                     *range(len(cands) - len(tail), len(cands))] for w in warm_accels]
@@ -550,12 +551,15 @@ def _descend(
     history of a chain that tries one step after another.
     """
     a_lo, a_hi = cfg.accel_bounds
-    horizon = cfg.horizon_steps
+    segment_of_step = np.arange(cfg.horizon_steps) // cfg.segment_steps
     log = []
 
+    # np.clip without its Python wrappers: the values agree but for a -0.0
+    # theta at a +0.0 bound, and no start or step produces one. ``take`` keeps
+    # each row contiguous, so sums along it add in np.repeat's order.
     def score(thetas: np.ndarray, chains: np.ndarray, seqs: np.ndarray):
         """Each pair's sequence (K, T) and row (K, F)."""
-        accels = np.repeat(np.clip(thetas, a_lo, a_hi), cfg.segment_steps, axis=1)[:, :horizon]
+        accels = np.minimum(np.maximum(thetas, a_lo), a_hi).take(segment_of_step, axis=1)
         return accels[seqs], evaluate(accels, chains, seqs)
 
     cands, index = starts
@@ -564,8 +568,8 @@ def _descend(
     chains = np.repeat(np.arange(len(index)), sizes)
     accels, rows = score(cands, chains, seqs)
     log.append((chains, accels, rows))
-    # np.argmin keeps the first start among equal objectives.
-    pick = [i + int(np.argmin(rows[i:i + n, 0])) for i, n in zip(np.cumsum([0] + sizes), sizes)]
+    # argmin keeps the first start among equal objectives.
+    pick = [i + int(rows[i:i + n, 0].argmin()) for i, n in zip(np.cumsum([0] + sizes), sizes)]
     theta, accel, current = cands[seqs[pick]], accels[pick], rows[pick]
 
     segs = np.arange(cfg.solver_segments)
@@ -576,29 +580,29 @@ def _descend(
         if not live.size:
             break
         steps = np.where(theta[live] + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
-        probes = np.repeat(theta[live, None], len(segs), axis=1)
+        probes = theta[live, None].repeat(len(segs), axis=1)
         probes[:, segs, segs] += steps
-        chains = np.repeat(live, len(segs))
+        chains = live.repeat(len(segs))
         accels, rows = score(probes.reshape(-1, len(segs)), chains, np.arange(len(chains)))
         log.append((chains, accels, rows))
         grad = (rows[:, 0].reshape(steps.shape) - current[live, :1]) / steps
-        scale = np.max(np.abs(grad), axis=1)
+        scale = np.abs(grad).max(axis=1)
         # A NaN scale is not below the threshold: that chain goes on.
         keep = ~(scale < 1e-12)
         live, direction = live[keep], grad[keep] / scale[keep, None]
         if not live.size:
             break
         # Every trial k of every live chain in one round, k-major.
-        trials = np.clip(
-            theta[live] - trial_steps[:, None, None] * direction, a_lo, a_hi
+        trials = np.minimum(
+            np.maximum(theta[live] - trial_steps[:, None, None] * direction, a_lo), a_hi
         ).reshape(-1, len(segs))
-        chains = np.tile(live, 3)
+        chains = np.concatenate((live, live, live))
         accels, rows = score(trials, chains, np.arange(len(chains)))
         won = (rows[:, 0] < current[chains, 0] - 1e-12).reshape(3, live.size)
         hit = won.any(axis=0)
         # A chain keeps its trials up to its first win. The later ones are
         # dropped unlogged: the one-at-a-time search never scores them.
-        first = np.where(hit, np.argmax(won, axis=0), 2)
+        first = np.where(hit, won.argmax(axis=0), 2)
         kept = (np.arange(3)[:, None] <= first).ravel()
         log.append((chains[kept], accels[kept], rows[kept]))
         winners = np.flatnonzero(hit)
@@ -686,12 +690,9 @@ class ActivePlanner:
         # Each point's observations (n_obs, d); points with byte-equal
         # observations (often all of them, once the held control saturates
         # the conflict level) share one row block of the batched pass.
-        zs = [
-            predicted_observation_mean(
-                ego_ref, human_ref, state.geometry, b.targets.targets, cfg, response_time
-            )[idxs] + noise
-            for ego_ref in egos
-        ]
+        zs = predicted_observation_mean(
+            egos, human_ref, state.geometry, b.targets.targets, cfg, response_time
+        )[:, idxs] + noise
         keys = [z.tobytes() for z in zs]
         blocks = dict(zip(keys, zs))  # in first-seen order
         h = posterior_entropies(b, np.concatenate(list(blocks.values())), h_now, PROBE_PI_WEIGHTED)
@@ -733,6 +734,7 @@ class ActivePlanner:
             kl = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
             self._steering[m, k] = chol, kl, steer.mean
         chol_q, kl_const, steer_means = map(np.array, zip(*map(self._steering.get, pairs)))
+        steer_v, steer_s = steer_means.T
         # The ego's start progress and the conflict level are the same for
         # every mode; s_h is each mode's predicted human progress.
         s0 = ego_progress(geometry, state.ego)
@@ -750,19 +752,19 @@ class ActivePlanner:
             bounds = path_cost_bounds(
                 x, y, speeds, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
             )
-            open_ = ~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN))
+            open_ = np.flatnonzero(~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)))
             cvars = np.full(len(chains), -np.inf)
-            if open_.any():
+            if open_.size:
                 cvars[open_] = _mode_cvars(ctx, [p[open_] for p in ego_paths], pair_modes[open_])
             s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
             j_probe = ctx.probe_terms(accels[:, 0])[seqs]
-            delta = steer_means[chains] - np.column_stack((v_t[seqs], s_t[seqs] - s_h[chains]))
-            y = np.linalg.solve(chol_q[chains], delta[..., None])
+            delta = (steer_v[chains] - v_t[seqs], steer_s[chains] - (s_t[seqs] - s_h[chains]))
+            y = np.linalg.solve(chol_q[chains], np.array(delta).T[..., None])
             # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
             j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
             violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
             obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-            return np.column_stack((obj, cvars, j_probe, j_infl))
+            return np.array((obj, cvars, j_probe, j_infl)).T
 
         bursts = ctx.probe_grid is not None
         starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
@@ -813,13 +815,11 @@ class ActivePlanner:
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
         # Each mode's rollouts come from a stream keyed by the mode, so the
         # draw order does not matter.
-        human_paths = np.stack([
-            draw_human_paths(
-                state.human, t, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
-                rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id),
-            )
-            for t in b.targets.targets
-        ])
+        modes = b.targets.targets
+        human_paths = draw_human_paths(
+            state.human, modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+            [rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
+        )
         headings = ego_headings(state.ego, guidance, cfg.dt)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)

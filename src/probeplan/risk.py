@@ -10,16 +10,18 @@ pressure and dawdling register in the tail statistics.
 This module is the one per-step rollout/CVaR kernel every planner runs.
 What does not depend on the candidate acceleration is built once per
 step: the ego headings (``ego_headings``, from the lane-guidance yaw
-alone), each mode's sampled human paths as contiguous x and y planes
-(``draw_human_paths``) and the discount weights. ``path_costs`` takes ego
-rows (R, T) against one mode's paths, or one ego path against several
-modes' paths, so a solver round scores its (sequence, mode) pairs with one
-``simulate_ego_path``, one ``path_costs`` block per mode (the conservative
-planner: one per sequence, over its solved modes) and one ``cvar``. Every
-kernel reproduces a plain sequential loop per ego path and mode bit for
-bit: cumulative sums run in order, the element operations are the same
-ones in the same order, and each (ego path, mode) block's discounted sums
-are its own matrix-vector product.
+alone), every mode's sampled human paths as one block of x and y planes
+(``draw_human_paths``: one ``normal`` draw per mode from the mode's own
+stream, then one clamp, integration and projection over all modes) and
+the discount weights. ``path_costs`` takes ego rows (R, T) against one
+mode's paths, or one ego path against several modes' paths, so a solver
+round scores its (sequence, mode) pairs with one ``simulate_ego_path``,
+one ``path_costs`` block per mode (the conservative planner: one per
+sequence, over its solved modes) and one ``cvar``. Every kernel
+reproduces a plain sequential loop per ego path and mode bit for bit:
+cumulative sums run in order, the element operations are the same ones
+in the same order, and each (ego path, mode) block's discounted sums are
+its own matrix-vector product.
 
 Certificate below the cap. CVaR at any level is at most the largest sample
 cost (Rockafellar & Uryasev 2000), and a sample's cost at step t only grows
@@ -40,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -90,7 +92,8 @@ def cvar(costs: np.ndarray, alpha: float) -> float | np.ndarray:
     n = costs.shape[-1]
     m = tail_sample_count(alpha, n)
     tail = np.sort(np.partition(costs, n - m, axis=-1)[..., n - m:], axis=-1)
-    out = np.mean(tail[..., ::-1], axis=-1)
+    # The sum over the count, as np.mean takes it.
+    out = tail[..., ::-1].sum(axis=-1) / m
     return float(out) if costs.ndim == 1 else out
 
 
@@ -132,10 +135,12 @@ def simulate_ego_path(
     v = np.empty(lead + (t_steps + 1,))
     v[..., 0] = ego.v
     np.multiply(accel, dt, out=v[..., 1:])
-    np.cumsum(v, axis=-1, out=v)
-    clamped = ~(v[..., 1:] > 0.0).all(axis=-1)
-    if clamped.any():
-        # Some speed reaches zero: integrate with the clamp, step by step.
+    # np.add.accumulate is np.cumsum without its Python wrappers.
+    np.add.accumulate(v, axis=-1, out=v)
+    if not v[..., 1:].min(initial=math.inf) > 0.0:
+        # Some speed reaches zero (or is NaN): integrate those rows with the
+        # clamp, step by step.
+        clamped = ~(v[..., 1:] > 0.0).all(axis=-1)
         for row in np.flatnonzero(clamped.reshape(-1)):
             a_row = accel.reshape(-1, t_steps)[row]
             v_row = v.reshape(-1, t_steps + 1)[row]
@@ -148,30 +153,35 @@ def simulate_ego_path(
     pos[..., 1, 0] = ego.y
     np.multiply(v[..., None, :-1], headings, out=pos[..., 1:])
     pos[..., 1:] *= dt
-    np.cumsum(pos, axis=-1, out=pos)
+    np.add.accumulate(pos, axis=-1, out=pos)
     return pos[..., 0, 1:], pos[..., 1, 1:], v[..., 1:]
 
 
 def draw_human_paths(
-    human, mode: "ModeTarget", n_samples: int, t_steps: int, dt: float,
-    rng: np.random.Generator,
+    human, modes: Sequence[ModeTarget], n_samples: int, t_steps: int, dt: float,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Sampled human positions as x and y planes (2, n_samples, t_steps)
-    under one mode.
+    """Sampled human positions as x and y planes (M, 2, n_samples, t_steps),
+    one block per mode of ``modes``, each drawn from its own ``rngs`` entry.
 
-    Per-step longitudinal speeds are drawn i.i.d. from the mode target's
+    Per-step longitudinal speeds are drawn i.i.d. from each mode target's
     velocity marginal (clamped at zero; the human does not reverse) and
-    integrated along the human's current heading.
+    integrated along the human's current heading. Each mode makes its own
+    ``normal`` draw; the clamp, the integration and the planes then run
+    once over every mode, element by element as they would per mode.
     """
-    mu = float(mode.target.mean[0])
-    std = math.sqrt(float(mode.target.cov[0, 0]))
-    speeds = np.maximum(0.0, rng.normal(mu, std, size=(n_samples, t_steps)))
-    arc = np.cumsum(speeds * dt, axis=1)
-    planes = np.empty((2, n_samples, t_steps))
-    np.multiply(arc, math.cos(human.theta), out=planes[0])
-    np.multiply(arc, math.sin(human.theta), out=planes[1])
-    planes[0] += human.x
-    planes[1] += human.y
+    speeds = np.empty((len(modes), n_samples, t_steps))
+    for out, mode, rng in zip(speeds, modes, rngs, strict=True):
+        std = math.sqrt(float(mode.target.cov[0, 0]))
+        out[...] = rng.normal(float(mode.target.mean[0]), std, size=(n_samples, t_steps))
+    np.maximum(0.0, speeds, out=speeds)
+    speeds *= dt
+    arc = np.cumsum(speeds, axis=2, out=speeds)
+    planes = np.empty((len(modes), 2, n_samples, t_steps))
+    np.multiply(arc, math.cos(human.theta), out=planes[:, 0])
+    np.multiply(arc, math.sin(human.theta), out=planes[:, 1])
+    planes[:, 0] += human.x
+    planes[:, 1] += human.y
     return planes
 
 
@@ -241,8 +251,10 @@ def path_cost_bounds(
     each (P, T)) against the samples whose ``sample_boxes`` are ``boxes``
     (P, 4, T): the cost of the point of each step's box nearest the ego,
     in the element operations ``path_costs`` runs per sample."""
+    # np.minimum(np.maximum(...)) is np.clip against array bounds, NaN and
+    # signed zeros included, without np.clip's Python wrappers.
     return _step_costs(
-        ego_x - np.clip(ego_x, boxes[:, 0], boxes[:, 1]),
-        ego_y - np.clip(ego_y, boxes[:, 2], boxes[:, 3]),
+        ego_x - np.minimum(np.maximum(ego_x, boxes[:, 0]), boxes[:, 1]),
+        ego_y - np.minimum(np.maximum(ego_y, boxes[:, 2]), boxes[:, 3]),
         ego_speeds, ref_speed,
     ) @ weights

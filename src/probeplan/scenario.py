@@ -7,6 +7,7 @@ Runs are fully determined by (config, master seed, run index).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -124,7 +125,10 @@ def intersection_targets() -> ModeTargetSet:
     return ModeTargetSet(targets, intent_names=INTENT_NAMES)
 
 
+@functools.lru_cache(maxsize=None)
 def default_targets(kind: str) -> ModeTargetSet:
+    """The scenario's default mode targets, built once per process: the set
+    is immutable, so every config and run of the scenario shares it."""
     if kind == LANE_MERGE:
         return lane_merge_targets()
     if kind == INTERSECTION:

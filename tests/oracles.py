@@ -30,6 +30,9 @@ computes in a faster way:
   with an explicit activation threshold and fallback flag.
 * ``log_density`` and ``density``: one Gaussian's density at one point,
   where ``belief`` evaluates every mode's likelihood in one einsum pass.
+* ``draw_human_paths_one``: one mode's sampled human planes on their own,
+  where ``risk.draw_human_paths`` clamps, integrates and projects every
+  mode's draws as one block.
 """
 
 from __future__ import annotations
@@ -83,6 +86,25 @@ def log_density(g: Gaussian, x: np.ndarray) -> float:
 def density(g: Gaussian, x: np.ndarray) -> float:
     """Gaussian pdf of ``g`` at ``x`` (linear scale, strictly positive)."""
     return math.exp(log_density(g, x))
+
+
+def draw_human_paths_one(
+    human, mode: ModeTarget, n_samples: int, t_steps: int, dt: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sampled human positions as x and y planes (2, n_samples, t_steps)
+    under one mode: speeds drawn i.i.d. from the mode target's velocity
+    marginal, clamped at zero and integrated along the human's heading."""
+    mu = float(mode.target.mean[0])
+    std = math.sqrt(float(mode.target.cov[0, 0]))
+    speeds = np.maximum(0.0, rng.normal(mu, std, size=(n_samples, t_steps)))
+    arc = np.cumsum(speeds * dt, axis=1)
+    planes = np.empty((2, n_samples, t_steps))
+    np.multiply(arc, math.cos(human.theta), out=planes[0])
+    np.multiply(arc, math.sin(human.theta), out=planes[1])
+    planes[0] += human.x
+    planes[1] += human.y
+    return planes
 
 
 def _interaction_frame(

@@ -185,6 +185,7 @@ class TestConservative:
         weights = cfg.discount ** np.arange(horizon)
         for t, m in zip(targets.targets, diag.modes):
             rng = rng_from_keys(23, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-            paths = draw_human_paths(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
+            (paths,) = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt,
+                                        [rng])
             costs = path_costs(x, y, speeds, paths, weights, cfg.ref_speed)
             assert m.cvar_pre == cvar(costs, cfg.cvar_level)

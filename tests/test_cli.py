@@ -168,6 +168,17 @@ class TestRunExperiment:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 2  # header + 1 run x 1 combo
 
+    def test_exponent_overrides_accepted(self, tmp_path):
+        # Both overrides were read as strings and the run exited 2.
+        out = tmp_path / "exp"
+        code = main([
+            "run", str(write_cfg(tmp_path)), "--runs", "1", "--planner", "passive",
+            "--set", "planner.mode_activation_eps=1e-5", "--set", "planner.risk_cap=1e3",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 2
+
     def test_config_error_names_field(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "experiment:\n  runs: 2\n  master_seed: 1\n  planner: ours\n", name="b2.yaml")
         code = main(["run", str(bad), "--out", str(tmp_path / "y")])

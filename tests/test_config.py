@@ -1,13 +1,18 @@
 """Config loading, override, and hashing tests."""
 
+import copy
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from probeplan.config import (
+    DEFAULTS,
     RUN_FIELDS,
+    _load_yaml,
     apply_override,
     build_planner_config,
     build_run_config,
@@ -163,6 +168,35 @@ class TestOverrides:
             load_config(write(tmp_path, MINIMAL), ["planner.nosuch=1"])
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, MINIMAL), ["planner.entropy_weight"])
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-5", 1e-5), ("1e3", 1e3), ("-2.5E+2", -250.0), ("+.5e1", 5.0),
+        ("1_000e-3", 1.0), ("1.e3", 1e3), ("1.0e-5", 1e-5), ("2.5", 2.5),
+    ])
+    def test_exponent_forms_read_as_floats(self, text, value):
+        # PyYAML's YAML 1.1 rules read 1e-5 and 1e3 as strings, so
+        # --set planner.mode_activation_eps=1e-5 was rejected with
+        # "must be positive and finite, got '1e-5'".
+        cfg = copy.deepcopy(DEFAULTS)
+        apply_override(cfg, f"planner.discount={text}")
+        assert type(cfg["planner"]["discount"]) is float
+        assert cfg["planner"]["discount"] == value
+
+    @pytest.mark.parametrize("text", ["e5", "1e", "1e-5x", "1e5.0", "0x1e", "10", ".inf", "1:30"])
+    def test_other_scalars_read_as_before(self, text):
+        assert _load_yaml(text) == yaml.safe_load(text)
+
+    def test_exponent_values_reach_the_run_config(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "planner:\n  risk_cap: 1e3\n")
+        cfg = load_config(path, ["planner.mode_activation_eps=1e-5"])
+        planner_cfg = build_run_config(cfg, "lane_merge", "ours").planner_cfg
+        assert (planner_cfg.mode_activation_eps, planner_cfg.risk_cap) == (1e-5, 1000.0)
+
+    @pytest.mark.parametrize("name", ["default.yaml", "smoke.yaml"])
+    def test_shipped_configs_read_as_before(self, name):
+        # Their hashes, and so every recorded result, stay as they were.
+        text = (Path(__file__).parents[1] / "configs" / name).read_text()
+        assert _load_yaml(text) == yaml.safe_load(text)
 
     def test_build_planner_config_scenario_default_ref_speed(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))

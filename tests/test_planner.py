@@ -47,6 +47,7 @@ from oracles import (
     influence_objective,
     plan_step_per_mode,
     predicted_interaction_gaussian,
+    predicted_observation_one,
     probe_grid,
     probe_projection_loop,
     solve_mode_control,
@@ -270,6 +271,29 @@ class TestProbeGrid:
         if features == (VELOCITY,):
             # Fully flat grids occur, and score one block of draws.
             assert flat > 0
+
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP), (GAP, VELOCITY)])
+    def test_observation_means_of_every_ego_in_one_call(self, kind, features):
+        # Row e of the (E, M, d) block is ego e's observation per mode, bit
+        # for bit the one-mode oracle.
+        targets = default_targets(kind)
+        if len(features) == 2:
+            targets = with_gap_targets(targets, features)
+        cfg = PlannerConfig(features=features, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(18)
+        for _ in range(8):
+            state = advanced_state(kind, rng)
+            egos, human, response_time = planner_mod.probe_projection(
+                state, np.linspace(*cfg.accel_bounds, cfg.probe_grid_size), cfg)
+            got = planner_mod.predicted_observation_mean(
+                egos, human, state.geometry, targets.targets, cfg, response_time)
+            assert got.shape == (len(egos), len(targets), len(features))
+            for ego, rows in zip(egos, got):
+                want = np.array([predicted_observation_one(
+                    ego, human, state.geometry, mode, cfg, response_time)
+                    for mode in targets.targets])
+                assert rows.tobytes() == want.tobytes()
 
     def test_off_or_certain_builds_nothing(self, monkeypatch):
         monkeypatch.setattr("probeplan.planner.posterior_entropies", None)
@@ -649,6 +673,28 @@ class TestStartCandidates:
         n_warm = sum(w is not None for w in warms)
         assert len(cands) == len(want) - (warms[-1] is not None) + n_warm
 
+    def test_window_means_match_np_mean_on_random_horizons(self):
+        # Each window's mean is its sum over its length, bit for bit the
+        # np.mean of the one-list oracle, also when the last window is short.
+        rng = np.random.default_rng(9)
+        short = 0
+        for _ in range(300):
+            horizon = int(rng.integers(1, 61))
+            segments = int(rng.integers(1, min(horizon, 8) + 1))
+            try:
+                cfg = PlannerConfig(horizon_steps=horizon, solver_segments=segments,
+                                    accel_bounds=(-1e4, 1e4))
+            except InvalidInputError:
+                continue  # a segment would be empty
+            short += horizon % cfg.segment_steps != 0
+            warms = [rng.normal(0.0, 2.0, horizon) * rng.choice([1e-3, 1.0, 1e3])
+                     for _ in range(int(rng.integers(1, 4)))]
+            cands, index = _start_candidates(cfg, _shared_starts(cfg), warms, bursts=True)
+            for mine, warm in zip(index, warms):
+                want = start_candidates_one(cfg, warm, True)
+                assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[mine], want))
+        assert short >= 50
+
     def test_warm_start_means_follow_the_segments(self):
         # 30 steps in segments of 8, 8, 8 and 6 steps. A warm plan constant
         # on each segment gives back its segment values.
@@ -718,6 +764,35 @@ class TestRunConstants:
         _, log = run(cfg)
         assert len(log.records) == 10
         assert len(calls) == len(pairs) >= 9
+
+    @pytest.mark.parametrize("planner_name, streams", [
+        ("ours", 100), ("passive", 90), ("conservative", 90),
+    ])
+    def test_rollouts_drawn_as_one_block_per_step(self, planner_name, streams, monkeypatch):
+        # One draw_human_paths call per step covers every mode, each from its
+        # own keyed stream: the planner opens as many streams (per step, one
+        # per mode and the ours planner's probe stream) as it did when it
+        # drew one mode per call.
+        draws, keys = [], []
+        real_draw, real_rng = planner_mod.draw_human_paths, planner_mod.rng_from_keys
+
+        def counted_draw(human, modes, *args):
+            draws.append(len(modes))
+            return real_draw(human, modes, *args)
+
+        def counted_rng(*k):
+            keys.append(k)
+            return real_rng(*k)
+
+        monkeypatch.setattr(planner_mod, "draw_human_paths", counted_draw)
+        monkeypatch.setattr(planner_mod, "rng_from_keys", counted_rng)
+        _, log = run(RunConfig(scenario=LANE_MERGE, master_seed=4, planner=planner_name,
+                               t_max=1.0))
+        targets = default_targets(LANE_MERGE).targets
+        assert len(log.records) == 10 and draws == [len(targets)] * 10
+        assert len(keys) == streams
+        rollout = [k[2:] for k in keys if k[1] == STREAM_MODE_ROLLOUT]
+        assert rollout == [(t.intent_id, t.mode_id) for t in targets] * 10
 
     def test_new_target_set_gets_its_own_steering(self):
         cfg = PlannerConfig(**FAST)
@@ -975,7 +1050,7 @@ def coasting_cvar_pre(state, targets, cfg, key):
     out = []
     for t in targets.targets:
         rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-        paths = draw_human_paths(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
+        (paths,) = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt, [rng])
         out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
     return out
 

@@ -23,6 +23,7 @@ from probeplan.risk import (
     PROX_SCALE,
     W_PROGRESS,
     W_PROX,
+    _step_costs,
     cvar,
     draw_human_paths,
     ego_headings,
@@ -34,6 +35,8 @@ from probeplan.risk import (
 )
 from probeplan.dynamics import step_vehicle
 from probeplan.world import ScenarioState, lane_merge_geometry
+
+from oracles import draw_human_paths_one
 
 
 def oracle_cvar(costs, alpha):
@@ -110,9 +113,9 @@ def rollout_costs(state, plan, mode, cfg, seed):
     from the functions the planners call."""
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    human = draw_human_paths(
-        state.human, mode, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
-        np.random.default_rng(seed),
+    (human,) = draw_human_paths(
+        state.human, [mode], cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+        [np.random.default_rng(seed)],
     )
     weights = cfg.discount ** np.arange(cfg.horizon_steps)
     return path_costs(ego_x, ego_y, ego_speeds, human, weights, cfg.ref_speed)
@@ -304,11 +307,37 @@ class TestKernelsMatchLoopOracles:
                 human, mode, 50, self.T, self.DT, np.random.default_rng(seed)
             )
             planes = draw_human_paths(
-                human, mode, 50, self.T, self.DT, np.random.default_rng(seed)
-            )
+                human, [mode], 50, self.T, self.DT, [np.random.default_rng(seed)]
+            )[0]
             assert planes.shape == (2, 50, self.T)
             assert np.array_equal(planes[0], stacked[:, :, 0])
             assert np.array_equal(planes[1], stacked[:, :, 1])
+
+    def test_human_path_block_matches_one_mode_at_a_time(self):
+        # The block equals the modes' planes drawn one mode at a time from
+        # the same streams, bit for bit: headings at +-pi and -0.0, a
+        # zero-variance mode, a mode with negative mean (clamped speeds),
+        # one sample and one step.
+        rng = np.random.default_rng(15)
+        headings = [math.pi, -math.pi, -0.0, 0.0, math.pi / 2]
+        for i in range(60):
+            theta = headings[i] if i < len(headings) else rng.uniform(-math.pi, math.pi)
+            human = VehicleState(rng.uniform(-50.0, 50.0), -0.0 if i % 2 else 2.0, 5.0, theta)
+            modes = [random_mode(rng) for _ in range(int(rng.integers(1, 5)))]
+            modes += [mode_1d(6.0, 0.0), mode_1d(-50.0, 1.0)]
+            n_samples, t_steps = [(1, self.T), (50, 1), (1, 1), (20, self.T)][i % 4]
+            seeds = rng.integers(2**32, size=len(modes))
+            block = draw_human_paths(human, modes, n_samples, t_steps, self.DT,
+                                     [np.random.default_rng(s) for s in seeds])
+            want = np.stack([
+                draw_human_paths_one(human, mode, n_samples, t_steps, self.DT,
+                                     np.random.default_rng(s))
+                for mode, s in zip(modes, seeds)
+            ])
+            assert block.shape == (len(modes), 2, n_samples, t_steps)
+            assert block.tobytes() == want.tobytes()
+            # The negative mean clamps every speed at zero: that mode stands.
+            assert np.all(block[-1, 0] == human.x) and np.all(block[-1, 1] == human.y)
 
     def test_path_costs_and_cvar_random_inputs(self):
         rng = np.random.default_rng(13)
@@ -334,8 +363,8 @@ class TestKernelsMatchLoopOracles:
             expected = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed)
             headings = ego_headings(ego, plan[:, 1], self.DT)
             x, y, v = simulate_ego_path(ego, plan[:, 0], headings, self.DT)
-            planes = draw_human_paths(human, mode, 100, self.T, self.DT,
-                                      np.random.default_rng(seed))
+            planes = draw_human_paths(human, [mode], 100, self.T, self.DT,
+                                      [np.random.default_rng(seed)])[0]
             costs = path_costs(x, y, v, planes, weights, ref_speed)
             assert np.array_equal(costs, expected)
 
@@ -409,8 +438,8 @@ class TestCostBound:
     def check(self, ego, accel, yaw, human, mode, n_samples, alpha, seed, ref_speed=9.5):
         weights = 0.95 ** np.arange(self.T)
         x, y, v = simulate_ego_path(ego, accel, ego_headings(ego, yaw, self.DT), self.DT)
-        paths = draw_human_paths(human, mode, n_samples, self.T, self.DT,
-                                 np.random.default_rng(seed))
+        paths = draw_human_paths(human, [mode], n_samples, self.T, self.DT,
+                                 [np.random.default_rng(seed)])[0]
         costs = path_costs(x, y, v, paths, weights, ref_speed)
         boxes = sample_boxes(paths)
         assert boxes.shape == (4, self.T)
@@ -482,6 +511,28 @@ class TestCostBound:
         )
         assert peak == pytest.approx(W_PROX * math.exp(D_SAFE / PROX_SCALE) * weights.sum())
 
+    def test_bounds_match_np_clip_with_nan_and_signed_zeros(self):
+        # path_cost_bounds clips with np.minimum(np.maximum(...)); against
+        # np.clip it agrees bit for bit, NaN ego rows and -0.0 included.
+        rng = np.random.default_rng(16)
+        weights = 0.95 ** np.arange(self.T)
+        x, y = rng.uniform(-5.0, 5.0, (2, 6, self.T))
+        x[0, 3], y[1, :] = math.nan, math.nan
+        x[2], y[2] = -0.0, 0.0
+        x[3], y[3] = 0.0, -0.0
+        speeds = rng.uniform(0.0, 12.0, (6, self.T))
+        boxes = np.sort(rng.uniform(-3.0, 3.0, (6, 4, self.T)), axis=1)[:, [0, 2, 1, 3]]
+        boxes[4] = -0.0
+        boxes[5, :2], boxes[5, 2:] = [[-0.0], [0.0]], 0.0
+        x[4, ::3], x[5, ::2], y[5, 1::2] = 0.0, -0.0, -0.0
+        got = path_cost_bounds(x, y, speeds, boxes, weights, 9.5)
+        want = _step_costs(
+            x - np.clip(x, boxes[:, 0], boxes[:, 1]), y - np.clip(y, boxes[:, 2], boxes[:, 3]),
+            speeds, 9.5,
+        ) @ weights
+        assert np.isnan(got[:2]).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_far_boxes_certify_and_near_ones_do_not(self):
         """The bound is tight enough to certify a far human below the
         default cap of 60 and never certifies the ego inside the spread."""
@@ -495,8 +546,8 @@ def rollout_bound(state, cfg):
     plan = np.zeros((cfg.horizon_steps, 2))
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     x, y, v = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    paths = draw_human_paths(state.human, mode_1d(10.0, 1.0), cfg.rollout_count,
-                             cfg.horizon_steps, cfg.dt, np.random.default_rng(1))
+    paths = draw_human_paths(state.human, [mode_1d(10.0, 1.0)], cfg.rollout_count,
+                             cfg.horizon_steps, cfg.dt, [np.random.default_rng(1)])[0]
     weights = cfg.discount ** np.arange(cfg.horizon_steps)
     return path_cost_bounds(x[None], y[None], v[None], sample_boxes(paths)[None],
                             weights, cfg.ref_speed)[0]

@@ -297,6 +297,22 @@ class TestRun:
         assert [t.label for t in cfg.resolved_targets().targets] == labels
         assert cfg.targets is None
 
+    def test_default_targets_built_once_and_read_only(self):
+        # Each RunConfig built its own set, and dataclasses.replace built
+        # another.
+        a = RunConfig(scenario=LANE_MERGE, master_seed=0)
+        b = dataclasses.replace(RunConfig(scenario=LANE_MERGE, master_seed=1), t_max=0.3)
+        shared = a.resolved_targets()
+        assert b.resolved_targets() is shared is default_targets(LANE_MERGE)
+        assert default_targets(INTERSECTION) is not shared
+        for arr in (shared._means, shared._chol_inv, shared._log_norm, shared._rows,
+                    shared._starts, shared._row_len):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        target = shared.targets[0].target
+        with pytest.raises(ValueError, match="read-only"):
+            target.mean[0] = 0.0
+
     def test_replaced_scenario_gets_its_own_default_targets(self):
         # The resolved targets used to be stored in ``targets``, so a
         # replaced scenario kept the old scenario's modes.
