@@ -4,13 +4,13 @@ blending, applied in a receding-horizon loop (only the first control of
 each solve is executed).
 
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
-builds the shared setup (rng key, lane guidance with the ego headings it
-implies, probe grid, joint weights, the modes to solve, every mode's human
+builds the shared setup (rng key, lane guidance with the ego headings of
+its roll, probe grid, joint weights, the modes to solve, every mode's human
 paths as one block of x and y planes from one ``risk.draw_human_paths``
 call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
 order. The probe grid is one batched ``belief.posterior_entropies`` pass
 over the distinct predicted observation sets, which one
-``predicted_observation_mean`` call gives for every grid point.
+``predicted_observation_mean`` call gives for every projected grid point.
 ``_descend`` is the one solver loop. It runs one descent
 chain per solve (multi-start over constant-acceleration candidates, then
 projected finite-difference descent on a piecewise-constant acceleration
@@ -68,7 +68,7 @@ from .belief import (
     posterior_entropies,
     update,  # noqa: F401 -- the benchmark wraps probeplan.planner.update by name
 )
-from .dynamics import VehicleState, step_vehicle
+from .dynamics import VehicleState, _wrap_angle
 from .errors import InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
 from .human import GAP, VELOCITY, conflict_level
@@ -76,7 +76,6 @@ from .risk import (
     CERTIFY_MARGIN,
     cvar,
     draw_human_paths,
-    ego_headings,
     path_cost_bounds,
     path_costs,
     sample_boxes,
@@ -147,6 +146,10 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PlannerConfig:
     """All planner tunables. Defaults follow the best-performing parameter
@@ -180,9 +183,7 @@ class PlannerConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             # Annotations are strings under ``from __future__ import annotations``.
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
+            if f.type == "int" and not _is_integer(value):
                 raise InvalidInputError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "int" and value < _INT_LEAST[f.name]:
                 raise InvalidInputError(
@@ -274,47 +275,44 @@ class PlanDiagnostics:
 # Lane guidance (lateral channel)
 
 
-def _guidance_yaw_rate(
-    ego: VehicleState,
-    human_x: float,
-    geometry: ScenarioGeometry,
-    cfg: PlannerConfig,
-    committed: bool,
-) -> tuple[float, bool]:
-    if geometry.kind == LANE_MERGE:
-        past_merge = ego_progress(geometry, ego) > 0.0
-        gap_ok = abs(ego.x - human_x) >= geometry.merge_gap_min
-        if past_merge and (gap_ok or committed):
-            y_des = geometry.target_lane_y
-            committed = committed or abs(ego.y - geometry.ramp_y) > 1.0
-        else:
-            y_des = geometry.ramp_y
-    else:
-        y_des = geometry.target_lane_y
-    heading_des = math.atan2(1.2 * (y_des - ego.y), max(ego.v, 2.0))
-    heading_des = min(0.35, max(-0.35, heading_des))
-    yaw = 4.0 * (heading_des - ego.theta)
-    lo, hi = cfg.yaw_rate_bounds
-    return min(hi, max(lo, yaw)), committed
+def lane_guidance(state: ScenarioState, cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Yaw-rate sequence (T,) steering the ego onto its target lane, and the
+    ego headings (2, T) it implies: column t holds the cosine and sine of
+    the heading during step t, before that step's yaw. The headings ignore
+    acceleration, so one step's candidate plans all share them.
 
-
-def lane_guidance(state: ScenarioState, cfg: PlannerConfig) -> np.ndarray:
-    """Yaw-rate sequence (T,) steering the ego onto its target lane.
-
-    Rolled out against a constant-velocity human; the merge onto the main
-    lane is only commanded once past the merge point with an adequate
-    longitudinal gap (or once the lane change is already committed).
+    Rolled out against a constant-velocity human, with the coasting ego
+    stepped as ``dynamics.step_vehicle`` steps it; the merge onto the main
+    lane is only commanded once past the merge point (x > 0) with an
+    adequate longitudinal gap (or once the lane change is committed).
     """
-    yaw = np.empty(cfg.horizon_steps)
-    ego = state.ego
+    geometry, dt = state.geometry, cfg.dt
+    lo, hi = cfg.yaw_rate_bounds
+    rows = []
+    # Coasting holds the speed; step_vehicle's clamp only maps -0.0 to 0.0.
+    x, y, v, theta = state.ego.x, state.ego.y, state.ego.v, state.ego.theta
     human_x = state.human.x
     human_vx = state.human.v * math.cos(state.human.theta)
-    committed = abs(ego.y - state.geometry.ramp_y) > 1.0
-    for t in range(cfg.horizon_steps):
-        yaw[t], committed = _guidance_yaw_rate(ego, human_x, state.geometry, cfg, committed)
-        ego = step_vehicle(ego, (0.0, yaw[t]), cfg.dt)
-        human_x += human_vx * cfg.dt
-    return yaw
+    committed = abs(y - geometry.ramp_y) > 1.0
+    for _ in range(cfg.horizon_steps):
+        if geometry.kind != LANE_MERGE:
+            y_des = geometry.target_lane_y
+        elif x > 0.0 and (abs(x - human_x) >= geometry.merge_gap_min or committed):
+            y_des = geometry.target_lane_y
+            committed = committed or abs(y - geometry.ramp_y) > 1.0
+        else:
+            y_des = geometry.ramp_y
+        heading_des = math.atan2(1.2 * (y_des - y), max(v, 2.0))
+        heading_des = min(0.35, max(-0.35, heading_des))
+        rate = min(hi, max(lo, 4.0 * (heading_des - theta)))
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        rows.append((rate, cos_t, sin_t))
+        x += v * cos_t * dt
+        y += v * sin_t * dt
+        theta = _wrap_angle(theta + rate * dt)
+        human_x += human_vx * dt
+    yaw, cos_h, sin_h = zip(*rows)
+    return np.array(yaw), np.array((cos_h, sin_h))
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +382,22 @@ def probe_projection(
     so one projected human serves every acceleration. Returns the projected
     ego per acceleration, the projected human and the projection time.
 
-    No vehicle yaws, so each heading holds: every ego and the human step as
-    one array, with the element operations of ``dynamics.step_vehicle``.
+    No vehicle yaws, so each heading holds: one ``risk.simulate_ego_path``
+    call rolls every ego along its constant heading, and one the human.
     """
-    accel = np.array([float(a) for a in first_accels] + [0.0])
+    accel = np.array([float(a) for a in first_accels])
     if not np.isfinite(accel).all():
         raise InvalidInputError("non-finite control input")
-    rows = [state.ego] * (len(accel) - 1) + [state.human]
+    steps = PROBE_LOOKAHEAD_STEPS
     # Adding 0.0 maps a -0.0 heading to the 0.0 that step_vehicle holds from
     # its second step on; after two or more steps the bits agree either way.
-    theta = [s.theta + 0.0 for s in rows]
-    heading = np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
-    xy, v = np.array([[s.x for s in rows], [s.y for s in rows]]), np.array([s.v for s in rows])
-    for _ in range(PROBE_LOOKAHEAD_STEPS):
-        xy, v = xy + v * heading * cfg.dt, v + accel * cfg.dt
-        v = np.where(v > 0.0, v, 0.0)  # max(0.0, v), as step_vehicle clamps
-    *egos, human = map(VehicleState, *xy.tolist(), v.tolist(), theta)
-    return egos, human, PROBE_LOOKAHEAD_STEPS * cfg.dt
+    theta = [state.ego.theta + 0.0, state.human.theta + 0.0]
+    ego_h, human_h = (np.repeat([[math.cos(t)], [math.sin(t)]], steps, axis=1) for t in theta)
+    ends = [p[..., -1].tolist() for p in simulate_ego_path(
+        state.ego, accel[:, None].repeat(steps, axis=1), ego_h, cfg.dt)]
+    egos = [VehicleState(x, y, v, theta[0]) for x, y, v in zip(*ends)]
+    x, y, v = (p[-1].item() for p in simulate_ego_path(state.human, np.zeros(steps), human_h, cfg.dt))
+    return egos, VehicleState(x, y, v, theta[1]), steps * cfg.dt
 
 
 def predicted_observation_mean(
@@ -635,8 +632,8 @@ def _mode_cvars(
 
 def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
     """Control sequence (T, 2): ``accel`` with the step's lane guidance,
-    clamped to the control bounds."""
-    return np.clip(np.column_stack((accel, ctx.guidance_yaw)), ctx.cfg.u_min, ctx.cfg.u_max)
+    both already clipped to the control bounds (by the descent and the law)."""
+    return np.column_stack((accel, ctx.guidance_yaw))
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +805,7 @@ class ActivePlanner:
         coasting) per mode."""
         cfg = self.cfg
         base_key = rng if isinstance(rng, int) else derive_key(rng)
-        guidance = lane_guidance(state, cfg)
+        guidance, headings = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b, base_key)
         omega = joint_weights(b)
         active = omega > cfg.mode_activation_eps
@@ -820,7 +817,6 @@ class ActivePlanner:
             state.human, modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
             [rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
         )
-        headings = ego_headings(state.ego, guidance, cfg.dt)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
         cvar_pre = cvar(

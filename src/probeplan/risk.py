@@ -9,8 +9,8 @@ pressure and dawdling register in the tail statistics.
 
 This module is the one per-step rollout/CVaR kernel every planner runs.
 What does not depend on the candidate acceleration is built once per
-step: the ego headings (``ego_headings``, from the lane-guidance yaw
-alone), every mode's sampled human paths as one block of x and y planes
+step: the ego headings (``planner.lane_guidance`` returns them with its
+yaw), every mode's sampled human paths as one block of x and y planes
 (``draw_human_paths``: one ``normal`` draw per mode from the mode's own
 stream, then one clamp, integration and projection over all modes) and
 the discount weights. ``path_costs`` takes ego rows (R, T) against one
@@ -97,28 +97,12 @@ def cvar(costs: np.ndarray, alpha: float) -> float | np.ndarray:
     return float(out) if costs.ndim == 1 else out
 
 
-def ego_headings(ego, yaw: np.ndarray, dt: float) -> np.ndarray:
-    """Ego heading cosines and sines (2, T) under a yaw-rate sequence (T,).
-
-    Row t holds the heading the ego moves along during step t, before that
-    step's yaw is applied. The heading ignores acceleration, so one step's
-    candidate plans all share it.
-    """
-    t_steps = len(yaw)
-    out = np.empty((2, t_steps))
-    theta = ego.theta
-    for t in range(t_steps):
-        out[0, t] = math.cos(theta)
-        out[1, t] = math.sin(theta)
-        theta += yaw[t] * dt
-    return out
-
-
 def simulate_ego_path(
     ego, accel: np.ndarray, headings: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roll the ego forward under an acceleration sequence (T,) along
-    precomputed ``headings`` (2, T).
+    """Roll a vehicle ``ego`` forward under an acceleration sequence (T,)
+    along precomputed ``headings`` (2, T). Any vehicle rolls: the planner
+    also projects the human with it.
 
     Returns post-step x (T,), y (T,) and speeds (T,). Sequences (K, T) give
     (K, T) each, row k equal to sequence k's own call. Matches

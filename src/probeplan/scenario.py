@@ -26,9 +26,9 @@ from .belief import (
 from .dynamics import VehicleState, step_vehicle
 from .errors import DegenerateEvidenceError, InvalidInputError
 from .gaussmath import Gaussian
-from .human import YIELD_FLOORS, HumanParams, human_response, observe
+from .human import VELOCITY, YIELD_FLOORS, HumanParams, human_response, observe
 from .metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION, RunResult, jerk_stats
-from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig, _is_real
+from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig, _is_integer, _is_real
 from .seeding import (
     STREAM_INIT,
     STREAM_INTENT,
@@ -255,11 +255,14 @@ class RunConfig:
         targets = self.targets or default_targets(self.scenario)
         object.__setattr__(self, "_targets", targets)
         features = self.planner_cfg.features
+        if not self.targets and tuple(features) != (VELOCITY,):
+            raise InvalidInputError(f"features must be ({VELOCITY},) with the built-in targets, "
+                                    f"which are velocity bands; got {features!r}")
         if len(features) != targets.obs_dim:
             raise InvalidInputError(f"features has {len(features)} entries, but the mode "
                                     f"targets observe {targets.obs_dim} dimension(s)")
         intent, n = self.pinned_intent, targets.num_intents
-        if intent is not None and not (_is_index(intent) and 1 <= intent <= n):
+        if intent is not None and not (_is_integer(intent) and 1 <= intent <= n):
             raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, "
                                     f"got {intent!r}")
         # The active and passive planners steer toward a mode's steering
@@ -338,15 +341,10 @@ def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
     )
 
 
-def _is_index(value) -> bool:
-    """An integer that is not a bool; numpy integers pass."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_index(name: str, value) -> None:
     """Reject a seed key (master seed or run index) that is not a
     nonnegative integer."""
-    if not (_is_index(value) and value >= 0):
+    if not (_is_integer(value) and value >= 0):
         raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
 
 

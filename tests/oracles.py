@@ -8,9 +8,14 @@ computes in a faster way:
   (``predicted_observation_one``), ``update`` and ``entropy`` per
   observation draw; ``probe_grid`` runs it once per grid point, as
   ``_build_probe_grid`` did before it was batched.
+* ``ego_headings`` and ``lane_guidance_loop``: the lane guidance as the
+  guidance law per ``VehicleState``, one ``step_vehicle`` call per step
+  and the headings integrated again from the yaw rates, where
+  ``lane_guidance`` rolls plain floats and writes each step's heading as it
+  goes.
 * ``probe_projection_loop``: the probe projection as one ``step_vehicle``
-  call per vehicle and step, where ``probe_projection`` steps every
-  vehicle as one array.
+  call per vehicle and step, where ``probe_projection`` rolls the egos and
+  the human with one ``simulate_ego_path`` call each.
 * ``_interaction_frame``, ``predicted_interaction_gaussian`` and
   ``influence_objective``: the influence term from a full Gaussian and
   ``kl_divergence`` per mode and step, where ``ActivePlanner._solve_modes``
@@ -65,7 +70,7 @@ from probeplan.planner import (
 )
 from probeplan.risk import cvar, path_costs, simulate_ego_path
 from probeplan.seeding import STREAM_PROBE, rng_from_keys
-from probeplan.world import ScenarioState, ego_progress, human_progress
+from probeplan.world import LANE_MERGE, ScenarioState, ego_progress, human_progress
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -176,6 +181,52 @@ def predicted_observation_one(ego_ref, human_ref, geometry, mode, cfg, response_
             hy = human_ref.y + step * geometry.human_dir[1]
             values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
     return np.array(values)
+
+
+def ego_headings(ego, yaw: np.ndarray, dt: float) -> np.ndarray:
+    """Ego heading cosines and sines (2, T) under a yaw-rate sequence (T,):
+    column t holds the heading the ego moves along during step t, before
+    that step's yaw is applied. The heading is integrated without wrapping,
+    so it equals ``step_vehicle``'s while it stays in (-pi, pi]."""
+    t_steps = len(yaw)
+    out = np.empty((2, t_steps))
+    theta = ego.theta
+    for t in range(t_steps):
+        out[0, t] = math.cos(theta)
+        out[1, t] = math.sin(theta)
+        theta += yaw[t] * dt
+    return out
+
+
+def lane_guidance_loop(
+    state: ScenarioState, cfg: PlannerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``lane_guidance`` as the guidance law per ``VehicleState`` and one
+    ``step_vehicle`` call per step, with the headings from ``ego_headings``."""
+    geometry = state.geometry
+    yaw = np.empty(cfg.horizon_steps)
+    ego = state.ego
+    human_x = state.human.x
+    human_vx = state.human.v * math.cos(state.human.theta)
+    committed = abs(ego.y - geometry.ramp_y) > 1.0
+    lo, hi = cfg.yaw_rate_bounds
+    for t in range(cfg.horizon_steps):
+        if geometry.kind == LANE_MERGE:
+            past_merge = ego_progress(geometry, ego) > 0.0
+            gap_ok = abs(ego.x - human_x) >= geometry.merge_gap_min
+            if past_merge and (gap_ok or committed):
+                y_des = geometry.target_lane_y
+                committed = committed or abs(ego.y - geometry.ramp_y) > 1.0
+            else:
+                y_des = geometry.ramp_y
+        else:
+            y_des = geometry.target_lane_y
+        heading_des = math.atan2(1.2 * (y_des - ego.y), max(ego.v, 2.0))
+        heading_des = min(0.35, max(-0.35, heading_des))
+        yaw[t] = min(hi, max(lo, 4.0 * (heading_des - ego.theta)))
+        ego = step_vehicle(ego, (0.0, yaw[t]), cfg.dt)
+        human_x += human_vx * cfg.dt
+    return yaw, ego_headings(state.ego, yaw, cfg.dt)
 
 
 def probe_projection_loop(

@@ -20,11 +20,13 @@ from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian
 from probeplan.planner import ActivePlanner, PlannerConfig, lane_guidance
-from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
+from probeplan.risk import cvar, draw_human_paths, path_costs, simulate_ego_path
 from probeplan.scenario import default_targets
 from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import LANE_MERGE
 from probeplan.world import ScenarioState, lane_merge_geometry
+
+from oracles import ego_headings
 
 
 def mk_mode(intent, mode, obs_mean, obs_var, steer_mean, steer_var=(2.0, 16.0)):
@@ -180,7 +182,7 @@ class TestConservative:
         assert not diag.blend_fallback
         # Each mode's reference CVaR of the coasting plan, from its own stream.
         horizon = cfg.horizon_steps
-        headings = ego_headings(state.ego, lane_guidance(state, cfg), cfg.dt)
+        headings = ego_headings(state.ego, lane_guidance(state, cfg)[0], cfg.dt)
         x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
         weights = cfg.discount ** np.arange(horizon)
         for t, m in zip(targets.targets, diag.modes):

@@ -120,6 +120,8 @@ class TestLoad:
             ("scenario.mode_targets_file=[a.yaml]", "scenario.mode_targets_file"),
             # InvalidInputError from the first belief update of every run.
             ("planner.features=[velocity, gap]", "planner.features"),
+            # Ran, and scored gaps against the built-in velocity bands.
+            ("planner.features=[gap]", "planner.features"),
             # Caught only when each worker built its run config.
             ("human.pinned_intent=4", "human.pinned_intent"),
             ("human.pinned_intent=1.5", "human.pinned_intent"),

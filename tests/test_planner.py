@@ -35,16 +35,24 @@ from probeplan.planner import (
     _start_candidates,
     lane_guidance,
 )
-from probeplan.risk import cvar, draw_human_paths, ego_headings, path_costs, simulate_ego_path
+from probeplan.risk import cvar, draw_human_paths, path_costs, simulate_ego_path
 from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, default_targets, init_scenario, run
 from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
-from probeplan.world import INTERSECTION, LANE_MERGE, ScenarioState, lane_merge_geometry
+from probeplan.world import (
+    INTERSECTION,
+    LANE_MERGE,
+    ScenarioState,
+    intersection_geometry,
+    lane_merge_geometry,
+)
 
 from oracles import (
     blend_controls,
     descend_one,
+    ego_headings,
     expected_posterior_entropy,
     influence_objective,
+    lane_guidance_loop,
     plan_step_per_mode,
     predicted_interaction_gaussian,
     predicted_observation_one,
@@ -309,14 +317,15 @@ def merge_ramp_heading():
     """The ego's heading five lane-guidance steps into its merge off the ramp."""
     state = merge_state(ego=(1.0, 3.5, 9.0), human=(-30.0, 0.0, 10.0))
     ego = state.ego
-    for yaw in lane_guidance(state, PlannerConfig())[:5]:
+    for yaw in lane_guidance(state, PlannerConfig())[0][:5]:
         ego = step_vehicle(ego, (0.0, yaw), 0.1)
     return ego.theta
 
 
 class TestProbeProjection:
-    """``probe_projection`` steps every vehicle as one array, and equals one
-    ``step_vehicle`` call per vehicle and step bit for bit."""
+    """``probe_projection`` rolls the egos and the human with one
+    ``simulate_ego_path`` call each, and equals one ``step_vehicle`` call
+    per vehicle and step bit for bit."""
 
     HEADINGS = [
         0.0, -0.0, 1e-300, -1e-300,
@@ -366,6 +375,56 @@ class TestProbeProjection:
     def test_non_finite_acceleration_rejected(self):
         with pytest.raises(InvalidInputError, match="non-finite control"):
             planner_mod.probe_projection(merge_state(), [0.0, math.nan], PlannerConfig())
+
+
+class TestLaneGuidance:
+    """``lane_guidance`` rolls plain floats, and equals the guidance law per
+    ``VehicleState`` with one ``step_vehicle`` call per step bit for bit."""
+
+    @staticmethod
+    def assert_matches_loop(state, cfg):
+        yaw, headings = lane_guidance(state, cfg)
+        want_yaw, want_headings = lane_guidance_loop(state, cfg)
+        assert yaw.tobytes() == want_yaw.tobytes()
+        assert headings.tobytes() == want_headings.tobytes()
+
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_matches_loop_on_scenario_states(self, kind):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            self.assert_matches_loop(advanced_state(kind, rng), PlannerConfig())
+
+    @pytest.mark.parametrize("heading", TestProbeProjection.HEADINGS)
+    def test_matches_loop_on_headings_and_speeds(self, heading):
+        cfg = PlannerConfig()
+        for geometry in (lane_merge_geometry(), intersection_geometry()):
+            for speed in (-0.0, 0.0, 0.3, 1.0, 4.5, 9.0):
+                for pos in ((-40.0, 3.5), (-0.0, -0.0), (12.5, 1e-3), (5.0, 3.5)):
+                    self.assert_matches_loop(ScenarioState(
+                        ego=VehicleState(*pos, speed, heading),
+                        human=VehicleState(pos[1], pos[0], 9.0 - speed, -heading),
+                        geometry=geometry,
+                    ), cfg)
+
+    def test_wrapped_heading_is_step_vehicles(self):
+        # From theta 3.0, half-second steps under wide yaw bounds swing the
+        # heading across pi at every step. The headings are those of the
+        # rolled ego, on the principal branch; integrating the yaw rates
+        # without wrapping leaves it after the first step.
+        cfg = PlannerConfig(dt=0.5, yaw_rate_bounds=(-20.0, 20.0))
+        state = ScenarioState(ego=VehicleState(5.0, 3.5, 9.0, 3.0),
+                              human=VehicleState(-35.0, 0.0, 10.0), geometry=lane_merge_geometry())
+        yaw, headings = lane_guidance(state, cfg)
+        want_yaw, unwrapped = lane_guidance_loop(state, cfg)
+        assert yaw.tobytes() == want_yaw.tobytes()
+        ego, theta = state.ego, []
+        for rate in yaw:
+            theta.append(ego.theta)
+            ego = step_vehicle(ego, (0.0, rate), cfg.dt)
+        assert min(theta) > 2.5  # each step wraps across pi
+        want = np.array([[math.cos(t) for t in theta], [math.sin(t) for t in theta]])
+        assert headings.tobytes() == want.tobytes()
+        assert (unwrapped != headings).any(axis=0).sum() == cfg.horizon_steps - 1
 
 
 def same_diag(d1, d2) -> bool:
@@ -1044,7 +1103,7 @@ def coasting_cvar_pre(state, targets, cfg, key):
     """Each mode's reference CVaR of the coasting plan, from the mode's own
     rollout stream under the step's rng key."""
     horizon = cfg.horizon_steps
-    headings = ego_headings(state.ego, lane_guidance(state, cfg), cfg.dt)
+    headings = ego_headings(state.ego, lane_guidance(state, cfg)[0], cfg.dt)
     x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
     weights = cfg.discount ** np.arange(horizon)
     out = []
@@ -1111,11 +1170,11 @@ class TestPlanStep:
         cfg = PlannerConfig()
         # On the ramp before the merge point: no lateral command.
         state = merge_state(ego=(-40.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
-        yaw = lane_guidance(state, cfg)
+        yaw, _ = lane_guidance(state, cfg)
         assert abs(yaw[0]) < 1e-9
         # Past the merge point with a clear gap: steer down toward the lane.
         state2 = merge_state(ego=(5.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
-        yaw2 = lane_guidance(state2, cfg)
+        yaw2, _ = lane_guidance(state2, cfg)
         assert yaw2[0] < 0.0
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner])

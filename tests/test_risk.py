@@ -26,7 +26,6 @@ from probeplan.risk import (
     _step_costs,
     cvar,
     draw_human_paths,
-    ego_headings,
     path_cost_bounds,
     path_costs,
     sample_boxes,
@@ -36,7 +35,7 @@ from probeplan.risk import (
 from probeplan.dynamics import step_vehicle
 from probeplan.world import ScenarioState, lane_merge_geometry
 
-from oracles import draw_human_paths_one
+from oracles import draw_human_paths_one, ego_headings
 
 
 def oracle_cvar(costs, alpha):
