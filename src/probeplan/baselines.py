@@ -62,7 +62,7 @@ class ConservativePlanner(ActivePlanner):
         weights = ctx.omega[ctx.solve]
         paths = ctx.human_paths[ctx.solve]
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar) -> np.ndarray:
             # One chain: each sequence's CVaR against every solved mode, one
             # cost block per sequence, and their omega-weighted sum in mode order.
             ego_paths = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)

@@ -6,48 +6,48 @@ each solve is executed).
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
 builds the shared setup (rng key, lane guidance with the ego headings of
 its roll, probe grid, joint weights, the modes to solve, every mode's human
-paths as one block of x and y planes from one ``risk.draw_human_paths``
+paths as x and y planes and their boxes from one ``risk.draw_human_paths``
 call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
 order. The probe grid is one batched ``belief.posterior_entropies`` pass
 over the distinct predicted observation sets, which one
 ``predicted_observation_mean`` call gives for every projected grid point.
-``_descend`` is the one solver loop. It runs one descent
-chain per solve (multi-start over constant-acceleration candidates, then
-projected finite-difference descent on a piecewise-constant acceleration
+``_descend`` is the one solver loop. It runs one descent chain per solve
+(multi-start over constant-acceleration candidates, then projected
+finite-difference descent on a piecewise-constant acceleration
 parameterization of ``solver_segments`` windows of ``segment_steps``
 steps): one per mode for the active and passive planners, one for the
-conservative planner's omega-weighted CVaR sum. Every chain's state lives
-in arrays, and the chains run in phase-aligned rounds: one start round,
-then per iteration one probe round over the live chains and one
-line-search round that holds all three trials ``solver_step * 0.5^k``
-(k = 0, 1, 2) of every chain still live. A chain takes its first winning
-trial; the trials after it are scored and dropped, so each chain's
-history, pick and ``ModeDiag.evals`` are those of a search that tries one
-step after another. A round is one batched evaluation of the (sequence,
-chain) pairs it holds: one ego path, terminal state and probe term per
-distinct sequence (the start round holds each start the chains share
-once), then per pair a cost bound, one ``path_costs`` block per mode over
-the pairs left open (the conservative planner: one per sequence over its
-solved modes), one ``cvar`` and one stacked triangular solve for the KL
-influence term. A descent runs at most ``1 + 2 * solver_iters`` rounds. A
-planner builds the shared starts once, and the steering setup once per
-solved and steering mode. The lateral channel follows a fixed
-lane-guidance law shared by every planner so cross-planner comparisons
-isolate the longitudinal interaction machinery. The CVaR cap enters as a
-quadratic penalty, and all Monte-Carlo quantities inside one solve reuse
-fixed random streams (common random numbers), so the whole step is
-bit-reproducible from its rng key.
+conservative planner's omega-weighted CVaR sum. The chains run in
+phase-aligned rounds: one start round, then per iteration one probe round
+over the live chains and one line-search round that holds all three trials
+``solver_step * 0.5^k`` (k = 0, 1, 2) of every chain still live. A chain
+takes its first winning trial; the trials after it are scored and dropped,
+so each chain's history, pick and ``ModeDiag.evals`` are those of a search
+that tries one step after another. A round scores its (sequence, chain)
+pairs in one batch: one ego path, terminal state and probe term per
+distinct sequence (the start round holds each shared start once), then per
+pair a cost bound, one ``path_costs`` block per mode over the pairs left
+open (the conservative planner: one per sequence over its solved modes),
+one ``cvar`` and one stacked triangular solve for the KL influence term.
+A fixed lane-guidance law, shared by every planner, steers the lateral
+channel, so planner comparisons isolate the longitudinal machinery. Every
+Monte-Carlo quantity of a solve reuses fixed random streams (common random
+numbers), so a step is bit-reproducible from its key.
 
 In a mode solve the CVaR enters only through the cap penalty
-``max(0, CVaR - risk_cap)^2``, so a pair whose ``risk.path_cost_bounds``
-against the mode's ``risk.sample_boxes`` is at most
-``risk_cap * (1 - CERTIFY_MARGIN)`` gets no cost block: it holds a CVaR of
-``-inf``, which leaves its penalty 0.0, as the exact value would, and keeps
-it feasible. The round's one ego path serves the bounds and the exact
-blocks. After the descent, the picks that hold the sentinel are scored
-exactly in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
-always exact. The conservative planner minimizes the omega-weighted sum of
-the CVaRs themselves, so it scores every candidate exactly.
+``max(0, CVaR - risk_cap)^2``, so an objective is at least its bound
+``j_probe + j_infl``. A pair gets no cost block when its
+``risk.path_cost_bounds`` against the mode's ``risk.sample_boxes`` is at
+most ``risk_cap * (1 - CERTIFY_MARGIN)``: CVaR is at most the largest sample
+cost (Rockafellar & Uryasev 2000), so it holds ``-inf``, whose penalty is
+0.0, as the exact value's, and stays feasible. Nor when no decision reads
+its CVaR, as its bound is above its chain's best certified start in the
+start round, or above the win threshold in a line search (a probe round's
+every objective enters the gradient): it holds ``_UNSCORED`` and its bound
+as objective. A chain whose pick breaks the cap scores its unscored history
+in one batch before its fallback reads it, and the picks holding ``-inf``
+are scored in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
+exact. The conservative planner minimizes the omega-weighted CVaR sum, so
+it scores every candidate exactly.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .risk import (
     draw_human_paths,
     path_cost_bounds,
     path_costs,
-    sample_boxes,
     simulate_ego_path,
 )
 from .seeding import (
@@ -443,6 +442,8 @@ def _observation_draws(
 # ---------------------------------------------------------------------------
 # Per-mode constrained solve
 
+_UNSCORED = -1.0  # an unscored row's CVaR (solver notes): costs, so CVaRs, are >= 0
+
 
 @dataclass
 class _StepContext:
@@ -526,90 +527,88 @@ def _start_candidates(
 
 
 def _descend(
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    evaluate: Callable[..., np.ndarray],
     starts: tuple[np.ndarray, list[list[int]]],
     cfg: PlannerConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The solver loop every planner shares: one descent chain per start
-    set of ``starts`` (see ``_start_candidates``), all chains in
-    phase-aligned rounds (see the solver notes).
-
-    A chain stops when its gradient vanishes or its three line-search trials
-    fail. Each round is one ``evaluate(accels, chains, seqs)`` call over the
-    pairs of one phase: pair i is sequence ``accels[seqs[i]]`` (T,) of chain
-    ``chains[i]``, and the call returns one row (K, F) per pair, objective
-    first. The start round passes each distinct start once; the later rounds
-    pass one sequence per pair, so ``seqs`` is ``arange(K)``. The starts and
-    probes come in ascending chain order; an iteration's line-search round
-    holds trial k of every live chain, in ascending chain order, for
-    k = 0, 1, 2. Returns, per chain, its final sequence (T,) and row (F,),
-    and every sequence it was evaluated on (H, T) with its row (H, F), in
-    order, without the trials scored after its first win in a round: the
-    history of a chain that tries one step after another.
+    set of ``starts`` (see ``_start_candidates``), in phase-aligned rounds
+    (see the solver notes). A chain stops when its gradient vanishes or its
+    three line-search trials fail. A round is one ``evaluate(accels, chains,
+    seqs, bar)`` call: pair i is sequence ``accels[seqs[i]]`` (T,) of chain
+    ``chains[i]``, one row (K, F) back per pair, objective first. The start
+    round passes each distinct start once, the later rounds ``arange(K)``.
+    No decision reads a row whose objective is above its ``bar``: the win
+    threshold (K,) in a line search, ``inf`` in a probe round, ``None`` (only
+    ``evaluate`` knows it) in the start round. Pairs come in ascending chain
+    order, a line search's k-major (trial k = 0, 1, 2). Returns, per chain,
+    its final sequence (T,) and row (F,), and every sequence (H, T) and row
+    (H, F) it was scored on, in order, but the trials after its first win in
+    a round: the history of a one-at-a-time search.
     """
-    a_lo, a_hi = cfg.accel_bounds
-    segment_of_step = np.arange(cfg.horizon_steps) // cfg.segment_steps
-    log = []
+    (a_lo, a_hi), (cands, index) = cfg.accel_bounds, starts
+    n_seg, segment_of_step = cfg.solver_segments, np.arange(cfg.horizon_steps) // cfg.segment_steps
+    o = 1 + n_seg + cfg.horizon_steps  # a pair's row: chain, theta, sequence, evaluate's row
 
-    # np.clip without its Python wrappers: the values agree but for a -0.0
-    # theta at a +0.0 bound, and no start or step produces one. ``take`` keeps
-    # each row contiguous, so sums along it add in np.repeat's order.
-    def score(thetas: np.ndarray, chains: np.ndarray, seqs: np.ndarray):
-        """Each pair's sequence (K, T) and row (K, F)."""
-        accels = np.minimum(np.maximum(thetas, a_lo), a_hi).take(segment_of_step, axis=1)
-        return accels[seqs], evaluate(accels, chains, seqs)
+    # Clips are np.minimum(np.maximum(...)), np.clip without its wrappers: the
+    # values agree but for a -0.0 theta at a +0.0 bound, which no start or step
+    # makes. ``take`` keeps rows contiguous: sums along one add in repeat's order.
+    def score(thetas: np.ndarray, chains: np.ndarray, bar: np.ndarray | float) -> np.ndarray:
+        accels = thetas.take(segment_of_step, axis=1)
+        rows = evaluate(accels, chains, np.arange(len(chains)), bar)
+        return np.concatenate((chains[:, None], thetas, accels, rows), axis=1)
 
-    cands, index = starts
     sizes = [len(i) for i in index]
-    seqs = np.concatenate(index)
-    chains = np.repeat(np.arange(len(index)), sizes)
-    accels, rows = score(cands, chains, seqs)
-    log.append((chains, accels, rows))
+    seqs, chains = np.concatenate(index), np.repeat(np.arange(len(index)), sizes)
+    accels = np.minimum(np.maximum(cands, a_lo), a_hi).take(segment_of_step, axis=1)
+    rows = evaluate(accels, chains, seqs, None)
+    log = [np.concatenate((chains[:, None], cands.take(seqs, 0), accels.take(seqs, 0), rows), 1)]
     # argmin keeps the first start among equal objectives.
-    pick = [i + int(rows[i:i + n, 0].argmin()) for i, n in zip(np.cumsum([0] + sizes), sizes)]
-    theta, accel, current = cands[seqs[pick]], accels[pick], rows[pick]
+    state = log[0].take([i + int(rows[i:i + n, 0].argmin())
+                         for i, n in zip(np.cumsum([0] + sizes), sizes)], axis=0)
 
-    segs = np.arange(cfg.solver_segments)
     # Halving is exact, so each trial equals the one-at-a-time search's.
     trial_steps = np.array([cfg.solver_step, cfg.solver_step * 0.5, cfg.solver_step * 0.5 * 0.5])
+    trial_steps, trial_ids = trial_steps[:, None, None], np.arange(3)[:, None]
     live = np.arange(len(index))
     for _ in range(cfg.solver_iters):
         if not live.size:
             break
-        steps = np.where(theta[live] + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
-        probes = theta[live, None].repeat(len(segs), axis=1)
-        probes[:, segs, segs] += steps
-        chains = live.repeat(len(segs))
-        accels, rows = score(probes.reshape(-1, len(segs)), chains, np.arange(len(chains)))
-        log.append((chains, accels, rows))
-        grad = (rows[:, 0].reshape(steps.shape) - current[live, :1]) / steps
-        scale = np.abs(grad).max(axis=1)
+        cur = state.take(live, axis=0)
+        theta = cur[:, 1:1 + n_seg]
+        steps = np.where(theta + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
+        probes = theta.repeat(n_seg, axis=0)
+        probes.reshape(live.size, -1)[:, ::n_seg + 1] += steps
+        log.append(score(np.minimum(np.maximum(probes, a_lo), a_hi), live.repeat(n_seg), np.inf))
+        grad = (log[-1][:, o].reshape(steps.shape) - cur[:, o:o + 1]) / steps
+        scale = np.maximum.reduce(np.abs(grad), axis=1)
         # A NaN scale is not below the threshold: that chain goes on.
-        keep = ~(scale < 1e-12)
-        live, direction = live[keep], grad[keep] / scale[keep, None]
-        if not live.size:
-            break
+        stop = scale < 1e-12
+        if np.logical_or.reduce(stop):
+            live, cur, theta, grad, scale = (a[~stop] for a in (live, cur, theta, grad, scale))
+            if not live.size:
+                break
         # Every trial k of every live chain in one round, k-major.
         trials = np.minimum(
-            np.maximum(theta[live] - trial_steps[:, None, None] * direction, a_lo), a_hi
-        ).reshape(-1, len(segs))
-        chains = np.concatenate((live, live, live))
-        accels, rows = score(trials, chains, np.arange(len(chains)))
-        won = (rows[:, 0] < current[chains, 0] - 1e-12).reshape(3, live.size)
-        hit = won.any(axis=0)
+            np.maximum(theta - trial_steps * (grad / scale[:, None]), a_lo), a_hi
+        ).reshape(-1, n_seg)
+        bar = cur[:, o] - 1e-12
+        pairs = score(trials, np.concatenate((live, live, live)), np.concatenate((bar, bar, bar)))
+        won = pairs[:, o].reshape(3, -1) < bar
+        hit = np.logical_or.reduce(won, axis=0)
         # A chain keeps its trials up to its first win. The later ones are
         # dropped unlogged: the one-at-a-time search never scores them.
         first = np.where(hit, won.argmax(axis=0), 2)
-        kept = (np.arange(3)[:, None] <= first).ravel()
-        log.append((chains[kept], accels[kept], rows[kept]))
-        winners = np.flatnonzero(hit)
-        at = first[winners] * live.size + winners
-        live = live[winners]
-        theta[live], accel[live], current[live] = trials[at], accels[at], rows[at]
+        log.append(pairs.compress((trial_ids <= first).ravel(), axis=0))
+        live = live.compress(hit)
+        state[live] = pairs.take((first * hit.size + np.arange(hit.size)).compress(hit), axis=0)
 
-    chains, accels, rows = (np.concatenate(parts) for parts in zip(*log))
-    return [(accel[c], current[c], accels[chains == c], rows[chains == c])
-            for c in range(len(index))]
+    # One stable sort splits the log by chain, each chain's rows in order.
+    log = np.concatenate(log)
+    log = log.take(np.argsort(log[:, 0], kind="stable"), axis=0)
+    ends = np.searchsorted(log[:, 0], np.arange(len(index)), side="right").tolist()
+    return [(s[1 + n_seg:o], s[o:], log[a:b, 1 + n_seg:o], log[a:b, o:])
+            for s, a, b in zip(state, [0] + ends, ends)]
 
 
 def _mode_cvars(
@@ -740,44 +739,49 @@ class ActivePlanner:
         h0 = human_progress(geometry, state.human)
         s_h = np.array([h0 + _mode_human_advance(state.human, modes[m], c0, cfg) for m in solve])
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray) -> np.ndarray:
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar) -> np.ndarray:
             pair_modes = solve[chains]
             paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
             x, y, speeds = ego_paths = [p[seqs] for p in paths]
-            # A pair whose cost bound certifies it below the cap gets no cost
-            # block: it holds -inf, so its violation is 0.0 and it stays feasible.
-            bounds = path_cost_bounds(
+            certified = path_cost_bounds(
                 x, y, speeds, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
-            )
-            open_ = np.flatnonzero(~(bounds <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)))
-            cvars = np.full(len(chains), -np.inf)
-            if open_.size:
-                cvars[open_] = _mode_cvars(ctx, [p[open_] for p in ego_paths], pair_modes[open_])
+            ) <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)
             s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
             j_probe = ctx.probe_terms(accels[:, 0])[seqs]
             delta = (steer_v[chains] - v_t[seqs], steer_s[chains] - (s_t[seqs] - s_h[chains]))
             y = np.linalg.solve(chol_q[chains], np.array(delta).T[..., None])
             # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
             j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
+            lower = j_probe + j_infl  # the objective, but for the cap penalty
+            if bar is None:  # the start round: no pick lies above a certified start
+                best = np.full(len(solve), np.inf)
+                np.minimum.at(best, chains[certified], lower[certified])
+                bar = best[chains]
+            # Certified or unscored (solver notes): violation 0.0, objective the bound.
+            cvars = np.where(certified, -np.inf, _UNSCORED)
+            scored = np.flatnonzero(~(certified | (lower > bar)))
+            if scored.size:
+                cvars[scored] = _mode_cvars(ctx, [p[scored] for p in ego_paths], pair_modes[scored])
             violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
-            obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
+            obj = lower + cfg.penalty_weight * violation * violation
             return np.array((obj, cvars, j_probe, j_infl)).T
 
         bursts = ctx.probe_grid is not None
         starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
         picks = []
-        for accel, row, history, rows in _descend(evaluate, starts, cfg):
+        for c, (accel, row, history, rows) in enumerate(_descend(evaluate, starts, cfg)):
             infeasible = False
             if row[1] > cfg.risk_cap:
-                # Fall back to the first best feasible candidate; when every
-                # candidate violates the cap, to the least risky one, flagged.
+                # Fall back to the first best feasible candidate, or when each breaks
+                # the cap to the least risky, flagged: score the unscored ones first.
+                if (lazy := np.flatnonzero(rows[:, 1] == _UNSCORED)).size:
+                    rows[lazy] = evaluate(history, np.full(lazy.size, c), lazy, np.inf)
                 feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
                 infeasible = not feasible.size
                 h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
                 accel, row = history[h], rows[h]
             picks.append((accel, row.tolist(), infeasible, len(rows)))
-        # A pick that holds the certified sentinel gets its exact CVaR, in one
-        # batch over the chains.
+        # Each pick that holds -inf gets its exact CVaR, in one batch.
         certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
         if certified:
             accels = np.array([picks[c][0] for c in certified])
@@ -813,7 +817,7 @@ class ActivePlanner:
         # Each mode's rollouts come from a stream keyed by the mode, so the
         # draw order does not matter.
         modes = b.targets.targets
-        human_paths = draw_human_paths(
+        human_paths, human_boxes = draw_human_paths(
             state.human, modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
             [rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
         )
@@ -838,7 +842,7 @@ class ActivePlanner:
             # np.argmax keeps the first mode among equal maxima.
             solve=np.flatnonzero(active).tolist() or [int(np.argmax(omega))],
             human_paths=human_paths,
-            human_boxes=sample_boxes(human_paths),
+            human_boxes=human_boxes,
             cvar_pre=cvar_pre,
         )
 

@@ -12,12 +12,13 @@ What does not depend on the candidate acceleration is built once per
 step: the ego headings (``planner.lane_guidance`` returns them with its
 yaw), every mode's sampled human paths as one block of x and y planes
 (``draw_human_paths``: one ``normal`` draw per mode from the mode's own
-stream, then one clamp, integration and projection over all modes) and
-the discount weights. ``path_costs`` takes ego rows (R, T) against one
-mode's paths, or one ego path against several modes' paths, so a solver
-round scores its (sequence, mode) pairs with one ``simulate_ego_path``,
-one ``path_costs`` block per mode (the conservative planner: one per
-sequence, over its solved modes) and one ``cvar``. Every kernel
+stream, then one clamp, integration and projection over all modes), their
+``sample_boxes`` from the same arcs, and the discount weights.
+``path_costs`` takes ego rows (R, T) against one mode's paths, or one ego
+path against several modes' paths, so a solver round scores its
+(sequence, mode) pairs with one ``simulate_ego_path``, one ``path_costs``
+block per mode (the conservative planner: one per sequence, over its
+solved modes) and one ``cvar``. Every kernel
 reproduces a plain sequential loop per ego path and mode bit for bit:
 cumulative sums run in order, the element operations are the same ones
 in the same order, and each (ego path, mode) block's discounted sums are
@@ -144,9 +145,10 @@ def simulate_ego_path(
 def draw_human_paths(
     human, modes: Sequence[ModeTarget], n_samples: int, t_steps: int, dt: float,
     rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sampled human positions as x and y planes (M, 2, n_samples, t_steps),
-    one block per mode of ``modes``, each drawn from its own ``rngs`` entry.
+    one block per mode of ``modes``, each drawn from its own ``rngs`` entry,
+    and their ``sample_boxes`` (M, 4, t_steps).
 
     Per-step longitudinal speeds are drawn i.i.d. from each mode target's
     velocity marginal (clamped at zero; the human does not reverse) and
@@ -166,7 +168,7 @@ def draw_human_paths(
     np.multiply(arc, math.sin(human.theta), out=planes[:, 1])
     planes[:, 0] += human.x
     planes[:, 1] += human.y
-    return planes
+    return planes, sample_boxes(human, arc)
 
 
 def path_costs(
@@ -214,12 +216,22 @@ def _step_costs(
     return dy
 
 
-def sample_boxes(human: np.ndarray) -> np.ndarray:
-    """Bounding boxes of sampled human paths (..., 2, S, T) per step, as
-    (..., 4, T) with rows x min, x max, y min and y max over the samples."""
-    boxes = np.empty(human.shape[:-3] + (4, human.shape[-1]))
-    boxes[..., 0::2, :] = human.min(axis=-2)
-    boxes[..., 1::2, :] = human.max(axis=-2)
+def sample_boxes(human, arcs: np.ndarray) -> np.ndarray:
+    """Bounding boxes per step of the positions ``draw_human_paths`` puts
+    at arc lengths ``arcs`` (M, S, T) along ``human``'s heading, as
+    (M, 4, T) with rows x min, x max, y min and y max over the samples.
+
+    Each edge is an extreme arc taken through the planes' own multiply and
+    add, which are monotone in floating point, so it equals the plane-wise
+    minimum or maximum bit for bit; a negative factor swaps the two. The
+    arcs are finite (an infinite one times a zero factor would be NaN)."""
+    extremes = np.stack((arcs.min(axis=1), arcs.max(axis=1)), axis=1)
+    boxes = np.empty((len(arcs), 4, arcs.shape[-1]))
+    for row, factor, offset in ((0, math.cos(human.theta), human.x),
+                                (2, math.sin(human.theta), human.y)):
+        edges = boxes[:, row:row + 2]
+        np.multiply(extremes if factor >= 0.0 else extremes[:, ::-1], factor, out=edges)
+        edges += offset
     return boxes
 
 

@@ -18,7 +18,7 @@ from .belief import (
     HierarchicalBelief,
     ModeTarget,
     ModeTargetSet,
-    entropy,
+    entropy,  # noqa: F401 -- the benchmark wraps probeplan.scenario.entropy by name
     relax_mode_weights,
     uniform_belief,
     update,
@@ -403,7 +403,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
                 z=z,
                 pi=belief.intent_probs.copy(),
                 w_rows=belief.rows(),
-                entropy=entropy(belief),
+                entropy=diag.entropy_before,
                 cvar_pre=tuple(m.cvar_pre for m in diag.modes),
                 u=u_first.copy(),
                 ego=state.ego,

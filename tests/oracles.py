@@ -28,6 +28,10 @@ computes in a faster way:
   ``evaluate`` per candidate, where ``_descend`` keeps every chain's state
   in arrays and evaluates one phase of all chains per call, an
   iteration's three line-search trials together.
+* ``eager_descend``: ``_descend`` with every round's bar at ``inf``, so
+  ``ActivePlanner._solve_modes`` gives every pair its certificate does not
+  clear a cost block, where the planner leaves the pairs no decision reads
+  unscored.
 * ``solve_mode_scalar``, ``conservative_step_scalar`` and
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
@@ -66,6 +70,7 @@ from probeplan.planner import (
     _mode_human_advance,
     _observation_draws,
     _StepContext,
+    _descend,
     ego_horizon_covariance,
 )
 from probeplan.risk import cvar, path_costs, simulate_ego_path
@@ -372,6 +377,12 @@ def descend_one(
         else:
             break
     return accel, current, history
+
+
+def eager_descend(evaluate: Callable, starts, cfg: PlannerConfig):
+    """``_descend`` with no bar on any round: every open pair is scored."""
+    return _descend(lambda accels, chains, seqs, bar: evaluate(accels, chains, seqs, math.inf),
+                    starts, cfg)
 
 
 def solve_mode_control(

@@ -30,6 +30,7 @@ from probeplan import planner as planner_mod
 from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
+    _UNSCORED,
     _descend,
     _shared_starts,
     _start_candidates,
@@ -49,6 +50,7 @@ from probeplan.world import (
 from oracles import (
     blend_controls,
     descend_one,
+    eager_descend,
     ego_headings,
     expected_posterior_entropy,
     influence_objective,
@@ -553,10 +555,10 @@ class TestDescend:
         start sets, its result and every ``evaluate`` call it made."""
         calls = []
 
-        def evaluate(accels, chains, seqs):
+        def evaluate(accels, chains, seqs, bar):
             pairs = accels[seqs]
             rows = np.array([self.objective(cfg, c)(a) for a, c in zip(pairs, chains.tolist())])
-            calls.append((pairs, chains.copy(), rows, accels.copy(), seqs.copy()))
+            calls.append((pairs, chains.copy(), rows, accels.copy(), seqs.copy(), bar))
             return rows
 
         rng = np.random.default_rng(3)
@@ -594,7 +596,7 @@ class TestDescend:
         best = [math.inf] * len(index)  # each chain's current objective
         called = []
         dropped = 0
-        for accels, cs, rs, seq_rows, seqs in calls:
+        for accels, cs, rs, seq_rows, seqs, bar in calls:
             held = {phase_of(phases[c][taken[c]]) for c in set(cs.tolist())}
             assert len(held) == 1
             (phase,) = held
@@ -609,6 +611,14 @@ class TestDescend:
             else:
                 assert np.array_equal(seqs, np.arange(len(cs)))
             search = phase[1] == 1 and phase[0] >= 0
+            # The bar: none in the start round, none below inf in a probe
+            # round, and each pair's win threshold in a line-search round.
+            if phase == (-1, 0):
+                assert bar is None
+            elif search:
+                assert np.array_equal(bar, [best[c] - 1e-12 for c in cs.tolist()])
+            else:
+                assert np.all(np.asarray(bar) == math.inf)
             if search:
                 # Trial k of every chain, k-major, chains ascending.
                 ks = [int(np.sum(cs[:j] == c)) for j, c in enumerate(cs.tolist())]
@@ -659,9 +669,9 @@ class TestDescend:
         rounds = []
 
         def counted(evaluate, starts, cfg):
-            def counting(accels, chains, seqs):
+            def counting(accels, chains, seqs, bar):
                 rounds[-1] += 1
-                return evaluate(accels, chains, seqs)
+                return evaluate(accels, chains, seqs, bar)
             rounds.append(0)
             return _descend(counting, starts, cfg)
 
@@ -712,6 +722,195 @@ class TestCertifiedBelowCap:
                                     cfg.ref_speed), cfg.cvar_level)
             assert math.isfinite(d.cvar_solution) and d.cvar_solution == exact
             assert d.margin == cfg.risk_cap - exact
+
+
+class LazyRounds:
+    """Wraps ``planner._descend``: records every round of every descent and
+    checks that each row a decision reads is scored. The start round's pick
+    is each chain's least objective, and a chain with no certified start
+    leaves no start unscored. A probe round leaves no row unscored. A
+    line-search trial below its win threshold, and each chain's final row,
+    are scored. ``pending`` lists, per descent, the chains whose final row
+    breaks the cap with unscored rows in their history."""
+
+    def __init__(self):
+        self.rounds, self.pending = [], []
+
+    def __call__(self, evaluate, starts, cfg):
+        rounds = []
+
+        def recorded(accels, chains, seqs, bar):
+            rows = evaluate(accels, chains, seqs, bar)
+            rounds.append((chains.copy(), rows.copy(), bar))
+            return rows
+
+        out = _descend(recorded, starts, cfg)
+        for i, (chains, rows, bar) in enumerate(rounds):
+            unscored = rows[:, 1] == _UNSCORED
+            if i == 0:
+                assert bar is None
+                for c in set(chains.tolist()):
+                    mine = np.flatnonzero(chains == c)
+                    assert not unscored[mine[np.argmin(rows[mine, 0])]]
+                    if not np.any(rows[mine, 1] == -math.inf):
+                        assert not unscored[mine].any()
+            elif np.all(np.asarray(bar) == math.inf):
+                assert not unscored.any()
+            else:
+                assert not (unscored & (rows[:, 0] < bar)).any()
+        assert all(row[1] != _UNSCORED for _, row, _, _ in out)
+        self.pending.append([(c, rows) for c, (_, row, _, rows) in enumerate(out)
+                             if row[1] > cfg.risk_cap and np.any(rows[:, 1] == _UNSCORED)])
+        self.rounds.append(rounds)
+        return out
+
+    def unscored(self):
+        return sum(int(np.sum(rows[:, 1] == _UNSCORED))
+                   for rounds in self.rounds for _, rows, _ in rounds)
+
+
+def lazy_and_eager(make_planner, cases, monkeypatch, prepare=lambda planner, b: None):
+    """Plan each (state, belief, key) with the lazy rule and with every
+    pair scored (``eager_descend``), one planner each; check that both give
+    the same steps. Returns the lazy rounds, the rows each way sent to
+    ``path_costs`` and the lazy steps."""
+    checker, cost_rows, steps = LazyRounds(), Counter(), {}
+    real_costs = planner_mod.path_costs
+    for way, descend in (("lazy", checker), ("eager", eager_descend)):
+        def counted_costs(x, y, speeds, human, *args, way=way):
+            cost_rows[way] += len(human) if human.ndim == 4 else len(np.atleast_2d(x))
+            return real_costs(x, y, speeds, human, *args)
+
+        monkeypatch.setattr(planner_mod, "path_costs", counted_costs)
+        monkeypatch.setattr(planner_mod, "_descend", descend)
+        planner, steps[way] = make_planner(), []
+        for state, b, key in cases:
+            prepare(planner, b)
+            steps[way].append(planner.plan_step(state, b, key))
+    for (u, diag), (want_u, want_diag) in zip(steps["lazy"], steps["eager"]):
+        assert np.array_equal(u, want_u)
+        assert same_diag(diag, want_diag)
+    return checker, cost_rows, steps["lazy"]
+
+
+class TestLazyScoring:
+    """A pair no decision reads gets no cost block, and every step equals
+    the one that scores every open pair."""
+
+    def test_fewer_rows_reach_path_costs(self, monkeypatch):
+        # Fixed lane_merge ``ours`` steps with the default budgets, planner
+        # state carried from step to step.
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
+        rng = np.random.default_rng(21)
+        targets = default_targets(LANE_MERGE)
+        cases = [(advanced_state(LANE_MERGE, rng), filtered_belief(targets, rng), 80 + i)
+                 for i in range(4)]
+        checker, cost_rows, _ = lazy_and_eager(lambda: ActivePlanner(cfg), cases, monkeypatch)
+        assert checker.unscored() > 0
+        assert 0 < cost_rows["lazy"] < cost_rows["eager"]
+
+    @pytest.mark.parametrize("kind, cap, seed", [(LANE_MERGE, 30.0, 3), (INTERSECTION, 10.0, 0)])
+    def test_fallback_scores_the_unscored_history(self, kind, cap, seed, monkeypatch):
+        # A chain's final row breaks the cap while its history holds
+        # unscored rows: they are scored in one batch before the fallback
+        # reads them, and the fallback is the scalar oracle's.
+        cfg = PlannerConfig(risk_cap=cap, ref_speed=DEFAULT_REF_SPEED[kind])
+        state = advanced_state(kind, np.random.default_rng(seed))
+        b = uniform_belief(default_targets(kind))
+        checker, _, ((u, diag),) = lazy_and_eager(
+            lambda: ActivePlanner(cfg), [(state, b, 50 + seed)], monkeypatch
+        )
+        (pending,) = checker.pending
+        assert pending
+        for _, rows in pending:
+            # The history the fallback read, scored in place.
+            assert not np.any(rows[:, 1] == _UNSCORED)
+        want_u, want_diag = plan_step_per_mode(ActivePlanner(cfg), state, b, 50 + seed)
+        assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
+
+    @pytest.mark.parametrize("kind, cap, seed", [
+        (LANE_MERGE, 60.0, 5), (INTERSECTION, 10.0, 2), (INTERSECTION, 0.0, 2),
+    ])
+    def test_chain_with_no_certified_start(self, kind, cap, seed, monkeypatch):
+        # A chain with no certified start defers nothing in the start round
+        # (LazyRounds checks it) while other chains defer; a zero cap
+        # certifies no pair at all.
+        cfg = PlannerConfig(risk_cap=cap, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(seed)
+        state = advanced_state(kind, rng)
+        b = filtered_belief(default_targets(kind), rng)
+        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg), [(state, b, 90)], monkeypatch)
+        ((chains, rows, _), *_) = checker.rounds[0]
+        mine = [rows[chains == c, 1] for c in sorted(set(chains.tolist()))]
+        uncertified = [not np.any(r == -math.inf) for r in mine]
+        deferring = [np.any(r == _UNSCORED) for r in mine]
+        assert any(uncertified)
+        assert any(deferring) == (cap > 0.0) and not any(map(all, zip(uncertified, deferring)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, seed, scale", [
+        (LANE_MERGE, 8, 1e-153),  # start rounds defer pairs of infinite bound
+        (INTERSECTION, 6, 1e-154),  # line searches do
+    ])
+    def test_infinite_influence(self, kind, seed, scale, monkeypatch):
+        # A steering factor so small that the influence term of the pairs
+        # far from the target overflows to inf: their bound is inf.
+        cfg = PlannerConfig(risk_cap=10.0, ref_speed=DEFAULT_REF_SPEED[kind])
+        state = advanced_state(kind, np.random.default_rng(seed))
+        b = uniform_belief(default_targets(kind))
+
+        def tiny_steering(planner, b):
+            planner._targets = b.targets
+            planner._steering[0, 0] = (np.eye(2) * scale, 0.0, b.targets.targets[0].steer.mean)
+
+        checker, _, _ = lazy_and_eager(
+            lambda: ActivePlanner(cfg), [(state, b, 9)], monkeypatch, tiny_steering
+        )
+        rows = np.concatenate([r for _, r, _ in checker.rounds[0]])
+        assert np.any((rows[:, 3] == math.inf) & (rows[:, 1] == _UNSCORED))
+        assert np.any(np.isfinite(rows[:, 3]))
+
+    def test_nan_cvar_from_nan_costs(self, monkeypatch):
+        # A NaN sample makes every scored CVaR of its mode NaN (cvar counts
+        # NaN as the largest cost); the boxes stay finite.
+        real_draw = planner_mod.draw_human_paths
+
+        def one_nan_sample(*args):
+            planes, boxes = real_draw(*args)
+            planes[2, :, 0, 5:] = math.nan
+            return planes, boxes
+
+        monkeypatch.setattr(planner_mod, "draw_human_paths", one_nan_sample)
+        cfg = PlannerConfig(risk_cap=10.0, ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        rng = np.random.default_rng(2)
+        cases = [(advanced_state(INTERSECTION, rng),
+                  filtered_belief(default_targets(INTERSECTION), rng), 30 + i) for i in range(2)]
+        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg), cases, monkeypatch)
+        rows = np.concatenate([r for rounds in checker.rounds for _, r, _ in rounds])
+        assert np.isnan(rows[:, 1]).any() and checker.unscored() > 0
+
+    def test_start_ties_are_scored(self, monkeypatch):
+        # A steering factor so large that every influence term is the
+        # constant 1.0: with no probe term, every pair's bound ties with
+        # every certified start, and a tie is scored.
+        def flat_steering(planner, b):
+            planner._targets = b.targets
+            for m in range(len(b.targets)):
+                for k in range(len(b.targets)):
+                    planner._steering[m, k] = (np.eye(2) * 1e200, 1.0, np.zeros(2))
+
+        cfg = PlannerConfig(risk_cap=10.0, ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        rng = np.random.default_rng(4)
+        cases = [(advanced_state(INTERSECTION, rng),
+                  filtered_belief(default_targets(INTERSECTION), rng), 60 + i) for i in range(3)]
+        checker, _, _ = lazy_and_eager(
+            lambda: PassivePlanner(cfg), cases, monkeypatch, flat_steering
+        )
+        for rounds in checker.rounds:
+            _, rows, _ = rounds[0]
+            assert np.all(rows[:, 0] >= 1.0) and np.all(rows[:, 3] == 1.0)
+        # Some start was scored exactly at the tie: open, and within the cap.
+        assert any(np.any((r[0][1][:, 1] >= 0.0) & (r[0][1][:, 0] == 1.0)) for r in checker.rounds)
 
 
 class TestStartCandidates:
@@ -783,9 +982,9 @@ class TestRunConstants:
             return real_simulate(ego, accel, *args)
 
         def counted_descend(evaluate, starts, cfg):
-            def counting(accels, chains, seqs):
+            def counting(accels, chains, seqs, bar):
                 before = len(simulated)
-                rows = evaluate(accels, chains, seqs)
+                rows = evaluate(accels, chains, seqs, bar)
                 rounds.append((simulated[before:], len(chains)))
                 return rows
             return real_descend(counting, starts, cfg)
@@ -1109,7 +1308,8 @@ def coasting_cvar_pre(state, targets, cfg, key):
     out = []
     for t in targets.targets:
         rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-        (paths,) = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt, [rng])
+        (paths,), _ = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt,
+                                       [rng])
         out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
     return out
 

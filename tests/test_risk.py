@@ -112,7 +112,7 @@ def rollout_costs(state, plan, mode, cfg, seed):
     from the functions the planners call."""
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    (human,) = draw_human_paths(
+    (human,), _ = draw_human_paths(
         state.human, [mode], cfg.rollout_count, cfg.horizon_steps, cfg.dt,
         [np.random.default_rng(seed)],
     )
@@ -307,7 +307,7 @@ class TestKernelsMatchLoopOracles:
             )
             planes = draw_human_paths(
                 human, [mode], 50, self.T, self.DT, [np.random.default_rng(seed)]
-            )[0]
+            )[0][0]
             assert planes.shape == (2, 50, self.T)
             assert np.array_equal(planes[0], stacked[:, :, 0])
             assert np.array_equal(planes[1], stacked[:, :, 1])
@@ -326,7 +326,7 @@ class TestKernelsMatchLoopOracles:
             modes += [mode_1d(6.0, 0.0), mode_1d(-50.0, 1.0)]
             n_samples, t_steps = [(1, self.T), (50, 1), (1, 1), (20, self.T)][i % 4]
             seeds = rng.integers(2**32, size=len(modes))
-            block = draw_human_paths(human, modes, n_samples, t_steps, self.DT,
+            block, _ = draw_human_paths(human, modes, n_samples, t_steps, self.DT,
                                      [np.random.default_rng(s) for s in seeds])
             want = np.stack([
                 draw_human_paths_one(human, mode, n_samples, t_steps, self.DT,
@@ -337,6 +337,43 @@ class TestKernelsMatchLoopOracles:
             assert block.tobytes() == want.tobytes()
             # The negative mean clamps every speed at zero: that mode stands.
             assert np.all(block[-1, 0] == human.x) and np.all(block[-1, 1] == human.y)
+
+    def test_boxes_match_plane_wise_extremes(self):
+        # The boxes, mapped from the arcs' extremes, equal the min and max of
+        # the planes over the samples bit for bit, signed zeros included:
+        # headings 0, -pi/2, pi and random ones, offsets +-0.0, standing modes.
+        rng = np.random.default_rng(17)
+        headings = [0.0, -math.pi / 2, math.pi, -0.0]
+        zeros = 0
+        for i in range(300):
+            theta = headings[i % 5] if i % 5 < 4 else rng.uniform(-math.pi, math.pi)
+            x, y = [rng.choice([0.0, -0.0, rng.uniform(-30.0, 30.0)]) for _ in range(2)]
+            human = VehicleState(x, y, 5.0, theta)
+            modes = [random_mode(rng) for _ in range(int(rng.integers(1, 4)))]
+            modes += [mode_1d(-50.0, 1.0), mode_1d(6.0, 0.0)]
+            n_samples, t_steps = [(1, self.T), (50, 1), (20, self.T)][i % 3]
+            planes, boxes = draw_human_paths(
+                human, modes, n_samples, t_steps, self.DT,
+                [np.random.default_rng(s) for s in rng.integers(2**32, size=len(modes))],
+            )
+            want = np.stack([planes[:, 0].min(axis=1), planes[:, 0].max(axis=1),
+                             planes[:, 1].min(axis=1), planes[:, 1].max(axis=1)], axis=1)
+            assert boxes.tobytes() == want.tobytes()
+            zeros += int(np.sum((want == 0.0) & np.signbit(want)))
+        assert zeros > 0  # some box edge is -0.0
+
+    def test_boxes_of_hand_made_arcs(self):
+        # Repeated and zero arcs (the clamp makes no -0.0 one) through both
+        # signs of each factor, -0.0 among them, and a -0.0 offset.
+        rng = np.random.default_rng(18)
+        for theta in (0.0, -0.0, 0.3, 2.0, -2.5, math.pi, -math.pi / 2):
+            human = VehicleState(-0.0, 0.0, 5.0, theta)
+            arcs = rng.choice([0.0, 1.5, 1.5000000000000002, 40.0], size=(3, 8, 5))
+            planes = np.stack([arcs * math.cos(theta) + human.x, arcs * math.sin(theta) + human.y],
+                              axis=1)
+            want = np.stack([planes[:, 0].min(axis=1), planes[:, 0].max(axis=1),
+                             planes[:, 1].min(axis=1), planes[:, 1].max(axis=1)], axis=1)
+            assert sample_boxes(human, arcs).tobytes() == want.tobytes()
 
     def test_path_costs_and_cvar_random_inputs(self):
         rng = np.random.default_rng(13)
@@ -363,7 +400,7 @@ class TestKernelsMatchLoopOracles:
             headings = ego_headings(ego, plan[:, 1], self.DT)
             x, y, v = simulate_ego_path(ego, plan[:, 0], headings, self.DT)
             planes = draw_human_paths(human, [mode], 100, self.T, self.DT,
-                                      [np.random.default_rng(seed)])[0]
+                                      [np.random.default_rng(seed)])[0][0]
             costs = path_costs(x, y, v, planes, weights, ref_speed)
             assert np.array_equal(costs, expected)
 
@@ -437,10 +474,9 @@ class TestCostBound:
     def check(self, ego, accel, yaw, human, mode, n_samples, alpha, seed, ref_speed=9.5):
         weights = 0.95 ** np.arange(self.T)
         x, y, v = simulate_ego_path(ego, accel, ego_headings(ego, yaw, self.DT), self.DT)
-        paths = draw_human_paths(human, [mode], n_samples, self.T, self.DT,
-                                 [np.random.default_rng(seed)])[0]
+        (paths,), (boxes,) = draw_human_paths(human, [mode], n_samples, self.T, self.DT,
+                                              [np.random.default_rng(seed)])
         costs = path_costs(x, y, v, paths, weights, ref_speed)
-        boxes = sample_boxes(paths)
         assert boxes.shape == (4, self.T)
         (bound,) = path_cost_bounds(x[None], y[None], v[None], boxes[None], weights, ref_speed)
         assert bound >= self.SLACK * costs.max()
@@ -545,8 +581,8 @@ def rollout_bound(state, cfg):
     plan = np.zeros((cfg.horizon_steps, 2))
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     x, y, v = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    paths = draw_human_paths(state.human, [mode_1d(10.0, 1.0)], cfg.rollout_count,
-                             cfg.horizon_steps, cfg.dt, [np.random.default_rng(1)])[0]
+    (paths,), (boxes,) = draw_human_paths(state.human, [mode_1d(10.0, 1.0)], cfg.rollout_count,
+                                          cfg.horizon_steps, cfg.dt, [np.random.default_rng(1)])
     weights = cfg.discount ** np.arange(cfg.horizon_steps)
-    return path_cost_bounds(x[None], y[None], v[None], sample_boxes(paths)[None],
+    return path_cost_bounds(x[None], y[None], v[None], boxes[None],
                             weights, cfg.ref_speed)[0]
