@@ -21,6 +21,7 @@ from .planner import (
     _controls,
     _descend,
     _start_candidates,
+    _tail_gradients,
 )
 from .risk import cvar, path_costs, simulate_ego_path
 from .world import ScenarioState
@@ -62,16 +63,23 @@ class ConservativePlanner(ActivePlanner):
         weights = ctx.omega[ctx.solve]
         paths = ctx.human_paths[ctx.solve]
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar) -> np.ndarray:
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar):
             # One chain: each sequence's CVaR against every solved mode, one
-            # cost block per sequence, and their omega-weighted sum in mode order.
+            # cost block per sequence, and their omega-weighted sum in mode order;
+            # its gradient is the omega-weighted sum of the modes' tail gradients.
             ego_paths = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
-            costs = [
+            costs = np.concatenate([
                 path_costs(*ego, paths, ctx.discount_weights, cfg.ref_speed)
                 for ego in zip(*ego_paths)
-            ]
-            cvars = cvar(np.concatenate(costs), cfg.cvar_level).reshape(len(accels), -1)
-            return np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))[seqs]
+            ])
+            cvars = cvar(costs, cfg.cvar_level).reshape(len(accels), -1)
+            n = len(weights)
+            tails = _tail_gradients(ctx, [p.repeat(n, axis=0) for p in ego_paths],
+                                    np.tile(ctx.solve, len(accels)), costs)
+            tails = tails.reshape(len(accels), n, -1).swapaxes(0, 1)
+            grads = sum(w * g for w, g in zip(weights, tails))
+            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
+            return rows[seqs], grads[seqs]
 
         starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)
         ((accel, row, _, rows),) = _descend(evaluate, starts, cfg)

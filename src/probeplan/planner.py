@@ -13,21 +13,27 @@ over the distinct predicted observation sets, which one
 ``predicted_observation_mean`` call gives for every projected grid point.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
 (multi-start over constant-acceleration candidates, then projected
-finite-difference descent on a piecewise-constant acceleration
-parameterization of ``solver_segments`` windows of ``segment_steps``
-steps): one per mode for the active and passive planners, one for the
-conservative planner's omega-weighted CVaR sum. The chains run in
-phase-aligned rounds: one start round, then per iteration one probe round
-over the live chains and one line-search round that holds all three trials
-``solver_step * 0.5^k`` (k = 0, 1, 2) of every chain still live. A chain
-takes its first winning trial; the trials after it are scored and dropped,
-so each chain's history, pick and ``ModeDiag.evals`` are those of a search
-that tries one step after another. A round scores its (sequence, chain)
-pairs in one batch: one ego path, terminal state and probe term per
-distinct sequence (the start round holds each shared start once), then per
-pair a cost bound, one ``path_costs`` block per mode over the pairs left
-open (the conservative planner: one per sequence over its solved modes),
-one ``cvar`` and one stacked triangular solve for the KL influence term.
+gradient descent on a piecewise-constant acceleration parameterization of
+``solver_segments`` windows of ``segment_steps`` steps): one per mode for
+the active and passive planners, one for the conservative planner's
+omega-weighted CVaR sum. The chains run in phase-aligned rounds: one start
+round, then per iteration one line-search round that holds all three
+trials ``solver_step * 0.5^k`` (k = 0, 1, 2) along the scaled gradient of
+every chain still live, so a descent makes at most ``1 + solver_iters``
+rounds. A chain takes its first winning trial; the trials after it are
+scored and dropped, so each chain's history, pick and ``ModeDiag.evals``
+are those of a search that tries one step after another. A round scores
+its (sequence, chain) pairs in one batch: one ego path, terminal state,
+probe term and probe slope per distinct sequence (the start round holds
+each shared start once), then per pair a cost bound, one ``path_costs``
+block per mode over the pairs left open (the conservative planner: one per
+sequence over its solved modes), one ``cvar`` and one stacked triangular
+solve for the KL influence term. Each pair's gradient comes with its
+objective, exact almost everywhere: the probe term's slope, the KL term's
+through the terminal state's (2, P) Jacobian, and the cap penalty's
+``2 * penalty_weight * (CVaR - cap)`` times the mean cost gradient over
+the pair's tail samples (Hong & Liu 2009), taken from the cost block the
+pair paid for, through its ego path and reflected walk (``risk``).
 A fixed lane-guidance law, shared by every planner, steers the lateral
 channel, so planner comparisons isolate the longitudinal machinery. Every
 Monte-Carlo quantity of a solve reuses fixed random streams (common random
@@ -39,11 +45,12 @@ In a mode solve the CVaR enters only through the cap penalty
 ``risk.path_cost_bounds`` against the mode's ``risk.sample_boxes`` is at
 most ``risk_cap * (1 - CERTIFY_MARGIN)``: CVaR is at most the largest sample
 cost (Rockafellar & Uryasev 2000), so it holds ``-inf``, whose penalty is
-0.0, as the exact value's, and stays feasible. Nor when no decision reads
-its CVaR, as its bound is above its chain's best certified start in the
-start round, or above the win threshold in a line search (a probe round's
-every objective enters the gradient): it holds ``_UNSCORED`` and its bound
-as objective. A chain whose pick breaks the cap scores its unscored history
+0.0, as the exact value's, and stays feasible, so its gradient has no tail
+part. Nor when no decision reads its CVaR, as its bound is above its
+chain's best certified start in the start round, or above the win
+threshold in a line search: it holds ``_UNSCORED`` and its bound as
+objective, and needs no tail gradient, since it never becomes a chain's
+state. A chain whose pick breaks the cap scores its unscored history
 in one batch before its fallback reads it, and the picks holding ``-inf``
 are scored in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
 exact. The conservative planner minimizes the omega-weighted CVaR sum, so
@@ -75,8 +82,11 @@ from .human import GAP, VELOCITY, conflict_level
 from .risk import (
     CERTIFY_MARGIN,
     cvar,
+    cvar_tail,
     draw_human_paths,
+    ego_path_gradient,
     path_cost_bounds,
+    path_cost_gradient,
     path_costs,
     simulate_ego_path,
 )
@@ -98,8 +108,6 @@ from .world import (
 # interaction distribution; grows over the horizon per the process noise.
 INIT_POS_STD = 0.3
 INIT_VEL_STD = 0.2
-
-_FD_STEP = 0.05  # finite-difference probe, m/s^2 in segment space
 
 # The probe projection holds the first control this many steps (see
 # probe_projection). The probing estimators weigh each belief row's entropy
@@ -248,8 +256,9 @@ class ModeDiag:
     objective: float = math.nan
     j_probe: float = math.nan
     j_influence: float = math.nan
-    # Candidates a one-at-a-time search scores, repeats too; not the
-    # line-search trials scored after a chain's first win and dropped.
+    # Starts and line-search trials a one-at-a-time search scores, repeats
+    # too; not the trials scored after a chain's first win and dropped. A
+    # candidate's gradient comes with its objective: no probe candidates.
     evals: int = 0
     nu: np.ndarray | None = None
 
@@ -472,13 +481,17 @@ class _StepContext:
     human_boxes: np.ndarray
     cvar_pre: np.ndarray
 
-    def probe_terms(self, first_accels: np.ndarray) -> np.ndarray:
-        """The probing term of each first acceleration (K): the entropy
-        weight times the expected posterior entropy. Minimizing it drives
-        the expected posterior uncertainty down."""
+    def probe_terms(self, first_accels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The probing term of each first acceleration (K), the entropy
+        weight times the expected posterior entropy, and its slope.
+        Minimizing it drives the expected posterior uncertainty down."""
         if self.probe_grid is None:
-            return np.zeros(len(first_accels))
-        return self.entropy_weight * np.interp(first_accels, self.probe_grid, self.probe_entropy)
+            return np.zeros(len(first_accels)), np.zeros(len(first_accels))
+        grid, h = self.probe_grid, self.probe_entropy
+        # np.interp's piece: the one right of an inner node, the last at the top.
+        i = np.searchsorted(grid[1:-1], first_accels, side="right")
+        slopes = (h[i + 1] - h[i]) / (grid[i + 1] - grid[i])
+        return self.entropy_weight * np.interp(first_accels, grid, h), self.entropy_weight * slopes
 
     def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
         """Mode ``m``'s record; ``solved`` carries the fields its solve set."""
@@ -527,24 +540,26 @@ def _start_candidates(
 
 
 def _descend(
-    evaluate: Callable[..., np.ndarray],
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]],
     starts: tuple[np.ndarray, list[list[int]]],
     cfg: PlannerConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The solver loop every planner shares: one descent chain per start
     set of ``starts`` (see ``_start_candidates``), in phase-aligned rounds
-    (see the solver notes). A chain stops when its gradient vanishes or its
-    three line-search trials fail. A round is one ``evaluate(accels, chains,
-    seqs, bar)`` call: pair i is sequence ``accels[seqs[i]]`` (T,) of chain
-    ``chains[i]``, one row (K, F) back per pair, objective first. The start
-    round passes each distinct start once, the later rounds ``arange(K)``.
-    No decision reads a row whose objective is above its ``bar``: the win
-    threshold (K,) in a line search, ``inf`` in a probe round, ``None`` (only
-    ``evaluate`` knows it) in the start round. Pairs come in ascending chain
-    order, a line search's k-major (trial k = 0, 1, 2). Returns, per chain,
-    its final sequence (T,) and row (F,), and every sequence (H, T) and row
-    (H, F) it was scored on, in order, but the trials after its first win in
-    a round: the history of a one-at-a-time search.
+    (see the solver notes). A chain stops when its gradient vanishes or is
+    not finite, or when its three line-search trials fail. A round is one
+    ``evaluate(accels, chains, seqs, bar)`` call: pair i is sequence
+    ``accels[seqs[i]]`` (T,) of chain ``chains[i]``. It gives one row (K, F) per pair, objective first, and
+    the objective's gradient (K, P) in the pair's segment vector, which is
+    read only where the pair becomes its chain's state. The start round
+    passes each distinct start once, the line searches ``arange(K)``. No
+    decision reads a row whose objective is above its ``bar``: the win
+    threshold (K,) in a line search, ``None`` (only ``evaluate`` knows it)
+    in the start round. Pairs come in ascending chain order, a line
+    search's k-major (trial k = 0, 1, 2). Returns, per chain, its final
+    sequence (T,) and row (F,), and every sequence (H, T) and row (H, F) it
+    was scored on, in order, but the trials after its first win in a round:
+    the history of a one-at-a-time search.
     """
     (a_lo, a_hi), (cands, index) = cfg.accel_bounds, starts
     n_seg, segment_of_step = cfg.solver_segments, np.arange(cfg.horizon_steps) // cfg.segment_steps
@@ -553,47 +568,37 @@ def _descend(
     # Clips are np.minimum(np.maximum(...)), np.clip without its wrappers: the
     # values agree but for a -0.0 theta at a +0.0 bound, which no start or step
     # makes. ``take`` keeps rows contiguous: sums along one add in repeat's order.
-    def score(thetas: np.ndarray, chains: np.ndarray, bar: np.ndarray | float) -> np.ndarray:
-        accels = thetas.take(segment_of_step, axis=1)
-        rows = evaluate(accels, chains, np.arange(len(chains)), bar)
-        return np.concatenate((chains[:, None], thetas, accels, rows), axis=1)
-
     sizes = [len(i) for i in index]
     seqs, chains = np.concatenate(index), np.repeat(np.arange(len(index)), sizes)
     accels = np.minimum(np.maximum(cands, a_lo), a_hi).take(segment_of_step, axis=1)
-    rows = evaluate(accels, chains, seqs, None)
+    rows, grads = evaluate(accels, chains, seqs, None)
     log = [np.concatenate((chains[:, None], cands.take(seqs, 0), accels.take(seqs, 0), rows), 1)]
     # argmin keeps the first start among equal objectives.
-    state = log[0].take([i + int(rows[i:i + n, 0].argmin())
-                         for i, n in zip(np.cumsum([0] + sizes), sizes)], axis=0)
+    picks = [i + int(rows[i:i + n, 0].argmin()) for i, n in zip(np.cumsum([0] + sizes), sizes)]
+    state, slope = log[0].take(picks, axis=0), grads.take(picks, axis=0)
 
     # Halving is exact, so each trial equals the one-at-a-time search's.
     trial_steps = np.array([cfg.solver_step, cfg.solver_step * 0.5, cfg.solver_step * 0.5 * 0.5])
     trial_steps, trial_ids = trial_steps[:, None, None], np.arange(3)[:, None]
     live = np.arange(len(index))
     for _ in range(cfg.solver_iters):
+        grad = slope.take(live, axis=0)
+        scale = np.maximum.reduce(np.abs(grad), axis=1)
+        # A NaN or infinite gradient (an infinite objective) gives no direction.
+        go = (scale >= 1e-12) & (scale < np.inf)
+        live, grad, scale = live.compress(go), grad.compress(go, axis=0), scale.compress(go)
         if not live.size:
             break
         cur = state.take(live, axis=0)
-        theta = cur[:, 1:1 + n_seg]
-        steps = np.where(theta + _FD_STEP <= a_hi, _FD_STEP, -_FD_STEP)
-        probes = theta.repeat(n_seg, axis=0)
-        probes.reshape(live.size, -1)[:, ::n_seg + 1] += steps
-        log.append(score(np.minimum(np.maximum(probes, a_lo), a_hi), live.repeat(n_seg), np.inf))
-        grad = (log[-1][:, o].reshape(steps.shape) - cur[:, o:o + 1]) / steps
-        scale = np.maximum.reduce(np.abs(grad), axis=1)
-        # A NaN scale is not below the threshold: that chain goes on.
-        stop = scale < 1e-12
-        if np.logical_or.reduce(stop):
-            live, cur, theta, grad, scale = (a[~stop] for a in (live, cur, theta, grad, scale))
-            if not live.size:
-                break
         # Every trial k of every live chain in one round, k-major.
         trials = np.minimum(
-            np.maximum(theta - trial_steps * (grad / scale[:, None]), a_lo), a_hi
+            np.maximum(cur[:, 1:1 + n_seg] - trial_steps * (grad / scale[:, None]), a_lo), a_hi
         ).reshape(-1, n_seg)
+        accels = trials.take(segment_of_step, axis=1)
         bar = cur[:, o] - 1e-12
-        pairs = score(trials, np.concatenate((live, live, live)), np.concatenate((bar, bar, bar)))
+        chains, bars = np.concatenate((live, live, live)), np.concatenate((bar, bar, bar))
+        rows, grads = evaluate(accels, chains, np.arange(len(chains)), bars)
+        pairs = np.concatenate((chains[:, None], trials, accels, rows), axis=1)
         won = pairs[:, o].reshape(3, -1) < bar
         hit = np.logical_or.reduce(won, axis=0)
         # A chain keeps its trials up to its first win. The later ones are
@@ -601,7 +606,8 @@ def _descend(
         first = np.where(hit, won.argmax(axis=0), 2)
         log.append(pairs.compress((trial_ids <= first).ravel(), axis=0))
         live = live.compress(hit)
-        state[live] = pairs.take((first * hit.size + np.arange(hit.size)).compress(hit), axis=0)
+        taken = (first * hit.size + np.arange(hit.size)).compress(hit)
+        state[live], slope[live] = pairs.take(taken, axis=0), grads.take(taken, axis=0)
 
     # One stable sort splits the log by chain, each chain's rows in order.
     log = np.concatenate(log)
@@ -611,22 +617,41 @@ def _descend(
             for s, a, b in zip(state, [0] + ends, ends)]
 
 
-def _mode_cvars(
+def _segment_sums(per_step: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
+    """Rows (R, T) summed over each solver segment's steps: (R, P), the
+    gradient in the segment vector from the gradient in the accelerations."""
+    padded = np.zeros((len(per_step), cfg.solver_segments, cfg.segment_steps))
+    padded.reshape(len(per_step), -1)[:, :cfg.horizon_steps] = per_step
+    return padded.sum(axis=-1)
+
+
+def _mode_costs(
     ctx: _StepContext, ego_paths: Sequence[np.ndarray], modes: np.ndarray
 ) -> np.ndarray:
-    """CVaR of each ego path ``r`` (``ego_paths`` holds x, y and speeds,
-    each (R, T)) against the human paths of mode ``modes[r]``: one cost
-    block per mode, one tail sort."""
+    """Cost block (R, S) of each ego path ``r`` (``ego_paths`` holds x, y
+    and speeds, each (R, T)) against the human paths of mode ``modes[r]``:
+    one ``path_costs`` block per mode."""
+    x, y, speeds = ego_paths
+    out = np.empty((len(modes), ctx.cfg.rollout_count))
+    for m in dict.fromkeys(modes.tolist()):
+        g = np.flatnonzero(modes == m)
+        out[g] = path_costs(x[g], y[g], speeds[g], ctx.human_paths[m], ctx.discount_weights,
+                            ctx.cfg.ref_speed)
+    return out
+
+
+def _tail_gradients(
+    ctx: _StepContext, ego_paths: Sequence[np.ndarray], modes: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
+    """Gradient (R, P) of each ego path's CVaR against mode ``modes[r]``,
+    whose cost block is ``costs`` (R, S): the mean cost gradient over the
+    path's tail samples, through the path's own reflected walk."""
     cfg = ctx.cfg
     x, y, speeds = ego_paths
-    groups = {m: np.flatnonzero(modes == m) for m in dict.fromkeys(modes.tolist())}
-    costs = [
-        path_costs(x[g], y[g], speeds[g], ctx.human_paths[m], ctx.discount_weights, cfg.ref_speed)
-        for m, g in groups.items()
-    ]
-    out = np.empty(len(modes))
-    out[np.concatenate(list(groups.values()))] = cvar(np.concatenate(costs), cfg.cvar_level)
-    return out
+    tail = cvar_tail(costs, cfg.cvar_level)
+    samples = ctx.human_paths[modes[:, None, None], np.arange(2)[:, None], tail[:, None]]
+    sens = path_cost_gradient(x, y, speeds, samples, ctx.discount_weights, cfg.ref_speed)
+    return _segment_sums(ego_path_gradient(sens, speeds, ctx.headings, cfg.dt), cfg)
 
 
 def _controls(ctx: _StepContext, accel: np.ndarray) -> np.ndarray:
@@ -653,6 +678,14 @@ class ActivePlanner:
         self._warm: dict[int, np.ndarray] = {}
         self._ego_sigma = ego_horizon_covariance(cfg)
         self._shared_starts = _shared_starts(cfg)
+        # d(terminal speed, terminal progress)/d segment vector (2, P) of
+        # ``_linear_terminal_state``: dt per step, and dt^2 (T - k - 1/2) for step k.
+        step = np.arange(cfg.horizon_steps)
+        segment = step // cfg.segment_steps
+        self._terminal_jacobian = np.array((
+            np.bincount(segment) * cfg.dt,
+            np.bincount(segment, cfg.dt * cfg.dt * (cfg.horizon_steps - step - 0.5)),
+        ))
         # The steering setup per (solved, steering) mode of ``_targets``.
         self._targets: ModeTargetSet | None = None
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
@@ -739,7 +772,13 @@ class ActivePlanner:
         h0 = human_progress(geometry, state.human)
         s_h = np.array([h0 + _mode_human_advance(state.human, modes[m], c0, cfg) for m in solve])
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar) -> np.ndarray:
+        # j_infl = kl_const + |y|^2 / 2 with y = L^-1 delta, and delta falls
+        # along the terminal state's Jacobian J: d j_infl / d theta is
+        # -y^T (L^-1 J), whose rows (C, 2, P) hold per chain.
+        linv, jac = np.linalg.inv(chol_q), self._terminal_jacobian
+        infl_jac = linv[:, :, :1] * jac[0] + linv[:, :, 1:] * jac[1]
+
+        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar):
             pair_modes = solve[chains]
             paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
             x, y, speeds = ego_paths = [p[seqs] for p in paths]
@@ -747,7 +786,7 @@ class ActivePlanner:
                 x, y, speeds, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
             ) <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)
             s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
-            j_probe = ctx.probe_terms(accels[:, 0])[seqs]
+            j_probe, probe_slopes = (t[seqs] for t in ctx.probe_terms(accels[:, 0]))
             delta = (steer_v[chains] - v_t[seqs], steer_s[chains] - (s_t[seqs] - s_h[chains]))
             y = np.linalg.solve(chol_q[chains], np.array(delta).T[..., None])
             # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
@@ -761,10 +800,20 @@ class ActivePlanner:
             cvars = np.where(certified, -np.inf, _UNSCORED)
             scored = np.flatnonzero(~(certified | (lower > bar)))
             if scored.size:
-                cvars[scored] = _mode_cvars(ctx, [p[scored] for p in ego_paths], pair_modes[scored])
+                costs = _mode_costs(ctx, [p[scored] for p in ego_paths], pair_modes[scored])
+                cvars[scored] = cvar(costs, cfg.cvar_level)
             violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
             obj = lower + cfg.penalty_weight * violation * violation
-            return np.array((obj, cvars, j_probe, j_infl)).T
+            # The gradient: the KL term's, the probe slope, and the cap
+            # penalty's through the tail samples.
+            pair_jac = infl_jac[chains]
+            grads = -(y[:, 0] * pair_jac[:, 0] + y[:, 1] * pair_jac[:, 1])
+            grads[:, 0] += probe_slopes
+            if (hot := np.flatnonzero(violation[scored] > 0.0)).size:
+                pen = scored[hot]
+                grads[pen] += 2.0 * cfg.penalty_weight * violation[pen, None] * _tail_gradients(
+                    ctx, [p[pen] for p in ego_paths], pair_modes[pen], costs[hot])
+            return np.array((obj, cvars, j_probe, j_infl)).T, grads
 
         bursts = ctx.probe_grid is not None
         starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
@@ -775,7 +824,7 @@ class ActivePlanner:
                 # Fall back to the first best feasible candidate, or when each breaks
                 # the cap to the least risky, flagged: score the unscored ones first.
                 if (lazy := np.flatnonzero(rows[:, 1] == _UNSCORED)).size:
-                    rows[lazy] = evaluate(history, np.full(lazy.size, c), lazy, np.inf)
+                    rows[lazy] = evaluate(history, np.full(lazy.size, c), lazy, np.inf)[0]
                 feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
                 infeasible = not feasible.size
                 h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
@@ -786,7 +835,8 @@ class ActivePlanner:
         if certified:
             accels = np.array([picks[c][0] for c in certified])
             ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-            for c, value in zip(certified, _mode_cvars(ctx, ego_paths, solve[certified]).tolist()):
+            costs = _mode_costs(ctx, ego_paths, solve[certified])
+            for c, value in zip(certified, cvar(costs, cfg.cvar_level).tolist()):
                 picks[c][1][1] = value
         return [
             ctx.mode_diag(

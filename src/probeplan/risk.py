@@ -24,6 +24,21 @@ cumulative sums run in order, the element operations are the same ones
 in the same order, and each (ego path, mode) block's discounted sums are
 its own matrix-vector product.
 
+Gradients. The ego speeds clamp at zero as a reflected walk: with S the
+unclamped partial sums of the start speed and ``a_k * dt``, speed t is
+``S_t - min(0, min_{1<=k<=t} S_k)`` (``simulate_ego_path``: array operations,
+no per-row loop, and a NaN stays NaN). It rounds differently from the
+step-by-step clamp once a speed has reached zero, by at most a few ulp of
+the partial sums. Between zeros the path is linear in the accelerations,
+and at a zero the walk starts again, so no acceleration before it moves a
+later speed; that gives its (sub)gradient as arrays too
+(``ego_path_gradient``). The CVaR's gradient is the mean cost gradient over
+the tail samples (Hong & Liu, "Simulating Sensitivities of Conditional
+Value at Risk", Management Science 2009): ``cvar_tail`` names the samples
+``cvar`` averages, ``path_cost_gradient`` gives their cost gradient in
+each step's ego position and speed, and ``ego_path_gradient`` carries it
+back to the accelerations.
+
 Certificate below the cap. CVaR at any level is at most the largest sample
 cost (Rockafellar & Uryasev 2000), and a sample's cost at step t only grows
 as the human comes closer to the ego. The point of the samples' bounding
@@ -98,6 +113,16 @@ def cvar(costs: np.ndarray, alpha: float) -> float | np.ndarray:
     return float(out) if costs.ndim == 1 else out
 
 
+def cvar_tail(costs: np.ndarray, alpha: float) -> np.ndarray:
+    """Sample indices (..., m) of the ceil(alpha * S) largest costs along
+    the last axis: the tail ``cvar`` averages (among ties, some of the tied
+    samples), so the CVaR's gradient is the mean of their cost gradients
+    (Hong & Liu 2009)."""
+    n = costs.shape[-1]
+    m = tail_sample_count(alpha, n)
+    return np.argpartition(costs, n - m, axis=-1)[..., n - m:]
+
+
 def simulate_ego_path(
     ego, accel: np.ndarray, headings: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,8 +132,9 @@ def simulate_ego_path(
 
     Returns post-step x (T,), y (T,) and speeds (T,). Sequences (K, T) give
     (K, T) each, row k equal to sequence k's own call. Matches
-    dynamics.step_vehicle (speed clamped at zero); used inside solver-hot
-    loops.
+    dynamics.step_vehicle (speed clamped at zero; bit for bit while it does
+    not clamp, within the rounding of the partial sums after); used inside
+    solver-hot loops.
     """
     accel = np.asarray(accel, dtype=float)
     if accel.ndim not in (1, 2) or accel.shape[-1:] != headings.shape[1:]:
@@ -123,16 +149,13 @@ def simulate_ego_path(
     # np.add.accumulate is np.cumsum without its Python wrappers.
     np.add.accumulate(v, axis=-1, out=v)
     if not v[..., 1:].min(initial=math.inf) > 0.0:
-        # Some speed reaches zero (or is NaN): integrate those rows with the
-        # clamp, step by step.
-        clamped = ~(v[..., 1:] > 0.0).all(axis=-1)
-        for row in np.flatnonzero(clamped.reshape(-1)):
-            a_row = accel.reshape(-1, t_steps)[row]
-            v_row = v.reshape(-1, t_steps + 1)[row]
-            speed = ego.v
-            for t in range(t_steps):
-                speed = max(0.0, speed + a_row[t] * dt)
-                v_row[t + 1] = speed
+        # Some sum reaches zero (or is NaN): the clamped speeds are the
+        # reflected walk S_t - min(0, min_{1<=k<=t} S_k). Rows that stay
+        # positive subtract 0.0 and keep their bits; a NaN stays NaN. Adding
+        # 0.0 maps -0.0 to 0.0, as the clamp max(0.0, .) does.
+        low = np.minimum.accumulate(v[..., 1:], axis=-1)
+        v[..., 1:] -= np.minimum(low, 0.0, out=low)
+        v[..., 1:] += 0.0
     pos = np.empty(lead + (2, t_steps + 1))
     pos[..., 0, 0] = ego.x
     pos[..., 1, 0] = ego.y
@@ -193,6 +216,59 @@ def path_costs(
         ego_y[..., None, :] - human[..., 1, :, :],
         ego_speeds[..., None, :], ref_speed,
     ) @ weights
+
+
+def path_cost_gradient(
+    ego_x: np.ndarray,
+    ego_y: np.ndarray,
+    ego_speeds: np.ndarray,
+    human: np.ndarray,
+    weights: np.ndarray,
+    ref_speed: float,
+) -> np.ndarray:
+    """Gradient (R, 3, T) of the mean ``path_costs`` of ego paths (x, y and
+    speeds, each (R, T)) over their own samples ``human`` (R, 2, m, T), with
+    respect to each step's x, y and speed. Row r equals its own call."""
+    dx = ego_x[:, None] - human[:, 0]
+    dy = ego_y[:, None] - human[:, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    # d/d dist of W_PROX * exp((D_SAFE - dist) / PROX_SCALE), over dist.
+    slope = np.exp((D_SAFE - dist) / PROX_SCALE) * (-W_PROX / PROX_SCALE) / dist
+    out = np.empty((len(ego_x), 3, ego_x.shape[-1]))
+    np.mean(slope * dx, axis=1, out=out[:, 0])
+    np.mean(slope * dy, axis=1, out=out[:, 1])
+    out[:, 2] = np.where(ref_speed - ego_speeds > 0.0, -W_PROGRESS / ref_speed, 0.0)
+    out *= weights
+    return out
+
+
+def ego_path_gradient(
+    sens: np.ndarray, speeds: np.ndarray, headings: np.ndarray, dt: float
+) -> np.ndarray:
+    """Gradient (R, T) with respect to the accelerations of a scalar whose
+    gradient with respect to ``simulate_ego_path``'s x, y and speeds of R
+    ego rows is ``sens`` (R, 3, T); ``speeds`` (R, T) are the rows' own.
+
+    Speed t feeds its own term and, through ``headings``, every later
+    position. The clamped speeds are a reflected walk, so acceleration k
+    moves speed t > k unless the walk stands at zero at some step in
+    (k, t], where it starts again; a zero speed takes no gradient (the
+    clamp's one-sided kink)."""
+    # Position j sums dt * heading_i * (pre-step speed i) over i <= j, and
+    # pre-step speed i + 1 is post-step speed i: speed i feeds positions i + 1 on.
+    later_x = np.cumsum(sens[:, 0, :0:-1], axis=-1)[:, ::-1]
+    later_y = np.cumsum(sens[:, 1, :0:-1], axis=-1)[:, ::-1]
+    per_speed = sens[:, 2].copy()
+    per_speed[:, :-1] += dt * (headings[0, 1:] * later_x + headings[1, 1:] * later_y)
+    # Acceleration k moves speeds k, k + 1, ... up to the next zero speed.
+    reset = speeds == 0.0
+    per_speed[reset] = 0.0
+    out = np.cumsum(per_speed[:, ::-1], axis=-1)[:, ::-1]
+    if reset.any():
+        t_steps = speeds.shape[-1]
+        upto = np.minimum.accumulate(np.where(reset, np.arange(t_steps), t_steps)[:, ::-1], axis=-1)
+        out = out - np.take_along_axis(np.pad(out, ((0, 0), (0, 1))), upto[:, ::-1], axis=-1)
+    return dt * out
 
 
 def _step_costs(

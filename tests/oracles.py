@@ -25,9 +25,10 @@ computes in a faster way:
 * ``start_candidates_one``: one chain's multi-start list built on its own,
   where ``_start_candidates`` builds the shared candidates once per step.
 * ``descend_one``: one descent chain on its own, with a scalar
-  ``evaluate`` per candidate, where ``_descend`` keeps every chain's state
-  in arrays and evaluates one phase of all chains per call, an
-  iteration's three line-search trials together.
+  ``evaluate`` per candidate that gives its objective and gradient, where
+  ``_descend`` keeps every chain's state in arrays and evaluates one phase
+  of all chains per call, an iteration's three line-search trials
+  together.
 * ``eager_descend``: ``_descend`` with every round's bar at ``inf``, so
   ``ActivePlanner._solve_modes`` gives every pair its certificate does not
   clear a cost block, where the planner leaves the pairs no decision reads
@@ -36,7 +37,10 @@ computes in a faster way:
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
   run one after the other; ``blend_controls`` is its joint-weight blend
-  with an explicit activation threshold and fallback flag.
+  with an explicit activation threshold and fallback flag. Their gradients
+  take the probe slope per candidate, the terminal state's Jacobian one
+  step at a time (``terminal_jacobian``) and one tail gradient per mode
+  and candidate (``tail_gradient_one``), where the planners batch them.
 * ``log_density`` and ``density``: one Gaussian's density at one point,
   where ``belief`` evaluates every mode's likelihood in one einsum pass.
 * ``draw_human_paths_one``: one mode's sampled human planes on their own,
@@ -46,6 +50,7 @@ computes in a faster way:
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Callable, Sequence
 
@@ -58,7 +63,6 @@ from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan.human import VELOCITY, conflict_level
 from probeplan.planner import (
-    _FD_STEP,
     PROBE_LOOKAHEAD_STEPS,
     PROBE_PI_WEIGHTED,
     ActivePlanner,
@@ -71,9 +75,17 @@ from probeplan.planner import (
     _observation_draws,
     _StepContext,
     _descend,
+    _segment_sums,
     ego_horizon_covariance,
 )
-from probeplan.risk import cvar, path_costs, simulate_ego_path
+from probeplan.risk import (
+    cvar,
+    cvar_tail,
+    ego_path_gradient,
+    path_cost_gradient,
+    path_costs,
+    simulate_ego_path,
+)
 from probeplan.seeding import STREAM_PROBE, rng_from_keys
 from probeplan.world import LANE_MERGE, ScenarioState, ego_progress, human_progress
 
@@ -326,52 +338,47 @@ def probe_grid(
 
 
 def descend_one(
-    evaluate: Callable[[np.ndarray], tuple],
+    evaluate: Callable[[np.ndarray], tuple[tuple, np.ndarray]],
     candidates: Sequence[np.ndarray],
     cfg: PlannerConfig,
     phases: list[tuple] | None = None,
 ) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
     """One chain of ``_descend`` on its own: ``evaluate`` maps one
     acceleration sequence (T,) to a tuple whose first item is the
-    objective, and runs once per candidate the chain scores. ``phases``,
-    when given, receives each candidate's round: ``(-1,)`` for the starts,
-    ``(i, 0)`` for the probes of iteration ``i`` and ``(i, 1 + k)`` for its
-    line-search trial ``k``."""
+    objective, and the objective's gradient (P,) in the segment vector; it
+    runs once per candidate the chain scores. ``phases``, when given,
+    receives each candidate's round: ``(-1,)`` for the starts and
+    ``(i, k)`` for line-search trial ``k`` of iteration ``i``."""
     a_lo, a_hi = cfg.accel_bounds
     horizon = cfg.horizon_steps
     seg_len = -(-horizon // cfg.solver_segments)
     history: list[tuple[np.ndarray, tuple]] = []
 
-    def score(theta: np.ndarray, phase: tuple) -> tuple[np.ndarray, tuple]:
+    def score(theta: np.ndarray, phase: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
         accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
-        history.append((accel, evaluate(accel)))
+        res, grad = evaluate(accel)
+        history.append((accel, res))
         if phases is not None:
             phases.append(phase)
-        return history[-1]
+        return accel, res, grad
 
-    theta = accel = current = None
+    theta = accel = current = grad = None
     for cand in candidates:
-        cand_accel, res = score(cand, (-1,))
+        cand_accel, res, cand_grad = score(cand, (-1,))
         if current is None or res[0] < current[0]:
-            theta, accel, current = cand.copy(), cand_accel, res
+            theta, accel, current, grad = cand.copy(), cand_accel, res, cand_grad
 
     for i in range(cfg.solver_iters):
-        grad = np.zeros(theta.shape[0])
-        for m in range(theta.shape[0]):
-            h = _FD_STEP if theta[m] + _FD_STEP <= a_hi else -_FD_STEP
-            probe = theta.copy()
-            probe[m] += h
-            grad[m] = (score(probe, (i, 0))[1][0] - current[0]) / h
         scale = float(np.max(np.abs(grad)))
-        if scale < 1e-12:
+        if not 1e-12 <= scale < math.inf:
             break
         direction = grad / scale
         step = cfg.solver_step
         for k in range(3):
             trial = np.clip(theta - step * direction, a_lo, a_hi)
-            trial_accel, res = score(trial, (i, 1 + k))
+            trial_accel, res, trial_grad = score(trial, (i, k))
             if res[0] < current[0] - 1e-12:
-                theta, accel, current = trial, trial_accel, res
+                theta, accel, current, grad = trial, trial_accel, res, trial_grad
                 break
             step *= 0.5
         else:
@@ -431,6 +438,33 @@ def start_candidates_one(
     return candidates
 
 
+def terminal_jacobian(cfg: PlannerConfig) -> np.ndarray:
+    """d(terminal speed, terminal progress)/d segment vector (2, P) of the
+    planning model, one step at a time: acceleration k adds dt to the
+    terminal speed and dt^2 (T - k - 1/2) to the terminal progress."""
+    horizon, seg_len = cfg.horizon_steps, cfg.segment_steps
+    jac = np.zeros((2, cfg.solver_segments))
+    for k in range(horizon):
+        jac[0, k // seg_len] += 1
+        jac[1, k // seg_len] += cfg.dt * cfg.dt * (horizon - k - 0.5)
+    jac[0] *= cfg.dt
+    return jac
+
+
+def tail_gradient_one(
+    ctx: _StepContext, ego_path: Sequence[np.ndarray], human: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
+    """The CVaR gradient (P,) of one ego path (x, y and speeds, each (T,))
+    against one mode's paths ``human`` (2, S, T) with costs (S,): the mean
+    cost gradient over the tail samples, through the ego path."""
+    cfg = ctx.cfg
+    x, y, speeds = (p[None] for p in ego_path)
+    tail = cvar_tail(costs, cfg.cvar_level)
+    sens = path_cost_gradient(x, y, speeds, human[:, tail][None], ctx.discount_weights,
+                              cfg.ref_speed)
+    return _segment_sums(ego_path_gradient(sens, speeds, ctx.headings, cfg.dt), cfg)[0]
+
+
 def solve_mode_scalar(
     ctx: _StepContext,
     m: int,
@@ -438,7 +472,8 @@ def solve_mode_scalar(
     warm_accel: np.ndarray | None,
 ) -> ModeDiag:
     """Mode ``m``'s solve with its own scalar objective closure and its own
-    descent: one ``path_costs`` and one ``cvar`` per candidate."""
+    descent: one ``path_costs`` and one ``cvar`` per candidate, and the
+    objective's gradient from its three terms."""
     cfg = ctx.cfg
     state = ctx.state
     mode = ctx.belief.targets.targets[m]
@@ -449,23 +484,34 @@ def solve_mode_scalar(
     chol_q = np.linalg.cholesky(steer_target.cov)
     y0 = np.linalg.solve(chol_q, steer_target.mean)
     kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
+    jac = terminal_jacobian(cfg)
+    linv = np.linalg.inv(chol_q)
 
-    def evaluate(accel: np.ndarray) -> tuple[float, float, float, float]:
-        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
-        cvar_val = cvar(
-            path_costs(ego_x, ego_y, ego_speeds, paths, ctx.discount_weights, cfg.ref_speed),
-            cfg.cvar_level,
-        )
+    def evaluate(accel: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
+        ego_path = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+        costs = path_costs(*ego_path, paths, ctx.discount_weights, cfg.ref_speed)
+        cvar_val = cvar(costs, cfg.cvar_level)
         s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
         y = np.linalg.solve(chol_q, steer_target.mean - np.array([v_t, s_t - s_h]))
         j_infl = kl_const + 0.5 * float(y @ y)
-        j_probe = 0.0
+        j_probe = slope = 0.0
         if ctx.probe_grid is not None:
-            expected = float(np.interp(float(accel[0]), ctx.probe_grid, ctx.probe_entropy))
+            grid, h = ctx.probe_grid, ctx.probe_entropy
+            expected = float(np.interp(float(accel[0]), grid, h))
             j_probe = ctx.entropy_weight * expected
+            # The piece right of a node, the last one at the top end.
+            i = min(max(bisect.bisect_right(grid.tolist(), float(accel[0])), 1), len(grid) - 1) - 1
+            slope = ctx.entropy_weight * ((h[i + 1] - h[i]) / (grid[i + 1] - grid[i]))
         violation = max(0.0, cvar_val - cfg.risk_cap)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
-        return obj, cvar_val, j_probe, j_infl
+        # d j_infl / d theta = -y^T L^-1 J, one row of L^-1 J at a time.
+        rows = [linv[i, 0] * jac[0] + linv[i, 1] * jac[1] for i in range(2)]
+        grad = -(y[0] * rows[0] + y[1] * rows[1])
+        grad[0] += slope
+        if violation > 0.0:
+            grad += 2.0 * cfg.penalty_weight * violation * tail_gradient_one(
+                ctx, ego_path, paths, costs)
+        return (obj, cvar_val, j_probe, j_infl), grad
 
     candidates = start_candidates_one(cfg, warm_accel, bursts=ctx.probe_grid is not None)
     accel, (obj, cvar_val, j_probe, j_infl), history = descend_one(evaluate, candidates, cfg)
@@ -488,22 +534,22 @@ def conservative_step_scalar(
     planner: ConservativePlanner, ctx: _StepContext
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """The conservative step with a scalar objective closure: one
-    ``path_costs`` and one ``cvar`` per solved mode and candidate."""
+    ``path_costs`` and one ``cvar`` per solved mode and candidate, and the
+    omega-weighted sum of the modes' tail gradients."""
     cfg = planner.cfg
     state = ctx.state
     weights = ctx.omega[ctx.solve].tolist()
     paths = [ctx.human_paths[m] for m in ctx.solve]
 
-    def evaluate(accel: np.ndarray) -> tuple[float, list[float]]:
-        x, y, speeds = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
-        cvars = [
-            cvar(
-                path_costs(x, y, speeds, p, ctx.discount_weights, cfg.ref_speed),
-                cfg.cvar_level,
-            )
-            for p in paths
-        ]
-        return sum(w * v for w, v in zip(weights, cvars)), cvars
+    def evaluate(accel: np.ndarray) -> tuple[tuple[float, list[float]], np.ndarray]:
+        ego_path = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+        cvars, grads = [], []
+        for p in paths:
+            costs = path_costs(*ego_path, p, ctx.discount_weights, cfg.ref_speed)
+            cvars.append(cvar(costs, cfg.cvar_level))
+            grads.append(tail_gradient_one(ctx, ego_path, p, costs))
+        objective = sum(w * v for w, v in zip(weights, cvars))
+        return (objective, cvars), sum(w * g for w, g in zip(weights, grads))
 
     candidates = start_candidates_one(cfg, planner._ref_accel, bursts=False)
     accel, (objective, cvars), history = descend_one(evaluate, candidates, cfg)

@@ -44,13 +44,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "c28c730e1f33347f9fede5874482cabde5c0a1af2824b89f2244a6866d3a51f2",
-    "trace_intersection_conservative_run00000.csv": "6405192608f0887f09bfd44d283e379c01179ccec84c6ced4a7a6f72aa9c8ab2",
-    "trace_intersection_ours_run00000.csv": "fa2664b03a494c7ac455fa2b84c00caf864c5b37dc1a5b8071f8be023d7800d5",
-    "trace_intersection_passive_run00000.csv": "6c7877eca35e91951cf0631721403a220a30118f5b914f9d59c46f62fed64d36",
-    "trace_lane_merge_conservative_run00000.csv": "9b9e632bc9eedc4ea8c163f9991e0f28f5983251b44f2fd5e2e3a06ae573e721",
-    "trace_lane_merge_ours_run00000.csv": "672cc6c5c2cfc17e67e5d2adc17890a41d52cacb2e9a81004a6d2fb5c16fb62e",
-    "trace_lane_merge_passive_run00000.csv": "79bbe46174297c6fc6bb180bee8c378c2ecfd1b358da27d68a04e3ea7e89ef78",
+    "results.csv": "5bb0e24837947fbd40e45ad1767d5409b82a1c961f31a9564f6f80889b7b2989",
+    "trace_intersection_conservative_run00000.csv": "2e08efdd262f11747b11c2118e062c16c78739961455fa60ff540282f54f01e3",
+    "trace_intersection_ours_run00000.csv": "9baa06e289c1b75c501ed17cbbf124cb9b8f39b7ce0b7f7407d643e4836ae8cf",
+    "trace_intersection_passive_run00000.csv": "77c4ae0e32f658e362a8157e362a50a9df2968454ab1acb1f923c9128b7ff6e1",
+    "trace_lane_merge_conservative_run00000.csv": "b21e348e31338ced5ebd3f49648a0e1c4d2ed05f7d0229f82add51dff3cedd14",
+    "trace_lane_merge_ours_run00000.csv": "f8d6d5fa490822b6946aa1fd522046231364648e7d5659b04edb75cb7836cf12",
+    "trace_lane_merge_passive_run00000.csv": "90a4b70a4b8af759c756bd70da18ce7d559d3c6007cb9d8d7b12739e14ba9049",
 }
 
 
@@ -72,7 +72,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "30e8d09bf98bd3688fa76cdeeff445590075c5afbf7934367446f3b9c5d4cd88"
+DIAG_GOLDEN = "796cbe3224eab501f5e3f1593fef16cc57ad81a31ba7a9bc4d0ca41924ad7d87"
 
 
 def _feed(h, value):

@@ -1,9 +1,11 @@
 """CVaR and rollout cost tests, checked against a sort-by-hand oracle,
 statistical comparisons, and plain loop/full-sort oracles that the
-per-step kernels must reproduce bit for bit. The rollout costs are also
-held within a derived bound of the ``np.hypot`` distance they used
-before, and bounded above by the cost of the samples' bounding box that
-certifies a CVaR below the cap."""
+per-step kernels must reproduce bit for bit (an ego row that stops, within
+the reflected walk's derived bound). The rollout costs are also held
+within a derived bound of the ``np.hypot`` distance they used before, and
+bounded above by the cost of the samples' bounding box that certifies a
+CVaR below the cap. The tail gradient is pinned against central
+differences."""
 
 import math
 
@@ -25,8 +27,11 @@ from probeplan.risk import (
     W_PROX,
     _step_costs,
     cvar,
+    cvar_tail,
     draw_human_paths,
+    ego_path_gradient,
     path_cost_bounds,
+    path_cost_gradient,
     path_costs,
     sample_boxes,
     simulate_ego_path,
@@ -44,22 +49,48 @@ def oracle_cvar(costs, alpha):
     return sum(ordered[:m]) / m
 
 
-def loop_ego_path(ego, plan, dt):
+def loop_ego_path(ego, plan, dt, speeds=None):
     """Oracle: the ego rolled forward one step at a time through a (T, 2)
-    [accel, yaw rate] plan; post-step positions (T, 2) and speeds (T,)."""
+    [accel, yaw rate] plan; post-step positions (T, 2) and speeds (T,).
+    Given post-step ``speeds`` (T,), it moves along those instead."""
     t_steps = plan.shape[0]
     xy = np.empty((t_steps, 2))
-    speeds = np.empty(t_steps)
+    out = np.empty(t_steps)
     x, y, v, theta = ego.x, ego.y, ego.v, ego.theta
     for t in range(t_steps):
         x += v * math.cos(theta) * dt
         y += v * math.sin(theta) * dt
-        v = max(0.0, v + plan[t, 0] * dt)
+        v = max(0.0, v + plan[t, 0] * dt) if speeds is None else speeds[t]
         theta += plan[t, 1] * dt
         xy[t, 0] = x
         xy[t, 1] = y
-        speeds[t] = v
-    return xy, speeds
+        out[t] = v
+    return xy, out
+
+
+def walk_bound(v0, accel, dt):
+    """Per-step bound (T,) on the distance between the reflected walk's
+    speeds and the clamped loop's. With u = eps / 2 and L_t = |v0| +
+    sum_{k<=t} |fl(a_k dt)| (both take the same products): the loop rounds
+    one sum per step, each at most L_t, so it lies within t u L_t of the
+    exact clamped speed; the walk's partial sums S_t lie within t u L_t of
+    theirs, so do their running minimum, and one more rounding of
+    S_t - min(0, min S_k) <= 2 L_t adds 2 u L_t. Together (3t + 2) u L_t,
+    below 3 t eps L_t for t >= 1."""
+    steps = np.arange(1, len(accel) + 1)
+    return 3.0 * steps * np.finfo(float).eps * (abs(v0) + np.cumsum(np.abs(accel * dt)))
+
+
+def loop_path_of(ego, plan, dt, kernel_speeds):
+    """``loop_ego_path``, and for a plan that clamps, the kernel's speeds
+    held within ``walk_bound`` of the loop's and the loop's positions along
+    them: the reflected walk rounds differently from the loop once a speed
+    has reached zero."""
+    xy, speeds = loop_ego_path(ego, plan, dt)
+    if not np.any(speeds == 0.0):
+        return xy, speeds
+    assert np.all(np.abs(kernel_speeds - speeds) <= walk_bound(ego.v, plan[:, 0], dt))
+    return loop_ego_path(ego, plan, dt, speeds=kernel_speeds)
 
 
 def stacked_human_paths(human, mode, n_samples, t_steps, dt, rng):
@@ -287,9 +318,9 @@ class TestKernelsMatchLoopOracles:
                 ego = random_vehicle(rng)
                 accel = rng.uniform(-3.0, 3.0, self.T)
             plan = np.column_stack((accel, rng.uniform(-0.6, 0.6, self.T)))
-            xy, speeds = loop_ego_path(ego, plan, self.DT)
             headings = ego_headings(ego, plan[:, 1], self.DT)
             x, y, v = simulate_ego_path(ego, accel, headings, self.DT)
+            xy, speeds = loop_path_of(ego, plan, self.DT, v)
             assert np.array_equal(x, xy[:, 0])
             assert np.array_equal(y, xy[:, 1])
             assert np.array_equal(v, speeds)
@@ -393,12 +424,12 @@ class TestKernelsMatchLoopOracles:
             mode = random_mode(rng)
             seed = int(rng.integers(2**32))
             ref_speed = float(rng.uniform(3.0, 12.0))
-            xy, speeds = loop_ego_path(ego, plan, self.DT)
+            headings = ego_headings(ego, plan[:, 1], self.DT)
+            x, y, v = simulate_ego_path(ego, plan[:, 0], headings, self.DT)
+            xy, speeds = loop_path_of(ego, plan, self.DT, v)
             stacked = stacked_human_paths(human, mode, 100, self.T, self.DT,
                                           np.random.default_rng(seed))
             expected = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed)
-            headings = ego_headings(ego, plan[:, 1], self.DT)
-            x, y, v = simulate_ego_path(ego, plan[:, 0], headings, self.DT)
             planes = draw_human_paths(human, [mode], 100, self.T, self.DT,
                                       [np.random.default_rng(seed)])[0][0]
             costs = path_costs(x, y, v, planes, weights, ref_speed)
@@ -406,12 +437,12 @@ class TestKernelsMatchLoopOracles:
 
             # Ego rows (R, T) on the same headings against the same paths.
             accels = np.vstack((plan[:, 0], rng.uniform(-3.0, 3.0, (2, self.T))))
-            rows = path_costs(*simulate_ego_path(ego, accels, headings, self.DT),
-                              planes, weights, ref_speed)
+            row_paths = simulate_ego_path(ego, accels, headings, self.DT)
+            rows = path_costs(*row_paths, planes, weights, ref_speed)
             assert rows.shape == (3, 100) and np.array_equal(rows[0], costs)
-            for accel, row in zip(accels[1:], rows[1:]):
-                row_xy, row_speeds = loop_ego_path(ego, np.column_stack((accel, plan[:, 1])),
-                                                   self.DT)
+            for accel, row, row_v in zip(accels[1:], rows[1:], row_paths[2][1:]):
+                row_xy, row_speeds = loop_path_of(ego, np.column_stack((accel, plan[:, 1])),
+                                                  self.DT, row_v)
                 assert np.array_equal(
                     row, stacked_path_costs(row_xy, row_speeds, stacked, 0.95, ref_speed))
             for alpha in (0.05, 0.2, 1.0):
@@ -586,3 +617,105 @@ def rollout_bound(state, cfg):
     weights = cfg.discount ** np.arange(cfg.horizon_steps)
     return path_cost_bounds(x[None], y[None], v[None], boxes[None],
                             weights, cfg.ref_speed)[0]
+
+
+class TestReflectedWalk:
+    """``simulate_ego_path`` clamps speeds at zero as a reflected walk of
+    the unclamped sums: a NaN acceleration makes every later speed NaN, and
+    a row that stops stays within ``walk_bound`` of the sequential clamp."""
+
+    def test_nan_acceleration_propagates(self):
+        ego = VehicleState(0.0, 0.0, 1.0, 0.0)
+        headings = ego_headings(ego, np.zeros(4), 0.1)
+        accels = np.array([[0.0, math.nan, 0.0, 0.0], [0.0, -1.0, 2.0, 0.5]])
+        x, y, v = simulate_ego_path(ego, accels, headings, 0.1)
+        assert v[0, 0] == 1.0 and np.isnan(v[0, 1:]).all()
+        # Position t moves with the speed before step t.
+        assert np.isfinite(x[0, :2]).all() and np.isnan(x[0, 2:]).all()
+        # The other row keeps its own call's bits.
+        own = simulate_ego_path(ego, accels[1], headings, 0.1)
+        assert all(np.array_equal(a[1], b) for a, b in zip((x, y, v), own))
+
+    @given(
+        v0=st.floats(0.0, 3.0),
+        tail=st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=40),
+        dt=st.sampled_from([0.05, 0.1, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_walk_matches_sequential_clamp(self, v0, tail, dt):
+        # Full braking long enough to stop from v0, then any accelerations.
+        accel = np.array([-3.0] * (math.ceil(v0 / (3.0 * dt)) + 1) + tail)
+        speeds, speed = [], v0
+        for a in accel:
+            speed = max(0.0, speed + a * dt)
+            speeds.append(speed)
+        assert 0.0 in speeds
+        ego = VehicleState(0.0, 0.0, v0, 0.0)
+        _, _, v = simulate_ego_path(ego, accel, ego_headings(ego, np.zeros(len(accel)), dt), dt)
+        assert np.all(v >= 0.0)
+        assert np.all(np.abs(v - speeds) <= walk_bound(v0, accel, dt))
+
+
+class TestTailGradient:
+    """``cvar_tail`` picks the samples ``cvar`` averages, and
+    ``path_cost_gradient`` through ``ego_path_gradient`` gives the gradient
+    of their mean cost in the accelerations: central differences agree to
+    1e-6 relative at points away from every kink (a zero speed, the
+    progress deficit's corner at the reference speed), rows that stop
+    among them."""
+
+    def test_tail_is_what_cvar_averages(self):
+        rng = np.random.default_rng(41)
+        for alpha in (0.05, 0.2, 1.0):
+            costs = rng.gamma(2.0, 10.0, (6, 100))
+            costs[0, :4] = costs[0].max()  # ties at the top
+            costs[1, 7] = math.nan  # counts as the largest
+            tail = cvar_tail(costs, alpha)
+            m = tail_sample_count(alpha, 100)
+            assert tail.shape == (6, m)
+            picked = np.take_along_axis(costs, tail, axis=1)
+            for row, mine, value in zip(costs, picked, cvar(costs, alpha)):
+                assert np.array_equal(np.sort(mine), np.sort(row)[::-1][:m][::-1], equal_nan=True)
+                assert np.array_equal(np.sort(mine)[::-1].sum() / m, value, equal_nan=True)
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(42)
+        t_steps, dt, h = 30, 0.1, 1e-6
+        weights = 0.95 ** np.arange(t_steps)
+        checked = stopped = 0
+        while checked < 40:
+            stop = checked % 2
+            ego = VehicleState(0.0, 0.0, rng.uniform(0.5, 3.0 if stop else 10.0),
+                               rng.uniform(-0.3, 0.3))
+            headings = ego_headings(ego, rng.uniform(-0.3, 0.3, t_steps), dt)
+            accel = rng.uniform(-3.0, 3.0, t_steps)
+            if stop:  # brake to a stop, then go on
+                accel[:10] = rng.uniform(-3.0, -2.0)
+                accel[10:] = rng.uniform(-1.0, 3.0, t_steps - 10)
+            ref_speed = rng.uniform(3.0, 12.0)
+            x, y, _ = simulate_ego_path(ego, accel, headings, dt)
+            human = np.array([x + rng.normal(0.0, 4.0, (5, t_steps)),
+                              y + rng.normal(0.0, 4.0, (5, t_steps))])
+
+            def path(a):
+                return simulate_ego_path(ego, a, headings, dt)
+
+            def signature(a):
+                v = path(a)[2]
+                return (v == 0.0).tolist(), (v < ref_speed).tolist()
+
+            def mean_cost(a):
+                return path_costs(*path(a), human, weights, ref_speed).mean()
+
+            steps = h * np.eye(t_steps)
+            here = signature(accel)
+            if any(signature(accel + s * e) != here for e in steps for s in (1.0, -1.0)):
+                continue  # a kink within h
+            x, y, v = (p[None] for p in path(accel))
+            sens = path_cost_gradient(x, y, v, human[None], weights, ref_speed)
+            grad = ego_path_gradient(sens, v, headings, dt)[0]
+            fd = np.array([(mean_cost(accel + e) - mean_cost(accel - e)) / (2 * h) for e in steps])
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+            checked += 1
+            stopped += bool(np.any(v == 0.0))
+        assert stopped >= 15

@@ -53,3 +53,55 @@ def test_ordering_study_matches_direct_runs(tmp_path):
                      (agg.success_rate, agg.stats["completion_time"][0], agg.stats["min_gap"][0]))
         assert list(counts.items()) == list(agg.termination_counts.items())
         assert (tmp_path / f"order_{scenario}_{planner}" / "manifest.json").is_file()
+
+
+RESULTS_HEADER = "run_index,scenario,planner,success,completion_time,min_gap"
+
+
+def write_results(path, rows):
+    path.write_text("\n".join([RESULTS_HEADER] + [",".join(map(str, r)) for r in rows]) + "\n")
+    return path
+
+
+def test_paired_differences_of_two_results_files(tmp_path):
+    study = load_study()
+    # Runs 0-3 in both files (run 4 only in b, and other combinations around
+    # them); both completed runs 0 and 3.
+    a = write_results(tmp_path / "a.csv", [
+        (0, "lane_merge", "ours", 1, 5.0, 2.0), (1, "lane_merge", "ours", 1, 6.0, 3.0),
+        (2, "lane_merge", "ours", 0, "nan", 4.0), (3, "lane_merge", "ours", 1, 7.0, 5.0),
+        (0, "intersection", "ours", 0, "nan", 9.0),
+    ])
+    b = write_results(tmp_path / "b.csv", [
+        (0, "lane_merge", "ours", 1, 4.0, 1.0), (1, "lane_merge", "ours", 0, "nan", 1.0),
+        (2, "lane_merge", "ours", 1, 8.0, 1.0), (3, "lane_merge", "ours", 1, 6.0, 1.0),
+        (4, "lane_merge", "ours", 1, 6.0, 1.0), (0, "lane_merge", "passive", 0, "nan", 0.0),
+    ])
+    runs_a, runs_b = (study.read_runs(p, "lane_merge", "ours") for p in (a, b))
+    assert sorted(runs_a) == [0, 1, 2, 3] and sorted(runs_b) == [0, 1, 2, 3, 4]
+    diffs = study.paired_differences(runs_a, runs_b, resamples=2000)
+    # Completion time over runs 0 and 3 only: +1 s each, so every resample.
+    assert diffs["completion_time"] == (1.0, 1.0, 1.0, 2)
+    mean, low, high, n = diffs["success"]
+    assert (mean, n) == (0.0, 4) and -1.0 <= low < 0.0 < high <= 1.0
+    mean, low, high, n = diffs["min_gap"]
+    assert (mean, n) == (2.5, 4) and 1.0 <= low < 2.5 < high <= 4.0
+    # Resamples are keyed by their seed.
+    assert study.paired_differences(runs_a, runs_b, resamples=2000) == diffs
+    assert study.bootstrap_ci([])[3] == 0
+
+
+def test_slice_is_the_default_batch_runs_0_to_99(tmp_path, monkeypatch):
+    study = load_study()
+    calls = []
+
+    def record(config, overrides, out):
+        calls.append((config, overrides, out))
+        out.mkdir(parents=True)
+        for name in ("results.csv", "summary.csv"):
+            (out / name).write_text(RESULTS_HEADER + "\n")
+
+    monkeypatch.setattr(study, "run_experiment", record)
+    assert study.slice_study(out=tmp_path) == tmp_path / "slice" / "results.csv"
+    assert calls == [(study.DEFAULT, ["experiment.master_seed=20240801", "experiment.runs=100",
+                                      "experiment.trace_seeds=[]"], tmp_path / "slice")]

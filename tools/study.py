@@ -1,5 +1,9 @@
 """Tuning studies for the closed-loop acceptance criteria (developer tooling,
-not shipped): python tools/study.py [probe|order|both] [n]
+not shipped):
+
+    python tools/study.py [probe|order|both] [n]
+    python tools/study.py slice [out]  # into <out>/slice
+    python tools/study.py compare PARENT_RESULTS.csv CHANGE_RESULTS.csv
 
 Each study is a list of arms. An arm is an override list over
 ``configs/default.yaml``: the study's seed and run count, no traces, the
@@ -7,6 +11,16 @@ caller's overrides, then the arm's own fields. Each arm runs through
 ``probeplan.cli.run_experiment`` into ``<out>/<arm>/`` (``out`` defaults to
 ``results/study``); its statistics are read back from the ``results.csv``
 and ``summary.csv`` there, next to its ``summary.txt`` and ``manifest.json``.
+
+The slice is the yardstick of a behaviour change: ``configs/default.yaml``
+(both scenarios, all three planners), runs 0-99 of master seed 20240801.
+Initial states and intents are keyed by master seed and run index, so two
+trees' slices, and two planners in one slice, pair run by run. ``compare``
+prints, per scenario and planner, each tree's success with its 95 %
+interval and the paired differences change - parent, then the paired
+differences ``ours`` - ``conservative`` and ``ours`` - ``passive`` in each
+tree. Intervals are 95 % percentile bootstraps over 10 000 resamples of
+runs; paired completion times are over the runs both sides completed.
 """
 
 import csv
@@ -26,6 +40,7 @@ from probeplan.config import load_config
 
 DEFAULT = ROOT / "configs" / "default.yaml"
 OUT = Path("results") / "study"
+SLICE_SEED, SLICE_RUNS = 20240801, 100
 
 
 def run_arm(out, arm, n, seed, overrides, fields):
@@ -81,8 +96,79 @@ def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), overr
     return summary, combos
 
 
+def slice_study(n=SLICE_RUNS, seed=SLICE_SEED, overrides=(), out=OUT):
+    """Run the slice (runs 0..n-1 of every combination) as the arm
+    ``<out>/slice``; return the path of its results.csv."""
+    run_arm(out, "slice", n, seed, overrides, [])
+    return Path(out) / "slice" / "results.csv"
+
+
+def read_runs(path, scenario, planner):
+    """One combination's rows of a results.csv, by run index."""
+    with open(path) as f:
+        return {int(r["run_index"]): r for r in csv.DictReader(f)
+                if r["scenario"] == scenario and r["planner"] == planner}
+
+
+def bootstrap_ci(values, resamples=10_000, seed=0):
+    """(mean, low, high, n): the mean of ``values`` and its 95 % percentile
+    interval over ``resamples`` resamples."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return math.nan, math.nan, math.nan, 0
+    picks = np.random.default_rng(seed).integers(0, len(values), (resamples, len(values)))
+    low, high = np.percentile(values[picks].mean(axis=1), [2.5, 97.5])
+    return float(values.mean()), float(low), float(high), len(values)
+
+
+def paired_differences(a, b, resamples=10_000, seed=0):
+    """Paired differences a - b of two ``read_runs`` maps over the runs both
+    hold: success (0/1) and ``min_gap`` over all of them, completion time
+    over those both completed. Each is a ``bootstrap_ci`` tuple."""
+    runs = sorted(a.keys() & b.keys())
+    done = [i for i in runs if a[i]["success"] == b[i]["success"] == "1"]
+
+    def diff(key, over):
+        return bootstrap_ci([float(a[i][key]) - float(b[i][key]) for i in over], resamples, seed)
+
+    return {"success": diff("success", runs), "completion_time": diff("completion_time", done),
+            "min_gap": diff("min_gap", runs)}
+
+
+def _show(name, stats):
+    mean, low, high, n = stats
+    scale = 100.0 if name == "success" else 1.0  # success in percentage points
+    return f"{name} {mean * scale:+.2f} [{low * scale:+.2f}, {high * scale:+.2f}] (n={n})"
+
+
+def compare(parent_csv, change_csv):
+    """Print the slice's comparison of two trees (see the module notes)."""
+    for scenario in ("lane_merge", "intersection"):
+        for planner in ("ours", "passive", "conservative"):
+            parent, change = (read_runs(p, scenario, planner) for p in (parent_csv, change_csv))
+            ci = [bootstrap_ci([float(r["success"]) for r in t.values()]) for t in (parent, change)]
+            inside = ci[0][1] <= ci[1][0] <= ci[0][2]
+            print(f"{scenario:13s} {planner:12s} success {ci[0][0]:.0%} [{ci[0][1]:.0%}, "
+                  f"{ci[0][2]:.0%}] -> {ci[1][0]:.0%} ({'within' if inside else 'OUTSIDE'} "
+                  f"the parent's interval)")
+            diffs = paired_differences(change, parent)
+            print("   change - parent: " + "; ".join(_show(k, v) for k, v in diffs.items()))
+        for tree, path in (("parent", parent_csv), ("change", change_csv)):
+            ours = read_runs(path, scenario, "ours")
+            for other in ("conservative", "passive"):
+                diffs = paired_differences(ours, read_runs(path, scenario, other))
+                shown = "; ".join(_show(k, v) for k, v in diffs.items())
+                print(f"   {tree} ours - {other}: {shown}")
+
+
 if __name__ == "__main__":
     mode = sys.argv[1] if len(sys.argv) > 1 else "both"
+    if mode == "slice":
+        print(slice_study(out=Path(sys.argv[2]) if len(sys.argv) > 2 else OUT))
+        sys.exit(0)
+    if mode == "compare":
+        compare(*sys.argv[2:4])
+        sys.exit(0)
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 40
     if mode in ("probe", "both"):
         probing_study(n=n)
