@@ -73,13 +73,19 @@ class ConservativePlanner(ActivePlanner):
                 for ego in zip(*ego_paths)
             ])
             cvars = cvar(costs, cfg.cvar_level).reshape(len(accels), -1)
-            n = len(weights)
-            tails = _tail_gradients(ctx, [p.repeat(n, axis=0) for p in ego_paths],
-                                    np.tile(ctx.solve, len(accels)), costs)
-            tails = tails.reshape(len(accels), n, -1).swapaxes(0, 1)
-            grads = sum(w * g for w, g in zip(weights, tails))
-            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
-            return rows[seqs], grads[seqs]
+            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))[seqs]
+            # A line search's trial needs its gradient only below its bar.
+            grads = np.zeros((len(seqs), cfg.solver_segments))
+            read = np.arange(len(seqs)) if bar is None else np.flatnonzero(rows[:, 0] < bar)
+            if read.size:
+                n, picked = len(weights), seqs[read]
+                tails = _tail_gradients(
+                    ctx, [p[picked].repeat(n, axis=0) for p in ego_paths],
+                    np.tile(ctx.solve, len(picked)),
+                    costs.reshape(len(accels), n, -1)[picked].reshape(len(picked) * n, -1))
+                tails = tails.reshape(len(picked), n, -1).swapaxes(0, 1)
+                grads[read] = sum(w * g for w, g in zip(weights, tails))
+            return rows, grads
 
         starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)
         ((accel, row, _, rows),) = _descend(evaluate, starts, cfg)

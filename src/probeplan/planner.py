@@ -33,7 +33,9 @@ objective, exact almost everywhere: the probe term's slope, the KL term's
 through the terminal state's (2, P) Jacobian, and the cap penalty's
 ``2 * penalty_weight * (CVaR - cap)`` times the mean cost gradient over
 the pair's tail samples (Hong & Liu 2009), taken from the cost block the
-pair paid for, through its ego path and reflected walk (``risk``).
+pair paid for, through its ego path and reflected walk (``risk``). A
+line-search trial gets the tail part only below its bar, as no other trial
+becomes its chain's state.
 A fixed lane-guidance law, shared by every planner, steers the lateral
 channel, so planner comparisons isolate the longitudinal machinery. Every
 Monte-Carlo quantity of a solve reuses fixed random streams (common random
@@ -549,9 +551,11 @@ def _descend(
     (see the solver notes). A chain stops when its gradient vanishes or is
     not finite, or when its three line-search trials fail. A round is one
     ``evaluate(accels, chains, seqs, bar)`` call: pair i is sequence
-    ``accels[seqs[i]]`` (T,) of chain ``chains[i]``. It gives one row (K, F) per pair, objective first, and
-    the objective's gradient (K, P) in the pair's segment vector, which is
-    read only where the pair becomes its chain's state. The start round
+    ``accels[seqs[i]]`` (T,) of chain ``chains[i]``. It gives one row
+    (K, F) per pair, objective first, and the objective's gradient (K, P)
+    in the pair's segment vector, which is read only where the pair becomes
+    its chain's state: it need be exact only at a start and at a
+    line-search trial whose objective is below its ``bar``. The start round
     passes each distinct start once, the line searches ``arange(K)``. No
     decision reads a row whose objective is above its ``bar``: the win
     threshold (K,) in a line search, ``None`` (only ``evaluate`` knows it)
@@ -678,14 +682,13 @@ class ActivePlanner:
         self._warm: dict[int, np.ndarray] = {}
         self._ego_sigma = ego_horizon_covariance(cfg)
         self._shared_starts = _shared_starts(cfg)
-        # d(terminal speed, terminal progress)/d segment vector (2, P) of
-        # ``_linear_terminal_state``: dt per step, and dt^2 (T - k - 1/2) for step k.
-        step = np.arange(cfg.horizon_steps)
-        segment = step // cfg.segment_steps
-        self._terminal_jacobian = np.array((
-            np.bincount(segment) * cfg.dt,
-            np.bincount(segment, cfg.dt * cfg.dt * (cfg.horizon_steps - step - 0.5)),
-        ))
+        # d(terminal speed, terminal progress)/d segment vector (2, P): the
+        # terminal state is linear in the sequence, so the state from rest at
+        # 0 under each segment's indicator.
+        indicators = np.eye(cfg.solver_segments).take(
+            np.arange(cfg.horizon_steps) // cfg.segment_steps, axis=1)
+        s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
+        self._terminal_jacobian = np.array((v_t, s_t))
         # The steering setup per (solved, steering) mode of ``_targets``.
         self._targets: ModeTargetSet | None = None
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
@@ -792,7 +795,8 @@ class ActivePlanner:
             # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
             j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
             lower = j_probe + j_infl  # the objective, but for the cap penalty
-            if bar is None:  # the start round: no pick lies above a certified start
+            line_search = bar is not None
+            if not line_search:  # the start round: no pick lies above a certified start
                 best = np.full(len(solve), np.inf)
                 np.minimum.at(best, chains[certified], lower[certified])
                 bar = best[chains]
@@ -805,11 +809,15 @@ class ActivePlanner:
             violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
             obj = lower + cfg.penalty_weight * violation * violation
             # The gradient: the KL term's, the probe slope, and the cap
-            # penalty's through the tail samples.
+            # penalty's through the tail samples, which a line search's trial
+            # needs only below its bar.
             pair_jac = infl_jac[chains]
             grads = -(y[:, 0] * pair_jac[:, 0] + y[:, 1] * pair_jac[:, 1])
             grads[:, 0] += probe_slopes
-            if (hot := np.flatnonzero(violation[scored] > 0.0)).size:
+            hot = violation[scored] > 0.0
+            if line_search:
+                hot &= (obj < bar)[scored]
+            if (hot := np.flatnonzero(hot)).size:
                 pen = scored[hot]
                 grads[pen] += 2.0 * cfg.penalty_weight * violation[pen, None] * _tail_gradients(
                     ctx, [p[pen] for p in ego_paths], pair_modes[pen], costs[hot])

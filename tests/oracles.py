@@ -39,8 +39,11 @@ computes in a faster way:
   run one after the other; ``blend_controls`` is its joint-weight blend
   with an explicit activation threshold and fallback flag. Their gradients
   take the probe slope per candidate, the terminal state's Jacobian one
-  step at a time (``terminal_jacobian``) and one tail gradient per mode
+  segment at a time (``segment_jacobian``) and one tail gradient per mode
   and candidate (``tail_gradient_one``), where the planners batch them.
+* ``terminal_jacobian``: that Jacobian summed one step at a time, the
+  planning model's own formula, where the planners evaluate the linear
+  terminal-state map at every segment's indicator at once.
 * ``log_density`` and ``density``: one Gaussian's density at one point,
   where ``belief`` evaluates every mode's likelihood in one einsum pass.
 * ``draw_human_paths_one``: one mode's sampled human planes on their own,
@@ -451,6 +454,15 @@ def terminal_jacobian(cfg: PlannerConfig) -> np.ndarray:
     return jac
 
 
+def segment_jacobian(cfg: PlannerConfig) -> np.ndarray:
+    """The same Jacobian (2, P), one segment at a time: the terminal
+    (speed, progress) from rest at 0 under the segment's indicator."""
+    segment = np.arange(cfg.horizon_steps) // cfg.segment_steps
+    columns = [_linear_terminal_state(0.0, 0.0, (segment == p).astype(float), cfg.dt)[::-1]
+               for p in range(cfg.solver_segments)]
+    return np.array(columns).T
+
+
 def tail_gradient_one(
     ctx: _StepContext, ego_path: Sequence[np.ndarray], human: np.ndarray, costs: np.ndarray
 ) -> np.ndarray:
@@ -484,7 +496,7 @@ def solve_mode_scalar(
     chol_q = np.linalg.cholesky(steer_target.cov)
     y0 = np.linalg.solve(chol_q, steer_target.mean)
     kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
-    jac = terminal_jacobian(cfg)
+    jac = segment_jacobian(cfg)
     linv = np.linalg.inv(chol_q)
 
     def evaluate(accel: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:

@@ -44,13 +44,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "5bb0e24837947fbd40e45ad1767d5409b82a1c961f31a9564f6f80889b7b2989",
+    "results.csv": "b95f37935b50eeedd2890a9e72d31bd16bbee64ff1d45db436ca08b61b189e42",
     "trace_intersection_conservative_run00000.csv": "2e08efdd262f11747b11c2118e062c16c78739961455fa60ff540282f54f01e3",
-    "trace_intersection_ours_run00000.csv": "9baa06e289c1b75c501ed17cbbf124cb9b8f39b7ce0b7f7407d643e4836ae8cf",
-    "trace_intersection_passive_run00000.csv": "77c4ae0e32f658e362a8157e362a50a9df2968454ab1acb1f923c9128b7ff6e1",
+    "trace_intersection_ours_run00000.csv": "3f59486e6e456a12ca25c94d6e4082976dd5642c956da2661c4de5f36b9ef66a",
+    "trace_intersection_passive_run00000.csv": "196f33e01df90c167b13ecabb32997bd67597c95ee66edc568eb3f9e59f01621",
     "trace_lane_merge_conservative_run00000.csv": "b21e348e31338ced5ebd3f49648a0e1c4d2ed05f7d0229f82add51dff3cedd14",
-    "trace_lane_merge_ours_run00000.csv": "f8d6d5fa490822b6946aa1fd522046231364648e7d5659b04edb75cb7836cf12",
-    "trace_lane_merge_passive_run00000.csv": "90a4b70a4b8af759c756bd70da18ce7d559d3c6007cb9d8d7b12739e14ba9049",
+    "trace_lane_merge_ours_run00000.csv": "8b29b141635432cf7fb5036e51a16c8b7fcca9b1484178e3b431d068059853f1",
+    "trace_lane_merge_passive_run00000.csv": "0535d8ee977845a234ae4b46d16711be9f04549bfe6c595c2f4a4bce42be47ec",
 }
 
 
@@ -72,7 +72,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "796cbe3224eab501f5e3f1593fef16cc57ad81a31ba7a9bc4d0ca41924ad7d87"
+DIAG_GOLDEN = "4c1bae3dd8e5feb7bd6d1d0060b523c392c2281464f440a9515a7602bf3751e3"
 
 
 def _feed(h, value):

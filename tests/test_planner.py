@@ -62,6 +62,7 @@ from oracles import (
     probe_projection_loop,
     solve_mode_control,
     start_candidates_one,
+    terminal_jacobian,
 )
 
 
@@ -819,6 +820,18 @@ class TestExactGradient:
                                      monkeypatch)
         assert len(ctx.solve) > 1 and np.ptp(ctx.omega[ctx.solve]) > 0.0
         self.check(evaluate, ctx, 0, ctx.solve, self.thetas(rng, 8, cfg.solver_segments))
+
+    @pytest.mark.parametrize("horizon, segments", [(30, 3), (30, 4), (20, 1), (13, 5), (7, 2)])
+    def test_terminal_jacobian_sums_each_step(self, horizon, segments):
+        # The planner evaluates the linear terminal-state map at each
+        # segment's indicator. Its sums and the step-by-step ones each add at
+        # most T terms of one sign, a few roundings apiece, so each entry is
+        # within (T + 4) eps / 2 of the exact value relative to its row's
+        # largest, and the two within twice that.
+        cfg = PlannerConfig(horizon_steps=horizon, solver_segments=segments)
+        ref = terminal_jacobian(cfg)
+        bound = (horizon + 4) * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(ActivePlanner(cfg)._terminal_jacobian - ref) <= bound)
 
 
 class TestCertifiedBelowCap:

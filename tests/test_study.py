@@ -79,15 +79,15 @@ def test_paired_differences_of_two_results_files(tmp_path):
     ])
     runs_a, runs_b = (study.read_runs(p, "lane_merge", "ours") for p in (a, b))
     assert sorted(runs_a) == [0, 1, 2, 3] and sorted(runs_b) == [0, 1, 2, 3, 4]
-    diffs = study.paired_differences(runs_a, runs_b, resamples=2000)
+    diffs = study.paired_differences(runs_a, runs_b)
     # Completion time over runs 0 and 3 only: +1 s each, so every resample.
     assert diffs["completion_time"] == (1.0, 1.0, 1.0, 2)
     mean, low, high, n = diffs["success"]
     assert (mean, n) == (0.0, 4) and -1.0 <= low < 0.0 < high <= 1.0
     mean, low, high, n = diffs["min_gap"]
     assert (mean, n) == (2.5, 4) and 1.0 <= low < 2.5 < high <= 4.0
-    # Resamples are keyed by their seed.
-    assert study.paired_differences(runs_a, runs_b, resamples=2000) == diffs
+    # Resamples are drawn from a fixed seed.
+    assert study.paired_differences(runs_a, runs_b) == diffs
     assert study.bootstrap_ci([])[3] == 0
 
 

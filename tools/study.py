@@ -41,6 +41,7 @@ from probeplan.config import load_config
 DEFAULT = ROOT / "configs" / "default.yaml"
 OUT = Path("results") / "study"
 SLICE_SEED, SLICE_RUNS = 20240801, 100
+RESAMPLES, BOOTSTRAP_SEED = 10_000, 0
 
 
 def run_arm(out, arm, n, seed, overrides, fields):
@@ -96,10 +97,10 @@ def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), overr
     return summary, combos
 
 
-def slice_study(n=SLICE_RUNS, seed=SLICE_SEED, overrides=(), out=OUT):
-    """Run the slice (runs 0..n-1 of every combination) as the arm
-    ``<out>/slice``; return the path of its results.csv."""
-    run_arm(out, "slice", n, seed, overrides, [])
+def slice_study(out=OUT):
+    """Run the slice as the arm ``<out>/slice``; return the path of its
+    results.csv."""
+    run_arm(out, "slice", SLICE_RUNS, SLICE_SEED, (), [])
     return Path(out) / "slice" / "results.csv"
 
 
@@ -110,18 +111,18 @@ def read_runs(path, scenario, planner):
                 if r["scenario"] == scenario and r["planner"] == planner}
 
 
-def bootstrap_ci(values, resamples=10_000, seed=0):
+def bootstrap_ci(values):
     """(mean, low, high, n): the mean of ``values`` and its 95 % percentile
-    interval over ``resamples`` resamples."""
+    interval over ``RESAMPLES`` resamples."""
     values = np.asarray(values, dtype=float)
     if not values.size:
         return math.nan, math.nan, math.nan, 0
-    picks = np.random.default_rng(seed).integers(0, len(values), (resamples, len(values)))
+    picks = np.random.default_rng(BOOTSTRAP_SEED).integers(0, len(values), (RESAMPLES, len(values)))
     low, high = np.percentile(values[picks].mean(axis=1), [2.5, 97.5])
     return float(values.mean()), float(low), float(high), len(values)
 
 
-def paired_differences(a, b, resamples=10_000, seed=0):
+def paired_differences(a, b):
     """Paired differences a - b of two ``read_runs`` maps over the runs both
     hold: success (0/1) and ``min_gap`` over all of them, completion time
     over those both completed. Each is a ``bootstrap_ci`` tuple."""
@@ -129,7 +130,7 @@ def paired_differences(a, b, resamples=10_000, seed=0):
     done = [i for i in runs if a[i]["success"] == b[i]["success"] == "1"]
 
     def diff(key, over):
-        return bootstrap_ci([float(a[i][key]) - float(b[i][key]) for i in over], resamples, seed)
+        return bootstrap_ci([float(a[i][key]) - float(b[i][key]) for i in over])
 
     return {"success": diff("success", runs), "completion_time": diff("completion_time", done),
             "min_gap": diff("min_gap", runs)}
