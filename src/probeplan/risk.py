@@ -11,9 +11,10 @@ This module is the one per-step rollout/CVaR kernel every planner runs.
 What does not depend on the candidate acceleration is built once per
 step: the ego headings (``planner.lane_guidance`` returns them with its
 yaw), every mode's sampled human paths as one block of x and y planes
-(``draw_human_paths``: one ``normal`` draw per mode from the mode's own
-stream, then one clamp, integration and projection over all modes), their
-``sample_boxes`` from the same arcs, and the discount weights.
+(``draw_human_paths``: one standard normal draw per mode from the mode's
+own stream, scaled and shifted in place, then one clamp, integration and
+projection over all modes), their ``sample_boxes`` from the same arcs, and
+the discount weights.
 ``path_costs`` takes ego rows (R, T) against one mode's paths, or one ego
 path against several modes' paths, so a solver round scores its
 (sequence, mode) pairs with one ``simulate_ego_path``, one ``path_costs``
@@ -175,14 +176,17 @@ def draw_human_paths(
 
     Per-step longitudinal speeds are drawn i.i.d. from each mode target's
     velocity marginal (clamped at zero; the human does not reverse) and
-    integrated along the human's current heading. Each mode makes its own
-    ``normal`` draw; the clamp, the integration and the planes then run
-    once over every mode, element by element as they would per mode.
+    integrated along the human's current heading. Each mode fills its own
+    block with a standard normal draw, scaled and shifted in place: the
+    ``loc + scale * z`` that ``normal`` takes per element. The clamp, the
+    integration and the planes then run once over every mode, element by
+    element as they would per mode.
     """
     speeds = np.empty((len(modes), n_samples, t_steps))
-    for out, mode, rng in zip(speeds, modes, rngs, strict=True):
-        std = math.sqrt(float(mode.target.cov[0, 0]))
-        out[...] = rng.normal(float(mode.target.mean[0]), std, size=(n_samples, t_steps))
+    for block, mode, rng in zip(speeds, modes, rngs, strict=True):
+        rng.standard_normal(out=block)
+        block *= math.sqrt(float(mode.target.cov[0, 0]))
+        block += float(mode.target.mean[0])
     np.maximum(0.0, speeds, out=speeds)
     speeds *= dt
     arc = np.cumsum(speeds, axis=2, out=speeds)
