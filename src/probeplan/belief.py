@@ -191,6 +191,25 @@ def _segment_sums(ts: ModeTargetSet, x: np.ndarray) -> np.ndarray:
     return np.bincount(bins, weights=x.ravel(), minlength=n * num).reshape(n, num)
 
 
+def _underflows(log_shift: np.ndarray, z_rel: np.ndarray) -> np.ndarray:
+    """Mask (N,) of the rows whose total evidence ``exp(log_shift) * z_rel``
+    is below 1e-300, decided as ``not (z > 0 and g + math.log(z) >=
+    _LOG_Z_FLOOR)`` per row. The rows are decided with ``np.log``, which may
+    differ from ``math.log`` in the last bit; a row that is not finite or
+    lies within a margin far wider than that of the floor is decided by the
+    scalar rule itself."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(z_rel)
+        log_evidence = log_shift + log_z
+        out = ~(log_evidence >= _LOG_Z_FLOOR)
+        margin = 1e-9 * (np.abs(log_shift) + np.abs(log_z) + 1.0)
+        near = ~(np.abs(log_evidence - _LOG_Z_FLOOR) > margin)
+    for k in np.flatnonzero(near).tolist():
+        g, z = float(log_shift[k]), float(z_rel[k])
+        out[k] = not (z > 0.0 and g + math.log(z) >= _LOG_Z_FLOOR)
+    return out
+
+
 def _posteriors(
     b: HierarchicalBelief, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,9 +237,7 @@ def _posteriors(
     row_sum[bad] = 1.0
     post_pi_un = b.intent_probs * (np.exp(row_max - global_max[:, None]) * row_sum)
     z_rel = post_pi_un.sum(axis=1)
-    for k, (g, z) in enumerate(zip(global_max.tolist(), z_rel.tolist())):
-        if not (z > 0.0 and g + math.log(z) >= _LOG_Z_FLOOR):
-            bad[k] = True
+    bad |= _underflows(global_max, z_rel)
     z_rel[bad] = 1.0
     # Each value is a nonnegative term over a float sum that includes it,
     # so it lies in [0, 1].

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from probeplan.belief import (
     HierarchicalBelief,
+    _underflows,
     ModeTarget,
     ModeTargetSet,
     entropy,
@@ -515,6 +516,58 @@ class TestPosteriorEntropies:
             got = posterior_entropies(b, zs, 3.25, True)
         assert got[0] == entropy(update(b, zs[0]), True)
         assert got[1] == 3.25
+
+    def test_rows_at_the_evidence_floor(self):
+        # Two intents of one mode each, both far from the observations: the
+        # evidence crosses 1e-300 at some x*. Rows one float apart around x*
+        # fall on either side; the last row's evidence is 0: the intent its
+        # observation favours has no mass, and the other's term underflows.
+        b = HierarchicalBelief(np.array([0.3, 0.7]), np.ones(2),
+                               make_targets([[0.0], [1.5]], [[1.0], [2.0]]))
+
+        def degenerate(x):
+            try:
+                loop_update(b, np.array([x]))
+            except DegenerateEvidenceError:
+                return True
+            return False
+
+        lo, hi = 10.0, 100.0  # evidence above the floor at lo, below it at hi
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if degenerate(mid) else (mid, hi)
+        xs = [lo]
+        for _ in range(20):
+            xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+        zs = np.array(xs + [0.0, 1e3])[:, None]
+        want, n_bad = loop_posterior_entropies(b, zs, 9.0, True)
+        assert 20 < n_bad < len(zs) - 20
+        assert np.array_equal(posterior_entropies(b, zs, 9.0, True), want)
+        cut = HierarchicalBelief(np.array([1.0, 0.0]), np.ones(2),
+                                 make_targets([[0.0], [100.0]]))
+        with pytest.raises(DegenerateEvidenceError):
+            loop_update(cut, np.array([100.0]))
+        assert posterior_entropies(cut, np.array([[100.0], [0.0]]), 9.0)[0] == 9.0
+
+    def test_underflow_mask_matches_the_scalar_rule(self):
+        # Evidence shifts g and sums z one float either side of the floor,
+        # z = 0, negative, infinite and NaN: the array decision equals
+        # ``not (z > 0 and g + math.log(z) >= ln 1e-300)`` on every row. The
+        # sums include ones whose np.log and math.log differ in the last bit.
+        rng = np.random.default_rng(5)
+        z = np.concatenate([rng.uniform(1e-6, 1.0, 4000), 10.0 ** rng.uniform(-300, 0, 4000)])
+        logs = np.array([math.log(v) for v in z])
+        z = np.concatenate([z[:100], z[np.log(z) != logs]])
+        assert len(z) > 110
+        g = np.log(1e-300) - np.array([math.log(v) for v in z])
+        g = np.concatenate([g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf)])
+        z = np.concatenate([z, z, z, [0.0, -1.0, math.inf, math.nan, 0.5]])
+        g = np.concatenate([g, [-5.0, -5.0, -5.0, -5.0, math.nan]])
+        want = [not (v > 0.0 and s + math.log(v) >= math.log(1e-300)) for s, v in zip(g, z)]
+        with np.errstate(invalid="ignore"):
+            got = _underflows(g, z)
+        assert got.tolist() == want
+        assert 0 < sum(want) < len(want)
 
     def test_shape_checked(self):
         b = random_belief_nd(np.random.default_rng(2), 2)
