@@ -132,7 +132,8 @@ def run_experiment(
     combos = list(run_cfgs)
     jobs = [(rc, idx, idx in trace_set) for rc in run_cfgs.values() for idx in range(runs)]
 
-    workers = exp["workers"]
+    # No more processes than jobs: an idle worker is a fork for nothing.
+    workers = min(exp["workers"], len(jobs))
     # Both branches return the outputs in job order, whatever the scheduling.
     if workers > 1:
         with Pool(processes=workers) as pool:

@@ -80,6 +80,37 @@ class TestRunExperiment:
         assert (out3 / "results.csv").read_bytes() == ref
         assert (out2 / "summary.csv").read_bytes() == (out1 / "summary.csv").read_bytes()
 
+    def test_pool_never_larger_than_the_batch(self, tmp_path, monkeypatch):
+        # A stand-in Pool records its size and maps in process: no process
+        # starts. One job runs in process; six jobs get at most six workers.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        cfg = write_cfg(tmp_path)
+        one = ["experiment.runs=1", "experiment.planner=ours", "scenario.t_max=0.5"]
+        run_experiment(cfg, one, out_dir=tmp_path / "a")
+        run_experiment(cfg, one + ["experiment.workers=2"], out_dir=tmp_path / "b")
+        assert sizes == []
+        run_experiment(cfg, ["experiment.workers=8", "scenario.t_max=0.5"], out_dir=tmp_path / "c")
+        run_experiment(cfg, ["experiment.workers=2", "scenario.t_max=0.5"], out_dir=tmp_path / "d")
+        assert sizes == [6, 2]
+        for a, b in (("a", "b"), ("c", "d")):
+            assert ((tmp_path / a / "results.csv").read_bytes()
+                    == (tmp_path / b / "results.csv").read_bytes())
+
     def test_mode_target_file_read_once_per_combination(self, tmp_path, monkeypatch):
         tpath = write_cfg(tmp_path, TARGETS, name="targets.yaml")
         cfg = write_cfg(tmp_path)
