@@ -18,12 +18,17 @@ from .planner import (
     ActivePlanner,
     PlanDiagnostics,
     _StepContext,
+    _accels,
     _controls,
     _descend,
     _start_candidates,
     _tail_gradients,
 )
-from .risk import cvar, path_costs, simulate_ego_path
+from .risk import (
+    cvar,
+    path_costs,
+    simulate_ego_path,  # noqa: F401 -- the benchmark wraps probeplan.baselines.simulate_ego_path
+)
 from .world import ScenarioState
 
 
@@ -63,34 +68,33 @@ class ConservativePlanner(ActivePlanner):
         weights = ctx.omega[ctx.solve]
         paths = ctx.human_paths[ctx.solve]
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar):
-            # One chain: each sequence's CVaR against every solved mode, one
-            # cost block per sequence, and their omega-weighted sum in mode order;
-            # its gradient is the omega-weighted sum of the modes' tail gradients.
-            ego_paths = simulate_ego_path(ctx.state.ego, accels, ctx.headings, cfg.dt)
+        def evaluate(thetas: np.ndarray, chains: np.ndarray, bar):
+            # One chain: each vector's CVaR against every solved mode, one cost
+            # block per vector, and their omega-weighted sum in mode order; its
+            # gradient is the omega-weighted sum of the modes' tail gradients.
+            ego_paths = ctx.ego_paths(thetas)
             costs = np.concatenate([
                 path_costs(*ego, paths, ctx.discount_weights, cfg.ref_speed)
                 for ego in zip(*ego_paths)
             ])
-            cvars = cvar(costs, cfg.cvar_level).reshape(len(accels), -1)
-            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))[seqs]
+            cvars = cvar(costs, cfg.cvar_level).reshape(len(thetas), -1)
+            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
             # A line search's trial needs its gradient only below its bar.
-            grads = np.zeros((len(seqs), cfg.solver_segments))
-            read = np.arange(len(seqs)) if bar is None else np.flatnonzero(rows[:, 0] < bar)
+            grads = np.zeros((len(thetas), cfg.solver_segments))
+            read = np.arange(len(thetas)) if bar is None else np.flatnonzero(rows[:, 0] < bar)
             if read.size:
-                n, picked = len(weights), seqs[read]
+                n = len(weights)
                 tails = _tail_gradients(
-                    ctx, [p[picked].repeat(n, axis=0) for p in ego_paths],
-                    np.tile(ctx.solve, len(picked)),
-                    costs.reshape(len(accels), n, -1)[picked].reshape(len(picked) * n, -1))
-                tails = tails.reshape(len(picked), n, -1).swapaxes(0, 1)
+                    ctx, ego_paths[:, read].repeat(n, axis=1), np.tile(ctx.solve, read.size),
+                    costs.reshape(len(thetas), n, -1)[read].reshape(read.size * n, -1))
+                tails = tails.reshape(read.size, n, -1).swapaxes(0, 1)
                 grads[read] = sum(w * g for w, g in zip(weights, tails))
             return rows, grads
 
         starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)
-        ((accel, row, _, rows),) = _descend(evaluate, starts, cfg)
+        ((theta, row, _, rows),) = _descend(evaluate, starts, cfg)
         objective, *cvars = row.tolist()
-        u_total = _controls(ctx, accel)
+        u_total = _controls(ctx, _accels(theta, cfg))
         solved = {
             m: ctx.mode_diag(
                 m, nu=u_total, objective=objective, cvar_solution=value,

@@ -23,19 +23,28 @@ every chain still live, so a descent makes at most ``1 + solver_iters``
 rounds. A chain takes its first winning trial; the trials after it are
 scored and dropped, so each chain's history, pick and ``ModeDiag.evals``
 are those of a search that tries one step after another. A round scores
-its (sequence, chain) pairs in one batch: one ego path, terminal state,
-probe term and probe slope per distinct sequence (the start round holds
-each shared start once), then per pair a cost bound, one ``path_costs``
-block per mode over the pairs left open (the conservative planner: one per
-sequence over its solved modes), one ``cvar`` and one stacked triangular
-solve for the KL influence term. Each pair's gradient comes with its
-objective, exact almost everywhere: the probe term's slope, the KL term's
-through the terminal state's (2, P) Jacobian, and the cap penalty's
-``2 * penalty_weight * (CVaR - cap)`` times the mean cost gradient over
-the pair's tail samples (Hong & Liu 2009), taken from the cost block the
-pair paid for, through its ego path and reflected walk (``risk``). A
-line-search trial gets the tail part only below its bar, as no other trial
-becomes its chain's state.
+its (segment vector, chain) pairs in one batch, and ``evaluate`` takes the
+segment vectors theta (K, P) themselves. Every term of a pair but its cost
+blocks is affine in theta, so it is composed from bases built once per
+step (or run): the ego path from the step's coasting path and one path
+from rest per segment (``_StepContext.path_bases``, two
+``simulate_ego_path`` calls per step; a row whose composed speeds reach
+zero or hold a NaN takes the kernel's reflected walk instead), the KL
+residual y = L^-1 delta from its value at the coasting terminal state and
+the chain's G = -L^-1 J (J the run's (2, P) terminal-state Jacobian), and
+the probe term as ``np.interp`` at theta_0 with its slope from a per-step
+table of the grid's pieces. Each composition adds one product per segment
+in segment order, not a BLAS product, so a row equals its own evaluation
+at any batch size. Then per pair a cost bound, one ``path_costs`` block
+per mode over the pairs left open (the conservative planner: one per
+vector over its solved modes) and one ``cvar``. Each pair's gradient comes
+with its objective, exact almost everywhere: the probe term's slope, the
+KL term's y^T G, and the cap penalty's ``2 * penalty_weight * (CVaR -
+cap)`` times the mean cost gradient over the pair's tail samples (Hong &
+Liu 2009), taken from the cost block the pair paid for, through its ego
+path and reflected walk (``risk``). A line-search trial gets the tail part
+only below its bar, as no other trial becomes its chain's state. Only the
+picks are expanded to acceleration sequences (T,).
 A fixed lane-guidance law, shared by every planner, steers the lateral
 channel, so planner comparisons isolate the longitudinal machinery. Every
 Monte-Carlo quantity of a solve reuses fixed random streams (common random
@@ -63,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -482,6 +492,13 @@ class _StepContext:
     human_paths: np.ndarray
     human_boxes: np.ndarray
     cvar_pre: np.ndarray
+    path_bases: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def _probe_slopes(self) -> np.ndarray:
+        """The probing term's slope on each piece of the grid (G - 1,)."""
+        grid, h = self.probe_grid, self.probe_entropy
+        return self.entropy_weight * ((h[1:] - h[:-1]) / (grid[1:] - grid[:-1]))
 
     def probe_terms(self, first_accels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The probing term of each first acceleration (K), the entropy
@@ -489,11 +506,15 @@ class _StepContext:
         Minimizing it drives the expected posterior uncertainty down."""
         if self.probe_grid is None:
             return np.zeros(len(first_accels)), np.zeros(len(first_accels))
-        grid, h = self.probe_grid, self.probe_entropy
+        grid = self.probe_grid
         # np.interp's piece: the one right of an inner node, the last at the top.
-        i = np.searchsorted(grid[1:-1], first_accels, side="right")
-        slopes = (h[i + 1] - h[i]) / (grid[i + 1] - grid[i])
-        return self.entropy_weight * np.interp(first_accels, grid, h), self.entropy_weight * slopes
+        slopes = self._probe_slopes.take(np.searchsorted(grid[1:-1], first_accels, side="right"))
+        return self.entropy_weight * np.interp(first_accels, grid, self.probe_entropy), slopes
+
+    def ego_paths(self, thetas: np.ndarray) -> np.ndarray:
+        """x, y and speeds (3, K, T) of the ego under segment vectors (K, P),
+        composed from the step's ``path_bases`` (``_compose_ego_paths``)."""
+        return _compose_ego_paths(self.state.ego, thetas, self.path_bases, self.headings, self.cfg)
 
     def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
         """Mode ``m``'s record; ``solved`` carries the fields its solve set."""
@@ -504,6 +525,51 @@ class _StepContext:
             cvar_solution=cvar_solution, margin=self.cfg.risk_cap - cvar_solution,
             **solved,
         )
+
+
+def _accels(thetas: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
+    """Acceleration sequences (..., T) of segment vectors (..., P): each
+    segment's value over its steps."""
+    return thetas.take(np.arange(cfg.horizon_steps) // cfg.segment_steps, axis=-1)
+
+
+_AT_REST = VehicleState(0.0, 0.0, 0.0)
+
+
+def _ego_path_bases(
+    ego: VehicleState, headings: np.ndarray, cfg: PlannerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``simulate_ego_path``'s x, y and speeds along ``headings`` of the
+    ego coasting (3, 1, T), and from rest at the origin under each
+    segment's indicator (P, 3, 1, T): the bases ``_compose_ego_paths``
+    composes a step's ego paths from."""
+    coast = simulate_ego_path(ego, np.zeros(cfg.horizon_steps), headings, cfg.dt)
+    unit = simulate_ego_path(_AT_REST, _accels(np.eye(cfg.solver_segments), cfg), headings, cfg.dt)
+    return np.array(coast)[:, None], np.ascontiguousarray(np.array(unit).swapaxes(0, 1))[:, :, None]
+
+
+def _compose_ego_paths(
+    ego: VehicleState, thetas: np.ndarray, bases: tuple[np.ndarray, np.ndarray],
+    headings: np.ndarray, cfg: PlannerConfig,
+) -> np.ndarray:
+    """x, y and speeds (3, K, T) of ``ego`` under segment vectors (K, P).
+    While no speed reaches zero the path is affine in the accelerations:
+    the coasting path plus each segment's path from rest (``bases``) times
+    the segment's acceleration, one multiply-add per segment in segment
+    order, so each row equals its own call at any K (a BLAS product's
+    rounding depends on the row count). A row whose composed speeds reach
+    zero or hold a NaN is ``simulate_ego_path``'s reflected walk instead,
+    the branch that kernel takes."""
+    (coast, unit), coef = bases, thetas.T[:, :, None]
+    paths = np.multiply(coef[0], unit[0])
+    paths += coast
+    product = np.empty_like(paths)
+    for c, u in zip(coef[1:], unit[1:]):
+        paths += np.multiply(c, u, out=product)
+    if not paths[2].min() > 0.0:
+        walk = np.flatnonzero(~(np.minimum.reduce(paths[2], axis=1) > 0.0))
+        paths[:, walk] = simulate_ego_path(ego, _accels(thetas[walk], cfg), headings, cfg.dt)
+    return paths
 
 
 def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -525,66 +591,65 @@ def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
 def _start_candidates(
     cfg: PlannerConfig, shared: tuple[np.ndarray, np.ndarray],
     warm_accels: Sequence[np.ndarray | None], bursts: bool,
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Multi-start segment vectors, one set per warm start: the ``shared``
     head, the warm start's segment-window means and optionally the shared
-    bursts. Returns the distinct vectors (U, P) and the rows of each set."""
+    bursts. Returns every set's vectors (K, P), set after set, and the set
+    of each (K,)."""
     seg_len, horizon = cfg.segment_steps, cfg.horizon_steps
     head, tail = shared[0], shared[1] if bursts else shared[1][:0]
+    warmed = np.array([w is not None for w in warm_accels])
     # Each window's mean as np.mean takes it: its sum over its length.
     warm = np.array([w for w in warm_accels if w is not None]).reshape(-1, horizon)
     windows = [warm[:, i:i + seg_len] for i in range(0, horizon, seg_len)]
     means = np.column_stack([w.sum(axis=1) / w.shape[1] for w in windows])
-    cands = np.vstack((head, np.clip(means, *cfg.accel_bounds), tail))
-    own = iter(range(len(head), len(cands) - len(tail)))
-    return cands, [[*range(len(head)), *([next(own)] if w is not None else []),
-                    *range(len(cands) - len(tail), len(cands))] for w in warm_accels]
+    # Every set holds the head, its warm row and the tail; a set with no
+    # warm start drops its warm row.
+    sets = np.empty((len(warm_accels), len(head) + 1 + len(tail), cfg.solver_segments))
+    sets[:, :len(head)], sets[:, len(head) + 1:] = head, tail
+    sets[warmed, len(head)] = np.clip(means, *cfg.accel_bounds)
+    kept = np.ones(sets.shape[:2], dtype=bool)
+    kept[:, len(head)] = warmed
+    return sets[kept], np.nonzero(kept)[0]
 
 
 def _descend(
     evaluate: Callable[..., tuple[np.ndarray, np.ndarray]],
-    starts: tuple[np.ndarray, list[list[int]]],
+    starts: tuple[np.ndarray, np.ndarray],
     cfg: PlannerConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The solver loop every planner shares: one descent chain per start
     set of ``starts`` (see ``_start_candidates``), in phase-aligned rounds
     (see the solver notes). A chain stops when its gradient vanishes or is
     not finite, or when its three line-search trials fail. A round is one
-    ``evaluate(accels, chains, seqs, bar)`` call: pair i is sequence
-    ``accels[seqs[i]]`` (T,) of chain ``chains[i]``. It gives one row
-    (K, F) per pair, objective first, and the objective's gradient (K, P)
-    in the pair's segment vector, which is read only where the pair becomes
-    its chain's state: it need be exact only at a start and at a
-    line-search trial whose objective is below its ``bar``. The start round
-    passes each distinct start once, the line searches ``arange(K)``. No
-    decision reads a row whose objective is above its ``bar``: the win
-    threshold (K,) in a line search, ``None`` (only ``evaluate`` knows it)
-    in the start round. Pairs come in ascending chain order, a line
-    search's k-major (trial k = 0, 1, 2). Returns, per chain, its final
-    sequence (T,) and row (F,), and every sequence (H, T) and row (H, F) it
-    was scored on, in order, but the trials after its first win in a round:
-    the history of a one-at-a-time search.
+    ``evaluate(thetas, chains, bar)`` call: pair i is segment vector
+    ``thetas[i]`` (P,) of chain ``chains[i]``. It gives one row (K, F) per
+    pair, objective first, and the objective's gradient (K, P) in the
+    pair's segment vector, which is read only where the pair becomes its
+    chain's state: it need be exact only at a start and at a line-search
+    trial whose objective is below its ``bar``. No decision reads a row
+    whose objective is above its ``bar``: the win threshold (K,) in a line
+    search, ``None`` (only ``evaluate`` knows it) in the start round. Pairs
+    come in ascending chain order, a line search's k-major (trial k = 0, 1,
+    2). Returns, per chain, its final segment vector (P,) and row (F,), and
+    every vector (H, P) and row (H, F) it was scored on, in order, but the
+    trials after its first win in a round: the history of a one-at-a-time
+    search.
     """
-    (a_lo, a_hi), (cands, index) = cfg.accel_bounds, starts
-    n_seg, segment_of_step = cfg.solver_segments, np.arange(cfg.horizon_steps) // cfg.segment_steps
-    o = 1 + n_seg + cfg.horizon_steps  # a pair's row: chain, theta, sequence, evaluate's row
+    (a_lo, a_hi), (thetas, chains) = cfg.accel_bounds, starts
+    o = 1 + cfg.solver_segments  # a pair's row: chain, theta, evaluate's row
 
-    # Clips are np.minimum(np.maximum(...)), np.clip without its wrappers: the
-    # values agree but for a -0.0 theta at a +0.0 bound, which no start or step
-    # makes. ``take`` keeps rows contiguous: sums along one add in repeat's order.
-    sizes = [len(i) for i in index]
-    seqs, chains = np.concatenate(index), np.repeat(np.arange(len(index)), sizes)
-    accels = np.minimum(np.maximum(cands, a_lo), a_hi).take(segment_of_step, axis=1)
-    rows, grads = evaluate(accels, chains, seqs, None)
-    log = [np.concatenate((chains[:, None], cands.take(seqs, 0), accels.take(seqs, 0), rows), 1)]
+    rows, grads = evaluate(thetas, chains, None)
+    log = [np.concatenate((chains[:, None], thetas, rows), 1)]
     # argmin keeps the first start among equal objectives.
+    sizes = np.bincount(chains).tolist()
     picks = [i + int(rows[i:i + n, 0].argmin()) for i, n in zip(np.cumsum([0] + sizes), sizes)]
     state, slope = log[0].take(picks, axis=0), grads.take(picks, axis=0)
 
     # Halving is exact, so each trial equals the one-at-a-time search's.
     trial_steps = np.array([cfg.solver_step, cfg.solver_step * 0.5, cfg.solver_step * 0.5 * 0.5])
     trial_steps, trial_ids = trial_steps[:, None, None], np.arange(3)[:, None]
-    live = np.arange(len(index))
+    live = np.arange(len(sizes))
     for _ in range(cfg.solver_iters):
         grad = slope.take(live, axis=0)
         scale = np.maximum.reduce(np.abs(grad), axis=1)
@@ -594,15 +659,16 @@ def _descend(
         if not live.size:
             break
         cur = state.take(live, axis=0)
-        # Every trial k of every live chain in one round, k-major.
+        # Every trial k of every live chain in one round, k-major. The clip is
+        # np.minimum(np.maximum(...)), np.clip without its wrappers: the values
+        # agree but for a -0.0 theta at a +0.0 bound, which no step makes.
         trials = np.minimum(
-            np.maximum(cur[:, 1:1 + n_seg] - trial_steps * (grad / scale[:, None]), a_lo), a_hi
-        ).reshape(-1, n_seg)
-        accels = trials.take(segment_of_step, axis=1)
+            np.maximum(cur[:, 1:o] - trial_steps * (grad / scale[:, None]), a_lo), a_hi
+        ).reshape(-1, o - 1)
         bar = cur[:, o] - 1e-12
         chains, bars = np.concatenate((live, live, live)), np.concatenate((bar, bar, bar))
-        rows, grads = evaluate(accels, chains, np.arange(len(chains)), bars)
-        pairs = np.concatenate((chains[:, None], trials, accels, rows), axis=1)
+        rows, grads = evaluate(trials, chains, bars)
+        pairs = np.concatenate((chains[:, None], trials, rows), axis=1)
         won = pairs[:, o].reshape(3, -1) < bar
         hit = np.logical_or.reduce(won, axis=0)
         # A chain keeps its trials up to its first win. The later ones are
@@ -616,8 +682,8 @@ def _descend(
     # One stable sort splits the log by chain, each chain's rows in order.
     log = np.concatenate(log)
     log = log.take(np.argsort(log[:, 0], kind="stable"), axis=0)
-    ends = np.searchsorted(log[:, 0], np.arange(len(index)), side="right").tolist()
-    return [(s[1 + n_seg:o], s[o:], log[a:b, 1 + n_seg:o], log[a:b, o:])
+    ends = np.searchsorted(log[:, 0], np.arange(len(sizes)), side="right").tolist()
+    return [(s[1:o], s[o:], log[a:b, 1:o], log[a:b, o:])
             for s, a, b in zip(state, [0] + ends, ends)]
 
 
@@ -685,8 +751,7 @@ class ActivePlanner:
         # d(terminal speed, terminal progress)/d segment vector (2, P): the
         # terminal state is linear in the sequence, so the state from rest at
         # 0 under each segment's indicator.
-        indicators = np.eye(cfg.solver_segments).take(
-            np.arange(cfg.horizon_steps) // cfg.segment_steps, axis=1)
+        indicators = _accels(np.eye(cfg.solver_segments), cfg)
         s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
         self._terminal_jacobian = np.array((v_t, s_t))
         # The steering setup per (solved, steering) mode of ``_targets``.
@@ -766,7 +831,6 @@ class ActivePlanner:
             kl = kl_divergence(Gaussian(np.zeros(2), cov_pred), steer) - 0.5 * float(y0 @ y0)
             self._steering[m, k] = chol, kl, steer.mean
         chol_q, kl_const, steer_means = map(np.array, zip(*map(self._steering.get, pairs)))
-        steer_v, steer_s = steer_means.T
         # The ego's start progress and the conflict level are the same for
         # every mode; s_h is each mode's predicted human progress.
         s0 = ego_progress(geometry, state.ego)
@@ -775,25 +839,34 @@ class ActivePlanner:
         h0 = human_progress(geometry, state.human)
         s_h = np.array([h0 + _mode_human_advance(state.human, modes[m], c0, cfg) for m in solve])
 
-        # j_infl = kl_const + |y|^2 / 2 with y = L^-1 delta, and delta falls
-        # along the terminal state's Jacobian J: d j_infl / d theta is
-        # -y^T (L^-1 J), whose rows (C, 2, P) hold per chain.
+        # j_infl = kl_const + |y|^2 / 2 with y = L^-1 delta, and delta is
+        # affine in the segment vector: the terminal (speed, progress) is the
+        # coasting one plus J theta (J the run's terminal Jacobian). So y is
+        # its coasting value plus theta along G = -L^-1 J, per chain, and
+        # d j_infl / d theta = y^T G. One table row per chain: kl_const, y at
+        # theta = 0 (2) and G's columns (P x 2), segment after segment.
+        v_c, s_c = state.ego.v, s0 + cfg.horizon_steps * cfg.dt * state.ego.v
         linv, jac = np.linalg.inv(chol_q), self._terminal_jacobian
-        infl_jac = linv[:, :, :1] * jac[0] + linv[:, :, 1:] * jac[1]
+        delta = (steer_means[:, 0] - v_c)[:, None], (steer_means[:, 1] - (s_c - s_h))[:, None]
+        y_coast = linv[:, :, 0] * delta[0] + linv[:, :, 1] * delta[1]
+        g = -(linv[:, :, :1] * jac[0] + linv[:, :, 1:] * jac[1])
+        per_chain = np.column_stack((kl_const, y_coast, g.swapaxes(1, 2).reshape(len(solve), -1)))
+        n_seg = cfg.solver_segments
+        g_cols = [slice(3 + 2 * p, 5 + 2 * p) for p in range(n_seg)]
 
-        def evaluate(accels: np.ndarray, chains: np.ndarray, seqs: np.ndarray, bar):
-            pair_modes = solve[chains]
-            paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-            x, y, speeds = ego_paths = [p[seqs] for p in paths]
+        def evaluate(thetas: np.ndarray, chains: np.ndarray, bar):
+            pair_modes, pair = solve[chains], per_chain[chains]
+            paths = ctx.ego_paths(thetas)
             certified = path_cost_bounds(
-                x, y, speeds, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
+                *paths, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
             ) <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)
-            s_t, v_t = _linear_terminal_state(s0, state.ego.v, accels, cfg.dt)
-            j_probe, probe_slopes = (t[seqs] for t in ctx.probe_terms(accels[:, 0]))
-            delta = (steer_v[chains] - v_t[seqs], steer_s[chains] - (s_t[seqs] - s_h[chains]))
-            y = np.linalg.solve(chol_q[chains], np.array(delta).T[..., None])
-            # Stacked (1, 2) @ (2, 1) products take the same dot as y @ y.
-            j_infl = kl_const[chains] + 0.5 * (y.transpose(0, 2, 1) @ y)[:, 0, 0]
+            j_probe, probe_slopes = ctx.probe_terms(thetas[:, 0])
+            # y, one multiply-add per segment in segment order, as the paths.
+            y = thetas[:, :1] * pair[:, g_cols[0]] + pair[:, 1:3]
+            for p in range(1, n_seg):
+                y += thetas[:, p:p + 1] * pair[:, g_cols[p]]
+            y_sq = y * y
+            j_infl = pair[:, 0] + 0.5 * (y_sq[:, 0] + y_sq[:, 1])
             lower = j_probe + j_infl  # the objective, but for the cap penalty
             line_search = bar is not None
             if not line_search:  # the start round: no pick lies above a certified start
@@ -804,15 +877,14 @@ class ActivePlanner:
             cvars = np.where(certified, -np.inf, _UNSCORED)
             scored = np.flatnonzero(~(certified | (lower > bar)))
             if scored.size:
-                costs = _mode_costs(ctx, [p[scored] for p in ego_paths], pair_modes[scored])
+                costs = _mode_costs(ctx, paths[:, scored], pair_modes[scored])
                 cvars[scored] = cvar(costs, cfg.cvar_level)
             violation = np.where(cvars > cfg.risk_cap, cvars - cfg.risk_cap, 0.0)
             obj = lower + cfg.penalty_weight * violation * violation
             # The gradient: the KL term's, the probe slope, and the cap
             # penalty's through the tail samples, which a line search's trial
             # needs only below its bar.
-            pair_jac = infl_jac[chains]
-            grads = -(y[:, 0] * pair_jac[:, 0] + y[:, 1] * pair_jac[:, 1])
+            grads = y[:, :1] * pair[:, 3::2] + y[:, 1:] * pair[:, 4::2]
             grads[:, 0] += probe_slopes
             hot = violation[scored] > 0.0
             if line_search:
@@ -820,38 +892,40 @@ class ActivePlanner:
             if (hot := np.flatnonzero(hot)).size:
                 pen = scored[hot]
                 grads[pen] += 2.0 * cfg.penalty_weight * violation[pen, None] * _tail_gradients(
-                    ctx, [p[pen] for p in ego_paths], pair_modes[pen], costs[hot])
+                    ctx, paths[:, pen], pair_modes[pen], costs[hot])
             return np.array((obj, cvars, j_probe, j_infl)).T, grads
 
         bursts = ctx.probe_grid is not None
         starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
         picks = []
-        for c, (accel, row, history, rows) in enumerate(_descend(evaluate, starts, cfg)):
+        for c, (theta, row, history, rows) in enumerate(_descend(evaluate, starts, cfg)):
             infeasible = False
             if row[1] > cfg.risk_cap:
                 # Fall back to the first best feasible candidate, or when each breaks
                 # the cap to the least risky, flagged: score the unscored ones first.
                 if (lazy := np.flatnonzero(rows[:, 1] == _UNSCORED)).size:
-                    rows[lazy] = evaluate(history, np.full(lazy.size, c), lazy, np.inf)[0]
+                    rows[lazy] = evaluate(history[lazy], np.full(lazy.size, c), np.inf)[0]
                 feasible = np.flatnonzero(rows[:, 1] <= cfg.risk_cap)
                 infeasible = not feasible.size
                 h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
-                accel, row = history[h], rows[h]
-            picks.append((accel, row.tolist(), infeasible, len(rows)))
-        # Each pick that holds -inf gets its exact CVaR, in one batch.
+                theta, row = history[h], rows[h]
+            picks.append((theta, row.tolist(), infeasible, len(rows)))
+        # Each pick that holds -inf gets its exact CVaR, in one batch, on the
+        # composed paths that certified it.
         certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
         if certified:
-            accels = np.array([picks[c][0] for c in certified])
-            ego_paths = simulate_ego_path(state.ego, accels, ctx.headings, cfg.dt)
-            costs = _mode_costs(ctx, ego_paths, solve[certified])
+            paths = ctx.ego_paths(np.array([picks[c][0] for c in certified]))
+            costs = _mode_costs(ctx, paths, solve[certified])
             for c, value in zip(certified, cvar(costs, cfg.cvar_level).tolist()):
                 picks[c][1][1] = value
+        accels = _accels(np.array([theta for theta, _, _, _ in picks]), cfg)
         return [
             ctx.mode_diag(
                 m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
                 j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=evals,
             )
-            for m, (accel, (obj, cvar_val, j_probe, j_infl), infeasible, evals) in zip(solve, picks)
+            for m, accel, (_, (obj, cvar_val, j_probe, j_infl), infeasible, evals)
+            in zip(solve, accels, picks)
         ]
 
     def _begin_step(
@@ -902,6 +976,7 @@ class ActivePlanner:
             human_paths=human_paths,
             human_boxes=human_boxes,
             cvar_pre=cvar_pre,
+            path_bases=_ego_path_bases(state.ego, headings, cfg),
         )
 
     def _finish_step(

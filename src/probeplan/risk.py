@@ -13,17 +13,27 @@ step: the ego headings (``planner.lane_guidance`` returns them with its
 yaw), every mode's sampled human paths as one block of x and y planes
 (``draw_human_paths``: one standard normal draw per mode from the mode's
 own stream, scaled and shifted in place, then one clamp, integration and
-projection over all modes), their ``sample_boxes`` from the same arcs, and
-the discount weights.
+projection over all modes), their ``sample_boxes`` from the same arcs, the
+discount weights and the bases of the ego paths.
+
+Composed ego paths. Until a speed reaches zero the ego path is affine in
+the accelerations, so under a piecewise-constant sequence (one value per
+solver segment) it is the coasting path plus, per segment, the path from
+rest under the segment's indicator times the segment's value. The planner
+builds these bases once per step with two ``simulate_ego_path`` calls and
+composes a round's paths from them with one multiply-add per segment, in
+segment order, so each row is its own composition at any row count. A row
+whose composed speeds reach zero or hold a NaN takes ``simulate_ego_path``
+itself, the reflected walk below; the composition differs from the
+kernel's cumulative sums only in rounding.
 ``path_costs`` takes ego rows (R, T) against one mode's paths, or one ego
 path against several modes' paths, so a solver round scores its
-(sequence, mode) pairs with one ``simulate_ego_path``, one ``path_costs``
-block per mode (the conservative planner: one per sequence, over its
-solved modes) and one ``cvar``. Every kernel
-reproduces a plain sequential loop per ego path and mode bit for bit:
-cumulative sums run in order, the element operations are the same ones
-in the same order, and each (ego path, mode) block's discounted sums are
-its own matrix-vector product.
+(segment vector, mode) pairs with one ``path_costs`` block per mode (the
+conservative planner: one per vector, over its solved modes) and one
+``cvar``. Every kernel reproduces a plain sequential loop per ego path and
+mode bit for bit: cumulative sums run in order, the element operations
+are the same ones in the same order, and each (ego path, mode) block's
+discounted sums are its own matrix-vector product.
 
 Gradients. The ego speeds clamp at zero as a reflected walk: with S the
 unclamped partial sums of the start speed and ``a_k * dt``, speed t is

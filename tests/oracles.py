@@ -25,10 +25,15 @@ computes in a faster way:
 * ``start_candidates_one``: one chain's multi-start list built on its own,
   where ``_start_candidates`` builds the shared candidates once per step.
 * ``descend_one``: one descent chain on its own, with a scalar
-  ``evaluate`` per candidate that gives its objective and gradient, where
-  ``_descend`` keeps every chain's state in arrays and evaluates one phase
-  of all chains per call, an iteration's three line-search trials
+  ``evaluate`` per segment vector that gives its objective and gradient,
+  where ``_descend`` keeps every chain's state in arrays and evaluates one
+  phase of all chains per call, an iteration's three line-search trials
   together.
+* ``path_bases_one`` and ``ego_path_one``: one candidate's ego path
+  composed from the coasting path and one path from rest per segment, each
+  its own ``simulate_ego_path`` call, with the segment's acceleration
+  added one segment after another, where the planners compose every
+  candidate of a round at once from bases built once per step.
 * ``eager_descend``: ``_descend`` with every round's bar at ``inf``, so
   ``ActivePlanner._solve_modes`` gives every pair its certificate does not
   clear a cost block, where the planner leaves the pairs no decision reads
@@ -37,10 +42,13 @@ computes in a faster way:
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
   run one after the other; ``blend_controls`` is its joint-weight blend
-  with an explicit activation threshold and fallback flag. Their gradients
-  take the probe slope per candidate, the terminal state's Jacobian one
-  segment at a time (``segment_jacobian``) and one tail gradient per mode
-  and candidate (``tail_gradient_one``), where the planners batch them.
+  with an explicit activation threshold and fallback flag. Each candidate
+  takes its path from ``ego_path_one``, its terminal state and KL residual
+  one segment and one component at a time, and its probe slope from the
+  grid piece it lies on; their gradients take the terminal state's
+  Jacobian one segment at a time (``segment_jacobian``) and one tail
+  gradient per mode and candidate (``tail_gradient_one``), where the
+  planners batch them.
 * ``terminal_jacobian``: that Jacobian summed one step at a time, the
   planning model's own formula, where the planners evaluate the linear
   terminal-state map at every segment's indicator at once.
@@ -346,30 +354,28 @@ def descend_one(
     cfg: PlannerConfig,
     phases: list[tuple] | None = None,
 ) -> tuple[np.ndarray, tuple, list[tuple[np.ndarray, tuple]]]:
-    """One chain of ``_descend`` on its own: ``evaluate`` maps one
-    acceleration sequence (T,) to a tuple whose first item is the
-    objective, and the objective's gradient (P,) in the segment vector; it
-    runs once per candidate the chain scores. ``phases``, when given,
-    receives each candidate's round: ``(-1,)`` for the starts and
-    ``(i, k)`` for line-search trial ``k`` of iteration ``i``."""
+    """One chain of ``_descend`` on its own: ``evaluate`` maps one segment
+    vector (P,) to a tuple whose first item is the objective, and the
+    objective's gradient (P,); it runs once per candidate the chain scores.
+    Returns the final vector, its tuple and every (vector, tuple) scored.
+    ``phases``, when given, receives each candidate's round: ``(-1,)`` for
+    the starts and ``(i, k)`` for line-search trial ``k`` of iteration
+    ``i``."""
     a_lo, a_hi = cfg.accel_bounds
-    horizon = cfg.horizon_steps
-    seg_len = -(-horizon // cfg.solver_segments)
     history: list[tuple[np.ndarray, tuple]] = []
 
-    def score(theta: np.ndarray, phase: tuple) -> tuple[np.ndarray, tuple, np.ndarray]:
-        accel = np.repeat(np.clip(theta, a_lo, a_hi), seg_len)[:horizon]
-        res, grad = evaluate(accel)
-        history.append((accel, res))
+    def score(theta: np.ndarray, phase: tuple) -> tuple[tuple, np.ndarray]:
+        res, grad = evaluate(theta)
+        history.append((theta, res))
         if phases is not None:
             phases.append(phase)
-        return accel, res, grad
+        return res, grad
 
-    theta = accel = current = grad = None
+    theta = current = grad = None
     for cand in candidates:
-        cand_accel, res, cand_grad = score(cand, (-1,))
+        res, cand_grad = score(cand, (-1,))
         if current is None or res[0] < current[0]:
-            theta, accel, current, grad = cand.copy(), cand_accel, res, cand_grad
+            theta, current, grad = cand.copy(), res, cand_grad
 
     for i in range(cfg.solver_iters):
         scale = float(np.max(np.abs(grad)))
@@ -379,20 +385,25 @@ def descend_one(
         step = cfg.solver_step
         for k in range(3):
             trial = np.clip(theta - step * direction, a_lo, a_hi)
-            trial_accel, res, trial_grad = score(trial, (i, k))
+            res, trial_grad = score(trial, (i, k))
             if res[0] < current[0] - 1e-12:
-                theta, accel, current, grad = trial, trial_accel, res, trial_grad
+                theta, current, grad = trial, res, trial_grad
                 break
             step *= 0.5
         else:
             break
-    return accel, current, history
+    return theta, current, history
+
+
+def segment_accels(theta: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
+    """The acceleration sequence (T,) of a segment vector (P,): each value
+    repeated over its segment's steps, the last segment cut at the horizon."""
+    return np.repeat(theta, cfg.segment_steps)[:cfg.horizon_steps]
 
 
 def eager_descend(evaluate: Callable, starts, cfg: PlannerConfig):
     """``_descend`` with no bar on any round: every open pair is scored."""
-    return _descend(lambda accels, chains, seqs, bar: evaluate(accels, chains, seqs, math.inf),
-                    starts, cfg)
+    return _descend(lambda thetas, chains, bar: evaluate(thetas, chains, math.inf), starts, cfg)
 
 
 def solve_mode_control(
@@ -463,6 +474,37 @@ def segment_jacobian(cfg: PlannerConfig) -> np.ndarray:
     return np.array(columns).T
 
 
+def path_bases_one(ego, headings: np.ndarray, cfg: PlannerConfig) -> list[list[np.ndarray]]:
+    """The coasting path of ``ego`` and, per segment, the path from rest at
+    the origin under the segment's indicator: x, y and speeds (T,) each,
+    one ``simulate_ego_path`` call per path."""
+    segment = np.arange(cfg.horizon_steps) // cfg.segment_steps
+    rest = VehicleState(0.0, 0.0, 0.0)
+    return [list(simulate_ego_path(ego, np.zeros(cfg.horizon_steps), headings, cfg.dt))] + [
+        list(simulate_ego_path(rest, (segment == p).astype(float), headings, cfg.dt))
+        for p in range(cfg.solver_segments)
+    ]
+
+
+def ego_path_one(
+    ego, theta: np.ndarray, bases: list[list[np.ndarray]], headings: np.ndarray,
+    cfg: PlannerConfig, walk_stops: bool = True,
+) -> list[np.ndarray]:
+    """x, y and speeds (T,) of ``ego`` under segment vector ``theta``: the
+    coasting path of ``bases`` plus each segment's path from rest times its
+    acceleration, one segment after another. When a composed speed is not
+    positive (or is NaN), and ``walk_stops``, the reflected walk of
+    ``simulate_ego_path`` instead."""
+    coast, *unit = bases
+    out = [c.copy() for c in coast]
+    for a, plane in zip(theta, unit):
+        for o, u in zip(out, plane):
+            o += a * u
+    if walk_stops and not np.min(out[2]) > 0.0:
+        return list(simulate_ego_path(ego, segment_accels(theta, cfg), headings, cfg.dt))
+    return out
+
+
 def tail_gradient_one(
     ctx: _StepContext, ego_path: Sequence[np.ndarray], human: np.ndarray, costs: np.ndarray
 ) -> np.ndarray:
@@ -498,26 +540,33 @@ def solve_mode_scalar(
     kl_const = kl_at_zero - 0.5 * float(y0 @ y0)
     jac = segment_jacobian(cfg)
     linv = np.linalg.inv(chol_q)
+    rows = [linv[i, 0] * jac[0] + linv[i, 1] * jac[1] for i in range(2)]
+    s_coast = s0 + cfg.horizon_steps * cfg.dt * state.ego.v
+    delta_coast = steer_target.mean - np.array([state.ego.v, s_coast - s_h])
+    bases = path_bases_one(state.ego, ctx.headings, cfg)
 
-    def evaluate(accel: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
-        ego_path = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+    def evaluate(theta: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:
+        ego_path = ego_path_one(state.ego, theta, bases, ctx.headings, cfg)
         costs = path_costs(*ego_path, paths, ctx.discount_weights, cfg.ref_speed)
         cvar_val = cvar(costs, cfg.cvar_level)
-        s_t, v_t = _linear_terminal_state(s0, state.ego.v, accel, cfg.dt)
-        y = np.linalg.solve(chol_q, steer_target.mean - np.array([v_t, s_t - s_h]))
-        j_infl = kl_const + 0.5 * float(y @ y)
+        # y = L^-1 delta at the coasting terminal state, then one segment
+        # after another along -(L^-1 J), as the terminal state moves along J.
+        y = [linv[i, 0] * delta_coast[0] + linv[i, 1] * delta_coast[1] for i in range(2)]
+        for p, a in enumerate(theta.tolist()):
+            for i in range(2):
+                y[i] += a * -rows[i][p]
+        j_infl = kl_const + 0.5 * (y[0] * y[0] + y[1] * y[1])
         j_probe = slope = 0.0
         if ctx.probe_grid is not None:
             grid, h = ctx.probe_grid, ctx.probe_entropy
-            expected = float(np.interp(float(accel[0]), grid, h))
+            expected = float(np.interp(float(theta[0]), grid, h))
             j_probe = ctx.entropy_weight * expected
             # The piece right of a node, the last one at the top end.
-            i = min(max(bisect.bisect_right(grid.tolist(), float(accel[0])), 1), len(grid) - 1) - 1
+            i = min(max(bisect.bisect_right(grid.tolist(), float(theta[0])), 1), len(grid) - 1) - 1
             slope = ctx.entropy_weight * ((h[i + 1] - h[i]) / (grid[i + 1] - grid[i]))
         violation = max(0.0, cvar_val - cfg.risk_cap)
         obj = j_probe + j_infl + cfg.penalty_weight * violation * violation
         # d j_infl / d theta = -y^T L^-1 J, one row of L^-1 J at a time.
-        rows = [linv[i, 0] * jac[0] + linv[i, 1] * jac[1] for i in range(2)]
         grad = -(y[0] * rows[0] + y[1] * rows[1])
         grad[0] += slope
         if violation > 0.0:
@@ -526,18 +575,18 @@ def solve_mode_scalar(
         return (obj, cvar_val, j_probe, j_infl), grad
 
     candidates = start_candidates_one(cfg, warm_accel, bursts=ctx.probe_grid is not None)
-    accel, (obj, cvar_val, j_probe, j_infl), history = descend_one(evaluate, candidates, cfg)
+    theta, (obj, cvar_val, j_probe, j_infl), history = descend_one(evaluate, candidates, cfg)
     infeasible = False
     if cvar_val > cfg.risk_cap:
         feasible = [h for h in history if h[1][1] <= cfg.risk_cap]
         if feasible:
-            accel, (obj, cvar_val, j_probe, j_infl) = min(feasible, key=lambda h: h[1][0])
+            theta, (obj, cvar_val, j_probe, j_infl) = min(feasible, key=lambda h: h[1][0])
         else:
-            accel, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
+            theta, (obj, cvar_val, j_probe, j_infl) = min(history, key=lambda h: h[1][1])
             infeasible = True
 
     return ctx.mode_diag(
-        m, nu=_controls(ctx, accel), objective=obj, cvar_solution=cvar_val,
+        m, nu=_controls(ctx, segment_accels(theta, cfg)), objective=obj, cvar_solution=cvar_val,
         j_probe=j_probe, j_influence=j_infl, infeasible=infeasible, evals=len(history),
     )
 
@@ -553,8 +602,10 @@ def conservative_step_scalar(
     weights = ctx.omega[ctx.solve].tolist()
     paths = [ctx.human_paths[m] for m in ctx.solve]
 
-    def evaluate(accel: np.ndarray) -> tuple[tuple[float, list[float]], np.ndarray]:
-        ego_path = simulate_ego_path(state.ego, accel, ctx.headings, cfg.dt)
+    bases = path_bases_one(state.ego, ctx.headings, cfg)
+
+    def evaluate(theta: np.ndarray) -> tuple[tuple[float, list[float]], np.ndarray]:
+        ego_path = ego_path_one(state.ego, theta, bases, ctx.headings, cfg)
         cvars, grads = [], []
         for p in paths:
             costs = path_costs(*ego_path, p, ctx.discount_weights, cfg.ref_speed)
@@ -564,8 +615,8 @@ def conservative_step_scalar(
         return (objective, cvars), sum(w * g for w, g in zip(weights, grads))
 
     candidates = start_candidates_one(cfg, planner._ref_accel, bursts=False)
-    accel, (objective, cvars), history = descend_one(evaluate, candidates, cfg)
-    u_total = _controls(ctx, accel)
+    theta, (objective, cvars), history = descend_one(evaluate, candidates, cfg)
+    u_total = _controls(ctx, segment_accels(theta, cfg))
     solved = {
         m: ctx.mode_diag(
             m, nu=u_total, objective=objective, cvar_solution=value,

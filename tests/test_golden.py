@@ -44,13 +44,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "b95f37935b50eeedd2890a9e72d31bd16bbee64ff1d45db436ca08b61b189e42",
-    "trace_intersection_conservative_run00000.csv": "2e08efdd262f11747b11c2118e062c16c78739961455fa60ff540282f54f01e3",
-    "trace_intersection_ours_run00000.csv": "3f59486e6e456a12ca25c94d6e4082976dd5642c956da2661c4de5f36b9ef66a",
-    "trace_intersection_passive_run00000.csv": "196f33e01df90c167b13ecabb32997bd67597c95ee66edc568eb3f9e59f01621",
-    "trace_lane_merge_conservative_run00000.csv": "b21e348e31338ced5ebd3f49648a0e1c4d2ed05f7d0229f82add51dff3cedd14",
-    "trace_lane_merge_ours_run00000.csv": "8b29b141635432cf7fb5036e51a16c8b7fcca9b1484178e3b431d068059853f1",
-    "trace_lane_merge_passive_run00000.csv": "0535d8ee977845a234ae4b46d16711be9f04549bfe6c595c2f4a4bce42be47ec",
+    "results.csv": "1eea75f273400baffde0ea7d0c7893d7384cabe3199d4941595ac327311e5b5f",
+    "trace_intersection_conservative_run00000.csv": "e7b4c8ef8c98cd7748531b0584ef6f338ac63339d4c5dc063a8efd95467c62f2",
+    "trace_intersection_ours_run00000.csv": "d6ae022f82532c6b3b8f0bd29a7c06a4ad31b7dac1d4d8fdb015f695d76cfc7f",
+    "trace_intersection_passive_run00000.csv": "fcc756f9e52d233e24c5578b755ef5082236773dc51fac4383b34c4b79a4f8f4",
+    "trace_lane_merge_conservative_run00000.csv": "ec723dce9382f821812c69e303a053b37189b501fa15050b6a3b0b296ea6886e",
+    "trace_lane_merge_ours_run00000.csv": "b017f965a6b9f7882f748623e70b0cbf5af26242ac83710604a6a48c21546cf5",
+    "trace_lane_merge_passive_run00000.csv": "145e7453220b56074b2cea6a289dafd1c52c96e24620eeddec4cf6ee13d226b1",
 }
 
 
@@ -72,7 +72,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "4c1bae3dd8e5feb7bd6d1d0060b523c392c2281464f440a9515a7602bf3751e3"
+DIAG_GOLDEN = "4f1c53f23cabb51bc63b2ebbef15c55a426b28da47cdf69d025c33960da3de39"
 
 
 def _feed(h, value):

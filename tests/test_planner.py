@@ -8,6 +8,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeplan.baselines import ConservativePlanner, PassivePlanner
 from probeplan.belief import (
@@ -31,7 +33,9 @@ from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
     _UNSCORED,
+    _compose_ego_paths,
     _descend,
+    _ego_path_bases,
     _shared_starts,
     _start_candidates,
     lane_guidance,
@@ -51,15 +55,18 @@ from oracles import (
     blend_controls,
     descend_one,
     eager_descend,
+    ego_path_one,
     ego_headings,
     expected_posterior_entropy,
     influence_objective,
     lane_guidance_loop,
+    path_bases_one,
     plan_step_per_mode,
     predicted_interaction_gaussian,
     predicted_observation_one,
     probe_grid,
     probe_projection_loop,
+    segment_accels,
     solve_mode_control,
     start_candidates_one,
     terminal_jacobian,
@@ -534,8 +541,8 @@ class TestDescend:
 
     @staticmethod
     def objective(cfg, c):
-        """Chain ``c``'s scalar objective: a row (objective, first accel) and
-        its gradient in the segment vector."""
+        """Chain ``c``'s scalar objective of a segment vector: a row
+        (objective, first accel) and its gradient."""
         horizon = cfg.horizon_steps
         goal = [
             # An optimum beyond the upper bound: clipped trials repeat points.
@@ -547,7 +554,8 @@ class TestDescend:
         ][c]
         segment = np.arange(horizon) // cfg.segment_steps
 
-        def f(accel):
+        def f(theta):
+            accel = segment_accels(theta, cfg)
             if goal is None:
                 return (1.0, float(accel[0])), np.zeros(cfg.solver_segments)
             d = accel - goal
@@ -560,11 +568,10 @@ class TestDescend:
         start sets, its result and every ``evaluate`` call it made."""
         calls = []
 
-        def evaluate(accels, chains, seqs, bar):
-            pairs = accels[seqs]
-            outs = [self.objective(cfg, c)(a) for a, c in zip(pairs, chains.tolist())]
+        def evaluate(thetas, chains, bar):
+            outs = [self.objective(cfg, c)(t) for t, c in zip(thetas, chains.tolist())]
             rows = np.array([row for row, _ in outs])
-            calls.append((pairs, chains.copy(), rows, accels.copy(), seqs.copy(), bar))
+            calls.append((thetas.copy(), chains.copy(), rows, bar))
             return rows, np.array([grad for _, grad in outs])
 
         rng = np.random.default_rng(3)
@@ -576,15 +583,16 @@ class TestDescend:
     def test_chains_match_one_chain_loop(self):
         cfg = PlannerConfig(solver_iters=8)
         starts, got, calls = self.run(cfg)
-        cands, index = starts
+        cands, owner = starts
+        index = [np.flatnonzero(owner == c) for c in range(owner.max() + 1)]
         assert len(got) == len(index)
         phases = []
-        for c, (mine, (accel, row, history, rows)) in enumerate(zip(index, got)):
+        for c, (mine, (theta, row, history, rows)) in enumerate(zip(index, got)):
             phases.append([])
             objective = self.objective(cfg, c)
-            want_accel, want_row, want_history = descend_one(objective, cands[mine], cfg, phases[c])
-            assert np.array_equal(accel, want_accel) and row.tolist() == list(want_row)
-            assert np.array_equal(history, [a for a, _ in want_history])
+            want_theta, want_row, want_history = descend_one(objective, cands[mine], cfg, phases[c])
+            assert np.array_equal(theta, want_theta) and row.tolist() == list(want_row)
+            assert np.array_equal(history, [t for t, _ in want_history])
             assert rows.tolist() == [list(r) for _, r in want_history]
         # The chains stop in different rounds.
         assert len({p[-1] for p in phases}) >= 3
@@ -601,21 +609,17 @@ class TestDescend:
         best = [math.inf] * len(index)  # each chain's current objective
         called = []
         dropped = 0
-        for accels, cs, rs, seq_rows, seqs, bar in calls:
+        for thetas, cs, rs, bar in calls:
             held = {phase_of(phases[c][taken[c]]) for c in set(cs.tolist())}
             assert len(held) == 1
             (phase,) = held
             called.append(phase)
-            # Every passed sequence serves some pair. The start round passes
-            # each shared start once and one warm row per warm chain; the
-            # other rounds pass one sequence per pair, in pair order.
-            assert sorted(set(seqs.tolist())) == list(range(len(seq_rows)))
+            # One segment vector per pair: the start round passes every
+            # chain's start set, the shared starts once per chain.
+            assert len(thetas) == len(cs)
             search = phase[0] >= 0
             if not search:
-                head, tail = _shared_starts(cfg)
-                assert len(seq_rows) == len(head) + len(tail) + 2 < len(cs)
-            else:
-                assert np.array_equal(seqs, np.arange(len(cs)))
+                assert np.array_equal(thetas, cands) and np.array_equal(cs, owner)
             # The bar: none in the start round, and each pair's win
             # threshold in a line-search round.
             if not search:
@@ -637,7 +641,7 @@ class TestDescend:
                     n_kept += 1
                 kept, extra = mine[:n_kept], mine[n_kept:]
                 span = slice(taken[c], taken[c] + n_kept)
-                assert np.array_equal(accels[kept], got[c][2][span])
+                assert np.array_equal(thetas[kept], got[c][2][span])
                 assert np.array_equal(rs[kept], got[c][3][span])
                 taken[c] += n_kept
                 if not search:
@@ -671,9 +675,9 @@ class TestDescend:
         rounds = []
 
         def counted(evaluate, starts, cfg):
-            def counting(accels, chains, seqs, bar):
+            def counting(thetas, chains, bar):
                 rounds[-1] += 1
-                return evaluate(accels, chains, seqs, bar)
+                return evaluate(thetas, chains, bar)
             rounds.append(0)
             return _descend(counting, starts, cfg)
 
@@ -740,7 +744,7 @@ class TestExactGradient:
         segment = np.arange(cfg.horizon_steps) // cfg.segment_steps
 
         def at(theta):
-            rows, grads = evaluate(theta[segment][None], np.array([chain]), np.array([0]), math.inf)
+            rows, grads = evaluate(theta[None], np.array([chain]), math.inf)
             return rows[0], grads[0]
 
         steps = self.H * np.eye(cfg.solver_segments)
@@ -834,6 +838,123 @@ class TestExactGradient:
         assert np.all(np.abs(ActivePlanner(cfg)._terminal_jacobian - ref) <= bound)
 
 
+def composition_bound(ego, accel, dt, segments):
+    """Per-step bounds (T,) on the distance between ``_compose_ego_paths``'
+    speeds, and its x and y, and the walk's, for a row that never stops.
+    With u = eps / 2, L_t = |v0| + sum_{k<=t} |a_k dt| and A_t = |x0| + t dt
+    L_t: the walk's speed t lies within (t + 1) u L_t of the exact one (t
+    rounded sums and the products a_k dt). Each unit speed of segment p is
+    a sum of n_p <= t copies of dt, within t u n_p dt, so the composed speed
+    v0 + sum_p theta_p b_p lies within (t + 1 + P) u L_t: the bases' error
+    times |theta_p|, P products and P sums. Together (2t + 2 + P) u L_t,
+    below (t + P + 2) eps L_t. A position is a running sum of dt heading_j
+    v_{j-1}: the walk's within (3t + 3) u A_t / 2 (its speeds' error summed
+    over t steps, two products and one sum per step); each path from rest
+    within (2t + 2) u t dt n_p dt, so the composed one within (3t + 3 + P)
+    u A_t. Together below (3t + P + 3) eps A_t."""
+    eps = np.finfo(float).eps
+    steps = np.arange(1, len(accel) + 1)
+    lt = abs(ego.v) + np.cumsum(np.abs(accel * dt))
+    speed = (steps + segments + 2) * eps * lt
+    at = [(abs(c) + steps * dt * lt) * (3 * steps + segments + 3) * eps for c in (ego.x, ego.y)]
+    return np.array([*at, speed])
+
+
+class TestComposedPaths:
+    """``_compose_ego_paths``: each candidate's ego path is the coasting path
+    plus its segments' paths from rest, within ``composition_bound`` of
+    ``simulate_ego_path`` while no speed stops, and the walk itself, bit for
+    bit, on a row whose composed speed reaches zero or is NaN. Each row
+    equals its own call."""
+
+    @staticmethod
+    def check(ego, thetas, headings, cfg):
+        """Compare every row; returns how many took the walk."""
+        bases = _ego_path_bases(ego, headings, cfg)
+        got = _compose_ego_paths(ego, thetas, bases, headings, cfg)
+        one_bases = path_bases_one(ego, headings, cfg)
+        walked = 0
+        for k, theta in enumerate(thetas):
+            own = _compose_ego_paths(ego, theta[None], bases, headings, cfg)[:, 0]
+            assert np.array_equal(got[:, k], own, equal_nan=True)
+            assert np.array_equal(own, ego_path_one(ego, theta, one_bases, headings, cfg),
+                                  equal_nan=True)
+            accel = segment_accels(theta, cfg)
+            walk = np.array(simulate_ego_path(ego, accel, headings, cfg.dt))
+            composed = ego_path_one(ego, theta, one_bases, headings, cfg, walk_stops=False)
+            if np.min(composed[2]) > 0.0:
+                assert np.all(np.abs(own - walk) <= composition_bound(
+                    ego, accel, cfg.dt, cfg.solver_segments))
+            else:
+                assert np.array_equal(own, walk, equal_nan=True)
+                walked += 1
+        return walked
+
+    @given(
+        horizon=st.integers(1, 40),
+        segments=st.integers(1, 5),
+        dt=st.sampled_from([0.05, 0.1, 0.25]),
+        ego=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.floats(0.0, 20.0)),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 6),
+        nan=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_composed_paths_match_the_walk(self, horizon, segments, dt, ego, seed, rows, nan):
+        try:
+            cfg = PlannerConfig(horizon_steps=horizon, solver_segments=segments, dt=dt)
+        except InvalidInputError:
+            return  # a segment would be empty
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.uniform(-0.06, 0.06, horizon))
+        headings = np.array([np.cos(angles), np.sin(angles)])
+        thetas = rng.uniform(*cfg.accel_bounds, (rows, segments))
+        if nan:
+            thetas[rng.integers(rows), rng.integers(segments)] = math.nan
+        self.check(VehicleState(*ego, float(angles[0])), thetas, headings, cfg)
+
+    def test_rows_that_stop_take_the_walk(self):
+        # From 2 m/s, braking stops the ego within a segment; a NaN row and
+        # moving rows share the batch, each with its own path.
+        cfg = PlannerConfig()
+        ego = VehicleState(-20.0, 3.5, 2.0, 0.1)
+        headings = ego_headings(ego, np.full(cfg.horizon_steps, 0.05), cfg.dt)
+        thetas = np.array([[1.0, 0.5, -0.2], [-3.0, 0.0, 3.0], [2.0, math.nan, 0.0],
+                           [-1.5, -1.0, 3.0], [3.0, 3.0, -3.0], [-0.5, 2.0, 1.0]])
+        assert self.check(ego, thetas, headings, cfg) == 3
+
+
+class TestSegmentEvaluate:
+    """A round's ``evaluate`` takes segment vectors, and each row (and
+    gradient) equals the same pair evaluated alone: its path, terminal
+    state, KL residual and probe term are its own."""
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_each_row_equals_its_pair_alone(self, kind, planner_cls, monkeypatch):
+        cfg = PlannerConfig(risk_cap=20.0, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(12)
+        state = advanced_state(kind, rng)
+        b = filtered_belief(default_targets(kind), rng)
+        evaluate, ctx = TestExactGradient.capture(planner_cls(cfg), state, b, monkeypatch)
+        n_chains = 1 if planner_cls is ConservativePlanner else len(ctx.solve)
+        thetas = rng.uniform(-3.0, 3.0, (30, cfg.solver_segments))
+        thetas[:5, 0] = -3.0  # hard braking: rows that may stop
+        chains = np.sort(rng.integers(0, n_chains, len(thetas)))
+        full, _ = evaluate(thetas, chains, np.full(len(thetas), np.inf))
+        # Bars above and below each row's objective: some trials win.
+        bars = full[:, 0] * rng.choice([0.5, 2.0], len(thetas))
+        starts = [None] if planner_cls is ConservativePlanner else []
+        for bar in [*starts, np.full(len(thetas), np.inf), bars]:
+            rows, grads = evaluate(thetas, chains, bar)
+            for k in range(len(thetas)):
+                alone = None if bar is None else bar[k:k + 1]
+                row, grad = evaluate(thetas[k:k + 1], chains[k:k + 1], alone)
+                assert np.array_equal(rows[k], row[0], equal_nan=True)
+                assert np.array_equal(grads[k], grad[0], equal_nan=True)
+        assert np.any(rows[:, 1] > cfg.risk_cap) and np.any(rows[:, 0] < bars)
+
+
 class TestCertifiedBelowCap:
     """Pairs whose cost bound certifies them below the cap skip the exact
     cost block, and every reported CVaR is still exact."""
@@ -863,8 +984,11 @@ class TestCertifiedBelowCap:
         ctx = ActivePlanner(cfg)._begin_step(state, b, 60 + seed)
         solved = [d for d in diag.modes if d.active]
         assert len(solved) == len(ctx.solve) == 9
+        bases = path_bases_one(state.ego, ctx.headings, cfg)
         for m, d in zip(ctx.solve, solved):
-            x, y, speeds = simulate_ego_path(state.ego, d.nu[:, 0], ctx.headings, cfg.dt)
+            # The path the planner scores: composed from its segment vector.
+            theta = d.nu[::cfg.segment_steps, 0]
+            x, y, speeds = ego_path_one(state.ego, theta, bases, ctx.headings, cfg)
             exact = cvar(real_costs(x, y, speeds, ctx.human_paths[m], ctx.discount_weights,
                                     cfg.ref_speed), cfg.cvar_level)
             assert math.isfinite(d.cvar_solution) and d.cvar_solution == exact
@@ -886,8 +1010,8 @@ class LazyRounds:
     def __call__(self, evaluate, starts, cfg):
         rounds = []
 
-        def recorded(accels, chains, seqs, bar):
-            rows, grads = evaluate(accels, chains, seqs, bar)
+        def recorded(thetas, chains, bar):
+            rows, grads = evaluate(thetas, chains, bar)
             rounds.append((chains.copy(), rows.copy(), bar))
             return rows, grads
 
@@ -1066,15 +1190,14 @@ class TestStartCandidates:
         rng = np.random.default_rng(4)
         warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
                  rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
-        cands, index = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
-        assert len(index) == len(warms)
-        for mine, warm in zip(index, warms):
+        cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
+        # One start set per warm start, set after set.
+        assert np.array_equal(owner, np.sort(owner)) and owner.max() + 1 == len(warms)
+        for c, warm in enumerate(warms):
             want = start_candidates_one(cfg, warm, bursts)
+            mine = cands[owner == c]
             assert len(mine) == len(want)
-            assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[mine], want))
-        # Each shared start once, and one row per warm start.
-        n_warm = sum(w is not None for w in warms)
-        assert len(cands) == len(want) - (warms[-1] is not None) + n_warm
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(mine, want))
 
     def test_window_means_match_np_mean_on_random_horizons(self):
         # Each window's mean is its sum over its length, bit for bit the
@@ -1092,10 +1215,10 @@ class TestStartCandidates:
             short += horizon % cfg.segment_steps != 0
             warms = [rng.normal(0.0, 2.0, horizon) * rng.choice([1e-3, 1.0, 1e3])
                      for _ in range(int(rng.integers(1, 4)))]
-            cands, index = _start_candidates(cfg, _shared_starts(cfg), warms, bursts=True)
-            for mine, warm in zip(index, warms):
+            cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms, bursts=True)
+            for c, warm in enumerate(warms):
                 want = start_candidates_one(cfg, warm, True)
-                assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[mine], want))
+                assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[owner == c], want))
         assert short >= 50
 
     def test_warm_start_means_follow_the_segments(self):
@@ -1104,48 +1227,66 @@ class TestStartCandidates:
         cfg = PlannerConfig(solver_segments=4)
         values = np.array([1.0, -1.0, 2.0, 0.5])
         warm = np.repeat(values, 8)[:30]
-        cands, (mine,) = _start_candidates(cfg, _shared_starts(cfg), [warm], bursts=False)
-        assert np.array_equal(cands[mine][-1], values)
+        cands, _ = _start_candidates(cfg, _shared_starts(cfg), [warm], bursts=False)
+        assert np.array_equal(cands[-1], values)
 
 
 class TestRunConstants:
-    """What a run does not change is built once: the shared starts are
-    simulated once per start round, and the steering setup once per
-    (solved mode, steering mode) of a target set."""
+    """What a run does not change is built once: a round's ego paths come
+    from the step's bases, and the steering setup once per (solved mode,
+    steering mode) of a target set."""
 
-    def test_start_round_simulates_each_start_once(self, monkeypatch):
-        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
-        state = init_scenario(LANE_MERGE, np.random.default_rng(2))
-        b = uniform_belief(default_targets(LANE_MERGE))
-        planner = ActivePlanner(cfg)
-        planner.plan_step(state, b, 5)  # every mode solved: each gets a warm start
-        simulated, rounds = [], []
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("speed", [12.0, 1.5])
+    def test_round_walks_only_rows_that_stop(self, planner_cls, speed, monkeypatch):
+        # A round composes its ego paths from the step's bases. It calls
+        # simulate_ego_path only when some row's composed speeds reach zero
+        # or hold a NaN, once, on just those rows. From 1.5 m/s the braking
+        # starts stop the ego; from 12 m/s, 3 s at -3 m/s^2 do not.
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        state = advanced_state(INTERSECTION, np.random.default_rng(5))
+        state = ScenarioState(ego=VehicleState(state.ego.x, state.ego.y, speed, state.ego.theta),
+                              human=state.human, geometry=state.geometry)
+        planner = planner_cls(cfg)
+        walked, rounds, got = [], [], {}
         real_simulate, real_descend = planner_mod.simulate_ego_path, planner_mod._descend
+        real_begin = planner._begin_step
+
+        def begin(*args):
+            got["ctx"] = real_begin(*args)
+            return got["ctx"]
 
         def counted_simulate(ego, accel, *args):
-            simulated.append(len(np.atleast_2d(accel)))
+            walked.append(np.atleast_2d(accel).copy())
             return real_simulate(ego, accel, *args)
 
         def counted_descend(evaluate, starts, cfg):
-            def counting(accels, chains, seqs, bar):
-                before = len(simulated)
-                rows = evaluate(accels, chains, seqs, bar)
-                rounds.append((simulated[before:], len(chains)))
-                return rows
+            def counting(thetas, chains, bar):
+                before = len(walked)
+                out = evaluate(thetas, chains, bar)
+                rounds.append((thetas.copy(), walked[before:]))
+                return out
             return real_descend(counting, starts, cfg)
 
+        monkeypatch.setattr(planner, "_begin_step", begin)
         monkeypatch.setattr(planner_mod, "simulate_ego_path", counted_simulate)
         monkeypatch.setattr(planner_mod, "_descend", counted_descend)
-        _, diag = planner.plan_step(state, b, 6)
-        head, tail = _shared_starts(cfg)
-        n_solved = sum(m.nu is not None for m in diag.modes)
-        # Nine warm chains, and the probe grid ran, so the bursts join.
-        assert n_solved == 9 and not math.isnan(diag.expected_entropy_after)
-        (start_rows,), pairs = rounds[0]
-        assert pairs == n_solved * (len(head) + 1 + len(tail))
-        assert start_rows <= len(head) + len(tail) + n_solved
-        # The later rounds simulate one sequence per pair.
-        assert all(rows == [n] for rows, n in rounds[1:])
+        monkeypatch.setattr(baselines_mod, "_descend", counted_descend)
+        planner.plan_step(state, uniform_belief(default_targets(INTERSECTION)), 6)
+        ctx = got["ctx"]
+        bases = path_bases_one(state.ego, ctx.headings, cfg)
+        stopping = 0
+        for thetas, calls in rounds:
+            stops = [t for t in thetas if not np.min(ego_path_one(
+                state.ego, t, bases, ctx.headings, cfg, walk_stops=False)[2]) > 0.0]
+            if stops:
+                (call,) = calls
+                assert np.array_equal(call, [segment_accels(t, cfg) for t in stops])
+            else:
+                assert calls == []
+            stopping += bool(stops)
+        assert len(rounds) >= 2
+        assert (stopping > 0) == (speed < 9.0)
 
     @pytest.mark.parametrize("planner_name", ["ours", "passive"])
     def test_kl_divergence_once_per_mode_pair_over_a_run(self, planner_name, monkeypatch):
