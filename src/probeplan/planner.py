@@ -12,9 +12,10 @@ order. The probe grid is one batched ``belief.posterior_entropies`` pass
 over the distinct predicted observation sets, which one
 ``predicted_observation_mean`` call gives for every projected grid point.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
-(multi-start over constant-acceleration candidates, then projected
-gradient descent on a piecewise-constant acceleration parameterization of
-``solver_segments`` windows of ``segment_steps`` steps): one per mode for
+(multi-start over constant-acceleration candidates within
+``accel_bounds``, then projected gradient descent on a piecewise-constant
+acceleration parameterization of ``solver_segments`` windows of
+``segment_steps`` steps): one per mode for
 the active and passive planners, one for the conservative planner's
 omega-weighted CVaR sum. The chains run in phase-aligned rounds: one start
 round, then per iteration one line-search round that holds all three
@@ -574,10 +575,11 @@ def _compose_ego_paths(
 
 def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
     """The starts every chain shares, (N, P) and (B, P): coasting and evenly
-    spaced constant accelerations, and the probe bursts."""
+    spaced constant accelerations, and the probe bursts, each within the
+    bounds (coasting is clipped to them when they exclude zero)."""
     (a_lo, a_hi), segments = cfg.accel_bounds, cfg.solver_segments
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
-    head = np.repeat(np.append(0.0, consts)[:, None], segments, axis=1)
+    head = np.repeat(np.append(np.clip(0.0, a_lo, a_hi), consts)[:, None], segments, axis=1)
     tail = np.empty((0, segments))
     if segments > 1:
         # Probe bursts: an extreme first segment with a steady tail. The
@@ -659,9 +661,10 @@ def _descend(
         if not live.size:
             break
         cur = state.take(live, axis=0)
-        # Every trial k of every live chain in one round, k-major. The clip is
-        # np.minimum(np.maximum(...)), np.clip without its wrappers: the values
-        # agree but for a -0.0 theta at a +0.0 bound, which no step makes.
+        # Every trial k of every live chain in one round, k-major. Every start
+        # lies within the bounds, and so does every trial: the clip is
+        # np.minimum(np.maximum(...)), np.clip without its wrappers, whose
+        # values agree but for a -0.0 theta at a +0.0 bound, which no step makes.
         trials = np.minimum(
             np.maximum(cur[:, 1:o] - trial_steps * (grad / scale[:, None]), a_lo), a_hi
         ).reshape(-1, o - 1)
@@ -842,31 +845,27 @@ class ActivePlanner:
         # j_infl = kl_const + |y|^2 / 2 with y = L^-1 delta, and delta is
         # affine in the segment vector: the terminal (speed, progress) is the
         # coasting one plus J theta (J the run's terminal Jacobian). So y is
-        # its coasting value plus theta along G = -L^-1 J, per chain, and
-        # d j_infl / d theta = y^T G. One table row per chain: kl_const, y at
-        # theta = 0 (2) and G's columns (P x 2), segment after segment.
-        v_c, s_c = state.ego.v, s0 + cfg.horizon_steps * cfg.dt * state.ego.v
+        # its coasting value (C, 2) plus theta along G = -L^-1 J (C, 2, P),
+        # per chain, and d j_infl / d theta = y^T G.
+        s_c, v_c = _linear_terminal_state(s0, state.ego.v, np.zeros(cfg.horizon_steps), cfg.dt)
         linv, jac = np.linalg.inv(chol_q), self._terminal_jacobian
         delta = (steer_means[:, 0] - v_c)[:, None], (steer_means[:, 1] - (s_c - s_h))[:, None]
         y_coast = linv[:, :, 0] * delta[0] + linv[:, :, 1] * delta[1]
         g = -(linv[:, :, :1] * jac[0] + linv[:, :, 1:] * jac[1])
-        per_chain = np.column_stack((kl_const, y_coast, g.swapaxes(1, 2).reshape(len(solve), -1)))
-        n_seg = cfg.solver_segments
-        g_cols = [slice(3 + 2 * p, 5 + 2 * p) for p in range(n_seg)]
 
         def evaluate(thetas: np.ndarray, chains: np.ndarray, bar):
-            pair_modes, pair = solve[chains], per_chain[chains]
+            pair_modes, g_c = solve[chains], g[chains]
             paths = ctx.ego_paths(thetas)
             certified = path_cost_bounds(
                 *paths, ctx.human_boxes[pair_modes], ctx.discount_weights, cfg.ref_speed
             ) <= cfg.risk_cap * (1.0 - CERTIFY_MARGIN)
             j_probe, probe_slopes = ctx.probe_terms(thetas[:, 0])
             # y, one multiply-add per segment in segment order, as the paths.
-            y = thetas[:, :1] * pair[:, g_cols[0]] + pair[:, 1:3]
-            for p in range(1, n_seg):
-                y += thetas[:, p:p + 1] * pair[:, g_cols[p]]
+            y = y_coast[chains]
+            for p in range(cfg.solver_segments):
+                y += thetas[:, p:p + 1] * g_c[:, :, p]
             y_sq = y * y
-            j_infl = pair[:, 0] + 0.5 * (y_sq[:, 0] + y_sq[:, 1])
+            j_infl = kl_const[chains] + 0.5 * (y_sq[:, 0] + y_sq[:, 1])
             lower = j_probe + j_infl  # the objective, but for the cap penalty
             line_search = bar is not None
             if not line_search:  # the start round: no pick lies above a certified start
@@ -884,7 +883,7 @@ class ActivePlanner:
             # The gradient: the KL term's, the probe slope, and the cap
             # penalty's through the tail samples, which a line search's trial
             # needs only below its bar.
-            grads = y[:, :1] * pair[:, 3::2] + y[:, 1:] * pair[:, 4::2]
+            grads = y[:, :1] * g_c[:, 0] + y[:, 1:] * g_c[:, 1]
             grads[:, 0] += probe_slopes
             hot = violation[scored] > 0.0
             if line_search:

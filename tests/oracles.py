@@ -431,10 +431,10 @@ def start_candidates_one(
 ) -> list[np.ndarray]:
     """Multi-start segment vectors of one chain: coasting, evenly spaced
     constant accelerations, the warm start's segment means, and optionally
-    probe bursts."""
+    probe bursts, each clipped to the acceleration bounds."""
     a_lo, a_hi = cfg.accel_bounds
     segments = cfg.solver_segments
-    candidates = [np.zeros(segments)]
+    candidates = [np.clip(np.zeros(segments), a_lo, a_hi)]
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
     for c in consts:
         candidates.append(np.full(segments, c))
@@ -541,8 +541,8 @@ def solve_mode_scalar(
     jac = segment_jacobian(cfg)
     linv = np.linalg.inv(chol_q)
     rows = [linv[i, 0] * jac[0] + linv[i, 1] * jac[1] for i in range(2)]
-    s_coast = s0 + cfg.horizon_steps * cfg.dt * state.ego.v
-    delta_coast = steer_target.mean - np.array([state.ego.v, s_coast - s_h])
+    s_coast, v_coast = _linear_terminal_state(s0, state.ego.v, np.zeros(cfg.horizon_steps), cfg.dt)
+    delta_coast = steer_target.mean - np.array([v_coast, s_coast - s_h])
     bases = path_bases_one(state.ego, ctx.headings, cfg)
 
     def evaluate(theta: np.ndarray) -> tuple[tuple[float, float, float, float], np.ndarray]:

@@ -44,13 +44,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "1eea75f273400baffde0ea7d0c7893d7384cabe3199d4941595ac327311e5b5f",
+    "results.csv": "758d13a8ac33b890e788588ed2727bbeb2e731c9002b94ab2fdccc86237ecf4d",
     "trace_intersection_conservative_run00000.csv": "e7b4c8ef8c98cd7748531b0584ef6f338ac63339d4c5dc063a8efd95467c62f2",
-    "trace_intersection_ours_run00000.csv": "d6ae022f82532c6b3b8f0bd29a7c06a4ad31b7dac1d4d8fdb015f695d76cfc7f",
-    "trace_intersection_passive_run00000.csv": "fcc756f9e52d233e24c5578b755ef5082236773dc51fac4383b34c4b79a4f8f4",
+    "trace_intersection_ours_run00000.csv": "49ab47a3c9c512669155310ccd3b8679587779b547380dce1640c30676ad62fd",
+    "trace_intersection_passive_run00000.csv": "5624aec554e4529eee7a0c9e0a5b2e301ce92b2697d987d6b8a132ab6e65afc1",
     "trace_lane_merge_conservative_run00000.csv": "ec723dce9382f821812c69e303a053b37189b501fa15050b6a3b0b296ea6886e",
-    "trace_lane_merge_ours_run00000.csv": "b017f965a6b9f7882f748623e70b0cbf5af26242ac83710604a6a48c21546cf5",
-    "trace_lane_merge_passive_run00000.csv": "145e7453220b56074b2cea6a289dafd1c52c96e24620eeddec4cf6ee13d226b1",
+    "trace_lane_merge_ours_run00000.csv": "5819e5175f4bf43ad5d80342dffefbb3f5d6122cde0330bc1369ee484a8e44a1",
+    "trace_lane_merge_passive_run00000.csv": "9734e37bd452421d8c14dd653be416872f9f24ffb7a4846c2642c1820ed9339c",
 }
 
 
@@ -72,7 +72,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "4f1c53f23cabb51bc63b2ebbef15c55a426b28da47cdf69d025c33960da3de39"
+DIAG_GOLDEN = "c242b08bc2d3c5d8b3cf75b01bf8fa4555ec945852447448b5b47683f2cca792"
 
 
 def _feed(h, value):

@@ -500,6 +500,9 @@ class TestLockstepDescent:
         "nocap": dict(risk_cap=math.inf),
         # No pair is certified: every pair is scored exactly.
         "cap0": dict(risk_cap=0.0),
+        # Bounds that exclude zero: the coasting start is clipped to them.
+        "accel_up": dict(accel_bounds=(0.5, 3.0)),
+        "accel_down": dict(accel_bounds=(-3.0, -0.5)),
     }
 
     @staticmethod
@@ -1183,14 +1186,16 @@ class TestLazyScoring:
 
 
 class TestStartCandidates:
+    @pytest.mark.parametrize("bounds", [(-3.0, 3.0), (0.5, 3.0), (-3.0, -0.5)])
     @pytest.mark.parametrize("bursts", [False, True])
     @pytest.mark.parametrize("segments", [1, 3, 4])
-    def test_matches_one_list_per_chain(self, bursts, segments):
-        cfg = PlannerConfig(solver_segments=segments)
+    def test_matches_one_list_per_chain(self, bursts, segments, bounds):
+        cfg = PlannerConfig(solver_segments=segments, accel_bounds=bounds)
         rng = np.random.default_rng(4)
         warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
                  rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
         cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
+        assert np.all((cands >= bounds[0]) & (cands <= bounds[1]))
         # One start set per warm start, set after set.
         assert np.array_equal(owner, np.sort(owner)) and owner.max() + 1 == len(warms)
         for c, warm in enumerate(warms):
@@ -1648,6 +1653,24 @@ class TestPlanStep:
             assert m.omega == float(w)
         active_mass = sum(m.omega for m in diag.modes if m.active)
         assert active_mass <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("bounds", [(0.5, 3.0), (-3.0, -0.5)])
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    def test_controls_within_bounds_that_exclude_zero(self, planner_cls, bounds):
+        # Coasting lies outside these bounds: every solved plan and the
+        # executed control still keep to them. Unclipped, the coasting start
+        # becomes some of these steps' pick, the conservative planner's too.
+        cfg = PlannerConfig(**FAST, accel_bounds=bounds)
+        planner = planner_cls(cfg)
+        lo, hi = cfg.u_min, cfg.u_max
+        states = [merge_state(), merge_state(ego=(-30.0, 3.5, 2.0), human=(-30.0, 0.0, 8.0)),
+                  merge_state(ego=(-20.0, 3.5, 12.0))]
+        for i, state in enumerate(states):
+            u, diag = planner.plan_step(state, self.make_belief(), 60 + i)
+            plans = [m.nu for m in diag.modes if m.nu is not None]
+            assert plans
+            for nu in [*plans, diag.u_total, u[None]]:
+                assert np.all((nu >= lo) & (nu <= hi))
 
     def test_bit_identical_given_key(self):
         cfg = PlannerConfig()
