@@ -1186,23 +1186,24 @@ class TestLazyScoring:
 
 
 class TestStartCandidates:
-    @pytest.mark.parametrize("bounds", [(-3.0, 3.0), (0.5, 3.0), (-3.0, -0.5)])
     @pytest.mark.parametrize("bursts", [False, True])
     @pytest.mark.parametrize("segments", [1, 3, 4])
-    def test_matches_one_list_per_chain(self, bursts, segments, bounds):
-        cfg = PlannerConfig(solver_segments=segments, accel_bounds=bounds)
-        rng = np.random.default_rng(4)
-        warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
-                 rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
-        cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
-        assert np.all((cands >= bounds[0]) & (cands <= bounds[1]))
-        # One start set per warm start, set after set.
-        assert np.array_equal(owner, np.sort(owner)) and owner.max() + 1 == len(warms)
-        for c, warm in enumerate(warms):
-            want = start_candidates_one(cfg, warm, bursts)
-            mine = cands[owner == c]
-            assert len(mine) == len(want)
-            assert all(a.tobytes() == w.tobytes() for a, w in zip(mine, want))
+    def test_matches_one_list_per_chain(self, bursts, segments):
+        # The last two bounds exclude coasting: it is clipped to them.
+        for bounds in [(-3.0, 3.0), (0.5, 3.0), (-3.0, -0.5)]:
+            cfg = PlannerConfig(solver_segments=segments, accel_bounds=bounds)
+            rng = np.random.default_rng(4)
+            warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
+                     rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
+            cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms, bursts)
+            assert np.all((cands >= bounds[0]) & (cands <= bounds[1]))
+            # One start set per warm start, set after set.
+            assert np.array_equal(owner, np.sort(owner)) and owner.max() + 1 == len(warms)
+            for c, warm in enumerate(warms):
+                want = start_candidates_one(cfg, warm, bursts)
+                mine = cands[owner == c]
+                assert len(mine) == len(want)
+                assert all(a.tobytes() == w.tobytes() for a, w in zip(mine, want))
 
     def test_window_means_match_np_mean_on_random_horizons(self):
         # Each window's mean is its sum over its length, bit for bit the
