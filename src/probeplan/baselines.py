@@ -15,6 +15,7 @@ import numpy as np
 
 from .belief import HierarchicalBelief
 from .planner import (
+    _UNSCORED,
     ActivePlanner,
     PlanDiagnostics,
     _StepContext,
@@ -25,7 +26,11 @@ from .planner import (
     _tail_gradients,
 )
 from .risk import (
+    CERTIFY_MARGIN,
     cvar,
+    cvar_tail,
+    path_cost_floors,
+    path_cost_means,
     path_costs,
     simulate_ego_path,  # noqa: F401 -- the benchmark wraps probeplan.baselines.simulate_ego_path
 )
@@ -65,30 +70,67 @@ class ConservativePlanner(ActivePlanner):
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
-        weights = ctx.omega[ctx.solve]
-        paths = ctx.human_paths[ctx.solve]
+        weights, solve = ctx.omega[ctx.solve], np.array(ctx.solve)
+        paths, boxes = ctx.human_paths[solve], ctx.human_boxes[solve]
+        last = {}  # the step's last scored cost block
+
+        def floor_sums(ego_paths: np.ndarray) -> np.ndarray:
+            # Each vector's omega-weighted sum of its floors: the mean cost of
+            # the last scored vector's tail samples, or before any is scored
+            # the box floor.
+            if last:
+                tails = cvar_tail(last["costs"], cfg.cvar_level)[:, None]
+                samples = paths[np.arange(len(solve))[:, None, None], np.arange(2)[:, None], tails]
+                floors = path_cost_means(*ego_paths, samples, ctx.discount_weights, cfg.ref_speed)
+            else:
+                floors = path_cost_floors(*ego_paths[:, :, None], boxes, ctx.discount_weights,
+                                          cfg.ref_speed)
+            floors *= 1.0 - CERTIFY_MARGIN
+            return sum(w * v for w, v in zip(weights, floors.T))
 
         def evaluate(thetas: np.ndarray, chains: np.ndarray, bar):
-            # One chain: each vector's CVaR against every solved mode, one cost
-            # block per vector, and their omega-weighted sum in mode order; its
-            # gradient is the omega-weighted sum of the modes' tail gradients.
-            ego_paths = ctx.ego_paths(thetas)
-            costs = np.concatenate([
-                path_costs(*ego, paths, ctx.discount_weights, cfg.ref_speed)
-                for ego in zip(*ego_paths)
-            ])
-            cvars = cvar(costs, cfg.cvar_level).reshape(len(thetas), -1)
-            rows = np.column_stack((sum(w * v for w, v in zip(weights, cvars.T)), cvars))
-            # A line search's trial needs its gradient only below its bar.
-            grads = np.zeros((len(thetas), cfg.solver_segments))
-            read = np.arange(len(thetas)) if bar is None else np.flatnonzero(rows[:, 0] < bar)
-            if read.size:
-                n = len(weights)
-                tails = _tail_gradients(
-                    ctx, ego_paths[:, read].repeat(n, axis=1), np.tile(ctx.solve, read.size),
-                    costs.reshape(len(thetas), n, -1)[read].reshape(read.size * n, -1))
-                tails = tails.reshape(read.size, n, -1).swapaxes(0, 1)
-                grads[read] = sum(w * g for w, g in zip(weights, tails))
+            # One chain: a vector's objective is the omega-weighted sum, in mode
+            # order, of its CVaRs against the solved modes, one cost block per
+            # vector. A vector no decision reads holds _UNSCORED and the same
+            # sum of its floors as objective (solver notes).
+            ego_paths, n, k = ctx.ego_paths(thetas), len(solve), len(thetas)
+            rows = np.column_stack((floor_sums(ego_paths), np.full((k, n), _UNSCORED)))
+            blocks = {}
+
+            def score(i: int) -> float:
+                blocks[i] = last["costs"] = path_costs(
+                    *ego_paths[:, i], paths, ctx.discount_weights, cfg.ref_speed)
+                rows[i, 1:] = cvar(blocks[i], cfg.cvar_level)
+                rows[i, 0] = sum(w * v for w, v in zip(weights, rows[i, 1:]))
+                return rows[i, 0]
+
+            state = None
+            if bar is None:
+                # Best first: the least floor, whose tail samples then tighten
+                # the others' floors; a floor above the best objective so far
+                # loses to it. np.minimum keeps a NaN objective, which argmin
+                # picks, and a NaN best prunes nothing.
+                order = np.argsort(rows[:, 0], kind="stable")
+                best, rest = score(order[0]), order[1:]
+                rows[rest, 0] = floor_sums(ego_paths[:, rest])
+                for i in rest[np.argsort(rows[rest, 0], kind="stable")].tolist():
+                    if not rows[i, 0] > best:
+                        best = np.minimum(best, score(i))
+                state = int(rows[:, 0].argmin())
+            else:
+                # A trial whose floor is at or above its bar loses; the first
+                # win ends the search, as no later trial is read.
+                for i, trial_bar in enumerate(np.broadcast_to(bar, k).tolist()):
+                    if not rows[i, 0] >= trial_bar and score(i) < trial_bar:
+                        state = i
+                        break
+            # Only the pair that becomes the chain's state needs its gradient:
+            # the omega-weighted sum of the modes' tail gradients.
+            grads = np.zeros((k, cfg.solver_segments))
+            if state is not None:
+                per_mode = _tail_gradients(ctx, ego_paths[:, [state]].repeat(n, axis=1), solve,
+                                           blocks[state])
+                grads[state] = sum(w * g for w, g in zip(weights, per_mode))
             return rows, grads
 
         starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)

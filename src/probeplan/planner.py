@@ -37,8 +37,9 @@ the probe term as ``np.interp`` at theta_0 with its slope from a per-step
 table of the grid's pieces. Each composition adds one product per segment
 in segment order, not a BLAS product, so a row equals its own evaluation
 at any batch size. Then per pair a cost bound, one ``path_costs`` block
-per mode over the pairs left open (the conservative planner: one per
-vector over its solved modes) and one ``cvar``. Each pair's gradient comes
+per mode over the pairs left open and one ``cvar`` (the conservative
+planner: a cost floor per pair, then one block over its solved modes and
+one ``cvar`` per vector it scores). Each pair's gradient comes
 with its objective, exact almost everywhere: the probe term's slope, the
 KL term's y^T G, and the cap penalty's ``2 * penalty_weight * (CVaR -
 cap)`` times the mean cost gradient over the pair's tail samples (Hong &
@@ -65,8 +66,22 @@ objective, and needs no tail gradient, since it never becomes a chain's
 state. A chain whose pick breaks the cap scores its unscored history
 in one batch before its fallback reads it, and the picks holding ``-inf``
 are scored in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
-exact. The conservative planner minimizes the omega-weighted CVaR sum, so
-it scores every candidate exactly.
+exact.
+
+The conservative planner minimizes the omega-weighted CVaR sum, which is at
+least the same sum of per-mode floors less ``CERTIFY_MARGIN``: before a
+step scores any vector, ``risk.path_cost_floors`` against each mode's
+boxes (CVaR is at least the smallest sample cost), and after it,
+``risk.path_cost_means`` over the last scored vector's tail samples (CVaR
+is at least the mean cost of as many samples), close to the CVaR of a
+vector near that one. Its start round scores the vector of least box
+floor, floors the others on its tail samples and scores them in ascending
+floor, leaving unscored each one whose floor is above the best objective
+so far; a line search scores its trials in order, skips one whose floor is
+at or above its bar and stops at the first win. An unscored vector holds
+``_UNSCORED`` and its floor as objective, so the start pick and every win
+test are the exhaustive search's, and only the pair that becomes the
+chain's state gets its tail gradient.
 """
 
 from __future__ import annotations
@@ -628,8 +643,8 @@ def _descend(
     ``thetas[i]`` (P,) of chain ``chains[i]``. It gives one row (K, F) per
     pair, objective first, and the objective's gradient (K, P) in the
     pair's segment vector, which is read only where the pair becomes its
-    chain's state: it need be exact only at a start and at a line-search
-    trial whose objective is below its ``bar``. No decision reads a row
+    chain's state: it need be exact only at a chain's start pick and at its
+    first winning trial in a round. No decision reads a row
     whose objective is above its ``bar``: the win threshold (K,) in a line
     search, ``None`` (only ``evaluate`` knows it) in the start round. Pairs
     come in ascending chain order, a line search's k-major (trial k = 0, 1,

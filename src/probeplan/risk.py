@@ -62,6 +62,19 @@ round the other way, by a few ulp. A planner that needs a CVaR only to see
 whether it exceeds the cap may skip the exact value where the bound is
 below the cap by a relative margin far wider than that rounding
 (``CERTIFY_MARGIN``).
+
+Floor. CVaR at any level is at least the smallest sample cost, and a
+sample's cost at step t only falls as the human moves away from the ego.
+The point of the box farthest from the ego, per axis the edge with the
+larger offset, is at least as far as any sample, so ``path_cost_floors``,
+the same per-element cost taken there, bounds every sample's
+``path_costs`` from below, up to the same ulp-level rounding of ``exp``
+and the discounted dot. Tighter, once some samples are known to be costly
+(say the tail of a nearby ego path), ``path_cost_means`` takes the mean
+cost of as many samples as the tail holds, or more: the CVaR, the mean of
+the largest costs, is at least it. A planner that needs a CVaR only to see
+whether it beats a bar may skip the exact value where a floor, less the
+same relative margin, already loses to the bar; a NaN floor skips nothing.
 """
 
 from __future__ import annotations
@@ -85,9 +98,10 @@ PROX_SCALE = 2.0
 W_PROX = 10.0
 W_PROGRESS = 1.0
 
-# Relative margin below the cap a cost bound must keep to certify a CVaR:
-# it covers the ulp-level rounding in ``exp`` and the discounted dot, which
-# is about 1e-14 relative at any horizon the planner runs.
+# Relative margin below the cap a cost bound must keep to certify a CVaR,
+# and that a cost floor gives up to bound one from below: it covers the
+# ulp-level rounding in ``exp`` and the discounted dot, which is about
+# 1e-14 relative at any horizon the planner runs.
 CERTIFY_MARGIN = 1e-9
 
 
@@ -344,3 +358,45 @@ def path_cost_bounds(
         ego_y - np.minimum(np.maximum(ego_y, boxes[:, 2]), boxes[:, 3]),
         ego_speeds, ref_speed,
     ) @ weights
+
+
+def path_cost_floors(
+    ego_x: np.ndarray,
+    ego_y: np.ndarray,
+    ego_speeds: np.ndarray,
+    boxes: np.ndarray,
+    weights: np.ndarray,
+    ref_speed: float,
+) -> np.ndarray:
+    """Lower bounds (P,) on ``path_costs`` of P ego paths (x, y and speeds,
+    each (P, T)) against the samples whose ``sample_boxes`` are ``boxes``
+    (P, 4, T): the cost of the point of each step's box farthest from the
+    ego, in the element operations ``path_costs`` runs per sample. Ego rows
+    (K, 1, T) against the boxes (M, 4, T) of M modes give (K, M). A NaN
+    ego row or box edge gives a NaN floor."""
+    # The farthest edge per axis is the larger offset; np.maximum keeps NaN.
+    return _step_costs(
+        np.maximum(np.abs(ego_x - boxes[:, 0]), np.abs(ego_x - boxes[:, 1])),
+        np.maximum(np.abs(ego_y - boxes[:, 2]), np.abs(ego_y - boxes[:, 3])),
+        ego_speeds, ref_speed,
+    ) @ weights
+
+
+def path_cost_means(
+    ego_x: np.ndarray,
+    ego_y: np.ndarray,
+    ego_speeds: np.ndarray,
+    samples: np.ndarray,
+    weights: np.ndarray,
+    ref_speed: float,
+) -> np.ndarray:
+    """Mean ``path_costs`` (K, M) of K ego paths (x, y and speeds, each
+    (K, T)) over each of M modes' chosen samples ``samples`` (M, 2, m, T).
+    The mean of a mode's m largest costs is at least the mean of any m of
+    them, and falls as m grows, so with m at least ``tail_sample_count`` the
+    mean is at most the mode's CVaR, up to the rounding ``CERTIFY_MARGIN``
+    covers."""
+    return (_step_costs(
+        ego_x[:, None, None] - samples[:, 0], ego_y[:, None, None] - samples[:, 1],
+        ego_speeds[:, None, None], ref_speed,
+    ) @ weights).mean(axis=-1)

@@ -930,7 +930,11 @@ class TestComposedPaths:
 class TestSegmentEvaluate:
     """A round's ``evaluate`` takes segment vectors, and each row (and
     gradient) equals the same pair evaluated alone: its path, terminal
-    state, KL residual and probe term are its own."""
+    state, KL residual and probe term are its own. The conservative
+    planner scores only the rows a decision reads: each scored row equals
+    its pair alone, the pair that becomes the chain's state has its
+    gradient alone, and every other row holds ``_UNSCORED`` with a floor
+    at most its exact objective that provably loses."""
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
@@ -944,18 +948,104 @@ class TestSegmentEvaluate:
         thetas = rng.uniform(-3.0, 3.0, (30, cfg.solver_segments))
         thetas[:5, 0] = -3.0  # hard braking: rows that may stop
         chains = np.sort(rng.integers(0, n_chains, len(thetas)))
+        if planner_cls is ConservativePlanner:
+            self.check_conservative(evaluate, thetas, chains, rng)
+            return
         full, _ = evaluate(thetas, chains, np.full(len(thetas), np.inf))
         # Bars above and below each row's objective: some trials win.
         bars = full[:, 0] * rng.choice([0.5, 2.0], len(thetas))
-        starts = [None] if planner_cls is ConservativePlanner else []
-        for bar in [*starts, np.full(len(thetas), np.inf), bars]:
+        for bar in [np.full(len(thetas), np.inf), bars]:
             rows, grads = evaluate(thetas, chains, bar)
             for k in range(len(thetas)):
-                alone = None if bar is None else bar[k:k + 1]
-                row, grad = evaluate(thetas[k:k + 1], chains[k:k + 1], alone)
+                row, grad = evaluate(thetas[k:k + 1], chains[k:k + 1], bar[k:k + 1])
                 assert np.array_equal(rows[k], row[0], equal_nan=True)
                 assert np.array_equal(grads[k], grad[0], equal_nan=True)
         assert np.any(rows[:, 1] > cfg.risk_cap) and np.any(rows[:, 0] < bars)
+
+    @staticmethod
+    def check_conservative(evaluate, thetas, chains, rng):
+        # Alone, a vector is its start round's pick: scored, with its gradient.
+        alone = [evaluate(theta[None], chains[:1], None) for theta in thetas]
+        exact = np.array([row[0] for row, _ in alone])
+        exact_grads = np.array([grad[0] for _, grad in alone])
+        assert not np.any(exact[:, 1:] == _UNSCORED)
+        # Bars that every trial loses, then bars where some win, the first
+        # after trials whose floor already loses.
+        lose = exact[:, 0] * 0.999
+        wins = exact[:, 0] * rng.choice([0.1, 2.0], len(thetas), p=[0.8, 0.2])
+        wins[:4] = exact[:4, 0] * 0.1
+        skipped = []
+        for bar in [None, np.full(len(thetas), np.inf), lose, wins]:
+            rows, grads = evaluate(thetas, chains, bar)
+            scored = np.flatnonzero(rows[:, 1] != _UNSCORED)
+            unscored = np.flatnonzero(rows[:, 1] == _UNSCORED)
+            assert np.array_equal(rows[scored], exact[scored])
+            assert np.all(rows[unscored, 1:] == _UNSCORED)
+            assert np.all(rows[unscored, 0] <= exact[unscored, 0])
+            if bar is None:
+                state = int(np.argmin(rows[:, 0]))
+                assert state == int(np.argmin(exact[:, 0]))
+                assert np.all(rows[unscored, 0] > rows[state, 0])
+            else:
+                won = np.flatnonzero(rows[:, 0] < bar)
+                state = won[0] if won.size else None
+                # Before the first win every trial loses, scored or by its
+                # floor; after it, no trial is read.
+                first = len(thetas) if state is None else state
+                before, lost = unscored[unscored < first], scored[scored < first]
+                assert np.all(rows[before, 0] >= bar[before])
+                assert np.all(exact[lost, 0] >= bar[lost])
+                skipped.append(before.size)
+            if bar is None or state is not None:
+                assert scored.size < len(thetas)
+            reads = np.zeros(len(thetas), dtype=bool)
+            if state is not None:
+                reads[state] = True
+                assert state in scored and np.array_equal(grads[state], exact_grads[state])
+            assert np.all(grads[~reads] == 0.0)
+        # The winning bars skip some trial by its floor.
+        assert skipped[-1] > 0
+
+
+class TestConservativePruning:
+    """The conservative planner scores its starts best first by floor and
+    stops once a floor lies above the best objective scored: on a fixed
+    intersection step the start round makes fewer ``path_costs`` calls
+    than it has starts, and every start it leaves unscored has a floor
+    above the pick's objective."""
+
+    def test_start_round_scores_fewer_vectors_than_starts(self, monkeypatch):
+        calls, rounds = [], []
+        real_costs = baselines_mod.path_costs
+
+        def counted_costs(*args):
+            calls.append(args)
+            return real_costs(*args)
+
+        def recorded_descend(evaluate, starts, cfg):
+            def recorded(thetas, chains, bar):
+                before = len(calls)
+                rows, grads = evaluate(thetas, chains, bar)
+                rounds.append((rows.copy(), len(calls) - before))
+                return rows, grads
+            return _descend(recorded, starts, cfg)
+
+        monkeypatch.setattr(baselines_mod, "path_costs", counted_costs)
+        monkeypatch.setattr(baselines_mod, "_descend", recorded_descend)
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        rng = np.random.default_rng(0)
+        state = advanced_state(INTERSECTION, rng)
+        b = filtered_belief(default_targets(INTERSECTION), rng)
+        _, diag = ConservativePlanner(cfg).plan_step(state, b, 70)
+        (rows, n_calls), *searches = rounds
+        unscored = rows[:, 1] == _UNSCORED
+        pick = int(np.argmin(rows[:, 0]))
+        assert n_calls == np.sum(~unscored) < len(rows)
+        assert not unscored[pick] and np.all(rows[unscored, 0] > rows[pick, 0])
+        # One cost block per scored vector in every round, and the whole step
+        # scores fewer vectors than its descent logged.
+        assert all(n == np.sum(r[:, 1] != _UNSCORED) for r, n in searches)
+        assert len(calls) < diag.solver_evals
 
 
 class TestCertifiedBelowCap:

@@ -1,0 +1,143 @@
+"""Interleaved A/B timing of two probeplan source trees in one process.
+
+Usage: python tools/abtime.py TREE_A TREE_B [--shape NAME] [--runs N]
+       [--seed N] [--t-max S]
+
+Each TREE is a ``probeplan`` package directory (``src/probeplan``) or a
+checkout holding one. Both are loaded under their own package names (the
+package imports itself only relatively), and the runs of one workload shape
+alternate between them run by run, the first tree switching each run, so
+both see the same phases of the machine. Every run goes through the tree's
+own ``scenario.run``; the planners and scenarios cycle run by run and the
+ground-truth intent run index by run index, as in the benchmark's in-process
+workloads.
+
+Prints ms per control step per tree and per planner, and for how many run
+pairs tree B was faster. Exits 1 if any pair's result row or executed
+controls differ, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+INTENTS = (1, 2, 3)
+
+
+@dataclass(frozen=True)
+class Shape:
+    scenarios: tuple[str, ...]
+    planners: tuple[str, ...]  # a planner listed twice runs twice per cycle
+    t_max: float
+    comparison_mode: bool = True
+    budgets: tuple[tuple[str, int], ...] = ()
+
+
+SHAPES = {
+    "merge_probe": Shape(("lane_merge",), ("ours",), 1.0),
+    "crossing_hedge": Shape(("intersection",), ("passive", "passive", "conservative"), 2.0),
+    # The batch's reduced budgets, run in process one scenario x planner at a time.
+    "batch_mixed": Shape(("lane_merge", "intersection"), ("ours", "passive", "conservative"), 2.0,
+                         comparison_mode=False,
+                         budgets=(("rollout_count", 50), ("obs_samples", 10), ("solver_iters", 4))),
+}
+
+
+def load_tree(path: str, name: str):
+    """Import the package at ``path`` as ``name``; returns its ``scenario``
+    module."""
+    root = Path(path)
+    if (root / "src" / "probeplan" / "__init__.py").is_file():
+        root = root / "src" / "probeplan"
+    for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[loaded]
+    if not (root / "__init__.py").is_file():
+        raise SystemExit(f"no probeplan package at {path}")
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return importlib.import_module(f"{name}.scenario")
+
+
+def jobs(shape: Shape, n: int) -> list[tuple[str, str, int, int]]:
+    """The first ``n`` jobs (scenario, planner, run index, intent); each
+    scenario x planner numbers its own runs."""
+    combos = [(s, p) for s in shape.scenarios for p in shape.planners]
+    out = []
+    for k in range(n):
+        scenario, planner = combos[k % len(combos)]
+        run_index = sum(1 for j in out if j[:2] == (scenario, planner))
+        out.append((scenario, planner, run_index, INTENTS[run_index % len(INTENTS)]))
+    return out
+
+
+def run_one(scenario, job, shape: Shape, seed: int, t_max: float):
+    """One run through a tree's ``scenario`` module: wall seconds, steps,
+    its result row and its executed controls as bytes."""
+    kind, planner, run_index, intent = job
+    planner_cfg = scenario.PlannerConfig(
+        ref_speed=scenario.DEFAULT_REF_SPEED[kind], **dict(shape.budgets))
+    cfg = scenario.RunConfig(
+        scenario=kind, master_seed=seed, planner=planner, planner_cfg=planner_cfg,
+        t_max=t_max, comparison_mode=shape.comparison_mode, pinned_intent=intent)
+    t0 = time.perf_counter()
+    result, log = scenario.run(cfg, run_index)
+    wall = time.perf_counter() - t0
+    row = tuple(repr(getattr(result, f.name)) for f in fields(result))
+    return wall, len(log.records), row, log.controls.tobytes()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--shape", choices=sorted(SHAPES), default="crossing_hedge")
+    parser.add_argument("--runs", type=int, default=30, help="runs per tree")
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--t-max", type=float, default=None,
+                        help="seconds per run (default: the shape's)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    shape = SHAPES[args.shape]
+    t_max = shape.t_max if args.t_max is None else args.t_max
+    trees = [load_tree(args.tree_a, "_abtime_a"), load_tree(args.tree_b, "_abtime_b")]
+
+    timed = []  # (planner, wall A, wall B, steps) per job
+    differ = []
+    for k, job in enumerate(jobs(shape, args.runs)):
+        order = (0, 1) if k % 2 == 0 else (1, 0)
+        out = [None, None]
+        for i in order:
+            out[i] = run_one(trees[i], job, shape, args.seed, t_max)
+        (wall_a, steps, row_a, u_a), (wall_b, _, row_b, u_b) = out
+        if row_a != row_b or u_a != u_b:
+            differ.append(f"{job[0]}/{job[1]} run {job[2]}: "
+                          + ("result rows differ" if row_a != row_b else "controls differ"))
+        timed.append((job[1], wall_a, wall_b, steps))
+
+    print(f"shape {args.shape}: {args.runs} runs per tree, seed {args.seed}, t_max {t_max}")
+    print(f"{'planner':<14}{'steps':>7}{'A ms/step':>11}{'B ms/step':>11}{'B/A':>8}"
+          f"{'B faster':>10}{'median pair B/A':>17}")
+    for planner in [*sorted({t[0] for t in timed}), "all"]:
+        _, a, b, n = zip(*[t for t in timed if planner in (t[0], "all")])
+        ms_a, ms_b = 1e3 * sum(a) / max(sum(n), 1), 1e3 * sum(b) / max(sum(n), 1)
+        faster = sum(y < x for x, y in zip(a, b))
+        pair = statistics.median(y / x for x, y in zip(a, b))
+        print(f"{planner:<14}{sum(n):>7}{ms_a:>11.3f}{ms_b:>11.3f}{ms_b / ms_a:>8.3f}"
+              f"{f'{faster}/{len(a)}':>10}{pair:>17.3f}")
+    for line in differ:
+        print(f"DIFFERS: {line}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
