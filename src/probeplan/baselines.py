@@ -2,11 +2,14 @@
 
 Both subclass the full planner and reuse its step setup (guidance law,
 joint weights, reference-plan CVaR, all on the step's mode axis), its
-solver loop and its diagnostics, so measured differences isolate the
-probing + influence + per-mode risk-cap machinery, not implementation
-quality. The passive planner only overrides two hooks; the conservative
-planner supplies only its objective over the solved modes to the shared
-descent, and records each of them with the step's ``mode_diag``.
+solver loop and its diagnostics. The passive planner only overrides two
+hooks; the conservative planner supplies only its objective over the
+solved modes to the shared descent, and records each of them with the
+step's ``mode_diag``. Measured differences are the probing + influence +
+per-mode risk-cap machinery and the start sets: ``_solve_modes`` adds the
+probe-burst starts only when the step builds a probe grid (``bursts =
+ctx.probe_grid is not None``), which the passive planner never does, and
+the conservative planner starts without them too.
 """
 
 from __future__ import annotations

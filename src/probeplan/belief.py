@@ -4,8 +4,8 @@ modes, with Bayesian updates, entropy, and joint mode weights.
 The belief is the pair (pi, w): a probability vector over intents and one
 flat vector of mode weights in target order, where each intent's modes form
 a contiguous segment that sums to one. Each mode carries a fixed Gaussian
-target over the observation feature space (authored offline); updates
-sharpen both levels simultaneously from a single observation.
+band over the observed human speed (authored offline); updates sharpen
+both levels simultaneously from a single observation.
 
 One posterior kernel (``_posteriors``) and one entropy kernel
 (``_entropies``) work on rows of observations and beliefs: ``update`` and
@@ -38,11 +38,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 class ModeTarget:
     """One motion mode (intent_id, mode_id) with its Gaussian targets.
 
-    ``target`` lives in the observation feature space (human longitudinal
-    velocity, optionally extended with the gap to the ego) and defines the
-    likelihood model. ``steer`` optionally gives the interaction-space
-    target (ego speed, ego lead over the human) used by the influence
-    objective; belief updates never touch it.
+    ``target`` is a 1-D band over the observed human longitudinal speed
+    and defines the likelihood model. ``steer`` optionally gives the
+    interaction-space target (ego speed, ego lead over the human) used by
+    the influence objective; belief updates never touch it.
     """
 
     intent_id: int
@@ -60,8 +59,9 @@ class ModeTargetSet:
     """Validated, immutable collection of mode targets, sorted by
     (intent_id, mode_id).
 
-    Precomputes stacked likelihood constants so a full update evaluates all
-    mode densities in one vectorized pass, and the mode axis's segments:
+    Every observation target is 1-D. Precomputes stacked likelihood
+    constants so a full update evaluates all mode densities in one
+    vectorized pass, and the mode axis's segments:
     the intent index of each mode (``_rows``), the first mode of each
     intent (``_starts``) and the mode count of each mode's intent.
     """
@@ -85,14 +85,14 @@ class ModeTargetSet:
             if mode_ids != list(range(1, len(mode_ids) + 1)):
                 raise InvalidInputError(f"mode ids of intent {i} must be contiguous from 1")
             counts.append(len(mode_ids))
-        dims = {t.target.dim for t in targets}
-        if len(dims) != 1:
-            raise InvalidInputError(f"all observation targets must share one dimension, got {dims}")
+        for t in targets:
+            if t.target.dim != 1:
+                raise InvalidInputError(f"observation target {(t.intent_id, t.mode_id)} must be "
+                                        f"1-dimensional (speed), got dim {t.target.dim}")
 
         self.targets = targets
         self.num_intents = len(intent_ids)
         self.modes_per_intent = tuple(counts)
-        self.obs_dim = dims.pop()
         if intent_names is not None:
             if len(intent_names) != self.num_intents:
                 raise InvalidInputError("intent_names length must equal the intent count")
@@ -100,21 +100,15 @@ class ModeTargetSet:
         else:
             self.intent_names = tuple(f"intent_{i}" for i in intent_ids)
 
-        m = len(targets)
-        d = self.obs_dim
-        self._means = np.stack([t.target.mean for t in targets])
-        self._chol_inv = np.stack(
-            [np.linalg.inv(t.target._chol) for t in targets]
-        ).reshape(m, d, d)
-        self._log_norm = np.array(
-            [-0.5 * (d * _LOG_2PI + t.target._log_det) for t in targets]
-        )
+        self._means = np.array([t.target.mean[0] for t in targets])
+        self._inv_std = np.array([1.0 / t.target._chol[0, 0] for t in targets])
+        self._log_norm = np.array([-0.5 * (_LOG_2PI + t.target._log_det) for t in targets])
         self._rows = np.array([t.intent_id - 1 for t in targets])
         self._starts = np.cumsum([0, *counts[:-1]])
         self._row_len = np.repeat(counts, counts)
         # One set may serve many runs (``default_targets`` shares its sets),
         # so nothing may write to its arrays.
-        for a in (self._means, self._chol_inv, self._log_norm, self._rows, self._starts,
+        for a in (self._means, self._inv_std, self._log_norm, self._rows, self._starts,
                   self._row_len):
             a.flags.writeable = False
 
@@ -122,15 +116,16 @@ class ModeTargetSet:
         return len(self.targets)
 
     def log_likelihoods(self, zs: np.ndarray) -> np.ndarray:
-        """log p(z | i, k) for every observation row z of ``zs`` (N, d) and
-        every mode in target order, as (N, M)."""
+        """log p(z | i, k) for every observation z of ``zs`` (N,) and every
+        mode in target order, as (N, M)."""
         zs = np.asarray(zs, dtype=float)
-        if zs.ndim != 2 or zs.shape[1] != self.obs_dim:
-            raise InvalidInputError(
-                f"observations must have shape (N, {self.obs_dim}), got {zs.shape}"
-            )
-        y = np.einsum("mij,nmj->nmi", self._chol_inv, zs[:, None, :] - self._means)
-        return self._log_norm - 0.5 * np.einsum("nmi,nmi->nm", y, y)
+        if zs.ndim != 1:
+            raise InvalidInputError(f"observations must have shape (N,), got {zs.shape}")
+        # An observation far enough into the tails overflows to a -inf
+        # log-likelihood, which the update reads as degenerate evidence.
+        with np.errstate(over="ignore"):
+            y = self._inv_std * (zs[:, None] - self._means)
+            return self._log_norm - 0.5 * (y * y)
 
 
 def _probabilities(x, size: int, name: str) -> np.ndarray:
@@ -214,7 +209,7 @@ def _posteriors(
     b: HierarchicalBelief, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Posterior intent probabilities (N, I) and mode weights (N, M) of
-    ``b`` after each observation row of ``zs`` (N, d), and the mask (N,) of
+    ``b`` after each observation of ``zs`` (N,), and the mask (N,) of
     rows whose evidence is degenerate: a row whose weighted modes'
     log-likelihoods all underflow, or whose total evidence falls below
     1e-300. Degenerate rows hold finite stand-ins."""
@@ -244,14 +239,14 @@ def _posteriors(
     return post_pi_un / z_rel[:, None], weighted / row_sum[:, ts._rows], bad
 
 
-def update(b: HierarchicalBelief, z: np.ndarray) -> HierarchicalBelief:
-    """One Bayesian update of both belief levels from observation ``z``.
+def update(b: HierarchicalBelief, z: float) -> HierarchicalBelief:
+    """One Bayesian update of both belief levels from the observed speed ``z``.
 
     Raises DegenerateEvidenceError when the total evidence falls below
     1e-300 (every mode astronomically unlikely); callers should keep the
     prior belief and flag the event.
     """
-    pi, w, bad = _posteriors(b, np.atleast_1d(np.asarray(z, dtype=float))[None])
+    pi, w, bad = _posteriors(b, np.array([z], dtype=float))
     if bad[0]:
         raise DegenerateEvidenceError(
             "evidence underflow: a mode row underflowed or log Z is below ln(1e-300)"
@@ -318,8 +313,8 @@ def posterior_entropies(
     h_prior: float,
     pi_weighted_modes: bool = False,
 ) -> np.ndarray:
-    """``entropy(update(b, z), pi_weighted_modes)`` for every row z of
-    ``zs`` (N, d), in one pass that builds no belief. A row whose update
+    """``entropy(update(b, z), pi_weighted_modes)`` for every observation z
+    of ``zs`` (N,), in one pass that builds no belief. A row whose update
     would raise DegenerateEvidenceError reads ``h_prior``."""
     pi, w, bad = _posteriors(b, zs)
     return np.where(bad, h_prior, _entropies(b.targets, pi, w, pi_weighted_modes))

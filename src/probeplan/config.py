@@ -80,7 +80,6 @@ RUN_FIELDS = {
     "observation_noise_std": "human.observation_noise_std",
     "risk_threshold": "human.risk_threshold",
     "targets": "scenario.mode_targets_file",
-    "features": "planner.features",
 }
 
 
@@ -235,7 +234,7 @@ def build_planner_config(cfg: dict, scenario: str) -> PlannerConfig:
     for key, value in cfg["planner"].items():
         if value is None:
             continue
-        if key in ("features", "accel_bounds", "yaw_rate_bounds"):
+        if key in ("accel_bounds", "yaw_rate_bounds"):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"planner.{key} must be a list, got {value!r}")
             value = tuple(value)
@@ -254,7 +253,6 @@ def build_run_config(cfg: dict, scenario: str, planner: str) -> RunConfig:
     """RunConfig for one scenario x planner of ``cfg``; a value RunConfig
     rejects raises a ConfigError naming its config field."""
     kwargs = {name: _value(cfg, dotted) for name, dotted in RUN_FIELDS.items()}
-    del kwargs["features"]  # part of planner_cfg
     tfile = kwargs["targets"]
     kwargs.update(scenario=scenario, planner=planner,
                   targets=load_mode_targets(tfile) if tfile else None)
@@ -288,8 +286,8 @@ def config_hash(cfg: dict) -> str:
 
 def load_mode_targets(path: str | Path) -> ModeTargetSet:
     """Read a mode-target file. Intents are numbered from 1 in file order
-    and their modes from 1; ``observation`` is required, ``name``, ``label``
-    and ``steering`` are optional:
+    and their modes from 1; ``observation`` (a 1-D band over the human's
+    speed) is required, ``name``, ``label`` and ``steering`` are optional:
 
     intents:
       - name: aggressive
@@ -321,7 +319,10 @@ def load_mode_targets(path: str | Path) -> ModeTargetSet:
                 raise ConfigError(
                     f"mode {k} of intent {names[-1]!r} lacks an observation target"
                 )
-            obs = _gaussian_from(mode["observation"], f"{names[-1]}/mode {k} observation")
+            where = f"{names[-1]}/mode {k} observation"
+            obs = _gaussian_from(mode["observation"], where)
+            if obs.mean.shape != (1,):
+                raise ConfigError(f"{where} must be 1-dimensional (speed)")
             steer = None
             if mode.get("steering") is not None:
                 where = f"{names[-1]}/mode {k} steering"

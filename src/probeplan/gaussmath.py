@@ -44,8 +44,9 @@ def _chol_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 class Gaussian:
     """Mean/covariance pair.
 
-    The covariance is symmetrized on construction (asymmetry above 1e-9 is
-    rejected) and must be positive semidefinite with eigenvalues >= -1e-9.
+    Mean and covariance must be finite. The covariance is symmetrized on
+    construction (asymmetry above 1e-9 is rejected) and must be positive
+    semidefinite with eigenvalues >= -1e-9.
     Near-singular covariances are regularized by a 1e-9*I jitter when the
     Cholesky factorization fails; the stored matrix is never mutated.
     """
@@ -64,6 +65,8 @@ class Gaussian:
             raise InvalidInputError(
                 f"dimension mismatch: mean has dim {mean.shape[0]}, cov dim {cov.shape[0]}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise InvalidInputError(f"mean and cov must be finite, got {mean} and {cov.tolist()}")
         asym = float(np.max(np.abs(cov - cov.T))) if cov.size else 0.0
         if asym > _SYM_TOL:
             raise InvalidInputError(f"cov asymmetry {asym:.3e} exceeds {_SYM_TOL}")

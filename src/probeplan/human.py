@@ -21,7 +21,6 @@ from .dynamics import VehicleState, step_vehicle
 from .errors import InvalidInputError
 from .world import (
     ScenarioGeometry,
-    center_distance,
     closing_rate,
     ego_progress,
     human_progress,
@@ -38,9 +37,6 @@ SPEED_CAP_FACTOR = 1.5
 # Drivers only react to conflicts within this many seconds of the ego's
 # arrival; more distant encounters leave behavior uninformative.
 REACTION_HORIZON = 4.0
-
-VELOCITY = "velocity"
-GAP = "gap"
 
 
 @dataclass(frozen=True)
@@ -144,32 +140,8 @@ def human_response(
     return out
 
 
-def feature_vector(
-    h: VehicleState,
-    ego: VehicleState,
-    features: tuple[str, ...] = (VELOCITY,),
-) -> np.ndarray:
-    """Noise-free observation features of the human."""
-    values = []
-    for name in features:
-        if name == VELOCITY:
-            values.append(h.v)
-        elif name == GAP:
-            values.append(center_distance(ego, h))
-        else:
-            raise InvalidInputError(f"unknown observation feature {name!r}")
-    return np.array(values)
-
-
-def observe(
-    h: VehicleState,
-    ego: VehicleState,
-    p: HumanParams,
-    rng: np.random.Generator,
-    features: tuple[str, ...] = (VELOCITY,),
-) -> np.ndarray:
-    """Noisy observation: the feature vector plus i.i.d. Gaussian noise."""
-    z = feature_vector(h, ego, features)
+def observe(h: VehicleState, p: HumanParams, rng: np.random.Generator) -> float:
+    """Noisy observation: the human's speed plus Gaussian noise."""
     if p.observation_noise_std > 0.0:
-        z = z + rng.normal(0.0, p.observation_noise_std, size=z.shape)
-    return z
+        return h.v + rng.normal(0.0, p.observation_noise_std)
+    return h.v

@@ -106,7 +106,7 @@ from .belief import (
 from .dynamics import VehicleState, _wrap_angle
 from .errors import InvalidInputError
 from .gaussmath import Gaussian, kl_divergence
-from .human import GAP, VELOCITY, conflict_level
+from .human import conflict_level
 from .risk import (
     CERTIFY_MARGIN,
     cvar,
@@ -206,7 +206,6 @@ class PlannerConfig:
     obs_samples: int = 20
     ref_speed: float = 9.5
     obs_noise_std: float = 0.3
-    features: tuple[str, ...] = (VELOCITY,)
     solver_iters: int = 6
     solver_step: float = 0.6
     solver_segments: int = 3
@@ -244,15 +243,6 @@ class PlannerConfig:
                 f"solver_segments={self.solver_segments} leaves a segment empty: segments of "
                 f"{self.segment_steps} steps fill horizon_steps={self.horizon_steps} in "
                 f"{-(-self.horizon_steps // self.segment_steps)}"
-            )
-        features = self.features
-        if not (
-            isinstance(features, (tuple, list))
-            and all(isinstance(f, str) and f in (VELOCITY, GAP) for f in features)
-            and 0 < len(set(features)) == len(features)
-        ):
-            raise InvalidInputError(
-                f"features must be a non-empty subset of {(VELOCITY, GAP)}, got {features!r}"
             )
 
     @property
@@ -444,7 +434,7 @@ def predicted_observation_mean(
     cfg: PlannerConfig,
     response_time: float,
 ) -> np.ndarray:
-    """Expected observation (len(egos), len(modes), d) if the human follows
+    """Expected observed speed (len(egos), len(modes)) if the human follows
     each of ``modes``, against each (possibly projected) reference ego of
     ``egos``: its speed relaxes toward the mode's velocity mean at a rate
     set by the conflict level of that ego and ``human_ref``, integrated over
@@ -453,26 +443,17 @@ def predicted_observation_mean(
                              geometry.risk_threshold, geometry.nominal_human_speed) for ego in egos]
     relax = np.array([1.0 - math.exp(-cfg.response_gain * c * response_time) for c in levels])
     mu = np.array([mode.target.mean[0] for mode in modes], dtype=float)
-    v_pred = human_ref.v + relax[:, None] * (mu - human_ref.v)
-    columns = {VELOCITY: v_pred}
-    if GAP in cfg.features:
-        step = v_pred * cfg.dt
-        dx = np.array([[e.x] for e in egos]) - (human_ref.x + step * geometry.human_dir[0])
-        dy = np.array([[e.y] for e in egos]) - (human_ref.y + step * geometry.human_dir[1])
-        # math.hypot, not np.hypot: the two differ in the last bit.
-        gaps = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
-        columns[GAP] = np.fromiter(gaps, float, dx.size).reshape(dx.shape)
-    return np.stack([columns[name] for name in cfg.features], axis=-1)
+    return human_ref.v + relax[:, None] * (mu - human_ref.v)
 
 
 def _observation_draws(
     b: HierarchicalBelief, n_obs: int, rng: np.random.Generator, cfg: PlannerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices of ``n_obs`` modes drawn by joint weight, in target order,
-    and observation noise (n_obs, d) for each."""
+    and observation noise (n_obs,) for each."""
     omega = joint_weights(b)
     idxs = rng.choice(len(omega), size=n_obs, p=omega / omega.sum())
-    noise = rng.normal(0.0, cfg.obs_noise_std, size=(n_obs, len(cfg.features)))
+    noise = rng.normal(0.0, cfg.obs_noise_std, size=n_obs)
     return idxs, noise
 
 
@@ -802,7 +783,7 @@ class ActivePlanner:
         idxs, noise = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
         grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
         egos, human_ref, response_time = probe_projection(state, grid, cfg)
-        # Each point's observations (n_obs, d); points with byte-equal
+        # Each point's observations (n_obs,); points with byte-equal
         # observations (often all of them, once the held control saturates
         # the conflict level) share one row block of the batched pass.
         zs = predicted_observation_mean(

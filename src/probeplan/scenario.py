@@ -26,7 +26,7 @@ from .belief import (
 from .dynamics import VehicleState, step_vehicle
 from .errors import DegenerateEvidenceError, InvalidInputError
 from .gaussmath import Gaussian
-from .human import VELOCITY, YIELD_FLOORS, HumanParams, human_response, observe
+from .human import YIELD_FLOORS, HumanParams, human_response, observe
 from .metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION, RunResult, jerk_stats
 from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig, _is_integer, _is_real
 from .seeding import (
@@ -254,13 +254,6 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
         targets = self.targets or default_targets(self.scenario)
         object.__setattr__(self, "_targets", targets)
-        features = self.planner_cfg.features
-        if not self.targets and tuple(features) != (VELOCITY,):
-            raise InvalidInputError(f"features must be ({VELOCITY},) with the built-in targets, "
-                                    f"which are velocity bands; got {features!r}")
-        if len(features) != targets.obs_dim:
-            raise InvalidInputError(f"features has {len(features)} entries, but the mode "
-                                    f"targets observe {targets.obs_dim} dimension(s)")
         intent, n = self.pinned_intent, targets.num_intents
         if intent is not None and not (_is_integer(intent) and 1 <= intent <= n):
             raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, "
@@ -291,7 +284,7 @@ class RunConfig:
 class StepRecord:
     step: int
     t: float
-    z: np.ndarray
+    z: float
     pi: np.ndarray
     w_rows: tuple[np.ndarray, ...]
     entropy: float
@@ -376,7 +369,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     termination = TIMEOUT
 
     for step in range(max_steps):
-        z = observe(state.human, state.ego, params, rng_obs, pc.features)
+        z = observe(state.human, params, rng_obs)
         degenerate = False
         try:
             belief = relax_mode_weights(update(belief, z), MODE_FORGETTING)

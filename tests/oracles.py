@@ -68,11 +68,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from probeplan.baselines import ConservativePlanner
-from probeplan.belief import HierarchicalBelief, ModeTarget, entropy, max_entropy, update
+from probeplan.belief import (
+    HierarchicalBelief,
+    ModeTarget,
+    ModeTargetSet,
+    entropy,
+    max_entropy,
+    update,
+)
 from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
-from probeplan.human import VELOCITY, conflict_level
+from probeplan.human import conflict_level
 from probeplan.planner import (
     PROBE_LOOKAHEAD_STEPS,
     PROBE_PI_WEIGHTED,
@@ -119,6 +126,19 @@ def log_density(g: Gaussian, x: np.ndarray) -> float:
 def density(g: Gaussian, x: np.ndarray) -> float:
     """Gaussian pdf of ``g`` at ``x`` (linear scale, strictly positive)."""
     return math.exp(log_density(g, x))
+
+
+def einsum_log_likelihoods(targets: ModeTargetSet, zs: np.ndarray) -> np.ndarray:
+    """``ModeTargetSet.log_likelihoods`` for observation rows ``zs`` (N, d)
+    of any dimension, as (N, M): each target's inverse Cholesky factor and
+    log normalizer, contracted by an ``einsum`` pair. The kernel's scalar
+    form equals it bit for bit on 1-D targets."""
+    ts = targets.targets
+    means = np.stack([t.target.mean for t in ts])
+    chol_inv = np.stack([np.linalg.inv(t.target._chol) for t in ts])
+    log_norm = np.array([-0.5 * (t.target.dim * _LOG_2PI + t.target._log_det) for t in ts])
+    y = np.einsum("mij,nmj->nmi", chol_inv, zs[:, None, :] - means)
+    return log_norm - 0.5 * np.einsum("nmi,nmi->nm", y, y)
 
 
 def draw_human_paths_one(
@@ -192,23 +212,13 @@ def influence_objective(predicted: Gaussian, target: Gaussian) -> float:
 
 
 def predicted_observation_one(ego_ref, human_ref, geometry, mode, cfg, response_time):
-    """``predicted_observation_mean`` for one mode, as a (d,) vector."""
+    """``predicted_observation_mean`` for one mode: the predicted speed."""
     c = conflict_level(
         ego_ref, human_ref, geometry, cfg.response_gain,
         geometry.risk_threshold, geometry.nominal_human_speed,
     )
     relax = 1.0 - math.exp(-cfg.response_gain * c * response_time)
-    v_pred = human_ref.v + relax * (float(mode.target.mean[0]) - human_ref.v)
-    values = []
-    for name in cfg.features:
-        if name == VELOCITY:
-            values.append(v_pred)
-        else:
-            step = v_pred * cfg.dt
-            hx = human_ref.x + step * geometry.human_dir[0]
-            hy = human_ref.y + step * geometry.human_dir[1]
-            values.append(math.hypot(ego_ref.x - hx, ego_ref.y - hy))
-    return np.array(values)
+    return human_ref.v + relax * (float(mode.target.mean[0]) - human_ref.v)
 
 
 def ego_headings(ego, yaw: np.ndarray, dt: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from probeplan.belief import (
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian
 
-from oracles import density
+from oracles import density, einsum_log_likelihoods
 
 
 def make_targets(means, variances=None):
@@ -77,9 +77,10 @@ def split_rows(b, flat):
 
 def loop_update(b, z):
     """Row-wise reference for ``update``: one intent at a time, each sum
-    taken with ``row.sum()``. Returns (pi, rows) or raises like it."""
+    taken with ``row.sum()``, the likelihoods from the einsum oracle.
+    Returns (pi, rows) or raises like it."""
     rows = split_rows(b, b.mode_weights)
-    lls = split_rows(b, b.targets.log_likelihoods(z[None])[0])
+    lls = split_rows(b, einsum_log_likelihoods(b.targets, np.array([[z]], dtype=float))[0])
     row_max = np.array([np.where(w > 0.0, ll, -np.inf).max() for ll, w in zip(lls, rows)])
     global_max = float(row_max.max())
     if not np.all(np.isfinite(row_max)):
@@ -207,7 +208,7 @@ class TestUpdate:
         rng = np.random.default_rng(0)
         b = random_belief(rng, num_intents=2, modes=[2, 2])
         b = HierarchicalBelief(b.intent_probs, b.mode_weights, targets)
-        out = update(b, np.array([1.3]))
+        out = update(b, 1.3)
         assert np.allclose(out.intent_probs, b.intent_probs, atol=1e-12)
         for r_out, r_in in zip(out.rows(), b.rows()):
             assert np.allclose(r_out, r_in, atol=1e-12)
@@ -216,7 +217,7 @@ class TestUpdate:
         # z chosen so the density ratio is exactly 4; posterior [0.8, 0.2].
         targets = make_targets([[0.0], [2.0]])
         b = uniform_belief(targets)
-        z = np.array([1.0 - 0.5 * math.log(4.0)])
+        z = 1.0 - 0.5 * math.log(4.0)
         out = update(b, z)
         assert np.allclose(out.intent_probs, [0.8, 0.2], atol=1e-12)
         assert np.array_equal(out.rows()[0], [1.0])
@@ -226,7 +227,7 @@ class TestUpdate:
         rng = np.random.default_rng(42)
         for _ in range(100):
             b = random_belief(rng)
-            z = np.array([rng.normal(0, 5)])
+            z = rng.normal(0, 5)
             out = update(b, z)
             pi, w = oracle_update(b, z)
             assert np.allclose(out.intent_probs, pi, atol=1e-10)
@@ -236,14 +237,14 @@ class TestUpdate:
     def test_input_unchanged(self):
         b = uniform_belief(make_targets([[0.0, 2.0]]))
         before = b.intent_probs.copy()
-        update(b, np.array([0.5]))
+        update(b, 0.5)
         assert np.array_equal(b.intent_probs, before)
 
     def test_chained_normalization(self):
         rng = np.random.default_rng(1)
         b = random_belief(rng, num_intents=3, modes=[3, 3, 3])
         for _ in range(300):
-            b = update(b, np.array([rng.normal(0, 3)]))
+            b = update(b, rng.normal(0, 3))
             assert abs(b.intent_probs.sum() - 1.0) < 1e-9
             for row in b.rows():
                 assert abs(row.sum() - 1.0) < 1e-9
@@ -251,14 +252,14 @@ class TestUpdate:
     def test_zero_intent_stays_zero(self):
         targets = make_targets([[0.0], [1.0]])
         b = HierarchicalBelief(np.array([1.0, 0.0]), np.array([1.0, 1.0]), targets)
-        out = update(b, np.array([1.0]))  # evidence favors the dead intent
+        out = update(b, 1.0)  # evidence favors the dead intent
         assert out.intent_probs[1] == 0.0
         assert out.intent_probs[0] == 1.0
 
     def test_degenerate_belief_is_fixed_point(self):
         targets = make_targets([[0.0, 4.0], [1.0, 5.0]])
         b = HierarchicalBelief(np.array([0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0]), targets)
-        out = update(b, np.array([2.2]))
+        out = update(b, 2.2)
         assert np.array_equal(out.intent_probs, b.intent_probs)
         for r_out, r_in in zip(out.rows(), b.rows()):
             assert np.array_equal(r_out, r_in)
@@ -266,13 +267,13 @@ class TestUpdate:
     def test_degenerate_evidence_raises(self):
         b = uniform_belief(make_targets([[0.0], [0.5]]))
         with pytest.raises(DegenerateEvidenceError):
-            update(b, np.array([1.0e160]))
+            update(b, 1.0e160)
 
     def test_log_space_matches_naive(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             b = random_belief(rng)
-            z = np.array([rng.normal(0, 2)])
+            z = rng.normal(0, 2)
             out = update(b, z)
             # Naive linear-scale arithmetic of the same update.
             intent_liks = np.zeros(b.targets.num_intents)
@@ -362,11 +363,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             ModeTargetSet([ModeTarget(1, 1, g), ModeTarget(3, 1, g)])
 
-    def test_dim_mismatch_rejected(self):
+    def test_two_dimensional_target_rejected(self):
+        # The observation is the human's speed.
         g1d = Gaussian(np.array([0.0]), np.array([[1.0]]))
         g2d = Gaussian(np.zeros(2), np.eye(2))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"\(2, 1\) must be 1-dimensional"):
             ModeTargetSet([ModeTarget(1, 1, g1d), ModeTarget(2, 1, g2d)])
+        with pytest.raises(InvalidInputError, match="1-dimensional"):
+            ModeTargetSet([ModeTarget(1, 1, g2d)])
 
     def test_bad_probabilities_rejected(self):
         targets = make_targets([[0.0], [1.0]])
@@ -397,7 +401,7 @@ class TestFlatKernelsMatchLoops:
             b = with_zeros(rng, random_belief(rng, num_intents, modes))
             # A few filter steps reach the weights the run loop sees.
             for _ in range(3):
-                z = np.array([rng.normal(0, 5)])
+                z = rng.normal(0, 5)
                 assert_kernels_match_loops(b, z)
                 b = relax_mode_weights(update(b, z), 0.02)
 
@@ -416,33 +420,36 @@ class TestFlatKernelsMatchLoops:
             assert np.array_equal(row, expected)
             assert not row.flags.writeable
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_multidimensional(self, dim):
-        # Full covariances: the likelihood einsum contracts over d > 1.
-        rng = np.random.default_rng(dim)
-        for _ in range(200):
-            b = random_belief_nd(rng, dim)
-            assert_kernels_match_loops(b, rng.normal(0.0, 6.0, dim))
-
     @given(b=beliefs(), z=st.floats(-20.0, 20.0), forgetting=st.floats(0.0, 0.5))
     @settings(max_examples=200, deadline=None)
     def test_hypothesis(self, b, z, forgetting):
-        assert_kernels_match_loops(b, np.array([z]), forgetting)
+        assert_kernels_match_loops(b, z, forgetting)
 
 
-def random_belief_nd(rng, dim):
-    """Ragged belief, 1-4 intents x 1-4 modes, over ``dim``-dimensional
-    targets with full covariances, zeros included."""
-    targets = []
-    for i in range(1, int(rng.integers(1, 5)) + 1):
-        for k in range(1, int(rng.integers(1, 5)) + 1):
-            a = rng.normal(size=(dim, dim))
-            cov = a @ a.T + rng.uniform(0.2, 2.0) * np.eye(dim)
-            targets.append(ModeTarget(i, k, Gaussian(rng.normal(0.0, 4.0, dim), cov)))
-    ts = ModeTargetSet(targets)
-    pi = rng.dirichlet(np.ones(ts.num_intents))
-    w = np.concatenate([rng.dirichlet(np.ones(k)) for k in ts.modes_per_intent])
-    return with_zeros(rng, HierarchicalBelief(pi, w, ts))
+class TestLogLikelihoods:
+    """The scalar kernel ``inv_std * (z - mu)`` equals the einsum pair over
+    inverse Cholesky factors it replaced, bit for bit, on 1-D targets."""
+
+    @given(
+        modes=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e2) | st.just(0.0)),
+            min_size=1, max_size=9,
+        ),
+        zs=st.lists(st.floats(-20.0, 20.0) | st.floats(-1e6, 1e6), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_einsum_oracle(self, modes, zs):
+        ts = make_targets([[mu for mu, _ in modes]], [[var for _, var in modes]])
+        zs = np.array(zs)
+        assert np.array_equal(ts.log_likelihoods(zs), einsum_log_likelihoods(ts, zs[:, None]))
+
+    def test_zero_variance_target_takes_the_jitter(self):
+        ts = make_targets([[0.0, 3.0]], [[0.0, 1e-3]])
+        assert ts.targets[0].target._chol[0, 0] == math.sqrt(1e-9)
+        zs = np.array([0.0, 1e-5, -2.5, 1e6, -1e6])
+        got = ts.log_likelihoods(zs)
+        assert np.array_equal(got, einsum_log_likelihoods(ts, zs[:, None]))
+        assert np.isfinite(got).all()
 
 
 def loop_posterior_entropies(b, zs, h_prior, pi_weighted_modes):
@@ -470,9 +477,8 @@ class TestPosteriorEntropies:
         rng = np.random.default_rng(21)
         degenerate = 0
         for _ in range(300):
-            dim = int(rng.integers(1, 4))
-            b = random_belief_nd(rng, dim)
-            zs = rng.normal(0.0, 6.0, (int(rng.integers(1, 30)), dim))
+            b = with_zeros(rng, random_belief(rng))
+            zs = rng.normal(0.0, 6.0, int(rng.integers(1, 30)))
             # Far observations underflow the evidence: degenerate rows.
             zs[rng.random(len(zs)) < 0.2] *= 1e3
             for weighted in (False, True):
@@ -487,18 +493,18 @@ class TestPosteriorEntropies:
         for _ in range(50):
             b = random_belief(rng, 3, [3, 3, 3])
             for _ in range(4):
-                b = relax_mode_weights(update(b, np.array([rng.normal(0, 4)])), 0.02)
-            zs = rng.normal(0.0, 5.0, (40, 1))
+                b = relax_mode_weights(update(b, rng.normal(0, 4)), 0.02)
+            zs = rng.normal(0.0, 5.0, 40)
             want, _ = loop_posterior_entropies(b, zs, entropy(b, True), True)
             assert np.array_equal(posterior_entropies(b, zs, entropy(b, True), True), want)
 
     def test_degenerate_rows_masked_without_fp_errors(self):
         b = random_belief(np.random.default_rng(8), 3, [2, 1, 3])
-        zs = np.array([[0.5], [1e4], [-2.0], [-1e5]])
+        zs = np.array([0.5, 1e4, -2.0, -1e5])
         with np.errstate(divide="raise", invalid="raise"):
             got = posterior_entropies(b, zs, 7.5)
         for z, g in zip(zs, got):
-            if abs(z[0]) > 100.0:
+            if abs(z) > 100.0:
                 with pytest.raises(DegenerateEvidenceError):
                     update(b, z)
                 assert g == 7.5
@@ -509,7 +515,7 @@ class TestPosteriorEntropies:
         # A row whose every log-likelihood is -inf: update's row-underflow
         # branch.
         b = random_belief(np.random.default_rng(9), 2, [2, 2])
-        zs = np.array([[1.0], [1e200]])
+        zs = np.array([1.0, 1e200])
         with np.errstate(over="ignore"):
             with pytest.raises(DegenerateEvidenceError):
                 update(b, zs[1])
@@ -527,7 +533,7 @@ class TestPosteriorEntropies:
 
         def degenerate(x):
             try:
-                loop_update(b, np.array([x]))
+                loop_update(b, x)
             except DegenerateEvidenceError:
                 return True
             return False
@@ -539,15 +545,15 @@ class TestPosteriorEntropies:
         xs = [lo]
         for _ in range(20):
             xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
-        zs = np.array(xs + [0.0, 1e3])[:, None]
+        zs = np.array(xs + [0.0, 1e3])
         want, n_bad = loop_posterior_entropies(b, zs, 9.0, True)
         assert 20 < n_bad < len(zs) - 20
         assert np.array_equal(posterior_entropies(b, zs, 9.0, True), want)
         cut = HierarchicalBelief(np.array([1.0, 0.0]), np.ones(2),
                                  make_targets([[0.0], [100.0]]))
         with pytest.raises(DegenerateEvidenceError):
-            loop_update(cut, np.array([100.0]))
-        assert posterior_entropies(cut, np.array([[100.0], [0.0]]), 9.0)[0] == 9.0
+            loop_update(cut, 100.0)
+        assert posterior_entropies(cut, np.array([100.0, 0.0]), 9.0)[0] == 9.0
 
     def test_underflow_mask_matches_the_scalar_rule(self):
         # Evidence shifts g and sums z one float either side of the floor,
@@ -570,8 +576,8 @@ class TestPosteriorEntropies:
         assert 0 < sum(want) < len(want)
 
     def test_shape_checked(self):
-        b = random_belief_nd(np.random.default_rng(2), 2)
-        for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((3, 3))):
+        b = random_belief(np.random.default_rng(2))
+        for bad in (np.float64(0.0), np.zeros((3, 1)), np.zeros((3, 3))):
             with pytest.raises(InvalidInputError, match="observations must have shape"):
                 posterior_entropies(b, bad, 0.0)
 
@@ -582,7 +588,7 @@ class TestPosteriorEntropies:
     )
     @settings(max_examples=200, deadline=None)
     def test_hypothesis(self, b, zs, weighted):
-        zs = np.array(zs).reshape(-1, 1)
+        zs = np.array(zs)
         h_prior = entropy(b, weighted)
         want, _ = loop_posterior_entropies(b, zs, h_prior, weighted)
         assert np.array_equal(posterior_entropies(b, zs, h_prior, weighted), want)

@@ -90,10 +90,10 @@ class TestLoad:
             # An empty last segment: a wasted probe, or a NaN warm start.
             ("planner.solver_segments=7", "planner.solver_segments"),
             ("planner.horizon_steps=2", "planner.solver_segments"),
-            # A switch that no longer exists.
+            # Switches that no longer exist; the observation is the speed.
             ("planner.literal_probe_sign=true", "planner.literal_probe_sign"),
+            ("planner.features=[velocity]", "unknown field planner.features"),
             # Bare TypeError or ValueError from the planner section.
-            ("planner.features=5", "planner.features"),
             ("planner.accel_bounds=[1]", "planner.accel_bounds"),
             ("planner.yaw_rate_bounds=0.6", "planner.yaw_rate_bounds"),
             # Bare TypeError from the name lists.
@@ -118,10 +118,6 @@ class TestLoad:
             # Bare TypeError from the targets file path.
             ("scenario.mode_targets_file=5", "scenario.mode_targets_file"),
             ("scenario.mode_targets_file=[a.yaml]", "scenario.mode_targets_file"),
-            # InvalidInputError from the first belief update of every run.
-            ("planner.features=[velocity, gap]", "planner.features"),
-            # Ran, and scored gaps against the built-in velocity bands.
-            ("planner.features=[gap]", "planner.features"),
             # Caught only when each worker built its run config.
             ("human.pinned_intent=4", "human.pinned_intent"),
             ("human.pinned_intent=1.5", "human.pinned_intent"),
@@ -237,6 +233,10 @@ class TestHash:
         assert config_hash(base) == config_hash(moved)
 
 
+ONE_MODE = "intents:\n  - name: a\n    modes:\n      - observation: {obs}\n        steering: {steer}\n"
+OBS = "{mean: [9.5], cov: [[1.0]]}"
+STEER = "{mean: [8.0, -14.0], cov: [[2.25, 0], [0, 16.0]]}"
+
 TARGETS = """
 intents:
   - name: aggressive
@@ -284,6 +284,14 @@ class TestModeTargets:
             ("intents: [5]", "intents list"),
             ("intents:\n  - name: a\n    modes: 5", "intent 'a' must have a non-empty modes"),
             ("intents:\n  - name: a\n    modes: [5]", "intent 'a' must have a non-empty modes"),
+            # Loaded; every ours and conservative run then marked each step's
+            # evidence degenerate, read the mode's cvar_pre as NaN and timed out.
+            (ONE_MODE.format(obs="{mean: [.nan], cov: [[1.0]]}", steer=STEER),
+             "a/mode 1 observation"),
+            (ONE_MODE.format(obs="{mean: [9.5], cov: [[.nan]]}", steer=STEER),
+             "a/mode 1 observation"),
+            (ONE_MODE.format(obs=OBS, steer="{mean: [8.0, .inf], cov: [[2.25, 0], [0, 16.0]]}"),
+             "a/mode 1 steering"),
         ],
     )
     def test_malformed_file_rejected_naming_part(self, tmp_path, body, named):
@@ -355,25 +363,15 @@ class TestModeTargets:
             load_config(write(tmp_path, MINIMAL), [override, f"experiment.planner={planners}"])
         load_config(write(tmp_path, MINIMAL), [override, "experiment.planner=conservative"])
 
-    def test_two_features_load_with_two_dimensional_targets(self, tmp_path):
+    def test_two_dimensional_observation_rejected_naming_mode(self, tmp_path):
+        # The observation is the human's speed; a (speed, gap) band has no
+        # observation to score.
         tpath = write(tmp_path, TARGETS_2D, "targets2d.yaml")
-        cfg = load_config(
-            write(tmp_path, MINIMAL),
-            [f"scenario.mode_targets_file={tpath}", "planner.features=[velocity, gap]"],
-        )
-        rc = build_run_config(cfg, "lane_merge", "ours")
-        assert rc.targets.obs_dim == 2
-        assert rc.planner_cfg.features == ("velocity", "gap")
-
-    def test_repeated_feature_rejected(self, tmp_path):
-        # Loaded before, and each run scored velocity twice against the
-        # file's (velocity, gap) model.
-        tpath = write(tmp_path, TARGETS_2D, "targets2d.yaml")
-        with pytest.raises(ConfigError, match="features"):
-            load_config(
-                write(tmp_path, MINIMAL),
-                [f"scenario.mode_targets_file={tpath}", "planner.features=[velocity, velocity]"],
-            )
+        pattern = "aggressive/mode 1 observation must be 1-dimensional"
+        with pytest.raises(ConfigError, match=pattern):
+            load_mode_targets(tpath)
+        with pytest.raises(ConfigError, match=pattern):
+            load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={tpath}"])
 
 
 class TestBuildRunConfig:
@@ -381,7 +379,7 @@ class TestBuildRunConfig:
         # The planner section and an initial state reach RunConfig by
         # other paths; every other field is read through RUN_FIELDS.
         filled = {f.name for f in dataclasses.fields(RunConfig)} - {"planner_cfg", "initial_state"}
-        assert set(RUN_FIELDS) == filled | {"features"}
+        assert set(RUN_FIELDS) == filled
 
 
 TARGETS_2D = """

@@ -50,6 +50,20 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Gaussian(np.zeros(1), np.array([[-0.5]]))
 
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            # Accepted: a NaN mean made every likelihood NaN, and a NaN
+            # covariance passed the eigenvalue floor.
+            ([math.nan], [[1.0]]),
+            ([8.0, math.inf], [[2.25, 0.0], [0.0, 16.0]]),
+            ([0.0], [[math.nan]]),
+        ],
+    )
+    def test_rejects_non_finite(self, mean, cov):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Gaussian(np.array(mean), np.array(cov))
+
     def test_accepts_tiny_negative_eigenvalue(self):
         g = Gaussian(np.zeros(1), np.array([[-0.5e-9]]))
         assert g.dim == 1

@@ -9,13 +9,10 @@ import pytest
 from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
 from probeplan.human import (
-    GAP,
-    VELOCITY,
     HumanParams,
     YIELD_FLOORS,
     conflict_level,
     desired_speed,
-    feature_vector,
     human_response,
     observe,
 )
@@ -116,31 +113,27 @@ class TestResponse:
 class TestObserve:
     def test_zero_noise_is_exact(self):
         h = VehicleState(-20.0, 0.0, 9.3, 0.0)
-        ego = VehicleState(-30.0, 3.5, 8.0, 0.0)
         p = params(observation_noise_std=0.0)
-        z = observe(h, ego, p, np.random.default_rng(0))
-        assert np.array_equal(z, np.array([9.3]))
+        assert observe(h, p, np.random.default_rng(0)) == 9.3
 
     def test_seeded_reproducible(self):
         h = VehicleState(-20.0, 0.0, 9.3, 0.0)
-        ego = VehicleState(-30.0, 3.5, 8.0, 0.0)
-        a = observe(h, ego, params(), np.random.default_rng(5))
-        b = observe(h, ego, params(), np.random.default_rng(5))
-        assert np.array_equal(a, b)
+        a = observe(h, params(), np.random.default_rng(5))
+        b = observe(h, params(), np.random.default_rng(5))
+        assert a == b
+
+    def test_one_normal_draw_per_observation(self):
+        # The speed plus exactly one draw of the run's observation stream,
+        # which every later observation of a seeded run depends on.
+        h = VehicleState(-20.0, 0.0, 9.3, 0.0)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(50):
+            assert observe(h, params(), rng) == 9.3 + ref.normal(0.0, 0.3, size=(1,))[0]
 
     def test_empirical_noise_std(self):
         h = VehicleState(-20.0, 0.0, 9.0, 0.0)
-        ego = VehicleState(-30.0, 3.5, 8.0, 0.0)
         p = params(observation_noise_std=0.3)
         rng = np.random.default_rng(11)
-        zs = np.array([observe(h, ego, p, rng)[0] for _ in range(10_000)])
+        zs = np.array([observe(h, p, rng) for _ in range(10_000)])
         assert abs(zs.std() - 0.3) / 0.3 < 0.05
         assert zs.mean() == pytest.approx(9.0, abs=0.02)
-
-    def test_gap_feature(self):
-        h = VehicleState(0.0, 0.0, 9.0, 0.0)
-        ego = VehicleState(3.0, 4.0, 8.0, 0.0)
-        z = feature_vector(h, ego, (VELOCITY, GAP))
-        assert np.allclose(z, [9.0, 5.0])
-        with pytest.raises(InvalidInputError):
-            feature_vector(h, ego, ("unknown",))

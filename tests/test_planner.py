@@ -26,7 +26,6 @@ from probeplan.belief import (
 from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
-from probeplan.human import GAP, VELOCITY
 from probeplan import baselines as baselines_mod
 from probeplan import planner as planner_mod
 from probeplan.planner import (
@@ -103,8 +102,6 @@ class TestPlannerConfigValidation:
             ("discount", 1.5),
             # A negative noise scale surfaced as numpy's "scale < 0".
             ("obs_noise_std", -1.0),
-            # A feature typo surfaced only at the first observation.
-            ("features", ("velocty",)),
             # Fractional budgets raised TypeError mid-run.
             ("horizon_steps", 2.5),
             ("rollout_count", 2.5),
@@ -138,11 +135,6 @@ class TestPlannerConfigValidation:
             ("accel_bounds", (-3.0, math.inf)),
             ("yaw_rate_bounds", (0.6, -0.6)),
             ("yaw_rate_bounds", 5),
-            ("features", 5),
-            ("features", ("velocity", ["gap"])),
-            ("features", ()),
-            # Scored one observation twice against a two-feature model.
-            ("features", ("velocity", "velocity")),
             # Segments of ceil(T / P) steps that leave the last one empty:
             # its probe was wasted every iteration (30 steps in 6 segments
             # of 5), or its warm-start mean was NaN.
@@ -163,6 +155,11 @@ class TestPlannerConfigValidation:
 
     def test_infinite_risk_cap_means_no_cap(self):
         assert PlannerConfig(risk_cap=math.inf).risk_cap == math.inf
+
+    def test_observation_features_are_not_an_option(self):
+        # The observation is the human's speed.
+        with pytest.raises(TypeError, match="features"):
+            PlannerConfig(features=("velocity",))
 
 
 class TestExpectedPosteriorEntropy:
@@ -207,24 +204,6 @@ class TestExpectedPosteriorEntropy:
             )
 
 
-def with_gap_targets(targets, features):
-    """``targets`` with a second, gap dimension on every observation
-    target, its dimensions in the order of ``features``."""
-    order = [(VELOCITY, GAP).index(name) for name in features]
-    return ModeTargetSet(
-        [
-            ModeTarget(
-                t.intent_id, t.mode_id,
-                Gaussian(np.array([t.target.mean[0], 6.0 + 4.0 * t.mode_id])[order],
-                         np.array([[t.target.cov[0, 0], 0.5], [0.5, 9.0]])[np.ix_(order, order)]),
-                t.label, t.steer,
-            )
-            for t in targets.targets
-        ],
-        targets.intent_names,
-    )
-
-
 def advanced_state(kind, rng):
     """A random initial state with both vehicles coasted 0-4 s ahead, so
     the conflict level ranges from none to saturated."""
@@ -246,7 +225,7 @@ def filtered_belief(targets, rng):
         b = HierarchicalBelief(pi, b.mode_weights, targets)
     for _ in range(int(rng.integers(0, 5))):
         t = targets.targets[int(rng.integers(len(targets)))]
-        z = t.target.mean + rng.normal(0.0, 0.5, targets.obs_dim)
+        z = t.target.mean[0] + rng.normal(0.0, 0.5)
         b = relax_mode_weights(update(b, z), 0.02)
     return b
 
@@ -256,8 +235,7 @@ class TestProbeGrid:
     draw and grid point, bit for bit."""
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP), (GAP, VELOCITY)])
-    def test_matches_loop_oracle(self, kind, features, monkeypatch):
+    def test_matches_loop_oracle(self, kind, monkeypatch):
         rows = []
 
         def recording(b, zs, h_prior, pi_weighted_modes=False):
@@ -266,9 +244,7 @@ class TestProbeGrid:
 
         monkeypatch.setattr("probeplan.planner.posterior_entropies", recording)
         targets = default_targets(kind)
-        if len(features) == 2:
-            targets = with_gap_targets(targets, features)
-        cfg = PlannerConfig(obs_samples=8, features=features, ref_speed=DEFAULT_REF_SPEED[kind])
+        cfg = PlannerConfig(obs_samples=8, ref_speed=DEFAULT_REF_SPEED[kind])
         planner = ActivePlanner(cfg)
         rng = np.random.default_rng(17)
         flat = 0
@@ -286,19 +262,15 @@ class TestProbeGrid:
             assert np.array_equal(values, want)
             n_obs = rows[-1] if len(set(want)) == 1 else None
             flat += n_obs in (cfg.obs_samples, 2 * cfg.obs_samples)
-        if features == (VELOCITY,):
-            # Fully flat grids occur, and score one block of draws.
-            assert flat > 0
+        # Fully flat grids occur, and score one block of draws.
+        assert flat > 0
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    @pytest.mark.parametrize("features", [(VELOCITY,), (VELOCITY, GAP), (GAP, VELOCITY)])
-    def test_observation_means_of_every_ego_in_one_call(self, kind, features):
-        # Row e of the (E, M, d) block is ego e's observation per mode, bit
+    def test_observation_means_of_every_ego_in_one_call(self, kind):
+        # Row e of the (E, M) block is ego e's observed speed per mode, bit
         # for bit the one-mode oracle.
         targets = default_targets(kind)
-        if len(features) == 2:
-            targets = with_gap_targets(targets, features)
-        cfg = PlannerConfig(features=features, ref_speed=DEFAULT_REF_SPEED[kind])
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(18)
         for _ in range(8):
             state = advanced_state(kind, rng)
@@ -306,7 +278,7 @@ class TestProbeGrid:
                 state, np.linspace(*cfg.accel_bounds, cfg.probe_grid_size), cfg)
             got = planner_mod.predicted_observation_mean(
                 egos, human, state.geometry, targets.targets, cfg, response_time)
-            assert got.shape == (len(egos), len(targets), len(features))
+            assert got.shape == (len(egos), len(targets))
             for ego, rows in zip(egos, got):
                 want = np.array([predicted_observation_one(
                     ego, human, state.geometry, mode, cfg, response_time)

@@ -271,13 +271,6 @@ class TestRun:
 
         assert one(np.int64(7), np.uint32(2)) == one(7, 2)
 
-    def test_feature_count_checked_before_first_step(self):
-        # The default targets observe one dimension; this used to fail in
-        # the step loop with "observations must have shape (N, 1), got (1, 2)".
-        with pytest.raises(InvalidInputError, match="features"):
-            RunConfig(scenario=LANE_MERGE, master_seed=0,
-                      planner_cfg=PlannerConfig(features=("velocity", "gap")))
-
     @pytest.mark.parametrize("planner", ["ours", "passive"])
     def test_steering_required_by_steering_planners(self, planner):
         # Accepted before, and the run ended in error at the first solve of
@@ -305,7 +298,7 @@ class TestRun:
         shared = a.resolved_targets()
         assert b.resolved_targets() is shared is default_targets(LANE_MERGE)
         assert default_targets(INTERSECTION) is not shared
-        for arr in (shared._means, shared._chol_inv, shared._log_norm, shared._rows,
+        for arr in (shared._means, shared._inv_std, shared._log_norm, shared._rows,
                     shared._starts, shared._row_len):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
