@@ -133,11 +133,11 @@ def assert_kernels_match_loops(b, z, forgetting=0.02):
     assert np.array_equal(out.mode_weights, np.concatenate(rows))
 
 
-def random_belief(rng, num_intents=None, modes=None):
+def random_belief(rng, num_intents=None, modes=None, var_scale=1.0):
     num_intents = num_intents or int(rng.integers(1, 5))
     modes = modes or [int(rng.integers(1, 4)) for _ in range(num_intents)]
     means = [[rng.normal(0, 4) for _ in range(k)] for k in modes]
-    variances = [[rng.uniform(0.3, 3.0) for _ in range(k)] for k in modes]
+    variances = [[var_scale * rng.uniform(0.3, 3.0) for _ in range(k)] for k in modes]
     targets = make_targets(means, variances)
     pi = rng.dirichlet(np.ones(num_intents))
     w = np.concatenate([rng.dirichlet(np.ones(k)) for k in modes])
@@ -419,6 +419,15 @@ class TestFlatKernelsMatchLoops:
         for row, expected in zip(rows, split_rows(b, b.mode_weights)):
             assert np.array_equal(row, expected)
             assert not row.flags.writeable
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e2])
+    def test_band_scale(self, scale):
+        # Sharp bands reach the likelihood's far tails and degenerate
+        # evidence; wide ones leave nearly flat likelihoods.
+        rng = np.random.default_rng(int(1 / scale) + 7)
+        for _ in range(200):
+            b = with_zeros(rng, random_belief(rng, var_scale=scale))
+            assert_kernels_match_loops(b, rng.normal(0.0, 6.0))
 
     @given(b=beliefs(), z=st.floats(-20.0, 20.0), forgetting=st.floats(0.0, 0.5))
     @settings(max_examples=200, deadline=None)

@@ -204,6 +204,22 @@ class TestExpectedPosteriorEntropy:
             )
 
 
+def banded_targets(targets, scale=1.0, offset=0.0):
+    """``targets`` with every observation band's variance times ``scale``
+    and its mean shifted by ``offset``."""
+    return ModeTargetSet(
+        [
+            ModeTarget(
+                t.intent_id, t.mode_id,
+                Gaussian(t.target.mean + offset, t.target.cov * scale),
+                t.label, t.steer,
+            )
+            for t in targets.targets
+        ],
+        targets.intent_names,
+    )
+
+
 def advanced_state(kind, rng):
     """A random initial state with both vehicles coasted 0-4 s ahead, so
     the conflict level ranges from none to saturated."""
@@ -235,7 +251,10 @@ class TestProbeGrid:
     draw and grid point, bit for bit."""
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    def test_matches_loop_oracle(self, kind, monkeypatch):
+    # Sharp bands drive the scalar likelihood into its tails and the
+    # evidence of far draws to zero; wide ones flatten it.
+    @pytest.mark.parametrize("band", [1.0, 1e-2, 1e2])
+    def test_matches_loop_oracle(self, kind, band, monkeypatch):
         rows = []
 
         def recording(b, zs, h_prior, pi_weighted_modes=False):
@@ -243,7 +262,7 @@ class TestProbeGrid:
             return posterior_entropies(b, zs, h_prior, pi_weighted_modes)
 
         monkeypatch.setattr("probeplan.planner.posterior_entropies", recording)
-        targets = default_targets(kind)
+        targets = banded_targets(default_targets(kind), scale=band)
         cfg = PlannerConfig(obs_samples=8, ref_speed=DEFAULT_REF_SPEED[kind])
         planner = ActivePlanner(cfg)
         rng = np.random.default_rng(17)
@@ -266,10 +285,13 @@ class TestProbeGrid:
         assert flat > 0
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
-    def test_observation_means_of_every_ego_in_one_call(self, kind):
+    # Targets below and above every mode's default speed: the human relaxes
+    # down or up towards them.
+    @pytest.mark.parametrize("offset", [0.0, -6.0, 6.0])
+    def test_observation_means_of_every_ego_in_one_call(self, kind, offset):
         # Row e of the (E, M) block is ego e's observed speed per mode, bit
         # for bit the one-mode oracle.
-        targets = default_targets(kind)
+        targets = banded_targets(default_targets(kind), offset=offset)
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(18)
         for _ in range(8):
