@@ -32,7 +32,6 @@ from .risk import (
     CERTIFY_MARGIN,
     cvar,
     cvar_tail,
-    path_cost_floors,
     path_cost_means,
     path_costs,
     simulate_ego_path,  # noqa: F401 -- the benchmark wraps probeplan.baselines.simulate_ego_path
@@ -74,20 +73,18 @@ class ConservativePlanner(ActivePlanner):
         cfg = self.cfg
         ctx = self._begin_step(state, b, rng)
         weights, solve = ctx.omega[ctx.solve], np.array(ctx.solve)
-        paths, boxes = ctx.human_paths[solve], ctx.human_boxes[solve]
+        paths = ctx.human_paths[solve]
+        # The start round scores the warm start first, the row after the
+        # shared head, or the clipped coasting start before any plan.
+        first = len(self._shared_starts[0]) if self._ref_accel is not None else 0
         last = {}  # the step's last scored cost block
 
         def floor_sums(ego_paths: np.ndarray) -> np.ndarray:
             # Each vector's omega-weighted sum of its floors: the mean cost of
-            # the last scored vector's tail samples, or before any is scored
-            # the box floor.
-            if last:
-                tails = cvar_tail(last["costs"], cfg.cvar_level)[:, None]
-                samples = paths[np.arange(len(solve))[:, None, None], np.arange(2)[:, None], tails]
-                floors = path_cost_means(*ego_paths, samples, ctx.discount_weights, cfg.ref_speed)
-            else:
-                floors = path_cost_floors(*ego_paths[:, :, None], boxes, ctx.discount_weights,
-                                          cfg.ref_speed)
+            # the last scored vector's tail samples.
+            tails = cvar_tail(last["costs"], cfg.cvar_level)[:, None]
+            samples = paths[np.arange(len(solve))[:, None, None], np.arange(2)[:, None], tails]
+            floors = path_cost_means(*ego_paths, samples, ctx.discount_weights, cfg.ref_speed)
             floors *= 1.0 - CERTIFY_MARGIN
             return sum(w * v for w, v in zip(weights, floors.T))
 
@@ -97,7 +94,7 @@ class ConservativePlanner(ActivePlanner):
             # vector. A vector no decision reads holds _UNSCORED and the same
             # sum of its floors as objective (solver notes).
             ego_paths, n, k = ctx.ego_paths(thetas), len(solve), len(thetas)
-            rows = np.column_stack((floor_sums(ego_paths), np.full((k, n), _UNSCORED)))
+            rows = np.full((k, 1 + n), _UNSCORED)
             blocks = {}
 
             def score(i: int) -> float:
@@ -109,12 +106,11 @@ class ConservativePlanner(ActivePlanner):
 
             state = None
             if bar is None:
-                # Best first: the least floor, whose tail samples then tighten
-                # the others' floors; a floor above the best objective so far
+                # The first start's tail samples floor the others, scored in
+                # ascending floor; a floor above the best objective so far
                 # loses to it. np.minimum keeps a NaN objective, which argmin
                 # picks, and a NaN best prunes nothing.
-                order = np.argsort(rows[:, 0], kind="stable")
-                best, rest = score(order[0]), order[1:]
+                best, rest = score(first), np.delete(np.arange(k), first)
                 rows[rest, 0] = floor_sums(ego_paths[:, rest])
                 for i in rest[np.argsort(rows[rest, 0], kind="stable")].tolist():
                     if not rows[i, 0] > best:
@@ -123,6 +119,7 @@ class ConservativePlanner(ActivePlanner):
             else:
                 # A trial whose floor is at or above its bar loses; the first
                 # win ends the search, as no later trial is read.
+                rows[:, 0] = floor_sums(ego_paths)
                 for i, trial_bar in enumerate(np.broadcast_to(bar, k).tolist()):
                     if not rows[i, 0] >= trial_bar and score(i) < trial_bar:
                         state = i

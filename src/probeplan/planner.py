@@ -38,15 +38,16 @@ table of the grid's pieces. Each composition adds one product per segment
 in segment order, not a BLAS product, so a row equals its own evaluation
 at any batch size. Then per pair a cost bound, one ``path_costs`` block
 per mode over the pairs left open and one ``cvar`` (the conservative
-planner: a cost floor per pair, then one block over its solved modes and
-one ``cvar`` per vector it scores). Each pair's gradient comes
-with its objective, exact almost everywhere: the probe term's slope, the
-KL term's y^T G, and the cap penalty's ``2 * penalty_weight * (CVaR -
-cap)`` times the mean cost gradient over the pair's tail samples (Hong &
-Liu 2009), taken from the cost block the pair paid for, through its ego
-path and reflected walk (``risk``). A line-search trial gets the tail part
-only below its bar, as no other trial becomes its chain's state. Only the
-picks are expanded to acceleration sequences (T,).
+planner: a cost floor per pair but its start round's first, then one
+block over its solved modes and one ``cvar`` per vector it scores). Each
+pair's gradient comes with its objective, exact almost everywhere: the
+probe term's slope, the KL term's y^T G, and the cap penalty's ``2 *
+penalty_weight * (CVaR - cap)`` times the mean cost gradient over the
+pair's tail samples (Hong & Liu 2009), taken from the cost block the pair
+paid for, through its ego path and reflected walk (``risk``). A
+line-search trial gets the tail part only below its bar, as no other
+trial becomes its chain's state. Only the picks are expanded to
+acceleration sequences (T,).
 A fixed lane-guidance law, shared by every planner, steers the lateral
 channel, so planner comparisons isolate the longitudinal machinery. Every
 Monte-Carlo quantity of a solve reuses fixed random streams (common random
@@ -68,20 +69,19 @@ in one batch before its fallback reads it, and the picks holding ``-inf``
 are scored in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
 exact.
 
-The conservative planner minimizes the omega-weighted CVaR sum, which is at
-least the same sum of per-mode floors less ``CERTIFY_MARGIN``: before a
-step scores any vector, ``risk.path_cost_floors`` against each mode's
-boxes (CVaR is at least the smallest sample cost), and after it,
+The conservative planner minimizes the omega-weighted CVaR sum, which is
+at least the same sum of per-mode floors less ``CERTIFY_MARGIN``:
 ``risk.path_cost_means`` over the last scored vector's tail samples (CVaR
 is at least the mean cost of as many samples), close to the CVaR of a
-vector near that one. Its start round scores the vector of least box
-floor, floors the others on its tail samples and scores them in ascending
-floor, leaving unscored each one whose floor is above the best objective
-so far; a line search scores its trials in order, skips one whose floor is
-at or above its bar and stops at the first win. An unscored vector holds
-``_UNSCORED`` and its floor as objective, so the start pick and every win
-test are the exhaustive search's, and only the pair that becomes the
-chain's state gets its tail gradient.
+vector near that one. Its start round scores the warm start first (the
+clipped coasting start before the planner has a plan), floors the others
+on its tail samples and scores them in ascending floor, leaving unscored
+each one whose floor is above the best objective so far; a line search
+scores its trials in order, skips one whose floor is at or above its bar
+and stops at the first win. An unscored vector holds ``_UNSCORED`` and its
+floor as objective, so the start pick and every win test are the
+exhaustive search's, and only the pair that becomes the chain's state gets
+its tail gradient.
 """
 
 from __future__ import annotations

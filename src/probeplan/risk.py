@@ -63,18 +63,13 @@ whether it exceeds the cap may skip the exact value where the bound is
 below the cap by a relative margin far wider than that rounding
 (``CERTIFY_MARGIN``).
 
-Floor. CVaR at any level is at least the smallest sample cost, and a
-sample's cost at step t only falls as the human moves away from the ego.
-The point of the box farthest from the ego, per axis the edge with the
-larger offset, is at least as far as any sample, so ``path_cost_floors``,
-the same per-element cost taken there, bounds every sample's
-``path_costs`` from below, up to the same ulp-level rounding of ``exp``
-and the discounted dot. Tighter, once some samples are known to be costly
-(say the tail of a nearby ego path), ``path_cost_means`` takes the mean
-cost of as many samples as the tail holds, or more: the CVaR, the mean of
-the largest costs, is at least it. A planner that needs a CVaR only to see
-whether it beats a bar may skip the exact value where a floor, less the
-same relative margin, already loses to the bar; a NaN floor skips nothing.
+Floor. Once some samples are known to be costly (say the tail of a nearby
+ego path), ``path_cost_means`` takes the mean cost of as many samples as
+the tail holds, or more: the CVaR, the mean of the largest costs, is at
+least it, up to the same ulp-level rounding of ``exp`` and the discounted
+dot. A planner that needs a CVaR only to see whether it beats a bar may
+skip the exact value where a floor, less the same relative margin, already
+loses to the bar; a NaN floor skips nothing.
 """
 
 from __future__ import annotations
@@ -356,28 +351,6 @@ def path_cost_bounds(
     return _step_costs(
         ego_x - np.minimum(np.maximum(ego_x, boxes[:, 0]), boxes[:, 1]),
         ego_y - np.minimum(np.maximum(ego_y, boxes[:, 2]), boxes[:, 3]),
-        ego_speeds, ref_speed,
-    ) @ weights
-
-
-def path_cost_floors(
-    ego_x: np.ndarray,
-    ego_y: np.ndarray,
-    ego_speeds: np.ndarray,
-    boxes: np.ndarray,
-    weights: np.ndarray,
-    ref_speed: float,
-) -> np.ndarray:
-    """Lower bounds (P,) on ``path_costs`` of P ego paths (x, y and speeds,
-    each (P, T)) against the samples whose ``sample_boxes`` are ``boxes``
-    (P, 4, T): the cost of the point of each step's box farthest from the
-    ego, in the element operations ``path_costs`` runs per sample. Ego rows
-    (K, 1, T) against the boxes (M, 4, T) of M modes give (K, M). A NaN
-    ego row or box edge gives a NaN floor."""
-    # The farthest edge per axis is the larger offset; np.maximum keeps NaN.
-    return _step_costs(
-        np.maximum(np.abs(ego_x - boxes[:, 0]), np.abs(ego_x - boxes[:, 1])),
-        np.maximum(np.abs(ego_y - boxes[:, 2]), np.abs(ego_y - boxes[:, 3])),
         ego_speeds, ref_speed,
     ) @ weights
 

@@ -1,5 +1,6 @@
 """`tools/abtime.py` times two probeplan trees in one process: two copies of
-one tree agree, and a copy with an edited cost constant is reported."""
+one tree agree, a copy with an edited cost constant is reported, and bad
+options or a missing tree exit 2 before any run."""
 
 import importlib.util
 import shutil
@@ -39,3 +40,21 @@ def test_edited_cost_constant_differs(trees, capsys):
     risk.write_text(text.replace("\nW_PROX = 10.0\n", "\nW_PROX = 30.0\n"))
     assert abtime.main([str(trees[0]), str(trees[1]), *ARGS]) == 1
     assert "DIFFERS: intersection/" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [["--t-max", "-1"], ["--t-max", "0"], ["--t-max", "nan"],
+                                 ["--t-max", "inf"], ["--seed", "-5"], ["--runs", "0"]])
+def test_bad_arguments_exit_2_before_loading_a_tree(bad, tmp_path, capsys):
+    # The trees do not exist: a check that ran after loading would name them instead.
+    missing = str(tmp_path / "missing")
+    with pytest.raises(SystemExit) as exit_info:
+        abtime.main([missing, missing, *bad])
+    assert exit_info.value.code == 2
+    assert bad[0] in capsys.readouterr().err
+
+
+def test_missing_tree_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        abtime.main([str(tmp_path / "missing"), str(tmp_path / "missing")])
+    assert exit_info.value.code == 2
+    assert "no probeplan package at" in capsys.readouterr().err

@@ -56,3 +56,20 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["file", "raw", "code"], [files[0], "19", "8"], [files[1], "1", "1"],
                     ["total", "20", "9"]]
+
+
+def test_directory_counts_its_python_files_in_sorted_order(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(SNIPPET)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert load_linecount().main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["file", "raw", "code"], [str(tmp_path / "a.py"), "1", "1"],
+                    [str(tmp_path / "b.py"), "19", "8"], ["total", "20", "9"]]
+
+
+def test_missing_path_prints_one_line_and_exits_2(tmp_path, capsys):
+    assert load_linecount().main([str(tmp_path / "missing.py")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert "missing.py" in out.err

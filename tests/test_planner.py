@@ -1002,11 +1002,12 @@ class TestSegmentEvaluate:
 
 
 class TestConservativePruning:
-    """The conservative planner scores its starts best first by floor and
-    stops once a floor lies above the best objective scored: on a fixed
-    intersection step the start round makes fewer ``path_costs`` calls
-    than it has starts, and every start it leaves unscored has a floor
-    above the pick's objective."""
+    """The conservative planner's start round scores the warm start first,
+    floors the other starts on its tail samples, scores them in ascending
+    floor and leaves unscored each one whose floor lies above the best
+    objective scored: on a fixed intersection step the start round makes
+    fewer ``path_costs`` calls than it has starts, and every start it
+    leaves unscored has a floor above the pick's objective."""
 
     def test_start_round_scores_fewer_vectors_than_starts(self, monkeypatch):
         calls, rounds = [], []
@@ -1040,6 +1041,45 @@ class TestConservativePruning:
         # scores fewer vectors than its descent logged.
         assert all(n == np.sum(r[:, 1] != _UNSCORED) for r, n in searches)
         assert len(calls) < diag.solver_evals
+
+    def test_start_round_scores_the_warm_start_first(self, monkeypatch):
+        # Two steps of one planner on one state: the first step's start round
+        # first scores the coasting start, the second step's its warm start,
+        # a path no other start shares. On this state the start of least
+        # cost at the far corners of the samples' bounding boxes is another.
+        calls, composed, firsts = [], [], []
+        real_costs, real_paths = baselines_mod.path_costs, planner_mod._StepContext.ego_paths
+
+        def recorded_costs(x, *args):
+            calls.append(x.copy())
+            return real_costs(x, *args)
+
+        def recorded_paths(ctx, thetas):
+            composed.append(real_paths(ctx, thetas))
+            return composed[-1]
+
+        def recorded_descend(evaluate, starts, cfg):
+            composed.clear()
+            before = len(calls)
+            out = _descend(evaluate, starts, cfg)
+            firsts.append((composed[0][0], calls[before]))
+            return out
+
+        monkeypatch.setattr(baselines_mod, "path_costs", recorded_costs)
+        monkeypatch.setattr(planner_mod._StepContext, "ego_paths", recorded_paths)
+        monkeypatch.setattr(baselines_mod, "_descend", recorded_descend)
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        rng = np.random.default_rng(2)
+        state = advanced_state(INTERSECTION, rng)
+        b = filtered_belief(default_targets(INTERSECTION), rng)
+        planner = ConservativePlanner(cfg)
+        planner.plan_step(state, b, 70)
+        planner.plan_step(state, b, 71)
+        warm = len(_shared_starts(cfg)[0])
+        (coast, first_cold), (x, first) = firsts
+        assert np.array_equal(first_cold, coast[0])
+        assert len(x) == warm + 1
+        assert [i for i in range(len(x)) if np.array_equal(x[i], first)] == [warm]
 
 
 class TestCertifiedBelowCap:

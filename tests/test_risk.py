@@ -32,7 +32,6 @@ from probeplan.risk import (
     draw_human_paths,
     ego_path_gradient,
     path_cost_bounds,
-    path_cost_floors,
     path_cost_gradient,
     path_cost_means,
     path_costs,
@@ -611,75 +610,6 @@ class TestCostBound:
         assert far < cfg.risk_cap < near
 
 
-
-class TestCostFloor:
-    """``path_cost_floors`` against ``sample_boxes`` is at most every
-    sample's ``path_costs``, so at most the CVaR at any level, up to the
-    relative ``CERTIFY_MARGIN``; a NaN ego row gives a NaN floor."""
-
-    T = 30
-    DT = 0.1
-    SLACK = 1.0 - CERTIFY_MARGIN
-    HEADINGS = st.one_of(st.sampled_from([0.0, -math.pi / 2, math.pi, -0.0]),
-                         st.floats(-math.pi, math.pi))
-
-    @given(
-        ego=st.tuples(st.floats(-50.0, 50.0), st.floats(-5.0, 5.0), st.floats(0.0, 14.0)),
-        ego_theta=HEADINGS,
-        brake=st.booleans(),
-        yaw_scale=st.floats(0.0, 0.6),
-        offset=st.tuples(st.floats(-25.0, 25.0), st.floats(-25.0, 25.0)),
-        human_theta=HEADINGS,
-        # A mean at or below zero stands the human still; a zero variance
-        # draws one path.
-        mean=st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(-2.0, 14.0)),
-        var=st.sampled_from([0.0, 0.04, 1.0, 4.0, 16.0]),
-        n_samples=st.sampled_from([1, 2, 7, 100]),
-        inside=st.booleans(),
-        alpha=st.floats(0.01, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_floor_is_below_every_sample_and_the_cvar(
-        self, ego, ego_theta, brake, yaw_scale, offset, human_theta, mean, var, n_samples,
-        inside, alpha, seed,
-    ):
-        rng = np.random.default_rng(seed)
-        ego = VehicleState(*ego, ego_theta)
-        accel = np.full(self.T, -6.0) if brake else rng.uniform(-3.0, 3.0, self.T)
-        yaw = rng.uniform(-yaw_scale, yaw_scale, self.T)
-        if inside:
-            # The ego runs inside the samples' spread.
-            human = VehicleState(ego.x, ego.y, ego.v, ego.theta)
-            mean, yaw = ego.v, np.zeros(self.T)
-        else:
-            human = VehicleState(ego.x + offset[0], ego.y + offset[1], 5.0, human_theta)
-        weights = 0.95 ** np.arange(self.T)
-        x, y, v = simulate_ego_path(ego, accel, ego_headings(ego, yaw, self.DT), self.DT)
-        (paths,), (boxes,) = draw_human_paths(human, [mode_1d(mean, var)], n_samples, self.T,
-                                              self.DT, [rng])
-        costs = path_costs(x, y, v, paths, weights, 9.5)
-        (floor,) = path_cost_floors(x[None], y[None], v[None], boxes[None], weights, 9.5)
-        assert self.SLACK * floor <= costs.min()
-        assert self.SLACK * floor <= cvar(costs, alpha)
-        x[rng.integers(self.T)] = math.nan
-        assert np.isnan(path_cost_floors(x[None], y[None], v[None], boxes[None], weights, 9.5))
-
-    def test_floor_takes_the_farthest_corner(self):
-        # Each step's box spans [-1, 3] x [-2, 1] around an ego at the
-        # origin: the farthest corner is (3, -2). A NaN in an ego row or a
-        # box edge gives that row a NaN floor.
-        weights = 0.95 ** np.arange(self.T)
-        boxes = np.tile([[-1.0], [3.0], [-2.0], [1.0]], (3, 1, self.T))
-        (x, y), speeds = np.zeros((2, 3, self.T)), np.full((3, self.T), 9.5)
-        x[1, 4], boxes[2, 3, 7] = math.nan, math.nan
-        floors = path_cost_floors(x, y, speeds, boxes, weights, 9.5)
-        far = W_PROX * math.exp((D_SAFE - math.sqrt(13.0)) / PROX_SCALE) * weights.sum()
-        assert floors[0] == pytest.approx(far)
-        assert np.isnan(floors[1:]).all()
-
-
-
 class TestCostMeans:
     """``path_cost_means`` over at least ``tail_sample_count`` of a mode's
     samples is at most the mode's CVaR, up to ``CERTIFY_MARGIN``: the mean
@@ -689,6 +619,8 @@ class TestCostMeans:
     T = 30
     DT = 0.1
     SLACK = 1.0 - CERTIFY_MARGIN
+    HEADINGS = st.one_of(st.sampled_from([0.0, -math.pi / 2, math.pi, -0.0]),
+                         st.floats(-math.pi, math.pi))
 
     @given(
         rows=st.integers(1, 4),
@@ -698,7 +630,7 @@ class TestCostMeans:
         extra=st.integers(0, 5),
         var=st.sampled_from([0.0, 1.0, 16.0]),
         offset=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
-        human_theta=TestCostFloor.HEADINGS,
+        human_theta=HEADINGS,
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)

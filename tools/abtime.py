@@ -14,7 +14,7 @@ workloads.
 
 Prints ms per control step per tree and per planner, and for how many run
 pairs tree B was faster. Exits 1 if any pair's result row or executed
-controls differ, 0 otherwise.
+controls differ, 0 otherwise, and 2 on a bad option or a missing tree.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import statistics
 import sys
 import time
@@ -59,7 +60,9 @@ def load_tree(path: str, name: str):
     for loaded in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
         del sys.modules[loaded]
     if not (root / "__init__.py").is_file():
-        raise SystemExit(f"no probeplan package at {path}")
+        # Exit 2, a usage error: exit 1 means the trees' results differ.
+        print(f"no probeplan package at {path}", file=sys.stderr)
+        raise SystemExit(2)
     spec = importlib.util.spec_from_file_location(
         name, root / "__init__.py", submodule_search_locations=[str(root)])
     sys.modules[name] = importlib.util.module_from_spec(spec)
@@ -107,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
+    if args.t_max is not None and not 0.0 < args.t_max < math.inf:
+        parser.error("--t-max must be positive and finite")
     shape = SHAPES[args.shape]
     t_max = shape.t_max if args.t_max is None else args.t_max
     trees = [load_tree(args.tree_a, "_abtime_a"), load_tree(args.tree_b, "_abtime_b")]

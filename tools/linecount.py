@@ -1,12 +1,15 @@
 """Count raw lines and code lines of Python files.
 
-Usage: python tools/linecount.py FILE [FILE ...]
+Usage: python tools/linecount.py PATH [PATH ...]
 
 Prints one row per file and a total: raw lines (every line of the file)
 and code lines, counted with ``tokenize``. A code line holds at least one
 token of a statement. Comments, blank lines and docstrings (string
 statements that stand alone) hold none; a line that continues a statement
 over a line break, or a multi-line string inside one, counts.
+
+A directory PATH counts its ``*.py`` files in sorted order. A PATH that is
+neither a file nor a directory prints an error and exits 2.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -41,10 +45,16 @@ def main(paths: list[str]) -> int:
     if not paths:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    rows = []
+    files = []
     for path in paths:
-        with open(path, encoding="utf-8") as f:
-            rows.append((path, *count_lines(f.read())))
+        if Path(path).is_dir():
+            files += sorted(str(p) for p in Path(path).glob("*.py"))
+        elif Path(path).is_file():
+            files.append(path)
+        else:
+            print(f"linecount: no file or directory {path}", file=sys.stderr)
+            return 2
+    rows = [(path, *count_lines(Path(path).read_text(encoding="utf-8"))) for path in files]
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     width = max(len(r[0]) for r in rows)
     print(f"{'file':<{width}}  {'raw':>6}  {'code':>6}")
