@@ -319,10 +319,3 @@ def posterior_entropies(
     pi, w, bad = _posteriors(b, zs)
     return np.where(bad, h_prior, _entropies(b.targets, pi, w, pi_weighted_modes))
 
-
-def max_entropy(targets: ModeTargetSet, pi_weighted_modes: bool = False) -> float:
-    """Entropy of the uniform belief, the maximum over all beliefs."""
-    h = math.log(targets.num_intents)
-    for i, k in enumerate(targets.modes_per_intent):
-        h += math.log(k) / (targets.num_intents if pi_weighted_modes else 1)
-    return h

@@ -9,8 +9,8 @@ its roll, probe grid, joint weights, the modes to solve, every mode's human
 paths as x and y planes and their boxes from one ``risk.draw_human_paths``
 call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
 order. The probe grid is one batched ``belief.posterior_entropies`` pass
-over the distinct predicted observation sets, which one
-``predicted_observation_mean`` call gives for every projected grid point.
+over the distinct observation sets: one ``predicted_observation_mean``
+call for every projected grid point, at each mode's Gauss-Hermite nodes.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
 (multi-start over constant-acceleration candidates within
 ``accel_bounds``, then projected gradient descent on a piecewise-constant
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,7 +99,6 @@ from .belief import (
     ModeTargetSet,
     entropy,
     joint_weights,
-    max_entropy,
     posterior_entropies,
     update,  # noqa: F401 -- the benchmark wraps probeplan.planner.update by name
 )
@@ -118,12 +117,7 @@ from .risk import (
     path_costs,
     simulate_ego_path,
 )
-from .seeding import (
-    STREAM_MODE_ROLLOUT,
-    STREAM_PROBE,
-    derive_key,
-    rng_from_keys,
-)
+from .seeding import STREAM_MODE_ROLLOUT, derive_key, rng_from_keys
 from .world import (
     LANE_MERGE,
     ScenarioGeometry,
@@ -154,7 +148,7 @@ _FLOAT_RULES = {
     "dt": _POSITIVE,
     "entropy_weight": _NONNEGATIVE,
     "cvar_level": _UNIT,
-    "risk_cap": ("nonnegative (inf for no cap)", lambda v: v >= 0.0),
+    "risk_cap": ("nonnegative (.inf in YAML for no cap)", lambda v: v >= 0.0),
     "mode_activation_eps": _POSITIVE,
     "discount": _UNIT,
     "response_gain": _POSITIVE,
@@ -175,6 +169,9 @@ _INT_LEAST = {
     "solver_inits": 2,
     "probe_grid_size": 2,
 }
+
+# Most nodes per mode of the probe grid; ``hermgauss``'s weights turn NaN from 371.
+MAX_OBS_NODES = 100
 
 
 def _is_real(value) -> bool:
@@ -203,7 +200,7 @@ class PlannerConfig:
     discount: float = 0.95
     response_gain: float = 5.0
     accel_noise_var: float = 0.05
-    obs_samples: int = 20
+    obs_samples: int = 3  # Gauss-Hermite nodes per mode of the probe grid
     ref_speed: float = 9.5
     obs_noise_std: float = 0.3
     solver_iters: int = 6
@@ -227,6 +224,8 @@ class PlannerConfig:
                 want, ok = _FLOAT_RULES[f.name]
                 if not (_is_real(value) and ok(value)):
                     raise InvalidInputError(f"{f.name} must be {want}, got {value!r}")
+        if self.obs_samples > MAX_OBS_NODES:
+            raise InvalidInputError(f"obs_samples must be <= {MAX_OBS_NODES}, got {self.obs_samples}")
         for name in ("accel_bounds", "yaw_rate_bounds"):
             bounds = getattr(self, name)
             if not (
@@ -446,15 +445,15 @@ def predicted_observation_mean(
     return human_ref.v + relax[:, None] * (mu - human_ref.v)
 
 
-def _observation_draws(
-    b: HierarchicalBelief, n_obs: int, rng: np.random.Generator, cfg: PlannerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of ``n_obs`` modes drawn by joint weight, in target order,
-    and observation noise (n_obs,) for each."""
-    omega = joint_weights(b)
-    idxs = rng.choice(len(omega), size=n_obs, p=omega / omega.sum())
-    noise = rng.normal(0.0, cfg.obs_noise_std, size=n_obs)
-    return idxs, noise
+@lru_cache(maxsize=None)
+def observation_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Hermite rule for a standard normal, exact up to degree
+    2n - 1: nodes sqrt(2) x_i and probabilities w_i / sqrt(pi) of ``hermgauss``
+    (Golub & Welsch 1969). Cached: ``hermgauss`` solves an n x n eigenproblem."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    nodes, probs = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    nodes.flags.writeable = probs.flags.writeable = False
+    return nodes, probs
 
 
 # ---------------------------------------------------------------------------
@@ -766,34 +765,34 @@ class ActivePlanner:
         return m
 
     def _build_probe_grid(
-        self, state: ScenarioState, b: HierarchicalBelief, key: int
+        self, state: ScenarioState, b: HierarchicalBelief
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Expected posterior entropy on a grid of first accelerations, or
-        (None, None) when probing is off or the belief is already certain."""
+        (None, None) when probing is off or the belief is already certain.
+        Given mode k, the speed seen after holding a is N(mu_k(a), obs_noise_std^2),
+        so point a's value is sum_k omega_k sum_i p_i H(b | mu_k(a) + obs_noise_std
+        t_i) at the nodes (t, p) of ``observation_nodes`` (Huber et al., MFI 2008)."""
         cfg = self.cfg
         if self._entropy_weight() <= 0.0:
             return None, None
         h_now = entropy(b, PROBE_PI_WEIGHTED)
         if h_now <= 1e-12:
             return None, None
-        n_obs = cfg.obs_samples
-        if h_now > 0.75 * max_entropy(b.targets, PROBE_PI_WEIGHTED):
-            n_obs *= 2
-        # Common random numbers: one draw set shared by every grid point.
-        idxs, noise = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
+        nodes, probs = observation_nodes(cfg.obs_samples)
+        omega = joint_weights(b)
+        weights = ((omega / omega.sum())[:, None] * probs).ravel()
         grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
         egos, human_ref, response_time = probe_projection(state, grid, cfg)
-        # Each point's observations (n_obs,); points with byte-equal
-        # observations (often all of them, once the held control saturates
-        # the conflict level) share one row block of the batched pass.
-        zs = predicted_observation_mean(
-            egos, human_ref, state.geometry, b.targets.targets, cfg, response_time
-        )[:, idxs] + noise
+        mu = predicted_observation_mean(egos, human_ref, state.geometry, b.targets.targets, cfg,
+                                        response_time)
+        zs = (mu[:, :, None] + cfg.obs_noise_std * nodes).reshape(len(grid), -1)
+        # Points with byte-equal observations (often all of them, once the
+        # held control saturates the conflict level) share one row block.
         keys = [z.tobytes() for z in zs]
         blocks = dict(zip(keys, zs))  # in first-seen order
         h = posterior_entropies(b, np.concatenate(list(blocks.values())), h_now, PROBE_PI_WEIGHTED)
-        # np.cumsum adds in draw order, as a running sum does.
-        means = np.cumsum(h.reshape(len(blocks), n_obs), axis=1)[:, -1] / n_obs
+        # np.cumsum adds the rows mode-major, as a running sum does, at any block count.
+        means = np.cumsum(h.reshape(len(blocks), -1) * weights, axis=1)[:, -1]
         block_of = dict(zip(blocks, range(len(blocks))))
         return grid, means[[block_of[k] for k in keys]]
 
@@ -937,7 +936,7 @@ class ActivePlanner:
         cfg = self.cfg
         base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance, headings = lane_guidance(state, cfg)
-        probe_grid, probe_entropy = self._build_probe_grid(state, b, base_key)
+        probe_grid, probe_entropy = self._build_probe_grid(state, b)
         omega = joint_weights(b)
         active = omega > cfg.mode_activation_eps
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)

@@ -16,7 +16,6 @@ STREAM_INIT = 1
 STREAM_OBS = 2
 STREAM_PLAN = 3
 STREAM_INTENT = 4
-STREAM_PROBE = 10
 STREAM_MODE_ROLLOUT = 11
 
 

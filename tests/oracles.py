@@ -4,10 +4,11 @@ No run calls these. They are the readable forms of what the planner
 computes in a faster way:
 
 * ``mean_posterior_entropy`` and ``expected_posterior_entropy``: the probe
-  estimate as one projection per grid point and one predicted observation
-  (``predicted_observation_one``), ``update`` and ``entropy`` per
-  observation draw; ``probe_grid`` runs it once per grid point, as
-  ``_build_probe_grid`` did before it was batched.
+  estimate as one projection per grid point, one predicted observation
+  (``predicted_observation_one``) per mode, and one ``update`` and
+  ``entropy`` per mode and Gauss-Hermite node, added up one row at a time;
+  ``probe_grid`` runs it once per grid point, where ``_build_probe_grid``
+  scores every distinct point's rows in one batched pass.
 * ``ego_headings`` and ``lane_guidance_loop``: the lane guidance as the
   guidance law per ``VehicleState``, one ``step_vehicle`` call per step
   and the headings integrated again from the yaw rates, where
@@ -73,7 +74,7 @@ from probeplan.belief import (
     ModeTarget,
     ModeTargetSet,
     entropy,
-    max_entropy,
+    joint_weights,
     update,
 )
 from probeplan.dynamics import VehicleState, step_vehicle
@@ -90,11 +91,11 @@ from probeplan.planner import (
     _controls,
     _linear_terminal_state,
     _mode_human_advance,
-    _observation_draws,
     _StepContext,
     _descend,
     _segment_sums,
     ego_horizon_covariance,
+    observation_nodes,
 )
 from probeplan.risk import (
     cvar,
@@ -104,7 +105,6 @@ from probeplan.risk import (
     path_costs,
     simulate_ego_path,
 )
-from probeplan.seeding import STREAM_PROBE, rng_from_keys
 from probeplan.world import LANE_MERGE, ScenarioState, ego_progress, human_progress
 
 
@@ -289,56 +289,54 @@ def mean_posterior_entropy(
     b: HierarchicalBelief,
     state: ScenarioState,
     first_accel: float,
-    draws: tuple[np.ndarray, np.ndarray],
     h_prior: float,
     cfg: PlannerConfig,
 ) -> float:
-    """Average posterior entropy over fixed observation draws (mode indices
-    and noise), conditioned on holding ``first_accel``; degenerate-evidence
-    draws count as ``h_prior``."""
+    """Expected posterior entropy after holding ``first_accel``: per mode k
+    (by joint weight) and Gauss-Hermite node i, the entropy after the
+    observation mu_k + obs_noise_std t_i, weighted by omega_k p_i and added
+    mode after mode, node after node; a degenerate-evidence observation
+    counts as ``h_prior``."""
     # The projection of ``probe_projection``, one grid point at a time.
     (ego_ref,), human_ref, response_time = probe_projection_loop(state, [first_accel], cfg)
-    idxs, noise = draws
+    nodes, probs = observation_nodes(cfg.obs_samples)
+    omega = joint_weights(b)
+    total_weight = omega.sum()
     total = 0.0
-    for m, eps in zip(idxs, noise):
-        mode = b.targets.targets[int(m)]
-        z = predicted_observation_one(
+    for k, mode in enumerate(b.targets.targets):
+        mu = predicted_observation_one(
             ego_ref, human_ref, state.geometry, mode, cfg, response_time
-        ) + eps
-        try:
-            total += entropy(update(b, z), PROBE_PI_WEIGHTED)
-        except DegenerateEvidenceError:
-            total += h_prior
-    return total / len(idxs)
+        )
+        for t, p in zip(nodes.tolist(), probs.tolist()):
+            try:
+                h = entropy(update(b, mu + cfg.obs_noise_std * t), PROBE_PI_WEIGHTED)
+            except DegenerateEvidenceError:
+                h = h_prior
+            total += float(omega[k] / total_weight) * p * h
+    return total
 
 
 def expected_posterior_entropy(
     b: HierarchicalBelief,
     u_seq: np.ndarray,
     state: ScenarioState,
-    n_obs: int,
-    rng: np.random.Generator,
     cfg: PlannerConfig,
 ) -> float:
-    """Monte-Carlo estimate of the posterior belief entropy after one more
-    observation, conditioned on applying the first planned control.
+    """The posterior belief entropy expected after one more observation,
+    conditioned on applying the first planned control, at
+    ``cfg.obs_samples`` Gauss-Hermite nodes per mode.
 
-    Each draw samples a mode by joint weight, predicts the human response
-    it implies, perturbs it with observation noise, runs the Bayesian
-    update, and evaluates the entropy; degenerate-evidence draws fall back
-    to the prior entropy.
+    Given the mode, the human's observed speed is Gaussian around the
+    response the control elicits; each node's observation runs the
+    Bayesian update and the entropy, and degenerate evidence falls back to
+    the prior entropy.
     """
-    if n_obs < 1:
-        raise InvalidInputError("n_obs must be >= 1")
     u_first = np.asarray(u_seq, dtype=float).reshape(-1, 2)[0]
-    draws = _observation_draws(b, n_obs, rng, cfg)
-    return mean_posterior_entropy(
-        b, state, u_first[0], draws, entropy(b, PROBE_PI_WEIGHTED), cfg
-    )
+    return mean_posterior_entropy(b, state, u_first[0], entropy(b, PROBE_PI_WEIGHTED), cfg)
 
 
 def probe_grid(
-    planner: ActivePlanner, state: ScenarioState, b: HierarchicalBelief, key: int
+    planner: ActivePlanner, state: ScenarioState, b: HierarchicalBelief
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``planner._build_probe_grid`` as one ``mean_posterior_entropy`` per
     grid point."""
@@ -348,14 +346,8 @@ def probe_grid(
     h_now = entropy(b, PROBE_PI_WEIGHTED)
     if h_now <= 1e-12:
         return None, None
-    n_obs = cfg.obs_samples
-    if h_now > 0.75 * max_entropy(b.targets, PROBE_PI_WEIGHTED):
-        n_obs *= 2
-    draws = _observation_draws(b, n_obs, rng_from_keys(key, STREAM_PROBE), cfg)
     grid = np.linspace(*cfg.accel_bounds, cfg.probe_grid_size)
-    return grid, np.array(
-        [mean_posterior_entropy(b, state, a0, draws, h_now, cfg) for a0 in grid]
-    )
+    return grid, np.array([mean_posterior_entropy(b, state, a0, h_now, cfg) for a0 in grid])
 
 
 def descend_one(

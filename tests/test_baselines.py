@@ -45,7 +45,7 @@ def merge_state(ego=(-40.0, 3.5, 9.0), human=(-35.0, 0.0, 10.0)):
     )
 
 
-FAST = dict(rollout_count=30, obs_samples=6, solver_iters=2)
+FAST = dict(rollout_count=30, solver_iters=2)
 
 
 def single_mode_belief():

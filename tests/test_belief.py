@@ -24,7 +24,6 @@ from probeplan.belief import (
     ModeTargetSet,
     entropy,
     joint_weights,
-    max_entropy,
     posterior_entropies,
     relax_mode_weights,
     uniform_belief,
@@ -342,7 +341,7 @@ class TestEntropy:
 
     def test_uniform_maximizes(self):
         targets = make_targets([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        h_max = max_entropy(targets)
+        h_max = entropy(uniform_belief(targets))
         assert h_max == pytest.approx(4 * math.log(3), abs=1e-14)
         rng = np.random.default_rng(17)
         for _ in range(500):

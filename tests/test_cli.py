@@ -9,7 +9,7 @@ import pytest
 
 from probeplan import cli, config
 from probeplan.baselines import PassivePlanner
-from probeplan.belief import max_entropy
+from probeplan.belief import entropy, uniform_belief
 from probeplan.cli import main, run_experiment, trace_rows
 from probeplan.errors import ConfigError
 from probeplan.planner import PlannerConfig
@@ -26,7 +26,6 @@ experiment:
 
 planner:
   rollout_count: 30
-  obs_samples: 6
   solver_iters: 2
   probe_grid_size: 5
 
@@ -176,7 +175,7 @@ class TestRunExperiment:
         assert cols[:2] == ["step", "t"]
         pi_idx = [i for i, c in enumerate(cols) if c.startswith("pi_")]
         h_idx = cols.index("entropy")
-        h_max = max_entropy(default_targets("lane_merge"))
+        h_max = entropy(uniform_belief(default_targets("lane_merge")))
         for row in rows:
             cells = row.split(",")
             pi_sum = sum(float(cells[i]) for i in pi_idx)
@@ -220,7 +219,7 @@ class TestRunExperiment:
 
 class TestTrace:
     def test_row_count_matches_steps(self):
-        pc = PlannerConfig(rollout_count=20, obs_samples=5, solver_iters=2, probe_grid_size=5)
+        pc = PlannerConfig(rollout_count=20, solver_iters=2, probe_grid_size=5)
         cfg = RunConfig(scenario="intersection", master_seed=2, planner="ours",
                         planner_cfg=pc, comparison_mode=True)
         _, log = run(cfg, run_index=0)
@@ -228,7 +227,7 @@ class TestTrace:
         assert len(rows) == len(log.records) + 1  # header
 
     def test_cvar_columns_per_mode(self, tmp_path):
-        pc = PlannerConfig(rollout_count=20, obs_samples=5, solver_iters=2, probe_grid_size=5)
+        pc = PlannerConfig(rollout_count=20, solver_iters=2, probe_grid_size=5)
         cfg = RunConfig(scenario="lane_merge", master_seed=4, planner="ours",
                         planner_cfg=pc, comparison_mode=True)
         _, log = run(cfg, run_index=0)

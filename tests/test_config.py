@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -110,6 +111,10 @@ class TestLoad:
             ("experiment.planner=[ours, passive, ours]", "experiment.planner"),
             # Accepted silently, or raised from inside a run.
             ("planner.risk_cap=.nan", "planner.risk_cap"),
+            # A bare inf is the string 'inf' in YAML; the message names .inf.
+            ("planner.risk_cap=inf", "planner.risk_cap: risk_cap must be nonnegative (.inf"),
+            # hermgauss's weights fail far above the cap.
+            ("planner.obs_samples=101", "planner.obs_samples: obs_samples must be <= 100"),
             ("planner.penalty_weight=-1", "planner.penalty_weight"),
             ("planner.solver_step=0", "planner.solver_step"),
             ("planner.dt=.inf", "planner.dt"),
@@ -189,6 +194,10 @@ class TestOverrides:
         cfg = load_config(path, ["planner.mode_activation_eps=1e-5"])
         planner_cfg = build_run_config(cfg, "lane_merge", "ours").planner_cfg
         assert (planner_cfg.mode_activation_eps, planner_cfg.risk_cap) == (1e-5, 1000.0)
+
+    def test_dot_inf_risk_cap_loads_as_no_cap(self, tmp_path):
+        cfg = load_config(write(tmp_path, MINIMAL), ["planner.risk_cap=.inf"])
+        assert build_run_config(cfg, "lane_merge", "ours").planner_cfg.risk_cap == math.inf
 
     @pytest.mark.parametrize("name", ["default.yaml", "smoke.yaml"])
     def test_shipped_configs_read_as_before(self, name):

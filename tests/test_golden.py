@@ -36,7 +36,6 @@ experiment:
 
 planner:
   rollout_count: 30
-  obs_samples: 6
   solver_iters: 2
 
 scenario:
@@ -44,12 +43,12 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "758d13a8ac33b890e788588ed2727bbeb2e731c9002b94ab2fdccc86237ecf4d",
+    "results.csv": "5cb456587e83a03197b03a7a6d0431e50b5077cc1a52d3d240722a978c9bb0f8",
     "trace_intersection_conservative_run00000.csv": "e7b4c8ef8c98cd7748531b0584ef6f338ac63339d4c5dc063a8efd95467c62f2",
-    "trace_intersection_ours_run00000.csv": "49ab47a3c9c512669155310ccd3b8679587779b547380dce1640c30676ad62fd",
+    "trace_intersection_ours_run00000.csv": "615b5e8f1eabeb283856840e0cf34f9b30794b2187f8bffed80875df5a99c290",
     "trace_intersection_passive_run00000.csv": "5624aec554e4529eee7a0c9e0a5b2e301ce92b2697d987d6b8a132ab6e65afc1",
     "trace_lane_merge_conservative_run00000.csv": "ec723dce9382f821812c69e303a053b37189b501fa15050b6a3b0b296ea6886e",
-    "trace_lane_merge_ours_run00000.csv": "5819e5175f4bf43ad5d80342dffefbb3f5d6122cde0330bc1369ee484a8e44a1",
+    "trace_lane_merge_ours_run00000.csv": "9943b0ea0773202f72660d37b43157a1a78f821a03592ba2ca8a2075f69abc0d",
     "trace_lane_merge_passive_run00000.csv": "9734e37bd452421d8c14dd653be416872f9f24ffb7a4846c2642c1820ed9339c",
 }
 
@@ -72,7 +71,7 @@ def test_golden_batch_digests(tmp_path):
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "c242b08bc2d3c5d8b3cf75b01bf8fa4555ec945852447448b5b47683f2cca792"
+DIAG_GOLDEN = "f352c0765ff31974a12352c383d5f3505043fbffb0944eb6563f6bd3bb84d5ed"
 
 
 def _feed(h, value):
@@ -118,7 +117,7 @@ def test_plan_diagnostics_digest(monkeypatch):
         for planner in PLANNERS:
             for extra in DIAG_CONFIGS:
                 pc = PlannerConfig(
-                    rollout_count=30, obs_samples=6, solver_iters=2,
+                    rollout_count=30, solver_iters=2,
                     ref_speed=DEFAULT_REF_SPEED[kind], **extra,
                 )
                 scenario.run(RunConfig(

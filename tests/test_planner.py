@@ -4,7 +4,8 @@ independent oracle), blending, and receding-horizon step contracts."""
 
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from probeplan.belief import (
     update,
 )
 from probeplan.dynamics import VehicleState, step_vehicle
-from probeplan.errors import InvalidInputError
+from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan import baselines as baselines_mod
 from probeplan import planner as planner_mod
@@ -167,20 +168,16 @@ class TestExpectedPosteriorEntropy:
         cfg = PlannerConfig()
         b = single_mode_belief()
         u = np.zeros((cfg.horizon_steps, 2))
-        rng = np.random.default_rng(0)
-        assert expected_posterior_entropy(b, u, merge_state(), 50, rng, cfg) == 0.0
+        assert expected_posterior_entropy(b, u, merge_state(), cfg) == 0.0
 
     def test_identical_targets_keep_prior_entropy(self):
         cfg = PlannerConfig()
         targets = ModeTargetSet([mk_mode(1, 1, 8.0, 1.0), mk_mode(2, 1, 8.0, 1.0)])
         b = uniform_belief(targets)
         prior = entropy(b)
-        rng = np.random.default_rng(1)
-        est = expected_posterior_entropy(
-            b, np.zeros((cfg.horizon_steps, 2)), merge_state(), 2000, rng, cfg
-        )
+        est = expected_posterior_entropy(b, np.zeros((cfg.horizon_steps, 2)), merge_state(), cfg)
         # Equal likelihoods leave the posterior equal to the prior, so the
-        # estimate matches exactly, far inside three standard errors.
+        # estimate is the prior up to the rounding of weights that sum to 1.
         assert est == pytest.approx(prior, abs=1e-9)
 
     def test_separated_targets_resolve(self):
@@ -189,19 +186,8 @@ class TestExpectedPosteriorEntropy:
         b = uniform_belief(targets)
         # Deep conflict: both arrive at the merge point nearly together.
         state = merge_state(ego=(-15.0, 3.5, 9.0), human=(-13.0, 0.0, 5.0))
-        rng = np.random.default_rng(2)
-        est = expected_posterior_entropy(
-            b, np.zeros((cfg.horizon_steps, 2)), state, 2000, rng, cfg
-        )
+        est = expected_posterior_entropy(b, np.zeros((cfg.horizon_steps, 2)), state, cfg)
         assert est < 0.1 * entropy(b)
-
-    def test_requires_samples(self):
-        cfg = PlannerConfig()
-        with pytest.raises(InvalidInputError):
-            expected_posterior_entropy(
-                single_mode_belief(), np.zeros((cfg.horizon_steps, 2)),
-                merge_state(), 0, np.random.default_rng(0), cfg,
-            )
 
 
 def banded_targets(targets, scale=1.0, offset=0.0):
@@ -233,7 +219,8 @@ def advanced_state(kind, rng):
 
 def filtered_belief(targets, rng):
     """Uniform belief after 0-4 filter steps on observations near random
-    targets, with one intent ruled out at random."""
+    targets, with one intent ruled out at random; a step on degenerate
+    evidence keeps the prior, as the run loop does."""
     b = uniform_belief(targets)
     if rng.random() < 0.25:
         pi = np.full(targets.num_intents, 0.5)
@@ -242,13 +229,16 @@ def filtered_belief(targets, rng):
     for _ in range(int(rng.integers(0, 5))):
         t = targets.targets[int(rng.integers(len(targets)))]
         z = t.target.mean[0] + rng.normal(0.0, 0.5)
-        b = relax_mode_weights(update(b, z), 0.02)
+        try:
+            b = relax_mode_weights(update(b, z), 0.02)
+        except DegenerateEvidenceError:
+            pass
     return b
 
 
 class TestProbeGrid:
     """The batched probe grid equals one ``update`` and one ``entropy`` per
-    draw and grid point, bit for bit."""
+    grid point, mode and Gauss-Hermite node, bit for bit."""
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
     # Sharp bands drive the scalar likelihood into its tails and the
@@ -263,7 +253,7 @@ class TestProbeGrid:
 
         monkeypatch.setattr("probeplan.planner.posterior_entropies", recording)
         targets = banded_targets(default_targets(kind), scale=band)
-        cfg = PlannerConfig(obs_samples=8, ref_speed=DEFAULT_REF_SPEED[kind])
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
         planner = ActivePlanner(cfg)
         rng = np.random.default_rng(17)
         flat = 0
@@ -274,14 +264,12 @@ class TestProbeGrid:
                                      state.human.v, state.human.theta)
                 state = ScenarioState(ego=state.ego, human=human, geometry=state.geometry)
             b = filtered_belief(targets, rng)
-            key = int(rng.integers(2**31))
-            grid, values = planner._build_probe_grid(state, b, key)
-            want_grid, want = probe_grid(planner, state, b, key)
+            grid, values = planner._build_probe_grid(state, b)
+            want_grid, want = probe_grid(planner, state, b)
             assert np.array_equal(grid, want_grid)
             assert np.array_equal(values, want)
-            n_obs = rows[-1] if len(set(want)) == 1 else None
-            flat += n_obs in (cfg.obs_samples, 2 * cfg.obs_samples)
-        # Fully flat grids occur, and score one block of draws.
+            flat += len(set(want)) == 1 and rows[-1] == len(targets) * cfg.obs_samples
+        # Fully flat grids occur, and score one block of M * n rows.
         assert flat > 0
 
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
@@ -307,13 +295,94 @@ class TestProbeGrid:
                     for mode in targets.targets])
                 assert rows.tobytes() == want.tobytes()
 
+    def test_grid_does_not_depend_on_the_step_key(self):
+        # The grid is a quadrature; no random stream of the step feeds it.
+        planner = ActivePlanner(PlannerConfig())
+        state = merge_state(ego=(-15.0, 3.5, 9.0), human=(-13.0, 0.0, 10.0))
+        b = uniform_belief(default_targets(LANE_MERGE))
+        one, two = (planner._begin_step(state, b, key) for key in (1, 2))
+        assert np.ptp(one.probe_entropy) > 0.0
+        assert one.probe_grid.tobytes() == two.probe_grid.tobytes()
+        assert one.probe_entropy.tobytes() == two.probe_entropy.tobytes()
+
+    @given(
+        kind=st.sampled_from([LANE_MERGE, INTERSECTION]),
+        band=st.sampled_from([1.0, 1e-2, 1e2]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        sigma=st.just(0.0) | st.floats(0.01, 3.0),
+        mu=st.floats(-20.0, 20.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quadrature_bounds(self, kind, band, seed, n, sigma, mu):
+        """Bounds of the n-node rule, with their derivation.
+
+        Let eps be the float64 machine epsilon, (t, p) = ``observation_nodes(n)``
+        and z_i = mu + sigma t_i.
+
+        1. Moments: sum_i p_i z_i^j = E[(mu + sigma X)^j], X ~ N(0, 1), for
+           j <= 2n - 1 in exact arithmetic (Gauss's rule is exact to that
+           degree). ``hermgauss`` gives nodes and weights to a few ulps, a
+           power j multiplies a relative error by j and the sum of n terms
+           adds n eps of the absolute terms, so the float sum is off by at
+           most 8 (j + n) eps S_j, S_j = sum_i p_i (|mu| + sigma |t_i|)^j,
+           plus n times the least normal float for powers that underflow.
+           The exact moment is a rational in mu and sigma (``Fraction``).
+        2. Spread: a grid value is sum_r q_r h_r over its R = M n rows, with
+           q_r = (omega_k / sum omega) p_i >= 0. The q_r sum to 1 up to
+           (M + n + R) eps, and the running sum adds R eps max h, so the
+           value lies in [min h, max h] widened by delta = 4 R eps max h.
+        3. Reference: the 40-node grid obeys 2 with its own rows, so the two
+           grids differ by at most the spread of both row sets together,
+           plus both deltas. With sigma = 0 every node of mode k observes
+           mu_k, so both rules weigh the same rows and differ by the deltas
+           only.
+        """
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        t, p = planner_mod.observation_nodes(n)
+        x, s = Fraction(mu), Fraction(sigma)
+        for j in range(2 * n):
+            exact = sum(math.comb(j, k) * x ** (j - k) * s**k * math.prod(range(k - 1, 0, -2))
+                        for k in range(0, j + 1, 2))
+            got = float(np.sum(p * (mu + sigma * t) ** j))
+            scale = float(np.sum(p * (abs(mu) + sigma * np.abs(t)) ** j))
+            assert abs(Fraction(got) - exact) <= 8 * (j + n) * eps * scale + n * tiny
+
+        rng = np.random.default_rng(seed)
+        targets = banded_targets(default_targets(kind), scale=band)
+        state, b = advanced_state(kind, rng), filtered_belief(targets, rng)
+        cfg = PlannerConfig(obs_samples=n, obs_noise_std=sigma, ref_speed=DEFAULT_REF_SPEED[kind])
+        ref_cfg = replace(cfg, obs_samples=40)
+        grid, values = ActivePlanner(cfg)._build_probe_grid(state, b)
+        if grid is None:  # a certain belief builds no grid
+            return
+        _, ref = ActivePlanner(ref_cfg)._build_probe_grid(state, b)
+        pi_weighted = planner_mod.PROBE_PI_WEIGHTED
+        h_now = entropy(b, pi_weighted)
+
+        def rows(c):
+            """Each grid point's posterior entropies (G, M * nodes)."""
+            egos, human, response_time = planner_mod.probe_projection(state, grid, c)
+            mus = planner_mod.predicted_observation_mean(
+                egos, human, state.geometry, targets.targets, c, response_time)
+            zs = mus[:, :, None] + c.obs_noise_std * planner_mod.observation_nodes(c.obs_samples)[0]
+            return posterior_entropies(b, zs.ravel(), h_now, pi_weighted).reshape(len(grid), -1)
+
+        h, h_ref = rows(cfg), rows(ref_cfg)
+        both = np.hstack((h, h_ref))
+        delta = 4 * h.shape[1] * eps * h.max(axis=1)
+        delta_ref = 4 * h_ref.shape[1] * eps * h_ref.max(axis=1)
+        assert np.all(h.min(axis=1) - delta <= values)
+        assert np.all(values <= h.max(axis=1) + delta)
+        spread = 0.0 if sigma == 0.0 else np.ptp(both, axis=1)
+        assert np.all(np.abs(values - ref) <= spread + delta + delta_ref)
+
     def test_off_or_certain_builds_nothing(self, monkeypatch):
         monkeypatch.setattr("probeplan.planner.posterior_entropies", None)
         b = uniform_belief(default_targets(LANE_MERGE))
-        assert PassivePlanner(PlannerConfig())._build_probe_grid(merge_state(), b, 1) == (
-            None, None)
+        assert PassivePlanner(PlannerConfig())._build_probe_grid(merge_state(), b) == (None, None)
         certain = single_mode_belief()
-        assert ActivePlanner(PlannerConfig())._build_probe_grid(merge_state(), certain, 1) == (
+        assert ActivePlanner(PlannerConfig())._build_probe_grid(merge_state(), certain) == (
             None, None)
 
 
@@ -512,7 +581,7 @@ class TestLockstepDescent:
     @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
     def test_plan_step_matches_per_mode_oracle(self, kind, planner_cls, budget):
         extra = self.BUDGETS[budget]
-        base = {} if budget == "default" else dict(rollout_count=40, obs_samples=6)
+        base = {} if budget == "default" else dict(rollout_count=40)
         cfg = PlannerConfig(**base, **extra, ref_speed=DEFAULT_REF_SPEED[kind])
         planner, reference = planner_cls(cfg), planner_cls(cfg)
         cases = self.cases(kind, 3)
@@ -680,7 +749,7 @@ class TestDescend:
 
         monkeypatch.setattr(planner_mod, "_descend", counted)
         monkeypatch.setattr(baselines_mod, "_descend", counted)
-        cfg = PlannerConfig(rollout_count=30, obs_samples=6, ref_speed=DEFAULT_REF_SPEED[kind])
+        cfg = PlannerConfig(rollout_count=30, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(9)
         planner = planner_cls(cfg)
         for i in range(3):
@@ -1439,14 +1508,11 @@ class TestRunConstants:
         assert len(log.records) == 10
         assert len(calls) == len(pairs) >= 9
 
-    @pytest.mark.parametrize("planner_name, streams", [
-        ("ours", 100), ("passive", 90), ("conservative", 90),
-    ])
-    def test_rollouts_drawn_as_one_block_per_step(self, planner_name, streams, monkeypatch):
+    @pytest.mark.parametrize("planner_name", ["ours", "passive", "conservative"])
+    def test_rollouts_drawn_as_one_block_per_step(self, planner_name, monkeypatch):
         # One draw_human_paths call per step covers every mode, each from its
-        # own keyed stream: the planner opens as many streams (per step, one
-        # per mode and the ours planner's probe stream) as it did when it
-        # drew one mode per call.
+        # own keyed stream: the planner opens one stream per mode and step,
+        # and no other (the probe grid draws nothing).
         draws, keys = [], []
         real_draw, real_rng = planner_mod.draw_human_paths, planner_mod.rng_from_keys
 
@@ -1464,7 +1530,7 @@ class TestRunConstants:
                                t_max=1.0))
         targets = default_targets(LANE_MERGE).targets
         assert len(log.records) == 10 and draws == [len(targets)] * 10
-        assert len(keys) == streams
+        assert len(keys) == len(targets) * 10
         rollout = [k[2:] for k in keys if k[1] == STREAM_MODE_ROLLOUT]
         assert rollout == [(t.intent_id, t.mode_id) for t in targets] * 10
 
@@ -1665,7 +1731,7 @@ class TestSolveModeControl:
         # _solve_modes evaluates the influence KL from precomputed constants;
         # it must equal the reference functions at the returned plan.
         cfg = PlannerConfig(
-            rollout_count=20, obs_samples=4, solver_iters=2, probe_grid_size=3,
+            rollout_count=20, solver_iters=2, probe_grid_size=3,
             risk_cap=risk_cap, ref_speed=DEFAULT_REF_SPEED[kind],
         )
         b = uniform_belief(default_targets(kind))
@@ -1750,7 +1816,7 @@ def middle_intent_ruled_out():
     return HierarchicalBelief(np.array([0.5, 0.0, 0.5]), w, targets)
 
 
-FAST = dict(rollout_count=30, obs_samples=6, solver_iters=2)
+FAST = dict(rollout_count=30, solver_iters=2)
 
 
 class TestPlanStep:

@@ -37,7 +37,7 @@ from probeplan.world import (
     geometry_for,
 )
 
-FAST = PlannerConfig(rollout_count=30, obs_samples=8, solver_iters=3, probe_grid_size=5)
+FAST = PlannerConfig(rollout_count=30, solver_iters=3, probe_grid_size=5)
 
 
 class ZeroPlanner:

@@ -14,8 +14,7 @@ from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, run
 
 STUDY = Path(__file__).resolve().parents[1] / "tools" / "study.py"
 N = 2
-PC_KW = {"rollout_count": 20, "obs_samples": 4, "solver_iters": 1, "solver_inits": 2,
-         "probe_grid_size": 3}
+PC_KW = {"rollout_count": 20, "solver_iters": 1, "solver_inits": 2, "probe_grid_size": 3}
 OVERRIDES = [f"planner.{k}={v}" for k, v in PC_KW.items()] + ["experiment.workers=1"]
 
 
