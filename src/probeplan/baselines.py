@@ -2,14 +2,12 @@
 
 Both subclass the full planner and reuse its step setup (guidance law,
 joint weights, reference-plan CVaR, all on the step's mode axis), its
-solver loop and its diagnostics. The passive planner only overrides two
-hooks; the conservative planner supplies only its objective over the
-solved modes to the shared descent, and records each of them with the
-step's ``mode_diag``. Measured differences are the probing + influence +
-per-mode risk-cap machinery and the start sets: ``_solve_modes`` adds the
-probe-burst starts only when the step builds a probe grid (``bursts =
-ctx.probe_grid is not None``), which the passive planner never does, and
-the conservative planner starts without them too.
+solver loop with its one start set and its diagnostics. The passive
+planner only overrides two hooks; the conservative planner supplies only
+its objective over the solved modes to the shared descent, and records
+each of them with the step's ``mode_diag``. The planners differ only in
+their objective and steering: measured differences are the probing +
+influence + per-mode risk-cap machinery.
 """
 
 from __future__ import annotations
@@ -68,10 +66,10 @@ class ConservativePlanner(ActivePlanner):
         self,
         state: ScenarioState,
         b: HierarchicalBelief,
-        rng: np.random.Generator | int,
+        key: int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
-        ctx = self._begin_step(state, b, rng)
+        ctx = self._begin_step(state, b, key)
         weights, solve = ctx.omega[ctx.solve], np.array(ctx.solve)
         paths = ctx.human_paths[solve]
         # The start round scores the warm start first, the row after the
@@ -133,7 +131,7 @@ class ConservativePlanner(ActivePlanner):
                 grads[state] = sum(w * g for w, g in zip(weights, per_mode))
             return rows, grads
 
-        starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel], bursts=False)
+        starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel])
         ((theta, row, _, rows),) = _descend(evaluate, starts, cfg)
         objective, *cvars = row.tolist()
         u_total = _controls(ctx, _accels(theta, cfg))

@@ -4,18 +4,19 @@ blending, applied in a receding-horizon loop (only the first control of
 each solve is executed).
 
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
-builds the shared setup (rng key, lane guidance with the ego headings of
-its roll, probe grid, joint weights, the modes to solve, every mode's human
+builds the shared setup (lane guidance with the ego headings of its
+roll, probe grid, joint weights, the modes to solve, every mode's human
 paths as x and y planes and their boxes from one ``risk.draw_human_paths``
 call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
 order. The probe grid is one batched ``belief.posterior_entropies`` pass
-over the distinct observation sets: one ``predicted_observation_mean``
+over every grid point's observations: one ``predicted_observation_mean``
 call for every projected grid point, at each mode's Gauss-Hermite nodes.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
-(multi-start over constant-acceleration candidates within
-``accel_bounds``, then projected gradient descent on a piecewise-constant
-acceleration parameterization of ``solver_segments`` windows of
-``segment_steps`` steps): one per mode for
+(multi-start from one start set for every chain of every planner: the
+coasting, constant and burst starts of ``_shared_starts`` within
+``accel_bounds``, and the chain's warm start; then projected gradient
+descent on a piecewise-constant acceleration parameterization of
+``solver_segments`` windows of ``segment_steps`` steps): one per mode for
 the active and passive planners, one for the conservative planner's
 omega-weighted CVaR sum. The chains run in phase-aligned rounds: one start
 round, then per iteration one line-search round that holds all three
@@ -117,7 +118,7 @@ from .risk import (
     path_costs,
     simulate_ego_path,
 )
-from .seeding import STREAM_MODE_ROLLOUT, derive_key, rng_from_keys
+from .seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from .world import (
     LANE_MERGE,
     ScenarioGeometry,
@@ -569,17 +570,17 @@ def _compose_ego_paths(
 
 
 def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The starts every chain shares, (N, P) and (B, P): coasting and evenly
-    spaced constant accelerations, and the probe bursts, each within the
-    bounds (coasting is clipped to them when they exclude zero)."""
+    """The starts every chain of every planner shares, (N, P) and (B, P):
+    coasting and evenly spaced constant accelerations, and the bursts, each
+    within the bounds (coasting is clipped to them when they exclude zero)."""
     (a_lo, a_hi), segments = cfg.accel_bounds, cfg.solver_segments
     consts = np.linspace(a_lo, a_hi, cfg.solver_inits)
     head = np.repeat(np.append(np.clip(0.0, a_lo, a_hi), consts)[:, None], segments, axis=1)
     tail = np.empty((0, segments))
     if segments > 1:
-        # Probe bursts: an extreme first segment with a steady tail. The
-        # influence term cares mostly about the terminal state, so these
-        # candidates let the probing term claim the first control cheaply.
+        # Bursts: an extreme first segment with a steady tail. The constant
+        # starts' terminal (speed, progress) lie on one line; a burst leaves
+        # it, e.g. braking first trades progress for terminal speed.
         tail = np.repeat(np.repeat(consts, 2)[:, None], segments, axis=1)
         tail[:, 0] = np.tile([a_lo, a_hi], len(consts))
     return head, tail
@@ -587,14 +588,14 @@ def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _start_candidates(
     cfg: PlannerConfig, shared: tuple[np.ndarray, np.ndarray],
-    warm_accels: Sequence[np.ndarray | None], bursts: bool,
+    warm_accels: Sequence[np.ndarray | None],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-start segment vectors, one set per warm start: the ``shared``
-    head, the warm start's segment-window means and optionally the shared
-    bursts. Returns every set's vectors (K, P), set after set, and the set
-    of each (K,)."""
+    head, the warm start's segment-window means and the shared bursts.
+    Returns every set's vectors (K, P), set after set, and the set of each
+    (K,)."""
     seg_len, horizon = cfg.segment_steps, cfg.horizon_steps
-    head, tail = shared[0], shared[1] if bursts else shared[1][:0]
+    head, tail = shared
     warmed = np.array([w is not None for w in warm_accels])
     # Each window's mean as np.mean takes it: its sum over its length.
     warm = np.array([w for w in warm_accels if w is not None]).reshape(-1, horizon)
@@ -785,16 +786,10 @@ class ActivePlanner:
         egos, human_ref, response_time = probe_projection(state, grid, cfg)
         mu = predicted_observation_mean(egos, human_ref, state.geometry, b.targets.targets, cfg,
                                         response_time)
-        zs = (mu[:, :, None] + cfg.obs_noise_std * nodes).reshape(len(grid), -1)
-        # Points with byte-equal observations (often all of them, once the
-        # held control saturates the conflict level) share one row block.
-        keys = [z.tobytes() for z in zs]
-        blocks = dict(zip(keys, zs))  # in first-seen order
-        h = posterior_entropies(b, np.concatenate(list(blocks.values())), h_now, PROBE_PI_WEIGHTED)
-        # np.cumsum adds the rows mode-major, as a running sum does, at any block count.
-        means = np.cumsum(h.reshape(len(blocks), -1) * weights, axis=1)[:, -1]
-        block_of = dict(zip(blocks, range(len(blocks))))
-        return grid, means[[block_of[k] for k in keys]]
+        zs = (mu[:, :, None] + cfg.obs_noise_std * nodes).ravel()
+        h = posterior_entropies(b, zs, h_now, PROBE_PI_WEIGHTED)
+        # np.cumsum adds each point's rows mode-major, as a running sum does.
+        return grid, np.cumsum(h.reshape(len(grid), -1) * weights, axis=1)[:, -1]
 
     def _solve_modes(
         self, ctx: _StepContext, steer_modes: list[int], warm_accels: list[np.ndarray | None]
@@ -889,8 +884,7 @@ class ActivePlanner:
                     ctx, paths[:, pen], pair_modes[pen], costs[hot])
             return np.array((obj, cvars, j_probe, j_infl)).T, grads
 
-        bursts = ctx.probe_grid is not None
-        starts = _start_candidates(cfg, self._shared_starts, warm_accels, bursts)
+        starts = _start_candidates(cfg, self._shared_starts, warm_accels)
         picks = []
         for c, (theta, row, history, rows) in enumerate(_descend(evaluate, starts, cfg)):
             infeasible = False
@@ -926,15 +920,14 @@ class ActivePlanner:
         self,
         state: ScenarioState,
         b: HierarchicalBelief,
-        rng: np.random.Generator | int,
+        key: int,
     ) -> _StepContext:
-        """Setup every planner's step shares: rng key, lane guidance with
-        the ego headings it implies, probe grid, joint weights, the modes
-        to solve, every mode's human rollouts, the discount weights, and
-        the CVaR of the reference plan (shifted previous solution, or
-        coasting) per mode."""
+        """Setup every planner's step shares: lane guidance with the ego
+        headings it implies, probe grid, joint weights, the modes to solve,
+        every mode's human rollouts (keyed by the step's integer ``key``),
+        the discount weights, and the CVaR of the reference plan (shifted
+        previous solution, or coasting) per mode."""
         cfg = self.cfg
-        base_key = rng if isinstance(rng, int) else derive_key(rng)
         guidance, headings = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b)
         omega = joint_weights(b)
@@ -945,7 +938,7 @@ class ActivePlanner:
         modes = b.targets.targets
         human_paths, human_boxes = draw_human_paths(
             state.human, modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
-            [rng_from_keys(base_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
+            [rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
         )
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
@@ -1014,10 +1007,10 @@ class ActivePlanner:
         self,
         state: ScenarioState,
         b: HierarchicalBelief,
-        rng: np.random.Generator | int,
+        key: int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
-        ctx = self._begin_step(state, b, rng)
+        ctx = self._begin_step(state, b, key)
         solved = dict(zip(ctx.solve, self._solve_modes(
             ctx, [self._steer_mode(ctx, m) for m in ctx.solve],
             [self._warm.get(m) for m in ctx.solve],

@@ -34,6 +34,7 @@ from .seeding import (
     STREAM_INTENT,
     STREAM_OBS,
     STREAM_PLAN,
+    derive_key,
     rng_from_keys,
 )
 from .world import (
@@ -376,7 +377,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
         except DegenerateEvidenceError:
             degenerate = True
 
-        plan_key = rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN, step)
+        plan_key = derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN, step))
         try:
             u_first, diag = planner.plan_step(state, belief, plan_key)
             ego_next = step_vehicle(state.ego, (float(u_first[0]), float(u_first[1])), dt)

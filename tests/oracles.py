@@ -8,7 +8,7 @@ computes in a faster way:
   (``predicted_observation_one``) per mode, and one ``update`` and
   ``entropy`` per mode and Gauss-Hermite node, added up one row at a time;
   ``probe_grid`` runs it once per grid point, where ``_build_probe_grid``
-  scores every distinct point's rows in one batched pass.
+  scores every point's rows in one batched pass.
 * ``ego_headings`` and ``lane_guidance_loop``: the lane guidance as the
   guidance law per ``VehicleState``, one ``step_vehicle`` call per step
   and the headings integrated again from the yaw rates, where
@@ -413,7 +413,7 @@ def solve_mode_control(
     b: HierarchicalBelief,
     mode: ModeTarget,
     cfg: PlannerConfig,
-    rng: np.random.Generator | int,
+    key: int,
 ) -> tuple[np.ndarray, ModeDiag]:
     """Standalone per-mode solve (the unit the planner runs per active mode)."""
     keys = [(t.intent_id, t.mode_id) for t in b.targets.targets]
@@ -422,18 +422,16 @@ def solve_mode_control(
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
     planner = ActivePlanner(cfg)
-    ctx = planner._begin_step(state, b, rng)
+    ctx = planner._begin_step(state, b, key)
     ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
     (diag,) = planner._solve_modes(ctx, ctx.solve, [None])
     return diag.nu, diag
 
 
-def start_candidates_one(
-    cfg: PlannerConfig, warm_accel: np.ndarray | None, bursts: bool
-) -> list[np.ndarray]:
-    """Multi-start segment vectors of one chain: coasting, evenly spaced
-    constant accelerations, the warm start's segment means, and optionally
-    probe bursts, each clipped to the acceleration bounds."""
+def start_candidates_one(cfg: PlannerConfig, warm_accel: np.ndarray | None) -> list[np.ndarray]:
+    """Multi-start segment vectors of one chain of any planner: coasting,
+    evenly spaced constant accelerations, the warm start's segment means,
+    and the bursts, each clipped to the acceleration bounds."""
     a_lo, a_hi = cfg.accel_bounds
     segments = cfg.solver_segments
     candidates = [np.clip(np.zeros(segments), a_lo, a_hi)]
@@ -445,7 +443,7 @@ def start_candidates_one(
         means = [float(np.mean(warm_accel[k * seg_len:(k + 1) * seg_len]))
                  for k in range(segments)]
         candidates.append(np.clip(np.array(means), a_lo, a_hi))
-    if bursts and segments > 1:
+    if segments > 1:
         for c in consts:
             for burst in (a_lo, a_hi):
                 theta = np.full(segments, c)
@@ -576,7 +574,7 @@ def solve_mode_scalar(
                 ctx, ego_path, paths, costs)
         return (obj, cvar_val, j_probe, j_infl), grad
 
-    candidates = start_candidates_one(cfg, warm_accel, bursts=ctx.probe_grid is not None)
+    candidates = start_candidates_one(cfg, warm_accel)
     theta, (obj, cvar_val, j_probe, j_infl), history = descend_one(evaluate, candidates, cfg)
     infeasible = False
     if cvar_val > cfg.risk_cap:
@@ -616,7 +614,7 @@ def conservative_step_scalar(
         objective = sum(w * v for w, v in zip(weights, cvars))
         return (objective, cvars), sum(w * g for w, g in zip(weights, grads))
 
-    candidates = start_candidates_one(cfg, planner._ref_accel, bursts=False)
+    candidates = start_candidates_one(cfg, planner._ref_accel)
     theta, (objective, cvars), history = descend_one(evaluate, candidates, cfg)
     u_total = _controls(ctx, segment_accels(theta, cfg))
     solved = {
@@ -661,12 +659,12 @@ def plan_step_per_mode(
     planner: ActivePlanner,
     state: ScenarioState,
     b: HierarchicalBelief,
-    rng: np.random.Generator | int,
+    key: int,
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """``planner.plan_step`` with one scalar solve after another: the step
     as it ran before the chains ran in lockstep. Updates the planner's
     reference plan and warm starts as ``plan_step`` does."""
-    ctx = planner._begin_step(state, b, rng)
+    ctx = planner._begin_step(state, b, key)
     if isinstance(planner, ConservativePlanner):
         return conservative_step_scalar(planner, ctx)
     cfg = planner.cfg

@@ -43,13 +43,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "5cb456587e83a03197b03a7a6d0431e50b5077cc1a52d3d240722a978c9bb0f8",
-    "trace_intersection_conservative_run00000.csv": "e7b4c8ef8c98cd7748531b0584ef6f338ac63339d4c5dc063a8efd95467c62f2",
+    "results.csv": "3b368b476f6fa35753a2f58d799e501cc2f56d669099dab1e273960a564156f3",
+    "trace_intersection_conservative_run00000.csv": "e152636544ac835db0297c00dfd26d7d73e806cbf1348d171252412092c508b4",
     "trace_intersection_ours_run00000.csv": "615b5e8f1eabeb283856840e0cf34f9b30794b2187f8bffed80875df5a99c290",
-    "trace_intersection_passive_run00000.csv": "5624aec554e4529eee7a0c9e0a5b2e301ce92b2697d987d6b8a132ab6e65afc1",
-    "trace_lane_merge_conservative_run00000.csv": "ec723dce9382f821812c69e303a053b37189b501fa15050b6a3b0b296ea6886e",
+    "trace_intersection_passive_run00000.csv": "35c50de43388fb53774993da528a7c16b9e80d335d2ef3e46870f918d9f25158",
+    "trace_lane_merge_conservative_run00000.csv": "250d7f6900efbdb8683cfbdef7c17d299b433ee6ee48f82028ca0a59b11e0f26",
     "trace_lane_merge_ours_run00000.csv": "9943b0ea0773202f72660d37b43157a1a78f821a03592ba2ca8a2075f69abc0d",
-    "trace_lane_merge_passive_run00000.csv": "9734e37bd452421d8c14dd653be416872f9f24ffb7a4846c2642c1820ed9339c",
+    "trace_lane_merge_passive_run00000.csv": "ce0f62de9f730507f3c18ba3c864765c08c58b7a8730f63f50fe5fd8781082b8",
 }
 
 
@@ -70,8 +70,13 @@ def test_golden_batch_digests(tmp_path):
 # every step of 18 short runs: both scenarios x three planners x three
 # configs (golden budgets, a binding risk cap, and an activation threshold
 # that no mode clears on a near-uniform belief, so the blend falls back).
+# One digest per planner, so a change shows which planners it moves.
 DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
-DIAG_GOLDEN = "f352c0765ff31974a12352c383d5f3505043fbffb0944eb6563f6bd3bb84d5ed"
+DIAG_GOLDEN = {
+    "ours": "0c8375a8d7bb46c544a84600e5d0b2810763c235f7ed372c975740e7a0ff47b6",
+    "passive": "673a4e94de9db12b54346f39620cb8785612ea54d22f2581d2636e7c430fdb7e",
+    "conservative": "a56522d9d32e95e67f00fca9605f4b2788d6ee45d42bc5c71e45efa5f76a7945",
+}
 
 
 def _feed(h, value):
@@ -106,7 +111,7 @@ def test_plan_diagnostics_digest(monkeypatch):
 
         def recorded(*args):
             u, diag = plan_step(*args)
-            diags.append(diag)
+            diags.append((name, diag))
             return u, diag
 
         planner.plan_step = recorded
@@ -124,11 +129,12 @@ def test_plan_diagnostics_digest(monkeypatch):
                     scenario=kind, master_seed=5, planner=planner, planner_cfg=pc,
                     t_max=0.8, comparison_mode=True, pinned_intent=2,
                 ))
-    h = hashlib.sha256()
-    for diag in diags:
-        _feed(h, diag)
+    digests = {name: hashlib.sha256() for name in PLANNERS}
+    for name, diag in diags:
+        _feed(digests[name], diag)
+    diags = [diag for _, diag in diags]
     assert len(diags) == 144
     assert sum(d.blend_fallback for d in diags) == 42
     assert sum(d.infeasible_any for d in diags) == 16
     assert sum(m.infeasible for d in diags for m in d.modes) == 64
-    assert h.hexdigest() == DIAG_GOLDEN
+    assert {name: h.hexdigest() for name, h in digests.items()} == DIAG_GOLDEN

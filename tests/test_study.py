@@ -6,11 +6,8 @@ the script built them when it ran its own batches."""
 import importlib.util
 from pathlib import Path
 
-from numpy.testing import assert_equal
-
-from probeplan.metrics import aggregate
 from probeplan.planner import PlannerConfig
-from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, run
+from probeplan.scenario import RunConfig, run
 
 STUDY = Path(__file__).resolve().parents[1] / "tools" / "study.py"
 N = 2
@@ -38,20 +35,6 @@ def test_probing_study_matches_direct_runs(tmp_path):
     assert pairs == list(zip(expected[0.5], expected[0.0]))
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "probe_lane_merge_pinned3_lambda0.0", "probe_lane_merge_pinned3_lambda0.5"]
-
-
-def test_ordering_study_matches_direct_runs(tmp_path):
-    _, combos = load_study().ordering_study(n=N, overrides=OVERRIDES, out=tmp_path)
-    assert len(combos) == 4
-    for (scenario, planner), (success, t_mean, gap, counts) in combos.items():
-        pc = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[scenario], **PC_KW)
-        cfg = RunConfig(scenario=scenario, master_seed=2, planner=planner, planner_cfg=pc,
-                        comparison_mode=True)
-        agg = aggregate([run(cfg, run_index=i)[0] for i in range(N)])
-        assert_equal((success, t_mean, gap),
-                     (agg.success_rate, agg.stats["completion_time"][0], agg.stats["min_gap"][0]))
-        assert list(counts.items()) == list(agg.termination_counts.items())
-        assert (tmp_path / f"order_{scenario}_{planner}" / "manifest.json").is_file()
 
 
 RESULTS_HEADER = "run_index,scenario,planner,success,completion_time,min_gap"

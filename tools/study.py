@@ -1,7 +1,7 @@
 """Tuning studies for the closed-loop acceptance criteria (developer tooling,
 not shipped):
 
-    python tools/study.py [probe|order|both] [n]
+    python tools/study.py probe [n]
     python tools/study.py slice [out]  # into <out>/slice
     python tools/study.py compare PARENT_RESULTS.csv CHANGE_RESULTS.csv
 
@@ -26,8 +26,6 @@ runs; paired completion times are over the runs both sides completed.
 import csv
 import math
 import sys
-import time
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +52,9 @@ def run_arm(out, arm, n, seed, overrides, fields):
 
 def probing_study(n=40, seed=1, scenario="lane_merge", pinned=3, step=20, overrides=(), out=OUT):
     """Criterion 7 shape: entropy at step `step`, lambda 0.5 vs 0. Each arm stops
-    after that step, so its final entropy is the one at `step` (or earlier)."""
+    after that step, so its final entropy is the one at `step` (or earlier).
+    lambda 0 drops only the probe term: both arms search from the same start
+    set, bursts included."""
     t_max = (step + 0.5) * load_config(DEFAULT, list(overrides))["planner"]["dt"]
     h = {}
     for lam in (0.5, 0.0):
@@ -71,30 +71,6 @@ def probing_study(n=40, seed=1, scenario="lane_merge", pinned=3, step=20, overri
     print(f"probing {scenario} pinned={pinned}: wins {wins}/{len(pairs)} ({frac:.0%}), ties {ties}")
     print(f"  mean H(0.5)={np.mean([p[0] for p in pairs]):.3f}  mean H(0)={np.mean([p[1] for p in pairs]):.3f}")
     return frac, pairs
-
-
-def ordering_study(n=40, seed=2, scenarios=("lane_merge", "intersection"), overrides=(), out=OUT):
-    """Criterion 8 shape: ours vs passive, comparison mode. Returns the
-    per-scenario (dsuccess, time cut) and the per-combo (success %, mean
-    completion time, mean gap, termination counts)."""
-    summary, combos = {}, {}
-    for scenario in scenarios:
-        for planner in ("ours", "passive"):
-            t0 = time.time()
-            fields = [f"experiment.scenario={scenario}", f"experiment.planner={planner}"]
-            results, (agg,) = run_arm(out, f"order_{scenario}_{planner}", n, seed, overrides, fields)
-            dt = time.time() - t0
-            stats = [float(agg[k]) for k in ("success_rate", "completion_time_mean", "min_gap_mean")]
-            counts = dict(Counter(r["termination"] for r in results))
-            combos[scenario, planner] = (*stats, counts)
-            print(f"{scenario:13s} {planner:8s}: success {stats[0]:5.1f}%  "
-                  f"time {stats[1]:5.2f}s  gap {stats[2]:5.2f}  ({dt:.0f}s wall, {counts})")
-        ours, passive = combos[scenario, "ours"], combos[scenario, "passive"]
-        dsucc = ours[0] - passive[0]
-        rel = (passive[1] - ours[1]) / passive[1] if passive[1] == passive[1] else math.nan
-        print(f"  -> dsuccess {dsucc:+.1f}pp (need >=+5), time cut {rel:+.1%} (need >=10%)")
-        summary[scenario] = (dsucc, rel)
-    return summary, combos
 
 
 def slice_study(out=OUT):
@@ -163,15 +139,12 @@ def compare(parent_csv, change_csv):
 
 
 if __name__ == "__main__":
-    mode = sys.argv[1] if len(sys.argv) > 1 else "both"
+    mode = sys.argv[1] if len(sys.argv) > 1 else "probe"
     if mode == "slice":
         print(slice_study(out=Path(sys.argv[2]) if len(sys.argv) > 2 else OUT))
         sys.exit(0)
     if mode == "compare":
         compare(*sys.argv[2:4])
         sys.exit(0)
-    n = int(sys.argv[2]) if len(sys.argv) > 2 else 40
-    if mode in ("probe", "both"):
-        probing_study(n=n)
-    if mode in ("order", "both"):
-        ordering_study(n=n)
+    if mode == "probe":
+        probing_study(n=int(sys.argv[2]) if len(sys.argv) > 2 else 40)
