@@ -328,8 +328,8 @@ class TestProbeGrid:
            relative errors. A weight q_r or a product q_r h_r that falls
            below the least normal float is off by up to half the least
            subnormal float d instead (gradual underflow), and an addition
-           whose result is subnormal is exact, so each row adds at most
-           (1 + max h) d / 2 more: delta = 4 R eps max h + R (1 + max h) d.
+           whose result is subnormal is exact, so each row adds less than
+           (1 + max h) d more: delta = 4 R eps max h + R (1 + max h) d.
         3. Reference: the 40-node grid obeys 2 with its own rows, so the two
            grids differ by at most the spread of both row sets together,
            plus both deltas. With sigma = 0 every node of mode k observes
@@ -1456,8 +1456,9 @@ class TestStartCandidates:
         cfg = PlannerConfig(solver_segments=4)
         values = np.array([1.0, -1.0, 2.0, 0.5])
         warm = np.repeat(values, 8)[:30]
-        cands, _ = _start_candidates(cfg, _shared_starts(cfg), [warm])
-        assert np.array_equal(cands[len(_shared_starts(cfg)[0])], values)
+        shared = _shared_starts(cfg)
+        cands, _ = _start_candidates(cfg, shared, [warm])
+        assert np.array_equal(cands[len(shared[0])], values)  # the row after the head
 
 
 class TestRunConstants:
