@@ -67,15 +67,18 @@ def test_golden_batch_digests(tmp_path):
 
 
 # Every PlanDiagnostics field, and every ModeDiag field of every mode, of
-# every step of 18 short runs: both scenarios x three planners x three
-# configs (golden budgets, a binding risk cap, and an activation threshold
-# that no mode clears on a near-uniform belief, so the blend falls back).
+# every step of 24 short runs: both scenarios x three planners x four
+# configs (golden budgets, a binding risk cap, an activation threshold that
+# no mode clears on a near-uniform belief, so the blend falls back, and one
+# that some modes clear and others do not, so the blend mixes only some).
 # One digest per planner, so a change shows which planners it moves.
-DIAG_CONFIGS = ({}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5})
+DIAG_CONFIGS = (
+    {}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5}, {"mode_activation_eps": 0.05},
+)
 DIAG_GOLDEN = {
-    "ours": "0c8375a8d7bb46c544a84600e5d0b2810763c235f7ed372c975740e7a0ff47b6",
-    "passive": "673a4e94de9db12b54346f39620cb8785612ea54d22f2581d2636e7c430fdb7e",
-    "conservative": "a56522d9d32e95e67f00fca9605f4b2788d6ee45d42bc5c71e45efa5f76a7945",
+    "ours": "d9189f6123b315508177fcd69267fb10479e2b11d82df0073b9cedb8bf2de3ff",
+    "passive": "d8beb8ca6624ce83b26a81c56149dfc14b7f90171441bf84442ee465b59f3302",
+    "conservative": "eb39198e77e6e0119f289a1bff712ebadd240b8e77c4fb2f032f22783c8efbb4",
 }
 
 
@@ -133,8 +136,9 @@ def test_plan_diagnostics_digest(monkeypatch):
     for name, diag in diags:
         _feed(digests[name], diag)
     diags = [diag for _, diag in diags]
-    assert len(diags) == 144
+    assert len(diags) == 192
     assert sum(d.blend_fallback for d in diags) == 42
+    assert sum(0 < sum(m.active for m in d.modes) < len(d.modes) for d in diags) == 54
     assert sum(d.infeasible_any for d in diags) == 16
     assert sum(m.infeasible for d in diags for m in d.modes) == 64
     assert {name: h.hexdigest() for name, h in digests.items()} == DIAG_GOLDEN
