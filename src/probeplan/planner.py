@@ -1,7 +1,7 @@
 """Ego controller: entropy-driven probing, KL influence toward per-mode
-interaction targets, CVaR-capped per-mode solves, and joint-weight
-blending, applied in a receding-horizon loop (only the first control of
-each solve is executed).
+interaction targets, CVaR-capped per-mode solves, and the convex mix of
+the solved modes' plans by joint weight, applied in a receding-horizon
+loop (only the first control of each step's mix is executed).
 
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
 builds the shared setup (lane guidance with the ego headings of its
@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -490,6 +490,12 @@ class _StepContext:
     human_boxes: np.ndarray
     cvar_pre: np.ndarray
     path_bases: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def blend_weights(self) -> np.ndarray:
+        """The executed mix's convex weights: the solved modes' joint weights
+        over their exact sum, so a lone solved mode weighs exactly 1.0."""
+        return self.omega[self.solve] / math.fsum(self.omega[self.solve])
 
     @cached_property
     def _probe_slopes(self) -> np.ndarray:
@@ -975,13 +981,13 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         """Record the executed plan for the next step's reference and warm
         start, and assemble the step's diagnostics from the solved modes'
-        records and a bare record for every other mode. The blend falls
-        back to the argmax-omega mode exactly when no mode is active."""
+        records, a bare record for every other mode, and the solved modes'
+        probe and influence terms in the convex mix of ``ctx.blend_weights``."""
         mode_diags = tuple(solved.get(m) or ctx.mode_diag(m) for m in range(len(ctx.omega)))
         w_probe = w_infl = 0.0
-        for d in solved.values():  # in target order, as ctx.solve is
-            w_probe += d.omega * d.j_probe
-            w_infl += d.omega * d.j_influence
+        for w, d in zip(ctx.blend_weights.tolist(), solved.values()):  # in target order
+            w_probe += w * d.j_probe
+            w_infl += w * d.j_influence
 
         self._ref_accel = np.append(u_total[1:, 0], u_total[-1, 0])
         u_first = u_total[0].copy()
@@ -1018,14 +1024,8 @@ class ActivePlanner:
         for m, d in solved.items():
             self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift
 
-        # Joint-weight blend over the active modes; with none active, the
-        # argmax-omega mode's plan unscaled.
-        if ctx.active.any():
-            u_total = np.zeros((cfg.horizon_steps, 2))
-            for d in solved.values():  # in target order, as ctx.solve is
-                u_total += d.omega * d.nu
-        else:
-            u_total = solved[ctx.solve[0]].nu
-        u_total = np.clip(u_total, cfg.u_min, cfg.u_max)
+        # Execute the plans' convex mix: accelerations folded in target order, the shared yaw.
+        accel = reduce(np.add, [w * d.nu[:, 0] for w, d in zip(ctx.blend_weights, solved.values())])
+        u_total = np.clip(_controls(ctx, accel), cfg.u_min, cfg.u_max)
         return self._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))
 

@@ -42,8 +42,9 @@ computes in a faster way:
 * ``solve_mode_scalar``, ``conservative_step_scalar`` and
   ``plan_step_per_mode``: each planner's step with one scalar objective
   closure per mode (or per conservative step) and one descent per chain,
-  run one after the other; ``blend_controls`` is its joint-weight blend
-  with an explicit activation threshold and fallback flag. Each candidate
+  run one after the other; ``blend_controls`` is its convex mix by joint
+  weight with an explicit activation threshold and fallback flag, one
+  weighted plan added after another. Each candidate
   takes its path from ``ego_path_one``, its terminal state and KL residual
   one segment and one component at a time, and its probe slope from the
   grid piece it lies on; their gradients take the terminal state's
@@ -633,23 +634,31 @@ def blend_controls(
     u_min: np.ndarray | None = None,
     u_max: np.ndarray | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Joint-weight blend of per-mode control sequences.
+    """Convex mix by joint weight of per-mode control sequences (T, 2).
 
-    Sums omega * nu over modes with omega > eps. When no mode clears the
-    threshold the argmax-omega mode's sequence is returned unscaled
-    (fallback flag set). The result is clamped to bounds when given.
+    Mixes the modes with omega > eps or, when no mode clears the threshold,
+    the first argmax-omega mode alone (fallback flag set). Mode k weighs
+    omega_k over the mixed modes' exact sum (``math.fsum``), so the
+    acceleration column is sum omega nu / sum omega, added one mode after
+    another from the first term. The lateral column is the yaw that every
+    sequence carries. The result is clamped to bounds when given.
     """
     if not per_mode:
         raise InvalidInputError("per_mode must be non-empty")
-    active = [(w, nu) for w, nu in per_mode if w > eps]
-    fallback = not active
+    mixed = [(w, nu) for w, nu in per_mode if w > eps]
+    fallback = not mixed
     if fallback:
-        w_best, u_total = max(per_mode, key=lambda p: p[0])
-        u_total = np.array(u_total, dtype=float)
-    else:
-        u_total = np.zeros_like(np.asarray(active[0][1], dtype=float))
-        for w, nu in active:
-            u_total = u_total + w * np.asarray(nu, dtype=float)
+        mixed = [max(per_mode, key=lambda p: p[0])]  # max keeps the first of equal weights
+    plans = [np.asarray(nu, dtype=float) for _, nu in mixed]
+    yaw = plans[0][:, 1]
+    if not all(np.array_equal(nu[:, 1], yaw) for nu in plans):
+        raise InvalidInputError("every sequence must carry the same yaw")
+    total = math.fsum(w for w, _ in mixed)
+    accel = None
+    for (w, _), nu in zip(mixed, plans):
+        term = (w / total) * nu[:, 0]
+        accel = term if accel is None else accel + term
+    u_total = np.column_stack((accel, yaw))
     if u_min is not None and u_max is not None:
         u_total = np.clip(u_total, u_min, u_max)
     return u_total, fallback

@@ -43,13 +43,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "3b368b476f6fa35753a2f58d799e501cc2f56d669099dab1e273960a564156f3",
+    "results.csv": "7fca8635c6176ee3c01ec63374404e63c4d9403305f36ce604605aaac7bfb584",
     "trace_intersection_conservative_run00000.csv": "e152636544ac835db0297c00dfd26d7d73e806cbf1348d171252412092c508b4",
-    "trace_intersection_ours_run00000.csv": "615b5e8f1eabeb283856840e0cf34f9b30794b2187f8bffed80875df5a99c290",
-    "trace_intersection_passive_run00000.csv": "35c50de43388fb53774993da528a7c16b9e80d335d2ef3e46870f918d9f25158",
+    "trace_intersection_ours_run00000.csv": "c29fd3b93d9fdb87e76e686049191eba2b2f702f03c3b38f4f5fbda5e9de1b12",
+    "trace_intersection_passive_run00000.csv": "7c7e318c18b89a7e01d7264e8420d629203e2fb92b4bc97c660e5794dca579af",
     "trace_lane_merge_conservative_run00000.csv": "250d7f6900efbdb8683cfbdef7c17d299b433ee6ee48f82028ca0a59b11e0f26",
-    "trace_lane_merge_ours_run00000.csv": "9943b0ea0773202f72660d37b43157a1a78f821a03592ba2ca8a2075f69abc0d",
-    "trace_lane_merge_passive_run00000.csv": "ce0f62de9f730507f3c18ba3c864765c08c58b7a8730f63f50fe5fd8781082b8",
+    "trace_lane_merge_ours_run00000.csv": "ee30461aec69aac9eafcd260d06545bab417372edabdcc25f4ecb5becacf7ee3",
+    "trace_lane_merge_passive_run00000.csv": "eb861f612a4f35077e39050d28b1eb8cac61adc8ce5da764b7db0255fb124829",
 }
 
 
@@ -76,8 +76,8 @@ DIAG_CONFIGS = (
     {}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5}, {"mode_activation_eps": 0.05},
 )
 DIAG_GOLDEN = {
-    "ours": "d9189f6123b315508177fcd69267fb10479e2b11d82df0073b9cedb8bf2de3ff",
-    "passive": "d8beb8ca6624ce83b26a81c56149dfc14b7f90171441bf84442ee465b59f3302",
+    "ours": "0fb42626dff8f30a3551f4c16cf3cef728dfd1f7faddeaa0c4f04020b73fa67f",
+    "passive": "169dff1f4ca46ff51f189a1ade022d8606d8ea5a30114aa9d08e7c5ddef6d773",
     "conservative": "eb39198e77e6e0119f289a1bff712ebadd240b8e77c4fb2f032f22783c8efbb4",
 }
 

@@ -1795,10 +1795,30 @@ class TestBlendControls:
         assert not fallback
 
     def test_even_mix_cancels(self):
-        a = np.full((4, 2), 1.0)
-        b = np.full((4, 2), -1.0)
+        a = np.column_stack((np.full(4, 1.0), np.full(4, 0.3)))
+        b = np.column_stack((np.full(4, -1.0), np.full(4, 0.3)))
         out, _ = blend_controls([(0.5, a), (0.5, b)], 1e-5)
-        assert np.allclose(out, 0.0, atol=1e-15)
+        assert np.allclose(out[:, 0], 0.0, atol=1e-15)
+        assert np.array_equal(out[:, 1], a[:, 1])
+
+    def test_weights_below_one_mix_convexly(self):
+        # The mixed modes' weights sum to 0.6 (the third mode is below eps):
+        # the executed sequence is sum omega nu / sum omega, not sum omega nu.
+        rng = np.random.default_rng(1)
+        yaw = rng.uniform(-0.6, 0.6, 5)
+        nus = [np.column_stack((rng.uniform(-3.0, 3.0, 5), yaw)) for _ in range(3)]
+        w = [0.4, 0.2, 1e-6]
+        out, fallback = blend_controls(list(zip(w, nus)), 1e-5)
+        assert not fallback
+        want = (0.4 * nus[0][:, 0] + 0.2 * nus[1][:, 0]) / 0.6
+        assert np.allclose(out[:, 0], want, rtol=0.0, atol=1e-14)
+        assert np.array_equal(out[:, 1], yaw)
+
+    def test_plans_with_different_yaws_rejected(self):
+        a = np.zeros((3, 2))
+        b = np.column_stack((np.zeros(3), np.full(3, 0.1)))
+        with pytest.raises(InvalidInputError):
+            blend_controls([(0.5, a), (0.5, b)], 1e-5)
 
     def test_fallback_to_argmax(self):
         a = np.full((3, 2), 2.0)
@@ -1813,7 +1833,8 @@ class TestBlendControls:
 
     def test_linear_in_controls(self):
         rng = np.random.default_rng(0)
-        nus = [rng.normal(0, 1, (5, 2)) for _ in range(3)]
+        yaw = rng.normal(0, 1, 5)
+        nus = [np.column_stack((rng.normal(0, 1, 5), yaw)) for _ in range(3)]
         w = [0.5, 0.3, 0.2]
         out, _ = blend_controls(list(zip(w, nus)), 1e-5)
         manual = sum(wi * nu for wi, nu in zip(w, nus))
@@ -1936,6 +1957,32 @@ class TestPlanStep:
         assert not any(m.active for m in diag.modes)
         assert diag.blend_fallback
         assert np.array_equal(diag.u_total, diag.modes[0].nu)
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner])
+    def test_some_active_modes_execute_their_convex_mix(self, planner_cls):
+        # At eps 0.05 six of the nine modes are active, with joint mass 0.94,
+        # on a merging step whose guidance steers toward the main lane. The
+        # executed accelerations are the active plans' convex mix, so each
+        # lies within their range, and the yaw is the guidance itself.
+        cfg = PlannerConfig(mode_activation_eps=0.05, **FAST)
+        targets = default_targets(LANE_MERGE)
+        b = HierarchicalBelief(np.array([0.6, 0.3, 0.1]), np.tile([0.7, 0.2, 0.1], 3), targets)
+        state = merge_state(ego=(5.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
+        u, diag = planner_cls(cfg).plan_step(state, b, 31)
+        active = [m for m in diag.modes if m.active]
+        assert [m.nu is not None for m in diag.modes] == [m.active for m in diag.modes]
+        assert len(active) == 6
+        mass = sum(m.omega for m in active)
+        assert mass == pytest.approx(0.94)
+        plans = np.array([m.nu[:, 0] for m in active])
+        want = sum(m.omega * m.nu[:, 0] for m in active) / mass
+        assert np.allclose(diag.u_total[:, 0], want, rtol=0.0, atol=1e-12)
+        assert np.all(diag.u_total[:, 0] >= plans.min(axis=0) - 1e-12)
+        assert np.all(diag.u_total[:, 0] <= plans.max(axis=0) + 1e-12)
+        yaw, _ = lane_guidance(state, cfg)
+        assert np.any(yaw != 0.0)
+        assert np.array_equal(diag.u_total[:, 1], yaw)
+        assert np.array_equal(u, diag.u_total[0])
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner])
     def test_noncontiguous_active_modes_align_with_targets(self, planner_cls):
