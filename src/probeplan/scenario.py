@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -348,7 +349,9 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     pc = cfg.planner_cfg
     dt = pc.dt
     t_max = cfg.resolved_t_max()
-    max_steps = math.ceil(t_max / dt)
+    # The ceiling of the quotient's nearest small rational, as
+    # risk.tail_sample_count takes it: 1.12 / 0.02 = 56.00000000000001 is 56 steps.
+    max_steps = math.ceil(Fraction(t_max / dt).limit_denominator(10**6))
 
     rng_init = rng_from_keys(cfg.master_seed, run_index, STREAM_INIT)
     rng_obs = rng_from_keys(cfg.master_seed, run_index, STREAM_OBS)

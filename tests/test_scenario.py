@@ -203,6 +203,26 @@ class TestRun:
         assert result.termination_reason in (SUCCESS, VIOLATION, TIMEOUT)
 
     @pytest.mark.usefixtures("zero_planner")
+    @pytest.mark.parametrize("t_max, steps", [(1.12, 56), (0.14, 7), (1.1, 55), (0.8, 40)])
+    def test_run_ends_at_a_whole_number_of_steps(self, t_max, steps):
+        # 1.12 / 0.02 and 0.14 / 0.02 round up past 56 and 7: the run still
+        # stops after that many 0.02 s steps, at t_max, not one step later.
+        state = ScenarioState(
+            ego=VehicleState(-40.0, 3.5, 9.0, 0.0),
+            human=VehicleState(-80.0, 0.0, 10.0, 0.0),
+            geometry=geometry_for(LANE_MERGE),
+        )
+        cfg = RunConfig(
+            scenario=LANE_MERGE, master_seed=1, planner="zero",
+            planner_cfg=PlannerConfig(dt=0.02), pinned_intent=1, initial_state=state,
+            t_max=t_max,
+        )
+        result, log = run(cfg)
+        assert result.termination_reason == TIMEOUT
+        assert len(log.records) == steps
+        assert log.records[-1].t == pytest.approx(t_max)
+
+    @pytest.mark.usefixtures("zero_planner")
     def test_never_success_and_violation(self):
         for idx in range(6):
             cfg = RunConfig(
