@@ -1,6 +1,7 @@
 """`tools/abtime.py` times two probeplan trees in one process: two copies of
-one tree agree, a copy with an edited cost constant is reported, and bad
-options or a missing tree exit 2 before any run."""
+one tree agree, a copy with an edited cost constant is reported, every
+``plan_step`` call is timed once, and bad options or a missing tree exit 2
+before any run."""
 
 import importlib.util
 import shutil
@@ -30,7 +31,23 @@ def test_copies_of_one_tree_agree(trees, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
     # One line per planner of the shape and a total.
-    assert [line.split()[0] for line in out.splitlines()[2:]] == ["conservative", "passive", "all"]
+    header, *rows = out.splitlines()[1:]
+    assert [line.split()[0] for line in rows] == ["conservative", "passive", "all"]
+    assert header.split()[-12:] == "A p50 ms A p95 ms B p50 ms B p95 ms".split()
+    for line in rows:
+        p50_a, p95_a, p50_b, p95_b = map(float, line.split()[-4:])
+        assert 0.0 < p50_a <= p95_a and 0.0 < p50_b <= p95_b
+
+
+@pytest.mark.parametrize("planner", ["passive", "conservative"])
+def test_clock_times_each_plan_step_once(trees, planner):
+    # The passive planner inherits plan_step: it is still timed once per call.
+    scenario = abtime.load_tree(str(trees[0]), "_abtime_clock")
+    tree = (scenario, abtime.clock_plan_steps(scenario))
+    job = ("intersection", planner, 0, 1)
+    _, steps, seconds, _, _ = abtime.run_one(tree, job, abtime.SHAPES["crossing_hedge"], 101, 0.3)
+    assert steps == len(seconds) == 3
+    assert all(s > 0.0 for s in seconds)
 
 
 def test_edited_cost_constant_differs(trees, capsys):

@@ -12,14 +12,18 @@ own ``scenario.run``; the planners and scenarios cycle run by run and the
 ground-truth intent run index by run index, as in the benchmark's in-process
 workloads.
 
-Prints ms per control step per tree and per planner, and for how many run
-pairs tree B was faster. Exits 1 if any pair's result row or executed
-controls differ, 0 otherwise, and 2 on a bad option or a missing tree.
+Prints ms per control step per tree and per planner, for how many run
+pairs tree B was faster, and per tree and planner the p50 and p95 of the
+``plan_step`` latency, one ``perf_counter`` pair around each call as the
+benchmark's ``StepClock`` takes it. Exits 1 if any pair's result row or
+executed controls differ, 0 otherwise, and 2 on a bad option or a missing
+tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import math
@@ -28,6 +32,8 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 INTENTS = (1, 2, 3)
 
@@ -70,6 +76,28 @@ def load_tree(path: str, name: str):
     return importlib.import_module(f"{name}.scenario")
 
 
+def clock_plan_steps(scenario) -> list[float]:
+    """Wrap the ``plan_step`` of every planner class in ``scenario``'s tree,
+    as the class resolves it now (its own or inherited), so that each call
+    appends its seconds to the returned list."""
+    samples = []
+
+    def wrap(plan_step):
+        @functools.wraps(plan_step)
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = plan_step(*args, **kwargs)
+            samples.append(time.perf_counter() - t0)
+            return out
+
+        return timed
+
+    # Every original is read before any is replaced, so nothing is wrapped twice.
+    for cls, timed in [(cls, wrap(cls.plan_step)) for cls in set(scenario.PLANNERS.values())]:
+        cls.plan_step = timed
+    return samples
+
+
 def jobs(shape: Shape, n: int) -> list[tuple[str, str, int, int]]:
     """The first ``n`` jobs (scenario, planner, run index, intent); each
     scenario x planner numbers its own runs."""
@@ -82,20 +110,22 @@ def jobs(shape: Shape, n: int) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def run_one(scenario, job, shape: Shape, seed: int, t_max: float):
-    """One run through a tree's ``scenario`` module: wall seconds, steps,
-    its result row and its executed controls as bytes."""
-    kind, planner, run_index, intent = job
+def run_one(tree, job, shape: Shape, seed: int, t_max: float):
+    """One run through a tree's ``scenario`` module and its ``plan_step``
+    clock: wall seconds, steps, the run's ``plan_step`` seconds, its result
+    row and its executed controls as bytes."""
+    (scenario, clock), (kind, planner, run_index, intent) = tree, job
     planner_cfg = scenario.PlannerConfig(
         ref_speed=scenario.DEFAULT_REF_SPEED[kind], **dict(shape.budgets))
     cfg = scenario.RunConfig(
         scenario=kind, master_seed=seed, planner=planner, planner_cfg=planner_cfg,
         t_max=t_max, comparison_mode=shape.comparison_mode, pinned_intent=intent)
+    clock.clear()
     t0 = time.perf_counter()
     result, log = scenario.run(cfg, run_index)
     wall = time.perf_counter() - t0
     row = tuple(repr(getattr(result, f.name)) for f in fields(result))
-    return wall, len(log.records), row, log.controls.tobytes()
+    return wall, len(log.records), clock[:], row, log.controls.tobytes()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -117,30 +147,37 @@ def main(argv: list[str] | None = None) -> int:
     shape = SHAPES[args.shape]
     t_max = shape.t_max if args.t_max is None else args.t_max
     trees = [load_tree(args.tree_a, "_abtime_a"), load_tree(args.tree_b, "_abtime_b")]
+    trees = [(scenario, clock_plan_steps(scenario)) for scenario in trees]
 
-    timed = []  # (planner, wall A, wall B, steps) per job
+    timed = []  # (planner, wall A, wall B, steps, plan_step seconds A, B) per job
     differ = []
     for k, job in enumerate(jobs(shape, args.runs)):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         out = [None, None]
         for i in order:
             out[i] = run_one(trees[i], job, shape, args.seed, t_max)
-        (wall_a, steps, row_a, u_a), (wall_b, _, row_b, u_b) = out
+        (wall_a, steps, lat_a, row_a, u_a), (wall_b, _, lat_b, row_b, u_b) = out
         if row_a != row_b or u_a != u_b:
             differ.append(f"{job[0]}/{job[1]} run {job[2]}: "
                           + ("result rows differ" if row_a != row_b else "controls differ"))
-        timed.append((job[1], wall_a, wall_b, steps))
+        timed.append((job[1], wall_a, wall_b, steps, lat_a, lat_b))
 
     print(f"shape {args.shape}: {args.runs} runs per tree, seed {args.seed}, t_max {t_max}")
     print(f"{'planner':<14}{'steps':>7}{'A ms/step':>11}{'B ms/step':>11}{'B/A':>8}"
-          f"{'B faster':>10}{'median pair B/A':>17}")
+          f"{'B faster':>10}{'median pair B/A':>17}"
+          + "".join(f"{f'{tree} {q} ms':>11}" for tree in "AB" for q in ("p50", "p95")))
     for planner in [*sorted({t[0] for t in timed}), "all"]:
-        _, a, b, n = zip(*[t for t in timed if planner in (t[0], "all")])
+        _, a, b, n, lat_a, lat_b = zip(*[t for t in timed if planner in (t[0], "all")])
         ms_a, ms_b = 1e3 * sum(a) / max(sum(n), 1), 1e3 * sum(b) / max(sum(n), 1)
         faster = sum(y < x for x, y in zip(a, b))
         pair = statistics.median(y / x for x, y in zip(a, b))
+        # numpy's linear percentile, as the benchmark's step_ms_p50 and p95;
+        # NaN when every run failed before its first step returned.
+        tails = [1e3 * np.percentile(x, (50, 95)) if (x := np.concatenate(lat)).size
+                 else (math.nan, math.nan) for lat in (lat_a, lat_b)]
         print(f"{planner:<14}{sum(n):>7}{ms_a:>11.3f}{ms_b:>11.3f}{ms_b / ms_a:>8.3f}"
-              f"{f'{faster}/{len(a)}':>10}{pair:>17.3f}")
+              f"{f'{faster}/{len(a)}':>10}{pair:>17.3f}"
+              + "".join(f"{v:>11.3f}" for tail in tails for v in tail))
     for line in differ:
         print(f"DIFFERS: {line}")
     return 1 if differ else 0
