@@ -287,7 +287,11 @@ def config_hash(cfg: dict) -> str:
 def load_mode_targets(path: str | Path) -> ModeTargetSet:
     """Read a mode-target file. Intents are numbered from 1 in file order
     and their modes from 1; ``observation`` (a 1-D band over the human's
-    speed) is required, ``name``, ``label`` and ``steering`` are optional:
+    speed) is required, ``name``, ``label`` and ``steering`` are optional.
+    An unnamed intent is named ``intent_<i>``, but a run needs each intent
+    named one of the three of ``human.YIELD_FLOORS`` (aggressive, neutral,
+    cooperative), which sets the simulated human's yield floor; RunConfig
+    rejects any other name:
 
     intents:
       - name: aggressive

@@ -256,6 +256,10 @@ class RunConfig:
                 raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
         targets = self.targets or default_targets(self.scenario)
         object.__setattr__(self, "_targets", targets)
+        # The intent's name sets the simulated human's yield floor.
+        if unknown := [name for name in targets.intent_names if name not in YIELD_FLOORS]:
+            raise InvalidInputError(f"targets name intents {unknown}; each intent must be named "
+                                    f"one of {tuple(YIELD_FLOORS)}")
         intent, n = self.pinned_intent, targets.num_intents
         if intent is not None and not (_is_integer(intent) and 1 <= intent <= n):
             raise InvalidInputError(f"pinned_intent must be an intent index in 1..{n}, "
@@ -321,12 +325,10 @@ def make_planner(name: str, cfg: PlannerConfig):
 
 def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
                   nominal_speed: float, geometry: ScenarioGeometry) -> HumanParams:
-    name = targets.intent_names[gt_intent - 1]
-    floor = YIELD_FLOORS.get(name, YIELD_FLOORS["neutral"])
     return HumanParams(
         ground_truth_intent=gt_intent,
         nominal_speed=nominal_speed,
-        yield_floor=floor,
+        yield_floor=YIELD_FLOORS[targets.intent_names[gt_intent - 1]],
         responsiveness=cfg.planner_cfg.response_gain,
         risk_threshold=(
             cfg.risk_threshold if cfg.risk_threshold is not None

@@ -372,6 +372,23 @@ class TestModeTargets:
             load_config(write(tmp_path, MINIMAL), [override, f"experiment.planner={planners}"])
         load_config(write(tmp_path, MINIMAL), [override, "experiment.planner=conservative"])
 
+    def test_intent_without_a_yield_floor_rejected(self, tmp_path):
+        # An unnamed intent (named intent_1) and one named Cooperative were
+        # accepted, and both ground truths simulated the neutral human's
+        # yield floor, 0.7.
+        body = TARGETS.replace("  - name: aggressive\n", "  -\n").replace(
+            "name: cooperative", "name: Cooperative")
+        tpath = write(tmp_path, body, "unnamed.yaml")
+        assert load_mode_targets(tpath).intent_names == ("intent_1", "Cooperative")
+        allowed = "('aggressive', 'neutral', 'cooperative')"
+        for planner in ("ours", "conservative"):
+            with pytest.raises(ConfigError) as info:
+                load_config(write(tmp_path, MINIMAL), [f"scenario.mode_targets_file={tpath}",
+                                                       f"experiment.planner={planner}"])
+            message = str(info.value)
+            assert message.startswith("invalid scenario.mode_targets_file: ")
+            assert "'intent_1'" in message and "'Cooperative'" in message and allowed in message
+
     def test_two_dimensional_observation_rejected_naming_mode(self, tmp_path):
         # The observation is the human's speed; a (speed, gap) band has no
         # observation to score.

@@ -304,6 +304,16 @@ class TestRun:
         assert RunConfig(scenario=LANE_MERGE, master_seed=0, planner="conservative",
                          targets=targets).targets is targets
 
+    def test_every_intent_needs_a_yield_floor(self):
+        # An intent's name sets the simulated human's yield floor; a name
+        # without one ran the neutral human's.
+        defaults = default_targets(LANE_MERGE)
+        for names in (None, ("aggressive", "Neutral", "cooperative")):
+            targets = ModeTargetSet(defaults.targets, intent_names=names)
+            with pytest.raises(InvalidInputError, match=r"^targets name intents .*'aggressive', "
+                                                        r"'neutral', 'cooperative'"):
+                RunConfig(scenario=LANE_MERGE, master_seed=0, targets=targets)
+
     def test_default_targets_resolved_at_construction(self):
         cfg = RunConfig(scenario=INTERSECTION, master_seed=0)
         labels = [t.label for t in default_targets(INTERSECTION).targets]
