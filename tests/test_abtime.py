@@ -1,7 +1,7 @@
 """`tools/abtime.py` times two probeplan trees in one process: two copies of
 one tree agree, a copy with an edited cost constant is reported, every
-``plan_step`` call is timed once, and bad options or a missing tree exit 2
-before any run."""
+``plan_step`` call is timed once, each tree's time is taken over its own
+steps, and bad options or a missing tree exit 2 before any run."""
 
 import importlib.util
 import shutil
@@ -48,6 +48,25 @@ def test_clock_times_each_plan_step_once(trees, planner):
     _, steps, seconds, _, _ = abtime.run_one(tree, job, abtime.SHAPES["crossing_hedge"], 101, 0.3)
     assert steps == len(seconds) == 3
     assert all(s > 0.0 for s in seconds)
+
+
+def test_each_tree_timed_over_its_own_steps(trees, capsys, monkeypatch):
+    # Tree B's runs take twice the steps in 1.5 times the wall time: it is
+    # faster per step. Dividing its wall time by tree A's steps read 1.5.
+    def fake_run(tree, job, shape, seed, t_max):
+        steps, wall = (10, 1.0) if tree[0].__name__.startswith("_abtime_a.") else (20, 1.5)
+        return wall, steps, [wall / steps] * steps, ("row",), b"controls"
+
+    monkeypatch.setattr(abtime, "run_one", fake_run)
+    assert abtime.main([str(trees[0]), str(trees[1]), *ARGS]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert header.split()[1:5] == ["A", "steps", "B", "steps"]
+    for line in rows:
+        runs = 2 if line.startswith("passive") else 1 if line.startswith("conservative") else 3
+        steps_a, steps_b, ms_a, ms_b, ratio, faster, pair = line.split()[1:8]
+        assert (int(steps_a), int(steps_b)) == (10 * runs, 20 * runs)
+        assert (float(ms_a), float(ms_b), float(ratio)) == (100.0, 75.0, 0.75)
+        assert faster == f"{runs}/{runs}" and float(pair) == 0.75
 
 
 def test_edited_cost_constant_differs(trees, capsys):

@@ -12,8 +12,11 @@ own ``scenario.run``; the planners and scenarios cycle run by run and the
 ground-truth intent run index by run index, as in the benchmark's in-process
 workloads.
 
-Prints ms per control step per tree and per planner, for how many run
-pairs tree B was faster, and per tree and planner the p50 and p95 of the
+Prints per tree and per planner the control steps and ms per step, each
+tree's wall time over its own steps (the trees' runs may take different
+numbers of steps when their outputs differ), for how many run pairs tree
+B took less time per step and the median pair's ratio of time per step,
+and per tree and planner the p50 and p95 of the
 ``plan_step`` latency, one ``perf_counter`` pair around each call as the
 benchmark's ``StepClock`` takes it. Exits 1 if any pair's result row or
 executed controls differ, 0 otherwise, and 2 on a bad option or a missing
@@ -149,34 +152,38 @@ def main(argv: list[str] | None = None) -> int:
     trees = [load_tree(args.tree_a, "_abtime_a"), load_tree(args.tree_b, "_abtime_b")]
     trees = [(scenario, clock_plan_steps(scenario)) for scenario in trees]
 
-    timed = []  # (planner, wall A, wall B, steps, plan_step seconds A, B) per job
+    timed = []  # (planner, wall A, wall B, steps A, steps B, plan_step seconds A, B) per job
     differ = []
     for k, job in enumerate(jobs(shape, args.runs)):
         order = (0, 1) if k % 2 == 0 else (1, 0)
         out = [None, None]
         for i in order:
             out[i] = run_one(trees[i], job, shape, args.seed, t_max)
-        (wall_a, steps, lat_a, row_a, u_a), (wall_b, _, lat_b, row_b, u_b) = out
+        (wall_a, steps_a, lat_a, row_a, u_a), (wall_b, steps_b, lat_b, row_b, u_b) = out
         if row_a != row_b or u_a != u_b:
             differ.append(f"{job[0]}/{job[1]} run {job[2]}: "
                           + ("result rows differ" if row_a != row_b else "controls differ"))
-        timed.append((job[1], wall_a, wall_b, steps, lat_a, lat_b))
+        timed.append((job[1], wall_a, wall_b, steps_a, steps_b, lat_a, lat_b))
 
     print(f"shape {args.shape}: {args.runs} runs per tree, seed {args.seed}, t_max {t_max}")
-    print(f"{'planner':<14}{'steps':>7}{'A ms/step':>11}{'B ms/step':>11}{'B/A':>8}"
-          f"{'B faster':>10}{'median pair B/A':>17}"
+    print(f"{'planner':<14}{'A steps':>8}{'B steps':>8}{'A ms/step':>11}{'B ms/step':>11}"
+          f"{'B/A':>8}{'B faster':>10}{'median pair B/A':>17}"
           + "".join(f"{f'{tree} {q} ms':>11}" for tree in "AB" for q in ("p50", "p95")))
     for planner in [*sorted({t[0] for t in timed}), "all"]:
-        _, a, b, n, lat_a, lat_b = zip(*[t for t in timed if planner in (t[0], "all")])
-        ms_a, ms_b = 1e3 * sum(a) / max(sum(n), 1), 1e3 * sum(b) / max(sum(n), 1)
-        faster = sum(y < x for x, y in zip(a, b))
-        pair = statistics.median(y / x for x, y in zip(a, b))
+        _, a, b, n_a, n_b, lat_a, lat_b = zip(*[t for t in timed if planner in (t[0], "all")])
+        ms_a, ms_b = 1e3 * sum(a) / max(sum(n_a), 1), 1e3 * sum(b) / max(sum(n_b), 1)
+        # Each run's seconds per step; a run that failed before its first
+        # step counts as one step.
+        per_a = [w / max(n, 1) for w, n in zip(a, n_a)]
+        per_b = [w / max(n, 1) for w, n in zip(b, n_b)]
+        faster = sum(y < x for x, y in zip(per_a, per_b))
+        pair = statistics.median(y / x for x, y in zip(per_a, per_b))
         # numpy's linear percentile, as the benchmark's step_ms_p50 and p95;
         # NaN when every run failed before its first step returned.
         tails = [1e3 * np.percentile(x, (50, 95)) if (x := np.concatenate(lat)).size
                  else (math.nan, math.nan) for lat in (lat_a, lat_b)]
-        print(f"{planner:<14}{sum(n):>7}{ms_a:>11.3f}{ms_b:>11.3f}{ms_b / ms_a:>8.3f}"
-              f"{f'{faster}/{len(a)}':>10}{pair:>17.3f}"
+        print(f"{planner:<14}{sum(n_a):>8}{sum(n_b):>8}{ms_a:>11.3f}{ms_b:>11.3f}"
+              f"{ms_b / ms_a:>8.3f}{f'{faster}/{len(a)}':>10}{pair:>17.3f}"
               + "".join(f"{v:>11.3f}" for tail in tails for v in tail))
     for line in differ:
         print(f"DIFFERS: {line}")
