@@ -63,13 +63,10 @@ class ConservativePlanner(ActivePlanner):
         return 0.0
 
     def plan_step(
-        self,
-        state: ScenarioState,
-        b: HierarchicalBelief,
-        key: int,
+        self, state: ScenarioState, b: HierarchicalBelief
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
-        ctx = self._begin_step(state, b, key)
+        ctx = self._begin_step(state, b)
         weights, solve = ctx.omega[ctx.solve], np.array(ctx.solve)
         paths = ctx.human_paths[solve]
         # The start round scores the warm start first, the row after the

@@ -6,11 +6,12 @@ loop (only the first control of each step's mix is executed).
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
 builds the shared setup (lane guidance with the ego headings of its
 roll, probe grid, joint weights, the modes to solve, every mode's human
-paths as x and y planes and their boxes from one ``risk.draw_human_paths``
-call, reference-plan CVaR per mode), all on one mode axis ``m`` in target
-order. The probe grid is one batched ``belief.posterior_entropies`` pass
-over every grid point's observations: one ``predicted_observation_mean``
-call for every projected grid point, at each mode's Gauss-Hermite nodes.
+paths as x and y planes and their boxes, placed at the human's state from
+the run's arcs by one ``risk.place_human_paths`` call, reference-plan CVaR
+per mode), all on one mode axis ``m`` in target order. The probe grid is
+one batched ``belief.posterior_entropies`` pass over every grid point's
+observations: one ``predicted_observation_mean`` call for every projected
+grid point, at each mode's Gauss-Hermite nodes.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
 (multi-start from one start set for every chain of every planner: the
 coasting, constant and burst starts of ``_shared_starts`` within
@@ -50,9 +51,12 @@ line-search trial gets the tail part only below its bar, as no other
 trial becomes its chain's state. Only the picks are expanded to
 acceleration sequences (T,).
 A fixed lane-guidance law, shared by every planner, steers the lateral
-channel, so planner comparisons isolate the longitudinal machinery. Every
-Monte-Carlo quantity of a solve reuses fixed random streams (common random
-numbers), so a step is bit-reproducible from its key.
+channel, so planner comparisons isolate the longitudinal machinery. The
+human rollouts are a fixed scenario set per run (common random numbers,
+as in multi-stage MPC): one ``risk.draw_human_paths`` call per target set
+draws every mode's arcs from the run's key, and a step only places them,
+so a step opens no random stream and is bit-reproducible from the run's
+key, its reference plan and its warm starts.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so an objective is at least its bound
@@ -116,6 +120,7 @@ from .risk import (
     path_cost_bounds,
     path_cost_gradient,
     path_costs,
+    place_human_paths,
     simulate_ego_path,
 )
 from .seeding import STREAM_MODE_ROLLOUT, rng_from_keys
@@ -744,8 +749,9 @@ class ActivePlanner:
 
     name = "ours"
 
-    def __init__(self, cfg: PlannerConfig):
+    def __init__(self, cfg: PlannerConfig, key: int):
         self.cfg = cfg
+        self.key = key  # the run's key: it seeds the rollouts
         # The last plan shifted by one step: the next step's reference plan,
         # and per mode index m the warm start of that mode's next solve (a
         # planner serves one target set).
@@ -759,9 +765,11 @@ class ActivePlanner:
         indicators = _accels(np.eye(cfg.solver_segments), cfg)
         s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
         self._terminal_jacobian = np.array((v_t, s_t))
-        # The steering setup per (solved, steering) mode of ``_targets``.
+        # The steering setup per (solved, steering) mode of ``_targets``, and
+        # their rollouts' arcs and per-step extremes (``draw_human_paths``).
         self._targets: ModeTargetSet | None = None
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
+        self._rollouts: tuple[np.ndarray, np.ndarray] | None = None
 
     # Subclasses override these two hooks.
     def _entropy_weight(self) -> float:
@@ -804,10 +812,7 @@ class ActivePlanner:
         each: chain c toward mode ``steer_modes[c]``'s steering target, from
         ``warm_accels[c]``. Objective: probe + influence KL + cap penalty."""
         cfg, state, geometry = self.cfg, ctx.state, ctx.state.geometry
-        targets = ctx.belief.targets
-        if targets is not self._targets:
-            self._targets, self._steering = targets, {}
-        modes = targets.targets
+        modes = ctx.belief.targets.targets
         solve = np.array(ctx.solve)
         # KL(pred || target) decomposes into a control-independent constant
         # plus a quadratic in the predicted mean. The constant depends only
@@ -922,30 +927,31 @@ class ActivePlanner:
             in zip(solve, accels, picks)
         ]
 
-    def _begin_step(
-        self,
-        state: ScenarioState,
-        b: HierarchicalBelief,
-        key: int,
-    ) -> _StepContext:
+    def _begin_step(self, state: ScenarioState, b: HierarchicalBelief) -> _StepContext:
         """Setup every planner's step shares: lane guidance with the ego
         headings it implies, probe grid, joint weights, the modes to solve,
-        every mode's human rollouts (keyed by the step's integer ``key``),
-        the discount weights, and the CVaR of the reference plan (shifted
+        every mode's human rollouts (the run's arcs, drawn from ``key`` on
+        the first step of a target set, placed at the human's state), the
+        discount weights, and the CVaR of the reference plan (shifted
         previous solution, or coasting) per mode."""
         cfg = self.cfg
+        if b.targets is not self._targets:
+            # A new target set: its own steering setup and rollouts. Each mode's
+            # stream is keyed by the run and the mode, so the draw order does
+            # not matter.
+            modes = b.targets.targets
+            self._targets, self._steering = b.targets, {}
+            self._rollouts = draw_human_paths(
+                modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+                [rng_from_keys(self.key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
+                 for t in modes],
+            )
         guidance, headings = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b)
         omega = joint_weights(b)
         active = omega > cfg.mode_activation_eps
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
-        # Each mode's rollouts come from a stream keyed by the mode, so the
-        # draw order does not matter.
-        modes = b.targets.targets
-        human_paths, human_boxes = draw_human_paths(
-            state.human, modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
-            [rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in modes],
-        )
+        human_paths, human_boxes = place_human_paths(state.human, *self._rollouts)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
         ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
         cvar_pre = cvar(
@@ -1010,13 +1016,10 @@ class ActivePlanner:
         return u_first, diag
 
     def plan_step(
-        self,
-        state: ScenarioState,
-        b: HierarchicalBelief,
-        key: int,
+        self, state: ScenarioState, b: HierarchicalBelief
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         cfg = self.cfg
-        ctx = self._begin_step(state, b, key)
+        ctx = self._begin_step(state, b)
         solved = dict(zip(ctx.solve, self._solve_modes(
             ctx, [self._steer_mode(ctx, m) for m in ctx.solve],
             [self._warm.get(m) for m in ctx.solve],

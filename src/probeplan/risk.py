@@ -7,14 +7,17 @@ term (exponential in the inter-vehicle center distance) and a progress
 deficit term (shortfall of ego speed below a reference), so both collision
 pressure and dawdling register in the tail statistics.
 
-This module is the one per-step rollout/CVaR kernel every planner runs.
-What does not depend on the candidate acceleration is built once per
-step: the ego headings (``planner.lane_guidance`` returns them with its
-yaw), every mode's sampled human paths as one block of x and y planes
-(``draw_human_paths``: one standard normal draw per mode from the mode's
-own stream, scaled and shifted in place, then one clamp, integration and
-projection over all modes), their ``sample_boxes`` from the same arcs, the
-discount weights and the bases of the ego paths.
+This module is the one rollout/CVaR kernel every planner runs. The human
+rollouts are a fixed scenario set per run: ``draw_human_paths`` draws every
+mode's arc lengths and their per-step extremes once (one standard normal
+draw per mode from the mode's own stream, scaled and shifted in place,
+then one clamp and integration over all modes), as no part of them depends
+on the state. What does not depend on the candidate acceleration is built
+once per step: the ego headings (``planner.lane_guidance`` returns them
+with its yaw), the human paths as one block of x and y planes along the
+human's current heading from its current position and their
+``sample_boxes`` from the extremes (``place_human_paths``), the discount
+weights and the bases of the ego paths.
 
 Composed ego paths. Until a speed reaches zero the ego path is affine in
 the accelerations, so under a piecewise-constant sequence (one value per
@@ -186,20 +189,21 @@ def simulate_ego_path(
 
 
 def draw_human_paths(
-    human, modes: Sequence[ModeTarget], n_samples: int, t_steps: int, dt: float,
+    modes: Sequence[ModeTarget], n_samples: int, t_steps: int, dt: float,
     rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled human positions as x and y planes (M, 2, n_samples, t_steps),
-    one block per mode of ``modes``, each drawn from its own ``rngs`` entry,
-    and their ``sample_boxes`` (M, 4, t_steps).
+    """Sampled human arc lengths (M, n_samples, t_steps), one block per
+    mode of ``modes``, each drawn from its own ``rngs`` entry, and their
+    per-step extremes (M, 2, t_steps): the least and the largest arc over
+    the samples. ``place_human_paths`` turns both into positions.
 
     Per-step longitudinal speeds are drawn i.i.d. from each mode target's
     velocity marginal (clamped at zero; the human does not reverse) and
-    integrated along the human's current heading. Each mode fills its own
-    block with a standard normal draw, scaled and shifted in place: the
-    ``loc + scale * z`` that ``normal`` takes per element. The clamp, the
-    integration and the planes then run once over every mode, element by
-    element as they would per mode.
+    integrated. Each mode fills its own block with a standard normal draw,
+    scaled and shifted in place: the ``loc + scale * z`` that ``normal``
+    takes per element. The clamp and the integration then run once over
+    every mode, element by element as they would per mode. Nothing here
+    depends on the human's state, so a planner draws once per run.
     """
     speeds = np.empty((len(modes), n_samples, t_steps))
     for block, mode, rng in zip(speeds, modes, rngs, strict=True):
@@ -208,13 +212,23 @@ def draw_human_paths(
         block += float(mode.target.mean[0])
     np.maximum(0.0, speeds, out=speeds)
     speeds *= dt
-    arc = np.cumsum(speeds, axis=2, out=speeds)
-    planes = np.empty((len(modes), 2, n_samples, t_steps))
-    np.multiply(arc, math.cos(human.theta), out=planes[:, 0])
-    np.multiply(arc, math.sin(human.theta), out=planes[:, 1])
+    arcs = np.cumsum(speeds, axis=2, out=speeds)
+    return arcs, np.stack((arcs.min(axis=1), arcs.max(axis=1)), axis=1)
+
+
+def place_human_paths(
+    human, arcs: np.ndarray, extremes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Human positions as x and y planes (M, 2, S, T) at arc lengths
+    ``arcs`` (M, S, T) along ``human``'s current heading from its current
+    position, and their ``sample_boxes`` (M, 4, T) from the arcs'
+    ``extremes`` (M, 2, T), both as ``draw_human_paths`` gives them."""
+    planes = np.empty((len(arcs), 2) + arcs.shape[1:])
+    np.multiply(arcs, math.cos(human.theta), out=planes[:, 0])
+    np.multiply(arcs, math.sin(human.theta), out=planes[:, 1])
     planes[:, 0] += human.x
     planes[:, 1] += human.y
-    return planes, sample_boxes(human, arc)
+    return planes, sample_boxes(human, extremes)
 
 
 def path_costs(
@@ -315,17 +329,17 @@ def _step_costs(
     return dy
 
 
-def sample_boxes(human, arcs: np.ndarray) -> np.ndarray:
-    """Bounding boxes per step of the positions ``draw_human_paths`` puts
-    at arc lengths ``arcs`` (M, S, T) along ``human``'s heading, as
-    (M, 4, T) with rows x min, x max, y min and y max over the samples.
+def sample_boxes(human, extremes: np.ndarray) -> np.ndarray:
+    """Bounding boxes per step of the positions ``place_human_paths`` puts
+    at arc lengths along ``human``'s heading whose least and largest values
+    per step are ``extremes`` (M, 2, T), as (M, 4, T) with rows x min,
+    x max, y min and y max over the samples.
 
     Each edge is an extreme arc taken through the planes' own multiply and
     add, which are monotone in floating point, so it equals the plane-wise
     minimum or maximum bit for bit; a negative factor swaps the two. The
     arcs are finite (an infinite one times a zero factor would be NaN)."""
-    extremes = np.stack((arcs.min(axis=1), arcs.max(axis=1)), axis=1)
-    boxes = np.empty((len(arcs), 4, arcs.shape[-1]))
+    boxes = np.empty((len(extremes), 4, extremes.shape[-1]))
     for row, factor, offset in ((0, math.cos(human.theta), human.x),
                                 (2, math.sin(human.theta), human.y)):
         edges = boxes[:, row:row + 2]

@@ -318,9 +318,10 @@ class RunLog:
         return np.array([r.u for r in self.records])
 
 
-def make_planner(name: str, cfg: PlannerConfig):
-    """The planner ``name`` names; RunConfig has checked it is in PLANNERS."""
-    return PLANNERS[name](cfg)
+def make_planner(name: str, cfg: PlannerConfig, key: int):
+    """The planner ``name`` names, for the run whose key is ``key``;
+    RunConfig has checked it is in PLANNERS."""
+    return PLANNERS[name](cfg, key)
 
 
 def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
@@ -364,7 +365,8 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)
-    planner = make_planner(cfg.planner, pc)
+    planner = make_planner(
+        cfg.planner, pc, derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN)))
 
     log = RunLog(
         scenario=cfg.scenario, planner=cfg.planner, run_index=run_index,
@@ -382,9 +384,8 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
         except DegenerateEvidenceError:
             degenerate = True
 
-        plan_key = derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN, step))
         try:
-            u_first, diag = planner.plan_step(state, belief, plan_key)
+            u_first, diag = planner.plan_step(state, belief)
             ego_next = step_vehicle(state.ego, (float(u_first[0]), float(u_first[1])), dt)
             human_next = human_response(state.human, state.ego, params, dt, state.geometry)
         except (InvalidInputError, np.linalg.LinAlgError, FloatingPointError):

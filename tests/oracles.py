@@ -57,8 +57,9 @@ computes in a faster way:
 * ``log_density`` and ``density``: one Gaussian's density at one point,
   where ``belief`` evaluates every mode's likelihood in one einsum pass.
 * ``draw_human_paths_one``: one mode's sampled human planes on their own,
-  where ``risk.draw_human_paths`` clamps, integrates and projects every
-  mode's draws as one block.
+  drawn and placed in one go, where ``risk.draw_human_paths`` clamps and
+  integrates every mode's draws as one block once per run and
+  ``risk.place_human_paths`` projects them at each step's human state.
 """
 
 from __future__ import annotations
@@ -416,14 +417,15 @@ def solve_mode_control(
     cfg: PlannerConfig,
     key: int,
 ) -> tuple[np.ndarray, ModeDiag]:
-    """Standalone per-mode solve (the unit the planner runs per active mode)."""
+    """Standalone per-mode solve (the unit the planner runs per active mode)
+    on the first step of a run whose key is ``key``."""
     keys = [(t.intent_id, t.mode_id) for t in b.targets.targets]
     if (mode.intent_id, mode.mode_id) not in keys:
         raise InvalidInputError("mode is not part of the belief's target set")
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
-    planner = ActivePlanner(cfg)
-    ctx = planner._begin_step(state, b, key)
+    planner = ActivePlanner(cfg, key)
+    ctx = planner._begin_step(state, b)
     ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
     (diag,) = planner._solve_modes(ctx, ctx.solve, [None])
     return diag.nu, diag
@@ -665,15 +667,13 @@ def blend_controls(
 
 
 def plan_step_per_mode(
-    planner: ActivePlanner,
-    state: ScenarioState,
-    b: HierarchicalBelief,
-    key: int,
+    planner: ActivePlanner, state: ScenarioState, b: HierarchicalBelief
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """``planner.plan_step`` with one scalar solve after another: the step
     as it ran before the chains ran in lockstep. Updates the planner's
-    reference plan and warm starts as ``plan_step`` does."""
-    ctx = planner._begin_step(state, b, key)
+    reference plan and warm starts, and its rollouts on a new target set,
+    as ``plan_step`` does."""
+    ctx = planner._begin_step(state, b)
     if isinstance(planner, ConservativePlanner):
         return conservative_step_scalar(planner, ctx)
     cfg = planner.cfg

@@ -20,13 +20,13 @@ from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
 from probeplan.gaussmath import Gaussian
 from probeplan.planner import ActivePlanner, PlannerConfig, lane_guidance
-from probeplan.risk import cvar, draw_human_paths, path_costs, simulate_ego_path
+from probeplan.risk import cvar, path_costs, simulate_ego_path
 from probeplan.scenario import default_targets
 from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import LANE_MERGE
 from probeplan.world import ScenarioState, lane_merge_geometry
 
-from oracles import ego_headings
+from oracles import draw_human_paths_one, ego_headings
 
 
 def mk_mode(intent, mode, obs_mean, obs_var, steer_mean, steer_var=(2.0, 16.0)):
@@ -83,15 +83,15 @@ class TestPassive:
         cfg = PlannerConfig(entropy_weight=0.0)
         b = single_mode_belief()
         state = merge_state()
-        u_active, d_active = ActivePlanner(cfg).plan_step(state, b, 555)
-        u_passive, d_passive = PassivePlanner(cfg).plan_step(state, b, 555)
+        u_active, d_active = ActivePlanner(cfg, 555).plan_step(state, b)
+        u_passive, d_passive = PassivePlanner(cfg, 555).plan_step(state, b)
         assert np.array_equal(u_active, u_passive)
         assert np.array_equal(d_active.u_total, d_passive.u_total)
         assert d_active.j_influence == d_passive.j_influence
 
     def test_controls_within_bounds(self):
         cfg = PlannerConfig()
-        u, diag = PassivePlanner(cfg).plan_step(merge_state(), conflict_belief(), 8)
+        u, diag = PassivePlanner(cfg, 8).plan_step(merge_state(), conflict_belief())
         assert np.all(u >= cfg.u_min - 1e-12) and np.all(u <= cfg.u_max + 1e-12)
         assert np.all(diag.u_total >= cfg.u_min - 1e-12)
         assert np.all(diag.u_total <= cfg.u_max + 1e-12)
@@ -102,8 +102,8 @@ class TestPassive:
         cfg = PlannerConfig()
         targets = conflict_belief().targets
         b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), targets)
-        planner = PassivePlanner(cfg)
-        ctx = planner._begin_step(merge_state(), b, 0)
+        planner = PassivePlanner(cfg, 0)
+        ctx = planner._begin_step(merge_state(), b)
         assert planner._steer_mode(ctx, 0) == 1  # mode (1, 1) tracks mode (2, 1)
 
     @pytest.mark.parametrize("planner_cls, missing, raises", [
@@ -116,13 +116,13 @@ class TestPassive:
         modes = list(conflict_belief().targets.targets)
         modes[missing] = dataclasses.replace(modes[missing], steer=None)
         b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), ModeTargetSet(modes))
-        planner = planner_cls(PlannerConfig(**FAST))
+        planner = planner_cls(PlannerConfig(**FAST), 0)
         if not raises:
-            planner.plan_step(merge_state(), b, 0)
+            planner.plan_step(merge_state(), b)
             return
         name = f"mode ({modes[missing].intent_id},{modes[missing].mode_id})"
         with pytest.raises(InvalidInputError, match=re.escape(f"{name} has no steering target")):
-            planner.plan_step(merge_state(), b, 0)
+            planner.plan_step(merge_state(), b)
 
 
 class TestConservative:
@@ -130,7 +130,7 @@ class TestConservative:
         cfg = PlannerConfig(solver_iters=4)
         b = single_mode_belief()
         state = merge_state()
-        u, diag = ConservativePlanner(cfg).plan_step(state, b, 99)
+        u, diag = ConservativePlanner(cfg, 99).plan_step(state, b)
         solved = [m for m in diag.modes if m.active]
         assert len(solved) == 1
         assert solved[0].objective == pytest.approx(solved[0].cvar_solution, rel=1e-9)
@@ -142,16 +142,16 @@ class TestConservative:
         wins = 0
         n = 40
         for seed in range(n):
-            u_ours, _ = ActivePlanner(cfg).plan_step(state, b, seed)
-            u_cons, _ = ConservativePlanner(cfg).plan_step(state, b, seed)
+            u_ours, _ = ActivePlanner(cfg, seed).plan_step(state, b)
+            u_cons, _ = ConservativePlanner(cfg, seed).plan_step(state, b)
             wins += abs(u_cons[0]) <= abs(u_ours[0]) + 1e-12
         assert wins >= int(0.7 * n)
 
     def test_diag_schema_matches_active(self):
         cfg = PlannerConfig()
         b = conflict_belief()
-        _, d_active = ActivePlanner(cfg).plan_step(merge_state(), b, 5)
-        _, d_cons = ConservativePlanner(cfg).plan_step(merge_state(), b, 5)
+        _, d_active = ActivePlanner(cfg, 5).plan_step(merge_state(), b)
+        _, d_cons = ConservativePlanner(cfg, 5).plan_step(merge_state(), b)
         active_fields = {f.name for f in dataclasses.fields(d_active)}
         cons_fields = {f.name for f in dataclasses.fields(d_cons)}
         assert active_fields == cons_fields
@@ -162,7 +162,7 @@ class TestConservative:
     def test_no_active_mode_solves_first_argmax_mode(self):
         cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = ConservativePlanner(cfg).plan_step(merge_state(), b, 11)
+        _, diag = ConservativePlanner(cfg, 11).plan_step(merge_state(), b)
         assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
         assert not any(m.active for m in diag.modes)
         assert diag.blend_fallback
@@ -174,20 +174,20 @@ class TestConservative:
         w = uniform_belief(targets).mode_weights
         b = HierarchicalBelief(np.array([0.5, 0.0, 0.5]), w, targets)
         state = merge_state()
-        _, diag = ConservativePlanner(cfg).plan_step(state, b, 23)
+        _, diag = ConservativePlanner(cfg, 23).plan_step(state, b)
         solved = [m.nu is not None for m in diag.modes]
         assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
         assert solved == [True] * 3 + [False] * 3 + [True] * 3
         assert [m.active for m in diag.modes] == solved
         assert not diag.blend_fallback
-        # Each mode's reference CVaR of the coasting plan, from its own stream.
+        # Each mode's reference CVaR of the coasting plan, from its own stream
+        # under the run's key.
         horizon = cfg.horizon_steps
         headings = ego_headings(state.ego, lane_guidance(state, cfg)[0], cfg.dt)
         x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
         weights = cfg.discount ** np.arange(horizon)
         for t, m in zip(targets.targets, diag.modes):
             rng = rng_from_keys(23, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-            (paths,), _ = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt,
-                                           [rng])
+            paths = draw_human_paths_one(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
             costs = path_costs(x, y, speeds, paths, weights, cfg.ref_speed)
             assert m.cvar_pre == cvar(costs, cfg.cvar_level)

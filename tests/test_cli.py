@@ -145,7 +145,7 @@ class TestRunExperiment:
                 patch.setattr(PassivePlanner, "plan_step", singular)
                 return real_run(run_cfg, run_index=run_index)
 
-        def singular(self, state, b, rng):
+        def singular(self, state, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
         cfg = write_cfg(tmp_path)

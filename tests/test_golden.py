@@ -43,13 +43,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "7fca8635c6176ee3c01ec63374404e63c4d9403305f36ce604605aaac7bfb584",
-    "trace_intersection_conservative_run00000.csv": "e152636544ac835db0297c00dfd26d7d73e806cbf1348d171252412092c508b4",
-    "trace_intersection_ours_run00000.csv": "c29fd3b93d9fdb87e76e686049191eba2b2f702f03c3b38f4f5fbda5e9de1b12",
-    "trace_intersection_passive_run00000.csv": "7c7e318c18b89a7e01d7264e8420d629203e2fb92b4bc97c660e5794dca579af",
-    "trace_lane_merge_conservative_run00000.csv": "250d7f6900efbdb8683cfbdef7c17d299b433ee6ee48f82028ca0a59b11e0f26",
-    "trace_lane_merge_ours_run00000.csv": "ee30461aec69aac9eafcd260d06545bab417372edabdcc25f4ecb5becacf7ee3",
-    "trace_lane_merge_passive_run00000.csv": "eb861f612a4f35077e39050d28b1eb8cac61adc8ce5da764b7db0255fb124829",
+    "results.csv": "e413de66237f4922d73fdfd40eb7eda4069c78cfee99683a043cb2ae2fc7ede6",
+    "trace_intersection_conservative_run00000.csv": "e18444674e3cdf4a1e1b6d8f620c3f47335bbc4cf61748a4fc85a6324f75b4a2",
+    "trace_intersection_ours_run00000.csv": "9bc0fb8b26f61c5169739ce875cb8762a97f5f15c3222499991629497ba91f6f",
+    "trace_intersection_passive_run00000.csv": "60491995cddc72d1073d46c8c1002ea9a2b0c2e671f6709085f64a3cb0a34ff1",
+    "trace_lane_merge_conservative_run00000.csv": "00e0eec486208931cef125f99d83f1af76be20ff2d658474b44998ff71dbef02",
+    "trace_lane_merge_ours_run00000.csv": "72bedbd6d78cc4b60085105c0637856b42ef89c666e8b37fa1f8e3e224d4e306",
+    "trace_lane_merge_passive_run00000.csv": "ba7cf808811e968bce9bfb9d0e82fa6729639884a974878cc80ffd2d9f9d0fd0",
 }
 
 
@@ -76,9 +76,9 @@ DIAG_CONFIGS = (
     {}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5}, {"mode_activation_eps": 0.05},
 )
 DIAG_GOLDEN = {
-    "ours": "0fb42626dff8f30a3551f4c16cf3cef728dfd1f7faddeaa0c4f04020b73fa67f",
-    "passive": "169dff1f4ca46ff51f189a1ade022d8606d8ea5a30114aa9d08e7c5ddef6d773",
-    "conservative": "eb39198e77e6e0119f289a1bff712ebadd240b8e77c4fb2f032f22783c8efbb4",
+    "ours": "772ccdbf88c065068da862686b9757677acb6d3d0c4119d8fd0ad777e0cc9ca1",
+    "passive": "bc780e870bb375294c2bf70310770d1fb79d009df3ce267cfccf0a533a699aaf",
+    "conservative": "ee2fc069c81fc099548c515a6fe2df75853236c7dddf8ba91c790ab4a282a4f3",
 }
 
 
@@ -108,8 +108,8 @@ def _feed(h, value):
 def test_plan_diagnostics_digest(monkeypatch):
     diags = []
 
-    def recording_planner(name, cfg):
-        planner = make_planner(name, cfg)
+    def recording_planner(name, cfg, key):
+        planner = make_planner(name, cfg, key)
         plan_step = planner.plan_step
 
         def recorded(*args):

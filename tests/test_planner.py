@@ -29,6 +29,7 @@ from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan import baselines as baselines_mod
 from probeplan import planner as planner_mod
+from probeplan import scenario as scenario_mod
 from probeplan.planner import (
     ActivePlanner,
     PlannerConfig,
@@ -40,9 +41,9 @@ from probeplan.planner import (
     _start_candidates,
     lane_guidance,
 )
-from probeplan.risk import cvar, cvar_tail, draw_human_paths, path_costs, simulate_ego_path
+from probeplan.risk import cvar, cvar_tail, path_costs, simulate_ego_path
 from probeplan.scenario import DEFAULT_REF_SPEED, RunConfig, default_targets, init_scenario, run
-from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
+from probeplan.seeding import STREAM_MODE_ROLLOUT, STREAM_PLAN, derive_key, rng_from_keys
 from probeplan.world import (
     INTERSECTION,
     LANE_MERGE,
@@ -54,6 +55,7 @@ from probeplan.world import (
 from oracles import (
     blend_controls,
     descend_one,
+    draw_human_paths_one,
     eager_descend,
     ego_path_one,
     ego_headings,
@@ -247,7 +249,7 @@ class TestProbeGrid:
     def test_matches_loop_oracle(self, kind, band):
         targets = banded_targets(default_targets(kind), scale=band)
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
-        planner = ActivePlanner(cfg)
+        planner = ActivePlanner(cfg, 0)
         rng = np.random.default_rng(17)
         for trial in range(16):
             state = advanced_state(kind, rng)
@@ -283,16 +285,6 @@ class TestProbeGrid:
                     ego, human, state.geometry, mode, cfg, response_time)
                     for mode in targets.targets])
                 assert rows.tobytes() == want.tobytes()
-
-    def test_grid_does_not_depend_on_the_step_key(self):
-        # The grid is a quadrature; no random stream of the step feeds it.
-        planner = ActivePlanner(PlannerConfig())
-        state = merge_state(ego=(-15.0, 3.5, 9.0), human=(-13.0, 0.0, 10.0))
-        b = uniform_belief(default_targets(LANE_MERGE))
-        one, two = (planner._begin_step(state, b, key) for key in (1, 2))
-        assert np.ptp(one.probe_entropy) > 0.0
-        assert one.probe_grid.tobytes() == two.probe_grid.tobytes()
-        assert one.probe_entropy.tobytes() == two.probe_entropy.tobytes()
 
     @given(
         kind=st.sampled_from([LANE_MERGE, INTERSECTION]),
@@ -351,10 +343,10 @@ class TestProbeGrid:
         state, b = advanced_state(kind, rng), filtered_belief(targets, rng)
         cfg = PlannerConfig(obs_samples=n, obs_noise_std=sigma, ref_speed=DEFAULT_REF_SPEED[kind])
         ref_cfg = replace(cfg, obs_samples=40)
-        grid, values = ActivePlanner(cfg)._build_probe_grid(state, b)
+        grid, values = ActivePlanner(cfg, 0)._build_probe_grid(state, b)
         if grid is None:  # a certain belief builds no grid
             return
-        _, ref = ActivePlanner(ref_cfg)._build_probe_grid(state, b)
+        _, ref = ActivePlanner(ref_cfg, 0)._build_probe_grid(state, b)
         pi_weighted = planner_mod.PROBE_PI_WEIGHTED
         h_now = entropy(b, pi_weighted)
 
@@ -378,9 +370,10 @@ class TestProbeGrid:
     def test_off_or_certain_builds_nothing(self, monkeypatch):
         monkeypatch.setattr("probeplan.planner.posterior_entropies", None)
         b = uniform_belief(default_targets(LANE_MERGE))
-        assert PassivePlanner(PlannerConfig())._build_probe_grid(merge_state(), b) == (None, None)
+        passive = PassivePlanner(PlannerConfig(), 0)
+        assert passive._build_probe_grid(merge_state(), b) == (None, None)
         certain = single_mode_belief()
-        assert ActivePlanner(PlannerConfig())._build_probe_grid(merge_state(), certain) == (
+        assert ActivePlanner(PlannerConfig(), 0)._build_probe_grid(merge_state(), certain) == (
             None, None)
 
 
@@ -524,10 +517,10 @@ class TestDescendMemo:
         rng = np.random.default_rng(5)
         cases = [(advanced_state(kind, rng), filtered_belief(default_targets(kind), rng))
                  for _ in range(3)]
-        planner, reference = planner_cls(cfg), planner_cls(cfg)
-        for i, (state, b) in enumerate(cases):
-            u, diag = planner.plan_step(state, b, 7 + i)
-            want_u, want_diag = plan_step_per_mode(reference, state, b, 7 + i)
+        planner, reference = planner_cls(cfg, 7), planner_cls(cfg, 7)
+        for state, b in cases:
+            u, diag = planner.plan_step(state, b)
+            want_u, want_diag = plan_step_per_mode(reference, state, b)
             assert np.array_equal(u, want_u)
             assert same_diag(diag, want_diag)
 
@@ -581,15 +574,15 @@ class TestLockstepDescent:
         extra = self.BUDGETS[budget]
         base = {} if budget == "default" else dict(rollout_count=40)
         cfg = PlannerConfig(**base, **extra, ref_speed=DEFAULT_REF_SPEED[kind])
-        planner, reference = planner_cls(cfg), planner_cls(cfg)
+        planner, reference = planner_cls(cfg, 40), planner_cls(cfg, 40)
         cases = self.cases(kind, 3)
         if budget == "no_active":
             # omega = 1/9 on every mode.
             cases.append((cases[0][0], uniform_belief(default_targets(kind))))
         infeasible = fallback = 0
-        for i, (state, b) in enumerate(cases):
-            u, diag = planner.plan_step(state, b, 40 + i)
-            want_u, want_diag = plan_step_per_mode(reference, state, b, 40 + i)
+        for state, b in cases:
+            u, diag = planner.plan_step(state, b)
+            want_u, want_diag = plan_step_per_mode(reference, state, b)
             assert np.array_equal(u, want_u)
             assert same_diag(diag, want_diag)
             infeasible += diag.infeasible_any
@@ -749,10 +742,10 @@ class TestDescend:
         monkeypatch.setattr(baselines_mod, "_descend", counted)
         cfg = PlannerConfig(rollout_count=30, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(9)
-        planner = planner_cls(cfg)
-        for i in range(3):
+        planner = planner_cls(cfg, 70)
+        for _ in range(3):
             state = advanced_state(kind, rng)
-            planner.plan_step(state, filtered_belief(default_targets(kind), rng), 70 + i)
+            planner.plan_step(state, filtered_belief(default_targets(kind), rng))
         assert len(rounds) == 3
         assert all(2 <= n <= 1 + cfg.solver_iters for n in rounds)
 
@@ -786,7 +779,7 @@ class TestExactGradient:
         monkeypatch.setattr(planner, "_begin_step", begin)
         monkeypatch.setattr(planner_mod, "_descend", descend)
         monkeypatch.setattr(baselines_mod, "_descend", descend)
-        planner.plan_step(state, b, 11)
+        planner.plan_step(state, b)
         return got["evaluate"], got["ctx"]
 
     @staticmethod
@@ -839,8 +832,8 @@ class TestExactGradient:
         cfg = PlannerConfig(risk_cap=5.0, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(3)
         state = advanced_state(kind, rng)
-        evaluate, ctx = self.capture(planner_cls(cfg), state, uniform_belief(default_targets(kind)),
-                                     monkeypatch)
+        evaluate, ctx = self.capture(planner_cls(cfg, 11), state,
+                                     uniform_belief(default_targets(kind)), monkeypatch)
         assert (ctx.probe_grid is not None) == (planner_cls is ActivePlanner)
         if ctx.probe_grid is not None:
             # Between grid nodes, where the probe term has a slope.
@@ -855,7 +848,7 @@ class TestExactGradient:
         # gradient is the probe slope and the KL term's.
         cfg = PlannerConfig(risk_cap=1e6, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(4)
-        evaluate, ctx = self.capture(ActivePlanner(cfg), advanced_state(kind, rng),
+        evaluate, ctx = self.capture(ActivePlanner(cfg, 11), advanced_state(kind, rng),
                                      uniform_belief(default_targets(kind)), monkeypatch)
         assert ctx.probe_grid is not None and np.ptp(ctx.probe_entropy) > 0.0
         got = self.check(evaluate, ctx, 0, [ctx.solve[0]], self.thetas(rng, 8, cfg.solver_segments))
@@ -870,7 +863,7 @@ class TestExactGradient:
         state = advanced_state(INTERSECTION, rng)
         state = ScenarioState(ego=VehicleState(state.ego.x, state.ego.y, 1.5, state.ego.theta),
                               human=state.human, geometry=state.geometry)
-        evaluate, ctx = self.capture(planner_cls(cfg), state,
+        evaluate, ctx = self.capture(planner_cls(cfg, 11), state,
                                      uniform_belief(default_targets(INTERSECTION)), monkeypatch)
         modes = ctx.solve if planner_cls is ConservativePlanner else [ctx.solve[0]]
         thetas = self.thetas(rng, 10, cfg.solver_segments, first=(-2.95, -1.0))
@@ -884,7 +877,7 @@ class TestExactGradient:
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(6)
         b = filtered_belief(default_targets(kind), rng)
-        evaluate, ctx = self.capture(ConservativePlanner(cfg), advanced_state(kind, rng), b,
+        evaluate, ctx = self.capture(ConservativePlanner(cfg, 11), advanced_state(kind, rng), b,
                                      monkeypatch)
         assert len(ctx.solve) > 1 and np.ptp(ctx.omega[ctx.solve]) > 0.0
         self.check(evaluate, ctx, 0, ctx.solve, self.thetas(rng, 8, cfg.solver_segments))
@@ -899,7 +892,7 @@ class TestExactGradient:
         cfg = PlannerConfig(horizon_steps=horizon, solver_segments=segments)
         ref = terminal_jacobian(cfg)
         bound = (horizon + 4) * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(ActivePlanner(cfg)._terminal_jacobian - ref) <= bound)
+        assert np.all(np.abs(ActivePlanner(cfg, 0)._terminal_jacobian - ref) <= bound)
 
 
 def composition_bound(ego, accel, dt, segments):
@@ -1004,7 +997,7 @@ class TestSegmentEvaluate:
         rng = np.random.default_rng(12)
         state = advanced_state(kind, rng)
         b = filtered_belief(default_targets(kind), rng)
-        evaluate, ctx = TestExactGradient.capture(planner_cls(cfg), state, b, monkeypatch)
+        evaluate, ctx = TestExactGradient.capture(planner_cls(cfg, 11), state, b, monkeypatch)
         n_chains = 1 if planner_cls is ConservativePlanner else len(ctx.solve)
         thetas = rng.uniform(-3.0, 3.0, (30, cfg.solver_segments))
         thetas[:5, 0] = -3.0  # hard braking: rows that may stop
@@ -1098,7 +1091,7 @@ class TestConservativePruning:
         rng = np.random.default_rng(0)
         state = advanced_state(INTERSECTION, rng)
         b = filtered_belief(default_targets(INTERSECTION), rng)
-        _, diag = ConservativePlanner(cfg).plan_step(state, b, 70)
+        _, diag = ConservativePlanner(cfg, 70).plan_step(state, b)
         (rows, n_calls), *searches = rounds
         unscored = rows[:, 1] == _UNSCORED
         pick = int(np.argmin(rows[:, 0]))
@@ -1139,9 +1132,9 @@ class TestConservativePruning:
         rng = np.random.default_rng(2)
         state = advanced_state(INTERSECTION, rng)
         b = filtered_belief(default_targets(INTERSECTION), rng)
-        planner = ConservativePlanner(cfg)
-        planner.plan_step(state, b, 70)
-        planner.plan_step(state, b, 71)
+        planner = ConservativePlanner(cfg, 70)
+        planner.plan_step(state, b)
+        planner.plan_step(state, b)
         head, tail = _shared_starts(cfg)
         warm = len(head)  # the warm row follows the shared head
         (coast, first_cold), (x, first) = firsts
@@ -1172,11 +1165,11 @@ class TestCertifiedBelowCap:
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
         state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = ActivePlanner(cfg).plan_step(state, b, 60 + seed)
+        _, diag = ActivePlanner(cfg, 60 + seed).plan_step(state, b)
         # cvar_pre, the pairs left open and the certified picks.
         assert 0 < rows["costs"] < rows["bounds"] / 2
 
-        ctx = ActivePlanner(cfg)._begin_step(state, b, 60 + seed)
+        ctx = ActivePlanner(cfg, 60 + seed)._begin_step(state, b)
         solved = [d for d in diag.modes if d.active]
         assert len(solved) == len(ctx.solve) == 9
         bases = path_bases_one(state.ego, ctx.headings, cfg)
@@ -1233,8 +1226,8 @@ class LazyRounds:
                    for rounds in self.rounds for _, rows, _ in rounds)
 
 
-def lazy_and_eager(make_planner, cases, monkeypatch, prepare=lambda planner, b: None):
-    """Plan each (state, belief, key) with the lazy rule and with every
+def lazy_and_eager(make_planner, cases, monkeypatch, prepare=lambda planner, state, b: None):
+    """Plan each (state, belief) with the lazy rule and with every
     pair scored (``eager_descend``), one planner each; check that both give
     the same steps. Returns the lazy rounds, the rows each way sent to
     ``path_costs`` and the lazy steps."""
@@ -1248,9 +1241,9 @@ def lazy_and_eager(make_planner, cases, monkeypatch, prepare=lambda planner, b: 
         monkeypatch.setattr(planner_mod, "path_costs", counted_costs)
         monkeypatch.setattr(planner_mod, "_descend", descend)
         planner, steps[way] = make_planner(), []
-        for state, b, key in cases:
-            prepare(planner, b)
-            steps[way].append(planner.plan_step(state, b, key))
+        for state, b in cases:
+            prepare(planner, state, b)
+            steps[way].append(planner.plan_step(state, b))
     for (u, diag), (want_u, want_diag) in zip(steps["lazy"], steps["eager"]):
         assert np.array_equal(u, want_u)
         assert same_diag(diag, want_diag)
@@ -1267,9 +1260,8 @@ class TestLazyScoring:
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
         rng = np.random.default_rng(21)
         targets = default_targets(LANE_MERGE)
-        cases = [(advanced_state(LANE_MERGE, rng), filtered_belief(targets, rng), 80 + i)
-                 for i in range(4)]
-        checker, cost_rows, _ = lazy_and_eager(lambda: ActivePlanner(cfg), cases, monkeypatch)
+        cases = [(advanced_state(LANE_MERGE, rng), filtered_belief(targets, rng)) for _ in range(4)]
+        checker, cost_rows, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 80), cases, monkeypatch)
         assert checker.unscored() > 0
         assert 0 < cost_rows["lazy"] < cost_rows["eager"]
 
@@ -1282,14 +1274,14 @@ class TestLazyScoring:
         state = advanced_state(kind, np.random.default_rng(seed))
         b = uniform_belief(default_targets(kind))
         checker, _, ((u, diag),) = lazy_and_eager(
-            lambda: ActivePlanner(cfg), [(state, b, 50 + seed)], monkeypatch
+            lambda: ActivePlanner(cfg, 50 + seed), [(state, b)], monkeypatch
         )
         (pending,) = checker.pending
         assert pending
         for _, rows in pending:
             # The history the fallback read, scored in place.
             assert not np.any(rows[:, 1] == _UNSCORED)
-        want_u, want_diag = plan_step_per_mode(ActivePlanner(cfg), state, b, 50 + seed)
+        want_u, want_diag = plan_step_per_mode(ActivePlanner(cfg, 50 + seed), state, b)
         assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
 
     @pytest.mark.parametrize("kind, cap, seed", [
@@ -1303,7 +1295,7 @@ class TestLazyScoring:
         rng = np.random.default_rng(seed)
         state = advanced_state(kind, rng)
         b = filtered_belief(default_targets(kind), rng)
-        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg), [(state, b, 90)], monkeypatch)
+        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 90), [(state, b)], monkeypatch)
         ((chains, rows, _), *_) = checker.rounds[0]
         mine = [rows[chains == c, 1] for c in sorted(set(chains.tolist()))]
         uncertified = [not np.any(r == -math.inf) for r in mine]
@@ -1323,12 +1315,12 @@ class TestLazyScoring:
         state = advanced_state(kind, np.random.default_rng(seed))
         b = uniform_belief(default_targets(kind))
 
-        def tiny_steering(planner, b):
-            planner._targets = b.targets
+        def tiny_steering(planner, state, b):
+            planner._begin_step(state, b)  # the target set's setup, then the steering
             planner._steering[0, 0] = (np.eye(2) * scale, 0.0, b.targets.targets[0].steer.mean)
 
         checker, _, _ = lazy_and_eager(
-            lambda: ActivePlanner(cfg), [(state, b, 9)], monkeypatch, tiny_steering
+            lambda: ActivePlanner(cfg, 9), [(state, b)], monkeypatch, tiny_steering
         )
         rows = np.concatenate([r for _, r, _ in checker.rounds[0]])
         assert np.any((rows[:, 3] == math.inf) & (rows[:, 1] == _UNSCORED))
@@ -1337,19 +1329,19 @@ class TestLazyScoring:
     def test_nan_cvar_from_nan_costs(self, monkeypatch):
         # A NaN sample makes every scored CVaR of its mode NaN (cvar counts
         # NaN as the largest cost); the boxes stay finite.
-        real_draw = planner_mod.draw_human_paths
+        real_place = planner_mod.place_human_paths
 
         def one_nan_sample(*args):
-            planes, boxes = real_draw(*args)
+            planes, boxes = real_place(*args)
             planes[2, :, 0, 5:] = math.nan
             return planes, boxes
 
-        monkeypatch.setattr(planner_mod, "draw_human_paths", one_nan_sample)
+        monkeypatch.setattr(planner_mod, "place_human_paths", one_nan_sample)
         cfg = PlannerConfig(risk_cap=10.0, ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
         rng = np.random.default_rng(2)
         cases = [(advanced_state(INTERSECTION, rng),
-                  filtered_belief(default_targets(INTERSECTION), rng), 30 + i) for i in range(2)]
-        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg), cases, monkeypatch)
+                  filtered_belief(default_targets(INTERSECTION), rng)) for _ in range(2)]
+        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 30), cases, monkeypatch)
         rows = np.concatenate([r for rounds in checker.rounds for _, r, _ in rounds])
         assert np.isnan(rows[:, 1]).any() and checker.unscored() > 0
 
@@ -1357,8 +1349,8 @@ class TestLazyScoring:
         # A steering factor so large that every influence term is the
         # constant 1.0: with no probe term, every pair's bound ties with
         # every certified start, and a tie is scored.
-        def flat_steering(planner, b):
-            planner._targets = b.targets
+        def flat_steering(planner, state, b):
+            planner._begin_step(state, b)  # the target set's setup, then the steering
             for m in range(len(b.targets)):
                 for k in range(len(b.targets)):
                     planner._steering[m, k] = (np.eye(2) * 1e200, 1.0, np.zeros(2))
@@ -1366,9 +1358,9 @@ class TestLazyScoring:
         cfg = PlannerConfig(risk_cap=10.0, ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
         rng = np.random.default_rng(4)
         cases = [(advanced_state(INTERSECTION, rng),
-                  filtered_belief(default_targets(INTERSECTION), rng), 60 + i) for i in range(3)]
+                  filtered_belief(default_targets(INTERSECTION), rng)) for _ in range(3)]
         checker, _, _ = lazy_and_eager(
-            lambda: PassivePlanner(cfg), cases, monkeypatch, flat_steering
+            lambda: PassivePlanner(cfg, 60), cases, monkeypatch, flat_steering
         )
         for rounds in checker.rounds:
             _, rows, _ = rounds[0]
@@ -1411,15 +1403,15 @@ class TestStartCandidates:
         monkeypatch.setattr(baselines_mod, "_descend", recorded)
         cfg = PlannerConfig(**FAST)
         planner = {"passive": PassivePlanner, "conservative": ConservativePlanner}.get(
-            case, ActivePlanner)(cfg)
+            case, ActivePlanner)(cfg, 1)
         b = uniform_belief(default_targets(LANE_MERGE))
         if case == "ours_certain":
             b = single_mode_belief(steer=Gaussian(np.array([9.0, -10.0]), np.diag([2.0, 16.0])))
             assert planner._build_probe_grid(merge_state(), b) == (None, None)
         head, tail = _shared_starts(cfg)
         assert len(tail) == 2 * cfg.solver_inits
-        for key in (1, 2):
-            planner.plan_step(merge_state(), b, key)
+        for _ in range(2):
+            planner.plan_step(merge_state(), b)
         assert len(rounds) == 2
         for step, (cands, owner) in enumerate(rounds):
             for c in range(owner.max() + 1):
@@ -1477,7 +1469,7 @@ class TestRunConstants:
         state = advanced_state(INTERSECTION, np.random.default_rng(5))
         state = ScenarioState(ego=VehicleState(state.ego.x, state.ego.y, speed, state.ego.theta),
                               human=state.human, geometry=state.geometry)
-        planner = planner_cls(cfg)
+        planner = planner_cls(cfg, 6)
         walked, rounds, got = [], [], {}
         real_simulate, real_descend = planner_mod.simulate_ego_path, planner_mod._descend
         real_begin = planner._begin_step
@@ -1502,7 +1494,7 @@ class TestRunConstants:
         monkeypatch.setattr(planner_mod, "simulate_ego_path", counted_simulate)
         monkeypatch.setattr(planner_mod, "_descend", counted_descend)
         monkeypatch.setattr(baselines_mod, "_descend", counted_descend)
-        planner.plan_step(state, uniform_belief(default_targets(INTERSECTION)), 6)
+        planner.plan_step(state, uniform_belief(default_targets(INTERSECTION)))
         ctx = got["ctx"]
         bases = path_bases_one(state.ego, ctx.headings, cfg)
         stopping = 0
@@ -1540,30 +1532,38 @@ class TestRunConstants:
         assert len(calls) == len(pairs) >= 9
 
     @pytest.mark.parametrize("planner_name", ["ours", "passive", "conservative"])
-    def test_rollouts_drawn_as_one_block_per_step(self, planner_name, monkeypatch):
-        # One draw_human_paths call per step covers every mode, each from its
-        # own keyed stream: the planner opens one stream per mode and step,
-        # and no other (the probe grid draws nothing).
-        draws, keys = [], []
+    def test_rollouts_drawn_as_one_block_per_run(self, planner_name, monkeypatch):
+        # One draw_human_paths call per run covers every mode, each from its
+        # own stream keyed by the run's key and the mode: the planner opens
+        # one stream per mode and run, and no other (the probe grid draws
+        # nothing), and every step places the same arcs.
+        draws, keys, placed = [], [], []
         real_draw, real_rng = planner_mod.draw_human_paths, planner_mod.rng_from_keys
+        real_place = planner_mod.place_human_paths
 
-        def counted_draw(human, modes, *args):
+        def counted_draw(modes, *args):
             draws.append(len(modes))
-            return real_draw(human, modes, *args)
+            return real_draw(modes, *args)
 
         def counted_rng(*k):
             keys.append(k)
             return real_rng(*k)
 
+        def recorded_place(human, arcs, extremes):
+            placed.append((arcs, extremes))
+            return real_place(human, arcs, extremes)
+
         monkeypatch.setattr(planner_mod, "draw_human_paths", counted_draw)
         monkeypatch.setattr(planner_mod, "rng_from_keys", counted_rng)
+        monkeypatch.setattr(planner_mod, "place_human_paths", recorded_place)
         _, log = run(RunConfig(scenario=LANE_MERGE, master_seed=4, planner=planner_name,
-                               t_max=1.0))
+                               t_max=1.0), run_index=3)
         targets = default_targets(LANE_MERGE).targets
-        assert len(log.records) == 10 and draws == [len(targets)] * 10
-        assert len(keys) == len(targets) * 10
-        rollout = [k[2:] for k in keys if k[1] == STREAM_MODE_ROLLOUT]
-        assert rollout == [(t.intent_id, t.mode_id) for t in targets] * 10
+        assert len(log.records) == 10 and draws == [len(targets)]
+        run_key = derive_key(rng_from_keys(4, 3, STREAM_PLAN))
+        assert keys == [(run_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in targets]
+        assert len(placed) == 10
+        assert all(arcs is placed[0][0] and ext is placed[0][1] for arcs, ext in placed)
 
     def test_new_target_set_gets_its_own_steering(self):
         cfg = PlannerConfig(**FAST)
@@ -1571,12 +1571,12 @@ class TestRunConstants:
         merge = filtered_belief(default_targets(LANE_MERGE), rng)
         crossing_state = advanced_state(INTERSECTION, rng)
         crossing = filtered_belief(default_targets(INTERSECTION), rng)
-        planner, fresh = ActivePlanner(cfg), ActivePlanner(cfg)
-        planner.plan_step(advanced_state(LANE_MERGE, rng), merge, 12)
+        planner, fresh = ActivePlanner(cfg, 12), ActivePlanner(cfg, 12)
+        planner.plan_step(advanced_state(LANE_MERGE, rng), merge)
         fresh._warm = {m: w.copy() for m, w in planner._warm.items()}
         fresh._ref_accel = planner._ref_accel.copy()
-        u, diag = planner.plan_step(crossing_state, crossing, 13)
-        want_u, want_diag = fresh.plan_step(crossing_state, crossing, 13)
+        u, diag = planner.plan_step(crossing_state, crossing)
+        want_u, want_diag = fresh.plan_step(crossing_state, crossing)
         assert np.array_equal(u, want_u)
         assert same_diag(diag, want_diag)
 
@@ -1587,8 +1587,8 @@ class TestProbeObjective:
 
     @staticmethod
     def context(entropy, weight, grid=(-3.0, 3.0)):
-        ctx = ActivePlanner(PlannerConfig(**FAST))._begin_step(
-            merge_state(), uniform_belief(default_targets(LANE_MERGE)), 3
+        ctx = ActivePlanner(PlannerConfig(**FAST), 3)._begin_step(
+            merge_state(), uniform_belief(default_targets(LANE_MERGE))
         )
         ctx.probe_grid = np.array(grid)
         ctx.probe_entropy = np.broadcast_to(np.asarray(entropy, dtype=float), len(grid)).copy()
@@ -1850,7 +1850,7 @@ class TestBlendControls:
 
 def coasting_cvar_pre(state, targets, cfg, key):
     """Each mode's reference CVaR of the coasting plan, from the mode's own
-    rollout stream under the step's rng key."""
+    rollout stream under the run's key."""
     horizon = cfg.horizon_steps
     headings = ego_headings(state.ego, lane_guidance(state, cfg)[0], cfg.dt)
     x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
@@ -1858,8 +1858,7 @@ def coasting_cvar_pre(state, targets, cfg, key):
     out = []
     for t in targets.targets:
         rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-        (paths,), _ = draw_human_paths(state.human, [t], cfg.rollout_count, horizon, cfg.dt,
-                                       [rng])
+        paths = draw_human_paths_one(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
         out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
     return out
 
@@ -1888,9 +1887,9 @@ class TestPlanStep:
 
     def test_control_within_bounds_and_omega_matches(self):
         cfg = PlannerConfig()
-        planner = ActivePlanner(cfg)
+        planner = ActivePlanner(cfg, 42)
         b = self.make_belief()
-        u, diag = planner.plan_step(merge_state(), b, 42)
+        u, diag = planner.plan_step(merge_state(), b)
         assert np.all(u >= cfg.u_min - 1e-12) and np.all(u <= cfg.u_max + 1e-12)
         assert np.all(diag.u_total >= cfg.u_min - 1e-12)
         assert np.all(diag.u_total <= cfg.u_max + 1e-12)
@@ -1908,12 +1907,12 @@ class TestPlanStep:
         # executed control still keep to them. Unclipped, the coasting start
         # becomes some of these steps' pick, the conservative planner's too.
         cfg = PlannerConfig(**FAST, accel_bounds=bounds)
-        planner = planner_cls(cfg)
+        planner = planner_cls(cfg, 60)
         lo, hi = cfg.u_min, cfg.u_max
         states = [merge_state(), merge_state(ego=(-30.0, 3.5, 2.0), human=(-30.0, 0.0, 8.0)),
                   merge_state(ego=(-20.0, 3.5, 12.0))]
-        for i, state in enumerate(states):
-            u, diag = planner.plan_step(state, self.make_belief(), 60 + i)
+        for state in states:
+            u, diag = planner.plan_step(state, self.make_belief())
             plans = [m.nu for m in diag.modes if m.nu is not None]
             assert plans
             for nu in [*plans, diag.u_total, u[None]]:
@@ -1922,8 +1921,8 @@ class TestPlanStep:
     def test_bit_identical_given_key(self):
         cfg = PlannerConfig()
         b = self.make_belief()
-        u1, d1 = ActivePlanner(cfg).plan_step(merge_state(), b, 2024)
-        u2, d2 = ActivePlanner(cfg).plan_step(merge_state(), b, 2024)
+        u1, d1 = ActivePlanner(cfg, 2024).plan_step(merge_state(), b)
+        u2, d2 = ActivePlanner(cfg, 2024).plan_step(merge_state(), b)
         assert np.array_equal(u1, u2)
         assert np.array_equal(d1.u_total, d2.u_total)
         assert d1.entropy_before == d2.entropy_before
@@ -1933,6 +1932,37 @@ class TestPlanStep:
             assert m1.cvar_solution == m2.cvar_solution or (
                 math.isnan(m1.cvar_solution) and math.isnan(m2.cvar_solution)
             )
+
+    @pytest.mark.parametrize("planner_name", ["ours", "passive", "conservative"])
+    def test_run_replays_from_its_key(self, planner_name, monkeypatch):
+        # Two planners built with a run's key and fed the run's states and
+        # beliefs in order execute the run's controls bit for bit: a step
+        # needs the run's key and the steps before it, no key of its own.
+        inputs, keys = [], []
+        real_make = scenario_mod.make_planner
+
+        def recording_planner(name, cfg, key):
+            planner = real_make(name, cfg, key)
+            keys.append(key)
+            real_step = planner.plan_step
+
+            def recorded(state, b):
+                inputs.append((state, b))
+                return real_step(state, b)
+
+            planner.plan_step = recorded
+            return planner
+
+        monkeypatch.setattr(scenario_mod, "make_planner", recording_planner)
+        pc = PlannerConfig(**FAST, ref_speed=DEFAULT_REF_SPEED[INTERSECTION])
+        cfg = RunConfig(scenario=INTERSECTION, master_seed=6, planner=planner_name, t_max=1.0,
+                        planner_cfg=pc)
+        _, log = run(cfg, run_index=2)
+        (key,) = keys
+        assert len(inputs) == len(log.records) == 10
+        for planner in [real_make(planner_name, cfg.planner_cfg, key) for _ in range(2)]:
+            controls = np.array([planner.plan_step(state, b)[0] for state, b in inputs])
+            assert controls.tobytes() == log.controls.tobytes()
 
     def test_guidance_steers_toward_ramp_then_lane(self):
         cfg = PlannerConfig()
@@ -1952,7 +1982,7 @@ class TestPlanStep:
         # its plan unscaled.
         cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = planner_cls(cfg).plan_step(merge_state(), b, 11)
+        _, diag = planner_cls(cfg, 11).plan_step(merge_state(), b)
         assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
         assert not any(m.active for m in diag.modes)
         assert diag.blend_fallback
@@ -1968,7 +1998,7 @@ class TestPlanStep:
         targets = default_targets(LANE_MERGE)
         b = HierarchicalBelief(np.array([0.6, 0.3, 0.1]), np.tile([0.7, 0.2, 0.1], 3), targets)
         state = merge_state(ego=(5.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
-        u, diag = planner_cls(cfg).plan_step(state, b, 31)
+        u, diag = planner_cls(cfg, 31).plan_step(state, b)
         active = [m for m in diag.modes if m.active]
         assert [m.nu is not None for m in diag.modes] == [m.active for m in diag.modes]
         assert len(active) == 6
@@ -1989,7 +2019,7 @@ class TestPlanStep:
         cfg = PlannerConfig(**FAST)
         b = middle_intent_ruled_out()
         state = merge_state()
-        _, diag = planner_cls(cfg).plan_step(state, b, 23)
+        _, diag = planner_cls(cfg, 23).plan_step(state, b)
         solved = [m.nu is not None for m in diag.modes]
         assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
         assert solved == [True] * 3 + [False] * 3 + [True] * 3

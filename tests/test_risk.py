@@ -35,6 +35,7 @@ from probeplan.risk import (
     path_cost_gradient,
     path_cost_means,
     path_costs,
+    place_human_paths,
     sample_boxes,
     simulate_ego_path,
     tail_sample_count,
@@ -43,6 +44,12 @@ from probeplan.dynamics import step_vehicle
 from probeplan.world import ScenarioState, lane_merge_geometry
 
 from oracles import draw_human_paths_one, ego_headings
+
+
+def human_paths(human, modes, n_samples, t_steps, dt, rngs):
+    """Planes and boxes of arcs drawn from ``rngs`` and placed at ``human``:
+    a run's draw and one step's placement."""
+    return place_human_paths(human, *draw_human_paths(modes, n_samples, t_steps, dt, rngs))
 
 
 def oracle_cvar(costs, alpha):
@@ -145,7 +152,7 @@ def rollout_costs(state, plan, mode, cfg, seed):
     from the functions the planners call."""
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    (human,), _ = draw_human_paths(
+    (human,), _ = human_paths(
         state.human, [mode], cfg.rollout_count, cfg.horizon_steps, cfg.dt,
         [np.random.default_rng(seed)],
     )
@@ -338,7 +345,7 @@ class TestKernelsMatchLoopOracles:
             stacked = stacked_human_paths(
                 human, mode, 50, self.T, self.DT, np.random.default_rng(seed)
             )
-            planes = draw_human_paths(
+            planes = human_paths(
                 human, [mode], 50, self.T, self.DT, [np.random.default_rng(seed)]
             )[0][0]
             assert planes.shape == (2, 50, self.T)
@@ -359,8 +366,8 @@ class TestKernelsMatchLoopOracles:
             modes += [mode_1d(6.0, 0.0), mode_1d(-50.0, 1.0)]
             n_samples, t_steps = [(1, self.T), (50, 1), (1, 1), (20, self.T)][i % 4]
             seeds = rng.integers(2**32, size=len(modes))
-            block, _ = draw_human_paths(human, modes, n_samples, t_steps, self.DT,
-                                     [np.random.default_rng(s) for s in seeds])
+            block, _ = human_paths(human, modes, n_samples, t_steps, self.DT,
+                                   [np.random.default_rng(s) for s in seeds])
             want = np.stack([
                 draw_human_paths_one(human, mode, n_samples, t_steps, self.DT,
                                      np.random.default_rng(s))
@@ -370,6 +377,26 @@ class TestKernelsMatchLoopOracles:
             assert block.tobytes() == want.tobytes()
             # The negative mean clamps every speed at zero: that mode stands.
             assert np.all(block[-1, 0] == human.x) and np.all(block[-1, 1] == human.y)
+
+    def test_one_draw_places_at_every_state(self):
+        # A run draws its arcs once; placed at each step's human state they
+        # give the planes and boxes a fresh draw from the same streams gives
+        # there, bit for bit, and the placement leaves the arcs as drawn.
+        rng = np.random.default_rng(16)
+        modes = [random_mode(rng) for _ in range(3)] + [mode_1d(-50.0, 1.0)]
+        seeds = rng.integers(2**32, size=len(modes))
+        arcs, extremes = draw_human_paths(modes, 20, self.T, self.DT,
+                                          [np.random.default_rng(s) for s in seeds])
+        assert arcs.shape == (len(modes), 20, self.T)
+        assert extremes.shape == (len(modes), 2, self.T)
+        drawn = arcs.copy(), extremes.copy()
+        for theta in (0.0, -0.0, math.pi, -math.pi / 2, 2.5):
+            human = VehicleState(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0), 5.0, theta)
+            planes, boxes = place_human_paths(human, arcs, extremes)
+            want = human_paths(human, modes, 20, self.T, self.DT,
+                               [np.random.default_rng(s) for s in seeds])
+            assert planes.tobytes() == want[0].tobytes() and boxes.tobytes() == want[1].tobytes()
+        assert arcs.tobytes() == drawn[0].tobytes() and extremes.tobytes() == drawn[1].tobytes()
 
     def test_boxes_match_plane_wise_extremes(self):
         # The boxes, mapped from the arcs' extremes, equal the min and max of
@@ -385,7 +412,7 @@ class TestKernelsMatchLoopOracles:
             modes = [random_mode(rng) for _ in range(int(rng.integers(1, 4)))]
             modes += [mode_1d(-50.0, 1.0), mode_1d(6.0, 0.0)]
             n_samples, t_steps = [(1, self.T), (50, 1), (20, self.T)][i % 3]
-            planes, boxes = draw_human_paths(
+            planes, boxes = human_paths(
                 human, modes, n_samples, t_steps, self.DT,
                 [np.random.default_rng(s) for s in rng.integers(2**32, size=len(modes))],
             )
@@ -406,7 +433,8 @@ class TestKernelsMatchLoopOracles:
                               axis=1)
             want = np.stack([planes[:, 0].min(axis=1), planes[:, 0].max(axis=1),
                              planes[:, 1].min(axis=1), planes[:, 1].max(axis=1)], axis=1)
-            assert sample_boxes(human, arcs).tobytes() == want.tobytes()
+            extremes = np.stack((arcs.min(axis=1), arcs.max(axis=1)), axis=1)
+            assert sample_boxes(human, extremes).tobytes() == want.tobytes()
 
     def test_path_costs_and_cvar_random_inputs(self):
         rng = np.random.default_rng(13)
@@ -432,8 +460,8 @@ class TestKernelsMatchLoopOracles:
             stacked = stacked_human_paths(human, mode, 100, self.T, self.DT,
                                           np.random.default_rng(seed))
             expected = stacked_path_costs(xy, speeds, stacked, 0.95, ref_speed)
-            planes = draw_human_paths(human, [mode], 100, self.T, self.DT,
-                                      [np.random.default_rng(seed)])[0][0]
+            planes = human_paths(human, [mode], 100, self.T, self.DT,
+                                 [np.random.default_rng(seed)])[0][0]
             costs = path_costs(x, y, v, planes, weights, ref_speed)
             assert np.array_equal(costs, expected)
 
@@ -507,8 +535,8 @@ class TestCostBound:
     def check(self, ego, accel, yaw, human, mode, n_samples, alpha, seed, ref_speed=9.5):
         weights = 0.95 ** np.arange(self.T)
         x, y, v = simulate_ego_path(ego, accel, ego_headings(ego, yaw, self.DT), self.DT)
-        (paths,), (boxes,) = draw_human_paths(human, [mode], n_samples, self.T, self.DT,
-                                              [np.random.default_rng(seed)])
+        (paths,), (boxes,) = human_paths(human, [mode], n_samples, self.T, self.DT,
+                                         [np.random.default_rng(seed)])
         costs = path_costs(x, y, v, paths, weights, ref_speed)
         assert boxes.shape == (4, self.T)
         (bound,) = path_cost_bounds(x[None], y[None], v[None], boxes[None], weights, ref_speed)
@@ -643,7 +671,7 @@ class TestCostMeans:
         x, y, v = simulate_ego_path(ego, rng.uniform(-3.0, 3.0, (rows, self.T)), headings, self.DT)
         human = VehicleState(*offset, 6.0, human_theta)
         targets = [mode_1d(float(mu), var) for mu in rng.uniform(0.0, 12.0, modes)]
-        paths, _ = draw_human_paths(human, targets, n_samples, self.T, self.DT, [rng] * modes)
+        paths, _ = human_paths(human, targets, n_samples, self.T, self.DT, [rng] * modes)
         weights = 0.95 ** np.arange(self.T)
         m = min(n_samples, tail_sample_count(alpha, n_samples) + extra)
         # Row 0's own tail, or (past the tail count) random samples.
@@ -665,8 +693,8 @@ def rollout_bound(state, cfg):
     plan = np.zeros((cfg.horizon_steps, 2))
     headings = ego_headings(state.ego, plan[:, 1], cfg.dt)
     x, y, v = simulate_ego_path(state.ego, plan[:, 0], headings, cfg.dt)
-    (paths,), (boxes,) = draw_human_paths(state.human, [mode_1d(10.0, 1.0)], cfg.rollout_count,
-                                          cfg.horizon_steps, cfg.dt, [np.random.default_rng(1)])
+    (paths,), (boxes,) = human_paths(state.human, [mode_1d(10.0, 1.0)], cfg.rollout_count,
+                                     cfg.horizon_steps, cfg.dt, [np.random.default_rng(1)])
     weights = cfg.discount ** np.arange(cfg.horizon_steps)
     return path_cost_bounds(x[None], y[None], v[None], boxes[None],
                             weights, cfg.ref_speed)[0]

@@ -43,10 +43,10 @@ FAST = PlannerConfig(rollout_count=30, solver_iters=3, probe_grid_size=5)
 class ZeroPlanner:
     """Stub emitting zero controls with a schema-compatible diagnostic."""
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, key):
         self.cfg = cfg
 
-    def plan_step(self, state, b, rng):
+    def plan_step(self, state, b):
         u_total = np.zeros((self.cfg.horizon_steps, 2))
         modes = tuple(
             ModeDiag(intent_id=t.intent_id, mode_id=t.mode_id, omega=float(w),
