@@ -930,10 +930,10 @@ class ActivePlanner:
     def _begin_step(self, state: ScenarioState, b: HierarchicalBelief) -> _StepContext:
         """Setup every planner's step shares: lane guidance with the ego
         headings it implies, probe grid, joint weights, the modes to solve,
-        every mode's human rollouts (the run's arcs, drawn from ``key`` on
-        the first step of a target set, placed at the human's state), the
-        discount weights, and the CVaR of the reference plan (shifted
-        previous solution, or coasting) per mode."""
+        every mode's human rollouts (the run's arcs, drawn from the
+        planner's ``key`` on the first step of a target set and placed at
+        the human's state), the discount weights, and the CVaR of the
+        reference plan (shifted previous solution, or coasting) per mode."""
         cfg = self.cfg
         if b.targets is not self._targets:
             # A new target set: its own steering setup and rollouts. Each mode's

@@ -12,13 +12,13 @@ own ``scenario.run``; the planners and scenarios cycle run by run and the
 ground-truth intent run index by run index, as in the benchmark's in-process
 workloads.
 
-Prints per tree and per planner the control steps and ms per step, each
-tree's wall time over its own steps (the trees' runs may take different
-numbers of steps when their outputs differ), for how many run pairs tree
-B took less time per step and the median pair's ratio of time per step,
-and per tree and planner the p50 and p95 of the
-``plan_step`` latency, one ``perf_counter`` pair around each call as the
-benchmark's ``StepClock`` takes it. Exits 1 if any pair's result row or
+Prints per tree and per planner the control steps and the wall time per
+step, each tree over its own steps: two trees whose outputs differ take
+different numbers of steps. Then for how many run pairs tree B took less
+time per step, the median pair's ratio of time per step, and per tree
+and planner the p50 and p95 of the ``plan_step`` latency, one
+``perf_counter`` pair around each call as the benchmark's ``StepClock``
+takes it. Exits 1 if any pair's result row or
 executed controls differ, 0 otherwise, and 2 on a bad option or a missing
 tree.
 """
