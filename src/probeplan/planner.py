@@ -55,8 +55,8 @@ channel, so planner comparisons isolate the longitudinal machinery. The
 human rollouts are a fixed scenario set per run (common random numbers,
 as in multi-stage MPC): one ``risk.draw_human_paths`` call per target set
 draws every mode's arcs from the run's key, and a step only places them,
-so a step opens no random stream and is bit-reproducible from the run's
-key, its reference plan and its warm starts.
+so only a target set's first step opens random streams, and a step is
+bit-reproducible from the run's key, its reference plan and warm starts.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so an objective is at least its bound
