@@ -30,15 +30,13 @@ its (segment vector, chain) pairs in one batch, and ``evaluate`` takes the
 segment vectors theta (K, P) themselves. Every term of a pair but its cost
 blocks is affine in theta, so it is composed from bases built once per
 step (or run): the ego path from the step's coasting path and one path
-from rest per segment (``_StepContext.path_bases``, two
-``simulate_ego_path`` calls per step; a row whose composed speeds reach
-zero or hold a NaN takes the kernel's reflected walk instead), the KL
-residual y = L^-1 delta from its value at the coasting terminal state and
-the chain's G = -L^-1 J (J the run's (2, P) terminal-state Jacobian), and
-the probe term as ``np.interp`` at theta_0 with its slope from a per-step
+from rest per segment (``_compose_ego_paths``), the KL residual
+y = L^-1 delta from its value at the coasting terminal state and the
+chain's G = -L^-1 J (J the run's (2, P) terminal-state Jacobian), and the
+probe term as ``np.interp`` at theta_0 with its slope from a per-step
 table of the grid's pieces. Each composition adds one product per segment
-in segment order, not a BLAS product, so a row equals its own evaluation
-at any batch size. Then per pair a cost bound, one ``path_costs`` block
+in segment order, so a row equals its own evaluation at any batch size.
+Then per pair a cost bound, one ``path_costs`` block
 per mode over the pairs left open and one ``cvar`` (the conservative
 planner: a cost floor per pair but its start round's first, then one
 block over its solved modes and one ``cvar`` per vector it scores). Each
@@ -70,9 +68,10 @@ chain's best certified start in the start round, or above the win
 threshold in a line search: it holds ``_UNSCORED`` and its bound as
 objective, and needs no tail gradient, since it never becomes a chain's
 state. A chain whose pick breaks the cap scores its unscored history
-in one batch before its fallback reads it, and the picks holding ``-inf``
-are scored in one batch, so ``ModeDiag.cvar_solution`` and ``margin`` are
-exact.
+in one batch before its fallback reads it. No decision reads a pick's
+``-inf`` either, so its exact CVaR is deferred: the first read of any
+certified pick's ``ModeDiag.cvar_solution`` or ``margin`` scores every
+certified pick of the step in one batch (``_ExactCVaRs``).
 
 The conservative planner minimizes the omega-weighted CVaR sum, which is
 at least the same sum of per-mode floors less ``CERTIFY_MARGIN``:
@@ -93,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -266,7 +265,9 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class ModeDiag:
-    """Per-mode planning record (one entry per mode target, active or not)."""
+    """Per-mode planning record (one entry per mode target, active or not).
+    A certified pick's ``cvar_solution`` and ``margin`` hold callables until
+    their first read (solver notes); a pickle or deep copy holds the values."""
 
     intent_id: int
     mode_id: int
@@ -284,6 +285,15 @@ class ModeDiag:
     # candidate's gradient comes with its objective: no probe candidates.
     evals: int = 0
     nu: np.ndarray | None = None
+
+    def __getattribute__(self, name: str):
+        value = object.__getattribute__(self, name)
+        if name in ("cvar_solution", "margin") and callable(value):
+            value = self.__dict__[name] = value()
+        return value
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -524,15 +534,31 @@ class _StepContext:
         composed from the step's ``path_bases`` (``_compose_ego_paths``)."""
         return _compose_ego_paths(self.state.ego, thetas, self.path_bases, self.headings, self.cfg)
 
-    def mode_diag(self, m: int, cvar_solution: float = math.nan, **solved) -> ModeDiag:
-        """Mode ``m``'s record; ``solved`` carries the fields its solve set."""
-        t = self.belief.targets.targets[m]
+    def mode_diag(self, m: int, cvar_solution: float | Callable = math.nan, **solved) -> ModeDiag:
+        """Mode ``m``'s record; ``solved`` carries the fields its solve set. A
+        callable ``cvar_solution`` defers it and the margin to their first read."""
+        t, cap = self.belief.targets.targets[m], self.cfg.risk_cap
+        margin = (lambda: cap - cvar_solution()) if callable(cvar_solution) else cap - cvar_solution
         return ModeDiag(
             intent_id=t.intent_id, mode_id=t.mode_id, omega=float(self.omega[m]),
             active=bool(self.active[m]), cvar_pre=float(self.cvar_pre[m]),
-            cvar_solution=cvar_solution, margin=self.cfg.risk_cap - cvar_solution,
-            **solved,
+            cvar_solution=cvar_solution, margin=margin, **solved,
         )
+
+
+class _ExactCVaRs:
+    """The exact CVaRs of one step's certified picks (solver notes): the first
+    call scores them all in one batch, keeps the values and lets the step go."""
+
+    def __init__(self, ctx: _StepContext, thetas: np.ndarray, modes: np.ndarray):
+        self._batch: tuple | list[float] = (ctx, thetas, modes)
+
+    def __call__(self, i: int) -> float:
+        if isinstance(self._batch, tuple):
+            ctx, thetas, modes = self._batch
+            costs = _mode_costs(ctx, ctx.ego_paths(thetas), modes)
+            self._batch = cvar(costs, ctx.cfg.cvar_level).tolist()
+        return self._batch[i]
 
 
 def _accels(thetas: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
@@ -752,11 +778,8 @@ class ActivePlanner:
     def __init__(self, cfg: PlannerConfig, key: int):
         self.cfg = cfg
         self.key = key  # the run's key: it seeds the rollouts
-        # The last plan shifted by one step: the next step's reference plan,
-        # and per mode index m the warm start of that mode's next solve (a
-        # planner serves one target set).
+        # The executed plan shifted by one step: the next step's reference plan.
         self._ref_accel: np.ndarray | None = None
-        self._warm: dict[int, np.ndarray] = {}
         self._ego_sigma = ego_horizon_covariance(cfg)
         self._shared_starts = _shared_starts(cfg)
         # d(terminal speed, terminal progress)/d segment vector (2, P): the
@@ -765,10 +788,11 @@ class ActivePlanner:
         indicators = _accels(np.eye(cfg.solver_segments), cfg)
         s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
         self._terminal_jacobian = np.array((v_t, s_t))
-        # The steering setup per (solved, steering) mode of ``_targets``, and
-        # their rollouts' arcs and per-step extremes (``draw_human_paths``).
+        # Per target set ``_targets``: the steering setup per (solved, steering)
+        # mode, each mode's plan shifted alike (its warm start), and the rollouts.
         self._targets: ModeTargetSet | None = None
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
+        self._warm: dict[int, np.ndarray] = {}
         self._rollouts: tuple[np.ndarray, np.ndarray] | None = None
 
     # Subclasses override these two hooks.
@@ -909,14 +933,12 @@ class ActivePlanner:
                 h = np.argmin(rows[:, 1]) if infeasible else feasible[np.argmin(rows[feasible, 0])]
                 theta, row = history[h], rows[h]
             picks.append((theta, row.tolist(), infeasible, len(rows)))
-        # Each pick that holds -inf gets its exact CVaR, in one batch, on the
-        # composed paths that certified it.
+        # A pick holding -inf defers its exact CVaR to the first read (solver notes).
         certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
         if certified:
-            paths = ctx.ego_paths(np.array([picks[c][0] for c in certified]))
-            costs = _mode_costs(ctx, paths, solve[certified])
-            for c, value in zip(certified, cvar(costs, cfg.cvar_level).tolist()):
-                picks[c][1][1] = value
+            exact = _ExactCVaRs(ctx, np.array([picks[c][0] for c in certified]), solve[certified])
+            for i, c in enumerate(certified):
+                picks[c][1][1] = partial(exact, i)
         accels = _accels(np.array([theta for theta, _, _, _ in picks]), cfg)
         return [
             ctx.mode_diag(
@@ -936,11 +958,11 @@ class ActivePlanner:
         reference plan (shifted previous solution, or coasting) per mode."""
         cfg = self.cfg
         if b.targets is not self._targets:
-            # A new target set: its own steering setup and rollouts. Each mode's
-            # stream is keyed by the run and the mode, so the draw order does
-            # not matter.
+            # A new target set: its own steering setup, warm starts and rollouts.
+            # Each mode's stream is keyed by the run and the mode, so the draw
+            # order does not matter.
             modes = b.targets.targets
-            self._targets, self._steering = b.targets, {}
+            self._targets, self._steering, self._warm = b.targets, {}, {}
             self._rollouts = draw_human_paths(
                 modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
                 [rng_from_keys(self.key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
@@ -953,28 +975,15 @@ class ActivePlanner:
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
         human_paths, human_boxes = place_human_paths(state.human, *self._rollouts)
         weights = cfg.discount ** np.arange(cfg.horizon_steps)
-        ego_x, ego_y, ego_speeds = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
-        cvar_pre = cvar(
-            path_costs(ego_x, ego_y, ego_speeds, human_paths, weights, cfg.ref_speed),
-            cfg.cvar_level,
-        )
+        ref_path = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
+        cvar_pre = cvar(path_costs(*ref_path, human_paths, weights, cfg.ref_speed), cfg.cvar_level)
         return _StepContext(
-            cfg=cfg,
-            state=state,
-            belief=b,
-            guidance_yaw=guidance,
-            headings=headings,
-            discount_weights=weights,
-            probe_grid=probe_grid,
-            probe_entropy=probe_entropy,
-            entropy_weight=self._entropy_weight(),
-            omega=omega,
-            active=active,
+            cfg=cfg, state=state, belief=b, guidance_yaw=guidance, headings=headings,
+            discount_weights=weights, probe_grid=probe_grid, probe_entropy=probe_entropy,
+            entropy_weight=self._entropy_weight(), omega=omega, active=active,
             # np.argmax keeps the first mode among equal maxima.
             solve=np.flatnonzero(active).tolist() or [int(np.argmax(omega))],
-            human_paths=human_paths,
-            human_boxes=human_boxes,
-            cvar_pre=cvar_pre,
+            human_paths=human_paths, human_boxes=human_boxes, cvar_pre=cvar_pre,
             path_bases=_ego_path_bases(state.ego, headings, cfg),
         )
 
@@ -997,28 +1006,18 @@ class ActivePlanner:
 
         self._ref_accel = np.append(u_total[1:, 0], u_total[-1, 0])
         u_first = u_total[0].copy()
-        if ctx.probe_grid is not None:
-            h_after = float(np.interp(u_first[0], ctx.probe_grid, ctx.probe_entropy))
-        else:
-            h_after = math.nan
-        diag = PlanDiagnostics(
-            entropy_before=entropy(ctx.belief),
-            expected_entropy_after=h_after,
-            modes=mode_diags,
-            u_total=u_total,
-            u_first=u_first,
-            j_probe=w_probe,
-            j_influence=w_infl,
-            solver_evals=solver_evals,
-            blend_fallback=not ctx.active.any(),
+        h_after = math.nan if ctx.probe_grid is None else float(
+            np.interp(u_first[0], ctx.probe_grid, ctx.probe_entropy))
+        return u_first, PlanDiagnostics(
+            entropy_before=entropy(ctx.belief), expected_entropy_after=h_after, modes=mode_diags,
+            u_total=u_total, u_first=u_first, j_probe=w_probe, j_influence=w_infl,
+            solver_evals=solver_evals, blend_fallback=not ctx.active.any(),
             infeasible_any=any(m.infeasible for m in mode_diags),
         )
-        return u_first, diag
 
     def plan_step(
         self, state: ScenarioState, b: HierarchicalBelief
     ) -> tuple[np.ndarray, PlanDiagnostics]:
-        cfg = self.cfg
         ctx = self._begin_step(state, b)
         solved = dict(zip(ctx.solve, self._solve_modes(
             ctx, [self._steer_mode(ctx, m) for m in ctx.solve],
@@ -1029,6 +1028,6 @@ class ActivePlanner:
 
         # Execute the plans' convex mix: accelerations folded in target order, the shared yaw.
         accel = reduce(np.add, [w * d.nu[:, 0] for w, d in zip(ctx.blend_weights, solved.values())])
-        u_total = np.clip(_controls(ctx, accel), cfg.u_min, cfg.u_max)
+        u_total = np.clip(_controls(ctx, accel), self.cfg.u_min, self.cfg.u_max)
         return self._finish_step(ctx, solved, u_total, sum(d.evals for d in solved.values()))
 

@@ -2,7 +2,11 @@
 constrained solve (with an exhaustive constant-acceleration grid as the
 independent oracle), blending, and receding-horizon step contracts."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -24,6 +28,7 @@ from probeplan.belief import (
     uniform_belief,
     update,
 )
+from probeplan.cli import run_experiment
 from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
@@ -1183,6 +1188,155 @@ class TestCertifiedBelowCap:
             assert d.margin == cfg.risk_cap - exact
 
 
+EXPERIMENT = """
+experiment:
+  runs: 1
+  master_seed: 11
+  scenario: lane_merge
+  planner: [ours, passive]
+  workers: 1
+  trace_seeds: [0]
+
+planner:
+  rollout_count: 30
+  solver_iters: 2
+
+scenario:
+  t_max: 1.0
+"""
+
+
+def deferred(diag) -> list[int]:
+    """The modes of a step whose exact CVaR is not scored yet."""
+    return [m for m, d in enumerate(diag.modes) if callable(vars(d)["cvar_solution"])]
+
+
+def read_exact(diag) -> list[tuple[str, str]]:
+    """Every mode's ``cvar_solution`` and ``margin``, as their reprs."""
+    return [(repr(d.cvar_solution), repr(d.margin)) for d in diag.modes]
+
+
+class TestDeferredCertifiedCVaR:
+    """No decision reads a certified pick's exact CVaR: the first read of
+    any of a step's ``cvar_solution`` or ``margin`` scores every certified
+    pick of the step in one batch, with the values the step would have
+    scored."""
+
+    @staticmethod
+    def first_step(seed=0, key=60):
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
+        state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
+        return cfg, state, uniform_belief(default_targets(LANE_MERGE)), ActivePlanner(cfg, key)
+
+    @pytest.mark.parametrize("path", ["run", "run_experiment"])
+    def test_unread_steps_make_no_certified_pick_call(self, path, tmp_path, monkeypatch):
+        calls, diags, read_at_once = [0], [], []
+        real_costs, real_plan_step = planner_mod.path_costs, ActivePlanner.plan_step
+
+        def counted(*args):
+            calls[0] += 1
+            return real_costs(*args)
+
+        def recorded(planner, state, b):
+            u, diag = real_plan_step(planner, state, b)
+            diags.append(read_exact(diag) if read_at_once else diag)
+            return u, diag
+
+        monkeypatch.setattr(planner_mod, "path_costs", counted)
+        monkeypatch.setattr(ActivePlanner, "plan_step", recorded)  # ours and passive
+        if path == "run":
+            pc = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE], **FAST)
+            go = lambda: run(RunConfig(scenario=LANE_MERGE, master_seed=3, planner_cfg=pc,
+                                       t_max=1.0), run_index=0)
+        else:
+            (tmp_path / "exp.yaml").write_text(EXPERIMENT)
+            go = lambda: run_experiment(tmp_path / "exp.yaml",
+                                        out_dir=tmp_path / f"out{len(read_at_once)}")
+        go()
+        assert path == "run" or (tmp_path / "out0" / "trace_lane_merge_ours_run00000.csv").exists()
+        unread, run_calls = diags[:], calls[0]
+        # Each certified mode's batch is one path_costs block, paid on the read.
+        batches = sum(len(deferred(d)) for d in unread)
+        values = [read_exact(d) for d in unread]
+        assert batches > 0 and calls[0] - run_calls == batches
+        # Reading at every step pays the same blocks inside the run.
+        diags.clear()
+        calls[0] = 0
+        read_at_once.append(True)
+        go()
+        assert calls[0] == run_calls + batches and diags == values
+
+    def test_first_read_scores_every_certified_pick_in_one_batch(self, monkeypatch):
+        cfg, state, b, planner = self.first_step()
+        _, diag = planner.plan_step(state, b)
+        batches, real = [], planner_mod._mode_costs
+
+        def recorded(ctx, paths, modes):
+            batches.append(modes.tolist())
+            return real(ctx, paths, modes)
+
+        monkeypatch.setattr(planner_mod, "_mode_costs", recorded)
+        certified = deferred(diag)
+        assert len(certified) > 1 and not batches
+        diag.modes[certified[-1]].margin
+        assert batches == [certified]
+        read_exact(diag)
+        assert batches == [certified] and not deferred(diag)
+
+    def test_dropped_unread_diagnostics_free_the_step(self, monkeypatch):
+        cfg, state, b, planner = self.first_step()
+        steps, begin_step = [], planner._begin_step
+
+        def recorded(*args):
+            ctx = begin_step(*args)
+            steps.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(planner, "_begin_step", recorded)
+        gc.disable()
+        try:
+            _, diag = planner.plan_step(state, b)
+            assert deferred(diag) and steps[0]() is not None
+            del diag
+            assert steps[0]() is None  # by reference counting alone
+            # The first read keeps the values and lets the step go.
+            _, diag = planner.plan_step(state, b)
+            diag.modes[deferred(diag)[0]].cvar_solution
+            assert steps[1]() is None and deferred(diag)
+        finally:
+            gc.enable()
+
+    def test_late_read_equals_the_step_value(self):
+        cfg, state, b, planner = self.first_step(seed=1, key=61)
+        _, diag = planner.plan_step(state, b)
+        certified = deferred(diag)
+        assert certified
+        for seed in (2, 3):  # later steps of the planner, at other states
+            planner.plan_step(init_scenario(LANE_MERGE, np.random.default_rng(seed)), b)
+        _, twin = ActivePlanner(cfg, 61).plan_step(state, b)
+        assert read_exact(diag) == read_exact(twin)
+        ctx = ActivePlanner(cfg, 61)._begin_step(state, b)
+        bases = path_bases_one(state.ego, ctx.headings, cfg)
+        for m in certified:
+            theta = diag.modes[m].nu[::cfg.segment_steps, 0]
+            x, y, speeds = ego_path_one(state.ego, theta, bases, ctx.headings, cfg)
+            exact = cvar(path_costs(x, y, speeds, ctx.human_paths[m], ctx.discount_weights,
+                                    cfg.ref_speed), cfg.cvar_level)
+            assert diag.modes[m].cvar_solution == exact
+            assert diag.modes[m].margin == cfg.risk_cap - exact
+
+    @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_carry_the_exact_values(self, copy_of):
+        cfg, state, b, planner = self.first_step()
+        _, diag = planner.plan_step(state, b)
+        certified = deferred(diag)
+        copied = copy_of(diag)
+        assert certified and not deferred(copied)
+        _, twin = ActivePlanner(cfg, 60).plan_step(state, b)
+        assert same_diag(copied, twin) and same_diag(diag, twin)
+
+
 class LazyRounds:
     """Wraps ``planner._descend``: records every round of every descent and
     checks that each row a decision reads is scored. The start round's pick
@@ -1573,12 +1727,25 @@ class TestRunConstants:
         crossing = filtered_belief(default_targets(INTERSECTION), rng)
         planner, fresh = ActivePlanner(cfg, 12), ActivePlanner(cfg, 12)
         planner.plan_step(advanced_state(LANE_MERGE, rng), merge)
-        fresh._warm = {m: w.copy() for m, w in planner._warm.items()}
         fresh._ref_accel = planner._ref_accel.copy()
         u, diag = planner.plan_step(crossing_state, crossing)
         want_u, want_diag = fresh.plan_step(crossing_state, crossing)
         assert np.array_equal(u, want_u)
         assert same_diag(diag, want_diag)
+
+    def test_new_target_set_drops_the_warm_starts(self):
+        # An equal set, but a new object: the next step solves from no warm
+        # start, as a planner that holds only the reference plan.
+        cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE], **FAST)
+        merge = default_targets(LANE_MERGE)
+        again = uniform_belief(ModeTargetSet(merge.targets, merge.intent_names))
+        planner, fresh = ActivePlanner(cfg, 5), ActivePlanner(cfg, 5)
+        planner.plan_step(init_scenario(LANE_MERGE, np.random.default_rng(3)), uniform_belief(merge))
+        fresh._ref_accel = planner._ref_accel.copy()
+        state = init_scenario(LANE_MERGE, np.random.default_rng(4))
+        u, diag = planner.plan_step(state, again)
+        want_u, want_diag = fresh.plan_step(state, again)
+        assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
 
 
 class TestProbeObjective:

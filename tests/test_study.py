@@ -4,7 +4,11 @@ direct `run()` calls on the `RunConfig`s the arms stand for, built the way
 the script built them when it ran its own batches."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from probeplan.planner import PlannerConfig
 from probeplan.scenario import RunConfig, run
@@ -87,3 +91,25 @@ def test_slice_is_the_default_batch_runs_0_to_99(tmp_path, monkeypatch):
     assert study.slice_study(out=tmp_path) == tmp_path / "slice" / "results.csv"
     assert calls == [(study.DEFAULT, ["experiment.master_seed=20240801", "experiment.runs=100",
                                       "experiment.trace_seeds=[]"], tmp_path / "slice")]
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["compare"], ["compare", "a.csv"],
+                                  ["compare", "a.csv", "b.csv", "c.csv"], ["probe", "x"],
+                                  ["probe", "1", "2"], ["slice", "a", "b"]])
+def test_bad_arguments_print_the_usage_and_return_2(argv, capsys):
+    assert load_study().main(argv) == 2
+    out = capsys.readouterr()
+    assert not out.out and "python tools/study.py compare PARENT_RESULTS.csv" in out.err
+
+
+def test_script_exits_2_on_an_unknown_study():
+    done = subprocess.run([sys.executable, str(STUDY), "bogus"], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "") and done.stderr.startswith("usage:")
+
+
+def test_compare_runs_on_two_paths(tmp_path, capsys):
+    rows = [(0, scenario, planner, 1, 5.0, 2.0) for scenario in ("lane_merge", "intersection")
+            for planner in ("ours", "passive", "conservative")]
+    a, b = write_results(tmp_path / "a.csv", rows), write_results(tmp_path / "b.csv", rows)
+    assert load_study().main(["compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.count("change - parent") == 6

@@ -5,6 +5,9 @@ not shipped):
     python tools/study.py slice [out]  # into <out>/slice
     python tools/study.py compare PARENT_RESULTS.csv CHANGE_RESULTS.csv
 
+An unknown study, or a wrong count of arguments, prints this usage and
+exits 2.
+
 Each study is a list of arms. An arm is an override list over
 ``configs/default.yaml``: the study's seed and run count, no traces, the
 caller's overrides, then the arm's own fields. Each arm runs through
@@ -138,13 +141,21 @@ def compare(parent_csv, change_csv):
                 print(f"   {tree} ours - {other}: {shown}")
 
 
+def main(argv):
+    """Run the study ``argv`` names (``probe`` when it names none); print the
+    usage and return 2 on an unknown study or a wrong argument count."""
+    mode, args = (argv[0], argv[1:]) if argv else ("probe", [])
+    if mode == "probe" and len(args) <= 1 and all(a.isdigit() for a in args):
+        probing_study(n=int(args[0]) if args else 40)
+    elif mode == "slice" and len(args) <= 1:
+        print(slice_study(out=Path(args[0]) if args else OUT))
+    elif mode == "compare" and len(args) == 2:
+        compare(*args)
+    else:
+        print("usage:\n" + __doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return 0
+
+
 if __name__ == "__main__":
-    mode = sys.argv[1] if len(sys.argv) > 1 else "probe"
-    if mode == "slice":
-        print(slice_study(out=Path(sys.argv[2]) if len(sys.argv) > 2 else OUT))
-        sys.exit(0)
-    if mode == "compare":
-        compare(*sys.argv[2:4])
-        sys.exit(0)
-    if mode == "probe":
-        probing_study(n=int(sys.argv[2]) if len(sys.argv) > 2 else 40)
+    sys.exit(main(sys.argv[1:]))
