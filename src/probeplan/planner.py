@@ -51,9 +51,9 @@ acceleration sequences (T,).
 A fixed lane-guidance law, shared by every planner, steers the lateral
 channel, so planner comparisons isolate the longitudinal machinery. The
 human rollouts are a fixed scenario set per run (common random numbers,
-as in multi-stage MPC): one ``risk.draw_human_paths`` call per target set
-draws every mode's arcs from the run's key, and a step only places them,
-so only a target set's first step opens random streams, and a step is
+as in multi-stage MPC): the planner draws every mode's arcs from the run's
+key with one ``risk.draw_human_paths`` call when it is built, and a step
+only places them, so no step opens a random stream, and a step is
 bit-reproducible from the run's key, its reference plan and warm starts.
 
 In a mode solve the CVaR enters only through the cap penalty
@@ -775,9 +775,11 @@ class ActivePlanner:
 
     name = "ours"
 
-    def __init__(self, cfg: PlannerConfig, key: int):
+    def __init__(self, cfg: PlannerConfig, key: int, targets: ModeTargetSet):
+        """The planner of one run: ``key`` is the run's key, and ``targets``
+        the target set of every belief the run plans on."""
         self.cfg = cfg
-        self.key = key  # the run's key: it seeds the rollouts
+        self.targets = targets
         # The executed plan shifted by one step: the next step's reference plan.
         self._ref_accel: np.ndarray | None = None
         self._ego_sigma = ego_horizon_covariance(cfg)
@@ -788,12 +790,17 @@ class ActivePlanner:
         indicators = _accels(np.eye(cfg.solver_segments), cfg)
         s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
         self._terminal_jacobian = np.array((v_t, s_t))
-        # Per target set ``_targets``: the steering setup per (solved, steering)
-        # mode, each mode's plan shifted alike (its warm start), and the rollouts.
-        self._targets: ModeTargetSet | None = None
+        # The steering setup per (solved, steering) mode, built on first use,
+        # and each mode's plan shifted alike (its warm start).
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
         self._warm: dict[int, np.ndarray] = {}
-        self._rollouts: tuple[np.ndarray, np.ndarray] | None = None
+        # The run's rollout arcs. Each mode's stream is keyed by the run and
+        # the mode, so the draw order does not matter.
+        self._rollouts = draw_human_paths(
+            targets.targets, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
+            [rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
+             for t in targets.targets],
+        )
 
     # Subclasses override these two hooks.
     def _entropy_weight(self) -> float:
@@ -952,22 +959,12 @@ class ActivePlanner:
     def _begin_step(self, state: ScenarioState, b: HierarchicalBelief) -> _StepContext:
         """Setup every planner's step shares: lane guidance with the ego
         headings it implies, probe grid, joint weights, the modes to solve,
-        every mode's human rollouts (the run's arcs, drawn from the
-        planner's ``key`` on the first step of a target set and placed at
-        the human's state), the discount weights, and the CVaR of the
-        reference plan (shifted previous solution, or coasting) per mode."""
+        every mode's human rollouts (the run's arcs placed at the human's
+        state), the discount weights, and the CVaR of the reference plan
+        (shifted previous solution, or coasting) per mode."""
         cfg = self.cfg
-        if b.targets is not self._targets:
-            # A new target set: its own steering setup, warm starts and rollouts.
-            # Each mode's stream is keyed by the run and the mode, so the draw
-            # order does not matter.
-            modes = b.targets.targets
-            self._targets, self._steering, self._warm = b.targets, {}, {}
-            self._rollouts = draw_human_paths(
-                modes, cfg.rollout_count, cfg.horizon_steps, cfg.dt,
-                [rng_from_keys(self.key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-                 for t in modes],
-            )
+        if b.targets is not self.targets:
+            raise InvalidInputError("the belief's target set is not the planner's")
         guidance, headings = lane_guidance(state, cfg)
         probe_grid, probe_entropy = self._build_probe_grid(state, b)
         omega = joint_weights(b)

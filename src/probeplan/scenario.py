@@ -318,10 +318,10 @@ class RunLog:
         return np.array([r.u for r in self.records])
 
 
-def make_planner(name: str, cfg: PlannerConfig, key: int):
-    """The planner ``name`` names, for the run whose key is ``key``;
-    RunConfig has checked it is in PLANNERS."""
-    return PLANNERS[name](cfg, key)
+def make_planner(name: str, cfg: PlannerConfig, key: int, targets: ModeTargetSet):
+    """The planner ``name`` names, for the run whose key is ``key`` over
+    ``targets``; RunConfig has checked it is in PLANNERS."""
+    return PLANNERS[name](cfg, key, targets)
 
 
 def _human_params(cfg: RunConfig, targets: ModeTargetSet, gt_intent: int,
@@ -366,7 +366,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)
     planner = make_planner(
-        cfg.planner, pc, derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN)))
+        cfg.planner, pc, derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN)), targets)
 
     log = RunLog(
         scenario=cfg.scenario, planner=cfg.planner, run_index=run_index,

@@ -424,7 +424,7 @@ def solve_mode_control(
         raise InvalidInputError("mode is not part of the belief's target set")
     if mode.steer is None:
         raise InvalidInputError("mode has no steering target")
-    planner = ActivePlanner(cfg, key)
+    planner = ActivePlanner(cfg, key, b.targets)
     ctx = planner._begin_step(state, b)
     ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
     (diag,) = planner._solve_modes(ctx, ctx.solve, [None])

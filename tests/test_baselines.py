@@ -83,15 +83,16 @@ class TestPassive:
         cfg = PlannerConfig(entropy_weight=0.0)
         b = single_mode_belief()
         state = merge_state()
-        u_active, d_active = ActivePlanner(cfg, 555).plan_step(state, b)
-        u_passive, d_passive = PassivePlanner(cfg, 555).plan_step(state, b)
+        u_active, d_active = ActivePlanner(cfg, 555, b.targets).plan_step(state, b)
+        u_passive, d_passive = PassivePlanner(cfg, 555, b.targets).plan_step(state, b)
         assert np.array_equal(u_active, u_passive)
         assert np.array_equal(d_active.u_total, d_passive.u_total)
         assert d_active.j_influence == d_passive.j_influence
 
     def test_controls_within_bounds(self):
         cfg = PlannerConfig()
-        u, diag = PassivePlanner(cfg, 8).plan_step(merge_state(), conflict_belief())
+        b = conflict_belief()
+        u, diag = PassivePlanner(cfg, 8, b.targets).plan_step(merge_state(), b)
         assert np.all(u >= cfg.u_min - 1e-12) and np.all(u <= cfg.u_max + 1e-12)
         assert np.all(diag.u_total >= cfg.u_min - 1e-12)
         assert np.all(diag.u_total <= cfg.u_max + 1e-12)
@@ -102,7 +103,7 @@ class TestPassive:
         cfg = PlannerConfig()
         targets = conflict_belief().targets
         b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), targets)
-        planner = PassivePlanner(cfg, 0)
+        planner = PassivePlanner(cfg, 0, targets)
         ctx = planner._begin_step(merge_state(), b)
         assert planner._steer_mode(ctx, 0) == 1  # mode (1, 1) tracks mode (2, 1)
 
@@ -116,7 +117,7 @@ class TestPassive:
         modes = list(conflict_belief().targets.targets)
         modes[missing] = dataclasses.replace(modes[missing], steer=None)
         b = HierarchicalBelief(np.array([0.2, 0.8]), np.array([1.0, 1.0]), ModeTargetSet(modes))
-        planner = planner_cls(PlannerConfig(**FAST), 0)
+        planner = planner_cls(PlannerConfig(**FAST), 0, b.targets)
         if not raises:
             planner.plan_step(merge_state(), b)
             return
@@ -130,7 +131,7 @@ class TestConservative:
         cfg = PlannerConfig(solver_iters=4)
         b = single_mode_belief()
         state = merge_state()
-        u, diag = ConservativePlanner(cfg, 99).plan_step(state, b)
+        u, diag = ConservativePlanner(cfg, 99, b.targets).plan_step(state, b)
         solved = [m for m in diag.modes if m.active]
         assert len(solved) == 1
         assert solved[0].objective == pytest.approx(solved[0].cvar_solution, rel=1e-9)
@@ -142,16 +143,16 @@ class TestConservative:
         wins = 0
         n = 40
         for seed in range(n):
-            u_ours, _ = ActivePlanner(cfg, seed).plan_step(state, b)
-            u_cons, _ = ConservativePlanner(cfg, seed).plan_step(state, b)
+            u_ours, _ = ActivePlanner(cfg, seed, b.targets).plan_step(state, b)
+            u_cons, _ = ConservativePlanner(cfg, seed, b.targets).plan_step(state, b)
             wins += abs(u_cons[0]) <= abs(u_ours[0]) + 1e-12
         assert wins >= int(0.7 * n)
 
     def test_diag_schema_matches_active(self):
         cfg = PlannerConfig()
         b = conflict_belief()
-        _, d_active = ActivePlanner(cfg, 5).plan_step(merge_state(), b)
-        _, d_cons = ConservativePlanner(cfg, 5).plan_step(merge_state(), b)
+        _, d_active = ActivePlanner(cfg, 5, b.targets).plan_step(merge_state(), b)
+        _, d_cons = ConservativePlanner(cfg, 5, b.targets).plan_step(merge_state(), b)
         active_fields = {f.name for f in dataclasses.fields(d_active)}
         cons_fields = {f.name for f in dataclasses.fields(d_cons)}
         assert active_fields == cons_fields
@@ -162,7 +163,7 @@ class TestConservative:
     def test_no_active_mode_solves_first_argmax_mode(self):
         cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = ConservativePlanner(cfg, 11).plan_step(merge_state(), b)
+        _, diag = ConservativePlanner(cfg, 11, b.targets).plan_step(merge_state(), b)
         assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
         assert not any(m.active for m in diag.modes)
         assert diag.blend_fallback
@@ -174,7 +175,7 @@ class TestConservative:
         w = uniform_belief(targets).mode_weights
         b = HierarchicalBelief(np.array([0.5, 0.0, 0.5]), w, targets)
         state = merge_state()
-        _, diag = ConservativePlanner(cfg, 23).plan_step(state, b)
+        _, diag = ConservativePlanner(cfg, 23, b.targets).plan_step(state, b)
         solved = [m.nu is not None for m in diag.modes]
         assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
         assert solved == [True] * 3 + [False] * 3 + [True] * 3

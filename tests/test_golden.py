@@ -108,8 +108,8 @@ def _feed(h, value):
 def test_plan_diagnostics_digest(monkeypatch):
     diags = []
 
-    def recording_planner(name, cfg, key):
-        planner = make_planner(name, cfg, key)
+    def recording_planner(name, cfg, key, targets):
+        planner = make_planner(name, cfg, key, targets)
         plan_step = planner.plan_step
 
         def recorded(*args):

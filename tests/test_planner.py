@@ -254,7 +254,7 @@ class TestProbeGrid:
     def test_matches_loop_oracle(self, kind, band):
         targets = banded_targets(default_targets(kind), scale=band)
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
-        planner = ActivePlanner(cfg, 0)
+        planner = ActivePlanner(cfg, 0, targets)
         rng = np.random.default_rng(17)
         for trial in range(16):
             state = advanced_state(kind, rng)
@@ -348,10 +348,10 @@ class TestProbeGrid:
         state, b = advanced_state(kind, rng), filtered_belief(targets, rng)
         cfg = PlannerConfig(obs_samples=n, obs_noise_std=sigma, ref_speed=DEFAULT_REF_SPEED[kind])
         ref_cfg = replace(cfg, obs_samples=40)
-        grid, values = ActivePlanner(cfg, 0)._build_probe_grid(state, b)
+        grid, values = ActivePlanner(cfg, 0, b.targets)._build_probe_grid(state, b)
         if grid is None:  # a certain belief builds no grid
             return
-        _, ref = ActivePlanner(ref_cfg, 0)._build_probe_grid(state, b)
+        _, ref = ActivePlanner(ref_cfg, 0, b.targets)._build_probe_grid(state, b)
         pi_weighted = planner_mod.PROBE_PI_WEIGHTED
         h_now = entropy(b, pi_weighted)
 
@@ -375,11 +375,11 @@ class TestProbeGrid:
     def test_off_or_certain_builds_nothing(self, monkeypatch):
         monkeypatch.setattr("probeplan.planner.posterior_entropies", None)
         b = uniform_belief(default_targets(LANE_MERGE))
-        passive = PassivePlanner(PlannerConfig(), 0)
+        passive = PassivePlanner(PlannerConfig(), 0, b.targets)
         assert passive._build_probe_grid(merge_state(), b) == (None, None)
         certain = single_mode_belief()
-        assert ActivePlanner(PlannerConfig(), 0)._build_probe_grid(merge_state(), certain) == (
-            None, None)
+        active = ActivePlanner(PlannerConfig(), 0, certain.targets)
+        assert active._build_probe_grid(merge_state(), certain) == (None, None)
 
 
 def merge_ramp_heading():
@@ -522,7 +522,7 @@ class TestDescendMemo:
         rng = np.random.default_rng(5)
         cases = [(advanced_state(kind, rng), filtered_belief(default_targets(kind), rng))
                  for _ in range(3)]
-        planner, reference = planner_cls(cfg, 7), planner_cls(cfg, 7)
+        planner, reference = (planner_cls(cfg, 7, default_targets(kind)) for _ in range(2))
         for state, b in cases:
             u, diag = planner.plan_step(state, b)
             want_u, want_diag = plan_step_per_mode(reference, state, b)
@@ -579,7 +579,7 @@ class TestLockstepDescent:
         extra = self.BUDGETS[budget]
         base = {} if budget == "default" else dict(rollout_count=40)
         cfg = PlannerConfig(**base, **extra, ref_speed=DEFAULT_REF_SPEED[kind])
-        planner, reference = planner_cls(cfg, 40), planner_cls(cfg, 40)
+        planner, reference = (planner_cls(cfg, 40, default_targets(kind)) for _ in range(2))
         cases = self.cases(kind, 3)
         if budget == "no_active":
             # omega = 1/9 on every mode.
@@ -747,7 +747,7 @@ class TestDescend:
         monkeypatch.setattr(baselines_mod, "_descend", counted)
         cfg = PlannerConfig(rollout_count=30, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(9)
-        planner = planner_cls(cfg, 70)
+        planner = planner_cls(cfg, 70, default_targets(kind))
         for _ in range(3):
             state = advanced_state(kind, rng)
             planner.plan_step(state, filtered_belief(default_targets(kind), rng))
@@ -837,7 +837,7 @@ class TestExactGradient:
         cfg = PlannerConfig(risk_cap=5.0, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(3)
         state = advanced_state(kind, rng)
-        evaluate, ctx = self.capture(planner_cls(cfg, 11), state,
+        evaluate, ctx = self.capture(planner_cls(cfg, 11, default_targets(kind)), state,
                                      uniform_belief(default_targets(kind)), monkeypatch)
         assert (ctx.probe_grid is not None) == (planner_cls is ActivePlanner)
         if ctx.probe_grid is not None:
@@ -853,7 +853,8 @@ class TestExactGradient:
         # gradient is the probe slope and the KL term's.
         cfg = PlannerConfig(risk_cap=1e6, ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(4)
-        evaluate, ctx = self.capture(ActivePlanner(cfg, 11), advanced_state(kind, rng),
+        evaluate, ctx = self.capture(ActivePlanner(cfg, 11, default_targets(kind)),
+                                     advanced_state(kind, rng),
                                      uniform_belief(default_targets(kind)), monkeypatch)
         assert ctx.probe_grid is not None and np.ptp(ctx.probe_entropy) > 0.0
         got = self.check(evaluate, ctx, 0, [ctx.solve[0]], self.thetas(rng, 8, cfg.solver_segments))
@@ -868,7 +869,7 @@ class TestExactGradient:
         state = advanced_state(INTERSECTION, rng)
         state = ScenarioState(ego=VehicleState(state.ego.x, state.ego.y, 1.5, state.ego.theta),
                               human=state.human, geometry=state.geometry)
-        evaluate, ctx = self.capture(planner_cls(cfg, 11), state,
+        evaluate, ctx = self.capture(planner_cls(cfg, 11, default_targets(INTERSECTION)), state,
                                      uniform_belief(default_targets(INTERSECTION)), monkeypatch)
         modes = ctx.solve if planner_cls is ConservativePlanner else [ctx.solve[0]]
         thetas = self.thetas(rng, 10, cfg.solver_segments, first=(-2.95, -1.0))
@@ -882,8 +883,8 @@ class TestExactGradient:
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind])
         rng = np.random.default_rng(6)
         b = filtered_belief(default_targets(kind), rng)
-        evaluate, ctx = self.capture(ConservativePlanner(cfg, 11), advanced_state(kind, rng), b,
-                                     monkeypatch)
+        evaluate, ctx = self.capture(ConservativePlanner(cfg, 11, b.targets),
+                                     advanced_state(kind, rng), b, monkeypatch)
         assert len(ctx.solve) > 1 and np.ptp(ctx.omega[ctx.solve]) > 0.0
         self.check(evaluate, ctx, 0, ctx.solve, self.thetas(rng, 8, cfg.solver_segments))
 
@@ -897,7 +898,7 @@ class TestExactGradient:
         cfg = PlannerConfig(horizon_steps=horizon, solver_segments=segments)
         ref = terminal_jacobian(cfg)
         bound = (horizon + 4) * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(ActivePlanner(cfg, 0)._terminal_jacobian - ref) <= bound)
+        assert np.all(np.abs(ActivePlanner(cfg, 0, default_targets(LANE_MERGE))._terminal_jacobian - ref) <= bound)
 
 
 def composition_bound(ego, accel, dt, segments):
@@ -1002,7 +1003,8 @@ class TestSegmentEvaluate:
         rng = np.random.default_rng(12)
         state = advanced_state(kind, rng)
         b = filtered_belief(default_targets(kind), rng)
-        evaluate, ctx = TestExactGradient.capture(planner_cls(cfg, 11), state, b, monkeypatch)
+        evaluate, ctx = TestExactGradient.capture(planner_cls(cfg, 11, b.targets), state, b,
+                                                monkeypatch)
         n_chains = 1 if planner_cls is ConservativePlanner else len(ctx.solve)
         thetas = rng.uniform(-3.0, 3.0, (30, cfg.solver_segments))
         thetas[:5, 0] = -3.0  # hard braking: rows that may stop
@@ -1096,7 +1098,7 @@ class TestConservativePruning:
         rng = np.random.default_rng(0)
         state = advanced_state(INTERSECTION, rng)
         b = filtered_belief(default_targets(INTERSECTION), rng)
-        _, diag = ConservativePlanner(cfg, 70).plan_step(state, b)
+        _, diag = ConservativePlanner(cfg, 70, b.targets).plan_step(state, b)
         (rows, n_calls), *searches = rounds
         unscored = rows[:, 1] == _UNSCORED
         pick = int(np.argmin(rows[:, 0]))
@@ -1137,7 +1139,7 @@ class TestConservativePruning:
         rng = np.random.default_rng(2)
         state = advanced_state(INTERSECTION, rng)
         b = filtered_belief(default_targets(INTERSECTION), rng)
-        planner = ConservativePlanner(cfg, 70)
+        planner = ConservativePlanner(cfg, 70, b.targets)
         planner.plan_step(state, b)
         planner.plan_step(state, b)
         head, tail = _shared_starts(cfg)
@@ -1170,11 +1172,11 @@ class TestCertifiedBelowCap:
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
         state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = ActivePlanner(cfg, 60 + seed).plan_step(state, b)
+        _, diag = ActivePlanner(cfg, 60 + seed, b.targets).plan_step(state, b)
         # cvar_pre, the pairs left open and the certified picks.
         assert 0 < rows["costs"] < rows["bounds"] / 2
 
-        ctx = ActivePlanner(cfg, 60 + seed)._begin_step(state, b)
+        ctx = ActivePlanner(cfg, 60 + seed, b.targets)._begin_step(state, b)
         solved = [d for d in diag.modes if d.active]
         assert len(solved) == len(ctx.solve) == 9
         bases = path_bases_one(state.ego, ctx.headings, cfg)
@@ -1226,7 +1228,8 @@ class TestDeferredCertifiedCVaR:
     def first_step(seed=0, key=60):
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE])
         state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
-        return cfg, state, uniform_belief(default_targets(LANE_MERGE)), ActivePlanner(cfg, key)
+        targets = default_targets(LANE_MERGE)
+        return cfg, state, uniform_belief(targets), ActivePlanner(cfg, key, targets)
 
     @pytest.mark.parametrize("path", ["run", "run_experiment"])
     def test_unread_steps_make_no_certified_pick_call(self, path, tmp_path, monkeypatch):
@@ -1313,9 +1316,9 @@ class TestDeferredCertifiedCVaR:
         assert certified
         for seed in (2, 3):  # later steps of the planner, at other states
             planner.plan_step(init_scenario(LANE_MERGE, np.random.default_rng(seed)), b)
-        _, twin = ActivePlanner(cfg, 61).plan_step(state, b)
+        _, twin = ActivePlanner(cfg, 61, b.targets).plan_step(state, b)
         assert read_exact(diag) == read_exact(twin)
-        ctx = ActivePlanner(cfg, 61)._begin_step(state, b)
+        ctx = ActivePlanner(cfg, 61, b.targets)._begin_step(state, b)
         bases = path_bases_one(state.ego, ctx.headings, cfg)
         for m in certified:
             theta = diag.modes[m].nu[::cfg.segment_steps, 0]
@@ -1333,7 +1336,7 @@ class TestDeferredCertifiedCVaR:
         certified = deferred(diag)
         copied = copy_of(diag)
         assert certified and not deferred(copied)
-        _, twin = ActivePlanner(cfg, 60).plan_step(state, b)
+        _, twin = ActivePlanner(cfg, 60, b.targets).plan_step(state, b)
         assert same_diag(copied, twin) and same_diag(diag, twin)
 
 
@@ -1415,7 +1418,7 @@ class TestLazyScoring:
         rng = np.random.default_rng(21)
         targets = default_targets(LANE_MERGE)
         cases = [(advanced_state(LANE_MERGE, rng), filtered_belief(targets, rng)) for _ in range(4)]
-        checker, cost_rows, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 80), cases, monkeypatch)
+        checker, cost_rows, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 80, targets), cases, monkeypatch)
         assert checker.unscored() > 0
         assert 0 < cost_rows["lazy"] < cost_rows["eager"]
 
@@ -1428,14 +1431,14 @@ class TestLazyScoring:
         state = advanced_state(kind, np.random.default_rng(seed))
         b = uniform_belief(default_targets(kind))
         checker, _, ((u, diag),) = lazy_and_eager(
-            lambda: ActivePlanner(cfg, 50 + seed), [(state, b)], monkeypatch
+            lambda: ActivePlanner(cfg, 50 + seed, b.targets), [(state, b)], monkeypatch
         )
         (pending,) = checker.pending
         assert pending
         for _, rows in pending:
             # The history the fallback read, scored in place.
             assert not np.any(rows[:, 1] == _UNSCORED)
-        want_u, want_diag = plan_step_per_mode(ActivePlanner(cfg, 50 + seed), state, b)
+        want_u, want_diag = plan_step_per_mode(ActivePlanner(cfg, 50 + seed, b.targets), state, b)
         assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
 
     @pytest.mark.parametrize("kind, cap, seed", [
@@ -1449,7 +1452,8 @@ class TestLazyScoring:
         rng = np.random.default_rng(seed)
         state = advanced_state(kind, rng)
         b = filtered_belief(default_targets(kind), rng)
-        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 90), [(state, b)], monkeypatch)
+        checker, _, _ = lazy_and_eager(
+            lambda: ActivePlanner(cfg, 90, b.targets), [(state, b)], monkeypatch)
         ((chains, rows, _), *_) = checker.rounds[0]
         mine = [rows[chains == c, 1] for c in sorted(set(chains.tolist()))]
         uncertified = [not np.any(r == -math.inf) for r in mine]
@@ -1470,11 +1474,10 @@ class TestLazyScoring:
         b = uniform_belief(default_targets(kind))
 
         def tiny_steering(planner, state, b):
-            planner._begin_step(state, b)  # the target set's setup, then the steering
             planner._steering[0, 0] = (np.eye(2) * scale, 0.0, b.targets.targets[0].steer.mean)
 
         checker, _, _ = lazy_and_eager(
-            lambda: ActivePlanner(cfg, 9), [(state, b)], monkeypatch, tiny_steering
+            lambda: ActivePlanner(cfg, 9, b.targets), [(state, b)], monkeypatch, tiny_steering
         )
         rows = np.concatenate([r for _, r, _ in checker.rounds[0]])
         assert np.any((rows[:, 3] == math.inf) & (rows[:, 1] == _UNSCORED))
@@ -1495,7 +1498,8 @@ class TestLazyScoring:
         rng = np.random.default_rng(2)
         cases = [(advanced_state(INTERSECTION, rng),
                   filtered_belief(default_targets(INTERSECTION), rng)) for _ in range(2)]
-        checker, _, _ = lazy_and_eager(lambda: ActivePlanner(cfg, 30), cases, monkeypatch)
+        checker, _, _ = lazy_and_eager(
+            lambda: ActivePlanner(cfg, 30, default_targets(INTERSECTION)), cases, monkeypatch)
         rows = np.concatenate([r for rounds in checker.rounds for _, r, _ in rounds])
         assert np.isnan(rows[:, 1]).any() and checker.unscored() > 0
 
@@ -1504,7 +1508,6 @@ class TestLazyScoring:
         # constant 1.0: with no probe term, every pair's bound ties with
         # every certified start, and a tie is scored.
         def flat_steering(planner, state, b):
-            planner._begin_step(state, b)  # the target set's setup, then the steering
             for m in range(len(b.targets)):
                 for k in range(len(b.targets)):
                     planner._steering[m, k] = (np.eye(2) * 1e200, 1.0, np.zeros(2))
@@ -1514,7 +1517,8 @@ class TestLazyScoring:
         cases = [(advanced_state(INTERSECTION, rng),
                   filtered_belief(default_targets(INTERSECTION), rng)) for _ in range(3)]
         checker, _, _ = lazy_and_eager(
-            lambda: PassivePlanner(cfg, 60), cases, monkeypatch, flat_steering
+            lambda: PassivePlanner(cfg, 60, default_targets(INTERSECTION)), cases, monkeypatch,
+            flat_steering
         )
         for rounds in checker.rounds:
             _, rows, _ = rounds[0]
@@ -1556,11 +1560,12 @@ class TestStartCandidates:
         monkeypatch.setattr(planner_mod, "_descend", recorded)
         monkeypatch.setattr(baselines_mod, "_descend", recorded)
         cfg = PlannerConfig(**FAST)
-        planner = {"passive": PassivePlanner, "conservative": ConservativePlanner}.get(
-            case, ActivePlanner)(cfg, 1)
         b = uniform_belief(default_targets(LANE_MERGE))
         if case == "ours_certain":
             b = single_mode_belief(steer=Gaussian(np.array([9.0, -10.0]), np.diag([2.0, 16.0])))
+        planner = {"passive": PassivePlanner, "conservative": ConservativePlanner}.get(
+            case, ActivePlanner)(cfg, 1, b.targets)
+        if case == "ours_certain":
             assert planner._build_probe_grid(merge_state(), b) == (None, None)
         head, tail = _shared_starts(cfg)
         assert len(tail) == 2 * cfg.solver_inits
@@ -1609,8 +1614,8 @@ class TestStartCandidates:
 
 class TestRunConstants:
     """What a run does not change is built once: a round's ego paths come
-    from the step's bases, and the steering setup once per (solved mode,
-    steering mode) of a target set."""
+    from the step's bases, the steering setup once per (solved mode,
+    steering mode) of a run, and the rollouts when the planner is built."""
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, ConservativePlanner])
     @pytest.mark.parametrize("speed", [12.0, 1.5])
@@ -1623,7 +1628,7 @@ class TestRunConstants:
         state = advanced_state(INTERSECTION, np.random.default_rng(5))
         state = ScenarioState(ego=VehicleState(state.ego.x, state.ego.y, speed, state.ego.theta),
                               human=state.human, geometry=state.geometry)
-        planner = planner_cls(cfg, 6)
+        planner = planner_cls(cfg, 6, default_targets(INTERSECTION))
         walked, rounds, got = [], [], {}
         real_simulate, real_descend = planner_mod.simulate_ego_path, planner_mod._descend
         real_begin = planner._begin_step
@@ -1690,18 +1695,31 @@ class TestRunConstants:
         # One draw_human_paths call per run covers every mode, each from its
         # own stream keyed by the run's key and the mode: the planner opens
         # one stream per mode and run, and no other (the probe grid draws
-        # nothing), and every step places the same arcs.
-        draws, keys, placed = [], [], []
+        # nothing), both when it is built, outside every step, and every
+        # step places the same arcs.
+        draws, keys, placed, stepping = [], [], [], []
         real_draw, real_rng = planner_mod.draw_human_paths, planner_mod.rng_from_keys
         real_place = planner_mod.place_human_paths
 
         def counted_draw(modes, *args):
-            draws.append(len(modes))
+            draws.append((len(modes), bool(stepping)))
             return real_draw(modes, *args)
 
         def counted_rng(*k):
-            keys.append(k)
+            keys.append((k, bool(stepping)))
             return real_rng(*k)
+
+        def flagged(plan_step):
+            def step(*args):
+                stepping.append(True)
+                try:
+                    return plan_step(*args)
+                finally:
+                    stepping.pop()
+            return step
+
+        for cls in (ActivePlanner, PassivePlanner, ConservativePlanner):
+            monkeypatch.setattr(cls, "plan_step", flagged(cls.plan_step))
 
         def recorded_place(human, arcs, extremes):
             placed.append((arcs, extremes))
@@ -1713,39 +1731,32 @@ class TestRunConstants:
         _, log = run(RunConfig(scenario=LANE_MERGE, master_seed=4, planner=planner_name,
                                t_max=1.0), run_index=3)
         targets = default_targets(LANE_MERGE).targets
-        assert len(log.records) == 10 and draws == [len(targets)]
+        assert len(log.records) == 10 and draws == [(len(targets), False)]
         run_key = derive_key(rng_from_keys(4, 3, STREAM_PLAN))
-        assert keys == [(run_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id) for t in targets]
+        assert keys == [((run_key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id), False)
+                        for t in targets]
         assert len(placed) == 10
         assert all(arcs is placed[0][0] and ext is placed[0][1] for arcs, ext in placed)
 
-    def test_new_target_set_gets_its_own_steering(self):
-        cfg = PlannerConfig(**FAST)
-        rng = np.random.default_rng(8)
-        merge = filtered_belief(default_targets(LANE_MERGE), rng)
-        crossing_state = advanced_state(INTERSECTION, rng)
-        crossing = filtered_belief(default_targets(INTERSECTION), rng)
-        planner, fresh = ActivePlanner(cfg, 12), ActivePlanner(cfg, 12)
-        planner.plan_step(advanced_state(LANE_MERGE, rng), merge)
-        fresh._ref_accel = planner._ref_accel.copy()
-        u, diag = planner.plan_step(crossing_state, crossing)
-        want_u, want_diag = fresh.plan_step(crossing_state, crossing)
-        assert np.array_equal(u, want_u)
-        assert same_diag(diag, want_diag)
-
-    def test_new_target_set_drops_the_warm_starts(self):
-        # An equal set, but a new object: the next step solves from no warm
-        # start, as a planner that holds only the reference plan.
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    def test_belief_over_another_target_set_rejected(self, planner_cls):
+        # A planner is built for its run's target set: a belief over another
+        # set object, even an equal one, is rejected before anything is
+        # planned, on the first step and on a later one.
         cfg = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[LANE_MERGE], **FAST)
         merge = default_targets(LANE_MERGE)
         again = uniform_belief(ModeTargetSet(merge.targets, merge.intent_names))
-        planner, fresh = ActivePlanner(cfg, 5), ActivePlanner(cfg, 5)
-        planner.plan_step(init_scenario(LANE_MERGE, np.random.default_rng(3)), uniform_belief(merge))
-        fresh._ref_accel = planner._ref_accel.copy()
-        state = init_scenario(LANE_MERGE, np.random.default_rng(4))
-        u, diag = planner.plan_step(state, again)
-        want_u, want_diag = fresh.plan_step(state, again)
-        assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
+        state = init_scenario(LANE_MERGE, np.random.default_rng(3))
+        for steps in range(2):
+            planner = planner_cls(cfg, 5, merge)
+            for _ in range(steps):
+                planner.plan_step(state, uniform_belief(merge))
+            ref = planner._ref_accel
+            with pytest.raises(InvalidInputError, match="target set is not the planner's"):
+                planner.plan_step(state, again)
+            assert planner._ref_accel is ref
+        with pytest.raises(InvalidInputError, match="target set is not the planner's"):
+            planner.plan_step(state, uniform_belief(default_targets(INTERSECTION)))
 
 
 class TestProbeObjective:
@@ -1754,8 +1765,9 @@ class TestProbeObjective:
 
     @staticmethod
     def context(entropy, weight, grid=(-3.0, 3.0)):
-        ctx = ActivePlanner(PlannerConfig(**FAST), 3)._begin_step(
-            merge_state(), uniform_belief(default_targets(LANE_MERGE))
+        targets = default_targets(LANE_MERGE)
+        ctx = ActivePlanner(PlannerConfig(**FAST), 3, targets)._begin_step(
+            merge_state(), uniform_belief(targets)
         )
         ctx.probe_grid = np.array(grid)
         ctx.probe_entropy = np.broadcast_to(np.asarray(entropy, dtype=float), len(grid)).copy()
@@ -2054,8 +2066,8 @@ class TestPlanStep:
 
     def test_control_within_bounds_and_omega_matches(self):
         cfg = PlannerConfig()
-        planner = ActivePlanner(cfg, 42)
         b = self.make_belief()
+        planner = ActivePlanner(cfg, 42, b.targets)
         u, diag = planner.plan_step(merge_state(), b)
         assert np.all(u >= cfg.u_min - 1e-12) and np.all(u <= cfg.u_max + 1e-12)
         assert np.all(diag.u_total >= cfg.u_min - 1e-12)
@@ -2074,12 +2086,13 @@ class TestPlanStep:
         # executed control still keep to them. Unclipped, the coasting start
         # becomes some of these steps' pick, the conservative planner's too.
         cfg = PlannerConfig(**FAST, accel_bounds=bounds)
-        planner = planner_cls(cfg, 60)
+        b = self.make_belief()
+        planner = planner_cls(cfg, 60, b.targets)
         lo, hi = cfg.u_min, cfg.u_max
         states = [merge_state(), merge_state(ego=(-30.0, 3.5, 2.0), human=(-30.0, 0.0, 8.0)),
                   merge_state(ego=(-20.0, 3.5, 12.0))]
         for state in states:
-            u, diag = planner.plan_step(state, self.make_belief())
+            u, diag = planner.plan_step(state, b)
             plans = [m.nu for m in diag.modes if m.nu is not None]
             assert plans
             for nu in [*plans, diag.u_total, u[None]]:
@@ -2088,8 +2101,8 @@ class TestPlanStep:
     def test_bit_identical_given_key(self):
         cfg = PlannerConfig()
         b = self.make_belief()
-        u1, d1 = ActivePlanner(cfg, 2024).plan_step(merge_state(), b)
-        u2, d2 = ActivePlanner(cfg, 2024).plan_step(merge_state(), b)
+        u1, d1 = ActivePlanner(cfg, 2024, b.targets).plan_step(merge_state(), b)
+        u2, d2 = ActivePlanner(cfg, 2024, b.targets).plan_step(merge_state(), b)
         assert np.array_equal(u1, u2)
         assert np.array_equal(d1.u_total, d2.u_total)
         assert d1.entropy_before == d2.entropy_before
@@ -2108,9 +2121,9 @@ class TestPlanStep:
         inputs, keys = [], []
         real_make = scenario_mod.make_planner
 
-        def recording_planner(name, cfg, key):
-            planner = real_make(name, cfg, key)
-            keys.append(key)
+        def recording_planner(name, cfg, key, targets):
+            planner = real_make(name, cfg, key, targets)
+            keys.append((key, targets))
             real_step = planner.plan_step
 
             def recorded(state, b):
@@ -2125,9 +2138,9 @@ class TestPlanStep:
         cfg = RunConfig(scenario=INTERSECTION, master_seed=6, planner=planner_name, t_max=1.0,
                         planner_cfg=pc)
         _, log = run(cfg, run_index=2)
-        (key,) = keys
+        ((key, targets),) = keys
         assert len(inputs) == len(log.records) == 10
-        for planner in [real_make(planner_name, cfg.planner_cfg, key) for _ in range(2)]:
+        for planner in [real_make(planner_name, cfg.planner_cfg, key, targets) for _ in range(2)]:
             controls = np.array([planner.plan_step(state, b)[0] for state, b in inputs])
             assert controls.tobytes() == log.controls.tobytes()
 
@@ -2149,7 +2162,7 @@ class TestPlanStep:
         # its plan unscaled.
         cfg = PlannerConfig(mode_activation_eps=0.5, **FAST)
         b = uniform_belief(default_targets(LANE_MERGE))
-        _, diag = planner_cls(cfg, 11).plan_step(merge_state(), b)
+        _, diag = planner_cls(cfg, 11, b.targets).plan_step(merge_state(), b)
         assert [m.nu is not None for m in diag.modes] == [True] + [False] * 8
         assert not any(m.active for m in diag.modes)
         assert diag.blend_fallback
@@ -2165,7 +2178,7 @@ class TestPlanStep:
         targets = default_targets(LANE_MERGE)
         b = HierarchicalBelief(np.array([0.6, 0.3, 0.1]), np.tile([0.7, 0.2, 0.1], 3), targets)
         state = merge_state(ego=(5.0, 3.5, 9.0), human=(-60.0, 0.0, 10.0))
-        u, diag = planner_cls(cfg, 31).plan_step(state, b)
+        u, diag = planner_cls(cfg, 31, b.targets).plan_step(state, b)
         active = [m for m in diag.modes if m.active]
         assert [m.nu is not None for m in diag.modes] == [m.active for m in diag.modes]
         assert len(active) == 6
@@ -2186,7 +2199,7 @@ class TestPlanStep:
         cfg = PlannerConfig(**FAST)
         b = middle_intent_ruled_out()
         state = merge_state()
-        _, diag = planner_cls(cfg, 23).plan_step(state, b)
+        _, diag = planner_cls(cfg, 23, b.targets).plan_step(state, b)
         solved = [m.nu is not None for m in diag.modes]
         assert solved == list(joint_weights(b) > cfg.mode_activation_eps)
         assert solved == [True] * 3 + [False] * 3 + [True] * 3

@@ -43,7 +43,7 @@ FAST = PlannerConfig(rollout_count=30, solver_iters=3, probe_grid_size=5)
 class ZeroPlanner:
     """Stub emitting zero controls with a schema-compatible diagnostic."""
 
-    def __init__(self, cfg, key):
+    def __init__(self, cfg, key, targets):
         self.cfg = cfg
 
     def plan_step(self, state, b):
