@@ -2,12 +2,13 @@
 
 Both subclass the full planner and reuse its step setup (guidance law,
 joint weights, reference-plan CVaR, all on the step's mode axis), its
-solver loop with its one start set and its diagnostics. The passive
-planner only overrides two hooks; the conservative planner supplies only
-its objective over the solved modes to the shared descent, and records
-each of them with the step's ``mode_diag``. The planners differ only in
-their objective and steering: measured differences are the probing +
-influence + per-mode risk-cap machinery.
+solver loop with its one start set, warm-started from the executed plan,
+and its diagnostics. The passive planner only overrides two hooks; the
+conservative planner supplies only its objective over the solved modes
+to the shared descent, and records each of them with the step's
+``mode_diag``. The planners differ only in their objective and steering:
+measured differences are the probing + influence + per-mode risk-cap
+machinery.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class ConservativePlanner(ActivePlanner):
                 grads[state] = sum(w * g for w, g in zip(weights, per_mode))
             return rows, grads
 
-        starts = _start_candidates(cfg, self._shared_starts, [self._ref_accel])
+        starts = _start_candidates(cfg, self._shared_starts, self._ref_accel, 1)
         ((theta, row, _, rows),) = _descend(evaluate, starts, cfg)
         objective, *cvars = row.tolist()
         u_total = _controls(ctx, _accels(theta, cfg))

@@ -15,9 +15,10 @@ grid point, at each mode's Gauss-Hermite nodes.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
 (multi-start from one start set for every chain of every planner: the
 coasting, constant and burst starts of ``_shared_starts`` within
-``accel_bounds``, and the chain's warm start; then projected gradient
-descent on a piecewise-constant acceleration parameterization of
-``solver_segments`` windows of ``segment_steps`` steps): one per mode for
+``accel_bounds``, and the executed plan's segment-window means, the only
+state a step leaves to the next; then projected gradient descent on a
+piecewise-constant acceleration parameterization of ``solver_segments``
+windows of ``segment_steps`` steps): one per mode for
 the active and passive planners, one for the conservative planner's
 omega-weighted CVaR sum. The chains run in phase-aligned rounds: one start
 round, then per iteration one line-search round that holds all three
@@ -54,7 +55,7 @@ human rollouts are a fixed scenario set per run (common random numbers,
 as in multi-stage MPC): the planner draws every mode's arcs from the run's
 key with one ``risk.draw_human_paths`` call when it is built, and a step
 only places them, so no step opens a random stream, and a step is
-bit-reproducible from the run's key, its reference plan and warm starts.
+bit-reproducible from the run's key and the executed plan.
 
 In a mode solve the CVaR enters only through the cap penalty
 ``max(0, CVaR - risk_cap)^2``, so an objective is at least its bound
@@ -624,28 +625,21 @@ def _shared_starts(cfg: PlannerConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _start_candidates(
-    cfg: PlannerConfig, shared: tuple[np.ndarray, np.ndarray],
-    warm_accels: Sequence[np.ndarray | None],
+    cfg: PlannerConfig, shared: tuple[np.ndarray, np.ndarray], warm: np.ndarray | None,
+    chains: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-start segment vectors, one set per warm start: the ``shared``
-    head, the warm start's segment-window means and the shared bursts.
-    Returns every set's vectors (K, P), set after set, and the set of each
-    (K,)."""
-    seg_len, horizon = cfg.segment_steps, cfg.horizon_steps
+    """Multi-start segment vectors of every chain: the ``shared`` head, the
+    warm start's segment-window means (no row without a warm start) and the
+    shared bursts, one set tiled once per chain. Returns the vectors (K, P),
+    chain after chain, and the chain of each (K,)."""
     head, tail = shared
-    warmed = np.array([w is not None for w in warm_accels])
-    # Each window's mean as np.mean takes it: its sum over its length.
-    warm = np.array([w for w in warm_accels if w is not None]).reshape(-1, horizon)
-    windows = [warm[:, i:i + seg_len] for i in range(0, horizon, seg_len)]
-    means = np.column_stack([w.sum(axis=1) / w.shape[1] for w in windows])
-    # Every set holds the head, its warm row and the tail; a set with no
-    # warm start drops its warm row.
-    sets = np.empty((len(warm_accels), len(head) + 1 + len(tail), cfg.solver_segments))
-    sets[:, :len(head)], sets[:, len(head) + 1:] = head, tail
-    sets[warmed, len(head)] = np.clip(means, *cfg.accel_bounds)
-    kept = np.ones(sets.shape[:2], dtype=bool)
-    kept[:, len(head)] = warmed
-    return sets[kept], np.nonzero(kept)[0]
+    if warm is not None:
+        # Each window's mean as np.mean takes it: its sum over its length.
+        windows = [warm[i:i + cfg.segment_steps] for i in range(0, len(warm), cfg.segment_steps)]
+        means = np.clip([w.sum() / len(w) for w in windows], *cfg.accel_bounds)
+        head = np.vstack((head, means))
+    starts = np.concatenate((head, tail))
+    return np.tile(starts, (chains, 1)), np.arange(chains).repeat(len(starts))
 
 
 def _descend(
@@ -780,7 +774,8 @@ class ActivePlanner:
         the target set of every belief the run plans on."""
         self.cfg = cfg
         self.targets = targets
-        # The executed plan shifted by one step: the next step's reference plan.
+        # The executed plan shifted by one step: the next step's reference plan
+        # and every chain's warm start, all a step leaves to the next.
         self._ref_accel: np.ndarray | None = None
         self._ego_sigma = ego_horizon_covariance(cfg)
         self._shared_starts = _shared_starts(cfg)
@@ -790,10 +785,8 @@ class ActivePlanner:
         indicators = _accels(np.eye(cfg.solver_segments), cfg)
         s_t, v_t = _linear_terminal_state(0.0, 0.0, indicators, cfg.dt)
         self._terminal_jacobian = np.array((v_t, s_t))
-        # The steering setup per (solved, steering) mode, built on first use,
-        # and each mode's plan shifted alike (its warm start).
+        # The steering setup per (solved, steering) mode, built on first use.
         self._steering: dict[tuple[int, int], tuple[np.ndarray, float, np.ndarray]] = {}
-        self._warm: dict[int, np.ndarray] = {}
         # The run's rollout arcs. Each mode's stream is keyed by the run and
         # the mode, so the draw order does not matter.
         self._rollouts = draw_human_paths(
@@ -836,12 +829,11 @@ class ActivePlanner:
         # np.cumsum adds each point's rows mode-major, as a running sum does.
         return grid, np.cumsum(h.reshape(len(grid), -1) * weights, axis=1)[:, -1]
 
-    def _solve_modes(
-        self, ctx: _StepContext, steer_modes: list[int], warm_accels: list[np.ndarray | None]
-    ) -> list[ModeDiag]:
+    def _solve_modes(self, ctx: _StepContext, steer_modes: list[int]) -> list[ModeDiag]:
         """Solve the modes of ``ctx.solve`` in lockstep, one descent chain
-        each: chain c toward mode ``steer_modes[c]``'s steering target, from
-        ``warm_accels[c]``. Objective: probe + influence KL + cap penalty."""
+        each: chain c toward mode ``steer_modes[c]``'s steering target, every
+        chain warm-started from the executed plan. Objective: probe +
+        influence KL + cap penalty."""
         cfg, state, geometry = self.cfg, ctx.state, ctx.state.geometry
         modes = ctx.belief.targets.targets
         solve = np.array(ctx.solve)
@@ -926,7 +918,7 @@ class ActivePlanner:
                     ctx, paths[:, pen], pair_modes[pen], costs[hot])
             return np.array((obj, cvars, j_probe, j_infl)).T, grads
 
-        starts = _start_candidates(cfg, self._shared_starts, warm_accels)
+        starts = _start_candidates(cfg, self._shared_starts, self._ref_accel, len(solve))
         picks = []
         for c, (theta, row, history, rows) in enumerate(_descend(evaluate, starts, cfg)):
             infeasible = False
@@ -991,8 +983,8 @@ class ActivePlanner:
         u_total: np.ndarray,
         solver_evals: int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
-        """Record the executed plan for the next step's reference and warm
-        start, and assemble the step's diagnostics from the solved modes'
+        """Record the executed plan for the next step's reference plan and
+        warm start, and assemble the step's diagnostics from the solved modes'
         records, a bare record for every other mode, and the solved modes'
         probe and influence terms in the convex mix of ``ctx.blend_weights``."""
         mode_diags = tuple(solved.get(m) or ctx.mode_diag(m) for m in range(len(ctx.omega)))
@@ -1017,11 +1009,7 @@ class ActivePlanner:
     ) -> tuple[np.ndarray, PlanDiagnostics]:
         ctx = self._begin_step(state, b)
         solved = dict(zip(ctx.solve, self._solve_modes(
-            ctx, [self._steer_mode(ctx, m) for m in ctx.solve],
-            [self._warm.get(m) for m in ctx.solve],
-        )))
-        for m, d in solved.items():
-            self._warm[m] = np.append(d.nu[1:, 0], d.nu[-1, 0])  # receding-horizon shift
+            ctx, [self._steer_mode(ctx, m) for m in ctx.solve])))
 
         # Execute the plans' convex mix: accelerations folded in target order, the shared yaw.
         accel = reduce(np.add, [w * d.nu[:, 0] for w, d in zip(ctx.blend_weights, solved.values())])

@@ -24,7 +24,8 @@ computes in a faster way:
   once per step.
 * ``solve_mode_control``: one mode's solve on its own.
 * ``start_candidates_one``: one chain's multi-start list built on its own,
-  where ``_start_candidates`` builds the shared candidates once per step.
+  where ``_start_candidates`` builds one set per step and tiles it once
+  per chain.
 * ``descend_one``: one descent chain on its own, with a scalar
   ``evaluate`` per segment vector that gives its objective and gradient,
   where ``_descend`` keeps every chain's state in arrays and evaluates one
@@ -427,7 +428,7 @@ def solve_mode_control(
     planner = ActivePlanner(cfg, key, b.targets)
     ctx = planner._begin_step(state, b)
     ctx.solve = [keys.index((mode.intent_id, mode.mode_id))]
-    (diag,) = planner._solve_modes(ctx, ctx.solve, [None])
+    (diag,) = planner._solve_modes(ctx, ctx.solve)
     return diag.nu, diag
 
 
@@ -670,9 +671,9 @@ def plan_step_per_mode(
     planner: ActivePlanner, state: ScenarioState, b: HierarchicalBelief
 ) -> tuple[np.ndarray, PlanDiagnostics]:
     """``planner.plan_step`` with one scalar solve after another: the step
-    as it ran before the chains ran in lockstep. Updates the planner's
-    reference plan and warm starts, and its rollouts on a new target set,
-    as ``plan_step`` does."""
+    as it ran before the chains ran in lockstep. Every solve warm-starts
+    from the planner's reference plan, the executed plan shifted by one
+    step, which the step updates as ``plan_step`` does."""
     ctx = planner._begin_step(state, b)
     if isinstance(planner, ConservativePlanner):
         return conservative_step_scalar(planner, ctx)
@@ -680,9 +681,7 @@ def plan_step_per_mode(
     solved: dict[int, ModeDiag] = {}
     for m in ctx.solve:
         steer = ctx.belief.targets.targets[planner._steer_mode(ctx, m)].steer
-        solved[m] = solve_mode_scalar(ctx, m, steer, planner._warm.get(m))
-        nu = solved[m].nu
-        planner._warm[m] = np.append(nu[1:, 0], nu[-1, 0])
+        solved[m] = solve_mode_scalar(ctx, m, steer, planner._ref_accel)
     u_total, _ = blend_controls(
         [(d.omega, d.nu) for d in solved.values()],
         cfg.mode_activation_eps, cfg.u_min, cfg.u_max,

@@ -43,13 +43,13 @@ scenario:
 """
 
 GOLDEN = {
-    "results.csv": "e413de66237f4922d73fdfd40eb7eda4069c78cfee99683a043cb2ae2fc7ede6",
+    "results.csv": "2f82c7ae7d0a82ee9ff5cc8ecf1bed8537b437f3c34e086b27204a6814df7e26",
     "trace_intersection_conservative_run00000.csv": "e18444674e3cdf4a1e1b6d8f620c3f47335bbc4cf61748a4fc85a6324f75b4a2",
-    "trace_intersection_ours_run00000.csv": "9bc0fb8b26f61c5169739ce875cb8762a97f5f15c3222499991629497ba91f6f",
-    "trace_intersection_passive_run00000.csv": "60491995cddc72d1073d46c8c1002ea9a2b0c2e671f6709085f64a3cb0a34ff1",
+    "trace_intersection_ours_run00000.csv": "6de9f626ae357a8293ce3b62250707c1cd59bbae91fa0edb3ffff1fc0ea15e8e",
+    "trace_intersection_passive_run00000.csv": "b580113b1eef9cce82d9227e9ff0b36aa2c69df98c610eb73d715a63e09fdf0c",
     "trace_lane_merge_conservative_run00000.csv": "00e0eec486208931cef125f99d83f1af76be20ff2d658474b44998ff71dbef02",
-    "trace_lane_merge_ours_run00000.csv": "72bedbd6d78cc4b60085105c0637856b42ef89c666e8b37fa1f8e3e224d4e306",
-    "trace_lane_merge_passive_run00000.csv": "ba7cf808811e968bce9bfb9d0e82fa6729639884a974878cc80ffd2d9f9d0fd0",
+    "trace_lane_merge_ours_run00000.csv": "20e23971c81111267491d291a5c2255beec50cf46b774d2bf0b18cfc89e64d40",
+    "trace_lane_merge_passive_run00000.csv": "77078a66c94fe72558e3f9c054b190b933b7907b8f09c013d2fec45caadf75f8",
 }
 
 
@@ -76,8 +76,8 @@ DIAG_CONFIGS = (
     {}, {"risk_cap": 5.0}, {"mode_activation_eps": 0.5}, {"mode_activation_eps": 0.05},
 )
 DIAG_GOLDEN = {
-    "ours": "772ccdbf88c065068da862686b9757677acb6d3d0c4119d8fd0ad777e0cc9ca1",
-    "passive": "bc780e870bb375294c2bf70310770d1fb79d009df3ce267cfccf0a533a699aaf",
+    "ours": "3e92b913bd6ca4e9224c55942c60ad3b6027ce5dcea1c8234a90079b51903751",
+    "passive": "3aff612cbdf5e5c4ea6b365f7485194b0e5a8f0d557b6c25b90c42e9acb76dc7",
     "conservative": "ee2fc069c81fc099548c515a6fe2df75853236c7dddf8ba91c790ab4a282a4f3",
 }
 

@@ -636,10 +636,12 @@ class TestDescend:
             calls.append((thetas.copy(), chains.copy(), rows, bar))
             return rows, np.array([grad for _, grad in outs])
 
+        # _descend takes any start sets, here one of its own size per chain.
         rng = np.random.default_rng(3)
         horizon = cfg.horizon_steps
         warms = [None, np.full(horizon, 1.0), None, rng.uniform(-3.0, 3.0, horizon)]
-        starts = _start_candidates(cfg, _shared_starts(cfg), warms)
+        sets = [start_candidates_one(cfg, warm) for warm in warms]
+        starts = np.concatenate(sets), np.repeat(np.arange(len(sets)), [len(s) for s in sets])
         return starts, _descend(evaluate, starts, cfg), calls
 
     def test_chains_match_one_chain_loop(self):
@@ -1529,32 +1531,34 @@ class TestLazyScoring:
 
 class TestStartCandidates:
     @pytest.mark.parametrize("segments", [1, 3, 4])
-    def test_matches_one_list_per_chain(self, segments):
+    def test_every_chain_gets_the_one_list(self, segments):
         # The last two bounds exclude coasting: it is clipped to them.
         for bounds in [(-3.0, 3.0), (0.5, 3.0), (-3.0, -0.5)]:
             cfg = PlannerConfig(solver_segments=segments, accel_bounds=bounds)
             rng = np.random.default_rng(4)
-            warms = [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps), None,
-                     rng.uniform(-1.0, 1.0, cfg.horizon_steps)]
-            cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms)
-            assert np.all((cands >= bounds[0]) & (cands <= bounds[1]))
-            # One start set per warm start, set after set.
-            assert np.array_equal(owner, np.sort(owner)) and owner.max() + 1 == len(warms)
-            for c, warm in enumerate(warms):
+            for warm in [None, rng.uniform(-4.0, 4.0, cfg.horizon_steps),
+                         rng.uniform(-1.0, 1.0, cfg.horizon_steps)]:
                 want = start_candidates_one(cfg, warm)
-                mine = cands[owner == c]
-                assert len(mine) == len(want)
-                assert all(a.tobytes() == w.tobytes() for a, w in zip(mine, want))
+                for chains in (1, 4):
+                    cands, owner = _start_candidates(cfg, _shared_starts(cfg), warm, chains)
+                    assert np.all((cands >= bounds[0]) & (cands <= bounds[1]))
+                    # The one set, chain after chain.
+                    assert owner.tolist() == np.repeat(np.arange(chains), len(want)).tolist()
+                    for c in range(chains):
+                        mine = cands[owner == c]
+                        assert len(mine) == len(want)
+                        assert all(a.tobytes() == w.tobytes() for a, w in zip(mine, want))
 
     @pytest.mark.parametrize("case", ["ours", "ours_certain", "passive", "conservative"])
     def test_every_planner_starts_from_the_bursts(self, case, monkeypatch):
-        # Every chain of every planner starts from the shared head, its warm
-        # row and the bursts, also the full planner's on a certain belief,
-        # where its step builds no probe grid; both on a cold and a warm step.
+        # Every chain of every planner starts from one set: the shared head,
+        # the executed plan's window means and the bursts, also the full
+        # planner's on a certain belief, where its step builds no probe grid;
+        # both on a cold step (no warm row) and on warm ones.
         rounds = []
 
         def recorded(evaluate, starts, cfg):
-            rounds.append(starts)
+            rounds.append((starts, planner._ref_accel))
             return _descend(evaluate, starts, cfg)
 
         monkeypatch.setattr(planner_mod, "_descend", recorded)
@@ -1569,15 +1573,23 @@ class TestStartCandidates:
             assert planner._build_probe_grid(merge_state(), b) == (None, None)
         head, tail = _shared_starts(cfg)
         assert len(tail) == 2 * cfg.solver_inits
-        for _ in range(2):
-            planner.plan_step(merge_state(), b)
-        assert len(rounds) == 2
-        for step, (cands, owner) in enumerate(rounds):
+        states = [merge_state(), merge_state(ego=(-38.0, 3.5, 9.5)),
+                  merge_state(ego=(-36.0, 3.5, 10.0), human=(-33.0, 0.0, 9.0))]
+        for state in states:
+            planner.plan_step(state, b)
+        assert len(rounds) == len(states)
+        chains = set()
+        for step, ((cands, owner), warm) in enumerate(rounds):
+            assert (warm is None) == (step == 0)
+            want = start_candidates_one(cfg, warm)
+            assert len(want) == len(head) + (warm is not None) + len(tail)
+            chains.add(owner.max() + 1)
             for c in range(owner.max() + 1):
                 mine = cands[owner == c]
-                assert len(mine) == len(head) + step + len(tail)
+                assert mine.tobytes() == np.array(want).tobytes()
                 assert np.array_equal(mine[:len(head)], head)
                 assert np.array_equal(mine[len(mine) - len(tail):], tail)
+        assert max(chains) == (1 if case in ("ours_certain", "conservative") else 9)
 
     def test_window_means_match_np_mean_on_random_horizons(self):
         # Each window's mean is its sum over its length, bit for bit the
@@ -1593,12 +1605,10 @@ class TestStartCandidates:
             except InvalidInputError:
                 continue  # a segment would be empty
             short += horizon % cfg.segment_steps != 0
-            warms = [rng.normal(0.0, 2.0, horizon) * rng.choice([1e-3, 1.0, 1e3])
-                     for _ in range(int(rng.integers(1, 4)))]
-            cands, owner = _start_candidates(cfg, _shared_starts(cfg), warms)
-            for c, warm in enumerate(warms):
-                want = start_candidates_one(cfg, warm)
-                assert all(a.tobytes() == w.tobytes() for a, w in zip(cands[owner == c], want))
+            warm = rng.normal(0.0, 2.0, horizon) * rng.choice([1e-3, 1.0, 1e3])
+            cands, _ = _start_candidates(cfg, _shared_starts(cfg), warm, 1)
+            want = start_candidates_one(cfg, warm)
+            assert all(a.tobytes() == w.tobytes() for a, w in zip(cands, want))
         assert short >= 50
 
     def test_warm_start_means_follow_the_segments(self):
@@ -1608,7 +1618,7 @@ class TestStartCandidates:
         values = np.array([1.0, -1.0, 2.0, 0.5])
         warm = np.repeat(values, 8)[:30]
         shared = _shared_starts(cfg)
-        cands, _ = _start_candidates(cfg, shared, [warm])
+        cands, _ = _start_candidates(cfg, shared, warm, 1)
         assert np.array_equal(cands[len(shared[0])], values)  # the row after the head
 
 
@@ -1678,9 +1688,9 @@ class TestRunConstants:
             calls.append(q)
             return real_kl(p, q)
 
-        def recorded_solve(self, ctx, steer_modes, warm_accels):
+        def recorded_solve(self, ctx, steer_modes):
             pairs.update(zip(ctx.solve, steer_modes))
-            return real_solve(self, ctx, steer_modes, warm_accels)
+            return real_solve(self, ctx, steer_modes)
 
         monkeypatch.setattr(planner_mod, "kl_divergence", counted_kl)
         monkeypatch.setattr(ActivePlanner, "_solve_modes", recorded_solve)
@@ -1737,6 +1747,25 @@ class TestRunConstants:
                         for t in targets]
         assert len(placed) == 10
         assert all(arcs is placed[0][0] and ext is placed[0][1] for arcs, ext in placed)
+
+    @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
+    @pytest.mark.parametrize("kind", [LANE_MERGE, INTERSECTION])
+    def test_executed_plan_is_all_a_step_leaves(self, kind, planner_cls):
+        # A fresh planner of the run that gets only a stepped planner's
+        # reference plan, the executed plan shifted by one step, executes
+        # the same next step bit for bit.
+        cfg = PlannerConfig(**FAST, ref_speed=DEFAULT_REF_SPEED[kind])
+        rng = np.random.default_rng(14)
+        targets = default_targets(kind)
+        planner = planner_cls(cfg, 21, targets)
+        for _ in range(4):
+            state, b = advanced_state(kind, rng), filtered_belief(targets, rng)
+            fresh = planner_cls(cfg, 21, targets)
+            if planner._ref_accel is not None:
+                fresh._ref_accel = planner._ref_accel.copy()
+            u, diag = planner.plan_step(state, b)
+            want_u, want_diag = fresh.plan_step(state, b)
+            assert np.array_equal(u, want_u) and same_diag(diag, want_diag)
 
     @pytest.mark.parametrize("planner_cls", [ActivePlanner, PassivePlanner, ConservativePlanner])
     def test_belief_over_another_target_set_rejected(self, planner_cls):
