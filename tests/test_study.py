@@ -41,11 +41,18 @@ def test_probing_study_matches_direct_runs(tmp_path):
         "probe_lane_merge_pinned3_lambda0.0", "probe_lane_merge_pinned3_lambda0.5"]
 
 
-RESULTS_HEADER = "run_index,scenario,planner,success,completion_time,min_gap"
+RESULTS_HEADER = "run_index,scenario,planner,gt_intent,success,termination,completion_time,min_gap"
 
 
 def write_results(path, rows):
-    path.write_text("\n".join([RESULTS_HEADER] + [",".join(map(str, r)) for r in rows]) + "\n")
+    """A results.csv of ``rows`` (run, scenario, planner, success, time, gap),
+    each with intent 1 and the termination its success implies, or of
+    rows that give both after the planner (the header's order)."""
+    def full(r):
+        if len(r) == 6:
+            r = (*r[:3], 1, r[3], "success" if r[3] == 1 else "timeout", *r[4:])
+        return ",".join(map(str, r))
+    path.write_text("\n".join([RESULTS_HEADER] + [full(r) for r in rows]) + "\n")
     return path
 
 
@@ -113,3 +120,33 @@ def test_compare_runs_on_two_paths(tmp_path, capsys):
     a, b = write_results(tmp_path / "a.csv", rows), write_results(tmp_path / "b.csv", rows)
     assert load_study().main(["compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out.count("change - parent") == 6
+
+
+def test_compare_prints_each_trees_terminations(tmp_path, capsys):
+    # Per tree and combination: every reason's count, and the runs that did
+    # not succeed by reason and ground-truth intent, named as the built-in
+    # target sets name them.
+    parent = [(0, "lane_merge", "ours", 1, 1, "success", 5.0, 2.0),
+              (1, "lane_merge", "ours", 1, 0, "timeout", "nan", 3.0),
+              (2, "lane_merge", "ours", 3, 0, "violation", "nan", 0.0),
+              (3, "lane_merge", "ours", 1, 0, "timeout", "nan", 3.0),
+              (4, "lane_merge", "ours", 2, 1, "success", 6.0, 2.0)]
+    change = [(0, "lane_merge", "ours", 1, 1, "success", 5.0, 2.0),
+              (1, "lane_merge", "ours", 1, 1, "success", 6.0, 3.0),
+              (2, "lane_merge", "ours", 3, 0, "error", "nan", 4.0),
+              (3, "lane_merge", "ours", 1, 0, "timeout", "nan", 3.0),
+              (4, "lane_merge", "ours", 2, 1, "success", 6.0, 2.0)]
+    study = load_study()
+    a, b = write_results(tmp_path / "a.csv", parent), write_results(tmp_path / "b.csv", change)
+    runs = study.read_runs(a, "lane_merge", "ours")
+    assert study.terminations(runs) == (
+        {"success": 2, "timeout": 2, "violation": 1, "error": 0},
+        {("timeout", 1): [1, 3], ("violation", 3): [2]})
+    assert study.main(["compare", str(a), str(b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == ("   parent ends: success 2, timeout 2, violation 1, error 0; not succeeded: "
+                      "timeout aggressive x2 (runs 1 3); violation cooperative x1 (runs 2)")
+    assert out[3] == ("   change ends: success 3, timeout 1, violation 0, error 1; not succeeded: "
+                      "error cooperative x1 (runs 2); timeout aggressive x1 (runs 3)")
+    # A combination with no runs counts none.
+    assert "   parent ends: success 0, timeout 0, violation 0, error 0" in out

@@ -20,15 +20,18 @@ The slice is the yardstick of a behaviour change: ``configs/default.yaml``
 Initial states and intents are keyed by master seed and run index, so two
 trees' slices, and two planners in one slice, pair run by run. ``compare``
 prints, per scenario and planner, each tree's success with its 95 %
-interval and the paired differences change - parent, then the paired
-differences ``ours`` - ``conservative`` and ``ours`` - ``passive`` in each
-tree. Intervals are 95 % percentile bootstraps over 10 000 resamples of
+interval, the paired differences change - parent, and each tree's count of
+every termination reason with the runs that did not succeed by reason and
+ground-truth intent (named as the built-in target sets name them); then
+the paired differences ``ours`` - ``conservative`` and ``ours`` - ``passive``
+in each tree. Intervals are 95 % percentile bootstraps over 10 000 resamples of
 runs; paired completion times are over the runs both sides completed.
 """
 
 import csv
 import math
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from probeplan.cli import run_experiment
 from probeplan.config import load_config
+from probeplan.metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION
+from probeplan.scenario import INTENT_NAMES
 
 DEFAULT = ROOT / "configs" / "default.yaml"
 OUT = Path("results") / "study"
@@ -115,6 +120,26 @@ def paired_differences(a, b):
             "min_gap": diff("min_gap", runs)}
 
 
+def terminations(runs):
+    """Each termination reason's run count over a ``read_runs`` map, and the
+    runs that did not succeed by (reason, ground-truth intent), in order."""
+    counts = Counter(r["termination"] for r in runs.values())
+    lost = defaultdict(list)
+    for i, r in sorted(runs.items()):
+        if r["termination"] != SUCCESS:
+            lost[r["termination"], int(r["gt_intent"])].append(i)
+    return {t: counts[t] for t in (SUCCESS, TIMEOUT, VIOLATION, ERROR)}, dict(lost)
+
+
+def _show_ends(counts, lost):
+    ends = ", ".join(f"{t} {n}" for t, n in counts.items())
+    named = {k: INTENT_NAMES[k - 1] if 1 <= k <= len(INTENT_NAMES) else f"intent {k}"
+             for _, k in lost}
+    runs = "; ".join(f"{t} {named[k]} x{len(i)} (runs {' '.join(map(str, i))})"
+                     for (t, k), i in sorted(lost.items()))
+    return ends + (f"; not succeeded: {runs}" if runs else "")
+
+
 def _show(name, stats):
     mean, low, high, n = stats
     scale = 100.0 if name == "success" else 1.0  # success in percentage points
@@ -133,6 +158,8 @@ def compare(parent_csv, change_csv):
                   f"the parent's interval)")
             diffs = paired_differences(change, parent)
             print("   change - parent: " + "; ".join(_show(k, v) for k, v in diffs.items()))
+            for tree, runs in (("parent", parent), ("change", change)):
+                print(f"   {tree} ends: {_show_ends(*terminations(runs))}")
         for tree, path in (("parent", parent_csv), ("change", change_csv)):
             ours = read_runs(path, scenario, "ours")
             for other in ("conservative", "passive"):
