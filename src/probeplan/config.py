@@ -30,7 +30,7 @@ import yaml
 from .belief import ModeTarget, ModeTargetSet
 from .errors import ConfigError, InvalidInputError
 from .gaussmath import Gaussian
-from .planner import PlannerConfig
+from .planner import PlannerConfig, _is_integer
 from .scenario import DEFAULT_REF_SPEED, RunConfig
 
 REQUIRED_FIELDS = (
@@ -172,10 +172,6 @@ def _value(cfg: dict, dotted: str):
     return cfg[section][field]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_mapping_list(value) -> bool:
     return isinstance(value, list) and bool(value) and all(isinstance(v, dict) for v in value)
 
@@ -188,12 +184,12 @@ def validate_config(cfg: dict) -> dict[tuple[str, str], RunConfig]:
         if _value(cfg, dotted) is None:
             raise ConfigError(f"missing required field {dotted}")
     exp = cfg["experiment"]
-    if not _is_int(exp["runs"]) or exp["runs"] < 1:
+    if not _is_integer(exp["runs"]) or exp["runs"] < 1:
         raise ConfigError("experiment.runs must be a positive integer")
-    if not _is_int(exp["workers"]) or exp["workers"] < 1:
+    if not _is_integer(exp["workers"]) or exp["workers"] < 1:
         raise ConfigError("experiment.workers must be a positive integer")
     seeds = exp["trace_seeds"]
-    if not isinstance(seeds, list) or not all(_is_int(s) and s >= 0 for s in seeds):
+    if not isinstance(seeds, list) or not all(_is_integer(s) and s >= 0 for s in seeds):
         raise ConfigError("experiment.trace_seeds must be a list of run indices")
     for field, names in (("scenario", scenario_list(cfg)), ("planner", planner_list(cfg))):
         if len(set(names)) < len(names):

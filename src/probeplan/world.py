@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dynamics import VehicleState
+from .errors import InvalidInputError
 
 LANE_MERGE = "lane_merge"
 INTERSECTION = "intersection"
@@ -66,7 +67,7 @@ def geometry_for(kind: str) -> ScenarioGeometry:
         return lane_merge_geometry()
     if kind == INTERSECTION:
         return intersection_geometry()
-    raise ValueError(f"unknown scenario kind {kind!r}")
+    raise InvalidInputError(f"unknown scenario kind {kind!r}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from probeplan.config import (
     load_mode_targets,
     planner_list,
     scenario_list,
+    validate_config,
 )
 from probeplan.errors import ConfigError
 from probeplan.scenario import RunConfig
@@ -48,6 +49,19 @@ class TestLoad:
         assert scenario_list(cfg) == ["lane_merge"]
         assert planner_list(cfg) == ["ours"]
         assert cfg["experiment"]["comparison_mode"] is True
+
+    def test_numpy_integers_accepted_as_counts(self, tmp_path):
+        # The one integer check of every config boundary takes numpy
+        # integers, as PlannerConfig and RunConfig do.
+        cfg = load_config(write(tmp_path, MINIMAL))
+        want = validate_config(cfg)
+        exp = cfg["experiment"]
+        exp["runs"], exp["workers"] = np.int64(exp["runs"]), np.int32(2)
+        exp["trace_seeds"] = [np.int64(0), np.uint8(3)]
+        assert validate_config(cfg) == want
+        exp["trace_seeds"] = [np.int64(-1)]
+        with pytest.raises(ConfigError, match="experiment.trace_seeds"):
+            validate_config(cfg)
 
     def test_missing_required_field_named(self, tmp_path):
         p = write(tmp_path, "experiment:\n  runs: 3\n  master_seed: 1\n  scenario: lane_merge\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from probeplan.dynamics import VehicleState
+from probeplan.errors import InvalidInputError
 from probeplan.world import (
     center_distance,
     closing_rate,
@@ -32,7 +33,8 @@ class TestProgress:
         assert human_progress(g, after) == 3.0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        # The error the scenario builders raise for an unknown kind.
+        with pytest.raises(InvalidInputError, match="unknown scenario kind 'roundabout'"):
             geometry_for("roundabout")
 
 
