@@ -299,7 +299,10 @@ class ModeDiag:
 
 @dataclass(frozen=True)
 class PlanDiagnostics:
-    """Everything one receding-horizon step decided and why."""
+    """Everything one receding-horizon step decided and why. The entropies
+    differ in form: ``entropy_before`` is ``entropy(b)``, the two-term form
+    traces report; ``expected_entropy_after`` reads the probe grid, whose
+    rows weigh each intent's mode entropy by its mass (``PROBE_PI_WEIGHTED``)."""
 
     entropy_before: float
     expected_entropy_after: float
