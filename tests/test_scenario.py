@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeplan.belief import (
     ModeTargetSet,
@@ -16,9 +18,10 @@ from probeplan.belief import (
 )
 from probeplan.dynamics import VehicleState
 from probeplan.errors import InvalidInputError
-from probeplan.metrics import SUCCESS, TIMEOUT, VIOLATION
+from probeplan.metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION
 from probeplan.planner import ModeDiag, PlanDiagnostics, PlannerConfig
 from probeplan.scenario import (
+    DEFAULT_REF_SPEED,
     MODE_FORGETTING,
     PLANNERS,
     RunConfig,
@@ -65,6 +68,36 @@ class ZeroPlanner:
 @pytest.fixture
 def zero_planner(monkeypatch):
     monkeypatch.setitem(PLANNERS, "zero", ZeroPlanner)
+
+
+class TestClosedLoopProperties:
+    """Whole runs, at small budgets, keep the invariants every run must."""
+
+    @given(
+        kind=st.sampled_from([LANE_MERGE, INTERSECTION]),
+        planner=st.sampled_from(["ours", "passive", "conservative"]),
+        master_seed=st.integers(0, 2**32 - 1),
+        run_index=st.integers(0, 10_000),
+        pinned=st.sampled_from([None, 1, 2, 3]),
+        t_max=st.sampled_from([0.3, 0.6, 1.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_run_invariants(self, kind, planner, master_seed, run_index, pinned, t_max):
+        pc = PlannerConfig(rollout_count=20, solver_iters=1, probe_grid_size=3, obs_samples=2,
+                           ref_speed=DEFAULT_REF_SPEED[kind])
+        cfg = RunConfig(scenario=kind, master_seed=master_seed, planner=planner, planner_cfg=pc,
+                        t_max=t_max, pinned_intent=pinned)
+        result, log = run(cfg, run_index)
+        assert log.records
+        for r in log.records:
+            assert abs(math.fsum(r.pi) - 1.0) <= 1e-9
+            assert all(abs(math.fsum(w) - 1.0) <= 1e-9 for w in r.w_rows)
+            assert np.all(r.u >= pc.u_min) and np.all(r.u <= pc.u_max)
+        assert result.min_gap >= 0.0
+        assert result.termination_reason in (SUCCESS, VIOLATION, TIMEOUT, ERROR)
+        again, log_again = run(cfg, run_index)
+        assert repr(again) == repr(result)
+        assert log_again.controls.tobytes() == log.controls.tobytes()
 
 
 class TestInit:
