@@ -986,8 +986,8 @@ class ActivePlanner:
         u_total: np.ndarray,
         solver_evals: int,
     ) -> tuple[np.ndarray, PlanDiagnostics]:
-        """Record the executed plan for the next step's reference plan and
-        warm start, and assemble the step's diagnostics from the solved modes'
+        """Record the executed plan for the next step's reference and warm
+        start, and assemble the step's diagnostics from the solved modes'
         records, a bare record for every other mode, and the solved modes'
         probe and influence terms in the convex mix of ``ctx.blend_weights``."""
         mode_diags = tuple(solved.get(m) or ctx.mode_diag(m) for m in range(len(ctx.omega)))

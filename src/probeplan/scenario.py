@@ -365,8 +365,8 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     gt_intent = cfg.pinned_intent or int(rng_intent.integers(1, targets.num_intents + 1))
     params = _human_params(cfg, targets, gt_intent, state.human.v, state.geometry)
     belief = uniform_belief(targets)
-    planner = make_planner(
-        cfg.planner, pc, derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN)), targets)
+    key = derive_key(rng_from_keys(cfg.master_seed, run_index, STREAM_PLAN))
+    planner = make_planner(cfg.planner, pc, key, targets)
 
     log = RunLog(
         scenario=cfg.scenario, planner=cfg.planner, run_index=run_index,

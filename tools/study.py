@@ -22,10 +22,10 @@ trees' slices, and two planners in one slice, pair run by run. ``compare``
 prints, per scenario and planner, each tree's success with its 95 %
 interval, the paired differences change - parent, and each tree's count of
 every termination reason with the runs that did not succeed by reason and
-ground-truth intent (named as the built-in target sets name them); then
-the paired differences ``ours`` - ``conservative`` and ``ours`` - ``passive``
-in each tree. Intervals are 95 % percentile bootstraps over 10 000 resamples of
-runs; paired completion times are over the runs both sides completed.
+ground-truth intent (named as the built-in target sets name them); then the
+paired differences ``ours`` - ``conservative`` and ``ours`` - ``passive`` in
+each tree. Intervals are 95 % percentile bootstraps over 10 000 resamples
+of runs; paired completion times are over the runs both sides completed.
 """
 
 import csv
@@ -132,10 +132,11 @@ def terminations(runs):
 
 
 def _show_ends(counts, lost):
+    def name(k):
+        return INTENT_NAMES[k - 1] if 1 <= k <= len(INTENT_NAMES) else f"intent {k}"
+
     ends = ", ".join(f"{t} {n}" for t, n in counts.items())
-    named = {k: INTENT_NAMES[k - 1] if 1 <= k <= len(INTENT_NAMES) else f"intent {k}"
-             for _, k in lost}
-    runs = "; ".join(f"{t} {named[k]} x{len(i)} (runs {' '.join(map(str, i))})"
+    runs = "; ".join(f"{t} {name(k)} x{len(i)} (runs {' '.join(map(str, i))})"
                      for (t, k), i in sorted(lost.items()))
     return ends + (f"; not succeeded: {runs}" if runs else "")
 
