@@ -68,7 +68,9 @@ def _result_row(idx: int, scenario: str, planner: str, result, log: RunLog) -> s
 
 def trace_rows(log: RunLog) -> list[str]:
     """Plot-ready per-step series mirroring the interaction panels:
-    belief, entropy, per-mode risk, control effort, and both states."""
+    belief, entropy, per-mode risk, control effort, and both states. The
+    per-mode risk columns read each record's deferred ``cvar_pre``, so a
+    traced run scores its reference blocks here, if nothing read them before."""
     targets = log.targets
     mode_cols = [f"cvar_{t.intent_id}_{t.mode_id}" for t in targets.targets]
     header = (

@@ -4,12 +4,12 @@ the solved modes' plans by joint weight, applied in a receding-horizon
 loop (only the first control of each step's mix is executed).
 
 Solver notes. Every planner runs the same step: ``ActivePlanner._begin_step``
-builds the shared setup (lane guidance with the ego headings of its
-roll, probe grid, joint weights, the modes to solve, every mode's human
-paths as x and y planes and their boxes, placed at the human's state from
-the run's arcs by one ``risk.place_human_paths`` call, reference-plan CVaR
-per mode), all on one mode axis ``m`` in target order. The probe grid is
-one batched ``belief.posterior_entropies`` pass over every grid point's
+builds the shared setup (lane guidance with the ego headings of its roll,
+probe grid, joint weights, the modes to solve, every mode's human paths as
+x and y planes and their boxes, placed at the human's state from the run's
+arcs by one ``risk.place_human_paths`` call, the reference plan's deferred
+CVaR per mode), all on one mode axis ``m`` in target order. The probe grid
+is one batched ``belief.posterior_entropies`` pass over every grid point's
 observations: one ``predicted_observation_mean`` call for every projected
 grid point, at each mode's Gauss-Hermite nodes.
 ``_descend`` is the one solver loop. It runs one descent chain per solve
@@ -70,9 +70,10 @@ threshold in a line search: it holds ``_UNSCORED`` and its bound as
 objective, and needs no tail gradient, since it never becomes a chain's
 state. A chain whose pick breaks the cap scores its unscored history
 in one batch before its fallback reads it. No decision reads a pick's
-``-inf`` either, so its exact CVaR is deferred: the first read of any
-certified pick's ``ModeDiag.cvar_solution`` or ``margin`` scores every
-certified pick of the step in one batch (``_ExactCVaRs``).
+``-inf`` either, nor ``cvar_pre``: the first read of a certified pick's
+``cvar_solution`` or ``margin`` scores every certified pick of the step
+in one block, that of a mode's ``cvar_pre`` the reference plan against
+every mode, placing the arcs again so no record holds the planes (``_Batch``).
 
 The conservative planner minimizes the omega-weighted CVaR sum, which is
 at least the same sum of per-mode floors less ``CERTIFY_MARGIN``:
@@ -124,13 +125,7 @@ from .risk import (
     simulate_ego_path,
 )
 from .seeding import STREAM_MODE_ROLLOUT, rng_from_keys
-from .world import (
-    LANE_MERGE,
-    ScenarioGeometry,
-    ScenarioState,
-    ego_progress,
-    human_progress,
-)
+from .world import LANE_MERGE, ScenarioGeometry, ScenarioState, ego_progress, human_progress
 
 # Initial ego state uncertainty (position, velocity) for the predicted
 # interaction distribution; grows over the horizon per the process noise.
@@ -264,11 +259,25 @@ class PlannerConfig:
         return np.array([self.accel_bounds[1], self.yaw_rate_bounds[1]])
 
 
+class _ReadOnce:
+    """A record whose ``cvar_pre``, ``cvar_solution`` or ``margin`` may hold a
+    callable until its first read stores what it returns (solver notes); a
+    pickle or deep copy holds the values."""
+
+    def __getattribute__(self, name: str):
+        value = object.__getattribute__(self, name)
+        if name in ("cvar_pre", "cvar_solution", "margin") and callable(value):
+            value = self.__dict__[name] = value()
+        return value
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class ModeDiag:
-    """Per-mode planning record (one entry per mode target, active or not).
-    A certified pick's ``cvar_solution`` and ``margin`` hold callables until
-    their first read (solver notes); a pickle or deep copy holds the values."""
+class ModeDiag(_ReadOnce):
+    """Per-mode planning record (one entry per mode target, active or not);
+    ``cvar_pre``, and a certified pick's CVaR, are scored on first read."""
 
     intent_id: int
     mode_id: int
@@ -282,27 +291,18 @@ class ModeDiag:
     j_probe: float = math.nan
     j_influence: float = math.nan
     # Starts and line-search trials a one-at-a-time search scores, repeats
-    # too; not the trials scored after a chain's first win and dropped. A
-    # candidate's gradient comes with its objective: no probe candidates.
+    # too; not the trials scored after a chain's first win and dropped.
     evals: int = 0
     nu: np.ndarray | None = None
-
-    def __getattribute__(self, name: str):
-        value = object.__getattribute__(self, name)
-        if name in ("cvar_solution", "margin") and callable(value):
-            value = self.__dict__[name] = value()
-        return value
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
 class PlanDiagnostics:
-    """Everything one receding-horizon step decided and why. The entropies
-    differ in form: ``entropy_before`` is ``entropy(b)``, the two-term form
-    traces report; ``expected_entropy_after`` reads the probe grid, whose
-    rows weigh each intent's mode entropy by its mass (``PROBE_PI_WEIGHTED``)."""
+    """Everything one receding-horizon step decided and why; each mode's
+    ``cvar_pre`` is scored on its first read. The entropies differ in form:
+    ``entropy_before`` is ``entropy(b)``, the two-term form traces report;
+    ``expected_entropy_after`` reads the probe grid, whose rows weigh each
+    intent's mode entropy by its mass (``PROBE_PI_WEIGHTED``)."""
 
     entropy_before: float
     expected_entropy_after: float
@@ -490,8 +490,9 @@ class _StepContext:
     in ``belief.targets.targets``: ``omega`` and ``active`` (M,),
     ``human_paths`` (M, 2, S, T) with each mode's x and y planes,
     ``human_boxes`` (M, 4, T) with their ``risk.sample_boxes``, and
-    ``cvar_pre`` (M,). ``solve`` lists the modes a planner solves: the
-    active ones, or the argmax-omega mode when none is active."""
+    ``cvar_pre``, whose first call scores every mode's reference CVaR (M,).
+    ``solve`` lists the modes a planner solves: the active ones, or the
+    argmax-omega mode when none is active."""
 
     cfg: PlannerConfig
     state: ScenarioState
@@ -507,7 +508,7 @@ class _StepContext:
     solve: list[int]
     human_paths: np.ndarray
     human_boxes: np.ndarray
-    cvar_pre: np.ndarray
+    cvar_pre: _Batch
     path_bases: tuple[np.ndarray, np.ndarray]
 
     @cached_property
@@ -545,24 +546,22 @@ class _StepContext:
         margin = (lambda: cap - cvar_solution()) if callable(cvar_solution) else cap - cvar_solution
         return ModeDiag(
             intent_id=t.intent_id, mode_id=t.mode_id, omega=float(self.omega[m]),
-            active=bool(self.active[m]), cvar_pre=float(self.cvar_pre[m]),
+            active=bool(self.active[m]), cvar_pre=partial(self.cvar_pre, m),
             cvar_solution=cvar_solution, margin=margin, **solved,
         )
 
 
-class _ExactCVaRs:
-    """The exact CVaRs of one step's certified picks (solver notes): the first
-    call scores them all in one batch, keeps the values and lets the step go."""
+class _Batch:
+    """The CVaRs at level ``alpha`` of the rows of ``costs()``, scored on the
+    first call (solver notes), which drops ``costs`` and the inputs it holds."""
 
-    def __init__(self, ctx: _StepContext, thetas: np.ndarray, modes: np.ndarray):
-        self._batch: tuple | list[float] = (ctx, thetas, modes)
+    def __init__(self, costs: Callable[[], np.ndarray], alpha: float):
+        self._costs, self._alpha = costs, alpha
 
     def __call__(self, i: int) -> float:
-        if isinstance(self._batch, tuple):
-            ctx, thetas, modes = self._batch
-            costs = _mode_costs(ctx, ctx.ego_paths(thetas), modes)
-            self._batch = cvar(costs, ctx.cfg.cvar_level).tolist()
-        return self._batch[i]
+        if self._costs:
+            self._values, self._costs = cvar(self._costs(), self._alpha).tolist(), None
+        return self._values[i]
 
 
 def _accels(thetas: np.ndarray, cfg: PlannerConfig) -> np.ndarray:
@@ -781,6 +780,7 @@ class ActivePlanner:
         # and every chain's warm start, all a step leaves to the next.
         self._ref_accel: np.ndarray | None = None
         self._ego_sigma = ego_horizon_covariance(cfg)
+        self._discount_weights = cfg.discount ** np.arange(cfg.horizon_steps)
         self._shared_starts = _shared_starts(cfg)
         # d(terminal speed, terminal progress)/d segment vector (2, P): the
         # terminal state is linear in the sequence, so the state from rest at
@@ -937,10 +937,10 @@ class ActivePlanner:
             picks.append((theta, row.tolist(), infeasible, len(rows)))
         # A pick holding -inf defers its exact CVaR to the first read (solver notes).
         certified = [c for c, (_, row, _, _) in enumerate(picks) if row[1] == -math.inf]
-        if certified:
-            exact = _ExactCVaRs(ctx, np.array([picks[c][0] for c in certified]), solve[certified])
-            for i, c in enumerate(certified):
-                picks[c][1][1] = partial(exact, i)
+        thetas, pick_modes = np.array([picks[c][0] for c in certified]), solve[certified]
+        exact = _Batch(lambda: _mode_costs(ctx, ctx.ego_paths(thetas), pick_modes), cfg.cvar_level)
+        for i, c in enumerate(certified):
+            picks[c][1][1] = partial(exact, i)
         accels = _accels(np.array([theta for theta, _, _, _ in picks]), cfg)
         return [
             ctx.mode_diag(
@@ -955,8 +955,7 @@ class ActivePlanner:
         """Setup every planner's step shares: lane guidance with the ego
         headings it implies, probe grid, joint weights, the modes to solve,
         every mode's human rollouts (the run's arcs placed at the human's
-        state), the discount weights, and the CVaR of the reference plan
-        (shifted previous solution, or coasting) per mode."""
+        state), and the reference plan's deferred CVaR per mode."""
         cfg = self.cfg
         if b.targets is not self.targets:
             raise InvalidInputError("the belief's target set is not the planner's")
@@ -965,10 +964,11 @@ class ActivePlanner:
         omega = joint_weights(b)
         active = omega > cfg.mode_activation_eps
         ref_accel = self._ref_accel if self._ref_accel is not None else np.zeros(cfg.horizon_steps)
-        human_paths, human_boxes = place_human_paths(state.human, *self._rollouts)
-        weights = cfg.discount ** np.arange(cfg.horizon_steps)
-        ref_path = simulate_ego_path(state.ego, ref_accel, headings, cfg.dt)
-        cvar_pre = cvar(path_costs(*ref_path, human_paths, weights, cfg.ref_speed), cfg.cvar_level)
+        rollouts, weights = self._rollouts, self._discount_weights
+        human_paths, human_boxes = place_human_paths(state.human, *rollouts)
+        cvar_pre = _Batch(lambda: path_costs(
+            *simulate_ego_path(state.ego, ref_accel, headings, cfg.dt),
+            place_human_paths(state.human, *rollouts)[0], weights, cfg.ref_speed), cfg.cvar_level)
         return _StepContext(
             cfg=cfg, state=state, belief=b, guidance_yaw=guidance, headings=headings,
             discount_weights=weights, probe_grid=probe_grid, probe_entropy=probe_entropy,

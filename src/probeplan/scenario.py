@@ -29,7 +29,14 @@ from .errors import DegenerateEvidenceError, InvalidInputError
 from .gaussmath import Gaussian
 from .human import YIELD_FLOORS, HumanParams, human_response, observe
 from .metrics import ERROR, SUCCESS, TIMEOUT, VIOLATION, RunResult, jerk_stats
-from .planner import ActivePlanner, PlanDiagnostics, PlannerConfig, _is_integer, _is_real
+from .planner import (
+    ActivePlanner,
+    PlanDiagnostics,
+    PlannerConfig,
+    _is_integer,
+    _is_real,
+    _ReadOnce,
+)
 from .seeding import (
     STREAM_INIT,
     STREAM_INTENT,
@@ -287,7 +294,10 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_ReadOnce):
+    """One step of a run. ``cvar_pre``, the reference plan's CVaR per mode,
+    is scored on its first read (``planner._ReadOnce``)."""
+
     step: int
     t: float
     z: float
@@ -346,6 +356,11 @@ def check_index(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+def _read_each(values: list) -> tuple[float, ...]:
+    """``values`` as a tuple, each deferred one (a callable) replaced by its value."""
+    return tuple(v() if callable(v) else v for v in values)
+
+
 def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
     """Execute one seeded run; bit-identical results for identical inputs."""
     check_index("run_index", run_index)
@@ -396,6 +411,9 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
 
         min_gap = min(min_gap, center_distance(state.ego, state.human))
         speeds.append(state.ego.v)
+        # The modes' reference CVaRs as the step left them: a planner defers
+        # them, so the record reads them only when its own field is read.
+        pre = [vars(m)["cvar_pre"] for m in diag.modes]
         log.records.append(
             StepRecord(
                 step=step,
@@ -404,7 +422,7 @@ def run(cfg: RunConfig, run_index: int = 0) -> tuple[RunResult, RunLog]:
                 pi=belief.intent_probs.copy(),
                 w_rows=belief.rows(),
                 entropy=diag.entropy_before,
-                cvar_pre=tuple(m.cvar_pre for m in diag.modes),
+                cvar_pre=functools.partial(_read_each, pre),
                 u=u_first.copy(),
                 ego=state.ego,
                 human=state.human,

@@ -61,6 +61,11 @@ computes in a faster way:
   drawn and placed in one go, where ``risk.draw_human_paths`` clamps and
   integrates every mode's draws as one block once per run and
   ``risk.place_human_paths`` projects them at each step's human state.
+* ``reference_cvar_pre`` and ``coasting_cvar_pre``: a step's reference
+  CVaR per mode, scored when the step is, one mode's planes drawn and
+  placed, one ``path_costs`` block and one ``cvar`` after another, where
+  the planners score every mode in one block on the first read of a
+  mode's ``cvar_pre``.
 """
 
 from __future__ import annotations
@@ -108,6 +113,7 @@ from probeplan.risk import (
     path_costs,
     simulate_ego_path,
 )
+from probeplan.seeding import STREAM_MODE_ROLLOUT, rng_from_keys
 from probeplan.world import LANE_MERGE, ScenarioState, ego_progress, human_progress
 
 
@@ -161,6 +167,33 @@ def draw_human_paths_one(
     planes[0] += human.x
     planes[1] += human.y
     return planes
+
+
+def reference_cvar_pre(
+    state: ScenarioState, ref_accel: np.ndarray, targets: ModeTargetSet, cfg: PlannerConfig,
+    key: int,
+) -> list[float]:
+    """Each mode's CVaR of the reference plan ``ref_accel`` (T,) at
+    ``state``: the ego rolled along the lane guidance's headings, against
+    the mode's planes drawn from its own rollout stream under the run's key
+    and placed at the human's state."""
+    horizon = cfg.horizon_steps
+    x, y, speeds = simulate_ego_path(
+        state.ego, ref_accel, lane_guidance_loop(state, cfg)[1], cfg.dt)
+    weights = cfg.discount ** np.arange(horizon)
+    out = []
+    for t in targets.targets:
+        rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
+        paths = draw_human_paths_one(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
+        out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
+    return out
+
+
+def coasting_cvar_pre(
+    state: ScenarioState, targets: ModeTargetSet, cfg: PlannerConfig, key: int
+) -> list[float]:
+    """Each mode's reference CVaR of the coasting plan, a run's first step's."""
+    return reference_cvar_pre(state, np.zeros(cfg.horizon_steps), targets, cfg, key)
 
 
 def _interaction_frame(

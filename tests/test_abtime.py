@@ -1,12 +1,18 @@
 """`tools/abtime.py` times two probeplan trees in one process: two copies of
-one tree agree, a copy with an edited cost constant is reported, every
-``plan_step`` call is timed once, each tree's time is taken over its own
-steps, and bad options or a missing tree exit 2 before any run."""
+one tree agree, a copy with an edited cost constant or a moved trace
+diagnostic is reported, every ``plan_step`` call is timed once, each tree's
+time is taken over its own steps, a traced shape builds its trace rows
+inside the timed region, and bad options or a missing tree exit 2 before
+any run."""
 
+import dataclasses
+import importlib
 import importlib.util
 import shutil
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,8 +51,9 @@ def test_clock_times_each_plan_step_once(trees, planner):
     scenario = abtime.load_tree(str(trees[0]), "_abtime_clock")
     tree = (scenario, abtime.clock_plan_steps(scenario))
     job = ("intersection", planner, 0, 1)
-    _, steps, seconds, _, _ = abtime.run_one(tree, job, abtime.SHAPES["crossing_hedge"], 101, 0.3)
-    assert steps == len(seconds) == 3
+    _, steps, seconds, _, _, trace = abtime.run_one(
+        tree, job, abtime.SHAPES["crossing_hedge"], 101, 0.3)
+    assert steps == len(seconds) == 3 == len(trace) - 1
     assert all(s > 0.0 for s in seconds)
 
 
@@ -55,7 +62,7 @@ def test_each_tree_timed_over_its_own_steps(trees, capsys, monkeypatch):
     # faster per step. Dividing its wall time by tree A's steps read 1.5.
     def fake_run(tree, job, shape, seed, t_max):
         steps, wall = (10, 1.0) if tree[0].__name__.startswith("_abtime_a.") else (20, 1.5)
-        return wall, steps, [wall / steps] * steps, ("row",), b"controls"
+        return wall, steps, [wall / steps] * steps, ("row",), b"controls", ["trace"]
 
     monkeypatch.setattr(abtime, "run_one", fake_run)
     assert abtime.main([str(trees[0]), str(trees[1]), *ARGS]) == 0
@@ -76,6 +83,41 @@ def test_edited_cost_constant_differs(trees, capsys):
     risk.write_text(text.replace("\nW_PROX = 10.0\n", "\nW_PROX = 30.0\n"))
     assert abtime.main([str(trees[0]), str(trees[1]), *ARGS]) == 1
     assert "DIFFERS: intersection/" in capsys.readouterr().out
+
+
+def test_moved_trace_diagnostic_differs(trees, capsys):
+    # Every mode's trace column reads mode 0's reference CVaR: the results
+    # and controls agree, the trace rows do not.
+    planner = trees[1] / "planner.py"
+    text = planner.read_text()
+    assert "cvar_pre=partial(self.cvar_pre, m)" in text
+    planner.write_text(text.replace("cvar_pre=partial(self.cvar_pre, m)",
+                                    "cvar_pre=partial(self.cvar_pre, 0)"))
+    assert abtime.main([str(trees[0]), str(trees[1]), *ARGS]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if "DIFFERS" in line]
+    assert lines and all(line.endswith(": trace rows differ") for line in lines)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_traced_shape_builds_trace_rows_in_the_timed_region(trees, traced, monkeypatch):
+    scenario = abtime.load_tree(str(trees[0]), "_abtime_traced")
+    cli = importlib.import_module("_abtime_traced.cli")
+    real_trace, events = cli.trace_rows, []
+
+    def ticking():
+        events.append("clock")
+        return time.perf_counter()
+
+    def traced_rows(log):
+        events.append("trace")
+        return real_trace(log)
+
+    monkeypatch.setattr(cli, "trace_rows", traced_rows)
+    monkeypatch.setattr(abtime, "time", SimpleNamespace(perf_counter=ticking))
+    shape = dataclasses.replace(abtime.SHAPES["crossing_hedge"], traced=traced)
+    abtime.run_one((scenario, []), ("intersection", "passive", 0, 1), shape, 101, 0.2)
+    assert events == (["clock", "trace", "clock"] if traced else ["clock", "clock", "trace"])
+    assert abtime.SHAPES["batch_mixed"].traced and not abtime.SHAPES["crossing_hedge"].traced
 
 
 @pytest.mark.parametrize("bad", [["--t-max", "-1"], ["--t-max", "0"], ["--t-max", "nan"],

@@ -6,6 +6,7 @@ import copy
 import gc
 import math
 import pickle
+import types
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -33,6 +34,7 @@ from probeplan.dynamics import VehicleState, step_vehicle
 from probeplan.errors import DegenerateEvidenceError, InvalidInputError
 from probeplan.gaussmath import Gaussian, kl_divergence
 from probeplan import baselines as baselines_mod
+from probeplan import cli as cli_mod
 from probeplan import planner as planner_mod
 from probeplan import scenario as scenario_mod
 from probeplan.planner import (
@@ -59,8 +61,8 @@ from probeplan.world import (
 
 from oracles import (
     blend_controls,
+    coasting_cvar_pre,
     descend_one,
-    draw_human_paths_one,
     eager_descend,
     ego_path_one,
     ego_headings,
@@ -73,6 +75,7 @@ from oracles import (
     predicted_observation_one,
     probe_grid,
     probe_projection_loop,
+    reference_cvar_pre,
     segment_accels,
     solve_mode_control,
     start_candidates_one,
@@ -1175,8 +1178,12 @@ class TestCertifiedBelowCap:
         state = init_scenario(LANE_MERGE, np.random.default_rng(seed))
         b = uniform_belief(default_targets(LANE_MERGE))
         _, diag = ActivePlanner(cfg, 60 + seed, b.targets).plan_step(state, b)
-        # cvar_pre, the pairs left open and the certified picks.
-        assert 0 < rows["costs"] < rows["bounds"] / 2
+        # The step scores only the pairs left open: the certified picks and
+        # cvar_pre wait for their first read.
+        assert rows["costs"] < rows["bounds"] / 2
+        scored = rows["costs"]
+        diag.modes[0].cvar_pre
+        assert rows["costs"] == scored + len(diag.modes)  # one block of every mode
 
         ctx = ActivePlanner(cfg, 60 + seed, b.targets)._begin_step(state, b)
         solved = [d for d in diag.modes if d.active]
@@ -1340,6 +1347,190 @@ class TestDeferredCertifiedCVaR:
         assert certified and not deferred(copied)
         _, twin = ActivePlanner(cfg, 60, b.targets).plan_step(state, b)
         assert same_diag(copied, twin) and same_diag(diag, twin)
+
+
+def reachable_arrays(root) -> list[np.ndarray]:
+    """Every array ``root`` keeps alive: through containers, instance dicts,
+    partials, closures and default arguments, and an array's base; not
+    through classes, modules or a function's globals."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+        elif isinstance(obj, types.FunctionType):
+            stack += [c.cell_contents for c in obj.__closure__ or ()]
+            stack += list(obj.__defaults__ or ())
+        else:
+            stack += gc.get_referents(obj)
+    return found
+
+
+class TestDeferredReferenceCVaR:
+    """No decision reads the reference plan's CVaR: the first read of any
+    mode's ``cvar_pre``, in a step's diagnostics or in its run record, scores
+    every mode's in one block, with the values the step would have scored,
+    and what waits for the read holds none of the step's placed planes."""
+
+    @staticmethod
+    def counting(monkeypatch) -> Counter:
+        """Counts of the planner module's ``path_costs`` blocks, of those
+        against every mode's planes (the reference block) and of its
+        ``simulate_ego_path`` calls."""
+        calls = Counter()
+        real_costs, real_simulate = planner_mod.path_costs, planner_mod.simulate_ego_path
+
+        def costs(x, y, speeds, human, *args):
+            calls["blocks"] += 1
+            calls["reference blocks"] += human.ndim == 4
+            return real_costs(x, y, speeds, human, *args)
+
+        def simulate(*args):
+            calls["paths"] += 1
+            return real_simulate(*args)
+
+        monkeypatch.setattr(planner_mod, "path_costs", costs)
+        monkeypatch.setattr(planner_mod, "simulate_ego_path", simulate)
+        return calls
+
+    @staticmethod
+    def run_config(planner="ours", kind=INTERSECTION, t_max=1.0):
+        pc = PlannerConfig(ref_speed=DEFAULT_REF_SPEED[kind], **FAST)
+        return RunConfig(scenario=kind, master_seed=3, planner=planner, planner_cfg=pc,
+                         t_max=t_max)
+
+    @pytest.mark.parametrize("planner", ["ours", "passive", "conservative"])
+    def test_unread_run_scores_no_reference_block(self, planner, monkeypatch):
+        calls, reads = self.counting(monkeypatch), []
+        real_make = scenario_mod.make_planner
+
+        def reading_planner(name, cfg, key, targets):
+            built = real_make(name, cfg, key, targets)
+            real_step = built.plan_step
+
+            def step(state, b):
+                u, diag = real_step(state, b)
+                if reads:
+                    diag.modes[-1].cvar_pre
+                return u, diag
+
+            built.plan_step = step
+            return built
+
+        monkeypatch.setattr(scenario_mod, "make_planner", reading_planner)
+        _, log = run(self.run_config(planner), run_index=1)
+        unread, n = calls.copy(), len(log.records)
+        assert unread["reference blocks"] == 0 and n == 10
+        values = [r.cvar_pre for r in log.records]
+        # One reference path and one block of every mode per step, on the read.
+        assert calls["reference blocks"] == calls["blocks"] - unread["blocks"] == n
+        assert calls["paths"] - unread["paths"] == n
+        # Reading every step's right after it pays the same inside the run.
+        calls.clear()
+        reads.append(True)
+        _, log = run(self.run_config(planner), run_index=1)
+        assert calls["reference blocks"] == n and calls["paths"] == unread["paths"] + n
+        assert all(callable(vars(r)["cvar_pre"]) for r in log.records)
+        assert [r.cvar_pre for r in log.records] == values
+
+    def test_one_record_read_scores_its_step_alone(self, monkeypatch):
+        steps, keys = [], []
+        real_make = scenario_mod.make_planner
+
+        def recording_planner(name, cfg, key, targets):
+            built = real_make(name, cfg, key, targets)
+            keys.append(key)
+            real_step = built.plan_step
+
+            def step(state, b):
+                # The step's reference plan: the executed plan shifted, or none.
+                steps.append((state, built._ref_accel))
+                return real_step(state, b)
+
+            built.plan_step = step
+            return built
+
+        monkeypatch.setattr(scenario_mod, "make_planner", recording_planner)
+        cfg = self.run_config("ours", LANE_MERGE)
+        _, log = run(cfg, run_index=2)
+        calls = self.counting(monkeypatch)
+        k, pc = 6, cfg.planner_cfg
+        values = log.records[k].cvar_pre
+        assert calls == Counter({"blocks": 1, "reference blocks": 1, "paths": 1})
+        assert log.records[k].cvar_pre is values and calls["blocks"] == 1
+        assert [i for i, r in enumerate(log.records) if not callable(vars(r)["cvar_pre"])] == [k]
+        state, ref_accel = steps[k]
+        assert ref_accel is not None
+        assert list(values) == reference_cvar_pre(state, ref_accel, log.targets, pc, keys[0])
+        first, _ = steps[0]
+        assert list(log.records[0].cvar_pre) == coasting_cvar_pre(first, log.targets, pc, keys[0])
+
+    def test_batch_scores_the_traced_runs_alone(self, tmp_path, monkeypatch):
+        calls = self.counting(monkeypatch)
+        runs = {}  # (planner, run index): [steps, reference blocks in its run, in its trace]
+        real_run, real_trace = cli_mod.run, cli_mod.trace_rows
+
+        def counted_run(cfg, run_index=0):
+            before = calls["reference blocks"]
+            result, log = real_run(cfg, run_index=run_index)
+            runs[cfg.planner, run_index] = [len(log.records), calls["reference blocks"] - before, 0]
+            return result, log
+
+        def counted_trace(log):
+            before = calls["reference blocks"]
+            rows = real_trace(log)
+            runs[log.planner, log.run_index][2] = calls["reference blocks"] - before
+            return rows
+
+        monkeypatch.setattr(cli_mod, "run", counted_run)
+        monkeypatch.setattr(cli_mod, "trace_rows", counted_trace)
+        (tmp_path / "exp.yaml").write_text(
+            EXPERIMENT.replace("runs: 1", "runs: 3").replace("[ours, passive]", "[ours, conservative]"))
+        assert run_experiment(tmp_path / "exp.yaml", out_dir=tmp_path / "out") == 0
+        assert sorted(runs) == [(p, i) for p in ("conservative", "ours") for i in range(3)]
+        for (_, i), (steps, in_run, in_trace) in runs.items():
+            assert steps > 0 and in_run == 0 and in_trace == (steps if i == 0 else 0)
+        assert calls["reference blocks"] == sum(runs[p, 0][0] for p in ("ours", "conservative"))
+
+    def test_run_log_holds_no_step(self, monkeypatch):
+        contexts, real_begin = [], ActivePlanner._begin_step
+
+        def begin(planner, *args):
+            ctx = real_begin(planner, *args)
+            contexts.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(ActivePlanner, "_begin_step", begin)  # every planner's
+        planes = np.zeros((9, 2, FAST["rollout_count"], PlannerConfig().horizon_steps))
+        assert any(a is planes for a in reachable_arrays(lambda: planes[0]))
+        gc.disable()
+        try:
+            for planner in ("ours", "passive", "conservative"):
+                contexts.clear()
+                _, log = run(self.run_config(planner, LANE_MERGE), run_index=1)
+                assert len(contexts) == len(log.records) == 10
+                assert all(callable(vars(r)["cvar_pre"]) for r in log.records)
+                # By reference counting alone, every step's context is gone.
+                assert all(ref() is None for ref in contexts)
+                assert planes.shape not in {a.shape for a in reachable_arrays(log)}
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("copy_of", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_record_copies_carry_floats(self, copy_of):
+        _, log = run(self.run_config("passive"), run_index=1)
+        record, twin = log.records[4], run(self.run_config("passive"), run_index=1)[1].records[4]
+        assert callable(vars(record)["cvar_pre"])
+        copied = copy_of(record)
+        held = vars(copied)["cvar_pre"]
+        assert type(held) is tuple and all(type(v) is float for v in held)
+        assert held == record.cvar_pre == twin.cvar_pre
+        assert pickle.dumps(copied) == pickle.dumps(record)
 
 
 class LazyRounds:
@@ -2054,21 +2245,6 @@ class TestBlendControls:
             [(1.0, nu)], 1e-5, np.array([-3.0, -0.6]), np.array([3.0, 0.6])
         )
         assert np.all(out <= [3.0, 0.6])
-
-
-def coasting_cvar_pre(state, targets, cfg, key):
-    """Each mode's reference CVaR of the coasting plan, from the mode's own
-    rollout stream under the run's key."""
-    horizon = cfg.horizon_steps
-    headings = ego_headings(state.ego, lane_guidance(state, cfg)[0], cfg.dt)
-    x, y, speeds = simulate_ego_path(state.ego, np.zeros(horizon), headings, cfg.dt)
-    weights = cfg.discount ** np.arange(horizon)
-    out = []
-    for t in targets.targets:
-        rng = rng_from_keys(key, STREAM_MODE_ROLLOUT, t.intent_id, t.mode_id)
-        paths = draw_human_paths_one(state.human, t, cfg.rollout_count, horizon, cfg.dt, rng)
-        out.append(cvar(path_costs(x, y, speeds, paths, weights, cfg.ref_speed), cfg.cvar_level))
-    return out
 
 
 def middle_intent_ruled_out():

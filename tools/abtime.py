@@ -18,9 +18,11 @@ different numbers of steps. Then for how many run pairs tree B took less
 time per step, the median pair's ratio of time per step, and per tree
 and planner the p50 and p95 of the ``plan_step`` latency, one
 ``perf_counter`` pair around each call as the benchmark's ``StepClock``
-takes it. Exits 1 if any pair's result row or
-executed controls differ, 0 otherwise, and 2 on a bad option or a missing
-tree.
+takes it. Each run's trace rows (the tree's ``cli.trace_rows``) are built
+after its timed region, or inside it for a shape that traces every run,
+as the benchmark's batch does. Exits 1 if any pair's result row, executed
+controls or trace rows differ, 0 otherwise, and 2 on a bad option or a
+missing tree.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class Shape:
     t_max: float
     comparison_mode: bool = True
     budgets: tuple[tuple[str, int], ...] = ()
+    traced: bool = False  # each run's trace rows are built inside its timed region
 
 
 SHAPES = {
@@ -56,7 +59,8 @@ SHAPES = {
     # The batch's reduced budgets, run in process one scenario x planner at a time.
     "batch_mixed": Shape(("lane_merge", "intersection"), ("ours", "passive", "conservative"), 2.0,
                          comparison_mode=False,
-                         budgets=(("rollout_count", 50), ("obs_samples", 10), ("solver_iters", 4))),
+                         budgets=(("rollout_count", 50), ("obs_samples", 10), ("solver_iters", 4)),
+                         traced=True),
 }
 
 
@@ -116,8 +120,9 @@ def jobs(shape: Shape, n: int) -> list[tuple[str, str, int, int]]:
 def run_one(tree, job, shape: Shape, seed: int, t_max: float):
     """One run through a tree's ``scenario`` module and its ``plan_step``
     clock: wall seconds, steps, the run's ``plan_step`` seconds, its result
-    row and its executed controls as bytes."""
+    row, its executed controls as bytes and its trace rows."""
     (scenario, clock), (kind, planner, run_index, intent) = tree, job
+    trace_rows = importlib.import_module(f"{scenario.__package__}.cli").trace_rows
     planner_cfg = scenario.PlannerConfig(
         ref_speed=scenario.DEFAULT_REF_SPEED[kind], **dict(shape.budgets))
     cfg = scenario.RunConfig(
@@ -126,9 +131,12 @@ def run_one(tree, job, shape: Shape, seed: int, t_max: float):
     clock.clear()
     t0 = time.perf_counter()
     result, log = scenario.run(cfg, run_index)
+    trace = trace_rows(log) if shape.traced else None
     wall = time.perf_counter() - t0
+    if trace is None:  # built outside the timed region
+        trace = trace_rows(log)
     row = tuple(repr(getattr(result, f.name)) for f in fields(result))
-    return wall, len(log.records), clock[:], row, log.controls.tobytes()
+    return wall, len(log.records), clock[:], row, log.controls.tobytes(), trace
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,10 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         out = [None, None]
         for i in order:
             out[i] = run_one(trees[i], job, shape, args.seed, t_max)
-        (wall_a, steps_a, lat_a, row_a, u_a), (wall_b, steps_b, lat_b, row_b, u_b) = out
-        if row_a != row_b or u_a != u_b:
-            differ.append(f"{job[0]}/{job[1]} run {job[2]}: "
-                          + ("result rows differ" if row_a != row_b else "controls differ"))
+        (wall_a, steps_a, lat_a, *got_a), (wall_b, steps_b, lat_b, *got_b) = out
+        for what, a, b in zip(("result rows", "controls", "trace rows"), got_a, got_b):
+            if a != b:
+                differ.append(f"{job[0]}/{job[1]} run {job[2]}: {what} differ")
+                break
         timed.append((job[1], wall_a, wall_b, steps_a, steps_b, lat_a, lat_b))
 
     print(f"shape {args.shape}: {args.runs} runs per tree, seed {args.seed}, t_max {t_max}")
